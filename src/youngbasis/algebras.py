@@ -46,6 +46,8 @@ class AlgebraSpec:
         self.n = n
         self.r = r
         self.q = None if q in (None, "sym") else Fraction(q)
+        if self.q == 0:
+            raise PreconditionError("q must be nonzero")
         if family == "symmetric":
             if r != 1:
                 raise PreconditionError("symmetric modules use a single component")
@@ -91,6 +93,8 @@ class AlgebraSpec:
 
     def page_weights(self, shape):
         if self.family == "affine_placed":
+            if not all(shape.weights):
+                raise PreconditionError("page weights must be nonzero")
             return shape.weights
         if self.family in ("hecke_B", "ariki_koike"):
             if shape.r != len(self.u):
@@ -228,6 +232,8 @@ def zeroth_generator(spec, shape, graph=None):
     fam = spec.family
     if fam in ("symmetric", "hecke_A"):
         raise PreconditionError(f"{fam} has no zeroth generator")
+    if spec.n == 0:
+        raise PreconditionError("no zeroth generator without boxes")
     if fam == "affine_placed":
         return x_generator(spec, shape, 1, graph=graph)
     spec.validate_shape(shape)
@@ -337,7 +343,7 @@ def verify_relations(spec, shape, graph=None):
         else:
             _record(report, f"involution s{i}", sq - ident)
 
-    if fam in ("hecke_B", "ariki_koike", "wreath_grn"):
+    if fam in ("hecke_B", "ariki_koike", "wreath_grn") and n >= 1:
         t0 = zeroth_generator(spec, shape, graph=graph)
         g1 = gens[1] if n >= 2 else None
         if t0.field != field:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import transition as tr
 from .algebras import (AlgebraSpec, FAMILIES, natural_generator,
@@ -20,6 +19,7 @@ from .algebras import (AlgebraSpec, FAMILIES, natural_generator,
 from .bruhat import BruhatGraph, to_dot
 from .errors import (InvariantError, PreconditionError, ShapeParseError,
                      YoungBasisError)
+from .fields import parse_rational
 from .linalg import matrix_to_csv, matrix_to_json
 from .shapes import all_partitions, parse_shape, shape_from_parts
 
@@ -39,7 +39,6 @@ def _add_common(p, family=True):
                        help="comma-separated exact rationals u_1,...,u_r")
     p.add_argument("--format", default="json", choices=["json", "csv", "dot"])
     p.add_argument("--out", default=None, help="output file (default stdout)")
-    p.add_argument("--threads", type=int, default=1)
 
 
 def build_parser():
@@ -85,20 +84,19 @@ def build_parser():
     p.add_argument("--r", type=int, default=None)
     p.add_argument("--format", default="csv", choices=["json", "csv"])
     p.add_argument("--out", default=None)
-    p.add_argument("--threads", type=int, default=1)
     return ap
 
 
 def _parse_u(text):
     if text is None:
         return None
-    return tuple(Fraction(tok.strip()) for tok in text.split(","))
+    return tuple(parse_rational(tok) for tok in text.split(","))
 
 
 def make_spec(args, shape):
     family = "wreath_grn" if args.family == "grn" else args.family
     r = args.r if args.r is not None else shape.r
-    q = None if args.q == "sym" else Fraction(args.q)
+    q = None if args.q == "sym" else parse_rational(args.q)
     u = _parse_u(args.u)
     if family == "hecke_A":
         u = None
@@ -243,8 +241,7 @@ def cmd_transition(args):
         if spec.family == "wreath_grn":
             tm = tr.grn_transition(shape, graph=graph)
         else:
-            tm = tr.transition_recursive(spec, shape, graph=graph,
-                                         threads=args.threads)
+            tm = tr.transition_recursive(spec, shape, graph=graph)
     elif args.oracle == "pathsum":
         tm = tr.transition_pathsum(spec, shape, graph=graph,
                                    n_cap=args.pathsum_cap)
@@ -286,7 +283,7 @@ def cmd_verify(args):
     spec = make_spec(args, shape)
     graph = BruhatGraph(shape)
     report = verify_relations(spec, shape, graph=graph)
-    tm = tr.transition_recursive(spec, shape, graph=graph, threads=args.threads)
+    tm = tr.transition_recursive(spec, shape, graph=graph)
     try:
         tr.check_structure(tm)
         report.append({"relation": "transition structure", "status": "pass"})

@@ -11,9 +11,15 @@ equality is decidable and serialized output is bit-stable:
 
 Laurent polynomials are stored densely as ``(offset, coeffs)`` where
 ``coeffs[i]`` is the coefficient of ``q**(offset + i)``; degrees stay
-small here so dense storage is the simple choice.  A :class:`QRat` keeps
-its denominator shifted to lowest exponent 0, with integer coefficients
-of content 1 and a positive leading coefficient.
+small here so dense storage is the simple choice.
+
+A :class:`QRat` is ``scale * q**exp * N / D``: one Fraction ``scale``
+and two coprime primitive integer polynomials ``N`` and ``D`` with
+positive leading coefficients and nonzero constant terms.  Its arithmetic
+runs on Python ints: products cross-cancel gcd(N1, D2) and gcd(N2, D1),
+sums cancel only against gcd(D1, D2), and gcds come from a primitive
+remainder sequence over the integers.  ``LaurentPoly`` and ``Cyclo``
+keep Fraction coefficients.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 from .errors import FieldMismatchError, PoleError, PreconditionError
 
@@ -90,68 +97,114 @@ def _pdivmod(a, b):
     return _ptrim(q), _ptrim(a)
 
 
-def _primitive_ints(a):
-    """Scale a Fraction-coefficient polynomial to primitive integers."""
-    lcm = 1
-    for c in a:
-        lcm = lcm * c.denominator // _gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in a]
-    g = 0
-    for v in ints:
-        g = _gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
-
-
-def _int_prem(a, b):
-    """Pseudo-remainder of integer polynomials: lc(b)^k a mod b."""
-    a = list(a)
-    db, lead = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) - 1 < db:
-            break
-        shift = len(a) - 1 - db
-        c = a[-1]
-        a = [v * lead for v in a]
-        for j, bv in enumerate(b):
-            a[shift + j] -= c * bv
-        a.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pgcd(a, b):
-    """Monic gcd over Q[q], computed by a primitive Euclidean remainder
-    sequence over the integers to avoid coefficient blowup."""
-    if not a:
-        a, b = b, a
-    if not b:
-        if not a:
-            return ()
-        return _pscale(a, 1 / a[-1])
-    x = _primitive_ints(a)
-    y = _primitive_ints(b)
-    while y:
-        r = _int_prem(x, y)
-        g = 0
-        for v in r:
-            g = _gcd(g, v)
-        if g > 1:
-            r = [v // g for v in r]
-        x, y = y, r
-    lead = Fraction(x[-1])
-    return tuple(Fraction(v) / lead for v in x)
-
-
 def _peval(a, x):
     acc = ZERO
     for c in reversed(a):
         acc = acc * x + c
     return acc
+
+
+# ---------------------------------------------------------------------------
+# primitive polynomials over the integers, as int tuples (constant first)
+# ---------------------------------------------------------------------------
+
+_I_ONE = (1,)
+
+
+def _iprimitive(a):
+    """Split a nonzero int polynomial into (content, primitive part); the
+    content carries the sign of the leading coefficient, so the primitive
+    part leads positive."""
+    g = gcd(*a)
+    if a[-1] < 0:
+        g = -g
+    if g == 1:
+        return 1, tuple(a)
+    return g, tuple(v // g for v in a)
+
+
+def _fraction_content(coeffs):
+    """Split nonzero Fraction coefficients into (Fraction content,
+    primitive int polynomial with positive leading coefficient)."""
+    den = lcm(*(c.denominator for c in coeffs))
+    g, prim = _iprimitive([c.numerator * (den // c.denominator) for c in coeffs])
+    return Fraction(g, den), prim
+
+
+def _imul(a, b):
+    """Product of nonzero int polynomials (no trimming: over the integers
+    the leading coefficient of a product is never zero)."""
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        c = b[0]
+        return a if c == 1 else tuple(c * x for x in a)
+    out = [0] * (len(a) + len(b) - 1)
+    for j, y in enumerate(b):
+        if y:
+            for i, x in enumerate(a, j):
+                out[i] += x * y
+    return tuple(out)
+
+
+def _iquo(a, b):
+    """Exact quotient a / b of int polynomials.  By Gauss's lemma it is
+    integral whenever b is primitive and divides a over Q; anything else
+    is a bug, so a remainder raises."""
+    if len(b) == 1 and b[0] == 1:
+        return a
+    a = list(a)
+    nb, lead = len(b), b[-1]
+    if len(a) < nb:
+        raise ArithmeticError("inexact polynomial division")
+    q = [0] * (len(a) - nb + 1)
+    for i in range(len(a) - nb, -1, -1):
+        c, r = divmod(a[i + nb - 1], lead)
+        if r:
+            raise ArithmeticError("inexact polynomial division")
+        if c:
+            q[i] = c
+            for j, y in enumerate(b, i):
+                a[j] -= c * y
+    if any(a[:nb - 1]):
+        raise ArithmeticError("inexact polynomial division")
+    return tuple(q)
+
+
+def _int_prem(a, b):
+    """Pseudo-remainder of integer polynomials: lc(b)^k a mod b for some
+    k >= 0.  A step scales by lc(b) only when lc(b) does not divide the
+    leading coefficient, which keeps the coefficients small."""
+    a = list(a)
+    nb, lead = len(b), b[-1]
+    while len(a) >= nb:
+        c = a.pop()
+        if c:
+            quo, rem = divmod(c, lead)
+            if rem:
+                a = [v * lead for v in a]
+                quo = c
+            for j, y in enumerate(b[:-1], len(a) - nb + 1):
+                a[j] -= quo * y
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _igcd(a, b):
+    """Gcd of two primitive int polynomials with positive leading
+    coefficients, by the primitive remainder sequence (Brown 1971,
+    Collins 1967): the result is primitive and leads positive."""
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        if a == b:
+            return b
+        r = _int_prem(a, b)
+        if not r:
+            return b
+        a, b = b, _iprimitive(r)[1]
+    return _I_ONE
 
 
 # ---------------------------------------------------------------------------
@@ -264,13 +317,16 @@ def _as_laurent(x):
 class QRat:
     """Quotient of Laurent polynomials in q, kept in canonical form.
 
-    Canonical form: the common polynomial gcd of numerator and
-    denominator is removed, the denominator has lowest exponent 0,
-    integer coefficients with content 1, and positive leading
-    coefficient.  Equal values therefore have identical representations.
+    A value is ``scale * q**exp * N(q) / D(q)`` where ``N`` and ``D`` are
+    coprime primitive integer polynomials (int tuples, constant first)
+    with positive leading coefficients and nonzero constant terms, and
+    ``scale`` is a nonzero Fraction.  Zero is ``N = ()``, ``D = (1,)``.
+    Equal values therefore have identical representations, and all
+    polynomial work happens on Python ints.  ``num`` and ``den`` give the
+    same value as Laurent polynomials: ``scale * q**exp * N`` over ``D``.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("_exp", "_num", "_scale", "_den")
 
     def __init__(self, num, den=None):
         num = _as_laurent(num)
@@ -278,68 +334,73 @@ class QRat:
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if num.is_zero():
-            self.num = _L_ZERO
-            self.den = _L_ONE
+            self._exp, self._num, self._scale, self._den = 0, (), ZERO, _I_ONE
             return
-        # peel off q-powers so both parts are ordinary polynomials
-        n_off, d_off = num.offset, den.offset
-        n, d = num.coeffs, den.coeffs
-        g = _pgcd(n, d)
+        sn, n = _fraction_content(num.coeffs)
+        sd, d = _fraction_content(den.coeffs)
+        g = _igcd(n, d)
         if len(g) > 1:
-            n = _pdivmod(n, g)[0]
-            d = _pdivmod(d, g)[0]
-        # scale so the denominator has coprime integer coefficients and
-        # positive leading coefficient
-        lead = d[-1]
-        dens = 1
-        nums = 0
-        for c in d:
-            dens = dens * c.denominator // _gcd(dens, c.denominator)
-        for c in d:
-            nums = _gcd(nums, c.numerator * (dens // c.denominator))
-        scale = Fraction(dens, nums if nums else 1)
-        if lead < 0:
-            scale = -scale
-        self.num = LaurentPoly(n_off - d_off, _pscale(n, scale))
-        self.den = LaurentPoly(0, _pscale(d, scale))
+            n, d = _iquo(n, g), _iquo(d, g)
+        self._exp = num.offset - den.offset
+        self._num = n
+        self._scale = sn / sd
+        self._den = d
 
     @classmethod
     def const(cls, c):
-        return cls(LaurentPoly.const(c))
+        c = Fraction(c)
+        if not c:
+            return _Q_ZERO
+        return _qrat(0, _I_ONE, c, _I_ONE)
 
     @classmethod
     def q_power(cls, k):
-        return cls(LaurentPoly.q_power(k))
+        return _qrat(k, _I_ONE, ONE, _I_ONE)
+
+    @property
+    def num(self):
+        s = self._scale
+        return LaurentPoly(self._exp, [s * c for c in self._num])
+
+    @property
+    def den(self):
+        return LaurentPoly(0, self._den)
 
     def is_zero(self):
-        return self.num.is_zero()
+        return not self._num
 
     def is_one(self):
-        return self.num == _L_ONE and self.den == _L_ONE
+        return (self._exp == 0 and self._num == _I_ONE
+                and self._den == _I_ONE and self._scale == 1)
 
     def __bool__(self):
-        return not self.num.is_zero()
+        return bool(self._num)
+
+    def _key(self):
+        return self._exp, self._num, self._scale, self._den
 
     def __eq__(self, other):
         other = _as_qrat(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash(self._key())
 
     def __neg__(self):
-        out = object.__new__(QRat)
-        out.num = -self.num
-        out.den = self.den
-        return out
+        return _qrat(self._exp, self._num, -self._scale, self._den)
+
+    def _inverse(self):
+        if not self._num:
+            raise ZeroDivisionError("division by zero rational function")
+        return _qrat(-self._exp, self._den, 1 / self._scale, self._num)
 
     def __add__(self, other):
         other = _as_qrat(other)
         if other is NotImplemented:
             return NotImplemented
-        return QRat(self.num * other.den + other.num * self.den, self.den * other.den)
+        return _qadd(self, other)
 
     __radd__ = __add__
 
@@ -347,7 +408,7 @@ class QRat:
         other = _as_qrat(other)
         if other is NotImplemented:
             return NotImplemented
-        return QRat(self.num * other.den - other.num * self.den, self.den * other.den)
+        return _qadd(self, -other)
 
     def __rsub__(self, other):
         other = _as_qrat(other)
@@ -359,7 +420,7 @@ class QRat:
         other = _as_qrat(other)
         if other is NotImplemented:
             return NotImplemented
-        return QRat(self.num * other.num, self.den * other.den)
+        return _qmul(self, other)
 
     __rmul__ = __mul__
 
@@ -367,9 +428,7 @@ class QRat:
         other = _as_qrat(other)
         if other is NotImplemented:
             return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return QRat(self.num * other.den, self.den * other.num)
+        return _qmul(self, other._inverse())
 
     def __rtruediv__(self, other):
         other = _as_qrat(other)
@@ -381,18 +440,92 @@ class QRat:
         q0 = Fraction(q0)
         if q0 == 0:
             raise PoleError("cannot evaluate at q = 0")
-        d = self.den.evaluate(q0)
+        d = _peval(self._den, q0)
         if d == 0:
             raise PoleError(f"pole at q = {q0}")
-        return self.num.evaluate(q0) / d
+        return self._scale * _peval(self._num, q0) * q0 ** self._exp / d
 
     def __repr__(self):
         return f"QRat({self.to_str()!r})"
 
     def to_str(self):
-        num = _format_terms(list(self.num.terms()), "q")
-        den = _format_terms(list(self.den.terms()), "q")
+        s, e = self._scale, self._exp
+        if s.denominator == 1:
+            s = s.numerator
+        num = _format_terms([(e + i, s * c) for i, c in enumerate(self._num) if c], "q")
+        den = _format_terms([(i, c) for i, c in enumerate(self._den) if c], "q")
         return f"({num})/({den})"
+
+
+def _qrat(exp, num, scale, den):
+    """A QRat from parts already in canonical form."""
+    out = object.__new__(QRat)
+    out._exp = exp
+    out._num = num
+    out._scale = scale
+    out._den = den
+    return out
+
+
+_Q_ZERO = _qrat(0, (), ZERO, _I_ONE)
+
+
+def _qmul(a, b):
+    """Product with gcd(N1, D2) and gcd(N2, D1) cancelled; the results
+    stay primitive and coprime, so no further normalization is needed."""
+    n1, d1, n2, d2 = a._num, a._den, b._num, b._den
+    if not n1 or not n2:
+        return _Q_ZERO
+    g = _igcd(n1, d2)
+    if len(g) > 1:
+        n1, d2 = _iquo(n1, g), _iquo(d2, g)
+    g = _igcd(n2, d1)
+    if len(g) > 1:
+        n2, d1 = _iquo(n2, g), _iquo(d1, g)
+    return _qrat(a._exp + b._exp, _imul(n1, n2), a._scale * b._scale,
+                 _imul(d1, d2))
+
+
+def _qadd(a, b):
+    """Sum over the denominator lcm g*c1*c2 with g = gcd(D1, D2).  The
+    combined numerator is coprime to c1 and c2, so only gcd(num, g) can
+    cancel."""
+    n1, n2 = a._num, b._num
+    if not n1:
+        return b
+    if not n2:
+        return a
+    d1, d2 = a._den, b._den
+    if d1 == d2:
+        g, rest = d1, _I_ONE
+    else:
+        g = _igcd(d1, d2)
+        c1, c2 = _iquo(d1, g), _iquo(d2, g)
+        n1, n2, rest = _imul(n1, c2), _imul(n2, c1), _imul(c1, c2)
+    # s1*X + s2*Y = (h / m) * (a1*X + a2*Y) with integer a1, a2
+    s1, s2 = a._scale, b._scale
+    p1, r1, p2, r2 = s1.numerator, s1.denominator, s2.numerator, s2.denominator
+    t, h = gcd(r1, r2), gcd(p1, p2)
+    a1, a2 = p1 // h * (r2 // t), p2 // h * (r1 // t)
+    e1, e2 = a._exp, b._exp
+    exp = min(e1, e2)
+    out = [0] * (max(e1 + len(n1), e2 + len(n2)) - exp)
+    for i, x in enumerate(n1, e1 - exp):
+        out[i] = a1 * x
+    for i, y in enumerate(n2, e2 - exp):
+        out[i] += a2 * y
+    lo, hi = 0, len(out)
+    while hi > lo and not out[hi - 1]:
+        hi -= 1
+    if hi == lo:
+        return _Q_ZERO
+    while not out[lo]:
+        lo += 1
+    c, num = _iprimitive(out[lo:hi])
+    k = _igcd(num, g)
+    if len(k) > 1:
+        num, g = _iquo(num, k), _iquo(g, k)
+    return _qrat(exp + lo, num, Fraction(c * h, r1 // t * r2), _imul(g, rest))
 
 
 def _as_qrat(x):
@@ -401,13 +534,6 @@ def _as_qrat(x):
     if isinstance(x, (int, Fraction)):
         return QRat.const(x)
     return NotImplemented
-
-
-def _gcd(a, b):
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
 
 
 Q = QRat.q_power(1)

@@ -18,7 +18,6 @@ products of per-component symmetric-group matrices).
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 
@@ -96,18 +95,6 @@ def _local_generator_data(graph, ws, label):
     return stay, move
 
 
-class _GenData:
-    def __init__(self, graph, ws):
-        self.graph = graph
-        self.ws = ws
-        self._cache = {}
-
-    def get(self, label):
-        if label not in self._cache:
-            self._cache[label] = _local_generator_data(self.graph, self.ws, label)
-        return self._cache[label]
-
-
 def _push_column(prev_col, stay, move, counter):
     """One recursion step: new column = generator applied to prev_col."""
     out = {}
@@ -148,45 +135,27 @@ def _push_column(prev_col, stay, move, counter):
     return out
 
 
-def transition_recursive(spec, shape, graph=None, threads=1, counter=None):
+def transition_recursive(spec, shape, graph=None, counter=None):
     """Transition matrix by the two-term column recursion.
 
     Columns are computed in depth order; column C is e_C, and the column
     of T is obtained from the column of T' = s_l(T) (l the smallest
     label stepping down in weak order) by the seminormal two-term rule.
-    Columns within one depth level are independent and may be computed
-    by a thread pool.
     """
     if graph is None:
         graph = BruhatGraph(shape)
     ws = WeightScheme(spec, shape)
-    gens = _GenData(graph, ws)
+    gens = {}
     size = graph.size()
     cols = [None] * size
     cols[0] = {0: ws.field.one}
-    by_depth = {}
-    for v in range(size):
-        by_depth.setdefault(graph.depth[v], []).append(v)
     t0 = time.perf_counter()
-
-    def compute(v):
+    for v in sorted(range(1, size), key=graph.depth.__getitem__):
         u, label = graph.up_edges_into(v)[0]
-        stay, move = gens.get(label)
-        return _push_column(cols[u], stay, move, counter)
-
-    for d in sorted(by_depth):
-        if d == 0:
-            continue
-        level = by_depth[d]
-        if threads > 1 and len(level) > 1:
-            for v in level:  # warm the per-label cache before pooling
-                gens.get(graph.up_edges_into(v)[0][1])
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                for v, col in zip(level, pool.map(compute, level)):
-                    cols[v] = col
-        else:
-            for v in level:
-                cols[v] = compute(v)
+        if label not in gens:
+            gens[label] = _local_generator_data(graph, ws, label)
+        stay, move = gens[label]
+        cols[v] = _push_column(cols[u], stay, move, counter)
     m = Matrix(size, size, ws.field, cols=cols, basis=graph.nodes)
     return TransitionMatrix(m, spec, shape, "recursive", graph=graph,
                             ops=counter, seconds=time.perf_counter() - t0)
@@ -208,7 +177,7 @@ def transition_pathsum(spec, shape, graph=None, paths=None,
     if graph is None:
         graph = BruhatGraph(shape)
     ws = WeightScheme(spec, shape)
-    gens = _GenData(graph, ws)
+    gens = {}
     if paths is None:
         paths = shortest_paths_from(graph, 0)
     size = graph.size()
@@ -217,7 +186,10 @@ def transition_pathsum(spec, shape, graph=None, paths=None,
     for v in range(size):
         path = paths[v]
         bucket = {}
-        steps = [gens.get(i) for i in path.labels]
+        for i in path.labels:
+            if i not in gens:
+                gens[i] = _local_generator_data(graph, ws, i)
+        steps = [gens[i] for i in path.labels]
 
         def dfs(j, node, weight):
             if j == len(steps):

@@ -1,8 +1,11 @@
 import json
 from fractions import Fraction as F
 
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
 from golden import SYMMETRIC_GOLDEN
-from youngbasis.cli import main
+from youngbasis.cli import FAMILY_CHOICES, main
 from youngbasis.linalg import matrix_from_json
 from youngbasis.shapes import parse_shape
 
@@ -181,15 +184,6 @@ def test_out_file(tmp_path, capsys):
     assert obj["shape"] == "2,1"
 
 
-def test_threads_flag(capsys):
-    code, out1, _ = run_cli(capsys, "transition", "--shape", "3,2,1",
-                            "--threads", "1", "--format", "json")
-    code2, out4, _ = run_cli(capsys, "transition", "--shape", "3,2,1",
-                             "--threads", "4", "--format", "json")
-    assert code == code2 == 0
-    assert out1 == out4
-
-
 def test_exit_code_4_on_verification_failure(capsys, monkeypatch):
     import youngbasis.cli as cli_mod
 
@@ -201,3 +195,74 @@ def test_exit_code_4_on_verification_failure(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--shape", "2,1")
     assert code == 4
     assert json.loads(out)["failures"] == 1
+
+
+@pytest.mark.parametrize("argv, expected", [
+    ("transition --shape=3,2 --family=hecke_A --q=1/0", 2),
+    ("transition --shape=(2,1)|(1) --family=ariki_koike --u=1/0,2", 2),
+    ("transition --shape=1 --family=affine_placed --q=0", 3),
+    ("transition --shape=(2,1)|(1)@0,3 --family=affine_placed --q=1", 3),
+    ("verify --shape=@1 --family=ariki_koike --u=1", 0),
+])
+def test_former_tracebacks_exit_cleanly(capsys, argv, expected):
+    code, out, err = run_cli(capsys, *argv.split(" "))
+    assert code == expected
+    if code:
+        assert out == ""
+        assert json.loads(err)["error"] in ("parse", "precondition")
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the CLI contract: exit 0, or 2/3/4 with one JSON line on stderr
+# ---------------------------------------------------------------------------
+
+_SHAPES = ["1", "2,1", "3,2", "2,2,1", "4,1", "3,1,1", "5", "1,1,1,1,1",
+           "3,3,1/2,1", "3,2/1", "(2,1)|(1)", "(1)|(1)|(2)", "(3,2/1)|(2)",
+           "(2)|()", "(2,1)|(1)@2,3", "(2)|(1)@q^0,q^2", "3,1@1/2"]
+_NON_DIGITS = ",()|/@q^-*x"
+
+
+@st.composite
+def _shape_strings(draw):
+    """A valid shape with n <= 5, possibly mangled.  Edits never create a
+    digit next to a digit and only lower digits, so n stays <= 5."""
+    text = list(draw(st.sampled_from(_SHAPES)))
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(text)))
+        kind = draw(st.sampled_from(["insert", "replace", "lower"]))
+        if kind == "insert":
+            text.insert(i, draw(st.sampled_from(_NON_DIGITS)))
+        elif i < len(text) and kind == "replace":
+            text[i] = draw(st.sampled_from(_NON_DIGITS))
+        elif i < len(text) and text[i].isdigit():
+            text[i] = str(draw(st.integers(0, int(text[i]))))
+    return "".join(text)
+
+
+_GOOD = st.sampled_from(["1", "-1", "2", "3", "1/2", "-3/2", "5"])
+_RATIONALS = _GOOD | _GOOD | st.sampled_from(["0", "1/0", "x", ""])
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(["transition", "orthogonal", "verify",
+                                "seminormal", "natural"]),
+       shape=_shape_strings(),
+       family=st.sampled_from(FAMILY_CHOICES),
+       q=st.just("sym") | _RATIONALS,
+       u=st.none() | st.lists(_RATIONALS, min_size=1,
+                              max_size=3).map(",".join),
+       r=st.none() | st.integers(0, 3))
+def test_cli_fuzz_exit_codes_and_diagnostics(capsys, command, shape, family,
+                                             q, u, r):
+    argv = [command, f"--shape={shape}", f"--family={family}", f"--q={q}"]
+    if u is not None:
+        argv.append(f"--u={u}")
+    if r is not None:
+        argv.append(f"--r={r}")
+    code, _, err = run_cli(capsys, *argv)
+    assert code in (0, 2, 3, 4)
+    if code:
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert set(json.loads(lines[0])) == {"error", "message"}

@@ -1,7 +1,12 @@
+import operator
 import random
 from fractions import Fraction as F
+from functools import reduce
+from math import gcd
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from youngbasis.errors import (FieldMismatchError, PoleError,
                                PreconditionError, ShapeParseError)
@@ -208,3 +213,73 @@ def test_field_descriptors():
     assert field_by_name("q-with-params", {"u": ["2"]}).name == "q-with-params"
     with pytest.raises(PreconditionError):
         field_by_name("octonions")
+
+
+# ---------------------------------------------------------------------------
+# differential test of QRat against sympy
+# ---------------------------------------------------------------------------
+
+_SQ = sympy.Symbol("q")
+
+_coeffs = st.lists(st.builds(F, st.integers(-6, 6), st.integers(1, 4)),
+                   min_size=1, max_size=4)
+# shared factors make gcds (and so cancellation) common
+_FACTORS = [LaurentPoly(0, c) for c in
+            ((1, 1), (-1, 1), (1, 0, 1), (1, 1, 1), (2, -1), (-3, 1))]
+_laurent = st.builds(
+    lambda off, coeffs, factors: reduce(operator.mul, factors,
+                                        LaurentPoly(off, coeffs)),
+    st.integers(-3, 3), _coeffs,
+    st.lists(st.sampled_from(_FACTORS), max_size=3))
+_nonzero_laurent = _laurent.filter(lambda p: not p.is_zero())
+_qrats = st.builds(QRat, _laurent, _nonzero_laurent)
+
+_OPS = [operator.add, operator.sub, operator.mul, operator.truediv]
+# y such that op(x, y) == z, which forces cancellation inside op
+_SOLVE = {operator.add: lambda x, z: z - x,
+          operator.sub: lambda x, z: x - z,
+          operator.mul: lambda x, z: z / x,
+          operator.truediv: lambda x, z: x / z}
+
+
+def _sym(p):
+    return sum((sympy.Rational(c.numerator, c.denominator) * _SQ ** e
+                for e, c in p.terms()), sympy.Integer(0))
+
+
+def _sym_qrat(x):
+    return _sym(x.num) / _sym(x.den)
+
+
+def _assert_canonical(x):
+    den = x.den
+    assert den.offset == 0
+    ints = [int(c) for c in den.coeffs]
+    assert ints == list(den.coeffs)
+    assert gcd(*ints) == 1 and ints[-1] > 0
+    if x.is_zero():
+        assert ints == [1]
+        return
+    num = x.num
+    n = sympy.Poly(_sym(num.shift(-num.offset)), _SQ)
+    d = sympy.Poly(_sym(den), _SQ)
+    assert sympy.gcd(n, d).degree() == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(_qrats, _qrats, st.sampled_from(_OPS), st.booleans())
+def test_qrat_matches_sympy_cancel(x, z, op, solve):
+    y = z
+    if solve and (x if op is operator.mul else z):
+        y = _SOLVE[op](x, z)
+    for v in (x, y):
+        _assert_canonical(v)
+    if op is operator.truediv and y.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            op(x, y)
+        return
+    got = op(x, y)
+    _assert_canonical(got)
+    want = sympy.cancel(op(_sym_qrat(x), _sym_qrat(y)))
+    assert sympy.cancel(_sym_qrat(got) - want) == 0
+    assert QFIELD.parse(QFIELD.to_str(got)) == got

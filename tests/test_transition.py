@@ -182,12 +182,6 @@ def test_path_independence_of_pathsum():
         assert tp.matrix == tm.matrix
 
 
-def test_threads_give_identical_matrix():
-    tm1 = transition_recursive(SPEC6, S321, threads=1)
-    tm4 = transition_recursive(SPEC6, S321, threads=4)
-    assert tm1.matrix == tm4.matrix
-
-
 def test_op_counter_within_bound():
     for text in ["3,2", "3,2,1", "3,3,1/2,1"]:
         shape = parse_shape(text)
