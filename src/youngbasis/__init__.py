@@ -7,9 +7,8 @@ and wreath products of a cyclic group with a symmetric group.
 from .algebras import (AlgebraSpec, FAMILIES, natural_generator,
                        seminormal_generator, verify_relations, x_generator,
                        zeroth_generator)
-from .bruhat import (BruhatGraph, Path, Subpath, bruhat_leq, build_graph,
-                     shortest_path, shortest_paths_from, subpaths_terminating,
-                     to_dot)
+from .bruhat import (BruhatGraph, Path, Subpath, shortest_path,
+                     shortest_paths_from, subpaths_terminating, to_dot)
 from .errors import (DegenerateWeightError, FieldMismatchError,
                      InvariantError, NonSemisimpleError, PoleError,
                      PreconditionError, ShapeParseError, YoungBasisError)

@@ -14,13 +14,8 @@ from . import perms
 from .errors import InvariantError, PreconditionError
 from .shapes import standard_tableaux
 
-__all__ = ["BruhatGraph", "Path", "build_graph", "bruhat_leq",
-           "shortest_path", "subpaths_terminating", "to_dot"]
-
-
-def bruhat_leq(u, w):
-    """Strong Bruhat comparison of permutations (dominance criterion)."""
-    return perms.bruhat_leq(u, w)
+__all__ = ["BruhatGraph", "Path", "shortest_path", "subpaths_terminating",
+           "to_dot"]
 
 
 class BruhatGraph:
@@ -31,16 +26,19 @@ class BruhatGraph:
         self.nodes = standard_tableaux(shape)
         self.index = {t.rows: i for i, t in enumerate(self.nodes)}
         self.depth = [t.depth for t in self.nodes]
-        n = shape.n
-        # neighbors[v][i] = endpoint of the edge labeled s_i at v, if any
+        by_word = {t.word: v for v, t in enumerate(self.nodes)}
+        # neighbors[v][i] = endpoint of the edge labeled s_i at v, if any.
+        # s_i(T) is standard iff i and i+1 share neither a row nor a
+        # column of one component; its word is s_i applied to T's word.
         self.neighbors = []
         for t in self.nodes:
+            box, word = t.box_of, t.word
             nbrs = {}
-            for i in range(1, n):
-                u = t.swap(i)
-                j = self.index.get(u.rows)
-                if j is not None:
-                    nbrs[i] = j
+            for i in range(1, shape.n):
+                k, x, y = box[i]
+                k2, x2, y2 = box[i + 1]
+                if k != k2 or (x != x2 and y != y2):
+                    nbrs[i] = by_word[perms.apply_simple(word, i)]
             self.neighbors.append(nbrs)
         self._check()
 
@@ -112,10 +110,6 @@ class Subpath:
 
     def end(self):
         return self.nodes[-1]
-
-
-def build_graph(shape):
-    return BruhatGraph(shape)
 
 
 def shortest_paths_from(graph, src):

@@ -20,7 +20,7 @@ from .bruhat import BruhatGraph, to_dot
 from .errors import (InvariantError, PreconditionError, ShapeParseError,
                      YoungBasisError)
 from .fields import parse_rational
-from .linalg import matrix_to_csv, matrix_to_json
+from .linalg import matrix_to_csv, matrix_to_json, string_rows
 from .shapes import all_partitions, parse_shape, shape_from_parts
 
 
@@ -211,9 +211,7 @@ def _cmd_generators(args, natural):
                                           "natural" if natural else "seminormal"}),
             "basis": [t.serialize() for t in graph.nodes],
             "generators": [
-                {"name": name, "field": m.field.name,
-                 "rows": [[m.field.to_str(v) for v in row]
-                          for row in m.to_rows()]}
+                {"name": name, "field": m.field.name, "rows": string_rows(m)}
                 for name, m in gens],
         }
         _emit(args, json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")

@@ -8,12 +8,14 @@ recursion writes whole columns, so column-major is the natural layout.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 from .errors import FieldMismatchError, PreconditionError
 from .fields import field_by_name
 
 __all__ = ["Matrix", "matmul", "triangular_inverse", "tensor_product",
-           "direct_sum", "matrix_to_json", "matrix_from_json", "matrix_to_csv"]
+           "direct_sum", "string_rows", "matrix_to_json", "matrix_from_json",
+           "matrix_to_csv"]
 
 
 class Matrix:
@@ -84,13 +86,6 @@ class Matrix:
             for i, v in col.items():
                 rows[i][j] = v
         return rows
-
-    def transpose(self):
-        out = Matrix(self.ncols, self.nrows, self.field)
-        for j, col in enumerate(self.cols):
-            for i, v in col.items():
-                out.cols[i][j] = v
-        return out
 
     def apply(self, vec):
         """Matrix times sparse vector (dict row -> scalar)."""
@@ -278,13 +273,32 @@ def direct_sum(blocks):
 # serialization
 # ---------------------------------------------------------------------------
 
+def string_rows(m):
+    """Rows of scalar strings.  Zero cells share the field's zero string;
+    each distinct nonzero value is formatted once."""
+    to_str = m.field.to_str
+    zero = to_str(m.field.zero)
+    rows = [[zero] * m.ncols for _ in range(m.nrows)]
+    memo = {}
+    for j, col in enumerate(m.cols):
+        for i, v in col.items():
+            # Fraction.__hash__ is slow Python; its integer pair is not
+            key = (v.numerator, v.denominator) if isinstance(v, Fraction) \
+                else v
+            s = memo.get(key)
+            if s is None:
+                s = memo[key] = to_str(v)
+            rows[i][j] = s
+    return rows
+
+
 def matrix_to_json(m, shape_str=None, params=None):
     obj = {
         "shape": shape_str,
         "field": m.field.name,
         "params": params or {},
         "basis": [t.serialize() for t in m.basis] if m.basis else None,
-        "rows": [[m.field.to_str(v) for v in row] for row in m.to_rows()],
+        "rows": string_rows(m),
     }
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -311,9 +325,8 @@ def matrix_to_csv(m):
     else:
         words = [str(j + 1) for j in range(m.ncols)]
     lines = ["," + ",".join(words)]
-    rows = m.to_rows()
     row_labels = words if m.basis is not None and m.nrows == m.ncols \
         else [str(i + 1) for i in range(m.nrows)]
-    for label, row in zip(row_labels, rows):
-        lines.append(label + "," + ",".join(m.field.to_str(v) for v in row))
+    for label, row in zip(row_labels, string_rows(m)):
+        lines.append(label + "," + ",".join(row))
     return "\n".join(lines) + "\n"

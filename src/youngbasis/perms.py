@@ -6,13 +6,16 @@
 
 from __future__ import annotations
 
+from bisect import insort
+from operator import le
+
 from .errors import PreconditionError
 
 __all__ = [
     "identity", "compose", "inverse", "apply_simple", "simple",
     "length", "inversion_pairs", "is_identity",
     "descents_left", "reduced_word", "word_to_perm",
-    "bruhat_leq", "bruhat_leq_subword", "weak_leq",
+    "sorted_prefixes", "bruhat_leq", "bruhat_leq_subword", "weak_leq",
 ]
 
 
@@ -102,19 +105,24 @@ def word_to_perm(n, word):
     return w
 
 
+def sorted_prefixes(w):
+    """The sorted prefixes sorted(w[:1]), ..., sorted(w[:n-1]) of w,
+    concatenated into one flat tuple."""
+    out = []
+    prefix = []
+    for x in w[:-1]:
+        insort(prefix, x)
+        out.extend(prefix)
+    return tuple(out)
+
+
 def bruhat_leq(u, w):
     """Strong Bruhat order via the sorted-prefix dominance criterion:
     u <= w iff for every k the sorted prefix {u(1..k)} is entrywise
-    <= the sorted prefix {w(1..k)}."""
+    <= the sorted prefix {w(1..k)} (Bjorner-Brenti, Thm 2.6.3)."""
     if len(u) != len(w):
         raise PreconditionError("size mismatch in Bruhat comparison")
-    n = len(u)
-    for k in range(1, n):
-        pu = sorted(u[:k])
-        pw = sorted(w[:k])
-        if any(a > b for a, b in zip(pu, pw)):
-            return False
-    return True
+    return all(map(le, sorted_prefixes(u), sorted_prefixes(w)))
 
 
 def _all_reduced_words(w):

@@ -3,11 +3,12 @@ from itertools import permutations
 import pytest
 
 from youngbasis import perms
-from youngbasis.bruhat import (BruhatGraph, bruhat_leq, shortest_path,
+from youngbasis.bruhat import (BruhatGraph, shortest_path,
                                shortest_paths_from, subpaths_terminating,
                                to_dot)
 from youngbasis.errors import PreconditionError
-from youngbasis.shapes import Tableau, parse_shape
+from youngbasis.perms import bruhat_leq
+from youngbasis.shapes import Tableau, all_skew_shapes, parse_shape
 
 
 def test_graph_32():
@@ -54,6 +55,48 @@ def test_bruhat_leq_matches_subword_oracle_on_s4():
     for u in elems:
         for w in elems:
             assert bruhat_leq(u, w) == perms.bruhat_leq_subword(u, w)
+
+
+def _bruhat_leq_per_pair_sort(u, w):
+    """The dominance criterion with every prefix sorted afresh."""
+    return all(a <= b
+               for k in range(1, len(u))
+               for a, b in zip(sorted(u[:k]), sorted(w[:k])))
+
+
+def test_bruhat_leq_matches_per_pair_sort_on_s5():
+    elems = list(permutations(range(1, 6)))
+    for u in elems:
+        for w in elems:
+            assert bruhat_leq(u, w) == _bruhat_leq_per_pair_sort(u, w)
+
+
+def test_sorted_prefixes():
+    assert perms.sorted_prefixes((3, 1, 4, 2)) == (3, 1, 3, 1, 3, 4)
+    assert perms.sorted_prefixes((1,)) == ()
+    assert perms.sorted_prefixes(()) == ()
+
+
+def _swap_neighbors(g):
+    """Edges of the weak Bruhat graph built one Tableau at a time."""
+    out = []
+    for t in g.nodes:
+        nbrs = {}
+        for i in range(1, g.shape.n):
+            u = t.swap(i)
+            if u.is_standard:
+                nbrs[i] = g.index[u.rows]
+        out.append(nbrs)
+    return out
+
+
+def test_neighbors_match_tableau_swap():
+    shapes = [s for n in range(1, 7) for s in all_skew_shapes(n)]
+    shapes += [parse_shape(text) for text in
+               ["(2,1)|(1)", "(3,1/1)|(2)", "(2,1)|()|(1,1)", "(1)|(1)|(1)"]]
+    for s in shapes:
+        g = BruhatGraph(s)
+        assert g.neighbors == _swap_neighbors(g), s.to_str()
 
 
 def test_weak_order_edges_are_bruhat_comparable():

@@ -5,9 +5,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from golden import SYMMETRIC_GOLDEN
+from youngbasis.algebras import (AlgebraSpec, seminormal_generator,
+                                 zeroth_generator)
 from youngbasis.cli import FAMILY_CHOICES, main
-from youngbasis.linalg import matrix_from_json
+from youngbasis.linalg import Matrix, matrix_from_json
 from youngbasis.shapes import parse_shape
+from youngbasis.transition import grn_transition, transition_recursive
 
 
 def run_cli(capsys, *argv):
@@ -51,6 +54,50 @@ def test_transition_json_round_trip(capsys):
     code2, out2, _ = run_cli(capsys, "transition", "--shape", "3,2",
                              "--family", "hecke_A", "--format", "json")
     assert out2 == out
+
+
+def _csv_cells(text):
+    """Cell strings of each matrix in CSV output, labels dropped."""
+    mats = []
+    for line in text.splitlines():
+        if line.startswith("#"):
+            continue
+        if line.startswith(","):
+            mats.append([])
+        else:
+            mats[-1].append(line.split(",")[1:])
+    return mats
+
+
+@pytest.mark.parametrize("text,spec,flags", [
+    ("(2)|(1)|(1)", AlgebraSpec("wreath_grn", 4, r=3),
+     ("--family", "grn", "--r", "3")),
+    ("3,2,1", AlgebraSpec("hecke_A", 6), ("--family", "hecke_A")),
+])
+def test_json_and_csv_round_trip(capsys, text, spec, flags):
+    # rational transition and cyclotomic s0 for grn, q-rational for hecke_A
+    shape = parse_shape(text)
+    if spec.family == "wreath_grn":
+        tm = grn_transition(shape)
+        gens = [zeroth_generator(spec, shape)]
+    else:
+        tm = transition_recursive(spec, shape)
+        gens = []
+    gens += [seminormal_generator(spec, shape, i) for i in range(1, shape.n)]
+    for command, want in (("transition", [tm.matrix]), ("seminormal", gens)):
+        code, out, _ = run_cli(capsys, command, "--shape", text, *flags,
+                               "--format", "json")
+        assert code == 0
+        obj = json.loads(out)
+        blocks = obj.get("generators", [obj])
+        assert [matrix_from_json(json.dumps(b))[0] for b in blocks] == want
+        code, out, _ = run_cli(capsys, command, "--shape", text, *flags,
+                               "--format", "csv")
+        assert code == 0
+        cells = _csv_cells(out)
+        assert [Matrix.from_rows([[m.field.parse(c) for c in row]
+                                  for row in rows], m.field)
+                for m, rows in zip(want, cells)] == want
 
 
 def test_transition_oracles_agree(capsys):

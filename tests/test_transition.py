@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -10,9 +11,10 @@ from youngbasis.algebras import (AlgebraSpec, WeightScheme,
                                  natural_generator, seminormal_generator)
 from youngbasis.bruhat import (BruhatGraph, Path, shortest_path,
                                shortest_paths_from, subpaths_terminating)
-from youngbasis.errors import PreconditionError
+from youngbasis.errors import InvariantError, PreconditionError
 from youngbasis.fields import QFIELD, evaluate_q
 from youngbasis.linalg import matmul
+from youngbasis.perms import bruhat_leq
 from youngbasis.shapes import (Tableau, all_partitions, parse_shape,
                                shape_from_parts, standard_tableaux)
 from youngbasis.transition import (bench_transition,
@@ -160,6 +162,49 @@ def test_triple_oracle_small_sweep():
         tw = transition_word(spec, shape, graph=g)
         assert tr_.matrix == tp.matrix == tw.matrix
         check_structure(tr_)
+
+
+def _corrupt_321(edit):
+    """A correct (3,2,1) transition matrix with one cell edited by
+    edit(cols, graph); returns the matrix and the message it must fail
+    with."""
+    tm = transition_recursive(SPEC6, S321)
+    check_structure(tm)
+    message = edit(tm.matrix.cols, tm.graph)
+    return tm, message
+
+
+def _below_diagonal(cols, g):
+    cols[3][5] = F(1)
+    return "not upper-triangular"
+
+
+def _zero_diagonal(cols, g):
+    del cols[7][7]
+    return "zero diagonal in column 7"
+
+
+def _bruhat_incomparable(cols, g):
+    i, j = next((i, j) for j in range(g.size()) for i in range(j)
+                if g.depth[i] < g.depth[j]
+                and not bruhat_leq(g.nodes[i].word, g.nodes[j].word))
+    cols[j][i] = F(1)
+    return f"nonzero entry at ({i},{j}) violates the Bruhat pattern"
+
+
+def _inside_depth_block(cols, g):
+    i, j = next((i, j) for j in range(g.size()) for i in range(j)
+                if g.depth[i] == g.depth[j])
+    cols[j][i] = F(1)
+    return f"off-diagonal entry ({i},{j}) inside a depth block"
+
+
+@pytest.mark.parametrize("edit", [_below_diagonal, _zero_diagonal,
+                                  _bruhat_incomparable, _inside_depth_block])
+def test_check_structure_rejects_corruption(edit):
+    tm, message = _corrupt_321(edit)
+    with pytest.raises(InvariantError, match=re.escape(message)):
+        check_structure(tm)
 
 
 def test_path_independence_of_pathsum():
