@@ -14,7 +14,7 @@ from .errors import (DegenerateWeightError, FieldMismatchError,
                      PreconditionError, ShapeParseError, YoungBasisError)
 from .fields import (Cyclo, CyclotomicField, Fraction, LaurentPoly, QFIELD,
                      QRat, QRationalField, RATIONALS, RationalField,
-                     check_semisimple, evaluate_q, field_arith, field_by_name,
+                     check_semisimple, evaluate_q, field_by_name,
                      field_of, quantum_integer)
 from .linalg import (Matrix, direct_sum, matmul, matrix_from_json,
                      matrix_to_csv, matrix_to_json, tensor_product,
@@ -26,9 +26,8 @@ from .shapes import (Shape, Tableau, all_partitions, all_skew_shapes,
 from .transition import (OpCounter, TransitionMatrix, bench_transition,
                          check_structure, diagonal_closed_form,
                          grn_transition, orthogonal_diag_squared,
-                         transition_column_word, transition_pathsum,
-                         transition_recursive, transition_word)
-from .weights import (content_of, plain_axial_weight, q_axial_weight,
-                      weighted_content)
+                         transition_pathsum, transition_recursive,
+                         transition_word)
+from .weights import q_axial_weight, weighted_content
 
 __version__ = "0.1.0"

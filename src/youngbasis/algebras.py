@@ -1,13 +1,19 @@
 """Algebra families, their seminormal generator matrices, and relation
 verification.
 
-Supported families:
+Every family is one preset of the same seminormal data (A. Ram,
+"Seminormal representations of Weyl groups and Iwahori-Hecke algebras",
+Proc. LMS 1997): a coefficient q, page weights u_k per component, and
+the coefficient of :func:`weights.q_axial_weight`.  Supported families:
 
-* ``symmetric``      -- the group algebra of S_n on a skew shape,
+* ``symmetric``      -- the group algebra of S_n on a skew shape:
+  ``hecke_A`` at q = 1,
 * ``hecke_A``        -- Iwahori-Hecke of type A (r = 1, u = (1,)),
 * ``hecke_B``        -- type B (r = 2, u_1 = u_2^{-1}),
 * ``ariki_koike``    -- cyclotomic Hecke with parameters u_1..u_r and q,
-* ``wreath_grn``     -- the wreath product Z_r wr S_n (q = 1, u_i = xi^{i-1}),
+* ``wreath_grn``     -- the wreath product Z_r wr S_n: its s_i are those
+  of ``ariki_koike`` at q = 1 with distinct page weights, and s_0 acts
+  by xi^{k-1},
 * ``affine_placed``  -- affine type A on placed shapes; the page weights
   of the shape supply the content weights and the X generators are
   exposed as diagonal matrices.
@@ -18,29 +24,65 @@ For q-families q is either symbolic (``q=None``) or an exact rational.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import NamedTuple
 
 from .bruhat import BruhatGraph
-from .errors import NonSemisimpleError, PreconditionError
+from .errors import (DegenerateWeightError, NonSemisimpleError,
+                     PreconditionError)
 from .fields import (QFIELD, RATIONALS, CyclotomicField, QRat,
                      check_semisimple)
 from .linalg import Matrix, matmul
-from .weights import plain_axial_weight, q_axial_weight, weighted_content
+from .weights import q_axial_weight, weighted_content
 
-__all__ = ["AlgebraSpec", "FAMILIES", "seminormal_generator",
-           "zeroth_generator", "x_generator", "natural_generator",
-           "verify_relations", "WeightScheme"]
+__all__ = ["AlgebraSpec", "FAMILIES", "PRESETS", "Preset",
+           "seminormal_generator", "zeroth_generator", "x_generator",
+           "natural_generator", "verify_relations", "WeightScheme"]
 
-FAMILIES = ("symmetric", "hecke_A", "hecke_B", "ariki_koike",
-            "wreath_grn", "affine_placed")
 
-_Q_FAMILIES = ("hecke_A", "hecke_B", "ariki_koike", "affine_placed")
+class Preset(NamedTuple):
+    """How a family fixes its parameters and names its generators.
+
+    ``r``: the number of components, when the family fixes it.
+    ``u``: "unit" for u = (1,); "given" for one u_k per component
+    ("inverse": and u_1 u_2 = 1); "distinct" for the stand-ins
+    1, ..., r; None for no u.
+    ``q``: "free"; "one" for coefficients at q = 1 with the given q only
+    echoed; "pinned" for q = 1, rejecting any other q.
+    ``pages``: page weights from "u" or from the placed "shape".
+    ``zeroth``: T_0 as None, "u" (diag u_k), "xi" (diag xi^{k-1}) or
+    "x1" (X_1), k the component holding the entry 1.
+    ``prefix``: generator names s_i or T_i.
+    """
+    r: int | None
+    u: str | None
+    q: str
+    pages: str
+    zeroth: str | None
+    prefix: str
+
+
+PRESETS = {
+    "symmetric": Preset(1, "unit", "one", "u", None, "s"),
+    "hecke_A": Preset(1, "unit", "free", "u", None, "T"),
+    "hecke_B": Preset(2, "inverse", "free", "u", "u", "T"),
+    "ariki_koike": Preset(None, "given", "free", "u", "u", "T"),
+    "wreath_grn": Preset(None, "distinct", "pinned", "u", "xi", "s"),
+    "affine_placed": Preset(None, None, "free", "shape", "x1", "T"),
+}
+
+FAMILIES = tuple(PRESETS)
 
 
 class AlgebraSpec:
-    """Validated family + parameters for a module of size n."""
+    """Validated family + parameters for a module of size n.
 
-    def __init__(self, family, n, r=1, q=None, u=None, check=True):
-        if family not in FAMILIES:
+    ``q`` is the parameter as given (echoed in output); ``coefficient_q``
+    is the q the coefficients use: 1 where the family fixes it.
+    """
+
+    def __init__(self, family, n, r=1, q=None, u=None):
+        preset = self.preset = PRESETS.get(family)
+        if preset is None:
             raise PreconditionError(f"unknown family {family!r}")
         self.family = family
         self.n = n
@@ -48,71 +90,49 @@ class AlgebraSpec:
         self.q = None if q in (None, "sym") else Fraction(q)
         if self.q == 0:
             raise PreconditionError("q must be nonzero")
-        if family == "symmetric":
-            if r != 1:
-                raise PreconditionError("symmetric modules use a single component")
-            u = (Fraction(1),)
-        elif family == "hecke_A":
-            if r != 1:
-                raise PreconditionError("type A has r = 1")
-            u = (Fraction(1),)
-        elif family == "hecke_B":
-            if r != 2:
-                raise PreconditionError("type B has r = 2")
-            if u is None or len(u) != 2:
-                raise PreconditionError("type B needs u = (u1, u2)")
-            if Fraction(u[0]) * Fraction(u[1]) != 1:
-                raise PreconditionError("type B requires u1 = u2^{-1}")
-        elif family == "ariki_koike":
-            if u is None or len(u) != r:
-                raise PreconditionError("ariki_koike needs r parameters u")
-        elif family == "wreath_grn":
-            if self.q is not None and self.q != 1:
-                raise PreconditionError("the wreath product fixes q = 1")
+        if preset.r is not None and r != preset.r:
+            raise PreconditionError(f"{family} has r = {preset.r}")
+        if preset.q == "pinned":
+            if self.q not in (None, 1):
+                raise PreconditionError(f"{family} fixes q = 1")
             self.q = Fraction(1)
-            u = tuple(range(r))  # exponents of xi, kept implicit
-        else:  # affine_placed
+        self.coefficient_q = self.q if preset.q == "free" else Fraction(1)
+        if preset.u == "unit":
+            u = (1,)
+        elif preset.u == "distinct":
+            u = range(1, r + 1)
+        elif preset.u is None:
             u = ()
-        self.u = tuple(Fraction(x) if not isinstance(x, QRat) else x
-                       for x in u) if family != "wreath_grn" else tuple(u)
-        if check and family in ("hecke_A", "hecke_B", "ariki_koike"):
+        elif u is None or len(u) != r:
+            raise PreconditionError(f"{family} needs r = {r} parameters u")
+        self.u = tuple(x if isinstance(x, QRat) else Fraction(x) for x in u)
+        if preset.u == "inverse" and self.u[0] * self.u[1] != 1:
+            raise PreconditionError(f"{family} requires u1 = u2^{{-1}}")
+        # at q = 1 with fixed, distinct u the check cannot fail
+        if preset.q == "free":
             qq = QFIELD.q if self.q is None else self.q
             if not check_semisimple(list(self.u), qq, n):
-                raise NonSemisimpleError(
-                    f"parameters u={self.u} q={self.q} are not semisimple for n={n}")
-
-    @property
-    def symbolic_q(self):
-        return self.family in _Q_FAMILIES and self.q is None
+                raise NonSemisimpleError(f"parameters u={self.u} q={self.q} "
+                                         f"are not semisimple for n={n}")
 
     def coefficient_field(self):
         """Field of the transition matrix and the T_i generators."""
-        if self.family in ("symmetric", "wreath_grn"):
-            return RATIONALS
-        return QFIELD if self.q is None else RATIONALS
+        return QFIELD if self.coefficient_q is None else RATIONALS
 
     def page_weights(self, shape):
-        if self.family == "affine_placed":
-            if not all(shape.weights):
-                raise PreconditionError("page weights must be nonzero")
-            return shape.weights
-        if self.family in ("hecke_B", "ariki_koike"):
-            if shape.r != len(self.u):
-                raise PreconditionError(
-                    f"shape has {shape.r} components, {len(self.u)} parameters given")
-            return self.u
-        return (Fraction(1),) * shape.r
+        return shape.weights if self.preset.pages == "shape" else self.u
 
     def validate_shape(self, shape):
-        if self.family in ("symmetric", "hecke_A") and shape.r != 1:
-            raise PreconditionError(f"{self.family} expects a single component")
-        if self.family in ("wreath_grn", "hecke_B", "ariki_koike") \
-                and not shape.is_r_partition():
-            raise PreconditionError(f"{self.family} expects an r-partition")
-        if self.family in ("hecke_B", "ariki_koike", "wreath_grn") \
-                and shape.r != self.r:
+        if self.preset.pages == "shape":
+            if not all(shape.weights):
+                raise PreconditionError("page weights must be nonzero")
+        elif shape.r != len(self.u):
             raise PreconditionError(
-                f"shape has {shape.r} components but r = {self.r}")
+                f"shape has {shape.r} components but {self.family} "
+                f"has r = {len(self.u)}")
+        # T_0 = u_k (or xi^{k-1}) needs the entry 1 at content 0
+        if self.preset.zeroth in ("u", "xi") and not shape.is_r_partition():
+            raise PreconditionError(f"{self.family} expects an r-partition")
         if shape.n != self.n:
             raise PreconditionError(f"shape has {shape.n} boxes but n = {self.n}")
 
@@ -136,27 +156,12 @@ class WeightScheme:
         self.shape = shape
         self.field = spec.coefficient_field()
         self.weights = spec.page_weights(shape)
-        fam = spec.family
-        if fam in ("symmetric", "wreath_grn"):
-            self._one = Fraction(1)
-            self._qinv = Fraction(1)
-        elif spec.q is None:
-            self._one = QFIELD.one
-            self._qinv = QFIELD.q_inv
-        else:
-            self._one = Fraction(1)
-            self._qinv = 1 / spec.q
+        self.q = spec.coefficient_q
+        self._qinv = QFIELD.q_inv if self.q is None else 1 / self.q
         # the coefficient of a pair depends only on the two components
         # and the content difference, so cache by that key
         self._pair_cache = {}
         self._orth_cache = {}
-
-    def _plainlike(self, t, i, j):
-        """Rational-limit coefficient, with the wreath cross-component
-        convention a = 0."""
-        if t.component_of(i) != t.component_of(j):
-            return Fraction(0)
-        return plain_axial_weight(t, i, j)
 
     def pair(self, t, i, j):
         """The (i, j) axial coefficient in the active field."""
@@ -165,11 +170,7 @@ class WeightScheme:
         cached = self._pair_cache.get(key)
         if cached is not None:
             return cached
-        fam = self.spec.family
-        if fam in ("symmetric", "wreath_grn"):
-            val = self._plainlike(t, i, j)
-        else:
-            val = q_axial_weight(t, i, j, self.weights, self.spec.q)
+        val = q_axial_weight(t, i, j, self.weights, self.q)
         self._pair_cache[key] = val
         return val
 
@@ -192,7 +193,6 @@ class WeightScheme:
         num = self._qinv + a
         den = self._qinv * self._qinv - a * a
         if not den:
-            from .errors import DegenerateWeightError
             raise DegenerateWeightError(
                 f"vanishing orthogonal radicand for pair ({i},{j})")
         val = num * num / den
@@ -227,17 +227,17 @@ def seminormal_generator(spec, shape, i, graph=None):
 
 def zeroth_generator(spec, shape, graph=None):
     """Diagonal matrix of T_0 (or s_0): eigenvalue u_k (or xi^{k-1}) on
-    v_T when the entry 1 sits in component k."""
+    v_T when the entry 1 sits in component k, or X_1 on placed shapes."""
     graph = _graph_for(spec, shape, graph)
-    fam = spec.family
-    if fam in ("symmetric", "hecke_A"):
-        raise PreconditionError(f"{fam} has no zeroth generator")
+    kind = spec.preset.zeroth
+    if kind is None:
+        raise PreconditionError(f"{spec.family} has no zeroth generator")
     if spec.n == 0:
         raise PreconditionError("no zeroth generator without boxes")
-    if fam == "affine_placed":
+    if kind == "x1":
         return x_generator(spec, shape, 1, graph=graph)
     spec.validate_shape(shape)
-    if fam == "wreath_grn":
+    if kind == "xi":
         field = CyclotomicField(spec.r)
         vals = [pow_cyclo(field, t.component_of(1) - 1) for t in graph.nodes]
         return Matrix.diagonal(vals, field, basis=graph.nodes)
@@ -255,13 +255,14 @@ def pow_cyclo(field, k):
 
 def x_generator(spec, shape, i, graph=None):
     """Diagonal matrix of X^{eps_i}: eigenvalue q^{2 c(T(i))}."""
-    if spec.family not in ("affine_placed", "ariki_koike", "hecke_B", "hecke_A"):
+    # symmetric and wreath_grn fix q = 1 and carry no X generators
+    if spec.preset.q != "free":
         raise PreconditionError(f"{spec.family} has no X generators")
     if not 1 <= i <= spec.n:
         raise PreconditionError(f"X index {i} out of range")
     graph = _graph_for(spec, shape, graph)
     ws = WeightScheme(spec, shape)
-    vals = [weighted_content(t, i, ws.weights, spec.q) for t in graph.nodes]
+    vals = [weighted_content(t, i, ws.weights, ws.q) for t in graph.nodes]
     return Matrix.diagonal(vals, ws.field, basis=graph.nodes)
 
 
@@ -313,19 +314,15 @@ def verify_relations(spec, shape, graph=None):
     identity; returns a list of {relation, status[, witness]} dicts."""
     graph = _graph_for(spec, shape, graph)
     n = spec.n
-    fam = spec.family
+    preset = spec.preset
     report = []
     gens = {i: seminormal_generator(spec, shape, i, graph=graph)
             for i in range(1, n)}
     field = spec.coefficient_field()
     ident = Matrix.identity(graph.size(), field)
-
-    q_quadratic = fam in _Q_FAMILIES
-    if q_quadratic:
-        if spec.q is None:
-            coeff = QFIELD.q - QFIELD.q_inv
-        else:
-            coeff = spec.q - 1 / spec.q
+    q = spec.coefficient_q
+    # T_i^2 = (q - q^-1) T_i + 1, an involution at q = 1
+    coeff = QFIELD.q - QFIELD.q_inv if q is None else q - 1 / q
 
     for i in range(1, n):
         for j in range(i + 2, n):
@@ -336,16 +333,14 @@ def verify_relations(spec, shape, graph=None):
         rhs = matmul(matmul(gens[i + 1], gens[i]), gens[i + 1])
         _record(report, f"braid s{i} s{i+1}", lhs - rhs)
     for i in range(1, n):
-        sq = matmul(gens[i], gens[i])
-        if q_quadratic:
-            _record(report, f"quadratic T{i}",
-                    sq - gens[i].scale(coeff) - ident)
-        else:
-            _record(report, f"involution s{i}", sq - ident)
+        diff = matmul(gens[i], gens[i]) - ident
+        if coeff:
+            diff = diff - gens[i].scale(coeff)
+        name = "quadratic T" if preset.prefix == "T" else "involution s"
+        _record(report, f"{name}{i}", diff)
 
-    if fam in ("hecke_B", "ariki_koike", "wreath_grn") and n >= 1:
+    if preset.zeroth in ("u", "xi") and n >= 1:
         t0 = zeroth_generator(spec, shape, graph=graph)
-        g1 = gens[1] if n >= 2 else None
         if t0.field != field:
             # wreath: lift the rational s_i into the cyclotomic field
             lift = {i: g.coerce_field(t0.field) for i, g in gens.items()}
@@ -361,7 +356,7 @@ def verify_relations(spec, shape, graph=None):
         for i in range(2, n):
             _record(report, f"commute T0 s{i}",
                     matmul(t0, lift[i]) - matmul(lift[i], t0))
-        if fam == "wreath_grn":
+        if preset.zeroth == "xi":
             acc = ident0
             for _ in range(spec.r):
                 acc = matmul(acc, t0)
@@ -372,7 +367,7 @@ def verify_relations(spec, shape, graph=None):
                 acc = matmul(acc, t0 - ident0.scale(uk))
             _record(report, "cyclotomic prod (T0 - u_k) = 0", acc)
 
-    if fam == "affine_placed":
+    if preset.zeroth == "x1":
         xs = {i: x_generator(spec, shape, i, graph=graph)
               for i in range(1, n + 1)}
         for i in range(1, n):

@@ -97,12 +97,7 @@ def make_spec(args, shape):
     family = "wreath_grn" if args.family == "grn" else args.family
     r = args.r if args.r is not None else shape.r
     q = None if args.q == "sym" else parse_rational(args.q)
-    u = _parse_u(args.u)
-    if family == "hecke_A":
-        u = None
-    if family in ("hecke_B", "ariki_koike") and u is None:
-        raise PreconditionError(f"{family} requires --u")
-    return AlgebraSpec(family, shape.n, r=r, q=q, u=u)
+    return AlgebraSpec(family, shape.n, r=r, q=q, u=_parse_u(args.u))
 
 
 def _emit(args, text):
@@ -116,7 +111,7 @@ def _emit(args, text):
 def _json_params(spec, extra=None):
     params = {"family": spec.family, "r": spec.r,
               "q": "sym" if spec.q is None else str(spec.q)}
-    if spec.family in ("hecke_A", "hecke_B", "ariki_koike"):
+    if spec.preset.q == "free" and spec.u:  # the Hecke families echo u
         params["u"] = [str(x) for x in spec.u]
     if extra:
         params.update(extra)
@@ -163,22 +158,21 @@ def cmd_graph(args):
 def _generator_list(spec, shape, graph, natural):
     gens = []
     tmat = tr.transition_recursive(spec, shape, graph=graph) if natural else None
-    if spec.family in ("hecke_B", "ariki_koike", "wreath_grn"):
-        name0 = "s0" if spec.family == "wreath_grn" else "T0"
+    prefix = spec.preset.prefix
+    if spec.preset.zeroth in ("u", "xi"):
+        name0 = f"{prefix}0"
         if natural:
             gens.append((name0, natural_generator(spec, shape, 0, graph=graph,
                                                   transition=tmat)))
         else:
             gens.append((name0, zeroth_generator(spec, shape, graph=graph)))
-    if spec.family == "affine_placed":
+    if spec.preset.zeroth == "x1":
         for i in range(1, spec.n + 1):
             m = x_generator(spec, shape, i, graph=graph)
             if natural:
                 from .algebras import conjugate_to_natural
                 m = conjugate_to_natural(m, tmat)
             gens.append((f"X{i}", m))
-    prefix = "T" if spec.family in ("hecke_A", "hecke_B", "ariki_koike",
-                                    "affine_placed") else "s"
     for i in range(1, spec.n):
         if natural:
             m = natural_generator(spec, shape, i, graph=graph, transition=tmat)
@@ -236,10 +230,7 @@ def cmd_transition(args):
     spec = make_spec(args, shape)
     graph = BruhatGraph(shape)
     if args.oracle == "recursive":
-        if spec.family == "wreath_grn":
-            tm = tr.grn_transition(shape, graph=graph)
-        else:
-            tm = tr.transition_recursive(spec, shape, graph=graph)
+        tm = tr.transition_recursive(spec, shape, graph=graph)
     elif args.oracle == "pathsum":
         tm = tr.transition_pathsum(spec, shape, graph=graph,
                                    n_cap=args.pathsum_cap)

@@ -34,7 +34,7 @@ from .errors import FieldMismatchError, PoleError, PreconditionError
 __all__ = [
     "Fraction", "LaurentPoly", "QRat", "Cyclo",
     "RationalField", "QRationalField", "CyclotomicField",
-    "field_of", "field_by_name", "field_arith", "evaluate_q",
+    "field_of", "field_by_name", "evaluate_q",
     "quantum_integer", "check_semisimple",
     "format_rational", "parse_rational",
 ]
@@ -928,33 +928,6 @@ def field_by_name(name, params=None):
     if m:
         return CyclotomicField(int(m.group(1)))
     raise PreconditionError(f"unknown field name {name!r}")
-
-
-# ---------------------------------------------------------------------------
-# contracted operations
-# ---------------------------------------------------------------------------
-
-_OPS = {"add", "sub", "mul", "div"}
-
-
-def field_arith(a, b, op):
-    """Apply one exact field operation, requiring both operands in the
-    same field."""
-    if op not in _OPS:
-        raise PreconditionError(f"unknown op {op!r}")
-    fa, fb = field_of(a), field_of(b)
-    if fa != fb:
-        raise FieldMismatchError(f"operands live in {fa.name} and {fb.name}")
-    a, b = fa.coerce(a), fa.coerce(b)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if not b:
-        raise ZeroDivisionError("division by zero")
-    return a / b
 
 
 def evaluate_q(f, q0):

@@ -34,7 +34,7 @@ from .shapes import Shape, Tableau
 __all__ = [
     "TransitionMatrix", "OpCounter",
     "transition_recursive", "transition_pathsum", "transition_word",
-    "transition_column_word", "diagonal_closed_form",
+    "diagonal_closed_form",
     "orthogonal_diag_squared", "grn_transition",
     "check_structure", "bench_transition",
 ]
@@ -210,21 +210,6 @@ def transition_pathsum(spec, shape, graph=None, paths=None,
         dfs(0, 0, one)
         m.cols[v] = {i: w for i, w in bucket.items() if w}
     return TransitionMatrix(m, spec, shape, "pathsum", graph=graph)
-
-
-def transition_column_word(spec, shape, t, graph=None):
-    """One column of the transition matrix by applying generator
-    matrices along a reduced word of w_t to e_C."""
-    if graph is None:
-        graph = BruhatGraph(shape)
-    ws = WeightScheme(spec, shape)
-    v = graph.index[t.rows if isinstance(t, Tableau) else t]
-    path = shortest_paths_from(graph, 0)[v]
-    vec = {0: ws.field.one}
-    for i in path.labels:
-        gen = seminormal_generator(spec, shape, i, graph=graph)
-        vec = gen.apply(vec)
-    return vec
 
 
 def transition_word(spec, shape, graph=None):

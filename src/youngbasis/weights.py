@@ -1,10 +1,11 @@
 """Axial-distance coefficients for the seminormal actions.
 
-The rational coefficient attached to an ordered pair of entries is the
-reciprocal axial distance 1 / (ct(j) - ct(i)); its q-analogue is
-(q - q^-1) / (1 - W) where W is the ratio of weighted contents
-u_k q^{2 ct}.  Degenerate denominators signal parameters outside the
-semisimple range and raise instead of guessing.
+Every family uses one coefficient, (q - q^-1) / (1 - W_i/W_j), where
+W = u_k q^{2 ct} is the weighted content of an entry's box.  At q = 1
+two entries of one component have W_i = W_j, and the coefficient is the
+limit 1 / (ct(j) - ct(i)), the reciprocal axial distance.  Any other
+vanishing denominator signals parameters outside the semisimple range
+and raises instead of guessing.
 """
 
 from __future__ import annotations
@@ -14,19 +15,7 @@ from fractions import Fraction
 from .errors import DegenerateWeightError, PreconditionError
 from .fields import QFIELD, QRat
 
-__all__ = ["plain_axial_weight", "weighted_content", "q_axial_weight",
-           "content_of"]
-
-
-def plain_axial_weight(t, i, j):
-    """a_{i,j}(t) = 1 / (ct(t(j)) - ct(t(i))) over the rationals."""
-    if i == j:
-        raise PreconditionError("axial weight needs two distinct entries")
-    d = t.content(j) - t.content(i)
-    if d == 0:
-        raise DegenerateWeightError(
-            f"entries {i} and {j} share content {t.content(i)}")
-    return Fraction(1, d)
+__all__ = ["weighted_content", "q_axial_weight"]
 
 
 def _as_field(x, symbolic):
@@ -55,30 +44,30 @@ def weighted_content(t, i, page_weights, q=None):
 
 
 def q_axial_weight(t, i, j, page_weights, q=None):
-    """The q-analogue coefficient for the ordered pair (i, j)."""
+    """The coefficient (q - q^-1) / (1 - W_i/W_j) of the ordered pair (i, j).
+
+    For entries of one component with d = ct(i) - ct(j) this is
+    -q^{-d} / [d]_q, which at q = 1 is 1 / (ct(j) - ct(i)); entries of
+    different components with distinct page weights get 0 at q = 1.
+    """
     if i == j:
         raise PreconditionError("axial weight needs two distinct entries")
-    symbolic = q is None
-    ci = weighted_content(t, i, page_weights, q)
-    cj = weighted_content(t, j, page_weights, q)
-    ratio = ci / cj
-    one = QFIELD.one if symbolic else Fraction(1)
-    if ratio == one:
-        raise DegenerateWeightError(
-            f"weighted contents of {i} and {j} coincide (1 - q^(2 delta) = 0)")
-    if symbolic:
-        num = QFIELD.q - QFIELD.q_inv
+    if q == 1 and t.component_of(i) == t.component_of(j):
+        # W_i = W_j: take the limit
+        d = t.content(j) - t.content(i)
+        if d:
+            return Fraction(1, d)
     else:
-        q = Fraction(q)
-        num = q - 1 / q
-    return num / (one - ratio)
-
-
-def content_of(t, i, page_weights=None, q=None):
-    """(plain content, weighted content) of the box holding entry i.
-
-    With page_weights omitted, all pages carry weight 1.
-    """
-    if page_weights is None:
-        page_weights = (1,) * t.shape.r
-    return t.content(i), weighted_content(t, i, page_weights, q)
+        symbolic = q is None
+        ratio = weighted_content(t, i, page_weights, q) \
+            / weighted_content(t, j, page_weights, q)
+        one = QFIELD.one if symbolic else Fraction(1)
+        if ratio != one:
+            if symbolic:
+                num = QFIELD.q - QFIELD.q_inv
+            else:
+                q = Fraction(q)
+                num = q - 1 / q
+            return num / (one - ratio)
+    raise DegenerateWeightError(
+        f"weighted contents of {i} and {j} coincide (1 - q^(2 delta) = 0)")

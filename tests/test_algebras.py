@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
@@ -12,7 +13,8 @@ from youngbasis.linalg import matmul
 from youngbasis.perms import reduced_word
 from youngbasis.shapes import (Tableau, all_partitions, alphabetizer,
                                parse_shape, shape_from_parts)
-from youngbasis.transition import transition_recursive
+from youngbasis.transition import (orthogonal_diag_squared,
+                                   transition_recursive)
 
 S321 = parse_shape("3,2,1")
 SPEC_S6 = AlgebraSpec("symmetric", 6)
@@ -231,3 +233,36 @@ def test_natural_generator_for_zeroth():
     idm = Matrix.identity(g.size(), m.field)
     prod = matmul(m - idm.scale(2), m - idm.scale(3))
     assert prod.is_zero()
+
+
+def test_hecke_A_at_q_one_is_symmetric():
+    for n in range(1, 7):
+        for lam in all_partitions(n):
+            shape = shape_from_parts(lam)
+            g = BruhatGraph(shape)
+            sym = AlgebraSpec("symmetric", n)
+            hecke = AlgebraSpec("hecke_A", n, q=1)
+            assert transition_recursive(hecke, shape, graph=g).matrix \
+                == transition_recursive(sym, shape, graph=g).matrix
+            assert orthogonal_diag_squared(hecke, shape, graph=g) \
+                == orthogonal_diag_squared(sym, shape, graph=g)
+
+
+def _r_partitions(r, n):
+    for sizes in product(range(n + 1), repeat=r):
+        if sum(sizes) == n:
+            yield from product(*(all_partitions(k) for k in sizes))
+
+
+def test_ariki_koike_at_q_one_is_wreath():
+    # the s_i do not see u at q = 1: cross-component coefficients vanish
+    for u in ((2, 3), (2, 3, 4)):
+        r = len(u)
+        for n in range(1, 5):
+            for parts in _r_partitions(r, n):
+                shape = shape_from_parts(*parts)
+                g = BruhatGraph(shape)
+                ak = AlgebraSpec("ariki_koike", n, r=r, q=1, u=u)
+                wreath = AlgebraSpec("wreath_grn", n, r=r)
+                assert transition_recursive(ak, shape, graph=g).matrix \
+                    == transition_recursive(wreath, shape, graph=g).matrix

@@ -211,6 +211,36 @@ def test_exit_code_3_on_precondition(capsys):
     assert diag["error"] == "precondition"
 
 
+@pytest.mark.parametrize("flags", [
+    "--family hecke_A --shape 3,2",
+    "--family hecke_B --u 2,1/2 --shape (2,1)|(1)",
+    "--family ariki_koike --u 2,3 --shape (2,1)|(1)",
+    "--family affine_placed --shape (2,1)|(1)@1,3",
+])
+def test_q_one_specializations_compute(capsys, flags):
+    argv = flags.split(" ") + ["--q", "1"]
+    code, out, _ = run_cli(capsys, "transition", *argv)
+    assert code == 0
+    code, out, _ = run_cli(capsys, "verify", *argv)
+    assert code == 0
+    assert json.loads(out)["failures"] == 0
+
+
+def test_hecke_A_at_q_one_matches_symmetric_and_q_minus_one_fails(capsys):
+    rows = []
+    for flags in (("--family", "hecke_A", "--q", "1"),
+                  ("--family", "symmetric")):
+        code, out, _ = run_cli(capsys, "transition", "--shape", "3,2", *flags)
+        assert code == 0
+        rows.append(json.loads(out)["rows"])
+    assert rows[0] == rows[1]
+    # q = -1 makes same-component pairs degenerate
+    code, out, err = run_cli(capsys, "transition", "--shape", "3,2",
+                             "--family", "hecke_A", "--q", "-1")
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "precondition"
+
+
 def test_pathsum_cap_flag(capsys):
     code, _, _ = run_cli(capsys, "transition", "--shape", "4,4",
                          "--oracle", "pathsum")

@@ -12,16 +12,17 @@ from youngbasis.errors import (FieldMismatchError, PoleError,
                                PreconditionError, ShapeParseError)
 from youngbasis.fields import (Cyclo, CyclotomicField, LaurentPoly, QFIELD,
                                QRat, RATIONALS, check_semisimple,
-                               cyclotomic_polynomial, evaluate_q, field_arith,
+                               cyclotomic_polynomial, evaluate_q,
                                field_by_name, field_of, quantum_integer)
 
 Qp = QRat.q_power
 
 
 def test_rational_arithmetic():
-    assert field_arith(F(1, 2), F(1, 3), "add") == F(5, 6)
-    assert field_arith(F(1, 2), F(1, 3), "mul") == F(1, 6)
-    assert field_arith(F(1, 2), F(1, 3), "div") == F(3, 2)
+    a, b = RATIONALS.coerce(F(1, 2)), RATIONALS.coerce(F(1, 3))
+    assert a + b == F(5, 6)
+    assert a * b == F(1, 6)
+    assert a / b == F(3, 2)
 
 
 def test_q_division_simplifies_to_q():
@@ -40,11 +41,11 @@ def test_xi_times_xi_cubed_is_one():
 
 def test_field_mismatch_and_zero_division():
     with pytest.raises(FieldMismatchError):
-        field_arith(F(1, 2), Qp(1), "add")
+        RATIONALS.coerce(Qp(1))
     with pytest.raises(ZeroDivisionError):
-        field_arith(Qp(2), QRat.const(0), "div")
+        Qp(2) / QRat.const(0)
     with pytest.raises(ZeroDivisionError):
-        field_arith(F(1), F(0), "div")
+        RATIONALS.coerce(F(1)) / RATIONALS.coerce(F(0))
 
 
 def test_evaluate_q_examples():

@@ -4,7 +4,8 @@ from itertools import permutations
 
 import pytest
 
-from youngbasis.errors import PreconditionError, ShapeParseError
+from youngbasis.errors import (DegenerateWeightError, PreconditionError,
+                               ShapeParseError)
 from youngbasis.fields import QFIELD, QRat
 from youngbasis.perms import length as perm_length
 from youngbasis.shapes import (Shape, Tableau, all_partitions,
@@ -12,7 +13,7 @@ from youngbasis.shapes import (Shape, Tableau, all_partitions,
                                apply_permutation, column_reading_tableau,
                                parse_shape, row_reading_tableau,
                                standard_tableaux)
-from youngbasis.weights import plain_axial_weight, q_axial_weight
+from youngbasis.weights import q_axial_weight, weighted_content
 
 
 def tab(shape, *rows):
@@ -166,8 +167,6 @@ def test_weighted_content_uses_page_weight():
     t = column_reading_tableau(s)
     v = t.entry(1, 2, 1)  # box (2,1) of the first component
     u1, u2 = F(2), F(3)
-    w = q_axial_weight  # noqa: F841  (imported for the module under test)
-    from youngbasis.weights import weighted_content
     got = weighted_content(t, v, (u1, u2), None)
     assert got == QFIELD.coerce(u1) * QRat.q_power(-2)
     assert weighted_content(t, v, (u1, u2), F(5)) == u1 * F(1, 25)
@@ -176,10 +175,12 @@ def test_weighted_content_uses_page_weight():
 def test_axial_weight_examples():
     s = parse_shape("5,4,3,1")
     t = Tableau(s, [[(1, 4, 6, 7, 9), (2, 5, 8, 10), (3, 11, 13), (12,)]])
-    assert plain_axial_weight(t, 10, 11) == F(-1, 3)
+    # at q = 1 the coefficient is the reciprocal axial distance
+    assert q_axial_weight(t, 10, 11, (1,), F(1)) == F(-1, 3)
     # antisymmetry
     for (i, j) in [(10, 11), (3, 7), (12, 2)]:
-        assert plain_axial_weight(t, i, j) == -plain_axial_weight(t, j, i)
+        assert q_axial_weight(t, i, j, (1,), F(1)) \
+            == -q_axial_weight(t, j, i, (1,), F(1))
 
 
 def test_axial_weight_q_examples():
@@ -193,6 +194,17 @@ def test_axial_weight_q_examples():
             a = q_axial_weight(t, i, i + 1, (1,), None)
             b = q_axial_weight(t, i + 1, i, (1,), None)
             assert a + b == QFIELD.q - QFIELD.q_inv
+    # at q = 1: distinct page weights give 0 across components; equal
+    # contents, or equal page weights across components, stay degenerate
+    t = column_reading_tableau(parse_shape("(2)|(1)"))
+    assert q_axial_weight(t, 1, 3, (2, 3), F(1)) == 0
+    with pytest.raises(DegenerateWeightError):
+        q_axial_weight(t, 1, 3, (2, 2), F(1))
+    with pytest.raises(DegenerateWeightError):
+        q_axial_weight(t, 1, 2, (1, 1), F(-1))
+    t = Tableau(parse_shape("2,2"), [[(1, 2), (3, 4)]])
+    with pytest.raises(DegenerateWeightError):
+        q_axial_weight(t, 1, 4, (1,), F(1))
 
 
 def test_alphabetizer():
@@ -249,12 +261,12 @@ def test_reading_tableaux_pair():
 
 
 def test_content_of_pair():
-    from youngbasis.weights import content_of
     s = parse_shape("(2,1)|(1)")
     c = column_reading_tableau(s)
     v = c.entry(1, 2, 1)
-    plain, weighted = content_of(c, v, (F(2), F(3)))
-    assert plain == -1
-    assert weighted == QFIELD.coerce(2) * QRat.q_power(-2)
-    plain1, weighted1 = content_of(c, c.entry(1, 1, 1))
-    assert plain1 == 0 and weighted1 == QFIELD.one
+    assert c.content(v) == -1
+    assert weighted_content(c, v, (F(2), F(3))) \
+        == QFIELD.coerce(2) * QRat.q_power(-2)
+    v1 = c.entry(1, 1, 1)
+    assert c.content(v1) == 0
+    assert weighted_content(c, v1, (1, 1)) == QFIELD.one

@@ -17,11 +17,11 @@ from youngbasis.linalg import matmul
 from youngbasis.perms import bruhat_leq
 from youngbasis.shapes import (Tableau, all_partitions, parse_shape,
                                shape_from_parts, standard_tableaux)
-from youngbasis.transition import (bench_transition,
-                                   check_structure, diagonal_closed_form,
-                                   grn_transition, orthogonal_diag_squared,
-                                   transition_column_word, transition_pathsum,
-                                   transition_recursive, transition_word)
+from youngbasis.transition import (bench_transition, check_structure,
+                                   diagonal_closed_form, grn_transition,
+                                   orthogonal_diag_squared,
+                                   transition_pathsum, transition_recursive,
+                                   transition_word)
 
 S32 = parse_shape("3,2")
 S321 = parse_shape("3,2,1")
@@ -139,15 +139,16 @@ def test_diagonal_closed_form_hecke():
 
 def test_column_word_oracle():
     g = BruhatGraph(S32)
-    assert transition_column_word(SPEC5, S32, g.nodes[0], graph=g) == {0: F(1)}
+    word = transition_word(SPEC5, S32, graph=g).matrix
+    assert word.column(0) == {0: F(1)}
     s21 = parse_shape("2,1")
     t = Tableau(s21, [[(1, 2), (3,)]])
-    col = transition_column_word(AlgebraSpec("symmetric", 3), s21, t)
+    tw = transition_word(AlgebraSpec("symmetric", 3), s21)
+    col = tw.matrix.column(tw.graph.index[t.rows])
     assert col == {0: F(1, 2), 1: F(3, 2)}
     tm = transition_recursive(SPEC5, S32, graph=g)
-    for v, t in enumerate(g.nodes):
-        assert transition_column_word(SPEC5, S32, t, graph=g) \
-            == tm.matrix.column(v)
+    for v in range(g.size()):
+        assert word.column(v) == tm.matrix.column(v)
 
 
 def test_triple_oracle_small_sweep():
