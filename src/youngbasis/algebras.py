@@ -148,6 +148,10 @@ class WeightScheme:
     v_t and ``move(t, i)`` the coefficient on v_{s_i(t)}; ``diag_factor``
     and ``orth_factor_squared`` are the per-inversion factors of the
     transition diagonal and of the squared orthogonal diagonal.
+
+    One scheme serves every computation of a request: its caches
+    (coefficients by pair, generator data and matrices by label) assume
+    that every ``graph`` passed in is the weak Bruhat graph of ``shape``.
     """
 
     def __init__(self, spec, shape):
@@ -162,6 +166,8 @@ class WeightScheme:
         # and the content difference, so cache by that key
         self._pair_cache = {}
         self._orth_cache = {}
+        self._steps = {}
+        self._generators = {}
 
     def pair(self, t, i, j):
         """The (i, j) axial coefficient in the active field."""
@@ -179,6 +185,39 @@ class WeightScheme:
 
     def move(self, t, i):
         return self._qinv + self.stay(t, i)
+
+    def steps(self, graph, label):
+        """Per-node stay coefficients and (move coefficient, target) or
+        None for one generator label: what one two-term update needs."""
+        cached = self._steps.get(label)
+        if cached is None:
+            stay = []
+            move = []
+            for t, nbrs in zip(graph.nodes, graph.neighbors):
+                stay.append(self.stay(t, label))
+                target = nbrs.get(label)
+                move.append(None if target is None
+                            else (self.move(t, label), target))
+            cached = self._steps[label] = (stay, move)
+        return cached
+
+    def generator(self, graph, label):
+        """The seminormal matrix of one generator label (shared: callers
+        must not modify it)."""
+        m = self._generators.get(label)
+        if m is None:
+            coerce = self.field.coerce
+            stay, move = self.steps(graph, label)
+            m = Matrix(graph.size(), graph.size(), self.field,
+                       basis=graph.nodes)
+            for col, (a, mv) in enumerate(zip(stay, move)):
+                a = coerce(a)
+                if a:
+                    m.cols[col][col] = a
+                if mv is not None:
+                    m.cols[col][mv[1]] = coerce(mv[0])
+            self._generators[label] = m
+        return m
 
     def diag_factor(self, t, i, j):
         return self._qinv + self.pair(t, i, j)
@@ -206,23 +245,20 @@ def _graph_for(spec, shape, graph):
     return graph
 
 
-def seminormal_generator(spec, shape, i, graph=None):
+def _scheme_for(spec, shape, ws):
+    """`ws`, or a new scheme for (spec, shape) when it is None."""
+    return WeightScheme(spec, shape) if ws is None else ws
+
+
+def seminormal_generator(spec, shape, i, graph=None, ws=None):
     """Matrix of the i-th generator on the seminormal basis in canonical
     order: diagonal entry a_i, off-diagonal 1+a_i (or the q-analogues),
-    off-diagonal dropped when the swap is nonstandard."""
+    off-diagonal dropped when the swap is nonstandard.  Built once per
+    scheme; callers must not modify it."""
     if not 1 <= i <= spec.n - 1:
         raise PreconditionError(f"generator index {i} out of range")
     graph = _graph_for(spec, shape, graph)
-    ws = WeightScheme(spec, shape)
-    m = Matrix(graph.size(), graph.size(), ws.field, basis=graph.nodes)
-    for col, t in enumerate(graph.nodes):
-        a = ws.field.coerce(ws.stay(t, i))
-        if a:
-            m.cols[col][col] = a
-        target = graph.neighbors[col].get(i)
-        if target is not None:
-            m.cols[col][target] = ws.field.coerce(ws.move(t, i))
-    return m
+    return _scheme_for(spec, shape, ws).generator(graph, i)
 
 
 def zeroth_generator(spec, shape, graph=None):
@@ -253,7 +289,7 @@ def pow_cyclo(field, k):
     return out
 
 
-def x_generator(spec, shape, i, graph=None):
+def x_generator(spec, shape, i, graph=None, ws=None):
     """Diagonal matrix of X^{eps_i}: eigenvalue q^{2 c(T(i))}."""
     # symmetric and wreath_grn fix q = 1 and carry no X generators
     if spec.preset.q != "free":
@@ -261,7 +297,7 @@ def x_generator(spec, shape, i, graph=None):
     if not 1 <= i <= spec.n:
         raise PreconditionError(f"X index {i} out of range")
     graph = _graph_for(spec, shape, graph)
-    ws = WeightScheme(spec, shape)
+    ws = _scheme_for(spec, shape, ws)
     vals = [weighted_content(t, i, ws.weights, ws.q) for t in graph.nodes]
     return Matrix.diagonal(vals, ws.field, basis=graph.nodes)
 
@@ -300,25 +336,28 @@ def _entry_witness(m):
     return None
 
 
-def _record(report, name, diff):
-    ok = diff.is_zero()
+def _record(report, name, lhs, rhs=None):
+    """Check lhs == rhs (rhs None: lhs == 0); a failure carries the first
+    nonzero entry of lhs - rhs as its witness."""
+    ok = lhs.is_zero() if rhs is None else lhs == rhs
     item = {"relation": name, "status": "pass" if ok else "fail"}
     if not ok:
-        item["witness"] = _entry_witness(diff)
+        item["witness"] = _entry_witness(lhs if rhs is None else lhs - rhs)
     report.append(item)
     return ok
 
 
-def verify_relations(spec, shape, graph=None):
+def verify_relations(spec, shape, graph=None, ws=None):
     """Check every defining relation of the family as an exact matrix
     identity; returns a list of {relation, status[, witness]} dicts."""
     graph = _graph_for(spec, shape, graph)
+    ws = _scheme_for(spec, shape, ws)
     n = spec.n
     preset = spec.preset
     report = []
-    gens = {i: seminormal_generator(spec, shape, i, graph=graph)
+    gens = {i: seminormal_generator(spec, shape, i, graph=graph, ws=ws)
             for i in range(1, n)}
-    field = spec.coefficient_field()
+    field = ws.field
     ident = Matrix.identity(graph.size(), field)
     q = spec.coefficient_q
     # T_i^2 = (q - q^-1) T_i + 1, an involution at q = 1
@@ -327,17 +366,15 @@ def verify_relations(spec, shape, graph=None):
     for i in range(1, n):
         for j in range(i + 2, n):
             _record(report, f"commute s{i} s{j}",
-                    matmul(gens[i], gens[j]) - matmul(gens[j], gens[i]))
+                    matmul(gens[i], gens[j]), matmul(gens[j], gens[i]))
     for i in range(1, n - 1):
         lhs = matmul(matmul(gens[i], gens[i + 1]), gens[i])
         rhs = matmul(matmul(gens[i + 1], gens[i]), gens[i + 1])
-        _record(report, f"braid s{i} s{i+1}", lhs - rhs)
+        _record(report, f"braid s{i} s{i+1}", lhs, rhs)
     for i in range(1, n):
-        diff = matmul(gens[i], gens[i]) - ident
-        if coeff:
-            diff = diff - gens[i].scale(coeff)
+        rhs = ident + gens[i].scale(coeff) if coeff else ident
         name = "quadratic T" if preset.prefix == "T" else "involution s"
-        _record(report, f"{name}{i}", diff)
+        _record(report, f"{name}{i}", matmul(gens[i], gens[i]), rhs)
 
     if preset.zeroth in ("u", "xi") and n >= 1:
         t0 = zeroth_generator(spec, shape, graph=graph)
@@ -352,15 +389,15 @@ def verify_relations(spec, shape, graph=None):
             g1 = lift[1]
             lhs = matmul(matmul(matmul(t0, g1), t0), g1)
             rhs = matmul(matmul(matmul(g1, t0), g1), t0)
-            _record(report, "braid T0 T1 T0 T1", lhs - rhs)
+            _record(report, "braid T0 T1 T0 T1", lhs, rhs)
         for i in range(2, n):
             _record(report, f"commute T0 s{i}",
-                    matmul(t0, lift[i]) - matmul(lift[i], t0))
+                    matmul(t0, lift[i]), matmul(lift[i], t0))
         if preset.zeroth == "xi":
             acc = ident0
             for _ in range(spec.r):
                 acc = matmul(acc, t0)
-            _record(report, f"order s0^{spec.r} = 1", acc - ident0)
+            _record(report, f"order s0^{spec.r} = 1", acc, ident0)
         else:
             acc = ident0
             for uk in spec.u:
@@ -368,23 +405,23 @@ def verify_relations(spec, shape, graph=None):
             _record(report, "cyclotomic prod (T0 - u_k) = 0", acc)
 
     if preset.zeroth == "x1":
-        xs = {i: x_generator(spec, shape, i, graph=graph)
+        xs = {i: x_generator(spec, shape, i, graph=graph, ws=ws)
               for i in range(1, n + 1)}
         for i in range(1, n):
             for j in range(1, n + 1):
                 if abs(i - j) > 1:
                     _record(report, f"commute T{i} X{j}",
-                            matmul(gens[i], xs[j]) - matmul(xs[j], gens[i]))
+                            matmul(gens[i], xs[j]), matmul(xs[j], gens[i]))
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
                 _record(report, f"commute X{i} X{j}",
-                        matmul(xs[i], xs[j]) - matmul(xs[j], xs[i]))
+                        matmul(xs[i], xs[j]), matmul(xs[j], xs[i]))
         if n >= 2:
             lhs = matmul(matmul(matmul(xs[1], gens[1]), xs[1]), gens[1])
             rhs = matmul(matmul(matmul(gens[1], xs[1]), gens[1]), xs[1])
-            _record(report, "mixed braid X1 T1 X1 T1", lhs - rhs)
+            _record(report, "mixed braid X1 T1 X1 T1", lhs, rhs)
         for i in range(1, n):
             _record(report, f"X{i+1} = T{i} X{i} T{i}",
-                    xs[i + 1] - matmul(matmul(gens[i], xs[i]), gens[i]))
+                    xs[i + 1], matmul(matmul(gens[i], xs[i]), gens[i]))
 
     return report

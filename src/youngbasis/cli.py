@@ -9,11 +9,12 @@ also emitted on stderr as single-line JSON diagnostics.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 from . import transition as tr
-from .algebras import (AlgebraSpec, FAMILIES, natural_generator,
+from .algebras import (AlgebraSpec, FAMILIES, WeightScheme, natural_generator,
                        seminormal_generator, verify_relations,
                        x_generator, zeroth_generator)
 from .bruhat import BruhatGraph, to_dot
@@ -41,7 +42,9 @@ def _add_common(p, family=True):
     p.add_argument("--out", default=None, help="output file (default stdout)")
 
 
+@functools.cache
 def build_parser():
+    # built once per process: parse_args keeps no state in the parser
     ap = argparse.ArgumentParser(
         prog="youngbasis",
         description="Exact transition matrices between Young's bases")
@@ -246,12 +249,11 @@ def cmd_transition(args):
 
 
 def cmd_orthogonal(args):
-    from .algebras import WeightScheme
     shape = parse_shape(args.shape)
     spec = make_spec(args, shape)
     graph = BruhatGraph(shape)
     diag = tr.orthogonal_diag_squared(spec, shape, graph=graph)
-    field = WeightScheme(spec, shape).field
+    field = spec.coefficient_field()
     strs = [field.to_str(field.coerce(v)) for v in diag]
     if args.format == "json":
         obj = {"shape": shape.to_str(), "field": field.name,
@@ -271,22 +273,24 @@ def cmd_verify(args):
     shape = parse_shape(args.shape)
     spec = make_spec(args, shape)
     graph = BruhatGraph(shape)
-    report = verify_relations(spec, shape, graph=graph)
-    tm = tr.transition_recursive(spec, shape, graph=graph)
+    # one scheme: every check shares its coefficients and generators
+    ws = WeightScheme(spec, shape)
+    report = verify_relations(spec, shape, graph=graph, ws=ws)
+    tm = tr.transition_recursive(spec, shape, graph=graph, ws=ws)
     try:
         tr.check_structure(tm)
         report.append({"relation": "transition structure", "status": "pass"})
     except InvariantError as exc:
         report.append({"relation": "transition structure", "status": "fail",
                        "witness": {"message": str(exc)}})
-    diag = tr.diagonal_closed_form(spec, shape, graph=graph)
+    diag = tr.diagonal_closed_form(spec, shape, graph=graph, ws=ws)
     ok = all(tm.matrix.get(i, i) == diag[i] for i in range(graph.size()))
     report.append({"relation": "diagonal closed form",
                    "status": "pass" if ok else "fail"})
     if shape.n <= args.oracle_cap:
         tp = tr.transition_pathsum(spec, shape, graph=graph,
-                                   n_cap=args.oracle_cap)
-        twd = tr.transition_word(spec, shape, graph=graph)
+                                   n_cap=args.oracle_cap, ws=ws)
+        twd = tr.transition_word(spec, shape, graph=graph, ws=ws)
         ok = tp.matrix == tm.matrix and twd.matrix == tm.matrix
         report.append({"relation": "triple-oracle agreement",
                        "status": "pass" if ok else "fail"})

@@ -94,32 +94,6 @@ class Shape:
     def __hash__(self):
         return hash(self.components)
 
-    def removable_corners(self, k):
-        """Boxes of component k whose removal leaves a valid skew shape."""
-        outer, _ = self.components[k - 1]
-        out = []
-        for x, width in enumerate(outer, start=1):
-            if width > self.inner_at(k, x) and (x == len(outer) or outer[x] < width):
-                out.append((k, x, width))
-        return out
-
-    def corners(self):
-        out = []
-        for k in range(1, self.r + 1):
-            out.extend(self.removable_corners(k))
-        return out
-
-    def remove_box(self, k, x):
-        """New Shape with the last box of row x of component k removed."""
-        comps = list(self.components)
-        outer, inner = comps[k - 1]
-        outer = list(outer)
-        outer[x - 1] -= 1
-        if x == len(outer) and outer[-1] == 0:
-            outer.pop()
-        comps[k - 1] = (tuple(outer), inner)
-        return Shape(comps, self.weights)
-
     def connected_row_groups(self, k):
         """Nonempty rows of component k grouped into connected pieces,
         the northeast-most group first."""
@@ -376,17 +350,28 @@ def standard_tableaux(shape):
     """
     results = []
     entries = {}
+    # per component: the row lengths still to fill, with a trailing 0
+    # row, and the inner row lengths
+    lengths = [list(outer) + [0] for outer, _ in shape.components]
+    inners = [[shape.inner_at(k, x) for x in range(1, len(rows))]
+              for k, rows in enumerate(lengths, start=1)]
 
-    def rec(shp, m):
+    def rec(m):
         if m == 0:
-            results.append(Tableau.from_entries(shape, dict(entries)))
+            results.append(Tableau.from_entries(shape, entries))
             return
-        for (k, x, y) in shp.corners():
-            entries[(k, x, y)] = m
-            rec(shp.remove_box(k, x), m - 1)
-            del entries[(k, x, y)]
+        for k, (rows, inner) in enumerate(zip(lengths, inners), start=1):
+            for x, lo in enumerate(inner):
+                y = rows[x]
+                # the last box of row x+1 is a removable corner
+                if y > lo and rows[x + 1] < y:
+                    entries[(k, x + 1, y)] = m
+                    rows[x] = y - 1
+                    rec(m - 1)
+                    rows[x] = y
+                    del entries[(k, x + 1, y)]
 
-    rec(shape, shape.n)
+    rec(shape.n)
     results.sort(key=lambda t: (t.depth, t.word))
     return results
 

@@ -83,21 +83,6 @@ class TransitionMatrix:
         raise KeyError(rows)
 
 
-def _local_generator_data(graph, ws, label):
-    """Per-node (stay coefficient, move coefficient, move target) for one
-    generator label: exactly what one two-term column update needs."""
-    stay = []
-    move = []
-    for v, t in enumerate(graph.nodes):
-        stay.append(ws.stay(t, label))
-        target = graph.neighbors[v].get(label)
-        if target is None:
-            move.append(None)
-        else:
-            move.append((ws.move(t, label), target))
-    return stay, move
-
-
 def _push_column(prev_col, stay, move, counter):
     """One recursion step: new column = generator applied to prev_col."""
     out = {}
@@ -138,7 +123,7 @@ def _push_column(prev_col, stay, move, counter):
     return out
 
 
-def transition_recursive(spec, shape, graph=None, counter=None):
+def transition_recursive(spec, shape, graph=None, counter=None, ws=None):
     """Transition matrix by the two-term column recursion.
 
     Columns are computed in depth order; column C is e_C, and the column
@@ -147,17 +132,15 @@ def transition_recursive(spec, shape, graph=None, counter=None):
     """
     if graph is None:
         graph = BruhatGraph(shape)
-    ws = WeightScheme(spec, shape)
-    gens = {}
+    if ws is None:
+        ws = WeightScheme(spec, shape)
     size = graph.size()
     cols = [None] * size
     cols[0] = {0: ws.field.one}
     t0 = time.perf_counter()
     for v in sorted(range(1, size), key=graph.depth.__getitem__):
         u, label = graph.up_edges_into(v)[0]
-        if label not in gens:
-            gens[label] = _local_generator_data(graph, ws, label)
-        stay, move = gens[label]
+        stay, move = ws.steps(graph, label)
         cols[v] = _push_column(cols[u], stay, move, counter)
     m = Matrix(size, size, ws.field, cols=cols, basis=graph.nodes)
     return TransitionMatrix(m, spec, shape, "recursive", graph=graph,
@@ -165,7 +148,7 @@ def transition_recursive(spec, shape, graph=None, counter=None):
 
 
 def transition_pathsum(spec, shape, graph=None, paths=None,
-                       n_cap=PATHSUM_DEFAULT_CAP):
+                       n_cap=PATHSUM_DEFAULT_CAP, ws=None):
     """Transition matrix as explicit sums of weighted subpaths.
 
     For each column a fixed path from C is walked; every subpath (each
@@ -179,8 +162,8 @@ def transition_pathsum(spec, shape, graph=None, paths=None,
             f"pathsum oracle capped at n = {n_cap}; raise n_cap to override")
     if graph is None:
         graph = BruhatGraph(shape)
-    ws = WeightScheme(spec, shape)
-    gens = {}
+    if ws is None:
+        ws = WeightScheme(spec, shape)
     if paths is None:
         paths = shortest_paths_from(graph, 0)
     size = graph.size()
@@ -189,10 +172,7 @@ def transition_pathsum(spec, shape, graph=None, paths=None,
     for v in range(size):
         path = paths[v]
         bucket = {}
-        for i in path.labels:
-            if i not in gens:
-                gens[i] = _local_generator_data(graph, ws, i)
-        steps = [gens[i] for i in path.labels]
+        steps = [ws.steps(graph, i) for i in path.labels]
 
         def dfs(j, node, weight):
             if j == len(steps):
@@ -212,31 +192,36 @@ def transition_pathsum(spec, shape, graph=None, paths=None,
     return TransitionMatrix(m, spec, shape, "pathsum", graph=graph)
 
 
-def transition_word(spec, shape, graph=None):
-    """Full transition matrix via the word-product route (oracle)."""
+def transition_word(spec, shape, graph=None, ws=None):
+    """Full transition matrix via the word-product route (oracle): column
+    T is the product of generator matrices along a reduced word of T,
+    applied to e_C.  The words of `shortest_paths_from` are prefix-closed,
+    so each column is one generator applied to the column of its word's
+    prefix."""
     if graph is None:
         graph = BruhatGraph(shape)
-    ws = WeightScheme(spec, shape)
+    if ws is None:
+        ws = WeightScheme(spec, shape)
+    gens = {i: seminormal_generator(spec, shape, i, graph=graph, ws=ws)
+            for i in range(1, spec.n)}
     size = graph.size()
-    gens = {}
-    paths = shortest_paths_from(graph, 0)
     m = Matrix(size, size, ws.field, basis=graph.nodes)
-    for v in range(size):
-        vec = {0: ws.field.one}
-        for i in paths[v].labels:
-            if i not in gens:
-                gens[i] = seminormal_generator(spec, shape, i, graph=graph)
-            vec = gens[i].apply(vec)
-        m.cols[v] = vec
+    # paths come in depth order, so a prefix's column is always ready
+    for v, path in shortest_paths_from(graph, 0).items():
+        if path.labels:
+            m.cols[v] = gens[path.labels[-1]].apply(m.cols[path.nodes[-2]])
+        else:
+            m.cols[v] = {0: ws.field.one}
     return TransitionMatrix(m, spec, shape, "word-product", graph=graph)
 
 
-def diagonal_closed_form(spec, shape, graph=None):
+def diagonal_closed_form(spec, shape, graph=None, ws=None):
     """Diagonal of the transition matrix straight from inversion sets:
     the product over inversions of (1 + a_{i,j}) or its q-analogue."""
     if graph is None:
         graph = BruhatGraph(shape)
-    ws = WeightScheme(spec, shape)
+    if ws is None:
+        ws = WeightScheme(spec, shape)
     out = []
     for t in graph.nodes:
         acc = ws.field.one
@@ -286,7 +271,7 @@ def grn_transition(shape, graph=None):
     spec = AlgebraSpec("wreath_grn", shape.n, r=shape.r)
     if graph is None:
         graph = BruhatGraph(shape)
-    field = WeightScheme(spec, shape).field
+    field = spec.coefficient_field()
     comp_mats = []
     comp_tabs = []
     for outer, _inner in shape.components:

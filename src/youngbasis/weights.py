@@ -13,17 +13,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DegenerateWeightError, PreconditionError
-from .fields import QFIELD, QRat
+from .fields import QFIELD, QRat, evaluate_q
 
 __all__ = ["weighted_content", "q_axial_weight"]
-
-
-def _as_field(x, symbolic):
-    if symbolic:
-        return QFIELD.coerce(x)
-    if isinstance(x, QRat):
-        raise PreconditionError("symbolic page weight with numeric q")
-    return Fraction(x)
 
 
 def weighted_content(t, i, page_weights, q=None):
@@ -31,16 +23,15 @@ def weighted_content(t, i, page_weights, q=None):
 
     With q=None the result is symbolic in q; otherwise exact rational.
     """
-    k = t.component_of(i)
+    w = page_weights[t.component_of(i) - 1]
     ct = t.content(i)
-    symbolic = q is None
-    w = _as_field(page_weights[k - 1], symbolic)
-    if symbolic:
-        return w * QRat.q_power(2 * ct)
+    if q is None:
+        return QFIELD.coerce(w) * QRat.q_power(2 * ct)
     q = Fraction(q)
     if q == 0:
         raise PreconditionError("q must be nonzero")
-    return w * q ** (2 * ct)
+    # a symbolic page weight takes its value at the numeric q
+    return evaluate_q(w, q) * q ** (2 * ct)
 
 
 def q_axial_weight(t, i, j, page_weights, q=None):

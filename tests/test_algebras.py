@@ -3,13 +3,14 @@ from itertools import product
 
 import pytest
 
-from youngbasis.algebras import (AlgebraSpec, natural_generator,
-                                 seminormal_generator, verify_relations,
-                                 x_generator, zeroth_generator)
+from youngbasis.algebras import (AlgebraSpec, WeightScheme, _entry_witness,
+                                 natural_generator, seminormal_generator,
+                                 verify_relations, x_generator,
+                                 zeroth_generator)
 from youngbasis.bruhat import BruhatGraph
 from youngbasis.errors import (NonSemisimpleError, PreconditionError)
 from youngbasis.fields import CyclotomicField, QRat
-from youngbasis.linalg import matmul
+from youngbasis.linalg import Matrix, matmul
 from youngbasis.perms import reduced_word
 from youngbasis.shapes import (Tableau, all_partitions, alphabetizer,
                                parse_shape, shape_from_parts)
@@ -203,6 +204,40 @@ def test_verify_relations_affine_placed_pages():
     names = [r["relation"] for r in report]
     assert any(name.startswith("X") for name in names)
     assert "mixed braid X1 T1 X1 T1" in names
+
+
+def test_verify_relations_reports_a_corrupted_generator():
+    # verify_relations reads the generators cached on the scheme, so a
+    # planted error in T_1 must fail exactly the relations whose two
+    # sides it makes differ, each with the witness of lhs - rhs
+    shape = parse_shape("3,2")
+    spec = AlgebraSpec("hecke_A", 5, q=3)
+    g = BruhatGraph(shape)
+    ws = WeightScheme(spec, shape)
+    gens = {i: seminormal_generator(spec, shape, i, graph=g, ws=ws)
+            for i in range(1, 5)}
+    col = gens[1].cols[2]
+    row = min(col)
+    col[row] = col[row] + 1
+    report = {r["relation"]: r for r in verify_relations(spec, shape,
+                                                          graph=g, ws=ws)}
+    coeff = F(3) - F(1, 3)
+    ident = Matrix.identity(g.size(), ws.field)
+    diffs = {
+        "commute s1 s3": matmul(gens[1], gens[3]) - matmul(gens[3], gens[1]),
+        "commute s1 s4": matmul(gens[1], gens[4]) - matmul(gens[4], gens[1]),
+        "braid s1 s2": matmul(matmul(gens[1], gens[2]), gens[1])
+        - matmul(matmul(gens[2], gens[1]), gens[2]),
+        "quadratic T1": matmul(gens[1], gens[1]) - ident
+        - gens[1].scale(coeff),
+    }
+    failing = {name for name, diff in diffs.items() if not diff.is_zero()}
+    assert failing >= {"quadratic T1", "braid s1 s2", "commute s1 s4"}
+    for name in failing:
+        assert report[name]["status"] == "fail"
+        assert report[name]["witness"] == _entry_witness(diffs[name])
+    passing = {name for name, r in report.items() if r["status"] == "pass"}
+    assert passing == set(report) - failing
 
 
 def test_spec_validation():

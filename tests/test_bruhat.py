@@ -90,13 +90,19 @@ def _swap_neighbors(g):
     return out
 
 
-def test_neighbors_match_tableau_swap():
+@pytest.fixture(scope="module")
+def graphs_n6():
+    """Graphs of every skew shape with n <= 6 and a few multi-component
+    shapes."""
     shapes = [s for n in range(1, 7) for s in all_skew_shapes(n)]
     shapes += [parse_shape(text) for text in
                ["(2,1)|(1)", "(3,1/1)|(2)", "(2,1)|()|(1,1)", "(1)|(1)|(1)"]]
-    for s in shapes:
-        g = BruhatGraph(s)
-        assert g.neighbors == _swap_neighbors(g), s.to_str()
+    return [BruhatGraph(s) for s in shapes]
+
+
+def test_neighbors_match_tableau_swap(graphs_n6):
+    for g in graphs_n6:
+        assert g.neighbors == _swap_neighbors(g), g.shape.to_str()
 
 
 def test_weak_order_edges_are_bruhat_comparable():
@@ -208,3 +214,20 @@ def test_dot_output():
     assert dot.count(" -- ") == 5
     assert 'label="s3"' in dot
     assert "rank=same" in dot
+
+
+def test_shortest_paths_are_prefix_closed(graphs_n6):
+    # the word-product oracle builds each column from its prefix's column
+    for g in graphs_n6:
+        text = g.shape.to_str()
+        paths = shortest_paths_from(g, 0)
+        assert len(paths) == g.size(), text
+        position = {v: k for k, v in enumerate(paths)}
+        for v, path in paths.items():
+            if not path.labels:
+                assert v == 0, text
+                continue
+            u = path.nodes[-2]
+            assert paths[u].labels == path.labels[:-1], text
+            assert paths[u].nodes == path.nodes[:-1], text
+            assert position[u] < position[v], text

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from golden import SYMMETRIC_GOLDEN
 from youngbasis.algebras import (AlgebraSpec, seminormal_generator,
                                  zeroth_generator)
-from youngbasis.cli import FAMILY_CHOICES, main
+from youngbasis.cli import FAMILY_CHOICES, build_parser, main
+from youngbasis.fields import evaluate_q
 from youngbasis.linalg import Matrix, matrix_from_json
 from youngbasis.shapes import parse_shape
 from youngbasis.transition import grn_transition, transition_recursive
@@ -264,7 +266,7 @@ def test_out_file(tmp_path, capsys):
 def test_exit_code_4_on_verification_failure(capsys, monkeypatch):
     import youngbasis.cli as cli_mod
 
-    def fake_verify(spec, shape, graph=None):
+    def fake_verify(spec, shape, graph=None, ws=None):
         return [{"relation": "planted", "status": "fail",
                  "witness": {"row": 0, "col": 0, "value": "1"}}]
 
@@ -272,6 +274,55 @@ def test_exit_code_4_on_verification_failure(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--shape", "2,1")
     assert code == 4
     assert json.loads(out)["failures"] == 1
+
+
+def test_cached_parser_keeps_no_per_call_state(capsys):
+    requests = [
+        ["transition", "--shape", "3,2", "--family", "hecke_A", "--q", "5",
+         "--format", "csv"],
+        ["transition", "--shape", "3,2"],
+        ["verify", "--shape", "(2,1)|(1)", "--family", "ariki_koike",
+         "--u", "2,3", "--oracle-cap", "3"],
+        ["bench", "--shape", "2,1"],
+    ]
+
+    def outputs(argvs):
+        outs = []
+        for argv in argvs:
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0
+            # bench prints a time; the rest of its output is fixed
+            outs.append(re.sub(r",\d+\.\d{6},", ",T,", out))
+        return outs
+
+    alone = []
+    for argv in requests:
+        build_parser.cache_clear()
+        alone += outputs([argv])
+    build_parser.cache_clear()
+    assert outputs(requests) == alone
+    assert outputs(requests[::-1]) == alone[::-1]
+    assert build_parser() is build_parser()
+
+
+@pytest.mark.parametrize("text", ["(2,1)|(1)@1,q^3", "(2)|(1,1)@q^0,q^5"])
+def test_symbolic_page_weights_at_numeric_q(capsys, text):
+    shape = parse_shape(text)
+    symbolic = transition_recursive(AlgebraSpec("affine_placed", shape.n),
+                                    shape).matrix
+    code, out, _ = run_cli(capsys, "transition", "--family", "affine_placed",
+                           "--shape", text, "--q", "5")
+    assert code == 0
+    numeric = matrix_from_json(out)[0]
+    assert numeric.field.name == "rational"
+    assert (numeric.nrows, numeric.ncols) == (symbolic.nrows, symbolic.ncols)
+    for i in range(symbolic.nrows):
+        for j in range(symbolic.ncols):
+            assert numeric.get(i, j) == evaluate_q(symbolic.get(i, j), 5)
+    code, out, _ = run_cli(capsys, "verify", "--family", "affine_placed",
+                           "--shape", text, "--q", "5")
+    assert code == 0
+    assert json.loads(out)["failures"] == 0
 
 
 @pytest.mark.parametrize("argv, expected", [

@@ -76,6 +76,19 @@ def test_counts_against_brute_force():
         assert len(standard_tableaux(s)) == _brute_force_count(s)
 
 
+def test_enumeration_equals_standard_fillings():
+    # includes skew shapes whose last row has a nonempty inner part
+    for text in ["3,3/1,1", "(2,2/1,1)|(1)", "3,3,1/2,1", "(2,1)|(2)",
+                 "(1)|()|(2)"]:
+        s = parse_shape(text)
+        boxes = s.boxes()
+        fillings = {t.rows for t in
+                    (Tableau.from_entries(s, dict(zip(boxes, perm)))
+                     for perm in permutations(range(1, s.n + 1)))
+                    if t.is_standard}
+        assert {t.rows for t in standard_tableaux(s)} == fillings, text
+
+
 def test_enumeration_is_duplicate_free_and_standard():
     for text in ["3,2,1", "3,3,1/2,1", "(2,1)|(2)"]:
         ts = standard_tableaux(parse_shape(text))
