@@ -7,13 +7,13 @@ and wreath products of a cyclic group with a symmetric group.
 from .algebras import (AlgebraSpec, FAMILIES, natural_generator,
                        seminormal_generator, verify_relations, x_generator,
                        zeroth_generator)
-from .bruhat import (BruhatGraph, Path, Subpath, shortest_path,
-                     shortest_paths_from, subpaths_terminating, to_dot)
+from .bruhat import (BruhatGraph, Path, shortest_path, shortest_paths_from,
+                     to_dot)
 from .errors import (DegenerateWeightError, FieldMismatchError,
                      InvariantError, NonSemisimpleError, PoleError,
                      PreconditionError, ShapeParseError, YoungBasisError)
-from .fields import (Cyclo, CyclotomicField, Fraction, LaurentPoly, QFIELD,
-                     QRat, QRationalField, RATIONALS, RationalField,
+from .fields import (Cyclo, CyclotomicField, Fraction, QFIELD, QRat,
+                     QRationalField, RATIONALS, RationalField,
                      check_semisimple, evaluate_q, field_by_name,
                      field_of, quantum_integer)
 from .linalg import (Matrix, direct_sum, matmul, matrix_from_json,

@@ -29,7 +29,7 @@ from typing import NamedTuple
 from .bruhat import BruhatGraph
 from .errors import (DegenerateWeightError, NonSemisimpleError,
                      PreconditionError)
-from .fields import (QFIELD, RATIONALS, CyclotomicField, QRat,
+from .fields import (QFIELD, RATIONALS, Cyclo, CyclotomicField, QRat,
                      check_semisimple)
 from .linalg import Matrix, matmul
 from .weights import q_axial_weight, weighted_content
@@ -239,17 +239,6 @@ class WeightScheme:
         return val
 
 
-def _graph_for(spec, shape, graph):
-    if graph is None:
-        graph = BruhatGraph(shape)
-    return graph
-
-
-def _scheme_for(spec, shape, ws):
-    """`ws`, or a new scheme for (spec, shape) when it is None."""
-    return WeightScheme(spec, shape) if ws is None else ws
-
-
 def seminormal_generator(spec, shape, i, graph=None, ws=None):
     """Matrix of the i-th generator on the seminormal basis in canonical
     order: diagonal entry a_i, off-diagonal 1+a_i (or the q-analogues),
@@ -257,14 +246,18 @@ def seminormal_generator(spec, shape, i, graph=None, ws=None):
     scheme; callers must not modify it."""
     if not 1 <= i <= spec.n - 1:
         raise PreconditionError(f"generator index {i} out of range")
-    graph = _graph_for(spec, shape, graph)
-    return _scheme_for(spec, shape, ws).generator(graph, i)
+    if graph is None:
+        graph = BruhatGraph(shape)
+    if ws is None:
+        ws = WeightScheme(spec, shape)
+    return ws.generator(graph, i)
 
 
 def zeroth_generator(spec, shape, graph=None):
     """Diagonal matrix of T_0 (or s_0): eigenvalue u_k (or xi^{k-1}) on
     v_T when the entry 1 sits in component k, or X_1 on placed shapes."""
-    graph = _graph_for(spec, shape, graph)
+    if graph is None:
+        graph = BruhatGraph(shape)
     kind = spec.preset.zeroth
     if kind is None:
         raise PreconditionError(f"{spec.family} has no zeroth generator")
@@ -275,18 +268,12 @@ def zeroth_generator(spec, shape, graph=None):
     spec.validate_shape(shape)
     if kind == "xi":
         field = CyclotomicField(spec.r)
-        vals = [pow_cyclo(field, t.component_of(1) - 1) for t in graph.nodes]
+        vals = [Cyclo.xi_power(spec.r, t.component_of(1) - 1)
+                for t in graph.nodes]
         return Matrix.diagonal(vals, field, basis=graph.nodes)
     field = spec.coefficient_field()
     vals = [spec.u[t.component_of(1) - 1] for t in graph.nodes]
     return Matrix.diagonal(vals, field, basis=graph.nodes)
-
-
-def pow_cyclo(field, k):
-    out = field.one
-    for _ in range(k % field.r):
-        out = out * field.xi
-    return out
 
 
 def x_generator(spec, shape, i, graph=None, ws=None):
@@ -296,20 +283,29 @@ def x_generator(spec, shape, i, graph=None, ws=None):
         raise PreconditionError(f"{spec.family} has no X generators")
     if not 1 <= i <= spec.n:
         raise PreconditionError(f"X index {i} out of range")
-    graph = _graph_for(spec, shape, graph)
-    ws = _scheme_for(spec, shape, ws)
+    if graph is None:
+        graph = BruhatGraph(shape)
+    if ws is None:
+        ws = WeightScheme(spec, shape)
     vals = [weighted_content(t, i, ws.weights, ws.q) for t in graph.nodes]
     return Matrix.diagonal(vals, ws.field, basis=graph.nodes)
 
 
-def conjugate_to_natural(matrix, transition):
-    """A^{-1} M A for a seminormal-basis matrix M."""
+def conjugate_to_natural(matrices, transition):
+    """A^{-1} M A for each seminormal-basis matrix M, inverting A once;
+    a matrix over a larger field (s_0 of a wreath product) gets A and
+    A^{-1} coerced into that field."""
     from .linalg import triangular_inverse
     amat = transition.matrix
-    if matrix.field != amat.field:
-        amat = amat.coerce_field(matrix.field)
-    out = matmul(matmul(triangular_inverse(amat), matrix), amat)
-    out.basis = matrix.basis
+    inv = triangular_inverse(amat)
+    out = []
+    for m in matrices:
+        a, a_inv = amat, inv
+        if m.field != a.field:
+            a, a_inv = a.coerce_field(m.field), a_inv.coerce_field(m.field)
+        n = matmul(matmul(a_inv, m), a)
+        n.basis = m.basis
+        out.append(n)
     return out
 
 
@@ -317,12 +313,13 @@ def natural_generator(spec, shape, i, graph=None, transition=None):
     """Generator matrix on the natural basis, by conjugating the
     seminormal matrix with the transition matrix."""
     from .transition import transition_recursive
-    graph = _graph_for(spec, shape, graph)
+    if graph is None:
+        graph = BruhatGraph(shape)
     if transition is None:
         transition = transition_recursive(spec, shape, graph=graph)
     g = seminormal_generator(spec, shape, i, graph=graph) if i >= 1 \
         else zeroth_generator(spec, shape, graph=graph)
-    return conjugate_to_natural(g, transition)
+    return conjugate_to_natural([g], transition)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +347,10 @@ def _record(report, name, lhs, rhs=None):
 def verify_relations(spec, shape, graph=None, ws=None):
     """Check every defining relation of the family as an exact matrix
     identity; returns a list of {relation, status[, witness]} dicts."""
-    graph = _graph_for(spec, shape, graph)
-    ws = _scheme_for(spec, shape, ws)
+    if graph is None:
+        graph = BruhatGraph(shape)
+    if ws is None:
+        ws = WeightScheme(spec, shape)
     n = spec.n
     preset = spec.preset
     report = []

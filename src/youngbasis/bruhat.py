@@ -14,7 +14,7 @@ from . import perms
 from .errors import InvariantError, PreconditionError
 from .shapes import standard_tableaux
 
-__all__ = ["BruhatGraph", "Path", "shortest_path", "subpaths_terminating",
+__all__ = ["BruhatGraph", "Path", "shortest_path", "shortest_paths_from",
            "to_dot"]
 
 
@@ -100,18 +100,6 @@ class Path:
         return self.nodes[-1]
 
 
-@dataclass(frozen=True)
-class Subpath:
-    """A subpath of a path: each label either kept (move) or replaced by
-    the identity (wait)."""
-    path: Path
-    moves: tuple  # one bool per label of the parent path
-    nodes: tuple  # visited node indices, length = len(labels) + 1
-
-    def end(self):
-        return self.nodes[-1]
-
-
 def shortest_paths_from(graph, src):
     """Minimal paths from src to every node above it in weak order,
     deterministic by lexicographically smallest label sequence."""
@@ -143,44 +131,6 @@ def shortest_path(graph, src, dst):
     if dst not in paths:
         raise PreconditionError("no upward path found")
     return paths[dst]
-
-
-def subpaths_terminating(graph, path, target):
-    """All subpaths of `path` ending at node `target`.
-
-    A subpath keeps or skips each label in turn; every visited tableau
-    must be standard, i.e. every kept label must be a graph edge at the
-    current node.  Depth-first keep/skip enumeration; exponential, used
-    as a test oracle.
-    """
-    out = []
-    moves = []
-    nodes = [path.start]
-
-    def rec(j):
-        if j == len(path.labels):
-            if nodes[-1] == target:
-                out.append(Subpath(path, tuple(moves), tuple(nodes)))
-            return
-        i = path.labels[j]
-        cur = nodes[-1]
-        # wait at the current node
-        moves.append(False)
-        nodes.append(cur)
-        rec(j + 1)
-        moves.pop()
-        nodes.pop()
-        # move: requires s_i(cur) standard, i.e. an edge in the graph
-        nxt = graph.neighbors[cur].get(i)
-        if nxt is not None:
-            moves.append(True)
-            nodes.append(nxt)
-            rec(j + 1)
-            moves.pop()
-            nodes.pop()
-
-    rec(0)
-    return out
 
 
 def to_dot(graph):

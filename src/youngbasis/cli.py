@@ -14,9 +14,9 @@ import json
 import sys
 
 from . import transition as tr
-from .algebras import (AlgebraSpec, FAMILIES, WeightScheme, natural_generator,
-                       seminormal_generator, verify_relations,
-                       x_generator, zeroth_generator)
+from .algebras import (AlgebraSpec, FAMILIES, WeightScheme,
+                       conjugate_to_natural, seminormal_generator,
+                       verify_relations, x_generator, zeroth_generator)
 from .bruhat import BruhatGraph, to_dot
 from .errors import (InvariantError, PreconditionError, ShapeParseError,
                      YoungBasisError)
@@ -163,25 +163,15 @@ def _generator_list(spec, shape, graph, natural):
     tmat = tr.transition_recursive(spec, shape, graph=graph) if natural else None
     prefix = spec.preset.prefix
     if spec.preset.zeroth in ("u", "xi"):
-        name0 = f"{prefix}0"
-        if natural:
-            gens.append((name0, natural_generator(spec, shape, 0, graph=graph,
-                                                  transition=tmat)))
-        else:
-            gens.append((name0, zeroth_generator(spec, shape, graph=graph)))
+        gens.append((f"{prefix}0", zeroth_generator(spec, shape, graph=graph)))
     if spec.preset.zeroth == "x1":
-        for i in range(1, spec.n + 1):
-            m = x_generator(spec, shape, i, graph=graph)
-            if natural:
-                from .algebras import conjugate_to_natural
-                m = conjugate_to_natural(m, tmat)
-            gens.append((f"X{i}", m))
-    for i in range(1, spec.n):
-        if natural:
-            m = natural_generator(spec, shape, i, graph=graph, transition=tmat)
-        else:
-            m = seminormal_generator(spec, shape, i, graph=graph)
-        gens.append((f"{prefix}{i}", m))
+        gens += [(f"X{i}", x_generator(spec, shape, i, graph=graph))
+                 for i in range(1, spec.n + 1)]
+    gens += [(f"{prefix}{i}", seminormal_generator(spec, shape, i, graph=graph))
+             for i in range(1, spec.n)]
+    if natural:
+        mats = conjugate_to_natural([m for _, m in gens], tmat)
+        gens = [(name, m) for (name, _), m in zip(gens, mats)]
     return gens
 
 

@@ -9,17 +9,22 @@ equality is decidable and serialized output is bit-stable:
   unity, represented modulo the r-th cyclotomic polynomial
   (:class:`Cyclo`).
 
-Laurent polynomials are stored densely as ``(offset, coeffs)`` where
-``coeffs[i]`` is the coefficient of ``q**(offset + i)``; degrees stay
-small here so dense storage is the simple choice.
+Both polynomial domains run on one kernel: dense integer polynomials
+stored as int tuples, constant first (degrees stay small here, so dense
+storage is the simple choice).
 
 A :class:`QRat` is ``scale * q**exp * N / D``: one Fraction ``scale``
 and two coprime primitive integer polynomials ``N`` and ``D`` with
-positive leading coefficients and nonzero constant terms.  Its arithmetic
-runs on Python ints: products cross-cancel gcd(N1, D2) and gcd(N2, D1),
-sums cancel only against gcd(D1, D2), and gcds come from a primitive
-remainder sequence over the integers.  ``LaurentPoly`` and ``Cyclo``
-keep Fraction coefficients.
+positive leading coefficients and nonzero constant terms.  A Laurent
+polynomial in q is a QRat with ``D = (1,)``.  Products cross-cancel
+gcd(N1, D2) and gcd(N2, D1), sums cancel only against gcd(D1, D2), and
+gcds come from a primitive remainder sequence over the integers.
+
+A :class:`Cyclo` is an integer polynomial in xi of degree < phi(r) over
+one positive integer denominator, coprime to its coefficients.  The
+cyclotomic polynomial is monic, so reducing modulo it stays integral,
+and an inverse is the product of the other Galois conjugates over the
+(rational) norm.
 """
 
 from __future__ import annotations
@@ -29,10 +34,11 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .errors import FieldMismatchError, PoleError, PreconditionError
+from .errors import (FieldMismatchError, PoleError, PreconditionError,
+                     ShapeParseError)
 
 __all__ = [
-    "Fraction", "LaurentPoly", "QRat", "Cyclo",
+    "Fraction", "QRat", "Cyclo",
     "RationalField", "QRationalField", "CyclotomicField",
     "field_of", "field_by_name", "evaluate_q",
     "quantum_integer", "check_semisimple",
@@ -41,67 +47,6 @@ __all__ = [
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-# ---------------------------------------------------------------------------
-# ordinary polynomials over Fraction, as coefficient tuples (constant first)
-# ---------------------------------------------------------------------------
-
-def _ptrim(c):
-    i = len(c)
-    while i > 0 and c[i - 1] == 0:
-        i -= 1
-    return tuple(c[:i])
-
-
-def _padd(a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, x in enumerate(b):
-        out[i] += x
-    return _ptrim(out)
-
-
-def _pmul(a, b):
-    if not a or not b:
-        return ()
-    out = [ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return _ptrim(out)
-
-
-def _pscale(a, s):
-    if s == 0:
-        return ()
-    return tuple(x * s for x in a)
-
-
-def _pdivmod(a, b):
-    """Exact polynomial division with remainder over Q."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    q = [ZERO] * max(0, len(a) - len(b) + 1)
-    inv_lead = 1 / b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1] * inv_lead
-        if c:
-            q[i] = c
-            for j, y in enumerate(b):
-                a[i + j] -= c * y
-    return _ptrim(q), _ptrim(a)
-
-
-def _peval(a, x):
-    acc = ZERO
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -207,107 +152,12 @@ def _igcd(a, b):
     return _I_ONE
 
 
-# ---------------------------------------------------------------------------
-# Laurent polynomials
-# ---------------------------------------------------------------------------
-
-class LaurentPoly:
-    """Dense Laurent polynomial in q with Fraction coefficients."""
-
-    __slots__ = ("offset", "coeffs")
-
-    def __init__(self, offset=0, coeffs=()):
-        coeffs = [Fraction(c) for c in coeffs]
-        # strip leading/trailing zeros, keeping offset in sync
-        lo = 0
-        while lo < len(coeffs) and coeffs[lo] == 0:
-            lo += 1
-        hi = len(coeffs)
-        while hi > lo and coeffs[hi - 1] == 0:
-            hi -= 1
-        if lo == hi:
-            self.offset = 0
-            self.coeffs = ()
-        else:
-            self.offset = offset + lo
-            self.coeffs = tuple(coeffs[lo:hi])
-
-    @classmethod
-    def const(cls, c):
-        return cls(0, (Fraction(c),))
-
-    @classmethod
-    def q_power(cls, k, coeff=ONE):
-        return cls(k, (Fraction(coeff),))
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.offset == other.offset and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.offset, self.coeffs))
-
-    def __neg__(self):
-        return LaurentPoly(self.offset, tuple(-c for c in self.coeffs))
-
-    def __add__(self, other):
-        if not self.coeffs:
-            return other
-        if not other.coeffs:
-            return self
-        off = min(self.offset, other.offset)
-        end = max(self.offset + len(self.coeffs), other.offset + len(other.coeffs))
-        out = [ZERO] * (end - off)
-        for i, c in enumerate(self.coeffs):
-            out[self.offset - off + i] += c
-        for i, c in enumerate(other.coeffs):
-            out[other.offset - off + i] += c
-        return LaurentPoly(off, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not self.coeffs or not other.coeffs:
-            return LaurentPoly()
-        return LaurentPoly(self.offset + other.offset, _pmul(self.coeffs, other.coeffs))
-
-    def shift(self, k):
-        if not self.coeffs:
-            return self
-        return LaurentPoly(self.offset + k, self.coeffs)
-
-    def evaluate(self, x):
-        x = Fraction(x)
-        if x == 0:
-            raise PoleError("Laurent polynomial evaluation at q = 0")
-        return _peval(self.coeffs, x) * x ** self.offset
-
-    def terms(self):
-        """Yield (exponent, coefficient) for nonzero terms, ascending."""
-        for i, c in enumerate(self.coeffs):
-            if c:
-                yield self.offset + i, c
-
-    def __repr__(self):
-        return f"LaurentPoly({_format_terms(list(self.terms()), 'q')!r})"
-
-
-_L_ZERO = LaurentPoly()
-_L_ONE = LaurentPoly.const(1)
-
-
-def _as_laurent(x):
-    if isinstance(x, LaurentPoly):
-        return x
-    return LaurentPoly.const(Fraction(x))
+def _ieval(a, x):
+    """Value of an int polynomial at a Fraction, by Horner's rule."""
+    acc = ZERO
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -322,29 +172,12 @@ class QRat:
     with positive leading coefficients and nonzero constant terms, and
     ``scale`` is a nonzero Fraction.  Zero is ``N = ()``, ``D = (1,)``.
     Equal values therefore have identical representations, and all
-    polynomial work happens on Python ints.  ``num`` and ``den`` give the
-    same value as Laurent polynomials: ``scale * q**exp * N`` over ``D``.
+    polynomial work happens on Python ints.  A Laurent polynomial is a
+    QRat with ``D = (1,)``; ``num`` and ``den`` split a value into two of
+    them, ``scale * q**exp * N`` over ``D``.
     """
 
     __slots__ = ("_exp", "_num", "_scale", "_den")
-
-    def __init__(self, num, den=None):
-        num = _as_laurent(num)
-        den = _L_ONE if den is None else _as_laurent(den)
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            self._exp, self._num, self._scale, self._den = 0, (), ZERO, _I_ONE
-            return
-        sn, n = _fraction_content(num.coeffs)
-        sd, d = _fraction_content(den.coeffs)
-        g = _igcd(n, d)
-        if len(g) > 1:
-            n, d = _iquo(n, g), _iquo(d, g)
-        self._exp = num.offset - den.offset
-        self._num = n
-        self._scale = sn / sd
-        self._den = d
 
     @classmethod
     def const(cls, c):
@@ -357,14 +190,34 @@ class QRat:
     def q_power(cls, k):
         return _qrat(k, _I_ONE, ONE, _I_ONE)
 
+    @classmethod
+    def poly(cls, offset, coeffs):
+        """The Laurent polynomial sum of coeffs[i] * q**(offset + i)."""
+        lo, hi = 0, len(coeffs)
+        while hi > lo and not coeffs[hi - 1]:
+            hi -= 1
+        if hi == lo:
+            return _Q_ZERO
+        while not coeffs[lo]:
+            lo += 1
+        scale, prim = _fraction_content(coeffs[lo:hi])
+        return _qrat(offset + lo, prim, scale, _I_ONE)
+
     @property
     def num(self):
-        s = self._scale
-        return LaurentPoly(self._exp, [s * c for c in self._num])
+        return _qrat(self._exp, self._num, self._scale, _I_ONE)
 
     @property
     def den(self):
-        return LaurentPoly(0, self._den)
+        return _qrat(0, self._den, ONE, _I_ONE)
+
+    def terms(self):
+        """(exponent, coefficient) of each nonzero term of the numerator
+        ``scale * q**exp * N``, ascending."""
+        s, e = self._scale, self._exp
+        if s.denominator == 1:
+            s = s.numerator
+        return [(e + i, s * c) for i, c in enumerate(self._num) if c]
 
     def is_zero(self):
         return not self._num
@@ -440,19 +293,16 @@ class QRat:
         q0 = Fraction(q0)
         if q0 == 0:
             raise PoleError("cannot evaluate at q = 0")
-        d = _peval(self._den, q0)
+        d = _ieval(self._den, q0)
         if d == 0:
             raise PoleError(f"pole at q = {q0}")
-        return self._scale * _peval(self._num, q0) * q0 ** self._exp / d
+        return self._scale * _ieval(self._num, q0) * q0 ** self._exp / d
 
     def __repr__(self):
         return f"QRat({self.to_str()!r})"
 
     def to_str(self):
-        s, e = self._scale, self._exp
-        if s.denominator == 1:
-            s = s.numerator
-        num = _format_terms([(e + i, s * c) for i, c in enumerate(self._num) if c], "q")
+        num = _format_terms(self.terms(), "q")
         den = _format_terms([(i, c) for i, c in enumerate(self._den) if c], "q")
         return f"({num})/({den})"
 
@@ -546,62 +396,59 @@ QINV = QRat.q_power(-1)
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(r):
-    """Coefficients of the r-th cyclotomic polynomial, constant first.
+    """Int coefficients of the r-th cyclotomic polynomial, constant first.
 
     Computed by exact division of x^r - 1 by the lower-order cyclotomic
     polynomials, so the result is exact for every r.
     """
     if r < 1:
         raise PreconditionError("cyclotomic order must be >= 1")
-    num = [ZERO] * (r + 1)
-    num[0], num[r] = Fraction(-1), Fraction(1)
-    num = tuple(num)
+    num = (-1,) + (0,) * (r - 1) + (1,)
     for d in range(1, r):
         if r % d == 0:
-            num, rem = _pdivmod(num, cyclotomic_polynomial(d))
-            assert not rem
+            num = _iquo(num, cyclotomic_polynomial(d))
     return num
 
 
 class Cyclo:
     """Element of Q(xi), xi a primitive r-th root of unity.
 
-    Stored as a polynomial in xi of degree < phi(r), reduced modulo the
-    r-th cyclotomic polynomial.
+    Stored as ``num / den``: an int polynomial in xi of degree < phi(r),
+    reduced modulo the r-th cyclotomic polynomial, over a positive int
+    denominator coprime to its coefficients.
     """
 
-    __slots__ = ("r", "coeffs")
+    __slots__ = ("r", "num", "den")
 
     def __init__(self, r, coeffs=()):
-        phi = cyclotomic_polynomial(r)
-        deg = len(phi) - 1
         coeffs = [Fraction(c) for c in coeffs]
-        if len(coeffs) >= len(phi):
-            _, coeffs = _pdivmod(tuple(coeffs), phi)
-            coeffs = list(coeffs)
-        coeffs = list(coeffs) + [ZERO] * (deg - len(coeffs))
-        self.r = r
-        self.coeffs = tuple(coeffs[:deg])
+        den = lcm(*(c.denominator for c in coeffs))
+        x = _cyclo(r, [c.numerator * (den // c.denominator) for c in coeffs],
+                   den)
+        self.r, self.num, self.den = x.r, x.num, x.den
 
     @classmethod
     def const(cls, r, c):
-        return cls(r, (Fraction(c),))
+        c = Fraction(c)
+        return _cyclo(r, (c.numerator,), c.denominator)
 
     @classmethod
     def xi_power(cls, r, k):
-        k %= r
-        coeffs = [ZERO] * (k + 1)
-        coeffs[k] = ONE
-        return cls(r, coeffs)
+        return _cyclo(r, (0,) * (k % r) + (1,), 1)
+
+    @property
+    def coeffs(self):
+        """Fraction coefficients of 1, xi, ..., xi^(phi(r) - 1)."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_one(self):
-        return self.coeffs and self.coeffs[0] == 1 and all(c == 0 for c in self.coeffs[1:])
+        return self.den == 1 and self.num[0] == 1 and not any(self.num[1:])
 
     def __bool__(self):
-        return not self.is_zero()
+        return any(self.num)
 
     def _coerce(self, other):
         if isinstance(other, Cyclo):
@@ -617,19 +464,19 @@ class Cyclo:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.r, self.coeffs))
+        return hash((self.r, self.num, self.den))
 
     def __neg__(self):
-        return Cyclo(self.r, tuple(-c for c in self.coeffs))
+        return _cyclo(self.r, [-c for c in self.num], self.den)
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Cyclo(self.r, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return _cadd(self, other, 1)
 
     __radd__ = __add__
 
@@ -637,36 +484,42 @@ class Cyclo:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Cyclo(self.r, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return _cadd(self, other, -1)
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other - self
+        return _cadd(other, self, -1)
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Cyclo(self.r, _pmul(self.coeffs, other.coeffs))
+        return _cyclo(self.r, _imul(self.num, other.num), self.den * other.den)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        if self.is_zero():
+        """1/x = (product of the other Galois conjugates of x) / N(x).
+
+        sigma_k(xi) = xi^k for the units k mod r; the norm N(x), the
+        product of all conjugates, is rational, so no division of
+        polynomials is needed."""
+        if not self:
             raise ZeroDivisionError("inverse of zero cyclotomic element")
-        # extended Euclid against the cyclotomic polynomial
-        phi = cyclotomic_polynomial(self.r)
-        r0, r1 = phi, _ptrim(self.coeffs)
-        s0, s1 = (), (ONE,)
-        while r1:
-            quo, rem = _pdivmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _padd(s0, _pscale(_pmul(quo, s1), Fraction(-1)))
-        # r0 = gcd is a nonzero constant (phi is irreducible over Q)
-        assert len(r0) == 1
-        return Cyclo(self.r, _pscale(s0, 1 / r0[0]))
+        r, num = self.r, self.num
+        phi = cyclotomic_polynomial(r)
+        rest = _I_ONE
+        for k in range(2, r):
+            if gcd(k, r) == 1:
+                conj = [0] * r
+                for i, c in enumerate(num):
+                    conj[i * k % r] = c
+                rest = _int_prem(_imul(rest, conj), phi)
+        norm = _int_prem(_imul(num, rest), phi)
+        assert len(norm) == 1
+        return _cyclo(r, [self.den * c for c in rest], norm[0])
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -684,8 +537,34 @@ class Cyclo:
         return f"Cyclo({self.r}, {self.to_str()!r})"
 
     def to_str(self):
-        terms = [(i, c) for i, c in enumerate(self.coeffs) if c]
-        return _format_terms(terms, "z")
+        den = self.den
+        return _format_terms(
+            [(i, Fraction(c, den)) for i, c in enumerate(self.num) if c], "z")
+
+
+def _cyclo(r, num, den):
+    """The Cyclo num / den for an int polynomial num in xi and a nonzero
+    int den: reduced modulo phi_r (monic, so the remainder is exact) and
+    normalized to a positive den coprime to num."""
+    phi = cyclotomic_polynomial(r)
+    deg = len(phi) - 1
+    if len(num) > deg:
+        num = _int_prem(num, phi)
+    g = gcd(den, *num)
+    if den < 0:
+        g = -g
+    out = object.__new__(Cyclo)
+    out.r = r
+    out.num = tuple(c // g for c in num) + (0,) * (deg - len(num))
+    out.den = den // g
+    return out
+
+
+def _cadd(a, b, sign):
+    """a + sign * b over the common denominator lcm(den_a, den_b)."""
+    den = lcm(a.den, b.den)
+    ka, kb = den // a.den, sign * (den // b.den)
+    return _cyclo(a.r, [ka * x + kb * y for x, y in zip(a.num, b.num)], den)
 
 
 # ---------------------------------------------------------------------------
@@ -719,7 +598,6 @@ _TERM_RE = re.compile(
 
 def _parse_terms(s, symbol):
     """Parse a term string back into [(exponent, Fraction)]."""
-    from .errors import ShapeParseError
     s = s.strip()
     if s == "0":
         return []
@@ -731,17 +609,17 @@ def _parse_terms(s, symbol):
         if not m:
             raise ShapeParseError(f"bad scalar term {tok!r}")
         if m.group(5) is not None:
-            out.append((0, Fraction(m.group(5))))
+            out.append((0, parse_rational(m.group(5))))
             continue
         sign, coeff, sym, exp = m.group(1), m.group(2), m.group(3), m.group(4)
         if sym is None:
             if coeff is None:
                 raise ShapeParseError(f"bad scalar term {tok!r}")
-            val, e = Fraction(coeff), 0
+            val, e = parse_rational(coeff), 0
         else:
             if sym != symbol:
                 raise ShapeParseError(f"unexpected symbol {sym!r} in {tok!r}")
-            val = Fraction(coeff) if coeff is not None else ONE
+            val = parse_rational(coeff) if coeff is not None else ONE
             e = int(exp) if exp is not None else 1
         if sign == "-":
             val = -val
@@ -754,7 +632,6 @@ def format_rational(x):
 
 
 def parse_rational(s):
-    from .errors import ShapeParseError
     try:
         return Fraction(s.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -823,13 +700,14 @@ class QRationalField:
         return x.to_str()
 
     def parse(self, s):
-        from .errors import ShapeParseError
         m = re.match(r"^\((.*)\)/\((.*)\)$", s.strip())
         if not m:
             raise ShapeParseError(f"bad rational-function string {s!r}")
-        num = _terms_to_laurent(_parse_terms(m.group(1), "q"))
-        den = _terms_to_laurent(_parse_terms(m.group(2), "q"))
-        return QRat(num, den)
+        num, den = (_poly_of_terms(_parse_terms(part, "q"))
+                    for part in m.groups())
+        if not den:
+            raise ShapeParseError(f"zero denominator in {s!r}")
+        return num / den
 
     def coerce(self, x):
         if isinstance(x, QRat):
@@ -869,12 +747,11 @@ class CyclotomicField:
         return x.to_str()
 
     def parse(self, s):
-        terms = _parse_terms(s, "z")
-        coeffs = {}
-        for e, c in terms:
-            coeffs[e] = coeffs.get(e, ZERO) + c
-        top = max(coeffs) if coeffs else 0
-        return Cyclo(self.r, tuple(coeffs.get(i, ZERO) for i in range(top + 1)))
+        # xi^r = 1: exponents count modulo r
+        coeffs = [ZERO] * self.r
+        for e, c in _parse_terms(s, "z"):
+            coeffs[e % self.r] += c
+        return Cyclo(self.r, coeffs)
 
     def coerce(self, x):
         if self.element_of(x):
@@ -893,15 +770,13 @@ class CyclotomicField:
         return f"CyclotomicField({self.r})"
 
 
-def _terms_to_laurent(terms):
-    if not terms:
-        return LaurentPoly()
-    lo = min(e for e, _ in terms)
-    hi = max(e for e, _ in terms)
-    coeffs = [ZERO] * (hi - lo + 1)
+def _poly_of_terms(terms):
+    """The Laurent polynomial with these (exponent, coefficient) terms."""
+    lo = min((e for e, _ in terms), default=0)
+    coeffs = [ZERO] * (max((e for e, _ in terms), default=0) - lo + 1)
     for e, c in terms:
         coeffs[e - lo] += c
-    return LaurentPoly(lo, coeffs)
+    return QRat.poly(lo, coeffs)
 
 
 RATIONALS = RationalField()
@@ -949,8 +824,7 @@ def quantum_integer(k, q=None):
     exact number.  [k] at q = 1 equals k.
     """
     if q is None:
-        return QRat(LaurentPoly(1 - k, [ONE if i % 2 == 0 else ZERO
-                                        for i in range(2 * k - 1)]))
+        return QRat.poly(1 - k, [1 - i % 2 for i in range(2 * k - 1)])
     q = Fraction(q)
     if q == 0:
         raise PreconditionError("q must be nonzero")

@@ -130,9 +130,8 @@ class Shape:
 
 def _weight_str(w):
     if isinstance(w, QRat):
-        terms = list(w.num.terms())
-        den_one = w.den.offset == 0 and w.den.coeffs == (Fraction(1),)
-        if len(terms) != 1 or not den_one:
+        terms = w.terms()
+        if len(terms) != 1 or w.den != 1:
             raise ShapeParseError("only monomial page weights serialize")
         exp, coeff = terms[0]
         base = f"q^{exp}"

@@ -2,13 +2,15 @@ from itertools import permutations
 
 import pytest
 
+from walks import keep_skip_walks, walk_weight
 from youngbasis import perms
+from youngbasis.algebras import AlgebraSpec, WeightScheme
 from youngbasis.bruhat import (BruhatGraph, shortest_path,
-                               shortest_paths_from, subpaths_terminating,
-                               to_dot)
+                               shortest_paths_from, to_dot)
 from youngbasis.errors import PreconditionError
 from youngbasis.perms import bruhat_leq
 from youngbasis.shapes import Tableau, all_skew_shapes, parse_shape
+from youngbasis.transition import transition_pathsum
 
 
 def test_graph_32():
@@ -172,29 +174,32 @@ def test_subpaths_of_displayed_path():
     t15 = Tableau(s, [[(1, 2, 3), (4, 6), (5,)]])
     target = Tableau(s, [[(1, 3, 5), (2, 6), (4,)]])
     p = shortest_path(g, 0, g.index[t15.rows])
-    subs = subpaths_terminating(g, p, g.index[target.rows])
-    assert len(subs) == 2
-    assert {sp.moves for sp in subs} == {
-        (False, False, True, False, True), (True, False, True, False, False)}
+    walks = list(keep_skip_walks(g, p))
+    to_target = [moves for moves, nodes in walks
+                 if nodes[-1] == g.index[target.rows]]
+    assert sorted(to_target) == [
+        (False, False, True, False, True), (True, False, True, False, False)]
     # the all-wait subpath terminates at the start
-    subs0 = subpaths_terminating(g, p, 0)
-    assert (False,) * 5 in {sp.moves for sp in subs0}
+    assert ((False,) * 5, (0,) * 6) in walks
     # keeping labels 1,2,3,5 would visit a nonstandard tableau: rejected
-    all_moves = set()
-    for v in range(g.size()):
-        for sp in subpaths_terminating(g, p, v):
-            all_moves.add(sp.moves)
-    assert (True, True, True, False, True) not in all_moves
+    assert (True, True, True, False, True) not in {m for m, _ in walks}
 
 
 def test_subpaths_reach_only_bruhat_below():
     for text in ["3,2", "2,2,1"]:
-        g = BruhatGraph(parse_shape(text))
-        paths = shortest_paths_from(g, 0)
-        for v, p in paths.items():
-            for u in range(g.size()):
-                if subpaths_terminating(g, p, u):
-                    assert bruhat_leq(g.nodes[u].word, g.nodes[v].word)
+        shape = parse_shape(text)
+        g = BruhatGraph(shape)
+        spec = AlgebraSpec("symmetric", shape.n)
+        ws = WeightScheme(spec, shape)
+        pathsum = transition_pathsum(spec, shape, graph=g, ws=ws).matrix
+        for v, p in shortest_paths_from(g, 0).items():
+            # the brute-force weighted sums are the path-sum column
+            col = {}
+            for moves, nodes in keep_skip_walks(g, p):
+                u = nodes[-1]
+                assert bruhat_leq(g.nodes[u].word, g.nodes[v].word)
+                col[u] = col.get(u, 0) + walk_weight(ws, g, p, moves, nodes)
+            assert {u: w for u, w in col.items() if w} == pathsum.cols[v]
 
 
 def test_interval_matches_weak_order_on_permutations():

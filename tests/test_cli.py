@@ -163,6 +163,28 @@ def test_natural_generator_values(capsys):
     assert rows[0][0] == "-1"
 
 
+def test_natural_inverts_the_transition_matrix_once(capsys, monkeypatch):
+    from youngbasis import linalg
+    real = linalg.triangular_inverse
+    calls = []
+
+    def counting(a):
+        calls.append(a.nrows)
+        return real(a)
+
+    monkeypatch.setattr(linalg, "triangular_inverse", counting)
+    cases = [(["--shape", "4,3,1"], 7),
+             (["--shape", "(2,1)|(1)@1,q^3", "--family", "affine_placed",
+               "--q", "5"], 7),
+             (["--shape", "(2,1)|(1)", "--family", "grn", "--r", "2"], 4)]
+    for argv, n_gens in cases:
+        calls.clear()
+        code, out, _ = run_cli(capsys, "natural", *argv, "--format", "json")
+        assert code == 0, argv
+        assert len(json.loads(out)["generators"]) == n_gens, argv
+        assert len(calls) == 1, (argv, calls)
+
+
 def test_orthogonal_csv(capsys):
     code, out, _ = run_cli(capsys, "orthogonal", "--shape", "2,1",
                            "--format", "csv")

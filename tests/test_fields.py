@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from youngbasis.errors import (FieldMismatchError, PoleError,
                                PreconditionError, ShapeParseError)
-from youngbasis.fields import (Cyclo, CyclotomicField, LaurentPoly, QFIELD,
-                               QRat, RATIONALS, check_semisimple,
+from youngbasis.fields import (Cyclo, CyclotomicField, QFIELD, QRat,
+                               RATIONALS, check_semisimple,
                                cyclotomic_polynomial, evaluate_q,
                                field_by_name, field_of, quantum_integer)
 
@@ -94,15 +94,15 @@ def _rand_fraction(rng, small=12):
 def _rand_laurent(rng):
     off = rng.randint(-3, 3)
     coeffs = [_rand_fraction(rng, 6) for _ in range(rng.randint(1, 4))]
-    return LaurentPoly(off, coeffs)
+    return QRat.poly(off, coeffs)
 
 
 def _rand_qrat(rng):
     num = _rand_laurent(rng)
-    den = LaurentPoly()
+    den = QRat.const(0)
     while den.is_zero():
         den = _rand_laurent(rng)
-    return QRat(num, den)
+    return num / den
 
 
 def _rand_cyclo(rng, field):
@@ -134,7 +134,8 @@ def test_canonical_idempotence():
     rng = random.Random(7)
     for _ in range(50):
         x = _rand_qrat(rng)
-        assert QRat(x.num, x.den) == x
+        assert x.num / x.den == x
+        assert x.num.den == 1 and x.den.den == 1
         y = _rand_fraction(rng)
         assert F(y) == y
         z = _rand_cyclo(rng, CyclotomicField(6))
@@ -146,10 +147,10 @@ def test_qrat_equality_agrees_with_evaluation():
     for _ in range(30):
         f = _rand_qrat(rng)
         # same value written with a random nontrivial common factor
-        m = LaurentPoly()
+        m = QRat.const(0)
         while m.is_zero():
             m = _rand_laurent(rng)
-        g = QRat(f.num * m, f.den * m)
+        g = (f.num * m) / (f.den * m)
         assert f == g
         pts = 0
         while pts < 20:
@@ -192,11 +193,36 @@ def test_scalar_string_format():
         QFIELD.parse("q^3/(1+q^2)")
 
 
+def test_parse_reduces_exponents_mod_r():
+    # xi^-1 = xi^3 = -xi in Q(xi_4)
+    c4 = CyclotomicField(4)
+    assert c4.parse("z^-1") == Cyclo.xi_power(4, 3) == -c4.xi
+    assert c4.to_str(c4.parse("z^-1")) == "-z"
+    c3 = CyclotomicField(3)
+    assert c3.parse("z^4+z^-2") == 2 * c3.xi
+    assert c3.parse("z^3") == c3.one
+
+
+def test_parse_zero_denominator_is_a_parse_error():
+    for field, text in ((QFIELD, "(1/0)/(1)"), (QFIELD, "(1)/(0)"),
+                        (QFIELD, "(q)/(0*q^2)"),
+                        (CyclotomicField(3), "1/0*z"),
+                        (CyclotomicField(3), "2/0"), (RATIONALS, "1/0")):
+        with pytest.raises(ShapeParseError):
+            field.parse(text)
+
+
 def test_cyclotomic_polynomials():
-    assert cyclotomic_polynomial(1) == (F(-1), F(1))
-    assert cyclotomic_polynomial(2) == (F(1), F(1))
-    assert cyclotomic_polynomial(4) == (F(1), F(0), F(1))
-    assert cyclotomic_polynomial(6) == (F(1), F(-1), F(1))
+    assert cyclotomic_polynomial(1) == (-1, 1)
+    assert cyclotomic_polynomial(2) == (1, 1)
+    assert cyclotomic_polynomial(4) == (1, 0, 1)
+    assert cyclotomic_polynomial(6) == (1, -1, 1)
+    assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+    for r in range(1, 31):
+        phi = cyclotomic_polynomial(r)
+        assert all(type(c) is int for c in phi)
+        assert phi == tuple(sympy.Poly(sympy.cyclotomic_poly(r, _SX),
+                                       _SX).all_coeffs()[::-1])
     # xi^r = 1 in every order
     for r in (2, 3, 4, 5, 6, 12):
         field = CyclotomicField(r)
@@ -221,19 +247,20 @@ def test_field_descriptors():
 # ---------------------------------------------------------------------------
 
 _SQ = sympy.Symbol("q")
+_SX = sympy.Symbol("x")
 
 _coeffs = st.lists(st.builds(F, st.integers(-6, 6), st.integers(1, 4)),
                    min_size=1, max_size=4)
 # shared factors make gcds (and so cancellation) common
-_FACTORS = [LaurentPoly(0, c) for c in
+_FACTORS = [QRat.poly(0, c) for c in
             ((1, 1), (-1, 1), (1, 0, 1), (1, 1, 1), (2, -1), (-3, 1))]
 _laurent = st.builds(
     lambda off, coeffs, factors: reduce(operator.mul, factors,
-                                        LaurentPoly(off, coeffs)),
+                                        QRat.poly(off, coeffs)),
     st.integers(-3, 3), _coeffs,
     st.lists(st.sampled_from(_FACTORS), max_size=3))
 _nonzero_laurent = _laurent.filter(lambda p: not p.is_zero())
-_qrats = st.builds(QRat, _laurent, _nonzero_laurent)
+_qrats = st.builds(operator.truediv, _laurent, _nonzero_laurent)
 
 _OPS = [operator.add, operator.sub, operator.mul, operator.truediv]
 # y such that op(x, y) == z, which forces cancellation inside op
@@ -253,17 +280,19 @@ def _sym_qrat(x):
 
 
 def _assert_canonical(x):
-    den = x.den
-    assert den.offset == 0
-    ints = [int(c) for c in den.coeffs]
-    assert ints == list(den.coeffs)
+    # D: an int polynomial with a nonzero constant term, primitive and
+    # leading positive; N * q^-lo coprime to it
+    exps, ints = zip(*x.den.terms())
+    assert exps[0] == 0
+    assert all(type(c) is int for c in ints)
     assert gcd(*ints) == 1 and ints[-1] > 0
     if x.is_zero():
-        assert ints == [1]
+        assert ints == (1,)
         return
     num = x.num
-    n = sympy.Poly(_sym(num.shift(-num.offset)), _SQ)
-    d = sympy.Poly(_sym(den), _SQ)
+    lo = num.terms()[0][0]
+    n = sympy.Poly(_sym(num * QRat.q_power(-lo)), _SQ)
+    d = sympy.Poly(_sym(x.den), _SQ)
     assert sympy.gcd(n, d).degree() == 0
 
 
@@ -284,3 +313,55 @@ def test_qrat_matches_sympy_cancel(x, z, op, solve):
     want = sympy.cancel(op(_sym_qrat(x), _sym_qrat(y)))
     assert sympy.cancel(_sym_qrat(got) - want) == 0
     assert QFIELD.parse(QFIELD.to_str(got)) == got
+
+
+# ---------------------------------------------------------------------------
+# differential test of Cyclo against sympy
+# ---------------------------------------------------------------------------
+
+_cyclo_coeffs = st.lists(st.builds(F, st.integers(-6, 6), st.integers(1, 4)),
+                         max_size=14)
+
+
+def _sym_poly(coeffs):
+    return sum((sympy.Rational(c.numerator, c.denominator) * _SX ** i
+                for i, c in enumerate(coeffs)), sympy.Integer(0))
+
+
+def _assert_cyclo_is(got, expr, r):
+    """got is canonical and equals the sympy polynomial expr mod phi_r."""
+    phi = sympy.cyclotomic_poly(r, _SX)
+    deg = sympy.degree(phi, _SX)
+    assert len(got.num) == deg and got.den > 0
+    assert all(type(c) is int for c in got.num + (got.den,))
+    assert gcd(got.den, *got.num) == 1
+    want = sympy.Poly(sympy.rem(sympy.expand(expr), phi, _SX), _SX)
+    coeffs = want.all_coeffs()[::-1] if not want.is_zero else []
+    coeffs += [0] * (deg - len(coeffs))
+    assert got.coeffs == tuple(F(int(c.p), int(c.q)) for c in
+                               map(sympy.Rational, coeffs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12), _cyclo_coeffs, _cyclo_coeffs,
+       st.sampled_from(_OPS))
+def test_cyclo_matches_sympy(r, a, b, op):
+    x, y = Cyclo(r, a), Cyclo(r, b)
+    sx, sy = _sym_poly(a), _sym_poly(b)
+    _assert_cyclo_is(x, sx, r)
+    _assert_cyclo_is(y, sy, r)
+    phi = sympy.cyclotomic_poly(r, _SX)
+    if y.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            y.inverse()
+        if op is operator.truediv:
+            with pytest.raises(ZeroDivisionError):
+                op(x, y)
+            return
+    else:
+        inv_y = sympy.invert(sy, phi, _SX)
+        _assert_cyclo_is(y.inverse(), inv_y, r)
+    got = op(x, y)
+    want = sx * inv_y if op is operator.truediv else op(sx, sy)
+    _assert_cyclo_is(got, want, r)
+    assert CyclotomicField(r).parse(got.to_str()) == got

@@ -7,10 +7,11 @@ import pytest
 from golden import (G24_BASIS, G24_ROWS, H24_BASIS, HECKE32_BASIS,
                     SYMMETRIC_GOLDEN, T321, TENSOR_BASIS, TENSOR_ROWS,
                     a321_entries, h24_entry, hecke32_matrix)
+from walks import keep_skip_walks, walk_weight
 from youngbasis.algebras import (AlgebraSpec, WeightScheme,
                                  natural_generator, seminormal_generator)
 from youngbasis.bruhat import (BruhatGraph, Path, shortest_path,
-                               shortest_paths_from, subpaths_terminating)
+                               shortest_paths_from)
 from youngbasis.errors import InvariantError, PreconditionError
 from youngbasis.fields import QFIELD, evaluate_q
 from youngbasis.linalg import matmul
@@ -56,15 +57,9 @@ def test_pathsum_subpath_weights_of_displayed_entry():
     t15 = Tableau(S321, [[(1, 2, 3), (4, 6), (5,)]])
     s = Tableau(S321, [[(1, 3, 5), (2, 6), (4,)]])
     p = shortest_path(g, 0, g.index[t15.rows])
-    subs = subpaths_terminating(g, p, g.index[s.rows])
-    weights = []
-    for sp in subs:
-        w = F(1)
-        for step, moved in enumerate(sp.moves):
-            t = g.nodes[sp.nodes[step]]
-            a = ws.stay(t, p.labels[step])
-            w *= (ws.move(t, p.labels[step]) if moved else a)
-        weights.append(w)
+    weights = [walk_weight(ws, g, p, moves, nodes)
+               for moves, nodes in keep_skip_walks(g, p)
+               if nodes[-1] == g.index[s.rows]]
     assert sorted(weights) == [F(-2, 3), F(-1, 12)]
     tm = transition_pathsum(SPEC6, S321)
     assert tm.entry(s, t15) == F(-3, 4)
