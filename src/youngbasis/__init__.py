@@ -4,9 +4,9 @@ A and B, Ariki-Koike algebras, affine Hecke modules on placed shapes,
 and wreath products of a cyclic group with a symmetric group.
 """
 
-from .algebras import (AlgebraSpec, FAMILIES, natural_generator,
-                       seminormal_generator, verify_relations, x_generator,
-                       zeroth_generator)
+from .algebras import (AlgebraSpec, FAMILIES, WeightScheme,
+                       natural_generator, seminormal_generator,
+                       verify_relations, x_generator, zeroth_generator)
 from .bruhat import (BruhatGraph, Path, shortest_path, shortest_paths_from,
                      to_dot)
 from .errors import (DegenerateWeightError, FieldMismatchError,

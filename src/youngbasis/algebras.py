@@ -19,6 +19,10 @@ the coefficient of :func:`weights.q_axial_weight`.  Supported families:
   exposed as diagonal matrices.
 
 For q-families q is either symbolic (``q=None``) or an exact rational.
+
+A :class:`WeightScheme` is one module: a spec, a shape and the weak
+Bruhat graph of that shape.  Every generator and relation check here,
+and every route in :mod:`transition`, takes the scheme alone.
 """
 
 from __future__ import annotations
@@ -87,7 +91,7 @@ class AlgebraSpec:
         self.family = family
         self.n = n
         self.r = r
-        self.q = None if q in (None, "sym") else Fraction(q)
+        self.q = None if q is None else Fraction(q)
         if self.q == 0:
             raise PreconditionError("q must be nonzero")
         if preset.r is not None and r != preset.r:
@@ -142,22 +146,31 @@ class AlgebraSpec:
 
 
 class WeightScheme:
-    """Seminormal coefficients for one (spec, shape) pair.
+    """Seminormal coefficients of one spec on the standard tableaux of
+    one shape: the one object a request passes around.
 
+    ``graph`` is the weak Bruhat graph of ``shape``, built here unless
+    one is given; a given graph of another shape is rejected.
     ``stay(t, i)`` is the diagonal coefficient of the i-th generator on
     v_t and ``move(t, i)`` the coefficient on v_{s_i(t)}; ``diag_factor``
     and ``orth_factor_squared`` are the per-inversion factors of the
     transition diagonal and of the squared orthogonal diagonal.
 
-    One scheme serves every computation of a request: its caches
-    (coefficients by pair, generator data and matrices by label) assume
-    that every ``graph`` passed in is the weak Bruhat graph of ``shape``.
+    One scheme serves every computation of a request: it caches
+    coefficients by pair, and generator data and matrices by label.
     """
 
-    def __init__(self, spec, shape):
+    def __init__(self, spec, shape, graph=None):
         spec.validate_shape(shape)
+        if graph is None:
+            graph = BruhatGraph(shape)
+        elif graph.shape != shape:
+            raise PreconditionError(
+                f"graph of shape {graph.shape.to_str()} given for shape "
+                f"{shape.to_str()}")
         self.spec = spec
         self.shape = shape
+        self.graph = graph
         self.field = spec.coefficient_field()
         self.weights = spec.page_weights(shape)
         self.q = spec.coefficient_q
@@ -186,13 +199,14 @@ class WeightScheme:
     def move(self, t, i):
         return self._qinv + self.stay(t, i)
 
-    def steps(self, graph, label):
+    def steps(self, label):
         """Per-node stay coefficients and (move coefficient, target) or
         None for one generator label: what one two-term update needs."""
         cached = self._steps.get(label)
         if cached is None:
             stay = []
             move = []
+            graph = self.graph
             for t, nbrs in zip(graph.nodes, graph.neighbors):
                 stay.append(self.stay(t, label))
                 target = nbrs.get(label)
@@ -201,15 +215,15 @@ class WeightScheme:
             cached = self._steps[label] = (stay, move)
         return cached
 
-    def generator(self, graph, label):
+    def generator(self, label):
         """The seminormal matrix of one generator label (shared: callers
         must not modify it)."""
         m = self._generators.get(label)
         if m is None:
             coerce = self.field.coerce
-            stay, move = self.steps(graph, label)
-            m = Matrix(graph.size(), graph.size(), self.field,
-                       basis=graph.nodes)
+            stay, move = self.steps(label)
+            size = self.graph.size()
+            m = Matrix(size, size, self.field, basis=self.graph.nodes)
             for col, (a, mv) in enumerate(zip(stay, move)):
                 a = coerce(a)
                 if a:
@@ -239,56 +253,44 @@ class WeightScheme:
         return val
 
 
-def seminormal_generator(spec, shape, i, graph=None, ws=None):
+def seminormal_generator(ws, i):
     """Matrix of the i-th generator on the seminormal basis in canonical
     order: diagonal entry a_i, off-diagonal 1+a_i (or the q-analogues),
     off-diagonal dropped when the swap is nonstandard.  Built once per
     scheme; callers must not modify it."""
-    if not 1 <= i <= spec.n - 1:
+    if not 1 <= i <= ws.spec.n - 1:
         raise PreconditionError(f"generator index {i} out of range")
-    if graph is None:
-        graph = BruhatGraph(shape)
-    if ws is None:
-        ws = WeightScheme(spec, shape)
-    return ws.generator(graph, i)
+    return ws.generator(i)
 
 
-def zeroth_generator(spec, shape, graph=None):
+def zeroth_generator(ws):
     """Diagonal matrix of T_0 (or s_0): eigenvalue u_k (or xi^{k-1}) on
     v_T when the entry 1 sits in component k, or X_1 on placed shapes."""
-    if graph is None:
-        graph = BruhatGraph(shape)
+    spec, nodes = ws.spec, ws.graph.nodes
     kind = spec.preset.zeroth
     if kind is None:
         raise PreconditionError(f"{spec.family} has no zeroth generator")
     if spec.n == 0:
         raise PreconditionError("no zeroth generator without boxes")
     if kind == "x1":
-        return x_generator(spec, shape, 1, graph=graph)
-    spec.validate_shape(shape)
+        return x_generator(ws, 1)
     if kind == "xi":
-        field = CyclotomicField(spec.r)
-        vals = [Cyclo.xi_power(spec.r, t.component_of(1) - 1)
-                for t in graph.nodes]
-        return Matrix.diagonal(vals, field, basis=graph.nodes)
-    field = spec.coefficient_field()
-    vals = [spec.u[t.component_of(1) - 1] for t in graph.nodes]
-    return Matrix.diagonal(vals, field, basis=graph.nodes)
+        vals = [Cyclo.xi_power(spec.r, t.component_of(1) - 1) for t in nodes]
+        return Matrix.diagonal(vals, CyclotomicField(spec.r), basis=nodes)
+    vals = [spec.u[t.component_of(1) - 1] for t in nodes]
+    return Matrix.diagonal(vals, ws.field, basis=nodes)
 
 
-def x_generator(spec, shape, i, graph=None, ws=None):
+def x_generator(ws, i):
     """Diagonal matrix of X^{eps_i}: eigenvalue q^{2 c(T(i))}."""
+    spec, nodes = ws.spec, ws.graph.nodes
     # symmetric and wreath_grn fix q = 1 and carry no X generators
     if spec.preset.q != "free":
         raise PreconditionError(f"{spec.family} has no X generators")
     if not 1 <= i <= spec.n:
         raise PreconditionError(f"X index {i} out of range")
-    if graph is None:
-        graph = BruhatGraph(shape)
-    if ws is None:
-        ws = WeightScheme(spec, shape)
-    vals = [weighted_content(t, i, ws.weights, ws.q) for t in graph.nodes]
-    return Matrix.diagonal(vals, ws.field, basis=graph.nodes)
+    vals = [weighted_content(t, i, ws.weights, ws.q) for t in nodes]
+    return Matrix.diagonal(vals, ws.field, basis=nodes)
 
 
 def conjugate_to_natural(matrices, transition):
@@ -309,16 +311,13 @@ def conjugate_to_natural(matrices, transition):
     return out
 
 
-def natural_generator(spec, shape, i, graph=None, transition=None):
+def natural_generator(ws, i, transition=None):
     """Generator matrix on the natural basis, by conjugating the
     seminormal matrix with the transition matrix."""
     from .transition import transition_recursive
-    if graph is None:
-        graph = BruhatGraph(shape)
     if transition is None:
-        transition = transition_recursive(spec, shape, graph=graph)
-    g = seminormal_generator(spec, shape, i, graph=graph) if i >= 1 \
-        else zeroth_generator(spec, shape, graph=graph)
+        transition = transition_recursive(ws)
+    g = seminormal_generator(ws, i) if i >= 1 else zeroth_generator(ws)
     return conjugate_to_natural([g], transition)[0]
 
 
@@ -344,20 +343,16 @@ def _record(report, name, lhs, rhs=None):
     return ok
 
 
-def verify_relations(spec, shape, graph=None, ws=None):
+def verify_relations(ws):
     """Check every defining relation of the family as an exact matrix
     identity; returns a list of {relation, status[, witness]} dicts."""
-    if graph is None:
-        graph = BruhatGraph(shape)
-    if ws is None:
-        ws = WeightScheme(spec, shape)
+    spec, size = ws.spec, ws.graph.size()
     n = spec.n
     preset = spec.preset
     report = []
-    gens = {i: seminormal_generator(spec, shape, i, graph=graph, ws=ws)
-            for i in range(1, n)}
+    gens = {i: seminormal_generator(ws, i) for i in range(1, n)}
     field = ws.field
-    ident = Matrix.identity(graph.size(), field)
+    ident = Matrix.identity(size, field)
     q = spec.coefficient_q
     # T_i^2 = (q - q^-1) T_i + 1, an involution at q = 1
     coeff = QFIELD.q - QFIELD.q_inv if q is None else q - 1 / q
@@ -376,11 +371,11 @@ def verify_relations(spec, shape, graph=None, ws=None):
         _record(report, f"{name}{i}", matmul(gens[i], gens[i]), rhs)
 
     if preset.zeroth in ("u", "xi") and n >= 1:
-        t0 = zeroth_generator(spec, shape, graph=graph)
+        t0 = zeroth_generator(ws)
         if t0.field != field:
             # wreath: lift the rational s_i into the cyclotomic field
             lift = {i: g.coerce_field(t0.field) for i, g in gens.items()}
-            ident0 = Matrix.identity(graph.size(), t0.field)
+            ident0 = Matrix.identity(size, t0.field)
         else:
             lift = gens
             ident0 = ident
@@ -404,8 +399,7 @@ def verify_relations(spec, shape, graph=None, ws=None):
             _record(report, "cyclotomic prod (T0 - u_k) = 0", acc)
 
     if preset.zeroth == "x1":
-        xs = {i: x_generator(spec, shape, i, graph=graph, ws=ws)
-              for i in range(1, n + 1)}
+        xs = {i: x_generator(ws, i) for i in range(1, n + 1)}
         for i in range(1, n):
             for j in range(1, n + 1):
                 if abs(i - j) > 1:

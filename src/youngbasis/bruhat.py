@@ -96,9 +96,6 @@ class Path:
     labels: tuple
     nodes: tuple  # visited node indices, length = len(labels) + 1
 
-    def end(self):
-        return self.nodes[-1]
-
 
 def shortest_paths_from(graph, src):
     """Minimal paths from src to every node above it in weak order,

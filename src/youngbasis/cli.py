@@ -28,16 +28,20 @@ from .shapes import all_partitions, parse_shape, shape_from_parts
 FAMILY_CHOICES = FAMILIES + ("grn",)  # "grn" is shorthand for wreath_grn
 
 
+def _add_family(p):
+    p.add_argument("--family", default="symmetric", choices=FAMILY_CHOICES)
+    p.add_argument("--r", type=int, default=None,
+                   help="number of components (validated against the shape)")
+    p.add_argument("--q", default="sym",
+                   help="'sym' for symbolic q, or an exact rational")
+    p.add_argument("--u", default=None,
+                   help="comma-separated exact rationals u_1,...,u_r")
+
+
 def _add_common(p, family=True):
     p.add_argument("--shape", required=True, help="shape string")
     if family:
-        p.add_argument("--family", default="symmetric", choices=FAMILY_CHOICES)
-        p.add_argument("--r", type=int, default=None,
-                       help="number of components (validated against the shape)")
-        p.add_argument("--q", default="sym",
-                       help="'sym' for symbolic q, or an exact rational")
-        p.add_argument("--u", default=None,
-                       help="comma-separated exact rationals u_1,...,u_r")
+        _add_family(p)
     p.add_argument("--format", default="json", choices=["json", "csv", "dot"])
     p.add_argument("--out", default=None, help="output file (default stdout)")
 
@@ -81,10 +85,7 @@ def build_parser():
     p.add_argument("--shape", default=None)
     p.add_argument("--partitions-of", type=int, default=None,
                    help="benchmark every partition of this size")
-    p.add_argument("--family", default="symmetric", choices=FAMILIES)
-    p.add_argument("--q", default="sym")
-    p.add_argument("--u", default=None)
-    p.add_argument("--r", type=int, default=None)
+    _add_family(p)
     p.add_argument("--format", default="csv", choices=["json", "csv"])
     p.add_argument("--out", default=None)
     return ap
@@ -96,11 +97,19 @@ def _parse_u(text):
     return tuple(parse_rational(tok) for tok in text.split(","))
 
 
-def make_spec(args, shape):
+def make_scheme(args, shape=None):
+    """The request's scheme: the family arguments on the shape given, or
+    else on --shape."""
+    if shape is None:
+        shape = parse_shape(args.shape)
     family = "wreath_grn" if args.family == "grn" else args.family
-    r = args.r if args.r is not None else shape.r
     q = None if args.q == "sym" else parse_rational(args.q)
-    return AlgebraSpec(family, shape.n, r=r, q=q, u=_parse_u(args.u))
+    u = _parse_u(args.u)
+    if args.r not in (None, shape.r):
+        raise PreconditionError(
+            f"--r {args.r} but the shape has {shape.r} components")
+    return WeightScheme(AlgebraSpec(family, shape.n, r=shape.r, q=q, u=u),
+                        shape)
 
 
 def _emit(args, text):
@@ -158,16 +167,16 @@ def cmd_graph(args):
     return 0
 
 
-def _generator_list(spec, shape, graph, natural):
+def _generator_list(ws, natural):
     gens = []
-    tmat = tr.transition_recursive(spec, shape, graph=graph) if natural else None
+    tmat = tr.transition_recursive(ws) if natural else None
+    spec = ws.spec
     prefix = spec.preset.prefix
     if spec.preset.zeroth in ("u", "xi"):
-        gens.append((f"{prefix}0", zeroth_generator(spec, shape, graph=graph)))
+        gens.append((f"{prefix}0", zeroth_generator(ws)))
     if spec.preset.zeroth == "x1":
-        gens += [(f"X{i}", x_generator(spec, shape, i, graph=graph))
-                 for i in range(1, spec.n + 1)]
-    gens += [(f"{prefix}{i}", seminormal_generator(spec, shape, i, graph=graph))
+        gens += [(f"X{i}", x_generator(ws, i)) for i in range(1, spec.n + 1)]
+    gens += [(f"{prefix}{i}", seminormal_generator(ws, i))
              for i in range(1, spec.n)]
     if natural:
         mats = conjugate_to_natural([m for _, m in gens], tmat)
@@ -176,10 +185,8 @@ def _generator_list(spec, shape, graph, natural):
 
 
 def _cmd_generators(args, natural):
-    shape = parse_shape(args.shape)
-    spec = make_spec(args, shape)
-    graph = BruhatGraph(shape)
-    gens = _generator_list(spec, shape, graph, natural)
+    ws = make_scheme(args)
+    gens = _generator_list(ws, natural)
     if args.gen is not None:
         key = args.gen if not args.gen.isdigit() else None
         wanted = []
@@ -193,10 +200,10 @@ def _cmd_generators(args, natural):
         gens = wanted
     if args.format == "json":
         obj = {
-            "shape": shape.to_str(),
-            "params": _json_params(spec, {"basis_kind":
-                                          "natural" if natural else "seminormal"}),
-            "basis": [t.serialize() for t in graph.nodes],
+            "shape": ws.shape.to_str(),
+            "params": _json_params(ws.spec, {
+                "basis_kind": "natural" if natural else "seminormal"}),
+            "basis": [t.serialize() for t in ws.graph.nodes],
             "generators": [
                 {"name": name, "field": m.field.name, "rows": string_rows(m)}
                 for name, m in gens],
@@ -219,73 +226,66 @@ def cmd_natural(args):
 
 
 def cmd_transition(args):
-    shape = parse_shape(args.shape)
-    spec = make_spec(args, shape)
-    graph = BruhatGraph(shape)
+    ws = make_scheme(args)
     if args.oracle == "recursive":
-        tm = tr.transition_recursive(spec, shape, graph=graph)
+        tm = tr.transition_recursive(ws)
     elif args.oracle == "pathsum":
-        tm = tr.transition_pathsum(spec, shape, graph=graph,
-                                   n_cap=args.pathsum_cap)
+        tm = tr.transition_pathsum(ws, n_cap=args.pathsum_cap)
     else:
-        tm = tr.transition_word(spec, shape, graph=graph)
+        tm = tr.transition_word(ws)
+    del ws  # free the scheme's caches before the output is built
     tr.check_structure(tm)
     if args.format == "json":
-        _emit(args, matrix_to_json(tm.matrix, shape.to_str(),
-                                   _json_params(spec, {"oracle": args.oracle})))
+        _emit(args, matrix_to_json(tm.matrix, tm.shape.to_str(),
+                                   _json_params(tm.spec,
+                                                {"oracle": args.oracle})))
     else:
         _emit(args, matrix_to_csv(tm.matrix))
     return 0
 
 
 def cmd_orthogonal(args):
-    shape = parse_shape(args.shape)
-    spec = make_spec(args, shape)
-    graph = BruhatGraph(shape)
-    diag = tr.orthogonal_diag_squared(spec, shape, graph=graph)
-    field = spec.coefficient_field()
-    strs = [field.to_str(field.coerce(v)) for v in diag]
+    ws = make_scheme(args)
+    field = ws.field
+    strs = [field.to_str(field.coerce(v))
+            for v in tr.orthogonal_diag_squared(ws)]
     if args.format == "json":
-        obj = {"shape": shape.to_str(), "field": field.name,
-               "params": _json_params(spec),
-               "basis": [t.serialize() for t in graph.nodes],
+        obj = {"shape": ws.shape.to_str(), "field": field.name,
+               "params": _json_params(ws.spec),
+               "basis": [t.serialize() for t in ws.graph.nodes],
                "diag_squared": strs}
         _emit(args, json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
     else:
         lines = ["word,diag_squared"]
-        for t, v in zip(graph.nodes, strs):
+        for t, v in zip(ws.graph.nodes, strs):
             lines.append(" ".join(map(str, t.word)) + "," + v)
         _emit(args, "\n".join(lines) + "\n")
     return 0
 
 
 def cmd_verify(args):
-    shape = parse_shape(args.shape)
-    spec = make_spec(args, shape)
-    graph = BruhatGraph(shape)
     # one scheme: every check shares its coefficients and generators
-    ws = WeightScheme(spec, shape)
-    report = verify_relations(spec, shape, graph=graph, ws=ws)
-    tm = tr.transition_recursive(spec, shape, graph=graph, ws=ws)
+    ws = make_scheme(args)
+    report = verify_relations(ws)
+    tm = tr.transition_recursive(ws)
     try:
         tr.check_structure(tm)
         report.append({"relation": "transition structure", "status": "pass"})
     except InvariantError as exc:
         report.append({"relation": "transition structure", "status": "fail",
                        "witness": {"message": str(exc)}})
-    diag = tr.diagonal_closed_form(spec, shape, graph=graph, ws=ws)
-    ok = all(tm.matrix.get(i, i) == diag[i] for i in range(graph.size()))
+    diag = tr.diagonal_closed_form(ws)
+    ok = all(tm.matrix.get(i, i) == d for i, d in enumerate(diag))
     report.append({"relation": "diagonal closed form",
                    "status": "pass" if ok else "fail"})
-    if shape.n <= args.oracle_cap:
-        tp = tr.transition_pathsum(spec, shape, graph=graph,
-                                   n_cap=args.oracle_cap, ws=ws)
-        twd = tr.transition_word(spec, shape, graph=graph, ws=ws)
+    if ws.shape.n <= args.oracle_cap:
+        tp = tr.transition_pathsum(ws, n_cap=args.oracle_cap)
+        twd = tr.transition_word(ws)
         ok = tp.matrix == tm.matrix and twd.matrix == tm.matrix
         report.append({"relation": "triple-oracle agreement",
                        "status": "pass" if ok else "fail"})
     failures = [r for r in report if r["status"] != "pass"]
-    out = {"shape": shape.to_str(), "family": spec.family,
+    out = {"shape": ws.shape.to_str(), "family": ws.spec.family,
            "checks": report, "failures": len(failures)}
     _emit(args, json.dumps(out, sort_keys=True, separators=(",", ":")) + "\n")
     return 4 if failures else 0
@@ -299,10 +299,8 @@ def cmd_bench(args):
         shapes.append(parse_shape(args.shape))
     if not shapes:
         raise PreconditionError("bench needs --shape or --partitions-of")
-    records = []
-    for shape in shapes:
-        spec = make_spec(args, shape)
-        records.append(tr.bench_transition(spec, shape))
+    records = [tr.bench_transition(make_scheme(args, shape))
+               for shape in shapes]
     if args.format == "json":
         _emit(args, json.dumps(records, sort_keys=True,
                                separators=(",", ":")) + "\n")

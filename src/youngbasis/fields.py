@@ -222,10 +222,6 @@ class QRat:
     def is_zero(self):
         return not self._num
 
-    def is_one(self):
-        return (self._exp == 0 and self._num == _I_ONE
-                and self._den == _I_ONE and self._scale == 1)
-
     def __bool__(self):
         return bool(self._num)
 
@@ -444,9 +440,6 @@ class Cyclo:
     def is_zero(self):
         return not any(self.num)
 
-    def is_one(self):
-        return self.den == 1 and self.num[0] == 1 and not any(self.num[1:])
-
     def __bool__(self):
         return any(self.num)
 
@@ -648,9 +641,6 @@ class RationalField:
     zero = ZERO
     one = ONE
 
-    def from_int(self, k):
-        return Fraction(k)
-
     def element_of(self, x):
         return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
@@ -676,22 +666,13 @@ class RationalField:
 
 
 class QRationalField:
-    """Rational functions of q; ``params`` is serialization metadata only."""
+    """Rational functions of q."""
 
+    name = "q"
     zero = QRat.const(0)
     one = QRat.const(1)
     q = Q
     q_inv = QINV
-
-    def __init__(self, params=None):
-        self.params = dict(params) if params else {}
-
-    @property
-    def name(self):
-        return "q-with-params" if self.params else "q"
-
-    def from_int(self, k):
-        return QRat.const(k)
 
     def element_of(self, x):
         return isinstance(x, QRat)
@@ -723,7 +704,7 @@ class QRationalField:
         return hash("q")
 
     def __repr__(self):
-        return f"QRationalField(params={self.params!r})"
+        return "QRationalField()"
 
 
 class CyclotomicField:
@@ -736,9 +717,6 @@ class CyclotomicField:
     @property
     def name(self):
         return f"cyclotomic:{self.r}"
-
-    def from_int(self, k):
-        return Cyclo.const(self.r, k)
 
     def element_of(self, x):
         return isinstance(x, Cyclo) and x.r == self.r
@@ -794,11 +772,11 @@ def field_of(x):
     raise FieldMismatchError(f"{x!r} is not a field element")
 
 
-def field_by_name(name, params=None):
+def field_by_name(name):
     if name == "rational":
         return RATIONALS
-    if name in ("q", "q-with-params"):
-        return QRationalField(params)
+    if name == "q":
+        return QFIELD
     m = re.match(r"^cyclotomic:(\d+)$", name)
     if m:
         return CyclotomicField(int(m.group(1)))

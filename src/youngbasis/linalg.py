@@ -61,12 +61,6 @@ class Matrix:
     def get(self, i, j):
         return self.cols[j].get(i, self.field.zero)
 
-    def set(self, i, j, v):
-        if v:
-            self.cols[j][i] = v
-        else:
-            self.cols[j].pop(i, None)
-
     def column(self, j):
         return dict(self.cols[j])
 
@@ -118,9 +112,6 @@ class Matrix:
                 if w:
                     out.cols[j][i] = w
         return out
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __add__(self, other):
         self._compat(other)
@@ -180,8 +171,8 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols}, {self.field.name}, nnz={self.nnz()})"
 
 
-def matmul(a, b, counter=None):
-    """Exact sparse product; `counter` counts scalar multiplications."""
+def matmul(a, b):
+    """Exact sparse product."""
     a._compat(b)
     if a.ncols != b.nrows:
         raise PreconditionError("inner dimensions do not match")
@@ -191,8 +182,6 @@ def matmul(a, b, counter=None):
         for k, x in b.cols[j].items():
             for i, v in a.cols[k].items():
                 w = v * x
-                if counter is not None:
-                    counter.mults += 1
                 cur = acc.get(i)
                 cur = w if cur is None else cur + w
                 if cur:
@@ -306,7 +295,7 @@ def matrix_to_json(m, shape_str=None, params=None):
 def matrix_from_json(text, shape=None):
     """Re-parse an exported matrix; returns (Matrix, shape_str, params)."""
     obj = json.loads(text)
-    field = field_by_name(obj["field"], obj.get("params"))
+    field = field_by_name(obj["field"])
     rows = obj["rows"]
     parsed = [[field.parse(v) for v in row] for row in rows]
     basis = None

@@ -13,7 +13,7 @@ from .errors import PreconditionError
 
 __all__ = [
     "identity", "compose", "inverse", "apply_simple", "simple",
-    "length", "inversion_pairs", "is_identity",
+    "length", "is_identity",
     "descents_left", "reduced_word", "word_to_perm",
     "sorted_prefixes", "bruhat_leq", "bruhat_leq_subword", "weak_leq",
 ]
@@ -64,17 +64,6 @@ def length(w):
             if w[i] > w[j]:
                 count += 1
     return count
-
-
-def inversion_pairs(w):
-    """Set of (a, b), a > b, with a left of b in one-line notation."""
-    n = len(w)
-    out = set()
-    for i in range(n):
-        for j in range(i + 1, n):
-            if w[i] > w[j]:
-                out.add((w[i], w[j]))
-    return out
 
 
 def descents_left(w):

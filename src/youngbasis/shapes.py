@@ -412,7 +412,7 @@ def all_partitions(n):
     return out
 
 
-def all_skew_shapes(n, include_partitions=True):
+def all_skew_shapes(n):
     """Basic skew shapes with exactly n boxes inside an n x n bounding
     box: every row nonempty, and the padded inner partition ends in 0 so
     horizontally translated duplicates are excluded."""
@@ -424,8 +424,6 @@ def all_skew_shapes(n, include_partitions=True):
                 if inner[-1] > 0:
                     continue
                 if any(inner[i] >= outer[i] for i in range(len(outer))):
-                    continue
-                if not include_partitions and not any(inner):
                     continue
                 inner_trim = tuple(x for x in inner if x > 0)
                 shapes.append(Shape([(outer, inner_trim)]))

@@ -8,7 +8,12 @@ Three independent computation routes are provided:
 * :func:`transition_pathsum`  -- explicit enumeration of the weighted
   subpaths of a fixed path per column (exponential; oracle),
 * :func:`transition_word`     -- generator matrices applied along a
-  reduced word per column (oracle).
+  reduced word per column, a different word from the recursion's
+  (oracle).
+
+Each route, and each diagonal, takes one
+:class:`~youngbasis.algebras.WeightScheme`, which holds the spec, the
+shape and its weak Bruhat graph.
 
 Also here: the closed-form diagonal, the squared orthogonal diagonal,
 and the wreath-product assembly by alphabets (direct sum of tensor
@@ -57,10 +62,7 @@ class TransitionMatrix:
     matrix: Matrix
     spec: AlgebraSpec
     shape: Shape
-    provenance: str
-    graph: BruhatGraph = dc_field(default=None, repr=False)
-    ops: OpCounter = dc_field(default=None, repr=False)
-    seconds: float = dc_field(default=None, repr=False)
+    graph: BruhatGraph = dc_field(repr=False)
 
     @property
     def basis(self):
@@ -75,12 +77,7 @@ class TransitionMatrix:
     def _index(self, t):
         rows = t.rows if isinstance(t, Tableau) else \
             tuple(tuple(tuple(r) for r in comp) for comp in t)
-        if self.graph is not None:
-            return self.graph.index[rows]
-        for i, node in enumerate(self.matrix.basis):
-            if node.rows == rows:
-                return i
-        raise KeyError(rows)
+        return self.graph.index[rows]
 
 
 def _push_column(prev_col, stay, move, counter):
@@ -123,32 +120,26 @@ def _push_column(prev_col, stay, move, counter):
     return out
 
 
-def transition_recursive(spec, shape, graph=None, counter=None, ws=None):
+def transition_recursive(ws, counter=None):
     """Transition matrix by the two-term column recursion.
 
     Columns are computed in depth order; column C is e_C, and the column
     of T is obtained from the column of T' = s_l(T) (l the smallest
     label stepping down in weak order) by the seminormal two-term rule.
     """
-    if graph is None:
-        graph = BruhatGraph(shape)
-    if ws is None:
-        ws = WeightScheme(spec, shape)
+    graph = ws.graph
     size = graph.size()
     cols = [None] * size
     cols[0] = {0: ws.field.one}
-    t0 = time.perf_counter()
     for v in sorted(range(1, size), key=graph.depth.__getitem__):
         u, label = graph.up_edges_into(v)[0]
-        stay, move = ws.steps(graph, label)
+        stay, move = ws.steps(label)
         cols[v] = _push_column(cols[u], stay, move, counter)
     m = Matrix(size, size, ws.field, cols=cols, basis=graph.nodes)
-    return TransitionMatrix(m, spec, shape, "recursive", graph=graph,
-                            ops=counter, seconds=time.perf_counter() - t0)
+    return TransitionMatrix(m, ws.spec, ws.shape, graph)
 
 
-def transition_pathsum(spec, shape, graph=None, paths=None,
-                       n_cap=PATHSUM_DEFAULT_CAP, ws=None):
+def transition_pathsum(ws, paths=None, n_cap=PATHSUM_DEFAULT_CAP):
     """Transition matrix as explicit sums of weighted subpaths.
 
     For each column a fixed path from C is walked; every subpath (each
@@ -157,13 +148,10 @@ def transition_pathsum(spec, shape, graph=None, paths=None,
     its terminal node.  Exponential in the depth; refuses shapes with
     n > n_cap unless the cap is raised.
     """
-    if shape.n > n_cap:
+    if ws.shape.n > n_cap:
         raise PreconditionError(
             f"pathsum oracle capped at n = {n_cap}; raise n_cap to override")
-    if graph is None:
-        graph = BruhatGraph(shape)
-    if ws is None:
-        ws = WeightScheme(spec, shape)
+    graph = ws.graph
     if paths is None:
         paths = shortest_paths_from(graph, 0)
     size = graph.size()
@@ -172,7 +160,7 @@ def transition_pathsum(spec, shape, graph=None, paths=None,
     for v in range(size):
         path = paths[v]
         bucket = {}
-        steps = [ws.steps(graph, i) for i in path.labels]
+        steps = [ws.steps(i) for i in path.labels]
 
         def dfs(j, node, weight):
             if j == len(steps):
@@ -189,41 +177,33 @@ def transition_pathsum(spec, shape, graph=None, paths=None,
 
         dfs(0, 0, one)
         m.cols[v] = {i: w for i, w in bucket.items() if w}
-    return TransitionMatrix(m, spec, shape, "pathsum", graph=graph)
+    return TransitionMatrix(m, ws.spec, ws.shape, graph)
 
 
-def transition_word(spec, shape, graph=None, ws=None):
+def transition_word(ws):
     """Full transition matrix via the word-product route (oracle): column
     T is the product of generator matrices along a reduced word of T,
-    applied to e_C.  The words of `shortest_paths_from` are prefix-closed,
-    so each column is one generator applied to the column of its word's
-    prefix."""
-    if graph is None:
-        graph = BruhatGraph(shape)
-    if ws is None:
-        ws = WeightScheme(spec, shape)
-    gens = {i: seminormal_generator(spec, shape, i, graph=graph, ws=ws)
-            for i in range(1, spec.n)}
+    applied to e_C.  The word ends in the largest label stepping down
+    from T, where the recursion uses the smallest, so the two routes
+    read different coefficients wherever T has two or more down edges.
+    These words are prefix-closed: each column is one generator applied
+    to the column of a node one level lower."""
+    graph = ws.graph
+    gens = {i: seminormal_generator(ws, i) for i in range(1, ws.spec.n)}
     size = graph.size()
     m = Matrix(size, size, ws.field, basis=graph.nodes)
-    # paths come in depth order, so a prefix's column is always ready
-    for v, path in shortest_paths_from(graph, 0).items():
-        if path.labels:
-            m.cols[v] = gens[path.labels[-1]].apply(m.cols[path.nodes[-2]])
-        else:
-            m.cols[v] = {0: ws.field.one}
-    return TransitionMatrix(m, spec, shape, "word-product", graph=graph)
+    m.cols[0] = {0: ws.field.one}
+    for v in sorted(range(1, size), key=graph.depth.__getitem__):
+        u, label = graph.up_edges_into(v)[-1]
+        m.cols[v] = gens[label].apply(m.cols[u])
+    return TransitionMatrix(m, ws.spec, ws.shape, graph)
 
 
-def diagonal_closed_form(spec, shape, graph=None, ws=None):
+def diagonal_closed_form(ws):
     """Diagonal of the transition matrix straight from inversion sets:
     the product over inversions of (1 + a_{i,j}) or its q-analogue."""
-    if graph is None:
-        graph = BruhatGraph(shape)
-    if ws is None:
-        ws = WeightScheme(spec, shape)
     out = []
-    for t in graph.nodes:
+    for t in ws.graph.nodes:
         acc = ws.field.one
         for (i, j) in sorted(t.inversions):
             acc = acc * ws.diag_factor(t, i, j)
@@ -231,15 +211,12 @@ def diagonal_closed_form(spec, shape, graph=None, ws=None):
     return out
 
 
-def orthogonal_diag_squared(spec, shape, graph=None):
+def orthogonal_diag_squared(ws):
     """Squares of the diagonal seminormal-to-orthogonal rescaling, a
     product over inversions of (move factor)^2 / (q^{-2} - a^2); kept in
     squared form so everything stays inside the exact field."""
-    if graph is None:
-        graph = BruhatGraph(shape)
-    ws = WeightScheme(spec, shape)
     out = []
-    for t in graph.nodes:
+    for t in ws.graph.nodes:
         acc = ws.field.one
         for (i, j) in sorted(t.inversions):
             acc = acc * ws.orth_factor_squared(t, i, j)
@@ -280,7 +257,8 @@ def grn_transition(shape, graph=None):
             comp_tabs.append([None])
             continue
         comp = Shape([(outer, ())])
-        tm = transition_recursive(AlgebraSpec("symmetric", comp.n), comp)
+        tm = transition_recursive(
+            WeightScheme(AlgebraSpec("symmetric", comp.n), comp))
         comp_mats.append(tm.matrix)
         comp_tabs.append(tm.matrix.basis)
     block = comp_mats[0]
@@ -294,7 +272,7 @@ def grn_transition(shape, graph=None):
     out = Matrix(size, size, field, basis=graph.nodes)
     for j in range(big.ncols):
         out.cols[perm[j]] = {perm[i]: v for i, v in big.cols[j].items()}
-    return TransitionMatrix(out, spec, shape, "tensor", graph=graph)
+    return TransitionMatrix(out, spec, shape, graph)
 
 
 def _grn_global_indices(shape, graph, alphabets, comp_tabs):
@@ -345,15 +323,17 @@ def check_structure(tm):
     return True
 
 
-def bench_transition(spec, shape, graph=None):
+def bench_transition(ws):
     """Timing + operation-count record for one shape's recursion."""
     counter = OpCounter()
-    tm = transition_recursive(spec, shape, graph=graph, counter=counter)
+    t0 = time.perf_counter()
+    tm = transition_recursive(ws, counter=counter)
+    seconds = time.perf_counter() - t0
     f = tm.matrix.ncols
     return {
-        "shape": shape.to_str(),
+        "shape": ws.shape.to_str(),
         "f": f,
-        "seconds": tm.seconds,
+        "seconds": seconds,
         "scalar_ops": counter.total(),
         "mults": counter.mults,
         "adds": counter.adds,

@@ -48,7 +48,7 @@ def sweep6(graphs6):
     out = []
     for g in graphs6:
         spec = AlgebraSpec("symmetric", g.shape.n)
-        out.append(transition_recursive(spec, g.shape, graph=g))
+        out.append(transition_recursive(WeightScheme(spec, g.shape, g)))
     return out
 
 
@@ -57,8 +57,7 @@ def hecke_sweep4():
     out = []
     for shape in _universe(4):
         spec = AlgebraSpec("hecke_A", shape.n)
-        g = BruhatGraph(shape)
-        out.append(transition_recursive(spec, shape, graph=g))
+        out.append(transition_recursive(WeightScheme(spec, shape)))
     return out
 
 
@@ -68,7 +67,7 @@ def test_criterion_01_golden_symmetric_matrices():
     for text in GOLDEN_SHAPES + ["3,2,1"]:
         shape = parse_shape(text)
         computed[text] = transition_recursive(
-            AlgebraSpec("symmetric", shape.n), shape)
+            WeightScheme(AlgebraSpec("symmetric", shape.n), shape))
     elapsed = time.perf_counter() - t0
     for text in GOLDEN_SHAPES:
         basis, rows = SYMMETRIC_GOLDEN[text]
@@ -86,13 +85,14 @@ def test_criterion_01_golden_symmetric_matrices():
 
 def test_criterion_02_golden_hecke_matrix():
     shape = parse_shape("3,2")
-    tm = transition_recursive(AlgebraSpec("hecke_A", 5), shape)
+    tm = transition_recursive(WeightScheme(AlgebraSpec("hecke_A", 5), shape))
     golden = hecke32_matrix()
     tabs = [Tableau(shape, [rows]) for rows in HECKE32_BASIS]
     for i in range(5):
         for j in range(5):
             assert tm.entry(tabs[i], tabs[j]) == golden[i][j], (i, j)
-    sym = transition_recursive(AlgebraSpec("symmetric", 5), shape)
+    sym = transition_recursive(
+        WeightScheme(AlgebraSpec("symmetric", 5), shape))
     for q0 in (F(1), F(2), F(1, 3)):
         for i in range(5):
             for j in range(5):
@@ -118,14 +118,14 @@ def test_criterion_03_golden_ariki_koike_matrix():
             points.append(cand)
     for (u1, u2, q) in points:
         spec = AlgebraSpec("ariki_koike", 4, r=2, q=q, u=(u1, u2))
-        tm = transition_recursive(spec, shape)
+        tm = transition_recursive(WeightScheme(spec, shape))
         for i, rt in enumerate(H24_BASIS):
             for j, ct in enumerate(H24_BASIS):
                 assert tm.entry(rt, ct) == h24_entry(i, j, u1, u2, q), \
                     ((u1, u2, q), i, j)
     # specialization (1, -1, 1) through symbolic q
     spec = AlgebraSpec("ariki_koike", 4, r=2, q=None, u=(1, -1))
-    tm = transition_recursive(spec, shape)
+    tm = transition_recursive(WeightScheme(spec, shape))
     tg = grn_transition(shape)
     for i, rt in enumerate(G24_BASIS):
         for j, ct in enumerate(G24_BASIS):
@@ -140,17 +140,18 @@ def test_criterion_04_triple_oracle(sweep6, hecke_sweep4):
     checked = 0
     for tm in sweep6:
         g = tm.graph
-        spec = tm.spec
-        tp = transition_pathsum(spec, g.shape, graph=g)
-        tw = transition_word(spec, g.shape, graph=g)
+        ws = WeightScheme(tm.spec, g.shape, g)
+        tp = transition_pathsum(ws)
+        tw = transition_word(ws)
         assert tp.matrix == tm.matrix, g.shape.to_str()
         assert tw.matrix == tm.matrix, g.shape.to_str()
         checked += 1
     hchecked = 0
     for tm in hecke_sweep4:
         g = tm.graph
-        tp = transition_pathsum(tm.spec, g.shape, graph=g)
-        tw = transition_word(tm.spec, g.shape, graph=g)
+        ws = WeightScheme(tm.spec, g.shape, g)
+        tp = transition_pathsum(ws)
+        tw = transition_word(ws)
         assert tp.matrix == tm.matrix, g.shape.to_str()
         assert tw.matrix == tm.matrix, g.shape.to_str()
         hchecked += 1
@@ -160,16 +161,17 @@ def test_criterion_04_triple_oracle(sweep6, hecke_sweep4):
 
 def test_criterion_05_closed_form_diagonals(sweep6, hecke_sweep4):
     for tm in list(sweep6) + list(hecke_sweep4):
-        diag = diagonal_closed_form(tm.spec, tm.shape, graph=tm.graph)
+        diag = diagonal_closed_form(
+            WeightScheme(tm.spec, tm.shape, tm.graph))
         for v in range(tm.graph.size()):
             assert tm.matrix.get(v, v) == diag[v], tm.shape.to_str()
     # worked examples for (3,2,1)
     s321 = parse_shape("3,2,1")
     spec = AlgebraSpec("symmetric", 6)
-    g = BruhatGraph(s321)
-    tm = transition_recursive(spec, s321, graph=g)
     ws = WeightScheme(spec, s321)
-    diag = diagonal_closed_form(spec, s321, graph=g)
+    g = ws.graph
+    tm = transition_recursive(ws)
+    diag = diagonal_closed_form(ws)
     t12 = Tableau(s321, [T321[11]])
     assert diag[g.index[t12.rows]] == F(15, 4)
 
@@ -202,15 +204,15 @@ def test_criterion_06_structural_invariants(sweep6, hecke_sweep4):
     for text in GOLDEN_SHAPES + ["3,2,1"]:
         shape = parse_shape(text)
         check_structure(transition_recursive(
-            AlgebraSpec("symmetric", shape.n), shape))
+            WeightScheme(AlgebraSpec("symmetric", shape.n), shape)))
         count += 1
-    check_structure(transition_recursive(AlgebraSpec("hecke_A", 5),
-                                         parse_shape("3,2")))
+    check_structure(transition_recursive(
+        WeightScheme(AlgebraSpec("hecke_A", 5), parse_shape("3,2"))))
     shape = parse_shape("(2,1)|(1)")
-    check_structure(transition_recursive(
-        AlgebraSpec("ariki_koike", 4, r=2, q=F(5), u=(2, 3)), shape))
-    check_structure(transition_recursive(
-        AlgebraSpec("ariki_koike", 4, r=2, q=None, u=(1, -1)), shape))
+    check_structure(transition_recursive(WeightScheme(
+        AlgebraSpec("ariki_koike", 4, r=2, q=F(5), u=(2, 3)), shape)))
+    check_structure(transition_recursive(WeightScheme(
+        AlgebraSpec("ariki_koike", 4, r=2, q=None, u=(1, -1)), shape)))
     check_structure(grn_transition(shape))
     count += 4
     print(f"\nPASS criterion 6: upper-triangularity, Bruhat zero pattern, "
@@ -243,7 +245,7 @@ def _relation_shapes(max_n, r):
 
 def test_criterion_07_relations_and_integrality():
     def assert_pass(spec, shape):
-        rep = verify_relations(spec, shape)
+        rep = verify_relations(WeightScheme(spec, shape))
         bad = [r for r in rep if r["status"] != "pass"]
         assert not bad, (spec.family, shape.to_str(), bad)
 
@@ -304,11 +306,10 @@ def test_criterion_07_relations_and_integrality():
     for n in range(2, 7):
         spec = AlgebraSpec("symmetric", n)
         for lam in all_partitions(n):
-            shape = shape_from_parts(lam)
-            g = BruhatGraph(shape)
-            tm = transition_recursive(spec, shape, graph=g)
+            ws = WeightScheme(spec, shape_from_parts(lam))
+            tm = transition_recursive(ws)
             for i in range(1, n):
-                m = natural_generator(spec, shape, i, graph=g, transition=tm)
+                m = natural_generator(ws, i, transition=tm)
                 for col in m.cols:
                     assert all(v.denominator == 1 for v in col.values()), \
                         (lam, i)
@@ -316,9 +317,10 @@ def test_criterion_07_relations_and_integrality():
     # the displayed straightening expansion: +1, -1, -1, +1, -1
     s321 = parse_shape("3,2,1")
     spec = AlgebraSpec("symmetric", 6)
-    g = BruhatGraph(s321)
-    tm = transition_recursive(spec, s321, graph=g)
-    m = natural_generator(spec, s321, 3, graph=g, transition=tm)
+    ws = WeightScheme(spec, s321)
+    g = ws.graph
+    tm = transition_recursive(ws)
+    m = natural_generator(ws, 3, transition=tm)
     idx = {k: g.index[Tableau(s321, [T321[k]]).rows]
            for k in (10, 8, 7, 5, 2)}
     col = m.column(idx[10])
@@ -336,8 +338,8 @@ def test_criterion_08_orthogonal_step_identities():
         g = BruhatGraph(shape)
         for fam, qinv in (("symmetric", F(1)), ("hecke_A", QFIELD.q_inv)):
             spec = AlgebraSpec(fam, shape.n)
-            ws = WeightScheme(spec, shape)
-            d2 = orthogonal_diag_squared(spec, shape, graph=g)
+            ws = WeightScheme(spec, shape, g)
+            d2 = orthogonal_diag_squared(ws)
             for v, w, i in g.edges():
                 t = g.nodes[v]
                 move = ws.move(t, i)
@@ -400,8 +402,9 @@ def test_criterion_10_performance_bounds():
         for lam in all_partitions(n):
             shape = shape_from_parts(lam)
             counter = OpCounter()
-            tm = transition_recursive(AlgebraSpec("symmetric", n), shape,
-                                      counter=counter)
+            tm = transition_recursive(
+                WeightScheme(AlgebraSpec("symmetric", n), shape),
+                counter=counter)
             f = tm.matrix.ncols
             assert counter.total() <= 2 * (f * f + f), lam
             results.append((lam, f))

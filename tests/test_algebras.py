@@ -26,8 +26,9 @@ def _node(graph, *rows):
 
 
 def test_seminormal_column_with_standard_swap():
-    g = BruhatGraph(S321)
-    m = seminormal_generator(SPEC_S6, S321, 5, graph=g)
+    ws = WeightScheme(SPEC_S6, S321)
+    g = ws.graph
+    m = seminormal_generator(ws, 5)
     t11 = _node(g, (1, 2, 5), (3, 4), (6,))
     t7 = _node(g, (1, 2, 6), (3, 4), (5,))
     col = m.column(t11)
@@ -35,17 +36,18 @@ def test_seminormal_column_with_standard_swap():
 
 
 def test_seminormal_column_with_nonstandard_swap():
-    g = BruhatGraph(S321)
-    m = seminormal_generator(SPEC_S6, S321, 3, graph=g)
+    ws = WeightScheme(SPEC_S6, S321)
+    g = ws.graph
+    m = seminormal_generator(ws, 3)
     t11 = _node(g, (1, 2, 5), (3, 4), (6,))
     assert m.column(t11) == {t11: F(1)}
 
 
 def test_seminormal_single_row_is_scalar_one():
     s = parse_shape("4")
-    spec = AlgebraSpec("symmetric", 4)
+    ws = WeightScheme(AlgebraSpec("symmetric", 4), s)
     for i in range(1, 4):
-        m = seminormal_generator(spec, s, i)
+        m = seminormal_generator(ws, i)
         assert m.to_rows() == [[F(1)]]
 
 
@@ -53,9 +55,9 @@ def test_seminormal_sparsity():
     for text in ["3,2,1", "3,3,1/2,1", "(2,1)|(2)"]:
         shape = parse_shape(text)
         fam = "symmetric" if shape.r == 1 else "wreath_grn"
-        spec = AlgebraSpec(fam, shape.n, r=shape.r)
+        ws = WeightScheme(AlgebraSpec(fam, shape.n, r=shape.r), shape)
         for i in range(1, shape.n):
-            m = seminormal_generator(spec, shape, i)
+            m = seminormal_generator(ws, i)
             assert all(len(col) <= 2 for col in m.cols)
 
 
@@ -63,12 +65,12 @@ def test_zeroth_generator_cyclotomic_eigenvalues():
     shape = parse_shape("(2,1)|(1)")
     spec = AlgebraSpec("ariki_koike", 4, r=2, q=5, u=(2, 3))
     g = BruhatGraph(shape)
-    m = zeroth_generator(spec, shape, graph=g)
+    m = zeroth_generator(WeightScheme(spec, shape, g))
     for v, t in enumerate(g.nodes):
         expect = F(2) if t.component_of(1) == 1 else F(3)
         assert m.get(v, v) == expect
     specw = AlgebraSpec("wreath_grn", 4, r=2)
-    mw = zeroth_generator(specw, shape, graph=g)
+    mw = zeroth_generator(WeightScheme(specw, shape, g))
     field = CyclotomicField(2)
     for v, t in enumerate(g.nodes):
         expect = field.one if t.component_of(1) == 1 else -field.one
@@ -77,35 +79,38 @@ def test_zeroth_generator_cyclotomic_eigenvalues():
 
 def test_x_generator_diagonal():
     shape = parse_shape("2")
-    spec = AlgebraSpec("affine_placed", 2)
-    m = x_generator(spec, shape, 1)
+    ws = WeightScheme(AlgebraSpec("affine_placed", 2), shape)
+    m = x_generator(ws, 1)
     assert m.get(0, 0) == QRat.const(1)
-    m2 = x_generator(spec, shape, 2)
+    m2 = x_generator(ws, 2)
     assert m2.get(0, 0) == QRat.q_power(2)
     with pytest.raises(PreconditionError):
-        x_generator(AlgebraSpec("symmetric", 2), shape, 1)
+        x_generator(WeightScheme(AlgebraSpec("symmetric", 2), shape), 1)
 
 
 def test_zeroth_rejected_without_generator():
+    shape = parse_shape("2,1")
     with pytest.raises(PreconditionError):
-        zeroth_generator(AlgebraSpec("symmetric", 3), parse_shape("2,1"))
+        zeroth_generator(WeightScheme(AlgebraSpec("symmetric", 3), shape))
     with pytest.raises(PreconditionError):
-        zeroth_generator(AlgebraSpec("hecke_A", 3), parse_shape("2,1"))
+        zeroth_generator(WeightScheme(AlgebraSpec("hecke_A", 3), shape))
 
 
 def test_natural_generator_permutes_when_standard():
-    g = BruhatGraph(S321)
-    tm = transition_recursive(SPEC_S6, S321, graph=g)
-    m = natural_generator(SPEC_S6, S321, 5, graph=g, transition=tm)
+    ws = WeightScheme(SPEC_S6, S321)
+    g = ws.graph
+    tm = transition_recursive(ws)
+    m = natural_generator(ws, 5, transition=tm)
     t11 = _node(g, (1, 2, 5), (3, 4), (6,))
     t7 = _node(g, (1, 2, 6), (3, 4), (5,))
     assert m.column(t11) == {t7: F(1)}
 
 
 def test_natural_generator_straightening_pattern():
-    g = BruhatGraph(S321)
-    tm = transition_recursive(SPEC_S6, S321, graph=g)
-    m = natural_generator(SPEC_S6, S321, 3, graph=g, transition=tm)
+    ws = WeightScheme(SPEC_S6, S321)
+    g = ws.graph
+    tm = transition_recursive(ws)
+    m = natural_generator(ws, 3, transition=tm)
     col = m.column(_node(g, (1, 2, 5), (3, 4), (6,)))
     expect = {
         _node(g, (1, 2, 5), (3, 4), (6,)): F(1),
@@ -119,20 +124,19 @@ def test_natural_generator_straightening_pattern():
 
 def test_natural_single_row():
     s = parse_shape("3")
-    spec = AlgebraSpec("symmetric", 3)
+    ws = WeightScheme(AlgebraSpec("symmetric", 3), s)
     for i in (1, 2):
-        assert natural_generator(spec, s, i).to_rows() == [[F(1)]]
+        assert natural_generator(ws, i).to_rows() == [[F(1)]]
 
 
 def test_natural_integrality_small():
     for n in range(2, 6):
         for lam in all_partitions(n):
             shape = shape_from_parts(lam)
-            spec = AlgebraSpec("symmetric", n)
-            g = BruhatGraph(shape)
-            tm = transition_recursive(spec, shape, graph=g)
+            ws = WeightScheme(AlgebraSpec("symmetric", n), shape)
+            tm = transition_recursive(ws)
             for i in range(1, n):
-                m = natural_generator(spec, shape, i, graph=g, transition=tm)
+                m = natural_generator(ws, i, transition=tm)
                 for col in m.cols:
                     assert all(v.denominator == 1 for v in col.values())
 
@@ -144,11 +148,10 @@ def test_restriction_block_structure():
         shapes.extend(",".join(map(str, lam)) for lam in all_partitions(n))
     for text in shapes:
         shape = parse_shape(text)
-        spec = AlgebraSpec("symmetric", shape.n)
-        g = BruhatGraph(shape)
-        groups = [t.box_of[shape.n] for t in g.nodes]
+        ws = WeightScheme(AlgebraSpec("symmetric", shape.n), shape)
+        groups = [t.box_of[shape.n] for t in ws.graph.nodes]
         for i in range(1, shape.n - 1):
-            m = seminormal_generator(spec, shape, i, graph=g)
+            m = seminormal_generator(ws, i)
             for j, col in enumerate(m.cols):
                 for r in col:
                     assert groups[r] == groups[j]
@@ -156,10 +159,9 @@ def test_restriction_block_structure():
 
 def test_alphabetizer_acts_by_relabeling():
     shape = parse_shape("(2,1)|(1)")
-    spec = AlgebraSpec("wreath_grn", 4, r=2)
-    g = BruhatGraph(shape)
-    gens = {i: seminormal_generator(spec, shape, i, graph=g)
-            for i in range(1, 4)}
+    ws = WeightScheme(AlgebraSpec("wreath_grn", 4, r=2), shape)
+    g = ws.graph
+    gens = {i: seminormal_generator(ws, i) for i in range(1, 4)}
     standard_alpha = [t for t in g.nodes
                       if alphabetizer(t) == tuple(range(1, 5))]
     assert standard_alpha
@@ -191,7 +193,7 @@ def test_alphabetizer_acts_by_relabeling():
 def test_verify_relations_pass(family, shape_text, kwargs):
     shape = parse_shape(shape_text)
     spec = AlgebraSpec(family, shape.n, **kwargs)
-    report = verify_relations(spec, shape)
+    report = verify_relations(WeightScheme(spec, shape))
     failures = [r for r in report if r["status"] != "pass"]
     assert not failures, failures
 
@@ -199,7 +201,7 @@ def test_verify_relations_pass(family, shape_text, kwargs):
 def test_verify_relations_affine_placed_pages():
     shape = parse_shape("(2)|(1,1)@q^0,q^20")
     spec = AlgebraSpec("affine_placed", 4)
-    report = verify_relations(spec, shape)
+    report = verify_relations(WeightScheme(spec, shape))
     assert all(r["status"] == "pass" for r in report)
     names = [r["relation"] for r in report]
     assert any(name.startswith("X") for name in names)
@@ -212,17 +214,14 @@ def test_verify_relations_reports_a_corrupted_generator():
     # sides it makes differ, each with the witness of lhs - rhs
     shape = parse_shape("3,2")
     spec = AlgebraSpec("hecke_A", 5, q=3)
-    g = BruhatGraph(shape)
     ws = WeightScheme(spec, shape)
-    gens = {i: seminormal_generator(spec, shape, i, graph=g, ws=ws)
-            for i in range(1, 5)}
+    gens = {i: seminormal_generator(ws, i) for i in range(1, 5)}
     col = gens[1].cols[2]
     row = min(col)
     col[row] = col[row] + 1
-    report = {r["relation"]: r for r in verify_relations(spec, shape,
-                                                          graph=g, ws=ws)}
+    report = {r["relation"]: r for r in verify_relations(ws)}
     coeff = F(3) - F(1, 3)
-    ident = Matrix.identity(g.size(), ws.field)
+    ident = Matrix.identity(ws.graph.size(), ws.field)
     diffs = {
         "commute s1 s3": matmul(gens[1], gens[3]) - matmul(gens[3], gens[1]),
         "commute s1 s4": matmul(gens[1], gens[4]) - matmul(gens[4], gens[1]),
@@ -238,6 +237,16 @@ def test_verify_relations_reports_a_corrupted_generator():
         assert report[name]["witness"] == _entry_witness(diffs[name])
     passing = {name for name, r in report.items() if r["status"] == "pass"}
     assert passing == set(report) - failing
+
+
+def test_scheme_takes_only_the_graph_of_its_shape():
+    s32 = parse_shape("3,2")
+    spec = AlgebraSpec("symmetric", 5)
+    with pytest.raises(PreconditionError, match="graph of shape 2,2,1"):
+        WeightScheme(spec, s32, BruhatGraph(parse_shape("2,2,1")))
+    g = BruhatGraph(s32)
+    assert WeightScheme(spec, s32, g).graph is g
+    assert WeightScheme(spec, s32).graph.nodes == g.nodes
 
 
 def test_spec_validation():
@@ -259,9 +268,10 @@ def test_spec_validation():
 def test_natural_generator_for_zeroth():
     shape = parse_shape("(2,1)|(1)")
     spec = AlgebraSpec("ariki_koike", 4, r=2, q=5, u=(2, 3))
-    g = BruhatGraph(shape)
-    tm = transition_recursive(spec, shape, graph=g)
-    m = natural_generator(spec, shape, 0, graph=g, transition=tm)
+    ws = WeightScheme(spec, shape)
+    g = ws.graph
+    tm = transition_recursive(ws)
+    m = natural_generator(ws, 0, transition=tm)
     # conjugation preserves the cyclotomic identity (T0-2)(T0-3) = 0
     ident = m.field.one
     from youngbasis.linalg import Matrix
@@ -277,10 +287,12 @@ def test_hecke_A_at_q_one_is_symmetric():
             g = BruhatGraph(shape)
             sym = AlgebraSpec("symmetric", n)
             hecke = AlgebraSpec("hecke_A", n, q=1)
-            assert transition_recursive(hecke, shape, graph=g).matrix \
-                == transition_recursive(sym, shape, graph=g).matrix
-            assert orthogonal_diag_squared(hecke, shape, graph=g) \
-                == orthogonal_diag_squared(sym, shape, graph=g)
+            wh = WeightScheme(hecke, shape, g)
+            wsym = WeightScheme(sym, shape, g)
+            assert transition_recursive(wh).matrix \
+                == transition_recursive(wsym).matrix
+            assert orthogonal_diag_squared(wh) \
+                == orthogonal_diag_squared(wsym)
 
 
 def _r_partitions(r, n):
@@ -299,5 +311,6 @@ def test_ariki_koike_at_q_one_is_wreath():
                 g = BruhatGraph(shape)
                 ak = AlgebraSpec("ariki_koike", n, r=r, q=1, u=u)
                 wreath = AlgebraSpec("wreath_grn", n, r=r)
-                assert transition_recursive(ak, shape, graph=g).matrix \
-                    == transition_recursive(wreath, shape, graph=g).matrix
+                a = transition_recursive(WeightScheme(ak, shape, g))
+                b = transition_recursive(WeightScheme(wreath, shape, g))
+                assert a.matrix == b.matrix

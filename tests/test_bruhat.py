@@ -188,10 +188,9 @@ def test_subpaths_of_displayed_path():
 def test_subpaths_reach_only_bruhat_below():
     for text in ["3,2", "2,2,1"]:
         shape = parse_shape(text)
-        g = BruhatGraph(shape)
-        spec = AlgebraSpec("symmetric", shape.n)
-        ws = WeightScheme(spec, shape)
-        pathsum = transition_pathsum(spec, shape, graph=g, ws=ws).matrix
+        ws = WeightScheme(AlgebraSpec("symmetric", shape.n), shape)
+        g = ws.graph
+        pathsum = transition_pathsum(ws).matrix
         for v, p in shortest_paths_from(g, 0).items():
             # the brute-force weighted sums are the path-sum column
             col = {}
@@ -222,7 +221,8 @@ def test_dot_output():
 
 
 def test_shortest_paths_are_prefix_closed(graphs_n6):
-    # the word-product oracle builds each column from its prefix's column
+    # each minimal path's prefix is the minimal path to its second-to-last
+    # node, which comes earlier in the returned order
     for g in graphs_n6:
         text = g.shape.to_str()
         paths = shortest_paths_from(g, 0)

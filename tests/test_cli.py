@@ -6,11 +6,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from golden import SYMMETRIC_GOLDEN
-from youngbasis.algebras import (AlgebraSpec, seminormal_generator,
-                                 zeroth_generator)
+from youngbasis.algebras import (AlgebraSpec, WeightScheme,
+                                 seminormal_generator, zeroth_generator)
 from youngbasis.cli import FAMILY_CHOICES, build_parser, main
 from youngbasis.fields import evaluate_q
-from youngbasis.linalg import Matrix, matrix_from_json
+from youngbasis.linalg import Matrix, matrix_from_json, matrix_to_json
 from youngbasis.shapes import parse_shape
 from youngbasis.transition import grn_transition, transition_recursive
 
@@ -79,13 +79,14 @@ def _csv_cells(text):
 def test_json_and_csv_round_trip(capsys, text, spec, flags):
     # rational transition and cyclotomic s0 for grn, q-rational for hecke_A
     shape = parse_shape(text)
+    ws = WeightScheme(spec, shape)
     if spec.family == "wreath_grn":
         tm = grn_transition(shape)
-        gens = [zeroth_generator(spec, shape)]
+        gens = [zeroth_generator(ws)]
     else:
-        tm = transition_recursive(spec, shape)
+        tm = transition_recursive(ws)
         gens = []
-    gens += [seminormal_generator(spec, shape, i) for i in range(1, shape.n)]
+    gens += [seminormal_generator(ws, i) for i in range(1, shape.n)]
     for command, want in (("transition", [tm.matrix]), ("seminormal", gens)):
         code, out, _ = run_cli(capsys, command, "--shape", text, *flags,
                                "--format", "json")
@@ -93,6 +94,9 @@ def test_json_and_csv_round_trip(capsys, text, spec, flags):
         obj = json.loads(out)
         blocks = obj.get("generators", [obj])
         assert [matrix_from_json(json.dumps(b))[0] for b in blocks] == want
+        if command == "transition":
+            # parsing and re-serializing gives back the same bytes
+            assert matrix_to_json(*matrix_from_json(out, shape=shape)) == out
         code, out, _ = run_cli(capsys, command, "--shape", text, *flags,
                                "--format", "csv")
         assert code == 0
@@ -185,6 +189,28 @@ def test_natural_inverts_the_transition_matrix_once(capsys, monkeypatch):
         assert len(calls) == 1, (argv, calls)
 
 
+@pytest.mark.parametrize("argv", [
+    "natural --shape 4,3,1",
+    "seminormal --family hecke_A --shape 3,2,2",
+    "natural --family affine_placed --shape (2,1)|(1)@1,q^3 --q 5",
+    "verify --family grn --r 2 --shape (2,1)|(1)",
+    "transition --oracle word --shape 3,2",
+    "orthogonal --family hecke_A --shape 3,2",
+])
+def test_each_request_builds_one_scheme(capsys, monkeypatch, argv):
+    real = WeightScheme.__init__
+    calls = []
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(WeightScheme, "__init__", counting)
+    code, _, _ = run_cli(capsys, *argv.split(" "))
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_orthogonal_csv(capsys):
     code, out, _ = run_cli(capsys, "orthogonal", "--shape", "2,1",
                            "--format", "csv")
@@ -214,6 +240,23 @@ def test_bench(capsys):
                            "--format", "json")
     rec = json.loads(out)[0]
     assert rec["f"] == 5 and rec["scalar_ops"] <= rec["op_bound"]
+    # bench takes the same family arguments as the other subcommands
+    code, out, _ = run_cli(capsys, "bench", "--shape", "(2,1)|(1)",
+                           "--family", "grn", "--r", "2", "--format", "json")
+    assert code == 0
+    assert json.loads(out)[0]["f"] == 8
+
+
+@pytest.mark.parametrize("argv", [
+    "transition --family affine_placed --shape (2,1)|(1)@1,q^3 --r 5",
+    "transition --family grn --shape (2,1)|(1) --r 3",
+    "verify --shape 3,2 --r 2",
+    "bench --family grn --shape (2,1)|(1) --r 1",
+])
+def test_r_must_match_the_shape(capsys, argv):
+    code, out, err = run_cli(capsys, *argv.split(" "))
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "precondition"
 
 
 def test_exit_code_2_on_parse_error(capsys):
@@ -288,7 +331,7 @@ def test_out_file(tmp_path, capsys):
 def test_exit_code_4_on_verification_failure(capsys, monkeypatch):
     import youngbasis.cli as cli_mod
 
-    def fake_verify(spec, shape, graph=None, ws=None):
+    def fake_verify(ws):
         return [{"relation": "planted", "status": "fail",
                  "witness": {"row": 0, "col": 0, "value": "1"}}]
 
@@ -330,8 +373,8 @@ def test_cached_parser_keeps_no_per_call_state(capsys):
 @pytest.mark.parametrize("text", ["(2,1)|(1)@1,q^3", "(2)|(1,1)@q^0,q^5"])
 def test_symbolic_page_weights_at_numeric_q(capsys, text):
     shape = parse_shape(text)
-    symbolic = transition_recursive(AlgebraSpec("affine_placed", shape.n),
-                                    shape).matrix
+    symbolic = transition_recursive(
+        WeightScheme(AlgebraSpec("affine_placed", shape.n), shape)).matrix
     code, out, _ = run_cli(capsys, "transition", "--family", "affine_placed",
                            "--shape", text, "--q", "5")
     assert code == 0

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 import pkgutil
 from pathlib import Path
 
@@ -24,3 +25,22 @@ def test_every_package_import_resolves():
             assert hasattr(module, alias.name), (node.module, alias.name)
             assert getattr(youngbasis, alias.asname or alias.name) is \
                 getattr(module, alias.name)
+
+
+def test_benchmark_tracer_targets_resolve(capsys):
+    # the tracer wraps functions by name and finds the op counter by the
+    # parameter name "counter": a renamed target would go untraced
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    from youngbasis.cli import main
+    t = tracer.Tracer(0)
+    t.install()
+    try:
+        assert set(t.missing) <= {"youngbasis.weights:plain_axial_weight"}
+        assert t.root(main, ["transition", "--shape", "3,2,1"]) == 0
+    finally:
+        t.uninstall()
+    capsys.readouterr()
+    assert t.counts["transition.scalar_ops"] > 0

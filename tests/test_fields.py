@@ -237,7 +237,7 @@ def test_field_descriptors():
     assert field_of(Qp(1)) == QFIELD
     assert field_of(Cyclo.const(3, 1)) == CyclotomicField(3)
     assert field_by_name("cyclotomic:5") == CyclotomicField(5)
-    assert field_by_name("q-with-params", {"u": ["2"]}).name == "q-with-params"
+    assert field_by_name("q") is QFIELD
     with pytest.raises(PreconditionError):
         field_by_name("octonions")
 

@@ -39,21 +39,21 @@ def _assert_matches_golden(tm, basis, rows, wrap=True):
 
 
 def test_transition_32_matches_golden():
-    tm = transition_recursive(SPEC5, S32)
+    tm = transition_recursive(WeightScheme(SPEC5, S32))
     basis, rows = SYMMETRIC_GOLDEN["3,2"]
     _assert_matches_golden(tm, basis, rows)
 
 
 def test_transition_321_matches_golden():
-    tm = transition_recursive(SPEC6, S321)
+    tm = transition_recursive(WeightScheme(SPEC6, S321))
     entries = a321_entries()
     for (i, j), want in entries.items():
         assert tm.entry([T321[i]], [T321[j]]) == want
 
 
 def test_pathsum_subpath_weights_of_displayed_entry():
-    g = BruhatGraph(S321)
     ws = WeightScheme(SPEC6, S321)
+    g = ws.graph
     t15 = Tableau(S321, [[(1, 2, 3), (4, 6), (5,)]])
     s = Tableau(S321, [[(1, 3, 5), (2, 6), (4,)]])
     p = shortest_path(g, 0, g.index[t15.rows])
@@ -61,29 +61,28 @@ def test_pathsum_subpath_weights_of_displayed_entry():
                for moves, nodes in keep_skip_walks(g, p)
                if nodes[-1] == g.index[s.rows]]
     assert sorted(weights) == [F(-2, 3), F(-1, 12)]
-    tm = transition_pathsum(SPEC6, S321)
+    tm = transition_pathsum(ws)
     assert tm.entry(s, t15) == F(-3, 4)
 
 
 def test_pathsum_column_c_is_unit():
-    tm = transition_pathsum(SPEC5, S32)
+    tm = transition_pathsum(WeightScheme(SPEC5, S32))
     assert tm.matrix.column(0) == {0: F(1)}
 
 
 def test_pathsum_cap():
-    big = shape_from_parts((4, 4))
+    ws = WeightScheme(AlgebraSpec("symmetric", 8), shape_from_parts((4, 4)))
     with pytest.raises(PreconditionError):
-        transition_pathsum(AlgebraSpec("symmetric", 8), big)
-    tm = transition_pathsum(AlgebraSpec("symmetric", 8), big, n_cap=8)
+        transition_pathsum(ws)
+    tm = transition_pathsum(ws, n_cap=8)
     assert tm.matrix.ncols == 14
 
 
 def test_recursion_pivot_values():
     """The two-term step reproduces the worked examples, and both
     admissible pivots give the same entry."""
-    g = BruhatGraph(S321)
-    tm = transition_recursive(SPEC6, S321, graph=g)
     ws = WeightScheme(SPEC6, S321)
+    tm = transition_recursive(ws)
     a = a321_entries()
 
     def entry(i, j):
@@ -110,9 +109,10 @@ def test_recursion_pivot_values():
 
 
 def test_diagonal_closed_form_examples():
-    g = BruhatGraph(S321)
-    tm = transition_recursive(SPEC6, S321, graph=g)
-    diag = diagonal_closed_form(SPEC6, S321, graph=g)
+    ws = WeightScheme(SPEC6, S321)
+    g = ws.graph
+    tm = transition_recursive(ws)
+    diag = diagonal_closed_form(ws)
     t12 = g.index[Tableau(S321, [T321[11]]).rows]
     assert diag[t12] == F(15, 4)
     assert diag[0] == F(1)
@@ -121,10 +121,10 @@ def test_diagonal_closed_form_examples():
 
 
 def test_diagonal_closed_form_hecke():
-    spec = AlgebraSpec("hecke_A", 5)
-    g = BruhatGraph(S32)
-    tm = transition_recursive(spec, S32, graph=g)
-    diag = diagonal_closed_form(spec, S32, graph=g)
+    ws = WeightScheme(AlgebraSpec("hecke_A", 5), S32)
+    g = ws.graph
+    tm = transition_recursive(ws)
+    diag = diagonal_closed_form(ws)
     for v in range(g.size()):
         assert tm.matrix.get(v, v) == diag[v]
     golden = hecke32_matrix()
@@ -133,16 +133,16 @@ def test_diagonal_closed_form_hecke():
 
 
 def test_column_word_oracle():
-    g = BruhatGraph(S32)
-    word = transition_word(SPEC5, S32, graph=g).matrix
+    ws = WeightScheme(SPEC5, S32)
+    word = transition_word(ws).matrix
     assert word.column(0) == {0: F(1)}
     s21 = parse_shape("2,1")
     t = Tableau(s21, [[(1, 2), (3,)]])
-    tw = transition_word(AlgebraSpec("symmetric", 3), s21)
+    tw = transition_word(WeightScheme(AlgebraSpec("symmetric", 3), s21))
     col = tw.matrix.column(tw.graph.index[t.rows])
     assert col == {0: F(1, 2), 1: F(3, 2)}
-    tm = transition_recursive(SPEC5, S32, graph=g)
-    for v in range(g.size()):
+    tm = transition_recursive(ws)
+    for v in range(ws.graph.size()):
         assert word.column(v) == tm.matrix.column(v)
 
 
@@ -151,20 +151,30 @@ def test_triple_oracle_small_sweep():
               ["3,2", "2,2,1", "3,3,1/2,1", "4,2,1/1,1", "(2,1)|(1)"]]
     for shape in shapes:
         fam = "symmetric" if shape.r == 1 else "wreath_grn"
-        spec = AlgebraSpec(fam, shape.n, r=shape.r)
-        g = BruhatGraph(shape)
-        tr_ = transition_recursive(spec, shape, graph=g)
-        tp = transition_pathsum(spec, shape, graph=g)
-        tw = transition_word(spec, shape, graph=g)
+        ws = WeightScheme(AlgebraSpec(fam, shape.n, r=shape.r), shape)
+        tr_ = transition_recursive(ws)
+        tp = transition_pathsum(ws)
+        tw = transition_word(ws)
         assert tr_.matrix == tp.matrix == tw.matrix
         check_structure(tr_)
+
+
+def test_word_oracle_catches_a_coefficient_the_recursion_shares():
+    # one wrong move coefficient in the shared scheme: the word oracle
+    # reaches node 2's upper neighbour along another edge than the
+    # recursion does, so the two routes disagree
+    ws = WeightScheme(SPEC6, S321)
+    _stay, move = ws.steps(3)
+    b, target = move[2]
+    move[2] = (b + 1, target)
+    assert transition_word(ws).matrix != transition_recursive(ws).matrix
 
 
 def _corrupt_321(edit):
     """A correct (3,2,1) transition matrix with one cell edited by
     edit(cols, graph); returns the matrix and the message it must fail
     with."""
-    tm = transition_recursive(SPEC6, S321)
+    tm = transition_recursive(WeightScheme(SPEC6, S321))
     check_structure(tm)
     message = edit(tm.matrix.cols, tm.graph)
     return tm, message
@@ -207,8 +217,8 @@ def test_path_independence_of_pathsum():
     rng = random.Random(2718)
     for text in ["3,2", "2,2,1", "3,3,1/2,1"]:
         shape = parse_shape(text)
-        spec = AlgebraSpec("symmetric", shape.n)
-        g = BruhatGraph(shape)
+        ws = WeightScheme(AlgebraSpec("symmetric", shape.n), shape)
+        g = ws.graph
         base = shortest_paths_from(g, 0)
         perturbed = {}
         for v, p in base.items():
@@ -218,28 +228,29 @@ def test_path_independence_of_pathsum():
             labels = (label, label) + p.labels
             nodes = (0, nbr) + p.nodes
             perturbed[v] = Path(0, labels, nodes)
-        tm = transition_recursive(spec, shape, graph=g)
-        tp = transition_pathsum(spec, shape, graph=g, paths=perturbed)
+        tm = transition_recursive(ws)
+        tp = transition_pathsum(ws, paths=perturbed)
         assert tp.matrix == tm.matrix
 
 
 def test_op_counter_within_bound():
     for text in ["3,2", "3,2,1", "3,3,1/2,1"]:
         shape = parse_shape(text)
-        rec = bench_transition(AlgebraSpec("symmetric", shape.n), shape)
+        rec = bench_transition(
+            WeightScheme(AlgebraSpec("symmetric", shape.n), shape))
         assert rec["scalar_ops"] <= rec["op_bound"]
         assert rec["f"] == len(standard_tableaux(shape))
 
 
 def test_hecke_32_matches_golden_and_specializes():
     spec = AlgebraSpec("hecke_A", 5)
-    tm = transition_recursive(spec, S32)
+    tm = transition_recursive(WeightScheme(spec, S32))
     golden = hecke32_matrix()
     tabs = [Tableau(S32, [rows]) for rows in HECKE32_BASIS]
     for i in range(5):
         for j in range(5):
             assert tm.entry(tabs[i], tabs[j]) == golden[i][j]
-    sym = transition_recursive(SPEC5, S32)
+    sym = transition_recursive(WeightScheme(SPEC5, S32))
     for q0 in (1, 2, F(1, 3)):
         for i in range(5):
             for j in range(5):
@@ -258,8 +269,8 @@ def test_q_specialization_partitions_through_n5():
         for lam in all_partitions(n):
             shape = shape_from_parts(lam)
             g = BruhatGraph(shape)
-            hm = transition_recursive(hspec, shape, graph=g)
-            sm = transition_recursive(sspec, shape, graph=g)
+            hm = transition_recursive(WeightScheme(hspec, shape, g))
+            sm = transition_recursive(WeightScheme(sspec, shape, g))
             for j in range(g.size()):
                 for i in range(g.size()):
                     assert evaluate_q(hm.matrix.get(i, j), 1) \
@@ -278,7 +289,7 @@ def test_ariki_koike_rank2_golden_at_rational_points():
             points.append(cand)
     for (u1, u2, q) in points:
         spec = AlgebraSpec("ariki_koike", 4, r=2, q=q, u=(u1, u2))
-        tm = transition_recursive(spec, shape)
+        tm = transition_recursive(WeightScheme(spec, shape))
         check_structure(tm)
         for i, rt in enumerate(H24_BASIS):
             for j, ct in enumerate(H24_BASIS):
@@ -288,7 +299,7 @@ def test_ariki_koike_rank2_golden_at_rational_points():
 def test_ariki_koike_specializes_to_wreath_block_matrix():
     shape = parse_shape("(2,1)|(1)")
     spec = AlgebraSpec("ariki_koike", 4, r=2, q=None, u=(1, -1))
-    tm = transition_recursive(spec, shape)
+    tm = transition_recursive(WeightScheme(spec, shape))
     tg = grn_transition(shape)
     for i, rt in enumerate(G24_BASIS):
         for j, ct in enumerate(G24_BASIS):
@@ -315,7 +326,7 @@ def test_grn_tensor_block_for_two_components():
             ct2 = [shift(ct[0], 4), shift(ct[1], -3)]
             assert tm.entry(rt2, ct2) == F(TENSOR_ROWS[i][j])
     specw = AlgebraSpec("wreath_grn", 7, r=2)
-    tr_ = transition_recursive(specw, shape, graph=g)
+    tr_ = transition_recursive(WeightScheme(specw, shape, g))
     assert tr_.matrix == tm.matrix
 
 
@@ -346,15 +357,15 @@ def test_intertwining_every_family():
             cases.append((AlgebraSpec("symmetric", n), shape_from_parts(lam),
                           range(1, n)))
     for spec, shape, gens in cases:
-        g = BruhatGraph(shape)
-        tm = transition_recursive(spec, shape, graph=g)
+        ws = WeightScheme(spec, shape)
+        tm = transition_recursive(ws)
         for i in gens:
             if i == 0:
                 from youngbasis.algebras import zeroth_generator
-                rho_v = zeroth_generator(spec, shape, graph=g)
+                rho_v = zeroth_generator(ws)
             else:
-                rho_v = seminormal_generator(spec, shape, i, graph=g)
-            rho_n = natural_generator(spec, shape, i, graph=g, transition=tm)
+                rho_v = seminormal_generator(ws, i)
+            rho_n = natural_generator(ws, i, transition=tm)
             amat = tm.matrix
             if rho_v.field != amat.field:
                 amat = amat.coerce_field(rho_v.field)
@@ -364,7 +375,7 @@ def test_intertwining_every_family():
 def test_orthogonal_diag_squared_values():
     s21 = parse_shape("2,1")
     spec = AlgebraSpec("symmetric", 3)
-    d2 = orthogonal_diag_squared(spec, s21)
+    d2 = orthogonal_diag_squared(WeightScheme(spec, s21))
     assert d2 == [F(1), F(3)]
 
 
@@ -373,9 +384,9 @@ def test_orthogonal_step_identity_squared():
         shape = parse_shape(text)
         for fam in ("symmetric", "hecke_A"):
             spec = AlgebraSpec(fam, shape.n)
-            g = BruhatGraph(shape)
             ws = WeightScheme(spec, shape)
-            d2 = orthogonal_diag_squared(spec, shape, graph=g)
+            g = ws.graph
+            d2 = orthogonal_diag_squared(ws)
             qinv = QFIELD.q_inv if fam == "hecke_A" else F(1)
             for v, w, i in g.edges():
                 t = g.nodes[v]
@@ -390,9 +401,9 @@ def test_orthogonal_conjugated_generator_squares_to_identity_at_q1():
     # squared form on a sample shape
     shape = parse_shape("2,2,1")
     spec = AlgebraSpec("symmetric", 5)
-    g = BruhatGraph(shape)
     ws = WeightScheme(spec, shape)
-    d2 = orthogonal_diag_squared(spec, shape, graph=g)
+    g = ws.graph
+    d2 = orthogonal_diag_squared(ws)
     for i in range(1, 5):
         for v, t in enumerate(g.nodes):
             w = g.neighbors[v].get(i)
@@ -410,10 +421,10 @@ def test_orthogonal_conjugated_generator_squares_to_identity_at_q1():
 def test_pathsum_word_recursive_agree_symbolic_ak():
     shape = parse_shape("(2,1)|(1)")
     spec = AlgebraSpec("ariki_koike", 4, r=2, q=None, u=(2, 3))
-    g = BruhatGraph(shape)
-    a = transition_recursive(spec, shape, graph=g)
-    b = transition_pathsum(spec, shape, graph=g)
-    c = transition_word(spec, shape, graph=g)
+    ws = WeightScheme(spec, shape)
+    a = transition_recursive(ws)
+    b = transition_pathsum(ws)
+    c = transition_word(ws)
     assert a.matrix == b.matrix == c.matrix
     check_structure(a)
 
@@ -421,12 +432,12 @@ def test_pathsum_word_recursive_agree_symbolic_ak():
 def test_affine_placed_transition_uses_page_weights():
     shape = parse_shape("(2)|(1,1)@q^0,q^20")
     spec = AlgebraSpec("affine_placed", 4)
-    g = BruhatGraph(shape)
-    a = transition_recursive(spec, shape, graph=g)
-    b = transition_pathsum(spec, shape, graph=g)
-    c = transition_word(spec, shape, graph=g)
+    ws = WeightScheme(spec, shape)
+    a = transition_recursive(ws)
+    b = transition_pathsum(ws)
+    c = transition_word(ws)
     assert a.matrix == b.matrix == c.matrix
     check_structure(a)
-    diag = diagonal_closed_form(spec, shape, graph=g)
-    for v in range(g.size()):
+    diag = diagonal_closed_form(ws)
+    for v in range(ws.graph.size()):
         assert a.matrix.get(v, v) == diag[v]
