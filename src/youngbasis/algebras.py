@@ -18,11 +18,13 @@ the coefficient of :func:`weights.q_axial_weight`.  Supported families:
   of the shape supply the content weights and the X generators are
   exposed as diagonal matrices.
 
-For q-families q is either symbolic (``q=None``) or an exact rational.
-
-A :class:`WeightScheme` is one module: a spec, a shape and the weak
-Bruhat graph of that shape.  Every generator and relation check here,
-and every route in :mod:`transition`, takes the scheme alone.
+An :class:`AlgebraSpec` holds a family and its parameters; the shape
+supplies n and r.  A :class:`WeightScheme` is one module: a spec, a
+shape and the weak Bruhat graph of that shape.  It turns q and the page
+weights into scalars of one coefficient field (rational, or rational
+functions of a symbolic q), so every coefficient below is plain field
+arithmetic.  Every generator and relation check here, and every route
+in :mod:`transition`, takes the scheme alone.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from typing import NamedTuple
 from .bruhat import BruhatGraph
 from .errors import (DegenerateWeightError, NonSemisimpleError,
                      PreconditionError)
-from .fields import (QFIELD, RATIONALS, Cyclo, CyclotomicField, QRat,
-                     check_semisimple)
+from .fields import (QFIELD, Cyclo, CyclotomicField, QRat, check_semisimple,
+                     evaluate_q, field_of)
 from .linalg import Matrix, matmul
 from .weights import q_axial_weight, weighted_content
 
@@ -46,10 +48,9 @@ __all__ = ["AlgebraSpec", "FAMILIES", "PRESETS", "Preset",
 class Preset(NamedTuple):
     """How a family fixes its parameters and names its generators.
 
-    ``r``: the number of components, when the family fixes it.
     ``u``: "unit" for u = (1,); "given" for one u_k per component
-    ("inverse": and u_1 u_2 = 1); "distinct" for the stand-ins
-    1, ..., r; None for no u.
+    ("inverse": exactly two, with u_1 u_2 = 1); "distinct" for the
+    stand-ins 1, ..., r; None for no u.
     ``q``: "free"; "one" for coefficients at q = 1 with the given q only
     echoed; "pinned" for q = 1, rejecting any other q.
     ``pages``: page weights from "u" or from the placed "shape".
@@ -57,7 +58,6 @@ class Preset(NamedTuple):
     "x1" (X_1), k the component holding the entry 1.
     ``prefix``: generator names s_i or T_i.
     """
-    r: int | None
     u: str | None
     q: str
     pages: str
@@ -66,82 +66,81 @@ class Preset(NamedTuple):
 
 
 PRESETS = {
-    "symmetric": Preset(1, "unit", "one", "u", None, "s"),
-    "hecke_A": Preset(1, "unit", "free", "u", None, "T"),
-    "hecke_B": Preset(2, "inverse", "free", "u", "u", "T"),
-    "ariki_koike": Preset(None, "given", "free", "u", "u", "T"),
-    "wreath_grn": Preset(None, "distinct", "pinned", "u", "xi", "s"),
-    "affine_placed": Preset(None, None, "free", "shape", "x1", "T"),
+    "symmetric": Preset("unit", "one", "u", None, "s"),
+    "hecke_A": Preset("unit", "free", "u", None, "T"),
+    "hecke_B": Preset("inverse", "free", "u", "u", "T"),
+    "ariki_koike": Preset("given", "free", "u", "u", "T"),
+    "wreath_grn": Preset("distinct", "pinned", "u", "xi", "s"),
+    "affine_placed": Preset(None, "free", "shape", "x1", "T"),
 }
 
 FAMILIES = tuple(PRESETS)
 
 
 class AlgebraSpec:
-    """Validated family + parameters for a module of size n.
+    """Validated family + parameters; the shape a scheme is built on
+    supplies n and r.
 
-    ``q`` is the parameter as given (echoed in output); ``coefficient_q``
-    is the q the coefficients use: 1 where the family fixes it.
+    ``q`` is the parameter as given (echoed in output; None for a
+    symbolic q); ``coefficient_q`` is the q the coefficients use, a
+    field scalar: ``QFIELD.q`` when symbolic, 1 where the family fixes
+    it.
     """
 
-    def __init__(self, family, n, r=1, q=None, u=None):
+    def __init__(self, family, q=None, u=None):
         preset = self.preset = PRESETS.get(family)
         if preset is None:
             raise PreconditionError(f"unknown family {family!r}")
         self.family = family
-        self.n = n
-        self.r = r
         self.q = None if q is None else Fraction(q)
         if self.q == 0:
             raise PreconditionError("q must be nonzero")
-        if preset.r is not None and r != preset.r:
-            raise PreconditionError(f"{family} has r = {preset.r}")
         if preset.q == "pinned":
             if self.q not in (None, 1):
                 raise PreconditionError(f"{family} fixes q = 1")
             self.q = Fraction(1)
-        self.coefficient_q = self.q if preset.q == "free" else Fraction(1)
+        if preset.q != "free":
+            self.coefficient_q = Fraction(1)
+        else:
+            self.coefficient_q = QFIELD.q if self.q is None else self.q
         if preset.u == "unit":
             u = (1,)
-        elif preset.u == "distinct":
-            u = range(1, r + 1)
-        elif preset.u is None:
+        elif preset.u in ("distinct", None):
             u = ()
-        elif u is None or len(u) != r:
-            raise PreconditionError(f"{family} needs r = {r} parameters u")
+        elif u is None:
+            raise PreconditionError(f"{family} needs parameters u")
         self.u = tuple(x if isinstance(x, QRat) else Fraction(x) for x in u)
-        if preset.u == "inverse" and self.u[0] * self.u[1] != 1:
-            raise PreconditionError(f"{family} requires u1 = u2^{{-1}}")
-        # at q = 1 with fixed, distinct u the check cannot fail
-        if preset.q == "free":
-            qq = QFIELD.q if self.q is None else self.q
-            if not check_semisimple(list(self.u), qq, n):
-                raise NonSemisimpleError(f"parameters u={self.u} q={self.q} "
-                                         f"are not semisimple for n={n}")
-
-    def coefficient_field(self):
-        """Field of the transition matrix and the T_i generators."""
-        return QFIELD if self.coefficient_q is None else RATIONALS
+        if preset.u == "inverse" and (len(self.u) != 2
+                                      or self.u[0] * self.u[1] != 1):
+            raise PreconditionError(
+                f"{family} requires two u with u1 = u2^{{-1}}")
 
     def page_weights(self, shape):
-        return shape.weights if self.preset.pages == "shape" else self.u
+        if self.preset.pages == "shape":
+            return shape.weights
+        if self.preset.u == "distinct":
+            return tuple(range(1, shape.r + 1))
+        return self.u
 
     def validate_shape(self, shape):
         if self.preset.pages == "shape":
             if not all(shape.weights):
                 raise PreconditionError("page weights must be nonzero")
-        elif shape.r != len(self.u):
+        elif self.preset.u != "distinct" and shape.r != len(self.u):
             raise PreconditionError(
                 f"shape has {shape.r} components but {self.family} "
                 f"has r = {len(self.u)}")
         # T_0 = u_k (or xi^{k-1}) needs the entry 1 at content 0
         if self.preset.zeroth in ("u", "xi") and not shape.is_r_partition():
             raise PreconditionError(f"{self.family} expects an r-partition")
-        if shape.n != self.n:
-            raise PreconditionError(f"shape has {shape.n} boxes but n = {self.n}")
+        # at q = 1 with fixed, distinct u the check cannot fail
+        if self.preset.q == "free" and not check_semisimple(
+                list(self.u), self.coefficient_q, shape.n):
+            raise NonSemisimpleError(f"parameters u={self.u} q={self.q} "
+                                     f"are not semisimple for n={shape.n}")
 
     def __repr__(self):
-        return (f"AlgebraSpec({self.family!r}, n={self.n}, r={self.r}, "
+        return (f"AlgebraSpec({self.family!r}, "
                 f"q={'sym' if self.q is None else self.q}, u={self.u})")
 
 
@@ -171,10 +170,14 @@ class WeightScheme:
         self.spec = spec
         self.shape = shape
         self.graph = graph
-        self.field = spec.coefficient_field()
-        self.weights = spec.page_weights(shape)
-        self.q = spec.coefficient_q
-        self._qinv = QFIELD.q_inv if self.q is None else 1 / self.q
+        # q and the page weights become scalars of one field, once: a
+        # symbolic page weight takes its value at a rational q
+        q = self.q = spec.coefficient_q
+        field = self.field = field_of(q)
+        self.weights = tuple(
+            field.coerce(w) if field is QFIELD else evaluate_q(w, q)
+            for w in spec.page_weights(shape))
+        self._qinv = 1 / q
         # the coefficient of a pair depends only on the two components
         # and the content difference, so cache by that key
         self._pair_cache = {}
@@ -258,7 +261,7 @@ def seminormal_generator(ws, i):
     order: diagonal entry a_i, off-diagonal 1+a_i (or the q-analogues),
     off-diagonal dropped when the swap is nonstandard.  Built once per
     scheme; callers must not modify it."""
-    if not 1 <= i <= ws.spec.n - 1:
+    if not 1 <= i <= ws.shape.n - 1:
         raise PreconditionError(f"generator index {i} out of range")
     return ws.generator(i)
 
@@ -266,18 +269,18 @@ def seminormal_generator(ws, i):
 def zeroth_generator(ws):
     """Diagonal matrix of T_0 (or s_0): eigenvalue u_k (or xi^{k-1}) on
     v_T when the entry 1 sits in component k, or X_1 on placed shapes."""
-    spec, nodes = ws.spec, ws.graph.nodes
+    spec, shape, nodes = ws.spec, ws.shape, ws.graph.nodes
     kind = spec.preset.zeroth
     if kind is None:
         raise PreconditionError(f"{spec.family} has no zeroth generator")
-    if spec.n == 0:
+    if shape.n == 0:
         raise PreconditionError("no zeroth generator without boxes")
     if kind == "x1":
         return x_generator(ws, 1)
     if kind == "xi":
-        vals = [Cyclo.xi_power(spec.r, t.component_of(1) - 1) for t in nodes]
-        return Matrix.diagonal(vals, CyclotomicField(spec.r), basis=nodes)
-    vals = [spec.u[t.component_of(1) - 1] for t in nodes]
+        vals = [Cyclo.xi_power(shape.r, t.component_of(1) - 1) for t in nodes]
+        return Matrix.diagonal(vals, CyclotomicField(shape.r), basis=nodes)
+    vals = [ws.weights[t.component_of(1) - 1] for t in nodes]
     return Matrix.diagonal(vals, ws.field, basis=nodes)
 
 
@@ -287,7 +290,7 @@ def x_generator(ws, i):
     # symmetric and wreath_grn fix q = 1 and carry no X generators
     if spec.preset.q != "free":
         raise PreconditionError(f"{spec.family} has no X generators")
-    if not 1 <= i <= spec.n:
+    if not 1 <= i <= ws.shape.n:
         raise PreconditionError(f"X index {i} out of range")
     vals = [weighted_content(t, i, ws.weights, ws.q) for t in nodes]
     return Matrix.diagonal(vals, ws.field, basis=nodes)
@@ -346,16 +349,14 @@ def _record(report, name, lhs, rhs=None):
 def verify_relations(ws):
     """Check every defining relation of the family as an exact matrix
     identity; returns a list of {relation, status[, witness]} dicts."""
-    spec, size = ws.spec, ws.graph.size()
-    n = spec.n
-    preset = spec.preset
+    size, n, r = ws.graph.size(), ws.shape.n, ws.shape.r
+    preset = ws.spec.preset
     report = []
     gens = {i: seminormal_generator(ws, i) for i in range(1, n)}
     field = ws.field
     ident = Matrix.identity(size, field)
-    q = spec.coefficient_q
     # T_i^2 = (q - q^-1) T_i + 1, an involution at q = 1
-    coeff = QFIELD.q - QFIELD.q_inv if q is None else q - 1 / q
+    coeff = ws.q - 1 / ws.q
 
     for i in range(1, n):
         for j in range(i + 2, n):
@@ -389,12 +390,12 @@ def verify_relations(ws):
                     matmul(t0, lift[i]), matmul(lift[i], t0))
         if preset.zeroth == "xi":
             acc = ident0
-            for _ in range(spec.r):
+            for _ in range(r):
                 acc = matmul(acc, t0)
-            _record(report, f"order s0^{spec.r} = 1", acc, ident0)
+            _record(report, f"order s0^{r} = 1", acc, ident0)
         else:
             acc = ident0
-            for uk in spec.u:
+            for uk in ws.weights:
                 acc = matmul(acc, t0 - ident0.scale(uk))
             _record(report, "cyclotomic prod (T0 - u_k) = 0", acc)
 

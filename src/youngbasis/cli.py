@@ -108,8 +108,7 @@ def make_scheme(args, shape=None):
     if args.r not in (None, shape.r):
         raise PreconditionError(
             f"--r {args.r} but the shape has {shape.r} components")
-    return WeightScheme(AlgebraSpec(family, shape.n, r=shape.r, q=q, u=u),
-                        shape)
+    return WeightScheme(AlgebraSpec(family, q=q, u=u), shape)
 
 
 def _emit(args, text):
@@ -120,8 +119,8 @@ def _emit(args, text):
         sys.stdout.write(text)
 
 
-def _json_params(spec, extra=None):
-    params = {"family": spec.family, "r": spec.r,
+def _json_params(spec, shape, extra=None):
+    params = {"family": spec.family, "r": shape.r,
               "q": "sym" if spec.q is None else str(spec.q)}
     if spec.preset.q == "free" and spec.u:  # the Hecke families echo u
         params["u"] = [str(x) for x in spec.u]
@@ -170,14 +169,14 @@ def cmd_graph(args):
 def _generator_list(ws, natural):
     gens = []
     tmat = tr.transition_recursive(ws) if natural else None
-    spec = ws.spec
-    prefix = spec.preset.prefix
-    if spec.preset.zeroth in ("u", "xi"):
+    preset, n = ws.spec.preset, ws.shape.n
+    prefix = preset.prefix
+    if preset.zeroth in ("u", "xi"):
         gens.append((f"{prefix}0", zeroth_generator(ws)))
-    if spec.preset.zeroth == "x1":
-        gens += [(f"X{i}", x_generator(ws, i)) for i in range(1, spec.n + 1)]
+    if preset.zeroth == "x1":
+        gens += [(f"X{i}", x_generator(ws, i)) for i in range(1, n + 1)]
     gens += [(f"{prefix}{i}", seminormal_generator(ws, i))
-             for i in range(1, spec.n)]
+             for i in range(1, n)]
     if natural:
         mats = conjugate_to_natural([m for _, m in gens], tmat)
         gens = [(name, m) for (name, _), m in zip(gens, mats)]
@@ -201,7 +200,7 @@ def _cmd_generators(args, natural):
     if args.format == "json":
         obj = {
             "shape": ws.shape.to_str(),
-            "params": _json_params(ws.spec, {
+            "params": _json_params(ws.spec, ws.shape, {
                 "basis_kind": "natural" if natural else "seminormal"}),
             "basis": [t.serialize() for t in ws.graph.nodes],
             "generators": [
@@ -237,7 +236,7 @@ def cmd_transition(args):
     tr.check_structure(tm)
     if args.format == "json":
         _emit(args, matrix_to_json(tm.matrix, tm.shape.to_str(),
-                                   _json_params(tm.spec,
+                                   _json_params(tm.spec, tm.shape,
                                                 {"oracle": args.oracle})))
     else:
         _emit(args, matrix_to_csv(tm.matrix))
@@ -251,7 +250,7 @@ def cmd_orthogonal(args):
             for v in tr.orthogonal_diag_squared(ws)]
     if args.format == "json":
         obj = {"shape": ws.shape.to_str(), "field": field.name,
-               "params": _json_params(ws.spec),
+               "params": _json_params(ws.spec, ws.shape),
                "basis": [t.serialize() for t in ws.graph.nodes],
                "diag_squared": strs}
         _emit(args, json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")

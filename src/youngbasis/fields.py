@@ -41,8 +41,7 @@ __all__ = [
     "Fraction", "QRat", "Cyclo",
     "RationalField", "QRationalField", "CyclotomicField",
     "field_of", "field_by_name", "evaluate_q",
-    "quantum_integer", "check_semisimple",
-    "format_rational", "parse_rational",
+    "quantum_integer", "check_semisimple", "parse_rational",
 ]
 
 ZERO = Fraction(0)
@@ -284,6 +283,18 @@ class QRat:
         if other is NotImplemented:
             return NotImplemented
         return other / self
+
+    def __pow__(self, k):
+        """self**k for an integer k, by square-and-multiply."""
+        if not isinstance(k, int):
+            return NotImplemented
+        x = self._inverse() if k < 0 else self
+        out = QRat.const(1)
+        for bit in bin(abs(k))[2:]:
+            out = _qmul(out, out)
+            if bit == "1":
+                out = _qmul(out, x)
+        return out
 
     def evaluate(self, q0):
         q0 = Fraction(q0)
@@ -620,10 +631,6 @@ def _parse_terms(s, symbol):
     return out
 
 
-def format_rational(x):
-    return str(Fraction(x))
-
-
 def parse_rational(s):
     try:
         return Fraction(s.strip())
@@ -645,7 +652,7 @@ class RationalField:
         return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
     def to_str(self, x):
-        return format_rational(x)
+        return str(Fraction(x))
 
     def parse(self, s):
         return parse_rational(s)
@@ -795,18 +802,16 @@ def evaluate_q(f, q0):
     return f.evaluate(q0)
 
 
-def quantum_integer(k, q=None):
-    """The balanced quantum integer [k] = q^{k-1} + q^{k-3} + ... + q^{1-k}.
-
-    With q omitted the symbolic value is returned; with a rational q the
-    exact number.  [k] at q = 1 equals k.
+def quantum_integer(k, q=Q):
+    """The balanced quantum integer [k] = q^{k-1} + q^{k-3} + ... + q^{1-k}
+    in the field of q: symbolic by default, exact for a rational q.  [k]
+    at q = 1 equals k.
     """
-    if q is None:
-        return QRat.poly(1 - k, [1 - i % 2 for i in range(2 * k - 1)])
-    q = Fraction(q)
-    if q == 0:
+    if not q:
         raise PreconditionError("q must be nonzero")
-    return sum(q ** (k - 1 - 2 * j) for j in range(k))
+    field = field_of(q)
+    q = field.coerce(q)
+    return sum((q ** (k - 1 - 2 * j) for j in range(k)), field.zero)
 
 
 def check_semisimple(us, q, n):
@@ -835,10 +840,4 @@ def check_semisimple(us, q, n):
             ratio = ui / uj
             if any(ratio == p for p in powers):
                 return False
-    for k in range(1, n + 1):
-        if field is QFIELD:
-            if quantum_integer(k).is_zero():
-                return False
-        elif quantum_integer(k, q) == 0:
-            return False
-    return True
+    return all(quantum_integer(k, q) for k in range(1, n + 1))

@@ -12,7 +12,7 @@ from operator import le
 from .errors import PreconditionError
 
 __all__ = [
-    "identity", "compose", "inverse", "apply_simple", "simple",
+    "identity", "compose", "inverse", "apply_simple",
     "length", "is_identity",
     "descents_left", "reduced_word", "word_to_perm",
     "sorted_prefixes", "bruhat_leq", "bruhat_leq_subword", "weak_leq",
@@ -25,13 +25,6 @@ def identity(n):
 
 def is_identity(w):
     return all(w[i] == i + 1 for i in range(len(w)))
-
-
-def simple(n, i):
-    """The adjacent transposition s_i = (i, i+1) in S_n."""
-    w = list(range(1, n + 1))
-    w[i - 1], w[i] = w[i], w[i - 1]
-    return tuple(w)
 
 
 def compose(u, v):

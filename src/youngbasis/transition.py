@@ -80,21 +80,17 @@ class TransitionMatrix:
         return self.graph.index[rows]
 
 
-def _push_column(prev_col, stay, move, counter):
+def _push_column(prev_col, stay, move):
     """One recursion step: new column = generator applied to prev_col."""
     out = {}
     for u, val in prev_col.items():
         a = stay[u]
         if a:
             w = a * val
-            if counter is not None:
-                counter.mults += 1
             cur = out.get(u)
             if cur is None:
                 out[u] = w
             else:
-                if counter is not None:
-                    counter.adds += 1
                 cur = cur + w
                 if cur:
                     out[u] = cur
@@ -104,14 +100,10 @@ def _push_column(prev_col, stay, move, counter):
         if mv is not None:
             b, tgt = mv
             w = b * val
-            if counter is not None:
-                counter.mults += 1
             cur = out.get(tgt)
             if cur is None:
                 out[tgt] = w
             else:
-                if counter is not None:
-                    counter.adds += 1
                 cur = cur + w
                 if cur:
                     out[tgt] = cur
@@ -120,21 +112,39 @@ def _push_column(prev_col, stay, move, counter):
     return out
 
 
+def _count_ops(counter, prev_col, stay, move):
+    """The scalar ops of one _push_column step.  A row of the new column
+    receives at most its own stay term and the move term of its one
+    s_label neighbour, so it costs an addition only when both arrive."""
+    for u in prev_col:
+        if stay[u]:
+            counter.mults += 1
+        mv = move[u]
+        if mv is not None:
+            counter.mults += 1
+            tgt = mv[1]
+            if tgt in prev_col and stay[tgt]:
+                counter.adds += 1
+
+
 def transition_recursive(ws, counter=None):
     """Transition matrix by the two-term column recursion.
 
-    Columns are computed in depth order; column C is e_C, and the column
-    of T is obtained from the column of T' = s_l(T) (l the smallest
-    label stepping down in weak order) by the seminormal two-term rule.
+    Columns are computed in depth order (the order of the graph's
+    nodes); column C is e_C, and the column of T is obtained from the
+    column of T' = s_l(T) (l the smallest label stepping down in weak
+    order) by the seminormal two-term rule.
     """
     graph = ws.graph
     size = graph.size()
     cols = [None] * size
     cols[0] = {0: ws.field.one}
-    for v in sorted(range(1, size), key=graph.depth.__getitem__):
+    for v in range(1, size):
         u, label = graph.up_edges_into(v)[0]
         stay, move = ws.steps(label)
-        cols[v] = _push_column(cols[u], stay, move, counter)
+        cols[v] = _push_column(cols[u], stay, move)
+        if counter is not None:
+            _count_ops(counter, cols[u], stay, move)
     m = Matrix(size, size, ws.field, cols=cols, basis=graph.nodes)
     return TransitionMatrix(m, ws.spec, ws.shape, graph)
 
@@ -189,11 +199,11 @@ def transition_word(ws):
     These words are prefix-closed: each column is one generator applied
     to the column of a node one level lower."""
     graph = ws.graph
-    gens = {i: seminormal_generator(ws, i) for i in range(1, ws.spec.n)}
+    gens = {i: seminormal_generator(ws, i) for i in range(1, ws.shape.n)}
     size = graph.size()
     m = Matrix(size, size, ws.field, basis=graph.nodes)
     m.cols[0] = {0: ws.field.one}
-    for v in sorted(range(1, size), key=graph.depth.__getitem__):
+    for v in range(1, size):
         u, label = graph.up_edges_into(v)[-1]
         m.cols[v] = gens[label].apply(m.cols[u])
     return TransitionMatrix(m, ws.spec, ws.shape, graph)
@@ -238,17 +248,15 @@ def _alphabets(entries, sizes):
             yield (chosen,) + tail
 
 
-def grn_transition(shape, graph=None):
-    """Wreath-product transition matrix assembled from its block
-    structure: one identical tensor-product block of per-component
-    symmetric-group matrices for each alphabet, re-indexed into the
-    canonical basis order."""
-    if not shape.is_r_partition():
-        raise PreconditionError("wreath transition needs an r-partition")
-    spec = AlgebraSpec("wreath_grn", shape.n, r=shape.r)
-    if graph is None:
-        graph = BruhatGraph(shape)
-    field = spec.coefficient_field()
+def grn_transition(ws):
+    """Wreath-product transition matrix of a ``wreath_grn`` scheme,
+    assembled from its block structure: one identical tensor-product
+    block of per-component symmetric-group matrices for each alphabet,
+    re-indexed into the canonical basis order."""
+    if ws.spec.family != "wreath_grn":
+        raise PreconditionError(
+            f"wreath transition of a {ws.spec.family} scheme")
+    shape, graph, field = ws.shape, ws.graph, ws.field
     comp_mats = []
     comp_tabs = []
     for outer, _inner in shape.components:
@@ -257,8 +265,7 @@ def grn_transition(shape, graph=None):
             comp_tabs.append([None])
             continue
         comp = Shape([(outer, ())])
-        tm = transition_recursive(
-            WeightScheme(AlgebraSpec("symmetric", comp.n), comp))
+        tm = transition_recursive(WeightScheme(AlgebraSpec("symmetric"), comp))
         comp_mats.append(tm.matrix)
         comp_tabs.append(tm.matrix.basis)
     block = comp_mats[0]
@@ -272,7 +279,7 @@ def grn_transition(shape, graph=None):
     out = Matrix(size, size, field, basis=graph.nodes)
     for j in range(big.ncols):
         out.cols[perm[j]] = {perm[i]: v for i, v in big.cols[j].items()}
-    return TransitionMatrix(out, spec, shape, graph)
+    return TransitionMatrix(out, ws.spec, shape, graph)
 
 
 def _grn_global_indices(shape, graph, alphabets, comp_tabs):

@@ -47,7 +47,7 @@ def graphs6():
 def sweep6(graphs6):
     out = []
     for g in graphs6:
-        spec = AlgebraSpec("symmetric", g.shape.n)
+        spec = AlgebraSpec("symmetric")
         out.append(transition_recursive(WeightScheme(spec, g.shape, g)))
     return out
 
@@ -56,7 +56,7 @@ def sweep6(graphs6):
 def hecke_sweep4():
     out = []
     for shape in _universe(4):
-        spec = AlgebraSpec("hecke_A", shape.n)
+        spec = AlgebraSpec("hecke_A")
         out.append(transition_recursive(WeightScheme(spec, shape)))
     return out
 
@@ -67,7 +67,7 @@ def test_criterion_01_golden_symmetric_matrices():
     for text in GOLDEN_SHAPES + ["3,2,1"]:
         shape = parse_shape(text)
         computed[text] = transition_recursive(
-            WeightScheme(AlgebraSpec("symmetric", shape.n), shape))
+            WeightScheme(AlgebraSpec("symmetric"), shape))
     elapsed = time.perf_counter() - t0
     for text in GOLDEN_SHAPES:
         basis, rows = SYMMETRIC_GOLDEN[text]
@@ -85,14 +85,14 @@ def test_criterion_01_golden_symmetric_matrices():
 
 def test_criterion_02_golden_hecke_matrix():
     shape = parse_shape("3,2")
-    tm = transition_recursive(WeightScheme(AlgebraSpec("hecke_A", 5), shape))
+    tm = transition_recursive(WeightScheme(AlgebraSpec("hecke_A"), shape))
     golden = hecke32_matrix()
     tabs = [Tableau(shape, [rows]) for rows in HECKE32_BASIS]
     for i in range(5):
         for j in range(5):
             assert tm.entry(tabs[i], tabs[j]) == golden[i][j], (i, j)
     sym = transition_recursive(
-        WeightScheme(AlgebraSpec("symmetric", 5), shape))
+        WeightScheme(AlgebraSpec("symmetric"), shape))
     for q0 in (F(1), F(2), F(1, 3)):
         for i in range(5):
             for j in range(5):
@@ -117,16 +117,16 @@ def test_criterion_03_golden_ariki_koike_matrix():
         if check_semisimple([cand[0], cand[1]], cand[2], 4):
             points.append(cand)
     for (u1, u2, q) in points:
-        spec = AlgebraSpec("ariki_koike", 4, r=2, q=q, u=(u1, u2))
+        spec = AlgebraSpec("ariki_koike", q=q, u=(u1, u2))
         tm = transition_recursive(WeightScheme(spec, shape))
         for i, rt in enumerate(H24_BASIS):
             for j, ct in enumerate(H24_BASIS):
                 assert tm.entry(rt, ct) == h24_entry(i, j, u1, u2, q), \
                     ((u1, u2, q), i, j)
     # specialization (1, -1, 1) through symbolic q
-    spec = AlgebraSpec("ariki_koike", 4, r=2, q=None, u=(1, -1))
+    spec = AlgebraSpec("ariki_koike", q=None, u=(1, -1))
     tm = transition_recursive(WeightScheme(spec, shape))
-    tg = grn_transition(shape)
+    tg = grn_transition(WeightScheme(AlgebraSpec("wreath_grn"), shape))
     for i, rt in enumerate(G24_BASIS):
         for j, ct in enumerate(G24_BASIS):
             want = F(G24_ROWS[i][j])
@@ -167,7 +167,7 @@ def test_criterion_05_closed_form_diagonals(sweep6, hecke_sweep4):
             assert tm.matrix.get(v, v) == diag[v], tm.shape.to_str()
     # worked examples for (3,2,1)
     s321 = parse_shape("3,2,1")
-    spec = AlgebraSpec("symmetric", 6)
+    spec = AlgebraSpec("symmetric")
     ws = WeightScheme(spec, s321)
     g = ws.graph
     tm = transition_recursive(ws)
@@ -204,16 +204,17 @@ def test_criterion_06_structural_invariants(sweep6, hecke_sweep4):
     for text in GOLDEN_SHAPES + ["3,2,1"]:
         shape = parse_shape(text)
         check_structure(transition_recursive(
-            WeightScheme(AlgebraSpec("symmetric", shape.n), shape)))
+            WeightScheme(AlgebraSpec("symmetric"), shape)))
         count += 1
     check_structure(transition_recursive(
-        WeightScheme(AlgebraSpec("hecke_A", 5), parse_shape("3,2"))))
+        WeightScheme(AlgebraSpec("hecke_A"), parse_shape("3,2"))))
     shape = parse_shape("(2,1)|(1)")
     check_structure(transition_recursive(WeightScheme(
-        AlgebraSpec("ariki_koike", 4, r=2, q=F(5), u=(2, 3)), shape)))
+        AlgebraSpec("ariki_koike", q=F(5), u=(2, 3)), shape)))
     check_structure(transition_recursive(WeightScheme(
-        AlgebraSpec("ariki_koike", 4, r=2, q=None, u=(1, -1)), shape)))
-    check_structure(grn_transition(shape))
+        AlgebraSpec("ariki_koike", q=None, u=(1, -1)), shape)))
+    check_structure(grn_transition(WeightScheme(AlgebraSpec("wreath_grn"),
+                                                shape)))
     count += 4
     print(f"\nPASS criterion 6: upper-triangularity, Bruhat zero pattern, "
           f"and depth-block diagonality on {count} matrices")
@@ -252,59 +253,56 @@ def test_criterion_07_relations_and_integrality():
     counts = {}
     # symmetric on every shape through n = 5
     for shape in _universe(5):
-        assert_pass(AlgebraSpec("symmetric", shape.n), shape)
+        assert_pass(AlgebraSpec("symmetric"), shape)
         counts["symmetric"] = counts.get("symmetric", 0) + 1
     # type A: symbolic q through n = 4, exact rational q at n = 5
     for shape in _universe(4):
-        assert_pass(AlgebraSpec("hecke_A", shape.n), shape)
+        assert_pass(AlgebraSpec("hecke_A"), shape)
         counts["hecke_A"] = counts.get("hecke_A", 0) + 1
     for shape in all_skew_shapes(5):
-        assert_pass(AlgebraSpec("hecke_A", 5, q=F(5)), shape)
+        assert_pass(AlgebraSpec("hecke_A", q=F(5)), shape)
         counts["hecke_A"] = counts.get("hecke_A", 0) + 1
     # type B (r = 2, u1 = u2^{-1}) and the r = 3 cyclotomic algebra
     for shape in _relation_shapes(4, 2):
-        assert_pass(AlgebraSpec("hecke_B", shape.n, r=2,
-                                u=(F(2), F(1, 2))), shape)
+        assert_pass(AlgebraSpec("hecke_B", u=(F(2), F(1, 2))), shape)
         counts["hecke_B"] = counts.get("hecke_B", 0) + 1
     for shape in _relation_shapes(5, 2):
         if shape.n == 5:
-            assert_pass(AlgebraSpec("hecke_B", 5, r=2, q=F(5),
-                                    u=(F(2), F(1, 2))), shape)
+            assert_pass(AlgebraSpec("hecke_B", q=F(5), u=(F(2), F(1, 2))),
+                        shape)
             counts["hecke_B"] = counts.get("hecke_B", 0) + 1
     for shape in _relation_shapes(4, 3):
         q = None if shape.n <= 3 else F(7)
-        assert_pass(AlgebraSpec("ariki_koike", shape.n, r=3, q=q,
-                                u=(2, 3, 5)), shape)
+        assert_pass(AlgebraSpec("ariki_koike", q=q, u=(2, 3, 5)), shape)
         counts["ariki_koike"] = counts.get("ariki_koike", 0) + 1
     for shape in _relation_shapes(5, 3):
         if shape.n == 5:
-            assert_pass(AlgebraSpec("ariki_koike", 5, r=3, q=F(7),
-                                    u=(2, 3, 5)), shape)
+            assert_pass(AlgebraSpec("ariki_koike", q=F(7), u=(2, 3, 5)), shape)
             counts["ariki_koike"] = counts.get("ariki_koike", 0) + 1
     # wreath products r = 2, 3
     for r in (2, 3):
         for shape in _relation_shapes(5, r):
-            assert_pass(AlgebraSpec("wreath_grn", shape.n, r=r), shape)
+            assert_pass(AlgebraSpec("wreath_grn"), shape)
             counts["wreath_grn"] = counts.get("wreath_grn", 0) + 1
     # affine: X relations on skew shapes (rational q at n = 5) and on
     # placed multi-component shapes with monomial page weights
     for shape in _universe(4):
-        assert_pass(AlgebraSpec("affine_placed", shape.n), shape)
+        assert_pass(AlgebraSpec("affine_placed"), shape)
         counts["affine_placed"] = counts.get("affine_placed", 0) + 1
     for shape in all_skew_shapes(5):
-        assert_pass(AlgebraSpec("affine_placed", 5, q=F(5)), shape)
+        assert_pass(AlgebraSpec("affine_placed", q=F(5)), shape)
         counts["affine_placed"] = counts.get("affine_placed", 0) + 1
     from youngbasis.fields import QRat
     pages = [QRat.q_power(0), QRat.q_power(20), QRat.q_power(40)]
     for r in (2, 3):
         for shape in _relation_shapes(4, r):
             placed = Shape(shape.components, pages[:r])
-            assert_pass(AlgebraSpec("affine_placed", shape.n), placed)
+            assert_pass(AlgebraSpec("affine_placed"), placed)
             counts["affine_placed"] = counts.get("affine_placed", 0) + 1
 
     # integral natural representations for partitions through n = 6
     for n in range(2, 7):
-        spec = AlgebraSpec("symmetric", n)
+        spec = AlgebraSpec("symmetric")
         for lam in all_partitions(n):
             ws = WeightScheme(spec, shape_from_parts(lam))
             tm = transition_recursive(ws)
@@ -316,7 +314,7 @@ def test_criterion_07_relations_and_integrality():
 
     # the displayed straightening expansion: +1, -1, -1, +1, -1
     s321 = parse_shape("3,2,1")
-    spec = AlgebraSpec("symmetric", 6)
+    spec = AlgebraSpec("symmetric")
     ws = WeightScheme(spec, s321)
     g = ws.graph
     tm = transition_recursive(ws)
@@ -337,7 +335,7 @@ def test_criterion_08_orthogonal_step_identities():
     for shape in shapes:
         g = BruhatGraph(shape)
         for fam, qinv in (("symmetric", F(1)), ("hecke_A", QFIELD.q_inv)):
-            spec = AlgebraSpec(fam, shape.n)
+            spec = AlgebraSpec(fam)
             ws = WeightScheme(spec, shape, g)
             d2 = orthogonal_diag_squared(ws)
             for v, w, i in g.edges():
@@ -403,7 +401,7 @@ def test_criterion_10_performance_bounds():
             shape = shape_from_parts(lam)
             counter = OpCounter()
             tm = transition_recursive(
-                WeightScheme(AlgebraSpec("symmetric", n), shape),
+                WeightScheme(AlgebraSpec("symmetric"), shape),
                 counter=counter)
             f = tm.matrix.ncols
             assert counter.total() <= 2 * (f * f + f), lam

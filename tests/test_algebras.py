@@ -8,17 +8,18 @@ from youngbasis.algebras import (AlgebraSpec, WeightScheme, _entry_witness,
                                  verify_relations, x_generator,
                                  zeroth_generator)
 from youngbasis.bruhat import BruhatGraph
-from youngbasis.errors import (NonSemisimpleError, PreconditionError)
-from youngbasis.fields import CyclotomicField, QRat
+from youngbasis.errors import (DegenerateWeightError, NonSemisimpleError,
+                               PreconditionError)
+from youngbasis.fields import CyclotomicField, QRat, evaluate_q
 from youngbasis.linalg import Matrix, matmul
 from youngbasis.perms import reduced_word
-from youngbasis.shapes import (Tableau, all_partitions, alphabetizer,
+from youngbasis.shapes import (Shape, Tableau, all_partitions, alphabetizer,
                                parse_shape, shape_from_parts)
 from youngbasis.transition import (orthogonal_diag_squared,
                                    transition_recursive)
 
 S321 = parse_shape("3,2,1")
-SPEC_S6 = AlgebraSpec("symmetric", 6)
+SPEC_S6 = AlgebraSpec("symmetric")
 
 
 def _node(graph, *rows):
@@ -45,7 +46,7 @@ def test_seminormal_column_with_nonstandard_swap():
 
 def test_seminormal_single_row_is_scalar_one():
     s = parse_shape("4")
-    ws = WeightScheme(AlgebraSpec("symmetric", 4), s)
+    ws = WeightScheme(AlgebraSpec("symmetric"), s)
     for i in range(1, 4):
         m = seminormal_generator(ws, i)
         assert m.to_rows() == [[F(1)]]
@@ -55,7 +56,7 @@ def test_seminormal_sparsity():
     for text in ["3,2,1", "3,3,1/2,1", "(2,1)|(2)"]:
         shape = parse_shape(text)
         fam = "symmetric" if shape.r == 1 else "wreath_grn"
-        ws = WeightScheme(AlgebraSpec(fam, shape.n, r=shape.r), shape)
+        ws = WeightScheme(AlgebraSpec(fam), shape)
         for i in range(1, shape.n):
             m = seminormal_generator(ws, i)
             assert all(len(col) <= 2 for col in m.cols)
@@ -63,13 +64,13 @@ def test_seminormal_sparsity():
 
 def test_zeroth_generator_cyclotomic_eigenvalues():
     shape = parse_shape("(2,1)|(1)")
-    spec = AlgebraSpec("ariki_koike", 4, r=2, q=5, u=(2, 3))
+    spec = AlgebraSpec("ariki_koike", q=5, u=(2, 3))
     g = BruhatGraph(shape)
     m = zeroth_generator(WeightScheme(spec, shape, g))
     for v, t in enumerate(g.nodes):
         expect = F(2) if t.component_of(1) == 1 else F(3)
         assert m.get(v, v) == expect
-    specw = AlgebraSpec("wreath_grn", 4, r=2)
+    specw = AlgebraSpec("wreath_grn")
     mw = zeroth_generator(WeightScheme(specw, shape, g))
     field = CyclotomicField(2)
     for v, t in enumerate(g.nodes):
@@ -79,21 +80,21 @@ def test_zeroth_generator_cyclotomic_eigenvalues():
 
 def test_x_generator_diagonal():
     shape = parse_shape("2")
-    ws = WeightScheme(AlgebraSpec("affine_placed", 2), shape)
+    ws = WeightScheme(AlgebraSpec("affine_placed"), shape)
     m = x_generator(ws, 1)
     assert m.get(0, 0) == QRat.const(1)
     m2 = x_generator(ws, 2)
     assert m2.get(0, 0) == QRat.q_power(2)
     with pytest.raises(PreconditionError):
-        x_generator(WeightScheme(AlgebraSpec("symmetric", 2), shape), 1)
+        x_generator(WeightScheme(AlgebraSpec("symmetric"), shape), 1)
 
 
 def test_zeroth_rejected_without_generator():
     shape = parse_shape("2,1")
     with pytest.raises(PreconditionError):
-        zeroth_generator(WeightScheme(AlgebraSpec("symmetric", 3), shape))
+        zeroth_generator(WeightScheme(AlgebraSpec("symmetric"), shape))
     with pytest.raises(PreconditionError):
-        zeroth_generator(WeightScheme(AlgebraSpec("hecke_A", 3), shape))
+        zeroth_generator(WeightScheme(AlgebraSpec("hecke_A"), shape))
 
 
 def test_natural_generator_permutes_when_standard():
@@ -124,7 +125,7 @@ def test_natural_generator_straightening_pattern():
 
 def test_natural_single_row():
     s = parse_shape("3")
-    ws = WeightScheme(AlgebraSpec("symmetric", 3), s)
+    ws = WeightScheme(AlgebraSpec("symmetric"), s)
     for i in (1, 2):
         assert natural_generator(ws, i).to_rows() == [[F(1)]]
 
@@ -133,7 +134,7 @@ def test_natural_integrality_small():
     for n in range(2, 6):
         for lam in all_partitions(n):
             shape = shape_from_parts(lam)
-            ws = WeightScheme(AlgebraSpec("symmetric", n), shape)
+            ws = WeightScheme(AlgebraSpec("symmetric"), shape)
             tm = transition_recursive(ws)
             for i in range(1, n):
                 m = natural_generator(ws, i, transition=tm)
@@ -148,7 +149,7 @@ def test_restriction_block_structure():
         shapes.extend(",".join(map(str, lam)) for lam in all_partitions(n))
     for text in shapes:
         shape = parse_shape(text)
-        ws = WeightScheme(AlgebraSpec("symmetric", shape.n), shape)
+        ws = WeightScheme(AlgebraSpec("symmetric"), shape)
         groups = [t.box_of[shape.n] for t in ws.graph.nodes]
         for i in range(1, shape.n - 1):
             m = seminormal_generator(ws, i)
@@ -159,7 +160,7 @@ def test_restriction_block_structure():
 
 def test_alphabetizer_acts_by_relabeling():
     shape = parse_shape("(2,1)|(1)")
-    ws = WeightScheme(AlgebraSpec("wreath_grn", 4, r=2), shape)
+    ws = WeightScheme(AlgebraSpec("wreath_grn"), shape)
     g = ws.graph
     gens = {i: seminormal_generator(ws, i) for i in range(1, 4)}
     standard_alpha = [t for t in g.nodes
@@ -183,16 +184,16 @@ def test_alphabetizer_acts_by_relabeling():
     ("symmetric", "3,3,1/2,1", {}),
     ("hecke_A", "3,2", {}),
     ("hecke_A", "2,2", {"q": F(3)}),
-    ("hecke_B", "(2,1)|(1)", {"r": 2, "u": (F(2), F(1, 2))}),
-    ("ariki_koike", "(2,1)|(1)", {"r": 2, "q": F(5), "u": (2, 3)}),
-    ("ariki_koike", "(1)|(1)|(2)", {"r": 3, "u": (2, 3, 5)}),
-    ("wreath_grn", "(2,1)|(1)", {"r": 2}),
-    ("wreath_grn", "(1)|(1)|(2)", {"r": 3}),
+    ("hecke_B", "(2,1)|(1)", {"u": (F(2), F(1, 2))}),
+    ("ariki_koike", "(2,1)|(1)", {"q": F(5), "u": (2, 3)}),
+    ("ariki_koike", "(1)|(1)|(2)", {"u": (2, 3, 5)}),
+    ("wreath_grn", "(2,1)|(1)", {}),
+    ("wreath_grn", "(1)|(1)|(2)", {}),
     ("affine_placed", "3,1", {}),
 ])
 def test_verify_relations_pass(family, shape_text, kwargs):
     shape = parse_shape(shape_text)
-    spec = AlgebraSpec(family, shape.n, **kwargs)
+    spec = AlgebraSpec(family, **kwargs)
     report = verify_relations(WeightScheme(spec, shape))
     failures = [r for r in report if r["status"] != "pass"]
     assert not failures, failures
@@ -200,7 +201,7 @@ def test_verify_relations_pass(family, shape_text, kwargs):
 
 def test_verify_relations_affine_placed_pages():
     shape = parse_shape("(2)|(1,1)@q^0,q^20")
-    spec = AlgebraSpec("affine_placed", 4)
+    spec = AlgebraSpec("affine_placed")
     report = verify_relations(WeightScheme(spec, shape))
     assert all(r["status"] == "pass" for r in report)
     names = [r["relation"] for r in report]
@@ -213,7 +214,7 @@ def test_verify_relations_reports_a_corrupted_generator():
     # planted error in T_1 must fail exactly the relations whose two
     # sides it makes differ, each with the witness of lhs - rhs
     shape = parse_shape("3,2")
-    spec = AlgebraSpec("hecke_A", 5, q=3)
+    spec = AlgebraSpec("hecke_A", q=3)
     ws = WeightScheme(spec, shape)
     gens = {i: seminormal_generator(ws, i) for i in range(1, 5)}
     col = gens[1].cols[2]
@@ -241,7 +242,7 @@ def test_verify_relations_reports_a_corrupted_generator():
 
 def test_scheme_takes_only_the_graph_of_its_shape():
     s32 = parse_shape("3,2")
-    spec = AlgebraSpec("symmetric", 5)
+    spec = AlgebraSpec("symmetric")
     with pytest.raises(PreconditionError, match="graph of shape 2,2,1"):
         WeightScheme(spec, s32, BruhatGraph(parse_shape("2,2,1")))
     g = BruhatGraph(s32)
@@ -251,23 +252,22 @@ def test_scheme_takes_only_the_graph_of_its_shape():
 
 def test_spec_validation():
     with pytest.raises(PreconditionError):
-        AlgebraSpec("hecke_B", 3, r=2, u=(2, 3))  # u1*u2 != 1
+        AlgebraSpec("hecke_B", u=(2, 3))  # u1*u2 != 1
+    spec = AlgebraSpec("ariki_koike", q=2, u=(1, 4))  # u2/u1 = q^2
     with pytest.raises(NonSemisimpleError):
-        AlgebraSpec("ariki_koike", 2, r=2, q=2, u=(1, 4))  # u2/u1 = q^2
+        WeightScheme(spec, parse_shape("(1)|(1)"))
     with pytest.raises(PreconditionError):
-        AlgebraSpec("wreath_grn", 3, r=2, q=3)
+        AlgebraSpec("wreath_grn", q=3)
     with pytest.raises(PreconditionError):
-        AlgebraSpec("nope", 3)
-    spec = AlgebraSpec("symmetric", 4)
+        AlgebraSpec("nope")
+    spec = AlgebraSpec("symmetric")
     with pytest.raises(PreconditionError):
         spec.validate_shape(parse_shape("(2,1)|(1)"))
-    with pytest.raises(PreconditionError):
-        spec.validate_shape(parse_shape("2,1"))
 
 
 def test_natural_generator_for_zeroth():
     shape = parse_shape("(2,1)|(1)")
-    spec = AlgebraSpec("ariki_koike", 4, r=2, q=5, u=(2, 3))
+    spec = AlgebraSpec("ariki_koike", q=5, u=(2, 3))
     ws = WeightScheme(spec, shape)
     g = ws.graph
     tm = transition_recursive(ws)
@@ -285,8 +285,8 @@ def test_hecke_A_at_q_one_is_symmetric():
         for lam in all_partitions(n):
             shape = shape_from_parts(lam)
             g = BruhatGraph(shape)
-            sym = AlgebraSpec("symmetric", n)
-            hecke = AlgebraSpec("hecke_A", n, q=1)
+            sym = AlgebraSpec("symmetric")
+            hecke = AlgebraSpec("hecke_A", q=1)
             wh = WeightScheme(hecke, shape, g)
             wsym = WeightScheme(sym, shape, g)
             assert transition_recursive(wh).matrix \
@@ -309,8 +309,57 @@ def test_ariki_koike_at_q_one_is_wreath():
             for parts in _r_partitions(r, n):
                 shape = shape_from_parts(*parts)
                 g = BruhatGraph(shape)
-                ak = AlgebraSpec("ariki_koike", n, r=r, q=1, u=u)
-                wreath = AlgebraSpec("wreath_grn", n, r=r)
+                ak = AlgebraSpec("ariki_koike", q=1, u=u)
+                wreath = AlgebraSpec("wreath_grn")
                 a = transition_recursive(WeightScheme(ak, shape, g))
                 b = transition_recursive(WeightScheme(wreath, shape, g))
                 assert a.matrix == b.matrix
+
+
+def _q_dependent_outputs(ws):
+    """Every output of a scheme that depends on q, as lists of columns
+    (dicts of nonzero entries)."""
+    n = ws.shape.n
+    mats = [transition_recursive(ws).matrix]
+    mats += [seminormal_generator(ws, i) for i in range(1, n)]
+    if ws.spec.preset.zeroth is not None:
+        mats.append(zeroth_generator(ws))
+    mats += [x_generator(ws, i) for i in range(1, n + 1)]
+    out = [[dict(col) for col in m.cols] for m in mats]
+    out.append([dict(enumerate(orthogonal_diag_squared(ws)))])
+    return out
+
+
+def _at(outputs, q0):
+    return [[{i: x for i, v in col.items() if (x := evaluate_q(v, q0))}
+             for col in cols] for cols in outputs]
+
+
+@pytest.mark.parametrize("family,u,pages", [
+    ("hecke_A", None, None),
+    ("hecke_B", (2, F(1, 2)), None),
+    ("ariki_koike", (2, 3), None),
+    ("affine_placed", None, (1, QRat.q_power(3))),
+    ("affine_placed", None, (QRat.q_power(0), QRat.q_power(5))),
+])
+def test_symbolic_q_evaluates_to_rational_q(family, u, pages):
+    # the symbolic-q objects, evaluated at q0, are those built at q = q0
+    r = 1 if family == "hecke_A" else 2
+    compared = 0
+    for n in range(1, 5):
+        for parts in _r_partitions(r, n):
+            shape = shape_from_parts(*parts)
+            if pages is not None:
+                shape = Shape(shape.components, pages)
+            g = BruhatGraph(shape)
+            sym = _q_dependent_outputs(
+                WeightScheme(AlgebraSpec(family, u=u), shape, g))
+            for q0 in (F(2), F(-3), F(1, 3)):
+                try:
+                    want = _q_dependent_outputs(WeightScheme(
+                        AlgebraSpec(family, q=q0, u=u), shape, g))
+                except (NonSemisimpleError, DegenerateWeightError):
+                    continue
+                assert _at(sym, q0) == want, (shape.to_str(), q0)
+                compared += 1
+    assert compared >= 30

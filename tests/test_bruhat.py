@@ -188,7 +188,7 @@ def test_subpaths_of_displayed_path():
 def test_subpaths_reach_only_bruhat_below():
     for text in ["3,2", "2,2,1"]:
         shape = parse_shape(text)
-        ws = WeightScheme(AlgebraSpec("symmetric", shape.n), shape)
+        ws = WeightScheme(AlgebraSpec("symmetric"), shape)
         g = ws.graph
         pathsum = transition_pathsum(ws).matrix
         for v, p in shortest_paths_from(g, 0).items():

@@ -72,16 +72,16 @@ def _csv_cells(text):
 
 
 @pytest.mark.parametrize("text,spec,flags", [
-    ("(2)|(1)|(1)", AlgebraSpec("wreath_grn", 4, r=3),
+    ("(2)|(1)|(1)", AlgebraSpec("wreath_grn"),
      ("--family", "grn", "--r", "3")),
-    ("3,2,1", AlgebraSpec("hecke_A", 6), ("--family", "hecke_A")),
+    ("3,2,1", AlgebraSpec("hecke_A"), ("--family", "hecke_A")),
 ])
 def test_json_and_csv_round_trip(capsys, text, spec, flags):
     # rational transition and cyclotomic s0 for grn, q-rational for hecke_A
     shape = parse_shape(text)
     ws = WeightScheme(spec, shape)
     if spec.family == "wreath_grn":
-        tm = grn_transition(shape)
+        tm = grn_transition(ws)
         gens = [zeroth_generator(ws)]
     else:
         tm = transition_recursive(ws)
@@ -374,7 +374,7 @@ def test_cached_parser_keeps_no_per_call_state(capsys):
 def test_symbolic_page_weights_at_numeric_q(capsys, text):
     shape = parse_shape(text)
     symbolic = transition_recursive(
-        WeightScheme(AlgebraSpec("affine_placed", shape.n), shape)).matrix
+        WeightScheme(AlgebraSpec("affine_placed"), shape)).matrix
     code, out, _ = run_cli(capsys, "transition", "--family", "affine_placed",
                            "--shape", text, "--q", "5")
     assert code == 0

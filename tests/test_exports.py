@@ -2,6 +2,9 @@ import ast
 import importlib
 import importlib.util
 import pkgutil
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import youngbasis
@@ -44,3 +47,15 @@ def test_benchmark_tracer_targets_resolve(capsys):
         t.uninstall()
     capsys.readouterr()
     assert t.counts["transition.scalar_ops"] > 0
+
+
+def test_benchmark_outputs_are_byte_identical():
+    # without --write the script only compares every benchmark request's
+    # exit code and stdout digest with perfbench/digests.json
+    root = Path(__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, "perfbench/make_digests.py"],
+                          cwd=root, capture_output=True, text=True,
+                          timeout=600)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert re.search(r"^\d+ requests, 0 differ$", done.stdout, re.M), \
+        done.stdout

@@ -297,13 +297,21 @@ def _assert_canonical(x):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_qrats, _qrats, st.sampled_from(_OPS), st.booleans())
-def test_qrat_matches_sympy_cancel(x, z, op, solve):
+@given(_qrats, _qrats, st.sampled_from(_OPS), st.booleans(),
+       st.integers(-4, 4))
+def test_qrat_matches_sympy_cancel(x, z, op, solve, k):
     y = z
     if solve and (x if op is operator.mul else z):
         y = _SOLVE[op](x, z)
     for v in (x, y):
         _assert_canonical(v)
+    if k < 0 and x.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            x ** k
+    else:
+        power = x ** k
+        _assert_canonical(power)
+        assert sympy.cancel(_sym_qrat(power) - _sym_qrat(x) ** k) == 0
     if op is operator.truediv and y.is_zero():
         with pytest.raises(ZeroDivisionError):
             op(x, y)

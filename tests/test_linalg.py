@@ -22,7 +22,7 @@ def _golden_matrix(key):
 
 def test_generator_is_involution():
     s = parse_shape("2,1")
-    g = seminormal_generator(WeightScheme(AlgebraSpec("symmetric", 3), s), 2)
+    g = seminormal_generator(WeightScheme(AlgebraSpec("symmetric"), s), 2)
     assert matmul(g, g).is_identity()
 
 
@@ -48,7 +48,7 @@ def test_triangular_inverse_2x2():
 
 def test_triangular_inverse_16x16():
     s = parse_shape("3,2,1")
-    tm = transition_recursive(WeightScheme(AlgebraSpec("symmetric", 6), s))
+    tm = transition_recursive(WeightScheme(AlgebraSpec("symmetric"), s))
     inv = triangular_inverse(tm.matrix)
     assert matmul(tm.matrix, inv).is_identity()
     assert matmul(inv, tm.matrix).is_identity()
@@ -138,14 +138,14 @@ def test_field_and_dimension_mismatch():
 
 def test_json_round_trip():
     s = parse_shape("3,2")
-    tm = transition_recursive(WeightScheme(AlgebraSpec("symmetric", 5), s))
+    tm = transition_recursive(WeightScheme(AlgebraSpec("symmetric"), s))
     text = matrix_to_json(tm.matrix, s.to_str(), {"family": "symmetric"})
     back, shape_str, params = matrix_from_json(text, shape=s)
     assert shape_str == "3,2"
     assert params["family"] == "symmetric"
     assert back.to_rows() == tm.matrix.to_rows()
     # symbolic entries round-trip too
-    tmh = transition_recursive(WeightScheme(AlgebraSpec("hecke_A", 5), s))
+    tmh = transition_recursive(WeightScheme(AlgebraSpec("hecke_A"), s))
     text2 = matrix_to_json(tmh.matrix, s.to_str(), None)
     back2, _, _ = matrix_from_json(text2, shape=s)
     assert back2.to_rows() == tmh.matrix.to_rows()
@@ -153,7 +153,7 @@ def test_json_round_trip():
 
 def test_csv_has_word_header():
     s = parse_shape("2,1")
-    tm = transition_recursive(WeightScheme(AlgebraSpec("symmetric", 3), s))
+    tm = transition_recursive(WeightScheme(AlgebraSpec("symmetric"), s))
     text = matrix_to_csv(tm.matrix)
     lines = text.strip().split("\n")
     assert lines[0] == ",1 2 3,1 3 2"

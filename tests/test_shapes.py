@@ -180,7 +180,7 @@ def test_weighted_content_uses_page_weight():
     t = column_reading_tableau(s)
     v = t.entry(1, 2, 1)  # box (2,1) of the first component
     u1, u2 = F(2), F(3)
-    got = weighted_content(t, v, (u1, u2), None)
+    got = weighted_content(t, v, (u1, u2), QFIELD.q)
     assert got == QFIELD.coerce(u1) * QRat.q_power(-2)
     assert weighted_content(t, v, (u1, u2), F(5)) == u1 * F(1, 25)
 
@@ -199,13 +199,13 @@ def test_axial_weight_examples():
 def test_axial_weight_q_examples():
     s = parse_shape("2")
     c = column_reading_tableau(s)
-    assert q_axial_weight(c, 1, 2, (1,), None) == QRat.q_power(1)
+    assert q_axial_weight(c, 1, 2, (1,), QFIELD.q) == QRat.q_power(1)
     # complementary pair sums to q - q^{-1}
     s2 = parse_shape("3,2")
     for t in standard_tableaux(s2):
         for i in range(1, 5):
-            a = q_axial_weight(t, i, i + 1, (1,), None)
-            b = q_axial_weight(t, i + 1, i, (1,), None)
+            a = q_axial_weight(t, i, i + 1, (1,), QFIELD.q)
+            b = q_axial_weight(t, i + 1, i, (1,), QFIELD.q)
             assert a + b == QFIELD.q - QFIELD.q_inv
     # at q = 1: distinct page weights give 0 across components; equal
     # contents, or equal page weights across components, stay degenerate
@@ -278,8 +278,8 @@ def test_content_of_pair():
     c = column_reading_tableau(s)
     v = c.entry(1, 2, 1)
     assert c.content(v) == -1
-    assert weighted_content(c, v, (F(2), F(3))) \
+    assert weighted_content(c, v, (F(2), F(3)), QFIELD.q) \
         == QFIELD.coerce(2) * QRat.q_power(-2)
     v1 = c.entry(1, 1, 1)
     assert c.content(v1) == 0
-    assert weighted_content(c, v1, (1, 1)) == QFIELD.one
+    assert weighted_content(c, v1, (1, 1), QFIELD.q) == QFIELD.one

@@ -26,8 +26,8 @@ from youngbasis.transition import (bench_transition, check_structure,
 
 S32 = parse_shape("3,2")
 S321 = parse_shape("3,2,1")
-SPEC5 = AlgebraSpec("symmetric", 5)
-SPEC6 = AlgebraSpec("symmetric", 6)
+SPEC5 = AlgebraSpec("symmetric")
+SPEC6 = AlgebraSpec("symmetric")
 
 
 def _assert_matches_golden(tm, basis, rows, wrap=True):
@@ -71,7 +71,7 @@ def test_pathsum_column_c_is_unit():
 
 
 def test_pathsum_cap():
-    ws = WeightScheme(AlgebraSpec("symmetric", 8), shape_from_parts((4, 4)))
+    ws = WeightScheme(AlgebraSpec("symmetric"), shape_from_parts((4, 4)))
     with pytest.raises(PreconditionError):
         transition_pathsum(ws)
     tm = transition_pathsum(ws, n_cap=8)
@@ -121,7 +121,7 @@ def test_diagonal_closed_form_examples():
 
 
 def test_diagonal_closed_form_hecke():
-    ws = WeightScheme(AlgebraSpec("hecke_A", 5), S32)
+    ws = WeightScheme(AlgebraSpec("hecke_A"), S32)
     g = ws.graph
     tm = transition_recursive(ws)
     diag = diagonal_closed_form(ws)
@@ -138,7 +138,7 @@ def test_column_word_oracle():
     assert word.column(0) == {0: F(1)}
     s21 = parse_shape("2,1")
     t = Tableau(s21, [[(1, 2), (3,)]])
-    tw = transition_word(WeightScheme(AlgebraSpec("symmetric", 3), s21))
+    tw = transition_word(WeightScheme(AlgebraSpec("symmetric"), s21))
     col = tw.matrix.column(tw.graph.index[t.rows])
     assert col == {0: F(1, 2), 1: F(3, 2)}
     tm = transition_recursive(ws)
@@ -151,7 +151,7 @@ def test_triple_oracle_small_sweep():
               ["3,2", "2,2,1", "3,3,1/2,1", "4,2,1/1,1", "(2,1)|(1)"]]
     for shape in shapes:
         fam = "symmetric" if shape.r == 1 else "wreath_grn"
-        ws = WeightScheme(AlgebraSpec(fam, shape.n, r=shape.r), shape)
+        ws = WeightScheme(AlgebraSpec(fam), shape)
         tr_ = transition_recursive(ws)
         tp = transition_pathsum(ws)
         tw = transition_word(ws)
@@ -217,7 +217,7 @@ def test_path_independence_of_pathsum():
     rng = random.Random(2718)
     for text in ["3,2", "2,2,1", "3,3,1/2,1"]:
         shape = parse_shape(text)
-        ws = WeightScheme(AlgebraSpec("symmetric", shape.n), shape)
+        ws = WeightScheme(AlgebraSpec("symmetric"), shape)
         g = ws.graph
         base = shortest_paths_from(g, 0)
         perturbed = {}
@@ -237,13 +237,25 @@ def test_op_counter_within_bound():
     for text in ["3,2", "3,2,1", "3,3,1/2,1"]:
         shape = parse_shape(text)
         rec = bench_transition(
-            WeightScheme(AlgebraSpec("symmetric", shape.n), shape))
+            WeightScheme(AlgebraSpec("symmetric"), shape))
         assert rec["scalar_ops"] <= rec["op_bound"]
         assert rec["f"] == len(standard_tableaux(shape))
 
 
+def test_op_counts_are_exact():
+    # mults and adds as counted term by term inside the column update
+    for family, text, mults, adds in [
+            ("symmetric", "4,3,2,1", 139144, 22782),
+            ("symmetric", "5,4,3/2,1", 140018, 31262),
+            ("hecke_A", "4,3,2", 8494, 1276),
+            ("wreath_grn", "(3,2)|(2,1)", 2351, 0)]:
+        rec = bench_transition(
+            WeightScheme(AlgebraSpec(family), parse_shape(text)))
+        assert (rec["mults"], rec["adds"]) == (mults, adds), text
+
+
 def test_hecke_32_matches_golden_and_specializes():
-    spec = AlgebraSpec("hecke_A", 5)
+    spec = AlgebraSpec("hecke_A")
     tm = transition_recursive(WeightScheme(spec, S32))
     golden = hecke32_matrix()
     tabs = [Tableau(S32, [rows]) for rows in HECKE32_BASIS]
@@ -264,8 +276,8 @@ def test_hecke_32_matches_golden_and_specializes():
 
 def test_q_specialization_partitions_through_n5():
     for n in range(2, 6):
-        hspec = AlgebraSpec("hecke_A", n)
-        sspec = AlgebraSpec("symmetric", n)
+        hspec = AlgebraSpec("hecke_A")
+        sspec = AlgebraSpec("symmetric")
         for lam in all_partitions(n):
             shape = shape_from_parts(lam)
             g = BruhatGraph(shape)
@@ -288,7 +300,7 @@ def test_ariki_koike_rank2_golden_at_rational_points():
         if check_semisimple([cand[0], cand[1]], cand[2], 4):
             points.append(cand)
     for (u1, u2, q) in points:
-        spec = AlgebraSpec("ariki_koike", 4, r=2, q=q, u=(u1, u2))
+        spec = AlgebraSpec("ariki_koike", q=q, u=(u1, u2))
         tm = transition_recursive(WeightScheme(spec, shape))
         check_structure(tm)
         for i, rt in enumerate(H24_BASIS):
@@ -298,9 +310,9 @@ def test_ariki_koike_rank2_golden_at_rational_points():
 
 def test_ariki_koike_specializes_to_wreath_block_matrix():
     shape = parse_shape("(2,1)|(1)")
-    spec = AlgebraSpec("ariki_koike", 4, r=2, q=None, u=(1, -1))
+    spec = AlgebraSpec("ariki_koike", q=None, u=(1, -1))
     tm = transition_recursive(WeightScheme(spec, shape))
-    tg = grn_transition(shape)
+    tg = grn_transition(WeightScheme(AlgebraSpec("wreath_grn"), shape))
     for i, rt in enumerate(G24_BASIS):
         for j, ct in enumerate(G24_BASIS):
             want = F(G24_ROWS[i][j])
@@ -310,7 +322,7 @@ def test_ariki_koike_specializes_to_wreath_block_matrix():
 
 def test_grn_tensor_block_for_two_components():
     shape = parse_shape("(2,1)|(3,1)")
-    tm = grn_transition(shape)
+    tm = grn_transition(WeightScheme(AlgebraSpec("wreath_grn"), shape))
     assert tm.matrix.ncols == 210
     check_structure(tm)
     for i, rt in enumerate(TENSOR_BASIS):
@@ -325,36 +337,40 @@ def test_grn_tensor_block_for_two_components():
             rt2 = [shift(rt[0], 4), shift(rt[1], -3)]
             ct2 = [shift(ct[0], 4), shift(ct[1], -3)]
             assert tm.entry(rt2, ct2) == F(TENSOR_ROWS[i][j])
-    specw = AlgebraSpec("wreath_grn", 7, r=2)
+    specw = AlgebraSpec("wreath_grn")
     tr_ = transition_recursive(WeightScheme(specw, shape, g))
     assert tr_.matrix == tm.matrix
 
 
 def test_grn_trivial_components():
     shape = parse_shape("(1)|(1)")
-    tm = grn_transition(shape)
+    tm = grn_transition(WeightScheme(AlgebraSpec("wreath_grn"), shape))
     assert tm.matrix.is_identity()
     assert tm.matrix.ncols == 2
 
 
 def test_grn_rejects_skew():
     with pytest.raises(PreconditionError):
-        grn_transition(parse_shape("(2,1/1)|(1)"))
+        grn_transition(WeightScheme(AlgebraSpec("wreath_grn"),
+                                    parse_shape("(2,1/1)|(1)")))
+    with pytest.raises(PreconditionError, match="wreath transition"):
+        grn_transition(WeightScheme(AlgebraSpec("symmetric"),
+                                    parse_shape("2,1")))
 
 
 def test_intertwining_every_family():
     cases = [
-        (AlgebraSpec("symmetric", 5), S32, range(1, 5)),
-        (AlgebraSpec("hecke_A", 4), parse_shape("2,2"), range(1, 4)),
-        (AlgebraSpec("ariki_koike", 4, r=2, q=5, u=(2, 3)),
+        (AlgebraSpec("symmetric"), S32, range(1, 5)),
+        (AlgebraSpec("hecke_A"), parse_shape("2,2"), range(1, 4)),
+        (AlgebraSpec("ariki_koike", q=5, u=(2, 3)),
          parse_shape("(2,1)|(1)"), range(0, 4)),
-        (AlgebraSpec("wreath_grn", 4, r=2), parse_shape("(2,1)|(1)"),
+        (AlgebraSpec("wreath_grn"), parse_shape("(2,1)|(1)"),
          range(0, 4)),
-        (AlgebraSpec("affine_placed", 4), parse_shape("3,1"), range(1, 4)),
+        (AlgebraSpec("affine_placed"), parse_shape("3,1"), range(1, 4)),
     ]
     for n in range(2, 6):
         for lam in all_partitions(n):
-            cases.append((AlgebraSpec("symmetric", n), shape_from_parts(lam),
+            cases.append((AlgebraSpec("symmetric"), shape_from_parts(lam),
                           range(1, n)))
     for spec, shape, gens in cases:
         ws = WeightScheme(spec, shape)
@@ -374,7 +390,7 @@ def test_intertwining_every_family():
 
 def test_orthogonal_diag_squared_values():
     s21 = parse_shape("2,1")
-    spec = AlgebraSpec("symmetric", 3)
+    spec = AlgebraSpec("symmetric")
     d2 = orthogonal_diag_squared(WeightScheme(spec, s21))
     assert d2 == [F(1), F(3)]
 
@@ -383,7 +399,7 @@ def test_orthogonal_step_identity_squared():
     for text in ["3,2", "2,2,1", "3,3,1/2,1"]:
         shape = parse_shape(text)
         for fam in ("symmetric", "hecke_A"):
-            spec = AlgebraSpec(fam, shape.n)
+            spec = AlgebraSpec(fam)
             ws = WeightScheme(spec, shape)
             g = ws.graph
             d2 = orthogonal_diag_squared(ws)
@@ -400,7 +416,7 @@ def test_orthogonal_conjugated_generator_squares_to_identity_at_q1():
     # rescaled generators; verify the matrix identity entrywise in
     # squared form on a sample shape
     shape = parse_shape("2,2,1")
-    spec = AlgebraSpec("symmetric", 5)
+    spec = AlgebraSpec("symmetric")
     ws = WeightScheme(spec, shape)
     g = ws.graph
     d2 = orthogonal_diag_squared(ws)
@@ -420,7 +436,7 @@ def test_orthogonal_conjugated_generator_squares_to_identity_at_q1():
 
 def test_pathsum_word_recursive_agree_symbolic_ak():
     shape = parse_shape("(2,1)|(1)")
-    spec = AlgebraSpec("ariki_koike", 4, r=2, q=None, u=(2, 3))
+    spec = AlgebraSpec("ariki_koike", q=None, u=(2, 3))
     ws = WeightScheme(spec, shape)
     a = transition_recursive(ws)
     b = transition_pathsum(ws)
@@ -431,7 +447,7 @@ def test_pathsum_word_recursive_agree_symbolic_ak():
 
 def test_affine_placed_transition_uses_page_weights():
     shape = parse_shape("(2)|(1,1)@q^0,q^20")
-    spec = AlgebraSpec("affine_placed", 4)
+    spec = AlgebraSpec("affine_placed")
     ws = WeightScheme(spec, shape)
     a = transition_recursive(ws)
     b = transition_pathsum(ws)
