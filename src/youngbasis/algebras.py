@@ -30,6 +30,7 @@ in :mod:`transition`, takes the scheme alone.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
 from .bruhat import BruhatGraph
@@ -103,10 +104,10 @@ class AlgebraSpec:
             self.coefficient_q = Fraction(1)
         else:
             self.coefficient_q = QFIELD.q if self.q is None else self.q
-        if preset.u == "unit":
-            u = (1,)
-        elif preset.u in ("distinct", None):
-            u = ()
+        if preset.u in ("unit", "distinct", None):
+            if u is not None:
+                raise PreconditionError(f"{family} takes no parameters u")
+            u = (1,) if preset.u == "unit" else ()
         elif u is None:
             raise PreconditionError(f"{family} needs parameters u")
         self.u = tuple(x if isinstance(x, QRat) else Fraction(x) for x in u)
@@ -183,6 +184,7 @@ class WeightScheme:
         self._pair_cache = {}
         self._orth_cache = {}
         self._steps = {}
+        self._integer_steps = {}
         self._generators = {}
 
     def pair(self, t, i, j):
@@ -216,6 +218,16 @@ class WeightScheme:
                 move.append(None if target is None
                             else (self.move(t, label), target))
             cached = self._steps[label] = (stay, move)
+        return cached
+
+    def integer_steps(self, label):
+        """:func:`_scale_steps` of ``steps(label)``, for a rational
+        scheme.  Derived from ``steps`` on first use, so it reads the
+        same coefficients."""
+        cached = self._integer_steps.get(label)
+        if cached is None:
+            cached = self._integer_steps[label] = _scale_steps(
+                *self.steps(label))
         return cached
 
     def generator(self, label):
@@ -254,6 +266,18 @@ class WeightScheme:
         val = num * num / den
         self._orth_cache[key] = val
         return val
+
+
+def _scale_steps(stay, move):
+    """Rational step coefficients times L, the lcm of their denominators:
+    integer stays, (integer move, target) or None, and L."""
+    den = lcm(*(a.denominator for a in stay),
+              *(mv[0].denominator for mv in move if mv is not None))
+    return ([a.numerator * (den // a.denominator) for a in stay],
+            [None if mv is None else
+             (mv[0].numerator * (den // mv[0].denominator), mv[1])
+             for mv in move],
+            den)
 
 
 def seminormal_generator(ws, i):

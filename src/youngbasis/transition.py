@@ -15,6 +15,14 @@ Each route, and each diagonal, takes one
 :class:`~youngbasis.algebras.WeightScheme`, which holds the spec, the
 shape and its weak Bruhat graph.
 
+Over the rationals the recursion runs on integers: a column is one
+positive denominator and a dict of integer numerators, a step's
+coefficients are integers over their common denominator
+(``WeightScheme.integer_steps``), and each new column is divided by the
+gcd of its denominator and numerators.  Entries become ``Fraction``
+objects only when the matrix is built, one object per distinct value.
+Other fields run the same step on their own scalars.
+
 Also here: the closed-form diagonal, the squared orthogonal diagonal,
 and the wreath-product assembly by alphabets (direct sum of tensor
 products of per-component symmetric-group matrices).
@@ -24,12 +32,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
 from itertools import combinations
+from math import gcd
 from operator import le
 
 from .algebras import AlgebraSpec, WeightScheme, seminormal_generator
 from .bruhat import BruhatGraph, shortest_paths_from
 from .errors import InvariantError, PreconditionError
+from .fields import RATIONALS
 from .linalg import Matrix, direct_sum, tensor_product
 from .perms import sorted_prefixes
 # unused here; perfbench/selftest.py checks that tracing patches this alias
@@ -127,24 +138,66 @@ def _count_ops(counter, prev_col, stay, move):
                 counter.adds += 1
 
 
+def _rational_step(col, den, stay, move, scale):
+    """_push_column on integer numerators over the denominator den, with
+    integer coefficients over the denominator scale; returns the new
+    column and its denominator, divided by their gcd."""
+    out = _push_column(col, stay, move)
+    den *= scale
+    g = gcd(den, *out.values())
+    if g > 1:
+        out = {i: x // g for i, x in out.items()}
+        den //= g
+    return out, den
+
+
+def _fraction_columns(cols, dens):
+    """Integer columns over their denominators as Fraction columns;
+    equal values share one Fraction."""
+    memo = {}
+    out = []
+    for col, den in zip(cols, dens):
+        fcol = {}
+        for i, x in col.items():
+            g = gcd(x, den)
+            key = (x // g, den // g)
+            val = memo.get(key)
+            if val is None:
+                val = memo[key] = Fraction(*key)
+            fcol[i] = val
+        out.append(fcol)
+    return out
+
+
 def transition_recursive(ws, counter=None):
     """Transition matrix by the two-term column recursion.
 
     Columns are computed in depth order (the order of the graph's
     nodes); column C is e_C, and the column of T is obtained from the
     column of T' = s_l(T) (l the smallest label stepping down in weak
-    order) by the seminormal two-term rule.
+    order) by the seminormal two-term rule.  Over the rationals a column
+    is integer numerators over one denominator until the matrix is
+    built.
     """
     graph = ws.graph
     size = graph.size()
+    rational = ws.field is RATIONALS
     cols = [None] * size
-    cols[0] = {0: ws.field.one}
+    dens = [1] * size
+    cols[0] = {0: 1 if rational else ws.field.one}
     for v in range(1, size):
         u, label = graph.up_edges_into(v)[0]
-        stay, move = ws.steps(label)
-        cols[v] = _push_column(cols[u], stay, move)
+        if rational:
+            stay, move, scale = ws.integer_steps(label)
+            cols[v], dens[v] = _rational_step(cols[u], dens[u], stay, move,
+                                              scale)
+        else:
+            stay, move = ws.steps(label)
+            cols[v] = _push_column(cols[u], stay, move)
         if counter is not None:
             _count_ops(counter, cols[u], stay, move)
+    if rational:
+        cols = _fraction_columns(cols, dens)
     m = Matrix(size, size, ws.field, cols=cols, basis=graph.nodes)
     return TransitionMatrix(m, ws.spec, ws.shape, graph)
 

@@ -1,8 +1,8 @@
 from fractions import Fraction as F
-from itertools import product
 
 import pytest
 
+from walks import r_partitions
 from youngbasis.algebras import (AlgebraSpec, WeightScheme, _entry_witness,
                                  natural_generator, seminormal_generator,
                                  verify_relations, x_generator,
@@ -295,18 +295,12 @@ def test_hecke_A_at_q_one_is_symmetric():
                 == orthogonal_diag_squared(wsym)
 
 
-def _r_partitions(r, n):
-    for sizes in product(range(n + 1), repeat=r):
-        if sum(sizes) == n:
-            yield from product(*(all_partitions(k) for k in sizes))
-
-
 def test_ariki_koike_at_q_one_is_wreath():
     # the s_i do not see u at q = 1: cross-component coefficients vanish
     for u in ((2, 3), (2, 3, 4)):
         r = len(u)
         for n in range(1, 5):
-            for parts in _r_partitions(r, n):
+            for parts in r_partitions(r, n):
                 shape = shape_from_parts(*parts)
                 g = BruhatGraph(shape)
                 ak = AlgebraSpec("ariki_koike", q=1, u=u)
@@ -347,7 +341,7 @@ def test_symbolic_q_evaluates_to_rational_q(family, u, pages):
     r = 1 if family == "hecke_A" else 2
     compared = 0
     for n in range(1, 5):
-        for parts in _r_partitions(r, n):
+        for parts in r_partitions(r, n):
             shape = shape_from_parts(*parts)
             if pages is not None:
                 shape = Shape(shape.components, pages)

@@ -405,6 +405,19 @@ def test_former_tracebacks_exit_cleanly(capsys, argv, expected):
         assert json.loads(err)["error"] in ("parse", "precondition")
 
 
+@pytest.mark.parametrize("family, shape", [
+    ("symmetric", "2,1"), ("hecke_A", "2,1"), ("grn", "(2)|(1)"),
+    ("wreath_grn", "(2)|(1)"), ("affine_placed", "(2)|(1)@1,q^3"),
+])
+def test_u_rejected_where_the_family_takes_none(capsys, family, shape):
+    code, out, err = run_cli(capsys, "transition", "--family", family,
+                             "--shape", shape, "--u", "7")
+    assert (code, out) == (3, "")
+    diagnostic = json.loads(err)
+    assert diagnostic["error"] == "precondition"
+    assert "takes no parameters u" in diagnostic["message"]
+
+
 # ---------------------------------------------------------------------------
 # fuzzing the CLI contract: exit 0, or 2/3/4 with one JSON line on stderr
 # ---------------------------------------------------------------------------

@@ -1,14 +1,16 @@
 import random
 import re
 from fractions import Fraction as F
+from math import gcd, lcm
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from golden import (G24_BASIS, G24_ROWS, H24_BASIS, HECKE32_BASIS,
                     SYMMETRIC_GOLDEN, T321, TENSOR_BASIS, TENSOR_ROWS,
                     a321_entries, h24_entry, hecke32_matrix)
-from walks import keep_skip_walks, walk_weight
-from youngbasis.algebras import (AlgebraSpec, WeightScheme,
+from walks import keep_skip_walks, r_partitions, walk_weight
+from youngbasis.algebras import (AlgebraSpec, WeightScheme, _scale_steps,
                                  natural_generator, seminormal_generator)
 from youngbasis.bruhat import (BruhatGraph, Path, shortest_path,
                                shortest_paths_from)
@@ -16,9 +18,10 @@ from youngbasis.errors import InvariantError, PreconditionError
 from youngbasis.fields import QFIELD, evaluate_q
 from youngbasis.linalg import matmul
 from youngbasis.perms import bruhat_leq
-from youngbasis.shapes import (Tableau, all_partitions, parse_shape,
+from youngbasis.shapes import (Shape, Tableau, all_partitions, parse_shape,
                                shape_from_parts, standard_tableaux)
-from youngbasis.transition import (bench_transition, check_structure,
+from youngbasis.transition import (_push_column, _rational_step,
+                                   bench_transition, check_structure,
                                    diagonal_closed_form, grn_transition,
                                    orthogonal_diag_squared,
                                    transition_pathsum, transition_recursive,
@@ -168,6 +171,68 @@ def test_word_oracle_catches_a_coefficient_the_recursion_shares():
     b, target = move[2]
     move[2] = (b + 1, target)
     assert transition_word(ws).matrix != transition_recursive(ws).matrix
+    clean = transition_recursive(WeightScheme(SPEC6, S321)).matrix
+    assert transition_recursive(ws).matrix != clean
+
+
+_COEFFS = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@st.composite
+def _step_cases(draw):
+    """A sparse rational column over `size` rows and 1-3 steps to apply
+    to it: per-row stays (often 0) and moves (None or a nonzero
+    coefficient and a target row)."""
+    size = draw(st.integers(1, 8))
+    rows = st.integers(0, size - 1)
+    col = draw(st.dictionaries(rows, _COEFFS.filter(bool), min_size=1))
+    steps = draw(st.lists(st.tuples(
+        st.lists(_COEFFS | st.just(F(0)), min_size=size, max_size=size),
+        st.lists(st.none() | st.tuples(_COEFFS.filter(bool), rows),
+                 min_size=size, max_size=size)), min_size=1, max_size=3))
+    return col, steps
+
+
+# the two terms of row 0 cancel, and then nothing is left
+@example(({0: F(1), 1: F(1)},
+          [([F(1, 2), F(0)], [None, (F(-1, 2), 0)])]))
+@settings(max_examples=300, deadline=None)
+@given(_step_cases())
+def test_integer_step_matches_fraction_step(case):
+    col, steps = case
+    den = lcm(*(x.denominator for x in col.values()))
+    ints = {i: int(x * den) for i, x in col.items()}
+    for stay, move in steps:
+        ints, den = _rational_step(ints, den, *_scale_steps(stay, move))
+        col = _push_column(col, stay, move)
+        assert den > 0
+        assert gcd(den, *ints.values()) == 1
+        assert {i: F(x, den) for i, x in ints.items()} == col
+
+
+_PLACED = parse_shape("(1)|(1)@1,q^3").weights
+
+
+@pytest.mark.parametrize("family, kwargs, r", [
+    ("hecke_A", {"q": 5}, 1),
+    ("hecke_B", {"q": 5, "u": (2, F(1, 2))}, 2),
+    ("ariki_koike", {"q": 7, "u": (2, 3)}, 2),
+    ("affine_placed", {"q": 5}, 2),
+    ("wreath_grn", {}, 2),
+])
+def test_integer_recursion_matches_word_for_rational_q(family, kwargs, r):
+    spec = AlgebraSpec(family, **kwargs)
+    for n in range(1, 5):
+        for parts in r_partitions(r, n):
+            shape = shape_from_parts(*parts)
+            if family == "affine_placed":
+                shape = Shape(shape.components, _PLACED)
+            ws = WeightScheme(spec, shape)
+            tm = transition_recursive(ws)
+            assert tm.matrix == transition_word(ws).matrix, shape.to_str()
+            # linalg.string_rows keys its memo on Fraction values
+            assert all(type(v) is F for col in tm.matrix.cols
+                       for v in col.values())
 
 
 def _corrupt_321(edit):

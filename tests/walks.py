@@ -1,7 +1,17 @@
-"""Brute-force keep/skip walks along a path of the weak Bruhat graph: an
-oracle for the depth-first subpath enumeration of ``transition_pathsum``."""
+"""Brute-force enumerations shared by the tests: keep/skip walks along a
+path of the weak Bruhat graph (an oracle for the depth-first subpath
+enumeration of ``transition_pathsum``), and r-partitions of n."""
 
 from itertools import product
+
+from youngbasis.shapes import all_partitions
+
+
+def r_partitions(r, n):
+    """Every r-tuple of partitions with n boxes in all."""
+    for sizes in product(range(n + 1), repeat=r):
+        if sum(sizes) == n:
+            yield from product(*(all_partitions(k) for k in sizes))
 
 
 def keep_skip_walks(graph, path):
