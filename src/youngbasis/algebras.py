@@ -25,19 +25,29 @@ weights into scalars of one coefficient field (rational, or rational
 functions of a symbolic q), so every coefficient below is plain field
 arithmetic.  Every generator and relation check here, and every route
 in :mod:`transition`, takes the scheme alone.
+
+:func:`verify_relations` takes each matrix M as a pair (S, L) with
+M = S / L.  Over the rationals S is the int matrix L·M and L the lcm of
+M's denominators, so the relation products run on Python integers;
+over the other fields S = M and L = 1.  The scalars q - 1/q and u_k of
+the quadratic and cyclotomic relations split the same way into an int
+numerator and denominator.  A product of pairs multiplies the S and
+the L; the side of a relation with fewer factors of L is
+multiplied up to the other's before the two are compared, and a
+failing relation divides its witness entry by the common factor.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .bruhat import BruhatGraph
 from .errors import (DegenerateWeightError, NonSemisimpleError,
                      PreconditionError)
-from .fields import (QFIELD, Cyclo, CyclotomicField, QRat, check_semisimple,
-                     evaluate_q, field_of)
+from .fields import (QFIELD, RATIONALS, Cyclo, CyclotomicField, QRat,
+                     check_semisimple, evaluate_q, field_of)
 from .linalg import Matrix, matmul
 from .weights import q_axial_weight, weighted_content
 
@@ -137,8 +147,10 @@ class AlgebraSpec:
         # at q = 1 with fixed, distinct u the check cannot fail
         if self.preset.q == "free" and not check_semisimple(
                 list(self.u), self.coefficient_q, shape.n):
-            raise NonSemisimpleError(f"parameters u={self.u} q={self.q} "
-                                     f"are not semisimple for n={shape.n}")
+            u = ",".join(map(str, self.u))
+            q = "sym" if self.q is None else self.q
+            raise NonSemisimpleError(f"parameters u={u} q={q} are not "
+                                     f"semisimple for n={shape.n}")
 
     def __repr__(self):
         return (f"AlgebraSpec({self.family!r}, "
@@ -186,6 +198,9 @@ class WeightScheme:
         self._steps = {}
         self._integer_steps = {}
         self._generators = {}
+        # one Fraction per reduced (numerator, denominator) for every
+        # rational matrix built on this scheme
+        self._fractions = {}
 
     def pair(self, t, i, j):
         """The (i, j) axial coefficient in the active field."""
@@ -352,94 +367,150 @@ def natural_generator(ws, i, transition=None):
 # defining relations
 # ---------------------------------------------------------------------------
 
-def _entry_witness(m):
+def integral_pair(m):
+    """m as a pair (S, L) with m = S / L.  Over the rationals S holds the
+    int entries of L·m, L the lcm of m's denominators; other fields keep
+    S = m and L = 1."""
+    if m.field is not RATIONALS:
+        return m, 1
+    den = lcm(*(v.denominator for col in m.cols for v in col.values()))
+    cols = [{i: v.numerator * (den // v.denominator) for i, v in col.items()}
+            for col in m.cols]
+    return Matrix(m.nrows, m.ncols, m.field, cols=cols), den
+
+
+def _scalar_pair(x, field):
+    """A scalar as (numerator, denominator): ints over the rationals,
+    (x, 1) on other fields."""
+    return (x.numerator, x.denominator) if field is RATIONALS else (x, 1)
+
+
+def _chain(*pairs):
+    """The product of (S, L) pairs, as one pair."""
+    m, den = pairs[0]
+    for s, d in pairs[1:]:
+        m = matmul(m, s)
+        den *= d
+    return m, den
+
+
+def _times(m, k):
+    return m if k == 1 else m.scale(k)
+
+
+def _entry_witness(m, den=1):
+    """The first nonzero entry of m / den, column by column."""
     for j, col in enumerate(m.cols):
         for i, v in sorted(col.items()):
+            if den != 1:
+                v = Fraction(v, den)
             return {"row": i, "col": j, "value": m.field.to_str(v)}
     return None
 
 
 def _record(report, name, lhs, rhs=None):
-    """Check lhs == rhs (rhs None: lhs == 0); a failure carries the first
-    nonzero entry of lhs - rhs as its witness."""
-    ok = lhs.is_zero() if rhs is None else lhs == rhs
+    """Check lhs == rhs for (S, L) pairs (rhs None: lhs == 0).  The side
+    with fewer factors of L is multiplied up to the other's; a failure
+    carries the first nonzero entry of lhs - rhs as its witness, the
+    scaled difference divided by the common factor."""
+    a, den = lhs
+    if rhs is None:
+        ok = a.is_zero()
+    else:
+        b, d = rhs
+        g = gcd(den, d)
+        a, b = _times(a, d // g), _times(b, den // g)
+        den = den // g * d
+        ok = a == b
     item = {"relation": name, "status": "pass" if ok else "fail"}
     if not ok:
-        item["witness"] = _entry_witness(lhs if rhs is None else lhs - rhs)
+        item["witness"] = _entry_witness(a if rhs is None else a - b, den)
     report.append(item)
     return ok
 
 
 def verify_relations(ws):
     """Check every defining relation of the family as an exact matrix
-    identity; returns a list of {relation, status[, witness]} dicts."""
+    identity; returns a list of {relation, status[, witness]} dicts.
+
+    Every generator enters as a pair (S, L) of :func:`integral_pair`, so over
+    the rationals the products run on int matrices."""
     size, n, r = ws.graph.size(), ws.shape.n, ws.shape.r
     preset = ws.spec.preset
     report = []
-    gens = {i: seminormal_generator(ws, i) for i in range(1, n)}
+    gens = {i: integral_pair(seminormal_generator(ws, i))
+            for i in range(1, n)}
     field = ws.field
-    ident = Matrix.identity(size, field)
+    eye = integral_pair(Matrix.identity(size, field))[0]
     # T_i^2 = (q - q^-1) T_i + 1, an involution at q = 1
     coeff = ws.q - 1 / ws.q
+    c, d = _scalar_pair(coeff, field)
 
     for i in range(1, n):
         for j in range(i + 2, n):
             _record(report, f"commute s{i} s{j}",
-                    matmul(gens[i], gens[j]), matmul(gens[j], gens[i]))
+                    _chain(gens[i], gens[j]), _chain(gens[j], gens[i]))
     for i in range(1, n - 1):
-        lhs = matmul(matmul(gens[i], gens[i + 1]), gens[i])
-        rhs = matmul(matmul(gens[i + 1], gens[i]), gens[i + 1])
+        lhs = _chain(gens[i], gens[i + 1], gens[i])
+        rhs = _chain(gens[i + 1], gens[i], gens[i + 1])
         _record(report, f"braid s{i} s{i+1}", lhs, rhs)
     for i in range(1, n):
-        rhs = ident + gens[i].scale(coeff) if coeff else ident
+        s, den = gens[i]
+        # I + (c / d) S / L = (d L I + c S) / (d L)
+        rhs = ((_times(eye, d * den) + s.scale(c), d * den) if coeff
+               else (eye, 1))
         name = "quadratic T" if preset.prefix == "T" else "involution s"
-        _record(report, f"{name}{i}", matmul(gens[i], gens[i]), rhs)
+        _record(report, f"{name}{i}", _chain(gens[i], gens[i]), rhs)
 
     if preset.zeroth in ("u", "xi") and n >= 1:
-        t0 = zeroth_generator(ws)
-        if t0.field != field:
+        zeroth = zeroth_generator(ws)
+        t0 = integral_pair(zeroth)
+        if zeroth.field != field:
             # wreath: lift the rational s_i into the cyclotomic field
-            lift = {i: g.coerce_field(t0.field) for i, g in gens.items()}
-            ident0 = Matrix.identity(size, t0.field)
+            lift = {i: (seminormal_generator(ws, i).coerce_field(
+                zeroth.field), 1) for i in gens}
+            eye0 = Matrix.identity(size, zeroth.field)
         else:
             lift = gens
-            ident0 = ident
+            eye0 = eye
         if n >= 2:
             g1 = lift[1]
-            lhs = matmul(matmul(matmul(t0, g1), t0), g1)
-            rhs = matmul(matmul(matmul(g1, t0), g1), t0)
-            _record(report, "braid T0 T1 T0 T1", lhs, rhs)
+            _record(report, "braid T0 T1 T0 T1", _chain(t0, g1, t0, g1),
+                    _chain(g1, t0, g1, t0))
         for i in range(2, n):
             _record(report, f"commute T0 s{i}",
-                    matmul(t0, lift[i]), matmul(lift[i], t0))
+                    _chain(t0, lift[i]), _chain(lift[i], t0))
         if preset.zeroth == "xi":
-            acc = ident0
-            for _ in range(r):
-                acc = matmul(acc, t0)
-            _record(report, f"order s0^{r} = 1", acc, ident0)
+            _record(report, f"order s0^{r} = 1", _chain(*[t0] * r), (eye0, 1))
         else:
-            acc = ident0
+            # T0 - a / b = (b S0 - a L0 I) / (b L0)
+            s0, den0 = t0
+            factors = []
             for uk in ws.weights:
-                acc = matmul(acc, t0 - ident0.scale(uk))
-            _record(report, "cyclotomic prod (T0 - u_k) = 0", acc)
+                a, b = _scalar_pair(uk, zeroth.field)
+                factors.append((_times(s0, b) - eye0.scale(a * den0),
+                                b * den0))
+            _record(report, "cyclotomic prod (T0 - u_k) = 0",
+                    _chain(*factors))
 
     if preset.zeroth == "x1":
-        xs = {i: x_generator(ws, i) for i in range(1, n + 1)}
+        xs = {i: integral_pair(x_generator(ws, i))
+              for i in range(1, n + 1)}
         for i in range(1, n):
             for j in range(1, n + 1):
                 if abs(i - j) > 1:
                     _record(report, f"commute T{i} X{j}",
-                            matmul(gens[i], xs[j]), matmul(xs[j], gens[i]))
+                            _chain(gens[i], xs[j]), _chain(xs[j], gens[i]))
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
                 _record(report, f"commute X{i} X{j}",
-                        matmul(xs[i], xs[j]), matmul(xs[j], xs[i]))
+                        _chain(xs[i], xs[j]), _chain(xs[j], xs[i]))
         if n >= 2:
-            lhs = matmul(matmul(matmul(xs[1], gens[1]), xs[1]), gens[1])
-            rhs = matmul(matmul(matmul(gens[1], xs[1]), gens[1]), xs[1])
-            _record(report, "mixed braid X1 T1 X1 T1", lhs, rhs)
+            _record(report, "mixed braid X1 T1 X1 T1",
+                    _chain(xs[1], gens[1], xs[1], gens[1]),
+                    _chain(gens[1], xs[1], gens[1], xs[1]))
         for i in range(1, n):
             _record(report, f"X{i+1} = T{i} X{i} T{i}",
-                    xs[i + 1], matmul(matmul(gens[i], xs[i]), gens[i]))
+                    xs[i + 1], _chain(gens[i], xs[i], gens[i]))
 
     return report

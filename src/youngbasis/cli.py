@@ -113,8 +113,12 @@ def make_scheme(args, shape=None):
 
 def _emit(args, text):
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise PreconditionError(
+                f"cannot write {args.out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 

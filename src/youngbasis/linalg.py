@@ -104,7 +104,10 @@ class Matrix:
         return out
 
     def scale(self, s):
-        s = self.field.coerce(s)
+        """Every entry times s; an int s is applied as is, so int
+        entries stay ints."""
+        if not isinstance(s, int):
+            s = self.field.coerce(s)
         out = Matrix(self.nrows, self.ncols, self.field, basis=self.basis)
         for j, col in enumerate(self.cols):
             for i, v in col.items():
@@ -144,7 +147,11 @@ class Matrix:
             if len(a) != len(b):
                 return False
             for i, v in a.items():
-                if i not in b or not b[i] == v:
+                if i not in b:
+                    return False
+                w = b[i]
+                # one scalar object is equal to itself
+                if w is not v and not w == v:
                     return False
         return True
 

@@ -15,13 +15,20 @@ Each route, and each diagonal, takes one
 :class:`~youngbasis.algebras.WeightScheme`, which holds the spec, the
 shape and its weak Bruhat graph.
 
-Over the rationals the recursion runs on integers: a column is one
-positive denominator and a dict of integer numerators, a step's
-coefficients are integers over their common denominator
-(``WeightScheme.integer_steps``), and each new column is divided by the
-gcd of its denominator and numerators.  Entries become ``Fraction``
-objects only when the matrix is built, one object per distinct value.
-Other fields run the same step on their own scalars.
+Over the rationals every route runs on integers.  In the recursion and
+the path-sum route a step's coefficients are integers over their common
+denominator (``WeightScheme.integer_steps``); the word route applies
+the integer generator matrices of
+:func:`~youngbasis.algebras.integral_pair`, each L times the
+seminormal matrix, so it does not share that scaling.  In the recursion
+and the word route a column is one positive denominator and a dict of
+integer numerators, and each new column is divided by the gcd of its
+denominator and numerators.  The path-sum route multiplies integer
+weights along each subpath; a column's denominator is the product of
+the scales of its path's labels.  Entries become ``Fraction`` objects
+only when a matrix is built, one object per distinct value across the
+scheme's matrices, so equal entries of two routes are one object.
+Other fields run the same code on their own scalars.
 
 Also here: the closed-form diagonal, the squared orthogonal diagonal,
 and the wreath-product assembly by alphabets (direct sum of tensor
@@ -34,10 +41,11 @@ import time
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, prod
 from operator import le
 
-from .algebras import AlgebraSpec, WeightScheme, seminormal_generator
+from .algebras import (AlgebraSpec, WeightScheme, integral_pair,
+                       seminormal_generator)
 from .bruhat import BruhatGraph, shortest_paths_from
 from .errors import InvariantError, PreconditionError
 from .fields import RATIONALS
@@ -142,19 +150,23 @@ def _rational_step(col, den, stay, move, scale):
     """_push_column on integer numerators over the denominator den, with
     integer coefficients over the denominator scale; returns the new
     column and its denominator, divided by their gcd."""
-    out = _push_column(col, stay, move)
-    den *= scale
-    g = gcd(den, *out.values())
+    return _lowest_terms(_push_column(col, stay, move), den * scale)
+
+
+def _lowest_terms(col, den):
+    """An integer column over den, both divided by their gcd."""
+    g = gcd(den, *col.values())
     if g > 1:
-        out = {i: x // g for i, x in out.items()}
+        col = {i: x // g for i, x in col.items()}
         den //= g
-    return out, den
+    return col, den
 
 
-def _fraction_columns(cols, dens):
+def _fraction_columns(ws, cols, dens):
     """Integer columns over their denominators as Fraction columns;
-    equal values share one Fraction."""
-    memo = {}
+    equal values share one Fraction across every matrix of the scheme
+    ws, so routes that agree hold the same objects."""
+    memo = ws._fractions
     out = []
     for col, den in zip(cols, dens):
         fcol = {}
@@ -197,7 +209,7 @@ def transition_recursive(ws, counter=None):
         if counter is not None:
             _count_ops(counter, cols[u], stay, move)
     if rational:
-        cols = _fraction_columns(cols, dens)
+        cols = _fraction_columns(ws, cols, dens)
     m = Matrix(size, size, ws.field, cols=cols, basis=graph.nodes)
     return TransitionMatrix(m, ws.spec, ws.shape, graph)
 
@@ -209,7 +221,9 @@ def transition_pathsum(ws, paths=None, n_cap=PATHSUM_DEFAULT_CAP):
     label kept or replaced by the identity, all visited tableaux
     standard) contributes the product of its step weights to the row of
     its terminal node.  Exponential in the depth; refuses shapes with
-    n > n_cap unless the cap is raised.
+    n > n_cap unless the cap is raised.  Over the rationals the weights
+    are the integers of ``WeightScheme.integer_steps``, and a column's
+    denominator is the product of its path's scales.
     """
     if ws.shape.n > n_cap:
         raise PreconditionError(
@@ -218,12 +232,19 @@ def transition_pathsum(ws, paths=None, n_cap=PATHSUM_DEFAULT_CAP):
     if paths is None:
         paths = shortest_paths_from(graph, 0)
     size = graph.size()
-    m = Matrix(size, size, ws.field, basis=graph.nodes)
-    one = ws.field.one
+    rational = ws.field is RATIONALS
+    one = 1 if rational else ws.field.one
+    cols = []
+    dens = []
     for v in range(size):
-        path = paths[v]
+        labels = paths[v].labels
+        if rational:
+            scaled = [ws.integer_steps(i) for i in labels]
+            steps = [(stay, move) for stay, move, _ in scaled]
+            dens.append(prod(scale for _, _, scale in scaled))
+        else:
+            steps = [ws.steps(i) for i in labels]
         bucket = {}
-        steps = [ws.steps(i) for i in path.labels]
 
         def dfs(j, node, weight):
             if j == len(steps):
@@ -239,7 +260,10 @@ def transition_pathsum(ws, paths=None, n_cap=PATHSUM_DEFAULT_CAP):
                 dfs(j + 1, mv[1], weight * mv[0])
 
         dfs(0, 0, one)
-        m.cols[v] = {i: w for i, w in bucket.items() if w}
+        cols.append({i: w for i, w in bucket.items() if w})
+    if rational:
+        cols = _fraction_columns(ws, cols, dens)
+    m = Matrix(size, size, ws.field, cols=cols, basis=graph.nodes)
     return TransitionMatrix(m, ws.spec, ws.shape, graph)
 
 
@@ -250,15 +274,27 @@ def transition_word(ws):
     from T, where the recursion uses the smallest, so the two routes
     read different coefficients wherever T has two or more down edges.
     These words are prefix-closed: each column is one generator applied
-    to the column of a node one level lower."""
+    to the column of a node one level lower.  Over the rationals the
+    generator is its integer matrix S over L (:func:`integral_pair`),
+    and a column is integer numerators over one denominator until the
+    matrix is built."""
     graph = ws.graph
-    gens = {i: seminormal_generator(ws, i) for i in range(1, ws.shape.n)}
     size = graph.size()
-    m = Matrix(size, size, ws.field, basis=graph.nodes)
-    m.cols[0] = {0: ws.field.one}
+    rational = ws.field is RATIONALS
+    gens = {i: integral_pair(seminormal_generator(ws, i))
+            for i in range(1, ws.shape.n)}
+    cols = [None] * size
+    dens = [1] * size
+    cols[0] = {0: 1 if rational else ws.field.one}
     for v in range(1, size):
         u, label = graph.up_edges_into(v)[-1]
-        m.cols[v] = gens[label].apply(m.cols[u])
+        s, scale = gens[label]
+        cols[v] = s.apply(cols[u])
+        if rational:
+            cols[v], dens[v] = _lowest_terms(cols[v], dens[u] * scale)
+    if rational:
+        cols = _fraction_columns(ws, cols, dens)
+    m = Matrix(size, size, ws.field, cols=cols, basis=graph.nodes)
     return TransitionMatrix(m, ws.spec, ws.shape, graph)
 
 

@@ -190,6 +190,9 @@ def test_alphabetizer_acts_by_relabeling():
     ("wreath_grn", "(2,1)|(1)", {}),
     ("wreath_grn", "(1)|(1)|(2)", {}),
     ("affine_placed", "3,1", {}),
+    # rational q and a u_k with denominator 2: the cyclotomic relation
+    # runs on integer matrices over b·L_0
+    ("hecke_B", "(2,1)|(1)", {"q": F(5), "u": (F(2), F(1, 2))}),
 ])
 def test_verify_relations_pass(family, shape_text, kwargs):
     shape = parse_shape(shape_text)
@@ -233,6 +236,46 @@ def test_verify_relations_reports_a_corrupted_generator():
     }
     failing = {name for name, diff in diffs.items() if not diff.is_zero()}
     assert failing >= {"quadratic T1", "braid s1 s2", "commute s1 s4"}
+    for name in failing:
+        assert report[name]["status"] == "fail"
+        assert report[name]["witness"] == _entry_witness(diffs[name])
+    passing = {name for name, r in report.items() if r["status"] == "pass"}
+    assert passing == set(report) - failing
+
+
+@pytest.mark.parametrize("family, text, label, delta, must_fail", [
+    # symbolic q: every generator enters with L = 1
+    ("hecke_A", "3,2", 1, 1, {"quadratic T1", "braid s1 s2"}),
+    # L_4 = L_5 = 4, and 1/7 changes the denominator of T_4
+    ("symmetric", "3,2,1", 4, F(1, 7), {"involution s4", "braid s4 s5"}),
+])
+def test_verify_relations_witnesses_survive_scaling(family, text, label,
+                                                    delta, must_fail):
+    # over the rationals each relation runs on L-scaled integer matrices;
+    # its witness must still be the first nonzero entry of lhs - rhs
+    ws = WeightScheme(AlgebraSpec(family), parse_shape(text))
+    n = ws.shape.n
+    gens = {i: seminormal_generator(ws, i) for i in range(1, n)}
+    col = gens[label].cols[2]
+    row = min(col)
+    col[row] = col[row] + delta
+    report = {r["relation"]: r for r in verify_relations(ws)}
+    coeff = ws.q - 1 / ws.q
+    ident = Matrix.identity(ws.graph.size(), ws.field)
+    square = "quadratic T" if family == "hecke_A" else "involution s"
+    diffs = {f"{square}{i}": matmul(gens[i], gens[i]) - ident
+             - gens[i].scale(coeff) for i in range(1, n)}
+    for i in range(1, n):
+        for j in range(i + 2, n):
+            diffs[f"commute s{i} s{j}"] = (matmul(gens[i], gens[j])
+                                           - matmul(gens[j], gens[i]))
+    for i in range(1, n - 1):
+        diffs[f"braid s{i} s{i+1}"] = (
+            matmul(matmul(gens[i], gens[i + 1]), gens[i])
+            - matmul(matmul(gens[i + 1], gens[i]), gens[i + 1]))
+    assert set(report) == set(diffs)
+    failing = {name for name, diff in diffs.items() if not diff.is_zero()}
+    assert failing >= must_fail
     for name in failing:
         assert report[name]["status"] == "fail"
         assert report[name]["witness"] == _entry_witness(diffs[name])

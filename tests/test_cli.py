@@ -328,6 +328,30 @@ def test_out_file(tmp_path, capsys):
     assert obj["shape"] == "2,1"
 
 
+def test_out_to_a_missing_directory_exits_3(tmp_path, capsys):
+    target = tmp_path / "missing" / "a.json"
+    code, out, err = run_cli(capsys, "transition", "--shape", "2,1",
+                             "--out", str(target))
+    assert code == 3 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "precondition"
+    assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("seminormal --shape (1)|(1) --family ariki_koike --u 2,2",
+     "parameters u=2,2 q=sym are not semisimple for n=2"),
+    ("transition --shape (2,1)|(1) --family ariki_koike --u 1,4 --q 2",
+     "parameters u=1,4 q=2 are not semisimple for n=4"),
+])
+def test_non_semisimple_diagnostic_spells_parameters_as_given(
+        capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv.split(" "))
+    assert code == 3 and out == ""
+    assert json.loads(err) == {"error": "precondition", "message": message}
+
+
 def test_exit_code_4_on_verification_failure(capsys, monkeypatch):
     import youngbasis.cli as cli_mod
 

@@ -213,6 +213,16 @@ def test_integer_step_matches_fraction_step(case):
 _PLACED = parse_shape("(1)|(1)@1,q^3").weights
 
 
+def _fraction_word_columns(ws):
+    """The word route's columns from the Fraction generator matrices."""
+    graph = ws.graph
+    cols = [{0: F(1)}]
+    for v in range(1, graph.size()):
+        u, label = graph.up_edges_into(v)[-1]
+        cols.append(ws.generator(label).apply(cols[u]))
+    return cols
+
+
 @pytest.mark.parametrize("family, kwargs, r", [
     ("hecke_A", {"q": 5}, 1),
     ("hecke_B", {"q": 5, "u": (2, F(1, 2))}, 2),
@@ -228,10 +238,13 @@ def test_integer_recursion_matches_word_for_rational_q(family, kwargs, r):
             if family == "affine_placed":
                 shape = Shape(shape.components, _PLACED)
             ws = WeightScheme(spec, shape)
-            tm = transition_recursive(ws)
-            assert tm.matrix == transition_word(ws).matrix, shape.to_str()
+            routes = [route(ws).matrix for route in
+                      (transition_recursive, transition_word,
+                       transition_pathsum)]
+            assert routes[0] == routes[1] == routes[2], shape.to_str()
+            assert routes[0].cols == _fraction_word_columns(ws)
             # linalg.string_rows keys its memo on Fraction values
-            assert all(type(v) is F for col in tm.matrix.cols
+            assert all(type(v) is F for m in routes for col in m.cols
                        for v in col.values())
 
 
