@@ -27,14 +27,13 @@ arithmetic.  Every generator and relation check here, and every route
 in :mod:`transition`, takes the scheme alone.
 
 :func:`verify_relations` takes each matrix M as a pair (S, L) with
-M = S / L.  Over the rationals S is the int matrix L·M and L the lcm of
-M's denominators, so the relation products run on Python integers;
-over the other fields S = M and L = 1.  The scalars q - 1/q and u_k of
-the quadratic and cyclotomic relations split the same way into an int
-numerator and denominator.  A product of pairs multiplies the S and
-the L; the side of a relation with fewer factors of L is
-multiplied up to the other's before the two are compared, and a
-failing relation divides its witness entry by the common factor.
+M = S / L, L the lcm of the denominators the field's ``split`` gives
+M's entries: an int matrix S over the rationals, M's own entries over
+L = 1 elsewhere.  The scalars of the quadratic and cyclotomic relations
+split the same way.  A product of pairs multiplies the S and the L;
+the side of a relation with fewer factors of L is multiplied up to the
+other's before the two are compared, and a failing relation divides its
+witness entry by the common factor.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from typing import NamedTuple
 from .bruhat import BruhatGraph
 from .errors import (DegenerateWeightError, NonSemisimpleError,
                      PreconditionError)
-from .fields import (QFIELD, RATIONALS, Cyclo, CyclotomicField, QRat,
+from .fields import (QFIELD, Cyclo, CyclotomicField, QRat,
                      check_semisimple, evaluate_q, field_of)
 from .linalg import Matrix, matmul
 from .weights import q_axial_weight, weighted_content
@@ -196,7 +195,7 @@ class WeightScheme:
         self._pair_cache = {}
         self._orth_cache = {}
         self._steps = {}
-        self._integer_steps = {}
+        self._scaled_steps = {}
         self._generators = {}
         # one Fraction per reduced (numerator, denominator) for every
         # rational matrix built on this scheme
@@ -235,14 +234,13 @@ class WeightScheme:
             cached = self._steps[label] = (stay, move)
         return cached
 
-    def integer_steps(self, label):
-        """:func:`_scale_steps` of ``steps(label)``, for a rational
-        scheme.  Derived from ``steps`` on first use, so it reads the
-        same coefficients."""
-        cached = self._integer_steps.get(label)
+    def scaled_steps(self, label):
+        """:func:`_scale_steps` of ``steps(label)``.  Derived from
+        ``steps`` on first use, so it reads the same coefficients."""
+        cached = self._scaled_steps.get(label)
         if cached is None:
-            cached = self._integer_steps[label] = _scale_steps(
-                *self.steps(label))
+            cached = self._scaled_steps[label] = _scale_steps(
+                self.field.split, *self.steps(label))
         return cached
 
     def generator(self, label):
@@ -283,14 +281,17 @@ class WeightScheme:
         return val
 
 
-def _scale_steps(stay, move):
-    """Rational step coefficients times L, the lcm of their denominators:
-    integer stays, (integer move, target) or None, and L."""
-    den = lcm(*(a.denominator for a in stay),
-              *(mv[0].denominator for mv in move if mv is not None))
-    return ([a.numerator * (den // a.denominator) for a in stay],
+def _scale_steps(split, stay, move):
+    """Step coefficients times L, the lcm of their ``split``
+    denominators: stays, (move, target) or None, and L.  A coefficient
+    over L itself keeps its numerator object."""
+    stay = list(map(split, stay))
+    move = [None if mv is None else (*split(mv[0]), mv[1]) for mv in move]
+    den = lcm(*(d for _, d in stay),
+              *(mv[1] for mv in move if mv is not None))
+    return ([x if d == den else x * (den // d) for x, d in stay],
             [None if mv is None else
-             (mv[0].numerator * (den // mv[0].denominator), mv[1])
+             (mv[0] if mv[1] == den else mv[0] * (den // mv[1]), mv[2])
              for mv in move],
             den)
 
@@ -368,21 +369,15 @@ def natural_generator(ws, i, transition=None):
 # ---------------------------------------------------------------------------
 
 def integral_pair(m):
-    """m as a pair (S, L) with m = S / L.  Over the rationals S holds the
-    int entries of L·m, L the lcm of m's denominators; other fields keep
-    S = m and L = 1."""
-    if m.field is not RATIONALS:
-        return m, 1
-    den = lcm(*(v.denominator for col in m.cols for v in col.values()))
-    cols = [{i: v.numerator * (den // v.denominator) for i, v in col.items()}
-            for col in m.cols]
+    """m as a pair (S, L) with m = S / L, L the lcm of the ``split``
+    denominators of m's entries; an entry over L itself keeps its
+    numerator object, so S holds m's own entries when L = 1."""
+    split = m.field.split
+    cols = [{i: split(v) for i, v in col.items()} for col in m.cols]
+    den = lcm(*(d for col in cols for _, d in col.values()))
+    cols = [{i: x if d == den else x * (den // d)
+             for i, (x, d) in col.items()} for col in cols]
     return Matrix(m.nrows, m.ncols, m.field, cols=cols), den
-
-
-def _scalar_pair(x, field):
-    """A scalar as (numerator, denominator): ints over the rationals,
-    (x, 1) on other fields."""
-    return (x.numerator, x.denominator) if field is RATIONALS else (x, 1)
 
 
 def _chain(*pairs):
@@ -444,7 +439,7 @@ def verify_relations(ws):
     eye = integral_pair(Matrix.identity(size, field))[0]
     # T_i^2 = (q - q^-1) T_i + 1, an involution at q = 1
     coeff = ws.q - 1 / ws.q
-    c, d = _scalar_pair(coeff, field)
+    c, d = field.split(coeff)
 
     for i in range(1, n):
         for j in range(i + 2, n):
@@ -487,7 +482,7 @@ def verify_relations(ws):
             s0, den0 = t0
             factors = []
             for uk in ws.weights:
-                a, b = _scalar_pair(uk, zeroth.field)
+                a, b = zeroth.field.split(uk)
                 factors.append((_times(s0, b) - eye0.scale(a * den0),
                                 b * den0))
             _record(report, "cyclotomic prod (T0 - u_k) = 0",

@@ -38,18 +38,27 @@ def _add_family(p):
                    help="comma-separated exact rationals u_1,...,u_r")
 
 
-def _add_common(p, family=True):
+def _add_common(p, family=True, formats=("json", "csv")):
     p.add_argument("--shape", required=True, help="shape string")
     if family:
         _add_family(p)
-    p.add_argument("--format", default="json", choices=["json", "csv", "dot"])
+    p.add_argument("--format", default=formats[0], choices=formats)
     p.add_argument("--out", default=None, help="output file (default stdout)")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors reach ``main`` as parse
+    errors, so they get a one-line diagnostic and exit 2 (subparsers
+    are of the same class)."""
+
+    def error(self, message):
+        raise ShapeParseError(message)
 
 
 @functools.cache
 def build_parser():
     # built once per process: parse_args keeps no state in the parser
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="youngbasis",
         description="Exact transition matrices between Young's bases")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -58,7 +67,7 @@ def build_parser():
     _add_common(p, family=False)
 
     p = sub.add_parser("graph", help="weak Bruhat graph as DOT")
-    _add_common(p, family=False)
+    _add_common(p, family=False, formats=("dot",))
 
     for name in ("seminormal", "natural"):
         p = sub.add_parser(name, help=f"{name} generator matrices")
@@ -78,7 +87,7 @@ def build_parser():
     _add_common(p)
 
     p = sub.add_parser("verify", help="relation + structure check suite")
-    _add_common(p)
+    _add_common(p, formats=("json",))
     p.add_argument("--oracle-cap", type=int, default=tr.PATHSUM_DEFAULT_CAP)
 
     p = sub.add_parser("bench", help="timing/op-count table for the recursion")
@@ -163,10 +172,7 @@ def cmd_tableaux(args):
 
 def cmd_graph(args):
     shape = parse_shape(args.shape)
-    graph = BruhatGraph(shape)
-    if args.format != "dot":
-        raise PreconditionError("graph output is DOT only (use --format dot)")
-    _emit(args, to_dot(graph))
+    _emit(args, to_dot(BruhatGraph(shape)))
     return 0
 
 
@@ -339,9 +345,8 @@ def _diag(kind, exc):
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except ShapeParseError as exc:
         _diag("parse", exc)

@@ -10,7 +10,8 @@ class YoungBasisError(Exception):
 
 
 class ShapeParseError(YoungBasisError):
-    """Malformed shape string, scalar string, or tableau serialization."""
+    """Malformed shape string, scalar string, tableau serialization or
+    command line."""
 
 
 class PreconditionError(YoungBasisError):

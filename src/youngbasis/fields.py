@@ -33,6 +33,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import attrgetter
 
 from .errors import (FieldMismatchError, PoleError, PreconditionError,
                      ShapeParseError)
@@ -642,6 +643,9 @@ def parse_rational(s):
 # field descriptors
 # ---------------------------------------------------------------------------
 
+# ``split(x)`` is x as (numerator, positive int denominator), the column
+# form of every exact route: ints over the rationals, (x, 1) elsewhere.
+
 class RationalField:
     name = "rational"
 
@@ -650,6 +654,9 @@ class RationalField:
 
     def element_of(self, x):
         return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+
+    # not a method: attrgetter runs in C, and verify splits every entry
+    split = attrgetter("numerator", "denominator")
 
     def to_str(self, x):
         return str(Fraction(x))
@@ -683,6 +690,9 @@ class QRationalField:
 
     def element_of(self, x):
         return isinstance(x, QRat)
+
+    def split(self, x):
+        return x, 1
 
     def to_str(self, x):
         return x.to_str()
@@ -727,6 +737,9 @@ class CyclotomicField:
 
     def element_of(self, x):
         return isinstance(x, Cyclo) and x.r == self.r
+
+    def split(self, x):
+        return x, 1
 
     def to_str(self, x):
         return x.to_str()

@@ -15,20 +15,14 @@ Each route, and each diagonal, takes one
 :class:`~youngbasis.algebras.WeightScheme`, which holds the spec, the
 shape and its weak Bruhat graph.
 
-Over the rationals every route runs on integers.  In the recursion and
-the path-sum route a step's coefficients are integers over their common
-denominator (``WeightScheme.integer_steps``); the word route applies
-the integer generator matrices of
-:func:`~youngbasis.algebras.integral_pair`, each L times the
-seminormal matrix, so it does not share that scaling.  In the recursion
-and the word route a column is one positive denominator and a dict of
-integer numerators, and each new column is divided by the gcd of its
-denominator and numerators.  The path-sum route multiplies integer
-weights along each subpath; a column's denominator is the product of
-the scales of its path's labels.  Entries become ``Fraction`` objects
-only when a matrix is built, one object per distinct value across the
+Every route keeps a column as numerators over one denominator, in the
+form of the field's ``split``: ints over an int on the rationals, the
+field's own scalars over 1 elsewhere.  The recursion and the path-sum
+route read ``WeightScheme.scaled_steps``; the word route applies the
+generator pairs of :func:`~youngbasis.algebras.integral_pair`, so it
+does not share that scaling.  Rational entries become ``Fraction``
+objects only when a matrix is built, one per distinct value across the
 scheme's matrices, so equal entries of two routes are one object.
-Other fields run the same code on their own scalars.
 
 Also here: the closed-form diagonal, the squared orthogonal diagonal,
 and the wreath-product assembly by alphabets (direct sum of tensor
@@ -146,15 +140,11 @@ def _count_ops(counter, prev_col, stay, move):
                 counter.adds += 1
 
 
-def _rational_step(col, den, stay, move, scale):
-    """_push_column on integer numerators over the denominator den, with
-    integer coefficients over the denominator scale; returns the new
-    column and its denominator, divided by their gcd."""
-    return _lowest_terms(_push_column(col, stay, move), den * scale)
-
-
 def _lowest_terms(col, den):
-    """An integer column over den, both divided by their gcd."""
+    """A column over den, both divided by their gcd; a column over 1, as
+    every column off the rationals is, is already in lowest terms."""
+    if den == 1:
+        return col, den
     g = gcd(den, *col.values())
     if g > 1:
         col = {i: x // g for i, x in col.items()}
@@ -163,9 +153,13 @@ def _lowest_terms(col, den):
 
 
 def _fraction_columns(ws, cols, dens):
-    """Integer columns over their denominators as Fraction columns;
-    equal values share one Fraction across every matrix of the scheme
-    ws, so routes that agree hold the same objects."""
+    """Columns over their denominators as the matrix entries of the
+    scheme ws: off the rationals every denominator is 1 and the columns
+    are the entries.  Rational values become Fractions, one per value
+    across every matrix of ws, so routes that agree hold the same
+    objects."""
+    if ws.field is not RATIONALS:
+        return cols
     memo = ws._fractions
     out = []
     for col, den in zip(cols, dens):
@@ -187,30 +181,22 @@ def transition_recursive(ws, counter=None):
     Columns are computed in depth order (the order of the graph's
     nodes); column C is e_C, and the column of T is obtained from the
     column of T' = s_l(T) (l the smallest label stepping down in weak
-    order) by the seminormal two-term rule.  Over the rationals a column
-    is integer numerators over one denominator until the matrix is
-    built.
+    order) by the seminormal two-term rule.
     """
     graph = ws.graph
     size = graph.size()
-    rational = ws.field is RATIONALS
     cols = [None] * size
     dens = [1] * size
-    cols[0] = {0: 1 if rational else ws.field.one}
+    cols[0] = {0: ws.field.split(ws.field.one)[0]}
     for v in range(1, size):
         u, label = graph.up_edges_into(v)[0]
-        if rational:
-            stay, move, scale = ws.integer_steps(label)
-            cols[v], dens[v] = _rational_step(cols[u], dens[u], stay, move,
-                                              scale)
-        else:
-            stay, move = ws.steps(label)
-            cols[v] = _push_column(cols[u], stay, move)
+        stay, move, scale = ws.scaled_steps(label)
+        cols[v], dens[v] = _lowest_terms(_push_column(cols[u], stay, move),
+                                         dens[u] * scale)
         if counter is not None:
             _count_ops(counter, cols[u], stay, move)
-    if rational:
-        cols = _fraction_columns(ws, cols, dens)
-    m = Matrix(size, size, ws.field, cols=cols, basis=graph.nodes)
+    m = Matrix(size, size, ws.field, cols=_fraction_columns(ws, cols, dens),
+               basis=graph.nodes)
     return TransitionMatrix(m, ws.spec, ws.shape, graph)
 
 
@@ -221,9 +207,9 @@ def transition_pathsum(ws, paths=None, n_cap=PATHSUM_DEFAULT_CAP):
     label kept or replaced by the identity, all visited tableaux
     standard) contributes the product of its step weights to the row of
     its terminal node.  Exponential in the depth; refuses shapes with
-    n > n_cap unless the cap is raised.  Over the rationals the weights
-    are the integers of ``WeightScheme.integer_steps``, and a column's
-    denominator is the product of its path's scales.
+    n > n_cap unless the cap is raised.  The weights are those of
+    ``WeightScheme.scaled_steps``, and a column's denominator is the
+    product of its path's scales.
     """
     if ws.shape.n > n_cap:
         raise PreconditionError(
@@ -232,18 +218,12 @@ def transition_pathsum(ws, paths=None, n_cap=PATHSUM_DEFAULT_CAP):
     if paths is None:
         paths = shortest_paths_from(graph, 0)
     size = graph.size()
-    rational = ws.field is RATIONALS
-    one = 1 if rational else ws.field.one
+    one = ws.field.split(ws.field.one)[0]
     cols = []
     dens = []
     for v in range(size):
-        labels = paths[v].labels
-        if rational:
-            scaled = [ws.integer_steps(i) for i in labels]
-            steps = [(stay, move) for stay, move, _ in scaled]
-            dens.append(prod(scale for _, _, scale in scaled))
-        else:
-            steps = [ws.steps(i) for i in labels]
+        steps = [ws.scaled_steps(i) for i in paths[v].labels]
+        dens.append(prod(scale for _, _, scale in steps))
         bucket = {}
 
         def dfs(j, node, weight):
@@ -251,7 +231,7 @@ def transition_pathsum(ws, paths=None, n_cap=PATHSUM_DEFAULT_CAP):
                 cur = bucket.get(node)
                 bucket[node] = weight if cur is None else cur + weight
                 return
-            stay, move = steps[j]
+            stay, move, _ = steps[j]
             a = stay[node]
             if a:
                 dfs(j + 1, node, weight * a)
@@ -261,9 +241,8 @@ def transition_pathsum(ws, paths=None, n_cap=PATHSUM_DEFAULT_CAP):
 
         dfs(0, 0, one)
         cols.append({i: w for i, w in bucket.items() if w})
-    if rational:
-        cols = _fraction_columns(ws, cols, dens)
-    m = Matrix(size, size, ws.field, cols=cols, basis=graph.nodes)
+    m = Matrix(size, size, ws.field, cols=_fraction_columns(ws, cols, dens),
+               basis=graph.nodes)
     return TransitionMatrix(m, ws.spec, ws.shape, graph)
 
 
@@ -274,53 +253,47 @@ def transition_word(ws):
     from T, where the recursion uses the smallest, so the two routes
     read different coefficients wherever T has two or more down edges.
     These words are prefix-closed: each column is one generator applied
-    to the column of a node one level lower.  Over the rationals the
-    generator is its integer matrix S over L (:func:`integral_pair`),
-    and a column is integer numerators over one denominator until the
-    matrix is built."""
+    to the column of a node one level lower.  Each generator is applied
+    as its pair S over L (:func:`integral_pair`)."""
     graph = ws.graph
     size = graph.size()
-    rational = ws.field is RATIONALS
     gens = {i: integral_pair(seminormal_generator(ws, i))
             for i in range(1, ws.shape.n)}
     cols = [None] * size
     dens = [1] * size
-    cols[0] = {0: 1 if rational else ws.field.one}
+    cols[0] = {0: ws.field.split(ws.field.one)[0]}
     for v in range(1, size):
         u, label = graph.up_edges_into(v)[-1]
         s, scale = gens[label]
-        cols[v] = s.apply(cols[u])
-        if rational:
-            cols[v], dens[v] = _lowest_terms(cols[v], dens[u] * scale)
-    if rational:
-        cols = _fraction_columns(ws, cols, dens)
-    m = Matrix(size, size, ws.field, cols=cols, basis=graph.nodes)
+        cols[v], dens[v] = _lowest_terms(s.apply(cols[u]), dens[u] * scale)
+    m = Matrix(size, size, ws.field, cols=_fraction_columns(ws, cols, dens),
+               basis=graph.nodes)
     return TransitionMatrix(m, ws.spec, ws.shape, graph)
+
+
+def _inversion_products(ws, factor):
+    """Per node t, the product of factor(t, i, j) over the inversions
+    (i, j) of t, in sorted order."""
+    out = []
+    for t in ws.graph.nodes:
+        acc = ws.field.one
+        for (i, j) in sorted(t.inversions):
+            acc = acc * factor(t, i, j)
+        out.append(acc)
+    return out
 
 
 def diagonal_closed_form(ws):
     """Diagonal of the transition matrix straight from inversion sets:
     the product over inversions of (1 + a_{i,j}) or its q-analogue."""
-    out = []
-    for t in ws.graph.nodes:
-        acc = ws.field.one
-        for (i, j) in sorted(t.inversions):
-            acc = acc * ws.diag_factor(t, i, j)
-        out.append(acc)
-    return out
+    return _inversion_products(ws, ws.diag_factor)
 
 
 def orthogonal_diag_squared(ws):
     """Squares of the diagonal seminormal-to-orthogonal rescaling, a
     product over inversions of (move factor)^2 / (q^{-2} - a^2); kept in
     squared form so everything stays inside the exact field."""
-    out = []
-    for t in ws.graph.nodes:
-        acc = ws.field.one
-        for (i, j) in sorted(t.inversions):
-            acc = acc * ws.orth_factor_squared(t, i, j)
-        out.append(acc)
-    return out
+    return _inversion_products(ws, ws.orth_factor_squared)
 
 
 def _alphabets(entries, sizes):

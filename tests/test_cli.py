@@ -266,6 +266,55 @@ def test_exit_code_2_on_parse_error(capsys):
     assert diag["error"] == "parse"
 
 
+@pytest.mark.parametrize("argv", [
+    "transition --shape 2,1 --family bogus",
+    "transition --shape 2,1 --format xml",
+    "transition --family hecke_A",
+    "transition --shape 4,3,1 --oracle pathsum --pathsum-cap x",
+])
+def test_usage_errors_exit_2_with_one_diagnostic_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv.split(" "))
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert len(lines) == 1
+    diagnostic = json.loads(lines[0])
+    assert set(diagnostic) == {"error", "message"}
+    assert diagnostic["error"] == "parse"
+
+
+@pytest.mark.parametrize("command, formats", [
+    ("tableaux", {"json", "csv"}), ("graph", {"dot"}),
+    ("seminormal", {"json", "csv"}), ("natural", {"json", "csv"}),
+    ("transition", {"json", "csv"}), ("orthogonal", {"json", "csv"}),
+    ("verify", {"json"}), ("bench", {"json", "csv"}),
+])
+def test_format_offers_only_what_the_command_writes(capsys, command,
+                                                    formats):
+    for fmt in ("json", "csv", "dot"):
+        code, out, err = run_cli(capsys, command, "--shape", "2,1",
+                                 "--format", fmt)
+        if fmt in formats:
+            assert code == 0, (fmt, err)
+            if fmt == "json":
+                json.loads(out)
+        else:
+            assert (code, out) == (2, ""), fmt
+            assert json.loads(err)["error"] == "parse"
+
+
+def test_graph_writes_dot_by_default(capsys):
+    code, out, _ = run_cli(capsys, "graph", "--shape", "2,1")
+    assert code == 0
+    assert out.startswith("graph weak_order {")
+
+
+def test_help_still_prints_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["transition", "-h"])
+    assert exc.value.code == 0
+    assert "--format {json,csv}" in capsys.readouterr().out
+
+
 def test_exit_code_3_on_precondition(capsys):
     code, _, err = run_cli(capsys, "transition", "--shape", "(2,1)|(1)",
                            "--family", "ariki_koike")

@@ -11,16 +11,17 @@ from golden import (G24_BASIS, G24_ROWS, H24_BASIS, HECKE32_BASIS,
                     a321_entries, h24_entry, hecke32_matrix)
 from walks import keep_skip_walks, r_partitions, walk_weight
 from youngbasis.algebras import (AlgebraSpec, WeightScheme, _scale_steps,
-                                 natural_generator, seminormal_generator)
+                                 integral_pair, natural_generator,
+                                 seminormal_generator, zeroth_generator)
 from youngbasis.bruhat import (BruhatGraph, Path, shortest_path,
                                shortest_paths_from)
 from youngbasis.errors import InvariantError, PreconditionError
-from youngbasis.fields import QFIELD, evaluate_q
+from youngbasis.fields import QFIELD, RATIONALS, CyclotomicField, evaluate_q
 from youngbasis.linalg import matmul
 from youngbasis.perms import bruhat_leq
 from youngbasis.shapes import (Shape, Tableau, all_partitions, parse_shape,
                                shape_from_parts, standard_tableaux)
-from youngbasis.transition import (_push_column, _rational_step,
+from youngbasis.transition import (_lowest_terms, _push_column,
                                    bench_transition, check_structure,
                                    diagonal_closed_form, grn_transition,
                                    orthogonal_diag_squared,
@@ -203,11 +204,35 @@ def test_integer_step_matches_fraction_step(case):
     den = lcm(*(x.denominator for x in col.values()))
     ints = {i: int(x * den) for i, x in col.items()}
     for stay, move in steps:
-        ints, den = _rational_step(ints, den, *_scale_steps(stay, move))
+        istay, imove, scale = _scale_steps(RATIONALS.split, stay, move)
+        ints, den = _lowest_terms(_push_column(ints, istay, imove),
+                                  den * scale)
         col = _push_column(col, stay, move)
         assert den > 0
         assert gcd(den, *ints.values()) == 1
         assert {i: F(x, den) for i, x in ints.items()} == col
+
+
+def test_scaling_off_the_rationals_keeps_the_coefficients():
+    """Off the rationals the column form is the field's own scalars over
+    1: scaled steps are the steps, and an integral pair is (m, 1)."""
+    ws = WeightScheme(AlgebraSpec("hecke_A"), parse_shape("3,2"))
+    assert ws.field is QFIELD
+    for label in range(1, 5):
+        stay, move = ws.steps(label)
+        sstay, smove, scale = ws.scaled_steps(label)
+        assert scale == 1
+        assert all(a is b for a, b in zip(stay, sstay))
+        assert all(a is b or a[0] is b[0] and a[1] == b[1]
+                   for a, b in zip(move, smove))
+    ws = WeightScheme(AlgebraSpec("wreath_grn"), parse_shape("(2,1)|(1)"))
+    t0 = zeroth_generator(ws)
+    assert t0.field == CyclotomicField(2)
+    s, den = integral_pair(t0)
+    assert den == 1
+    assert s == t0
+    assert all(s.cols[j][i] is v for j, col in enumerate(t0.cols)
+               for i, v in col.items())
 
 
 _PLACED = parse_shape("(1)|(1)@1,q^3").weights
