@@ -4,7 +4,7 @@ A and B, Ariki-Koike algebras, affine Hecke modules on placed shapes,
 and wreath products of a cyclic group with a symmetric group.
 """
 
-from .algebras import (AlgebraSpec, FAMILIES, WeightScheme,
+from .algebras import (AlgebraSpec, FAMILIES, WeightScheme, generators,
                        natural_generator, seminormal_generator,
                        verify_relations, x_generator, zeroth_generator)
 from .bruhat import (BruhatGraph, Path, shortest_path, shortest_paths_from,

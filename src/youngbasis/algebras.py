@@ -24,7 +24,8 @@ shape and the weak Bruhat graph of that shape.  It turns q and the page
 weights into scalars of one coefficient field (rational, or rational
 functions of a symbolic q), so every coefficient below is plain field
 arithmetic.  Every generator and relation check here, and every route
-in :mod:`transition`, takes the scheme alone.
+in :mod:`transition`, takes the scheme alone.  :func:`generators` is the
+one table that names a module's generators and selects among them.
 
 :func:`verify_relations` takes each matrix M as a pair (S, L) with
 M = S / L, L the lcm of the denominators the field's ``split`` gives
@@ -39,6 +40,7 @@ witness entry by the common factor.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -50,7 +52,7 @@ from .fields import (QFIELD, Cyclo, CyclotomicField, QRat,
 from .linalg import Matrix, matmul
 from .weights import q_axial_weight, weighted_content
 
-__all__ = ["AlgebraSpec", "FAMILIES", "PRESETS", "Preset",
+__all__ = ["AlgebraSpec", "FAMILIES", "PRESETS", "Preset", "generators",
            "seminormal_generator", "zeroth_generator", "x_generator",
            "natural_generator", "verify_relations", "WeightScheme"]
 
@@ -197,6 +199,7 @@ class WeightScheme:
         self._steps = {}
         self._scaled_steps = {}
         self._generators = {}
+        self._pairs = {}
         # one Fraction per reduced (numerator, denominator) for every
         # rational matrix built on this scheme
         self._fractions = {}
@@ -248,18 +251,22 @@ class WeightScheme:
         must not modify it)."""
         m = self._generators.get(label)
         if m is None:
-            coerce = self.field.coerce
             stay, move = self.steps(label)
             size = self.graph.size()
             m = Matrix(size, size, self.field, basis=self.graph.nodes)
             for col, (a, mv) in enumerate(zip(stay, move)):
-                a = coerce(a)
                 if a:
                     m.cols[col][col] = a
                 if mv is not None:
-                    m.cols[col][mv[1]] = coerce(mv[0])
+                    m.cols[col][mv[1]] = mv[0]
             self._generators[label] = m
         return m
+
+    def generator_pair(self, label):
+        """:func:`integral_pair` of ``generator(label)``, built once."""
+        if label not in self._pairs:
+            self._pairs[label] = integral_pair(self.generator(label))
+        return self._pairs[label]
 
     def diag_factor(self, t, i, j):
         return self._qinv + self.pair(t, i, j)
@@ -334,6 +341,30 @@ def x_generator(ws, i):
         raise PreconditionError(f"X index {i} out of range")
     vals = [weighted_content(t, i, ws.weights, ws.q) for t in nodes]
     return Matrix.diagonal(vals, ws.field, basis=nodes)
+
+
+def generators(ws, gen=None):
+    """(name, matrix) per generator, in output order: T0 or s0 (zeroth
+    "u" or "xi", with boxes), X1..Xn (zeroth "x1"), then T1.. or s1...
+    ``gen`` picks by name before any matrix is built: a digit indexes an
+    s_i, T_i or T0, never an X; anything else is a full name, any case."""
+    preset, n = ws.spec.preset, ws.shape.n
+    table = [(f"{preset.prefix}{i}", partial(seminormal_generator, ws, i))
+             for i in range(1, n)]
+    if preset.zeroth == "x1":
+        table[:0] = [(f"X{i}", partial(x_generator, ws, i))
+                     for i in range(1, n + 1)]
+    elif preset.zeroth and n:
+        table.insert(0, (f"{preset.prefix}0", partial(zeroth_generator, ws)))
+    if gen is not None:
+        # a coefficient that does not exist fails every pick
+        for i in range(1, n):
+            ws.steps(i)
+        key = (preset.prefix + gen if gen.isdigit() else gen).lower()
+        table = [entry for entry in table if entry[0].lower() == key]
+        if not table:
+            raise PreconditionError(f"no generator named {gen!r}")
+    return [(name, build()) for name, build in table]
 
 
 def conjugate_to_natural(matrices, transition):
@@ -433,8 +464,7 @@ def verify_relations(ws):
     size, n, r = ws.graph.size(), ws.shape.n, ws.shape.r
     preset = ws.spec.preset
     report = []
-    gens = {i: integral_pair(seminormal_generator(ws, i))
-            for i in range(1, n)}
+    gens = {i: ws.generator_pair(i) for i in range(1, n)}
     field = ws.field
     eye = integral_pair(Matrix.identity(size, field))[0]
     # T_i^2 = (q - q^-1) T_i + 1, an involution at q = 1

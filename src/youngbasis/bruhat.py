@@ -27,7 +27,8 @@ class BruhatGraph:
         self.index = {t.rows: i for i, t in enumerate(self.nodes)}
         self.depth = [t.depth for t in self.nodes]
         by_word = {t.word: v for v, t in enumerate(self.nodes)}
-        # neighbors[v][i] = endpoint of the edge labeled s_i at v, if any.
+        # neighbors[v][i] = endpoint of the edge labeled s_i at v, if any,
+        # filled in label order.
         # s_i(T) is standard iff i and i+1 share neither a row nor a
         # column of one component; its word is s_i applied to T's word.
         self.neighbors = []
@@ -78,14 +79,14 @@ class BruhatGraph:
         """Undirected edges as (lower, upper, label), each once."""
         out = []
         for v, nbrs in enumerate(self.neighbors):
-            for i, w in sorted(nbrs.items()):
+            for i, w in nbrs.items():
                 if self.depth[v] < self.depth[w]:
                     out.append((v, w, i))
         return out
 
     def up_edges_into(self, v):
         """Edges (u, i) with s_i(u) = v and depth(u) = depth(v) - 1."""
-        return [(u, i) for i, u in sorted(self.neighbors[v].items())
+        return [(u, i) for i, u in self.neighbors[v].items()
                 if self.depth[u] == self.depth[v] - 1]
 
 
@@ -101,9 +102,8 @@ def shortest_paths_from(graph, src):
     """Minimal paths from src to every node above it in weak order,
     deterministic by lexicographically smallest label sequence."""
     best = {src: ()}
-    order = sorted(range(len(graph.nodes)),
-                   key=lambda v: (graph.depth[v], graph.nodes[v].word))
-    for v in order:
+    # the nodes are in (depth, word) order already
+    for v in range(graph.size()):
         if v == src or graph.depth[v] <= graph.depth[src]:
             continue
         cands = [best[u] + (i,) for u, i in graph.up_edges_into(v) if u in best]

@@ -15,13 +15,12 @@ import sys
 
 from . import transition as tr
 from .algebras import (AlgebraSpec, FAMILIES, WeightScheme,
-                       conjugate_to_natural, seminormal_generator,
-                       verify_relations, x_generator, zeroth_generator)
+                       conjugate_to_natural, generators, verify_relations)
 from .bruhat import BruhatGraph, to_dot
 from .errors import (InvariantError, PreconditionError, ShapeParseError,
                      YoungBasisError)
 from .fields import parse_rational
-from .linalg import matrix_to_csv, matrix_to_json, string_rows
+from .linalg import compact_json, matrix_to_csv, matrix_to_json, string_rows
 from .shapes import all_partitions, parse_shape, shape_from_parts
 
 
@@ -154,9 +153,8 @@ def cmd_tableaux(args):
             "depth": t.depth,
         })
     if args.format == "json":
-        _emit(args, json.dumps({"shape": shape.to_str(), "count": len(rows),
-                                "tableaux": rows},
-                               sort_keys=True, separators=(",", ":")) + "\n")
+        _emit(args, compact_json({"shape": shape.to_str(), "count": len(rows),
+                                  "tableaux": rows}))
     else:
         lines = ["tableau,word,depth,inversions"]
         for rec in rows:
@@ -176,37 +174,13 @@ def cmd_graph(args):
     return 0
 
 
-def _generator_list(ws, natural):
-    gens = []
+def _cmd_generators(args, natural):
+    ws = make_scheme(args)
     tmat = tr.transition_recursive(ws) if natural else None
-    preset, n = ws.spec.preset, ws.shape.n
-    prefix = preset.prefix
-    if preset.zeroth in ("u", "xi"):
-        gens.append((f"{prefix}0", zeroth_generator(ws)))
-    if preset.zeroth == "x1":
-        gens += [(f"X{i}", x_generator(ws, i)) for i in range(1, n + 1)]
-    gens += [(f"{prefix}{i}", seminormal_generator(ws, i))
-             for i in range(1, n)]
+    gens = generators(ws, args.gen)
     if natural:
         mats = conjugate_to_natural([m for _, m in gens], tmat)
         gens = [(name, m) for (name, _), m in zip(gens, mats)]
-    return gens
-
-
-def _cmd_generators(args, natural):
-    ws = make_scheme(args)
-    gens = _generator_list(ws, natural)
-    if args.gen is not None:
-        key = args.gen if not args.gen.isdigit() else None
-        wanted = []
-        for name, m in gens:
-            if key is not None and name.lower() == key.lower():
-                wanted.append((name, m))
-            elif key is None and name[1:] == args.gen and name[0] in "sT":
-                wanted.append((name, m))
-        if not wanted:
-            raise PreconditionError(f"no generator named {args.gen!r}")
-        gens = wanted
     if args.format == "json":
         obj = {
             "shape": ws.shape.to_str(),
@@ -217,7 +191,7 @@ def _cmd_generators(args, natural):
                 {"name": name, "field": m.field.name, "rows": string_rows(m)}
                 for name, m in gens],
         }
-        _emit(args, json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+        _emit(args, compact_json(obj))
     else:
         chunks = []
         for name, m in gens:
@@ -263,7 +237,7 @@ def cmd_orthogonal(args):
                "params": _json_params(ws.spec, ws.shape),
                "basis": [t.serialize() for t in ws.graph.nodes],
                "diag_squared": strs}
-        _emit(args, json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+        _emit(args, compact_json(obj))
     else:
         lines = ["word,diag_squared"]
         for t, v in zip(ws.graph.nodes, strs):
@@ -296,7 +270,7 @@ def cmd_verify(args):
     failures = [r for r in report if r["status"] != "pass"]
     out = {"shape": ws.shape.to_str(), "family": ws.spec.family,
            "checks": report, "failures": len(failures)}
-    _emit(args, json.dumps(out, sort_keys=True, separators=(",", ":")) + "\n")
+    _emit(args, compact_json(out))
     return 4 if failures else 0
 
 
@@ -311,8 +285,7 @@ def cmd_bench(args):
     records = [tr.bench_transition(make_scheme(args, shape))
                for shape in shapes]
     if args.format == "json":
-        _emit(args, json.dumps(records, sort_keys=True,
-                               separators=(",", ":")) + "\n")
+        _emit(args, compact_json(records))
     else:
         import csv
         import io

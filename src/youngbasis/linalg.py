@@ -14,8 +14,8 @@ from .errors import FieldMismatchError, PreconditionError
 from .fields import field_by_name
 
 __all__ = ["Matrix", "matmul", "triangular_inverse", "tensor_product",
-           "direct_sum", "string_rows", "matrix_to_json", "matrix_from_json",
-           "matrix_to_csv"]
+           "direct_sum", "string_rows", "compact_json", "matrix_to_json",
+           "matrix_from_json", "matrix_to_csv"]
 
 
 class Matrix:
@@ -288,6 +288,11 @@ def string_rows(m):
     return rows
 
 
+def compact_json(obj):
+    """obj as one line of JSON with sorted keys and no spaces."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 def matrix_to_json(m, shape_str=None, params=None):
     obj = {
         "shape": shape_str,
@@ -296,7 +301,7 @@ def matrix_to_json(m, shape_str=None, params=None):
         "basis": [t.serialize() for t in m.basis] if m.basis else None,
         "rows": string_rows(m),
     }
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    return compact_json(obj)
 
 
 def matrix_from_json(text, shape=None):

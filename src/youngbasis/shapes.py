@@ -146,7 +146,7 @@ def _parse_weight(tok):
     tok = tok.strip()
     m = _WEIGHT_RE.match(tok)
     if m:
-        coeff = Fraction(m.group(1)) if m.group(1) else Fraction(1)
+        coeff = parse_rational(m.group(1)) if m.group(1) else Fraction(1)
         return QRat.q_power(int(m.group(2))) * coeff
     return parse_rational(tok)
 
@@ -343,34 +343,45 @@ def reading_tableaux(shape):
 def standard_tableaux(shape):
     """All standard tableaux of the shape in canonical order.
 
-    Enumeration places n, n-1, ... at removable corners; the result is
-    sorted by (depth, word), which refines Bruhat order and groups the
-    canonical basis by depth.
+    Enumeration places n, n-1, ... at removable corners, depth first on
+    an explicit stack (a shape may have more boxes than the interpreter
+    allows nested calls); the result is sorted by (depth, word), which
+    refines Bruhat order and groups the canonical basis by depth.
     """
     results = []
     entries = {}
     # per component: the row lengths still to fill, with a trailing 0
     # row, and the inner row lengths
-    lengths = [list(outer) + [0] for outer, _ in shape.components]
-    inners = [[shape.inner_at(k, x) for x in range(1, len(rows))]
-              for k, rows in enumerate(lengths, start=1)]
+    comps = [(k, list(outer) + [0],
+              [shape.inner_at(k, x) for x in range(1, len(outer) + 1)])
+             for k, (outer, _) in enumerate(shape.components, start=1)]
 
-    def rec(m):
-        if m == 0:
+    def corners():
+        # the last box of row x+1 is a removable corner; reversed, so
+        # that pop() takes them in order
+        out = [(k, rows, x) for k, rows, inner in comps
+               for x, lo in enumerate(inner)
+               if rows[x] > lo and rows[x + 1] < rows[x]]
+        out.reverse()
+        return out
+
+    placed = []  # (k, rows, x) of the entries n, n-1, ... placed so far
+    todo = [corners()]  # per depth: the corners not yet tried there
+    while todo:
+        if len(placed) == shape.n:
             results.append(Tableau.from_entries(shape, entries))
-            return
-        for k, (rows, inner) in enumerate(zip(lengths, inners), start=1):
-            for x, lo in enumerate(inner):
-                y = rows[x]
-                # the last box of row x+1 is a removable corner
-                if y > lo and rows[x + 1] < y:
-                    entries[(k, x + 1, y)] = m
-                    rows[x] = y - 1
-                    rec(m - 1)
-                    rows[x] = y
-                    del entries[(k, x + 1, y)]
-
-    rec(shape.n)
+        if todo[-1]:
+            k, rows, x = todo[-1].pop()
+            entries[(k, x + 1, rows[x])] = shape.n - len(placed)
+            rows[x] -= 1
+            placed.append((k, rows, x))
+            todo.append(corners())
+        else:
+            todo.pop()
+            if placed:
+                k, rows, x = placed.pop()
+                rows[x] += 1
+                del entries[(k, x + 1, rows[x])]
     results.sort(key=lambda t: (t.depth, t.word))
     return results
 

@@ -19,10 +19,10 @@ Every route keeps a column as numerators over one denominator, in the
 form of the field's ``split``: ints over an int on the rationals, the
 field's own scalars over 1 elsewhere.  The recursion and the path-sum
 route read ``WeightScheme.scaled_steps``; the word route applies the
-generator pairs of :func:`~youngbasis.algebras.integral_pair`, so it
-does not share that scaling.  Rational entries become ``Fraction``
-objects only when a matrix is built, one per distinct value across the
-scheme's matrices, so equal entries of two routes are one object.
+generator pairs of ``WeightScheme.generator_pair``, so it does not share
+that scaling.  Rational entries become ``Fraction`` objects only when a
+matrix is built, one per distinct value across the scheme's matrices,
+so equal entries of two routes are one object.
 
 Also here: the closed-form diagonal, the squared orthogonal diagonal,
 and the wreath-product assembly by alphabets (direct sum of tensor
@@ -38,8 +38,7 @@ from itertools import combinations
 from math import gcd, prod
 from operator import le
 
-from .algebras import (AlgebraSpec, WeightScheme, integral_pair,
-                       seminormal_generator)
+from .algebras import AlgebraSpec, WeightScheme
 from .bruhat import BruhatGraph, shortest_paths_from
 from .errors import InvariantError, PreconditionError
 from .fields import RATIONALS
@@ -254,17 +253,15 @@ def transition_word(ws):
     read different coefficients wherever T has two or more down edges.
     These words are prefix-closed: each column is one generator applied
     to the column of a node one level lower.  Each generator is applied
-    as its pair S over L (:func:`integral_pair`)."""
+    as its pair S over L (``WeightScheme.generator_pair``)."""
     graph = ws.graph
     size = graph.size()
-    gens = {i: integral_pair(seminormal_generator(ws, i))
-            for i in range(1, ws.shape.n)}
     cols = [None] * size
     dens = [1] * size
     cols[0] = {0: ws.field.split(ws.field.one)[0]}
     for v in range(1, size):
         u, label = graph.up_edges_into(v)[-1]
-        s, scale = gens[label]
+        s, scale = ws.generator_pair(label)
         cols[v], dens[v] = _lowest_terms(s.apply(cols[u]), dens[u] * scale)
     m = Matrix(size, size, ws.field, cols=_fraction_columns(ws, cols, dens),
                basis=graph.nodes)

@@ -189,6 +189,104 @@ def test_natural_inverts_the_transition_matrix_once(capsys, monkeypatch):
         assert len(calls) == 1, (argv, calls)
 
 
+@pytest.mark.parametrize("argv, gen", [
+    ("--shape 4,3,1", "3"),
+    ("--family affine_placed --shape (2,1)|(1)@1,q^3 --q 5", "x1"),
+    # s_0 of a wreath product lives in a larger field than A
+    ("--family grn --shape (2,1)|(1)", "0"),
+])
+def test_natural_gen_builds_and_conjugates_one_generator(capsys, monkeypatch,
+                                                         argv, gen):
+    from youngbasis import algebras
+    code, out, _ = run_cli(capsys, "natural", *argv.split(" "))
+    assert code == 0
+    everything = json.loads(out)["generators"]
+    real_matmul, real_generator = algebras.matmul, WeightScheme.generator
+    products, built = [], []
+
+    def counting_matmul(a, b):
+        products.append(a.nrows)
+        return real_matmul(a, b)
+
+    def counting_generator(self, label):
+        built.append(label)
+        return real_generator(self, label)
+
+    monkeypatch.setattr(algebras, "matmul", counting_matmul)
+    monkeypatch.setattr(WeightScheme, "generator", counting_generator)
+    code, out, _ = run_cli(capsys, "natural", *argv.split(" "), "--gen", gen)
+    assert code == 0
+    picked = json.loads(out)["generators"]
+    assert picked == [g for g in everything
+                      if g["name"].lower() in (gen, f"s{gen}", f"t{gen}")]
+    assert len(picked) == 1
+    assert len(products) == 2  # A^-1 M A
+    assert built == ([int(gen)] if gen not in ("0", "x1") else [])
+
+
+@pytest.mark.parametrize("argv, calls", [
+    # one per label, plus the identity, plus T_0 or each X_i
+    ("--shape 3,2", 4 + 1),
+    ("--family hecke_A --q 5 --shape 3,2,1", 5 + 1),
+    ("--family hecke_B --u 2,1/2 --shape (2,1)|(1)", 3 + 1 + 1),
+    ("--family grn --shape (2,1)|(1)", 3 + 1 + 1),
+    ("--family affine_placed --shape (2,1)|(1)@1,q^3 --q 5", 3 + 1 + 4),
+])
+def test_verify_splits_each_generator_once(capsys, monkeypatch, argv, calls):
+    from youngbasis import algebras, transition
+    real = algebras.integral_pair
+    seen = []
+
+    def counting(m):
+        seen.append(m.nrows)
+        return real(m)
+
+    monkeypatch.setattr(algebras, "integral_pair", counting)
+    # the word route once split every generator again under this name
+    monkeypatch.setattr(transition, "integral_pair", counting, raising=False)
+    code, out, _ = run_cli(capsys, "verify", *argv.split(" "))
+    assert code == 0 and json.loads(out)["failures"] == 0
+    assert len(seen) == calls
+
+
+@pytest.mark.parametrize("argv", [
+    "--family grn --shape ()|()",
+    "--family hecke_B --u 2,1/2 --shape ()|()",
+    "--family ariki_koike --u 2,3,5 --shape ()|()|()",
+])
+def test_a_shape_without_boxes_has_no_generators(capsys, argv):
+    for command in ("seminormal", "natural"):
+        code, out, err = run_cli(capsys, command, *argv.split(" "))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["generators"] == []
+        code, out, err = run_cli(capsys, command, *argv.split(" "),
+                                 "--format", "csv")
+        assert (code, out, err) == (0, "", "")
+        code, out, err = run_cli(capsys, command, *argv.split(" "),
+                                 "--gen", "0")
+        assert (code, out) == (3, "")
+        assert "no generator named '0'" in json.loads(err)["message"]
+
+
+def test_gen_on_a_module_with_an_undefined_coefficient_exits_3(capsys):
+    # s_2 has no coefficient here, so no generator is given, s_1 included
+    argv = ["--family", "affine_placed", "--shape", "(2)|(1)@q^0,q^2"]
+    for command in ("seminormal", "natural"):
+        for gen in (None, "1", "x1", "9"):
+            extra = [] if gen is None else ["--gen", gen]
+            code, out, err = run_cli(capsys, command, *argv, *extra)
+            assert (code, out) == (3, "")
+            assert "coincide" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("command", ["tableaux", "transition"])
+def test_a_thousand_boxes_in_one_row(capsys, command):
+    code, out, _ = run_cli(capsys, command, "--shape", "1000")
+    assert code == 0
+    obj = json.loads(out)
+    assert len(obj["tableaux" if command == "tableaux" else "basis"]) == 1
+
+
 @pytest.mark.parametrize("argv", [
     "natural --shape 4,3,1",
     "seminormal --family hecke_A --shape 3,2,2",
@@ -469,6 +567,8 @@ def test_symbolic_page_weights_at_numeric_q(capsys, text):
     ("transition --shape=1 --family=affine_placed --q=0", 3),
     ("transition --shape=(2,1)|(1)@0,3 --family=affine_placed --q=1", 3),
     ("verify --shape=@1 --family=ariki_koike --u=1", 0),
+    ("tableaux --shape=(1)|(1)@1,1/0*q^2", 2),
+    ("transition --shape=(1)|(1)@1,1/0*q^2 --family=affine_placed", 2),
 ])
 def test_former_tracebacks_exit_cleanly(capsys, argv, expected):
     code, out, err = run_cli(capsys, *argv.split(" "))
@@ -497,7 +597,8 @@ def test_u_rejected_where_the_family_takes_none(capsys, family, shape):
 
 _SHAPES = ["1", "2,1", "3,2", "2,2,1", "4,1", "3,1,1", "5", "1,1,1,1,1",
            "3,3,1/2,1", "3,2/1", "(2,1)|(1)", "(1)|(1)|(2)", "(3,2/1)|(2)",
-           "(2)|()", "(2,1)|(1)@2,3", "(2)|(1)@q^0,q^2", "3,1@1/2"]
+           "(2)|()", "(2,1)|(1)@2,3", "(2)|(1)@q^0,q^2", "3,1@1/2",
+           "(2)|(1)@1,3/2*q^2"]
 _NON_DIGITS = ",()|/@q^-*x"
 
 
@@ -531,14 +632,18 @@ _RATIONALS = _GOOD | _GOOD | st.sampled_from(["0", "1/0", "x", ""])
        q=st.just("sym") | _RATIONALS,
        u=st.none() | st.lists(_RATIONALS, min_size=1,
                               max_size=3).map(",".join),
-       r=st.none() | st.integers(0, 3))
+       r=st.none() | st.integers(0, 3),
+       gen=st.none() | st.sampled_from(["0", "1", "x1", "X2", "s1", "t1",
+                                        "9", ""]))
 def test_cli_fuzz_exit_codes_and_diagnostics(capsys, command, shape, family,
-                                             q, u, r):
+                                             q, u, r, gen):
     argv = [command, f"--shape={shape}", f"--family={family}", f"--q={q}"]
     if u is not None:
         argv.append(f"--u={u}")
     if r is not None:
         argv.append(f"--r={r}")
+    if gen is not None and command in ("seminormal", "natural"):
+        argv.append(f"--gen={gen}")
     code, _, err = run_cli(capsys, *argv)
     assert code in (0, 2, 3, 4)
     if code:
