@@ -269,10 +269,12 @@ def direct_sum(blocks):
 # serialization
 # ---------------------------------------------------------------------------
 
-def string_rows(m):
-    """Rows of scalar strings.  Zero cells share the field's zero string;
-    each distinct nonzero value is formatted once."""
-    to_str = m.field.to_str
+def string_rows(m, encode=None):
+    """Rows of scalar strings, each passed through encode if given.
+    Zero cells share one string; each distinct nonzero value is
+    formatted and encoded once."""
+    fmt = m.field.to_str
+    to_str = fmt if encode is None else lambda v: encode(fmt(v))
     zero = to_str(m.field.zero)
     rows = [[zero] * m.ncols for _ in range(m.nrows)]
     memo = {}
@@ -294,14 +296,22 @@ def compact_json(obj):
 
 
 def matrix_to_json(m, shape_str=None, params=None):
-    obj = {
-        "shape": shape_str,
+    """The compact JSON line of {shape, field, params, basis, rows}.
+    Written in pieces in sorted key order, which puts rows between
+    params and shape: the cells come JSON-encoded from string_rows, and
+    each row is joined once and its list of cells dropped."""
+    head = compact_json({
+        "basis": [t.serialize() for t in m.basis] if m.basis else None,
         "field": m.field.name,
         "params": params or {},
-        "basis": [t.serialize() for t in m.basis] if m.basis else None,
-        "rows": string_rows(m),
-    }
-    return compact_json(obj)
+    })
+    rows = string_rows(m, json.dumps)
+    parts = [head[:-2], ',"rows":[']
+    for i, row in enumerate(rows):
+        rows[i] = None
+        parts.append((",[" if i else "[") + ",".join(row) + "]")
+    parts += ['],"shape":', json.dumps(shape_str), "}\n"]
+    return "".join(parts)
 
 
 def matrix_from_json(text, shape=None):

@@ -6,16 +6,14 @@
 
 from __future__ import annotations
 
-from bisect import insort
-from operator import le
-
 from .errors import PreconditionError
 
 __all__ = [
     "identity", "compose", "inverse", "apply_simple",
     "length", "is_identity",
     "descents_left", "reduced_word", "word_to_perm",
-    "sorted_prefixes", "bruhat_leq", "bruhat_leq_subword", "weak_leq",
+    "prefix_counts", "guard_bits", "bruhat_leq", "bruhat_leq_subword",
+    "weak_leq",
 ]
 
 
@@ -87,24 +85,58 @@ def word_to_perm(n, word):
     return w
 
 
-def sorted_prefixes(w):
-    """The sorted prefixes sorted(w[:1]), ..., sorted(w[:n-1]) of w,
-    concatenated into one flat tuple."""
-    out = []
-    prefix = []
+def _field_bytes(n):
+    """Bytes per packed count of permutations of n: the fewest whose top
+    bit no count (at most n - 1) reaches."""
+    for size in (1, 2):
+        if n - 1 < 1 << (8 * size - 1):
+            return size
+    raise PreconditionError(f"permutations of {n} are too long to pack")
+
+
+def _repeat(value, size, count):
+    """count fields of size bytes, each holding value, as one int; field
+    0 is the lowest."""
+    return int.from_bytes(value.to_bytes(size, "little") * count, "little")
+
+
+def prefix_counts(w):
+    """The counts #{w(1..i) <= k} for i, k = 1..n-1 as one int: field
+    (i-1)(n-1) + (k-1), ``_field_bytes(n)`` bytes wide, holds the count
+    of (i, k).  Each row i is written once into one buffer, so the cost
+    is linear in the size of the result."""
+    n = len(w)
+    size = _field_bytes(n)
+    ones = _repeat(1, size, n - 1)
+    row = 0
+    out = bytearray()
     for x in w[:-1]:
-        insort(prefix, x)
-        out.extend(prefix)
-    return tuple(out)
+        # x adds one to the count of every k >= x
+        shift = (x - 1) * 8 * size
+        row += ones >> shift << shift
+        out += row.to_bytes((n - 1) * size, "little")
+    return int.from_bytes(out, "little")
+
+
+def guard_bits(n):
+    """The int with the top bit of every field of ``prefix_counts`` set.
+    No count reaches its field's top bit, so for permutations u, w of n
+    every count of u is >= that of w exactly when
+    ``((prefix_counts(u) | G) - prefix_counts(w)) & G == G``: no field
+    borrows from its guard."""
+    size = _field_bytes(n)
+    return _repeat(1 << (8 * size - 1), size, max(n - 1, 0) ** 2)
 
 
 def bruhat_leq(u, w):
-    """Strong Bruhat order via the sorted-prefix dominance criterion:
-    u <= w iff for every k the sorted prefix {u(1..k)} is entrywise
-    <= the sorted prefix {w(1..k)} (Bjorner-Brenti, Thm 2.6.3)."""
+    """Strong Bruhat order via the sorted-prefix dominance criterion
+    (Bjorner-Brenti, Thm 2.6.3): u <= w iff for every i the sorted
+    prefix {u(1..i)} is entrywise <= the sorted prefix {w(1..i)}, that
+    is, iff #{u(1..i) <= k} >= #{w(1..i) <= k} for all i and k."""
     if len(u) != len(w):
         raise PreconditionError("size mismatch in Bruhat comparison")
-    return all(map(le, sorted_prefixes(u), sorted_prefixes(w)))
+    guard = guard_bits(len(u))
+    return ((prefix_counts(u) | guard) - prefix_counts(w)) & guard == guard
 
 
 def _all_reduced_words(w):

@@ -36,14 +36,13 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, prod
-from operator import le
 
 from .algebras import AlgebraSpec, WeightScheme
 from .bruhat import BruhatGraph, shortest_paths_from
 from .errors import InvariantError, PreconditionError
 from .fields import RATIONALS
 from .linalg import Matrix, direct_sum, tensor_product
-from .perms import sorted_prefixes
+from .perms import guard_bits, prefix_counts
 # unused here; perfbench/selftest.py checks that tracing patches this alias
 from .perms import bruhat_leq  # noqa: F401
 from .shapes import Shape, Tableau
@@ -370,20 +369,22 @@ def check_structure(tm):
     graph = tm.graph
     if not m.is_upper_triangular():
         raise InvariantError("transition matrix is not upper-triangular")
-    # the Bruhat criterion depends on each node alone: sort prefixes once
-    pre = [sorted_prefixes(t.word) for t in graph.nodes]
+    # the Bruhat criterion depends on each node alone: pack its counts
+    # once, so an entry costs one subtraction (see perms.guard_bits)
+    guard = guard_bits(tm.shape.n)
+    guarded = [prefix_counts(t.word) | guard for t in graph.nodes]
     depth = graph.depth
     for j, col in enumerate(m.cols):
         if j not in col or not col[j]:
             raise InvariantError(f"zero diagonal in column {j}")
-        pre_j, depth_j = pre[j], depth[j]
+        counts_j, depth_j = guarded[j] ^ guard, depth[j]
         for i in col:
             # distinct nodes of equal depth are Bruhat-incomparable, so
             # test the depth block first to give the sharper message
             if depth[i] == depth_j and i != j:
                 raise InvariantError(
                     f"off-diagonal entry ({i},{j}) inside a depth block")
-            if not all(map(le, pre[i], pre_j)):
+            if (guarded[i] - counts_j) & guard != guard:
                 raise InvariantError(
                     f"nonzero entry at ({i},{j}) violates the Bruhat pattern")
     return True

@@ -1,6 +1,7 @@
 from itertools import permutations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from walks import keep_skip_walks, walk_weight
 from youngbasis import perms
@@ -73,10 +74,70 @@ def test_bruhat_leq_matches_per_pair_sort_on_s5():
             assert bruhat_leq(u, w) == _bruhat_leq_per_pair_sort(u, w)
 
 
-def test_sorted_prefixes():
-    assert perms.sorted_prefixes((3, 1, 4, 2)) == (3, 1, 3, 1, 3, 4)
-    assert perms.sorted_prefixes((1,)) == ()
-    assert perms.sorted_prefixes(()) == ()
+def test_prefix_counts():
+    # (3,1,4,2): the prefixes {3}, {1,3}, {1,3,4} hold 0,0,1 / 1,1,2 /
+    # 1,1,2 values <= 1, 2, 3, packed one byte each, lowest field first
+    counts = (0, 0, 1, 1, 1, 2, 1, 1, 2)
+    assert perms.prefix_counts((3, 1, 4, 2)) == \
+        sum(c << 8 * k for k, c in enumerate(counts))
+    assert perms.guard_bits(4) == sum(0x80 << 8 * k for k in range(9))
+    assert perms.prefix_counts((1,)) == perms.guard_bits(1) == 0
+    assert perms.prefix_counts(()) == perms.guard_bits(0) == 0
+
+
+def _longest(n):
+    return tuple(range(n, 0, -1))
+
+
+def _swap_values(w, a, b):
+    """w with its values a and b exchanged."""
+    return tuple(b if x == a else a if x == b else x for x in w)
+
+
+@st.composite
+def _bruhat_pairs(draw):
+    """(u, w) with n <= 9: u is w with inverted pairs of values swapped
+    into order a few times, so u <= w, or an independent permutation."""
+    n = draw(st.integers(0, 9))
+    w = tuple(draw(st.permutations(range(1, n + 1))))
+    if draw(st.booleans()):
+        return tuple(draw(st.permutations(range(1, n + 1)))), w
+    u = w
+    for _ in range(draw(st.integers(0, 4))):
+        inverted = [(u[i], u[j]) for i in range(n) for j in range(i + 1, n)
+                    if u[i] > u[j]]
+        if not inverted:
+            break
+        u = _swap_values(u, *draw(st.sampled_from(inverted)))
+    return u, w
+
+
+@given(_bruhat_pairs())
+def test_packed_bruhat_matches_per_pair_sort(pair):
+    u, w = pair
+    assert bruhat_leq(u, w) == _bruhat_leq_per_pair_sort(u, w)
+    assert bruhat_leq(w, u) == _bruhat_leq_per_pair_sort(w, u)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 127, 128, 129])
+def test_packed_bruhat_at_field_widths(n):
+    """Field widths change between n = 128 and 129 (one byte to two)."""
+    e, w0 = perms.identity(n), _longest(n)
+    assert bruhat_leq(e, w0) and bruhat_leq(w0, w0)
+    assert bruhat_leq(w0, e) == (n < 2)
+    if n >= 2:
+        # swapping the values 1 and n of w0 undoes its largest inversion
+        u = _swap_values(w0, 1, n)
+        for a, b in [(u, w0), (w0, u), (e, u), (u, e)]:
+            assert bruhat_leq(a, b) == _bruhat_leq_per_pair_sort(a, b)
+        assert bruhat_leq(u, w0) and not bruhat_leq(w0, u)
+
+
+def test_packed_field_bytes():
+    assert [perms._field_bytes(n) for n in (0, 128, 129, 1 << 15)] == \
+        [1, 1, 2, 2]
+    with pytest.raises(PreconditionError):
+        perms._field_bytes((1 << 15) + 1)
 
 
 def _swap_neighbors(g):

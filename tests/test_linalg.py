@@ -4,13 +4,14 @@ from fractions import Fraction as F
 import pytest
 
 from golden import SYMMETRIC_GOLDEN, TENSOR_ROWS, G24_ROWS
-from youngbasis.algebras import AlgebraSpec, WeightScheme, seminormal_generator
+from youngbasis.algebras import (AlgebraSpec, WeightScheme,
+                                 seminormal_generator, zeroth_generator)
 from youngbasis.errors import FieldMismatchError, PreconditionError
 from youngbasis.fields import (CyclotomicField, Cyclo, QFIELD, QRat,
                                RATIONALS)
-from youngbasis.linalg import (Matrix, direct_sum, matmul, matrix_from_json,
-                               matrix_to_csv, matrix_to_json, tensor_product,
-                               triangular_inverse)
+from youngbasis.linalg import (Matrix, compact_json, direct_sum, matmul,
+                               matrix_from_json, matrix_to_csv, matrix_to_json,
+                               string_rows, tensor_product, triangular_inverse)
 from youngbasis.shapes import parse_shape
 from youngbasis.transition import transition_recursive
 
@@ -149,6 +150,43 @@ def test_json_round_trip():
     text2 = matrix_to_json(tmh.matrix, s.to_str(), None)
     back2, _, _ = matrix_from_json(text2, shape=s)
     assert back2.to_rows() == tmh.matrix.to_rows()
+
+
+def _reference_json(m, shape_str=None, params=None):
+    """The JSON writer as one compact_json call on the whole object."""
+    return compact_json({
+        "shape": shape_str,
+        "field": m.field.name,
+        "params": params or {},
+        "basis": [t.serialize() for t in m.basis] if m.basis else None,
+        "rows": string_rows(m),
+    })
+
+
+def test_json_writer_matches_one_compact_json_call():
+    s = parse_shape("3,2")
+    rational = transition_recursive(
+        WeightScheme(AlgebraSpec("symmetric"), s)).matrix
+    symbolic = transition_recursive(
+        WeightScheme(AlgebraSpec("hecke_A"), s)).matrix
+    ws = WeightScheme(AlgebraSpec("wreath_grn"), parse_shape("(2,1)|(1)|(1)"))
+    t0 = zeroth_generator(ws)
+    cyclo = matmul(t0, transition_recursive(ws).matrix.coerce_field(t0.field))
+    assert t0.field == CyclotomicField(3)
+    # some entry has a xi term and some a denominator
+    cells = [v for col in cyclo.cols for v in col.values()]
+    assert any(any(v.num[1:]) for v in cells)
+    assert any(v.den > 1 for v in cells)
+    cases = [(rational, ("3,2", {"family": "symmetric"})),
+             (symbolic, ("3,2", {"family": "hecke_A", "q": "q"})),
+             (cyclo, ("(2,1)|(1)|(1)", {"family": "wreath_grn"})),
+             (Matrix(0, 0, RATIONALS), ("", {})),
+             (Matrix(2, 0, QFIELD), ()),
+             (rational, (None, None)),
+             (Matrix(rational.nrows, rational.ncols, RATIONALS,
+                     cols=rational.cols), ("3,2",))]
+    for m, args in cases:
+        assert matrix_to_json(m, *args) == _reference_json(m, *args)
 
 
 def test_csv_has_word_header():

@@ -273,11 +273,11 @@ def test_integer_recursion_matches_word_for_rational_q(family, kwargs, r):
                        for v in col.values())
 
 
-def _corrupt_321(edit):
-    """A correct (3,2,1) transition matrix with one cell edited by
-    edit(cols, graph); returns the matrix and the message it must fail
-    with."""
-    tm = transition_recursive(WeightScheme(SPEC6, S321))
+def _corrupt(spec, text, edit):
+    """A correct transition matrix of spec on the shape text with one
+    cell edited by edit(cols, graph); returns the matrix and the message
+    it must fail with."""
+    tm = transition_recursive(WeightScheme(spec, parse_shape(text)))
     check_structure(tm)
     message = edit(tm.matrix.cols, tm.graph)
     return tm, message
@@ -308,10 +308,22 @@ def _inside_depth_block(cols, g):
     return f"off-diagonal entry ({i},{j}) inside a depth block"
 
 
-@pytest.mark.parametrize("edit", [_below_diagonal, _zero_diagonal,
-                                  _bruhat_incomparable, _inside_depth_block])
-def test_check_structure_rejects_corruption(edit):
-    tm, message = _corrupt_321(edit)
+_CORRUPTED = [("", SPEC6, "3,2,1"),
+              ("-skew", SPEC6, "3,3,1/2,1"),
+              ("-ariki_koike", AlgebraSpec("ariki_koike", q=5, u=(2, 3)),
+               "(2,1)|(1)")]
+
+
+# the words of a skew and of a two-component shape feed the packed
+# Bruhat counts too; every shape has at least 8 tableaux, and the
+# (3,2,1) cases keep their ids
+@pytest.mark.parametrize("spec, text, edit", [
+    pytest.param(spec, text, edit, id=edit.__name__ + suffix)
+    for suffix, spec, text in _CORRUPTED
+    for edit in (_below_diagonal, _zero_diagonal, _bruhat_incomparable,
+                 _inside_depth_block)])
+def test_check_structure_rejects_corruption(spec, text, edit):
+    tm, message = _corrupt(spec, text, edit)
     with pytest.raises(InvariantError, match=re.escape(message)):
         check_structure(tm)
 
