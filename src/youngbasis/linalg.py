@@ -277,15 +277,20 @@ def string_rows(m, encode=None):
     to_str = fmt if encode is None else lambda v: encode(fmt(v))
     zero = to_str(m.field.zero)
     rows = [[zero] * m.ncols for _ in range(m.nrows)]
-    memo = {}
+    # The routes share one object per distinct value, so a cell is found
+    # by id first; m keeps every cell alive, so no id is reused here.
+    by_id, by_value = {}, {}
     for j, col in enumerate(m.cols):
         for i, v in col.items():
-            # Fraction.__hash__ is slow Python; its integer pair is not
-            key = (v.numerator, v.denominator) if isinstance(v, Fraction) \
-                else v
-            s = memo.get(key)
+            s = by_id.get(id(v))
             if s is None:
-                s = memo[key] = to_str(v)
+                # Fraction.__hash__ is slow Python; its integer pair is not
+                key = (v.numerator, v.denominator) \
+                    if isinstance(v, Fraction) else v
+                s = by_value.get(key)
+                if s is None:
+                    s = by_value[key] = to_str(v)
+                by_id[id(v)] = s
             rows[i][j] = s
     return rows
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from golden import SYMMETRIC_GOLDEN
+from youngbasis import fields
 from youngbasis.algebras import (AlgebraSpec, WeightScheme,
                                  seminormal_generator, zeroth_generator)
 from youngbasis.cli import FAMILY_CHOICES, build_parser, main
@@ -325,6 +326,26 @@ def test_verify_pass_and_fail_codes(capsys):
                            "--family", "ariki_koike", "--u", "2,3",
                            "--q", "5")
     assert code == 0
+
+
+def test_kernel_caches_leak_no_state_between_requests(capsys):
+    """One process runs many requests, as the benchmark worker does; the
+    memoized polynomial kernel must not change any of their outputs."""
+    argv = ("transition", "--family", "hecke_A", "--shape", "3,2,2",
+            "--format", "json")
+    for f in (fields._igcd, fields._imul, fields._iquo):
+        f.cache_clear()
+    code, cold, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, _, _ = run_cli(capsys, "transition", "--family", "ariki_koike",
+                         "--u", "2,3", "--shape", "(2,1)|(1,1)")
+    assert code == 0
+    code, warm, _ = run_cli(capsys, *argv)
+    assert code == 0 and warm == cold
+    # the op count of symbolic hecke_A 4,3,2 is that of the uncached kernel
+    code, out, _ = run_cli(capsys, "bench", "--family", "hecke_A",
+                           "--shape", "4,3,2", "--format", "json")
+    assert code == 0 and json.loads(out)[0]["scalar_ops"] == 9770
 
 
 def test_bench(capsys):

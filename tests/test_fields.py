@@ -8,6 +8,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from youngbasis import fields
 from youngbasis.errors import (FieldMismatchError, PoleError,
                                PreconditionError, ShapeParseError)
 from youngbasis.fields import (Cyclo, CyclotomicField, QFIELD, QRat,
@@ -373,3 +374,53 @@ def test_cyclo_matches_sympy(r, a, b, op):
     want = sx * inv_y if op is operator.truediv else op(sx, sy)
     _assert_cyclo_is(got, want, r)
     assert CyclotomicField(r).parse(got.to_str()) == got
+
+
+# ---------------------------------------------------------------------------
+# the memoized integer-polynomial kernel
+# ---------------------------------------------------------------------------
+
+_int_polys = st.lists(st.integers(-9, 9), min_size=1, max_size=6).filter(
+    lambda c: c[-1] != 0).map(tuple)
+_primitive_polys = _int_polys.map(lambda c: fields._iprimitive(c)[1])
+
+
+def _twice(f, *args):
+    """f(*args) on an empty cache and again as a hit, both checked
+    against the uncached function."""
+    f.cache_clear()
+    want = f.__wrapped__(*args)
+    assert f(*args) == want and f.cache_info().misses == 1
+    assert f(*args) == want and f.cache_info().hits == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(_primitive_polys, _primitive_polys, _primitive_polys)
+def test_kernel_caches_match_uncached(a, b, c):
+    _twice(fields._imul, a, b)
+    _twice(fields._igcd, fields._imul(a, c), fields._imul(b, c))
+    _twice(fields._iquo, fields._imul(a, b), b)
+    if len(b) > 1:
+        # b * c + 1 leaves the remainder 1 on division by b
+        p = fields._imul(b, c)
+        inexact = (p[0] + 1,) + p[1:]
+        fields._iquo.cache_clear()
+        for _ in range(2):
+            with pytest.raises(ArithmeticError):
+                fields._iquo(inexact, b)
+        assert fields._iquo.cache_info().currsize == 0
+
+
+def test_kernel_caches_are_bounded():
+    for f in (fields._igcd, fields._imul, fields._iquo):
+        assert 0 < f.cache_info().maxsize < float("inf")
+
+
+@pytest.mark.parametrize("r", [5, 7, 9, 12])
+def test_cyclo_inverse_when_phi_exceeds_two(r):
+    rng = random.Random(r)
+    field = CyclotomicField(r)
+    assert len(cyclotomic_polynomial(r)) - 1 > 2
+    for x in [Cyclo(r, [1, 2])] + [_rand_cyclo(rng, field) for _ in range(5)]:
+        if x:
+            assert x * x.inverse() == field.one

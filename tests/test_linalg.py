@@ -153,14 +153,26 @@ def test_json_round_trip():
 
 
 def _reference_json(m, shape_str=None, params=None):
-    """The JSON writer as one compact_json call on the whole object."""
+    """The JSON writer as one compact_json call on the whole object, with
+    every cell formatted on its own."""
+    rows = [[m.field.to_str(v) for v in row] for row in m.to_rows()]
+    assert string_rows(m) == rows
     return compact_json({
         "shape": shape_str,
         "field": m.field.name,
         "params": params or {},
         "basis": [t.serialize() for t in m.basis] if m.basis else None,
-        "rows": string_rows(m),
+        "rows": rows,
     })
+
+
+def _fresh_cells(m):
+    """m with every cell a new object, so equal values are not shared."""
+    copy = F if m.field is RATIONALS else \
+        (lambda v: m.field.parse(m.field.to_str(v)))
+    return Matrix(m.nrows, m.ncols, m.field, basis=m.basis,
+                  cols=[{i: copy(v) for i, v in col.items()}
+                        for col in m.cols])
 
 
 def test_json_writer_matches_one_compact_json_call():
@@ -184,7 +196,12 @@ def test_json_writer_matches_one_compact_json_call():
              (Matrix(2, 0, QFIELD), ()),
              (rational, (None, None)),
              (Matrix(rational.nrows, rational.ncols, RATIONALS,
-                     cols=rational.cols), ("3,2",))]
+                     cols=rational.cols), ("3,2",)),
+             (_fresh_cells(rational), ("3,2", {"family": "symmetric"})),
+             (_fresh_cells(symbolic), ("3,2", {"family": "hecke_A"}))]
+    # equal values in distinct objects
+    fresh = [v for col in _fresh_cells(rational).cols for v in col.values()]
+    assert len(set(map(id, fresh))) == len(fresh) > len(set(fresh))
     for m, args in cases:
         assert matrix_to_json(m, *args) == _reference_json(m, *args)
 
