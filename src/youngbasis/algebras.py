@@ -192,8 +192,9 @@ class WeightScheme:
             field.coerce(w) if field is QFIELD else evaluate_q(w, q)
             for w in spec.page_weights(shape))
         self._qinv = 1 / q
-        # the coefficient of a pair depends only on the two components
-        # and the content difference, so cache by that key
+        # the coefficient a of a pair depends only on _pair_key, so each
+        # key holds (a, q^-1 + a): the stay and the move of a generator,
+        # and the per-inversion factor of the transition diagonal
         self._pair_cache = {}
         self._orth_cache = {}
         self._steps = {}
@@ -204,42 +205,52 @@ class WeightScheme:
         # rational matrix built on this scheme
         self._fractions = {}
 
+    def _entry(self, t, i, j):
+        """(a, q^-1 + a) for the pair (i, j) of t, a its axial
+        coefficient: one cache entry per key."""
+        key = _pair_key(t.box_of, i, j)
+        entry = self._pair_cache.get(key)
+        if entry is None:
+            a = q_axial_weight(t, i, j, self.weights, self.q)
+            entry = self._pair_cache[key] = (a, self._qinv + a)
+        return entry
+
     def pair(self, t, i, j):
         """The (i, j) axial coefficient in the active field."""
-        key = (t.component_of(i), t.component_of(j),
-               t.content(i) - t.content(j))
-        cached = self._pair_cache.get(key)
-        if cached is not None:
-            return cached
-        val = q_axial_weight(t, i, j, self.weights, self.q)
-        self._pair_cache[key] = val
-        return val
+        return self._entry(t, i, j)[0]
 
     def stay(self, t, i):
         return self.pair(t, i, i + 1)
 
     def move(self, t, i):
-        return self._qinv + self.stay(t, i)
+        return self._entry(t, i, i + 1)[1]
 
     def steps(self, label):
         """Per-node stay coefficients and (move coefficient, target) or
-        None for one generator label: what one two-term update needs."""
+        None for one generator label: what one two-term update needs.
+        Nodes with one key share the key's two objects."""
         cached = self._steps.get(label)
         if cached is None:
+            cache = self._pair_cache
             stay = []
             move = []
-            graph = self.graph
-            for t, nbrs in zip(graph.nodes, graph.neighbors):
-                stay.append(self.stay(t, label))
+            for t, nbrs in zip(self.graph.nodes, self.graph.neighbors):
+                key = _pair_key(t.box_of, label, label + 1)
+                entry = cache.get(key)
+                if entry is None:
+                    # a miss goes through pair: one call per key
+                    self.pair(t, label, label + 1)
+                    entry = cache[key]
+                stay.append(entry[0])
                 target = nbrs.get(label)
-                move.append(None if target is None
-                            else (self.move(t, label), target))
+                move.append(None if target is None else (entry[1], target))
             cached = self._steps[label] = (stay, move)
         return cached
 
     def scaled_steps(self, label):
         """:func:`_scale_steps` of ``steps(label)``.  Derived from
-        ``steps`` on first use, so it reads the same coefficients."""
+        ``steps`` on first use, so it reads the same coefficients, and
+        splits each key's objects once."""
         cached = self._scaled_steps.get(label)
         if cached is None:
             cached = self._scaled_steps[label] = _scale_steps(
@@ -269,16 +280,14 @@ class WeightScheme:
         return self._pairs[label]
 
     def diag_factor(self, t, i, j):
-        return self._qinv + self.pair(t, i, j)
+        return self._entry(t, i, j)[1]
 
     def orth_factor_squared(self, t, i, j):
-        key = (t.component_of(i), t.component_of(j),
-               t.content(i) - t.content(j))
+        key = _pair_key(t.box_of, i, j)
         cached = self._orth_cache.get(key)
         if cached is not None:
             return cached
-        a = self.pair(t, i, j)
-        num = self._qinv + a
+        a, num = self._entry(t, i, j)
         den = self._qinv * self._qinv - a * a
         if not den:
             raise DegenerateWeightError(
@@ -288,17 +297,28 @@ class WeightScheme:
         return val
 
 
+def _pair_key(box_of, i, j):
+    """What the coefficient of the pair (i, j) depends on: the
+    components of i and j and the difference of their contents."""
+    ki, xi, yi = box_of[i]
+    kj, xj, yj = box_of[j]
+    return ki, kj, yi - xi - yj + xj
+
+
 def _scale_steps(split, stay, move):
     """Step coefficients times L, the lcm of their ``split``
-    denominators: stays, (move, target) or None, and L.  A coefficient
-    over L itself keeps its numerator object."""
-    stay = list(map(split, stay))
-    move = [None if mv is None else (*split(mv[0]), mv[1]) for mv in move]
-    den = lcm(*(d for _, d in stay),
-              *(mv[1] for mv in move if mv is not None))
-    return ([x if d == den else x * (den // d) for x, d in stay],
-            [None if mv is None else
-             (mv[0] if mv[1] == den else mv[0] * (den // mv[1]), mv[2])
+    denominators: stays, (move, target) or None, and L.  Each distinct
+    coefficient object is split and scaled once (steps drawn from a
+    scheme hold one object per key); a coefficient over L itself keeps
+    its numerator object."""
+    objs = {id(x): x for x in stay}
+    objs.update((id(mv[0]), mv[0]) for mv in move if mv is not None)
+    parts = {k: split(x) for k, x in objs.items()}
+    den = lcm(*(d for _, d in parts.values()))
+    scaled = {k: x if d == den else x * (den // d)
+              for k, (x, d) in parts.items()}
+    return ([scaled[id(x)] for x in stay],
+            [None if mv is None else (scaled[id(mv[0])], mv[1])
              for mv in move],
             den)
 

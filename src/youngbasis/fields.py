@@ -238,7 +238,9 @@ class QRat:
         return bool(self._num)
 
     def _key(self):
-        return self._exp, self._num, self._scale, self._den
+        # all ints, so hashing and comparing a key run in C
+        s = self._scale
+        return self._exp, self._num, s.numerator, s.denominator, self._den
 
     def __eq__(self, other):
         other = _as_qrat(other)

@@ -11,7 +11,7 @@ import json
 from fractions import Fraction
 
 from .errors import FieldMismatchError, PreconditionError
-from .fields import field_by_name
+from .fields import QRat, field_by_name
 
 __all__ = ["Matrix", "matmul", "triangular_inverse", "tensor_product",
            "direct_sum", "string_rows", "compact_json", "matrix_to_json",
@@ -284,9 +284,14 @@ def string_rows(m, encode=None):
         for i, v in col.items():
             s = by_id.get(id(v))
             if s is None:
-                # Fraction.__hash__ is slow Python; its integer pair is not
-                key = (v.numerator, v.denominator) \
-                    if isinstance(v, Fraction) else v
+                # Fraction.__hash__ and QRat.__eq__ are slow Python; the
+                # integers they compare are not
+                if isinstance(v, Fraction):
+                    key = (v.numerator, v.denominator)
+                elif isinstance(v, QRat):
+                    key = v._key()
+                else:
+                    key = v
                 s = by_value.get(key)
                 if s is None:
                     s = by_value[key] = to_str(v)

@@ -47,13 +47,23 @@ def apply_simple(w, i):
 
 
 def length(w):
-    """Coxeter length = number of inversions, counted directly."""
+    """Coxeter length = number of inversions, counted in O(n log n):
+    reading w left to right, a Fenwick tree over the values counts the
+    entries read so far that are <= x; the others form inversions with
+    x."""
     n = len(w)
+    tree = [0] * (n + 1)
     count = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if w[i] > w[j]:
-                count += 1
+    for seen, x in enumerate(w):
+        count += seen
+        k = x
+        while k:
+            count -= tree[k]
+            k &= k - 1
+        k = x
+        while k <= n:
+            tree[k] += 1
+            k += k & -k
     return count
 
 

@@ -22,6 +22,7 @@ from functools import cached_property, lru_cache
 
 from .errors import PreconditionError, ShapeParseError
 from .fields import QRat, parse_rational
+from .perms import length
 
 __all__ = [
     "Shape", "Tableau", "parse_shape", "shape_from_parts",
@@ -257,10 +258,10 @@ class Tableau:
     @cached_property
     def word(self):
         """The permutation carrying the column reading tableau to this one."""
-        c = column_reading_tableau(self.shape)
+        pos = _column_positions(self.shape)
         w = [0] * self.shape.n
         for v, box in self.box_of.items():
-            w[c.entry(*box) - 1] = v
+            w[pos[box]] = v
         return tuple(w)
 
     @cached_property
@@ -277,9 +278,11 @@ class Tableau:
                     out.add((i, j))
         return frozenset(out)
 
-    @property
+    @cached_property
     def depth(self):
-        return len(self.inversions)
+        """The number of inversions of a standard tableau, counted on
+        its word, which has as many; no inversion set is built."""
+        return length(self.word)
 
     def swap(self, i):
         """Apply the adjacent transposition s_i to the entries."""
@@ -318,6 +321,13 @@ def column_reading_tableau(shape):
                         entries[(k, x, y)] = counter
                         counter += 1
     return Tableau.from_entries(shape, entries)
+
+
+@lru_cache(maxsize=512)
+def _column_positions(shape):
+    """Map box -> 0-based position in the column reading order."""
+    return {box: v - 1
+            for v, box in column_reading_tableau(shape).box_of.items()}
 
 
 def row_reading_tableau(shape):

@@ -155,19 +155,25 @@ def _fraction_columns(ws, cols, dens):
     scheme ws: off the rationals every denominator is 1 and the columns
     are the entries.  Rational values become Fractions, one per value
     across every matrix of ws, so routes that agree hold the same
-    objects."""
+    objects.  Raw numerators are memoized per denominator, so each
+    distinct pair is reduced once."""
     if ws.field is not RATIONALS:
         return cols
     memo = ws._fractions
+    by_den = {}
     out = []
     for col, den in zip(cols, dens):
+        seen = by_den.setdefault(den, {})
         fcol = {}
         for i, x in col.items():
-            g = gcd(x, den)
-            key = (x // g, den // g)
-            val = memo.get(key)
+            val = seen.get(x)
             if val is None:
-                val = memo[key] = Fraction(*key)
+                g = gcd(x, den)
+                key = (x // g, den // g)
+                val = memo.get(key)
+                if val is None:
+                    val = memo[key] = Fraction(*key)
+                seen[x] = val
             fcol[i] = val
         out.append(fcol)
     return out

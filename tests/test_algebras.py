@@ -15,8 +15,10 @@ from youngbasis.linalg import Matrix, matmul
 from youngbasis.perms import reduced_word
 from youngbasis.shapes import (Shape, Tableau, all_partitions, alphabetizer,
                                parse_shape, shape_from_parts)
-from youngbasis.transition import (orthogonal_diag_squared,
+from youngbasis.transition import (diagonal_closed_form,
+                                   orthogonal_diag_squared,
                                    transition_recursive)
+from youngbasis.weights import q_axial_weight
 
 S321 = parse_shape("3,2,1")
 SPEC_S6 = AlgebraSpec("symmetric")
@@ -400,3 +402,45 @@ def test_symbolic_q_evaluates_to_rational_q(family, u, pages):
                 assert _at(sym, q0) == want, (shape.to_str(), q0)
                 compared += 1
     assert compared >= 30
+
+
+# every family, rational and symbolic q, a skew shape and shapes of two
+# components, where the components of a pair change its coefficient
+@pytest.mark.parametrize("family,q,u,text", [
+    ("symmetric", None, None, "3,2,1"),
+    ("symmetric", None, None, "4,3,2/2,1"),
+    ("hecke_A", 5, None, "3,2,1"),
+    ("hecke_A", None, None, "3,2"),
+    ("hecke_B", 3, (2, F(1, 2)), "(2,1)|(1)"),
+    ("ariki_koike", None, (2, 3), "(2,1)|(1,1)"),
+    ("affine_placed", None, None, "(2,1)|(1)@1,q^3"),
+    ("wreath_grn", None, None, "(2,1)|(1,1)"),
+])
+def test_keyed_tables_match_a_per_node_recomputation(family, q, u, text):
+    """The steps, the scaled steps and the diagonal, read from one cache
+    entry per key, equal the coefficients recomputed at every node by the
+    uncached q_axial_weight."""
+    ws = WeightScheme(AlgebraSpec(family, q, u), parse_shape(text))
+    qinv = 1 / ws.q
+
+    def axial(t, i, j):
+        return q_axial_weight(t, i, j, ws.weights, ws.q)
+
+    nodes, neighbors = ws.graph.nodes, ws.graph.neighbors
+    for label in range(1, ws.shape.n):
+        stay, move = ws.steps(label)
+        sstay, smove, den = ws.scaled_steps(label)
+        for v, t in enumerate(nodes):
+            a = axial(t, label, label + 1)
+            target = neighbors[v].get(label)
+            assert stay[v] == a and sstay[v] == a * den
+            if target is None:
+                assert move[v] is None and smove[v] is None
+            else:
+                assert move[v] == (qinv + a, target)
+                assert smove[v] == ((qinv + a) * den, target)
+    for t, d in zip(nodes, diagonal_closed_form(ws)):
+        want = ws.field.one
+        for i, j in sorted(t.inversions):
+            want = want * (qinv + axial(t, i, j))
+        assert d == want

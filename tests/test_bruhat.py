@@ -11,7 +11,7 @@ from youngbasis.bruhat import (BruhatGraph, shortest_path,
 from youngbasis.errors import PreconditionError
 from youngbasis.perms import bruhat_leq
 from youngbasis.shapes import Tableau, all_skew_shapes, parse_shape
-from youngbasis.transition import transition_pathsum
+from youngbasis.transition import transition_pathsum, transition_recursive
 
 
 def test_graph_32():
@@ -193,6 +193,21 @@ def test_depth_equals_inversions_and_word_length():
             t = g.nodes[v]
             assert dist[v] == g.depth[v] == len(t.inversions) \
                 == perms.length(t.word)
+
+
+def test_length_counts_inversions():
+    for n in range(7):
+        for w in permutations(range(1, n + 1)):
+            assert perms.length(w) == sum(
+                w[a] > w[b] for b in range(n) for a in range(b))
+
+
+def test_graph_and_recursion_build_no_inversion_set():
+    # depth is counted on the word: the quadratic inversion set of a
+    # tableau is left to the diagonals that read it
+    ws = WeightScheme(AlgebraSpec("symmetric"), parse_shape("4,3,2/1"))
+    transition_recursive(ws)
+    assert not any("inversions" in vars(t) for t in ws.graph.nodes)
 
 
 def test_shortest_path_to_displayed_tableau():

@@ -166,6 +166,24 @@ def test_qrat_equality_agrees_with_evaluation():
             pts += 1
 
 
+def test_equal_qrats_hash_equal_on_an_int_key():
+    """Equal values built by different operations have one key, made of
+    ints only, so a dict finds one by the other."""
+    rng = random.Random(7)
+    for _ in range(30):
+        f = _rand_qrat(rng)
+        m = QRat.const(0)
+        while m.is_zero():
+            m = _rand_laurent(rng)
+        c = _rand_fraction(rng) or F(2)
+        for g in ((f.num * m) / (f.den * m), f * c / c, f + m - m,
+                  -(-f)):
+            assert g == f and hash(g) == hash(f) and g._key() == f._key()
+            assert {f: 1}[g] == 1
+        exp, num, s_num, s_den, den = f._key()
+        assert all(type(x) is int for x in (exp, s_num, s_den, *num, *den))
+
+
 def test_qrat_cross_multiplication_identity():
     rng = random.Random(4242)
     for _ in range(40):

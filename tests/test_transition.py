@@ -21,7 +21,8 @@ from youngbasis.linalg import matmul
 from youngbasis.perms import bruhat_leq
 from youngbasis.shapes import (Shape, Tableau, all_partitions, parse_shape,
                                shape_from_parts, standard_tableaux)
-from youngbasis.transition import (_lowest_terms, _push_column,
+from youngbasis.transition import (_fraction_columns, _lowest_terms,
+                                   _push_column,
                                    bench_transition, check_structure,
                                    diagonal_closed_form, grn_transition,
                                    orthogonal_diag_squared,
@@ -233,6 +234,20 @@ def test_scaling_off_the_rationals_keeps_the_coefficients():
     assert s == t0
     assert all(s.cols[j][i] is v for j, col in enumerate(t0.cols)
                for i, v in col.items())
+
+
+def test_one_fraction_per_reduced_value():
+    """A reduced value is one Fraction object wherever it is reached:
+    as 2/4 and as 1/2 in two columns, and in two routes of one scheme
+    (the identity shortcut of Matrix.__eq__ relies on it)."""
+    ws = WeightScheme(AlgebraSpec("symmetric"), parse_shape("3,2,1"))
+    a, b = _fraction_columns(ws, [{0: 2, 1: 2}, {0: 1}], [4, 2])
+    assert a[0] == F(1, 2) and a[0] is a[1] is b[0]
+    rec = transition_recursive(ws).matrix
+    word = transition_word(ws).matrix
+    assert rec.nnz() == word.nnz()
+    assert all(word.cols[j][i] is v
+               for j, col in enumerate(rec.cols) for i, v in col.items())
 
 
 _PLACED = parse_shape("(1)|(1)@1,q^3").weights
