@@ -27,10 +27,13 @@ arithmetic.  Every generator and relation check here, and every route
 in :mod:`transition`, takes the scheme alone.  :func:`generators` is the
 one table that names a module's generators and selects among them.
 
-:func:`verify_relations` takes each matrix M as a pair (S, L) with
-M = S / L, L the lcm of the denominators the field's ``split`` gives
-M's entries: an int matrix S over the rationals, M's own entries over
-L = 1 elsewhere.  The scalars of the quadratic and cyclotomic relations
+A generator matrix is built from the scaled steps: each column is the
+label's coefficients times their common denominator, over that
+denominator in lowest terms (see :mod:`linalg`).
+:func:`verify_relations` takes each matrix M as a pair (S, L) of
+:func:`linalg.integral_pair`, M = S / L with L the lcm of M's column
+denominators: an int matrix S over the rationals, M itself over L = 1
+elsewhere.  The scalars of the quadratic and cyclotomic relations
 split the same way.  A product of pairs multiplies the S and the L;
 the side of a relation with fewer factors of L is multiplied up to the
 other's before the two are compared, and a failing relation divides its
@@ -41,7 +44,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from math import gcd, lcm
+from math import gcd
 from typing import NamedTuple
 
 from .bruhat import BruhatGraph
@@ -49,7 +52,8 @@ from .errors import (DegenerateWeightError, NonSemisimpleError,
                      PreconditionError)
 from .fields import (QFIELD, Cyclo, CyclotomicField, QRat,
                      check_semisimple, evaluate_q, field_of)
-from .linalg import Matrix, matmul
+from .linalg import (Matrix, integral_pair, lowest_terms, matmul,
+                     split_over_lcm)
 from .weights import q_axial_weight, weighted_content
 
 __all__ = ["AlgebraSpec", "FAMILIES", "PRESETS", "Preset", "generators",
@@ -201,9 +205,6 @@ class WeightScheme:
         self._scaled_steps = {}
         self._generators = {}
         self._pairs = {}
-        # one Fraction per reduced (numerator, denominator) for every
-        # rational matrix built on this scheme
-        self._fractions = {}
 
     def _entry(self, t, i, j):
         """(a, q^-1 + a) for the pair (i, j) of t, a its axial
@@ -258,18 +259,18 @@ class WeightScheme:
         return cached
 
     def generator(self, label):
-        """The seminormal matrix of one generator label (shared: callers
-        must not modify it)."""
+        """The seminormal matrix of one generator label, built from
+        ``scaled_steps(label)`` (shared: callers must not modify it)."""
         m = self._generators.get(label)
         if m is None:
-            stay, move = self.steps(label)
+            stay, move, den = self.scaled_steps(label)
             size = self.graph.size()
             m = Matrix(size, size, self.field, basis=self.graph.nodes)
-            for col, (a, mv) in enumerate(zip(stay, move)):
-                if a:
-                    m.cols[col][col] = a
+            for v, (a, mv) in enumerate(zip(stay, move)):
+                col = {v: a} if a else {}
                 if mv is not None:
-                    m.cols[col][mv[1]] = mv[0]
+                    col[mv[1]] = mv[0]
+                m.cols[v], m.dens[v] = lowest_terms(col, den)
             self._generators[label] = m
         return m
 
@@ -313,10 +314,7 @@ def _scale_steps(split, stay, move):
     its numerator object."""
     objs = {id(x): x for x in stay}
     objs.update((id(mv[0]), mv[0]) for mv in move if mv is not None)
-    parts = {k: split(x) for k, x in objs.items()}
-    den = lcm(*(d for _, d in parts.values()))
-    scaled = {k: x if d == den else x * (den // d)
-              for k, (x, d) in parts.items()}
+    scaled, den = split_over_lcm(split, objs)
     return ([scaled[id(x)] for x in stay],
             [None if mv is None else (scaled[id(mv[0])], mv[1])
              for mv in move],
@@ -419,18 +417,6 @@ def natural_generator(ws, i, transition=None):
 # defining relations
 # ---------------------------------------------------------------------------
 
-def integral_pair(m):
-    """m as a pair (S, L) with m = S / L, L the lcm of the ``split``
-    denominators of m's entries; an entry over L itself keeps its
-    numerator object, so S holds m's own entries when L = 1."""
-    split = m.field.split
-    cols = [{i: split(v) for i, v in col.items()} for col in m.cols]
-    den = lcm(*(d for col in cols for _, d in col.values()))
-    cols = [{i: x if d == den else x * (den // d)
-             for i, (x, d) in col.items()} for col in cols]
-    return Matrix(m.nrows, m.ncols, m.field, cols=cols), den
-
-
 def _chain(*pairs):
     """The product of (S, L) pairs, as one pair."""
     m, den = pairs[0]
@@ -448,8 +434,7 @@ def _entry_witness(m, den=1):
     """The first nonzero entry of m / den, column by column."""
     for j, col in enumerate(m.cols):
         for i, v in sorted(col.items()):
-            if den != 1:
-                v = Fraction(v, den)
+            v = m.field.join(v, m.dens[j] * den)
             return {"row": i, "col": j, "value": m.field.to_str(v)}
     return None
 
@@ -486,7 +471,7 @@ def verify_relations(ws):
     report = []
     gens = {i: ws.generator_pair(i) for i in range(1, n)}
     field = ws.field
-    eye = integral_pair(Matrix.identity(size, field))[0]
+    eye = Matrix.identity(size, field)
     # T_i^2 = (q - q^-1) T_i + 1, an involution at q = 1
     coeff = ws.q - 1 / ws.q
     c, d = field.split(coeff)

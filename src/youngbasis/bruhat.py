@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import perms
 from .errors import InvariantError, PreconditionError
-from .shapes import standard_tableaux
+from .shapes import _column_positions, standard_tableaux
 
 __all__ = ["BruhatGraph", "Path", "shortest_path", "shortest_paths_from",
            "to_dot"]
@@ -27,10 +27,11 @@ class BruhatGraph:
         self.index = {t.rows: i for i, t in enumerate(self.nodes)}
         self.depth = [t.depth for t in self.nodes]
         by_word = {t.word: v for v, t in enumerate(self.nodes)}
+        pos = _column_positions(shape)
         # neighbors[v][i] = endpoint of the edge labeled s_i at v, if any,
         # filled in label order.
         # s_i(T) is standard iff i and i+1 share neither a row nor a
-        # column of one component; its word is s_i applied to T's word.
+        # column of one component; its word swaps i and i+1 in T's word.
         self.neighbors = []
         for t in self.nodes:
             box, word = t.box_of, t.word
@@ -39,7 +40,9 @@ class BruhatGraph:
                 k, x, y = box[i]
                 k2, x2, y2 = box[i + 1]
                 if k != k2 or (x != x2 and y != y2):
-                    nbrs[i] = by_word[perms.apply_simple(word, i)]
+                    w = list(word)
+                    w[pos[box[i]]], w[pos[box[i + 1]]] = i + 1, i
+                    nbrs[i] = by_word[tuple(w)]
             self.neighbors.append(nbrs)
         self._check()
 

@@ -658,7 +658,8 @@ def parse_rational(s):
 # ---------------------------------------------------------------------------
 
 # ``split(x)`` is x as (numerator, positive int denominator), the column
-# form of every exact route: ints over the rationals, (x, 1) elsewhere.
+# form of every exact route and of a Matrix: ints over the rationals,
+# (x, 1) elsewhere.  ``join(x, den)`` is its inverse, the value x / den.
 
 class RationalField:
     name = "rational"
@@ -671,6 +672,7 @@ class RationalField:
 
     # not a method: attrgetter runs in C, and verify splits every entry
     split = attrgetter("numerator", "denominator")
+    join = Fraction
 
     def to_str(self, x):
         return str(Fraction(x))
@@ -707,6 +709,9 @@ class QRationalField:
 
     def split(self, x):
         return x, 1
+
+    def join(self, x, den):
+        return x if den == 1 else x / den
 
     def to_str(self, x):
         return x.to_str()
@@ -754,6 +759,9 @@ class CyclotomicField:
 
     def split(self, x):
         return x, 1
+
+    def join(self, x, den):
+        return x if den == 1 else x / den
 
     def to_str(self, x):
         return x.to_str()

@@ -1,90 +1,131 @@
 """Sparse exact matrices over a pluggable scalar field.
 
-Storage is one dict per column mapping row index to a nonzero scalar;
-generator matrices have at most two nonzeros per column and the column
+Storage is one dict per column mapping row index to a nonzero numerator,
+over one positive int denominator per column in ``dens``: the field's
+``split`` form, in lowest terms, so equal matrices have equal ``cols``
+and ``dens``.  The numerators are ints on the rationals and the field's
+own scalars over 1 elsewhere.  ``get``, ``column``, ``to_rows`` and
+``from_rows`` give and take field values (``Fraction``s on the
+rationals) through the field's ``join`` and ``split``.
+
+Generator matrices have at most two nonzeros per column and the column
 recursion writes whole columns, so column-major is the natural layout.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import FieldMismatchError, PreconditionError
-from .fields import QRat, field_by_name
+from .fields import QFIELD, QRat, field_by_name
 
 __all__ = ["Matrix", "matmul", "triangular_inverse", "tensor_product",
-           "direct_sum", "string_rows", "compact_json", "matrix_to_json",
+           "direct_sum", "integral_pair", "lowest_terms", "split_over_lcm",
+           "string_rows", "compact_json", "matrix_to_json",
            "matrix_from_json", "matrix_to_csv"]
 
 
-class Matrix:
-    """Immutable-by-convention sparse matrix with exact entries."""
+def lowest_terms(col, den):
+    """A column over den, both divided by their gcd; a column over 1, as
+    every column off the rationals is, is already in lowest terms."""
+    if den == 1:
+        return col, den
+    g = gcd(den, *col.values())
+    if g > 1:
+        col = {i: x // g for i, x in col.items()}
+        den //= g
+    return col, den
 
-    def __init__(self, nrows, ncols, field, cols=None, basis=None):
+
+def split_over_lcm(split, values):
+    """A dict of nonzero field values as (numerators, den): den the lcm
+    of the values' ``split`` denominators and each numerator scaled to
+    it, a value over den itself keeping its numerator object.  Values in
+    lowest terms give numerators over den in lowest terms."""
+    parts = {k: split(x) for k, x in values.items()}
+    den = lcm(*(d for _, d in parts.values()))
+    return ({k: x if d == den else x * (den // d)
+             for k, (x, d) in parts.items()}, den)
+
+
+def _scaled(col, k):
+    """A new column of col's numerators times k."""
+    return dict(col) if k == 1 else {i: x * k for i, x in col.items()}
+
+
+class Matrix:
+    """Immutable-by-convention sparse matrix with exact entries: column j
+    holds the numerators ``cols[j]`` over ``dens[j]``."""
+
+    def __init__(self, nrows, ncols, field, cols=None, basis=None,
+                 dens=None):
         self.nrows = nrows
         self.ncols = ncols
         self.field = field
         self.cols = [dict() for _ in range(ncols)] if cols is None else cols
+        self.dens = [1] * ncols if dens is None else dens
         self.basis = basis  # optional list of Tableau, canonical order
 
     @classmethod
     def identity(cls, n, field, basis=None):
-        m = cls(n, n, field, basis=basis)
-        for i in range(n):
-            m.cols[i][i] = field.one
+        one = field.split(field.one)[0]
+        return cls(n, n, field, cols=[{i: one} for i in range(n)],
+                   basis=basis)
+
+    @classmethod
+    def from_columns(cls, nrows, ncols, field, values, basis=None):
+        """The matrix whose column j holds the field values values[j], a
+        dict row -> scalar; zero values are dropped."""
+        m = cls(nrows, ncols, field, basis=basis)
+        for j, col in enumerate(values):
+            col = {i: field.coerce(v) for i, v in col.items() if v}
+            m.cols[j], m.dens[j] = split_over_lcm(field.split, col)
         return m
 
     @classmethod
     def from_rows(cls, rows, field, basis=None):
-        nrows = len(rows)
         ncols = len(rows[0]) if rows else 0
-        m = cls(nrows, ncols, field, basis=basis)
-        for i, row in enumerate(rows):
-            if len(row) != ncols:
-                raise PreconditionError("ragged rows")
-            for j, v in enumerate(row):
-                v = field.coerce(v)
-                if v:
-                    m.cols[j][i] = v
-        return m
+        if any(len(row) != ncols for row in rows):
+            raise PreconditionError("ragged rows")
+        return cls.from_columns(len(rows), ncols, field,
+                                map(dict, map(enumerate, zip(*rows))), basis)
 
     @classmethod
     def diagonal(cls, values, field, basis=None):
-        m = cls(len(values), len(values), field, basis=basis)
-        for i, v in enumerate(values):
-            v = field.coerce(v)
-            if v:
-                m.cols[i][i] = v
-        return m
+        n = len(values)
+        return cls.from_columns(n, n, field,
+                                [{i: v} for i, v in enumerate(values)], basis)
 
     def get(self, i, j):
-        return self.cols[j].get(i, self.field.zero)
+        x = self.cols[j].get(i)
+        return self.field.zero if x is None else \
+            self.field.join(x, self.dens[j])
 
     def column(self, j):
-        return dict(self.cols[j])
+        join, den = self.field.join, self.dens[j]
+        return {i: join(x, den) for i, x in self.cols[j].items()}
 
     def nnz(self):
         return sum(len(c) for c in self.cols)
 
     def to_rows(self):
         rows = [[self.field.zero] * self.ncols for _ in range(self.nrows)]
-        for j, col in enumerate(self.cols):
-            for i, v in col.items():
-                rows[i][j] = v
-        return rows
-
-    def rows_dict(self):
-        rows = [dict() for _ in range(self.nrows)]
-        for j, col in enumerate(self.cols):
-            for i, v in col.items():
+        for j in range(self.ncols):
+            for i, v in self.column(j).items():
                 rows[i][j] = v
         return rows
 
     def apply(self, vec):
-        """Matrix times sparse vector (dict row -> scalar)."""
+        """Matrix times sparse vector (dict row -> scalar).  A column
+        over 1 multiplies as its numerators, so a matrix over 1 keeps an
+        int vector int."""
+        join = self.field.join
         out = {}
         for j, x in vec.items():
+            den = self.dens[j]
+            if den != 1:
+                x = join(x, den)
             for i, v in self.cols[j].items():
                 acc = out.get(i)
                 acc = v * x if acc is None else acc + v * x
@@ -97,23 +138,18 @@ class Matrix:
     def coerce_field(self, field):
         """Re-embed entries into a larger field (rationals into q or
         cyclotomic scalars)."""
-        out = Matrix(self.nrows, self.ncols, field, basis=self.basis)
-        for j, col in enumerate(self.cols):
-            for i, v in col.items():
-                out.cols[j][i] = field.coerce(v)
-        return out
+        return Matrix.from_columns(self.nrows, self.ncols, field,
+                                   map(self.column, range(self.ncols)),
+                                   basis=self.basis)
 
     def scale(self, s):
-        """Every entry times s; an int s is applied as is, so int
-        entries stay ints."""
-        if not isinstance(s, int):
-            s = self.field.coerce(s)
+        """Every entry times s."""
+        k, den = self.field.split(self.field.coerce(s))
         out = Matrix(self.nrows, self.ncols, self.field, basis=self.basis)
-        for j, col in enumerate(self.cols):
-            for i, v in col.items():
-                w = v * s
-                if w:
-                    out.cols[j][i] = w
+        if k:
+            for j, (col, d) in enumerate(zip(self.cols, self.dens)):
+                out.cols[j], out.dens[j] = lowest_terms(_scaled(col, k),
+                                                        d * den)
         return out
 
     def __add__(self, other):
@@ -121,16 +157,18 @@ class Matrix:
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise PreconditionError("dimension mismatch in addition")
         out = Matrix(self.nrows, self.ncols, self.field, basis=self.basis)
-        for j in range(self.ncols):
-            col = dict(self.cols[j])
+        for j, (da, db) in enumerate(zip(self.dens, other.dens)):
+            den = lcm(da, db)
+            col = _scaled(self.cols[j], den // da)
+            k = den // db
             for i, v in other.cols[j].items():
                 w = col.get(i)
-                w = v if w is None else w + v
+                w = v * k if w is None else w + v * k
                 if w:
                     col[i] = w
                 else:
                     col.pop(i, None)
-            out.cols[j] = col
+            out.cols[j], out.dens[j] = lowest_terms(col, den)
         return out
 
     def __sub__(self, other):
@@ -139,29 +177,13 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            return False
-        if self.field != other.field:
-            return False
-        for a, b in zip(self.cols, other.cols):
-            if len(a) != len(b):
-                return False
-            for i, v in a.items():
-                if i not in b:
-                    return False
-                w = b[i]
-                # one scalar object is equal to itself
-                if w is not v and not w == v:
-                    return False
-        return True
+        return ((self.nrows, self.ncols) == (other.nrows, other.ncols)
+                and self.field == other.field and self.dens == other.dens
+                and self.cols == other.cols)
 
     def is_identity(self):
-        if self.nrows != self.ncols:
-            return False
-        for j, col in enumerate(self.cols):
-            if len(col) != 1 or j not in col or not col[j] == self.field.one:
-                return False
-        return True
+        return self.nrows == self.ncols and \
+            self == Matrix.identity(self.nrows, self.field)
 
     def is_zero(self):
         return all(not col for col in self.cols)
@@ -178,16 +200,30 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols}, {self.field.name}, nnz={self.nnz()})"
 
 
+def integral_pair(m):
+    """m as a pair (S, L) with m = S / L: L the lcm of m's column
+    denominators and S the matrix L·m, every column over 1 (an int
+    matrix on the rationals).  A column over L itself keeps its dict."""
+    den = lcm(*m.dens)
+    cols = [col if d == den else _scaled(col, den // d)
+            for col, d in zip(m.cols, m.dens)]
+    return Matrix(m.nrows, m.ncols, m.field, cols=cols), den
+
+
 def matmul(a, b):
-    """Exact sparse product."""
+    """Exact sparse product.  a enters as its integral pair (S, L), so
+    the products run on numerators, and column j of the result is
+    reduced over L times b's denominator of column j."""
     a._compat(b)
     if a.ncols != b.nrows:
         raise PreconditionError("inner dimensions do not match")
+    s, den = integral_pair(a)
+    scols = s.cols
     out = Matrix(a.nrows, b.ncols, a.field)
-    for j in range(b.ncols):
+    for j, (col, d) in enumerate(zip(b.cols, b.dens)):
         acc = {}
-        for k, x in b.cols[j].items():
-            for i, v in a.cols[k].items():
+        for k, x in col.items():
+            for i, v in scols[k].items():
                 w = v * x
                 cur = acc.get(i)
                 cur = w if cur is None else cur + w
@@ -195,27 +231,28 @@ def matmul(a, b):
                     acc[i] = cur
                 else:
                     acc.pop(i, None)
-        out.cols[j] = acc
+        out.cols[j], out.dens[j] = lowest_terms(acc, den * d)
     return out
 
 
 def triangular_inverse(a):
-    """Inverse of an upper-triangular matrix by back substitution."""
+    """Inverse of an upper-triangular matrix by back substitution on
+    field values."""
     if a.nrows != a.ncols:
         raise PreconditionError("inverse of a nonsquare matrix")
     if not a.is_upper_triangular():
         raise PreconditionError("matrix is not upper-triangular")
     n = a.nrows
     field = a.field
-    diag = []
+    rows = [dict() for _ in range(n)]
     for j in range(n):
-        d = a.cols[j].get(j)
-        if not d:
+        if j not in a.cols[j]:
             raise PreconditionError(f"zero diagonal entry at {j}")
-        diag.append(d)
-    rows = a.rows_dict()
-    inv = Matrix(n, n, field, basis=a.basis)
+        for i, v in a.column(j).items():
+            rows[i][j] = v
+    diag = [rows[j][j] for j in range(n)]
     one = field.one
+    cols = []
     for j in range(n):
         # solve a x = e_j; x lives on rows 0..j
         x = {j: one / diag[j]}
@@ -227,8 +264,8 @@ def triangular_inverse(a):
                     s = term if s is None else s + term
             if s is not None and s:
                 x[i] = -s / diag[i]
-        inv.cols[j] = {i: v for i, v in x.items() if v}
-    return inv
+        cols.append(x)
+    return Matrix.from_columns(n, n, field, cols, basis=a.basis)
 
 
 def tensor_product(a, b):
@@ -236,13 +273,14 @@ def tensor_product(a, b):
     is the slowest-varying index."""
     a._compat(b)
     out = Matrix(a.nrows * b.nrows, a.ncols * b.ncols, a.field)
-    for ja, cola in enumerate(a.cols):
-        for jb, colb in enumerate(b.cols):
+    for ja, (cola, da) in enumerate(zip(a.cols, a.dens)):
+        for jb, (colb, db) in enumerate(zip(b.cols, b.dens)):
             col = {}
             for ia, va in cola.items():
                 for ib, vb in colb.items():
                     col[ia * b.nrows + ib] = va * vb
-            out.cols[ja * b.ncols + jb] = col
+            j = ja * b.ncols + jb
+            out.cols[j], out.dens[j] = lowest_terms(col, da * db)
     return out
 
 
@@ -260,6 +298,7 @@ def direct_sum(blocks):
     for m in blocks:
         for j, col in enumerate(m.cols):
             out.cols[coff + j] = {roff + i: v for i, v in col.items()}
+        out.dens[coff:coff + m.ncols] = m.dens
         roff += m.nrows
         coff += m.ncols
     return out
@@ -273,29 +312,23 @@ def string_rows(m, encode=None):
     """Rows of scalar strings, each passed through encode if given.
     Zero cells share one string; each distinct nonzero value is
     formatted and encoded once."""
-    fmt = m.field.to_str
+    field = m.field
+    fmt, join = field.to_str, field.join
     to_str = fmt if encode is None else lambda v: encode(fmt(v))
-    zero = to_str(m.field.zero)
+    zero = to_str(field.zero)
     rows = [[zero] * m.ncols for _ in range(m.nrows)]
-    # The routes share one object per distinct value, so a cell is found
-    # by id first; m keeps every cell alive, so no id is reused here.
-    by_id, by_value = {}, {}
-    for j, col in enumerate(m.cols):
-        for i, v in col.items():
-            s = by_id.get(id(v))
+    # QRat.__hash__ and __eq__ are slow Python; the all-int key is not
+    key = QRat._key if field == QFIELD else None
+    memos = {}
+    for j, (col, den) in enumerate(zip(m.cols, m.dens)):
+        memo = memos.get(den)
+        if memo is None:
+            memo = memos[den] = {}
+        for i, x in col.items():
+            k = x if key is None else key(x)
+            s = memo.get(k)
             if s is None:
-                # Fraction.__hash__ and QRat.__eq__ are slow Python; the
-                # integers they compare are not
-                if isinstance(v, Fraction):
-                    key = (v.numerator, v.denominator)
-                elif isinstance(v, QRat):
-                    key = v._key()
-                else:
-                    key = v
-                s = by_value.get(key)
-                if s is None:
-                    s = by_value[key] = to_str(v)
-                by_id[id(v)] = s
+                s = memo[k] = to_str(join(x, den))
             rows[i][j] = s
     return rows
 
@@ -334,8 +367,7 @@ def matrix_from_json(text, shape=None):
     if obj.get("basis") and shape is not None:
         from .shapes import Tableau
         basis = [Tableau(shape, rows_) for rows_ in obj["basis"]]
-    m = Matrix.from_rows(parsed, field, basis=basis) if parsed else \
-        Matrix(0, 0, field)
+    m = Matrix.from_rows(parsed, field, basis=basis)
     return m, obj.get("shape"), obj.get("params", {})
 
 

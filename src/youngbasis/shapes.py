@@ -17,6 +17,7 @@ rational or a rational multiple of a power of q).
 from __future__ import annotations
 
 import re
+from bisect import bisect
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -267,15 +268,17 @@ class Tableau:
     @cached_property
     def inversions(self):
         """Pairs (i, j), i > j, with i strictly southwest of j in the same
-        component or in a component further left."""
-        out = set()
-        boxes = self.box_of
-        for i in range(2, self.shape.n + 1):
-            ki, xi, yi = boxes[i]
-            for j in range(1, i):
-                kj, xj, yj = boxes[j]
-                if ki < kj or (ki == kj and xi > xj and yi < yj):
-                    out.add((i, j))
+        component or in a component further left.  On a standard tableau
+        these are the inversions of its word: the column reading order
+        reads such an i before j, and reads a larger entry first in no
+        other case.  The entries read so far are kept sorted, so those
+        above x are both x's pairs and the entries that inserting x
+        shifts: O(n log n + inversions)."""
+        seen, out = [], []
+        for x in self.word:
+            k = bisect(seen, x)
+            out.extend((y, x) for y in seen[k:])
+            seen.insert(k, x)
         return frozenset(out)
 
     @cached_property

@@ -15,14 +15,13 @@ Each route, and each diagonal, takes one
 :class:`~youngbasis.algebras.WeightScheme`, which holds the spec, the
 shape and its weak Bruhat graph.
 
-Every route keeps a column as numerators over one denominator, in the
-form of the field's ``split``: ints over an int on the rationals, the
-field's own scalars over 1 elsewhere.  The recursion and the path-sum
-route read ``WeightScheme.scaled_steps``; the word route applies the
-generator pairs of ``WeightScheme.generator_pair``, so it does not share
-that scaling.  Rational entries become ``Fraction`` objects only when a
-matrix is built, one per distinct value across the scheme's matrices,
-so equal entries of two routes are one object.
+Every route keeps a column as numerators over one denominator in lowest
+terms, the column form of :class:`~youngbasis.linalg.Matrix`: ints over
+an int on the rationals, the field's own scalars over 1 elsewhere, and
+hands its columns to the matrix as they are.  The recursion and the
+path-sum route read ``WeightScheme.scaled_steps``; the word route
+applies the generator pairs of ``WeightScheme.generator_pair``, so it
+does not share that scaling.
 
 Also here: the closed-form diagonal, the squared orthogonal diagonal,
 and the wreath-product assembly by alphabets (direct sum of tensor
@@ -33,15 +32,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from itertools import combinations
-from math import gcd, prod
+from math import prod
 
 from .algebras import AlgebraSpec, WeightScheme
 from .bruhat import BruhatGraph, shortest_paths_from
 from .errors import InvariantError, PreconditionError
-from .fields import RATIONALS
-from .linalg import Matrix, direct_sum, tensor_product
+from .linalg import Matrix, direct_sum, lowest_terms, tensor_product
 from .perms import guard_bits, prefix_counts
 # unused here; perfbench/selftest.py checks that tracing patches this alias
 from .perms import bruhat_leq  # noqa: F401
@@ -138,47 +135,6 @@ def _count_ops(counter, prev_col, stay, move):
                 counter.adds += 1
 
 
-def _lowest_terms(col, den):
-    """A column over den, both divided by their gcd; a column over 1, as
-    every column off the rationals is, is already in lowest terms."""
-    if den == 1:
-        return col, den
-    g = gcd(den, *col.values())
-    if g > 1:
-        col = {i: x // g for i, x in col.items()}
-        den //= g
-    return col, den
-
-
-def _fraction_columns(ws, cols, dens):
-    """Columns over their denominators as the matrix entries of the
-    scheme ws: off the rationals every denominator is 1 and the columns
-    are the entries.  Rational values become Fractions, one per value
-    across every matrix of ws, so routes that agree hold the same
-    objects.  Raw numerators are memoized per denominator, so each
-    distinct pair is reduced once."""
-    if ws.field is not RATIONALS:
-        return cols
-    memo = ws._fractions
-    by_den = {}
-    out = []
-    for col, den in zip(cols, dens):
-        seen = by_den.setdefault(den, {})
-        fcol = {}
-        for i, x in col.items():
-            val = seen.get(x)
-            if val is None:
-                g = gcd(x, den)
-                key = (x // g, den // g)
-                val = memo.get(key)
-                if val is None:
-                    val = memo[key] = Fraction(*key)
-                seen[x] = val
-            fcol[i] = val
-        out.append(fcol)
-    return out
-
-
 def transition_recursive(ws, counter=None):
     """Transition matrix by the two-term column recursion.
 
@@ -195,12 +151,12 @@ def transition_recursive(ws, counter=None):
     for v in range(1, size):
         u, label = graph.up_edges_into(v)[0]
         stay, move, scale = ws.scaled_steps(label)
-        cols[v], dens[v] = _lowest_terms(_push_column(cols[u], stay, move),
-                                         dens[u] * scale)
+        cols[v], dens[v] = lowest_terms(_push_column(cols[u], stay, move),
+                                        dens[u] * scale)
         if counter is not None:
             _count_ops(counter, cols[u], stay, move)
-    m = Matrix(size, size, ws.field, cols=_fraction_columns(ws, cols, dens),
-               basis=graph.nodes)
+    m = Matrix(size, size, ws.field, cols=cols, basis=graph.nodes,
+               dens=dens)
     return TransitionMatrix(m, ws.spec, ws.shape, graph)
 
 
@@ -223,11 +179,10 @@ def transition_pathsum(ws, paths=None, n_cap=PATHSUM_DEFAULT_CAP):
         paths = shortest_paths_from(graph, 0)
     size = graph.size()
     one = ws.field.split(ws.field.one)[0]
-    cols = []
-    dens = []
+    cols = [None] * size
+    dens = [1] * size
     for v in range(size):
         steps = [ws.scaled_steps(i) for i in paths[v].labels]
-        dens.append(prod(scale for _, _, scale in steps))
         bucket = {}
 
         def dfs(j, node, weight):
@@ -244,9 +199,11 @@ def transition_pathsum(ws, paths=None, n_cap=PATHSUM_DEFAULT_CAP):
                 dfs(j + 1, mv[1], weight * mv[0])
 
         dfs(0, 0, one)
-        cols.append({i: w for i, w in bucket.items() if w})
-    m = Matrix(size, size, ws.field, cols=_fraction_columns(ws, cols, dens),
-               basis=graph.nodes)
+        cols[v], dens[v] = lowest_terms(
+            {i: w for i, w in bucket.items() if w},
+            prod(scale for _, _, scale in steps))
+    m = Matrix(size, size, ws.field, cols=cols, basis=graph.nodes,
+               dens=dens)
     return TransitionMatrix(m, ws.spec, ws.shape, graph)
 
 
@@ -267,9 +224,9 @@ def transition_word(ws):
     for v in range(1, size):
         u, label = graph.up_edges_into(v)[-1]
         s, scale = ws.generator_pair(label)
-        cols[v], dens[v] = _lowest_terms(s.apply(cols[u]), dens[u] * scale)
-    m = Matrix(size, size, ws.field, cols=_fraction_columns(ws, cols, dens),
-               basis=graph.nodes)
+        cols[v], dens[v] = lowest_terms(s.apply(cols[u]), dens[u] * scale)
+    m = Matrix(size, size, ws.field, cols=cols, basis=graph.nodes,
+               dens=dens)
     return TransitionMatrix(m, ws.spec, ws.shape, graph)
 
 
@@ -343,6 +300,7 @@ def grn_transition(ws):
     out = Matrix(size, size, field, basis=graph.nodes)
     for j in range(big.ncols):
         out.cols[perm[j]] = {perm[i]: v for i, v in big.cols[j].items()}
+        out.dens[perm[j]] = big.dens[j]
     return TransitionMatrix(out, ws.spec, shape, graph)
 
 

@@ -308,9 +308,9 @@ def test_criterion_07_relations_and_integrality():
             tm = transition_recursive(ws)
             for i in range(1, n):
                 m = natural_generator(ws, i, transition=tm)
-                for col in m.cols:
-                    assert all(v.denominator == 1 for v in col.values()), \
-                        (lam, i)
+                for j in range(m.ncols):
+                    assert all(v.denominator == 1
+                               for v in m.column(j).values()), (lam, i)
 
     # the displayed straightening expansion: +1, -1, -1, +1, -1
     s321 = parse_shape("3,2,1")

@@ -11,7 +11,7 @@ from youngbasis.bruhat import BruhatGraph
 from youngbasis.errors import (DegenerateWeightError, NonSemisimpleError,
                                PreconditionError)
 from youngbasis.fields import CyclotomicField, QRat, evaluate_q
-from youngbasis.linalg import Matrix, matmul
+from youngbasis.linalg import Matrix, matmul, split_over_lcm
 from youngbasis.perms import reduced_word
 from youngbasis.shapes import (Shape, Tableau, all_partitions, alphabetizer,
                                parse_shape, shape_from_parts)
@@ -140,8 +140,9 @@ def test_natural_integrality_small():
             tm = transition_recursive(ws)
             for i in range(1, n):
                 m = natural_generator(ws, i, transition=tm)
-                for col in m.cols:
-                    assert all(v.denominator == 1 for v in col.values())
+                for j in range(m.ncols):
+                    assert all(v.denominator == 1
+                               for v in m.column(j).values())
 
 
 def test_restriction_block_structure():
@@ -214,6 +215,14 @@ def test_verify_relations_affine_placed_pages():
     assert "mixed braid X1 T1 X1 T1" in names
 
 
+def _add_to_first_entry(m, j, delta):
+    """Add delta to the first nonzero entry of column j of m, in place."""
+    col = m.column(j)
+    col[min(col)] += delta
+    m.cols[j], m.dens[j] = split_over_lcm(
+        m.field.split, {i: v for i, v in col.items() if v})
+
+
 def test_verify_relations_reports_a_corrupted_generator():
     # verify_relations reads the generators cached on the scheme, so a
     # planted error in T_1 must fail exactly the relations whose two
@@ -222,9 +231,7 @@ def test_verify_relations_reports_a_corrupted_generator():
     spec = AlgebraSpec("hecke_A", q=3)
     ws = WeightScheme(spec, shape)
     gens = {i: seminormal_generator(ws, i) for i in range(1, 5)}
-    col = gens[1].cols[2]
-    row = min(col)
-    col[row] = col[row] + 1
+    _add_to_first_entry(gens[1], 2, 1)
     report = {r["relation"]: r for r in verify_relations(ws)}
     coeff = F(3) - F(1, 3)
     ident = Matrix.identity(ws.graph.size(), ws.field)
@@ -258,9 +265,7 @@ def test_verify_relations_witnesses_survive_scaling(family, text, label,
     ws = WeightScheme(AlgebraSpec(family), parse_shape(text))
     n = ws.shape.n
     gens = {i: seminormal_generator(ws, i) for i in range(1, n)}
-    col = gens[label].cols[2]
-    row = min(col)
-    col[row] = col[row] + delta
+    _add_to_first_entry(gens[label], 2, delta)
     report = {r["relation"]: r for r in verify_relations(ws)}
     coeff = ws.q - 1 / ws.q
     ident = Matrix.identity(ws.graph.size(), ws.field)
@@ -364,7 +369,7 @@ def _q_dependent_outputs(ws):
     if ws.spec.preset.zeroth is not None:
         mats.append(zeroth_generator(ws))
     mats += [x_generator(ws, i) for i in range(1, n + 1)]
-    out = [[dict(col) for col in m.cols] for m in mats]
+    out = [[m.column(j) for j in range(m.ncols)] for m in mats]
     out.append([dict(enumerate(orthogonal_diag_squared(ws)))])
     return out
 

@@ -274,7 +274,7 @@ def test_subpaths_reach_only_bruhat_below():
                 u = nodes[-1]
                 assert bruhat_leq(g.nodes[u].word, g.nodes[v].word)
                 col[u] = col.get(u, 0) + walk_weight(ws, g, p, moves, nodes)
-            assert {u: w for u, w in col.items() if w} == pathsum.cols[v]
+            assert {u: w for u, w in col.items() if w} == pathsum.column(v)
 
 
 def test_interval_matches_weak_order_on_permutations():

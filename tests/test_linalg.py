@@ -1,10 +1,13 @@
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from golden import SYMMETRIC_GOLDEN, TENSOR_ROWS, G24_ROWS
 from youngbasis.algebras import (AlgebraSpec, WeightScheme,
+                                 conjugate_to_natural, generators,
                                  seminormal_generator, zeroth_generator)
 from youngbasis.errors import FieldMismatchError, PreconditionError
 from youngbasis.fields import (CyclotomicField, Cyclo, QFIELD, QRat,
@@ -13,7 +16,8 @@ from youngbasis.linalg import (Matrix, compact_json, direct_sum, matmul,
                                matrix_from_json, matrix_to_csv, matrix_to_json,
                                string_rows, tensor_product, triangular_inverse)
 from youngbasis.shapes import parse_shape
-from youngbasis.transition import transition_recursive
+from youngbasis.transition import (grn_transition, transition_pathsum,
+                                   transition_recursive, transition_word)
 
 
 def _golden_matrix(key):
@@ -89,8 +93,7 @@ def test_tensor_index_convention():
     t = tensor_product(a, b)
     for i in range(3):
         for j in range(2):
-            e = Matrix(6, 1, RATIONALS)
-            e.cols[0][i * 2 + j] = F(1)
+            e = Matrix.from_columns(6, 1, RATIONALS, [{i * 2 + j: F(1)}])
             out = matmul(t, e)
             for p in range(3):
                 for qq in range(2):
@@ -109,10 +112,10 @@ def test_matmul_associativity_random_fields():
     cyc = CyclotomicField(3)
 
     def rand_matrix(field, sampler):
-        m = Matrix(4, 4, field)
+        values = [{} for _ in range(4)]
         for _ in range(6):
-            m.cols[rng.randrange(4)][rng.randrange(4)] = sampler()
-        return m
+            values[rng.randrange(4)][rng.randrange(4)] = sampler()
+        return Matrix.from_columns(4, 4, field, values)
 
     samplers = [
         (RATIONALS, lambda: F(rng.randint(-4, 4), rng.randint(1, 4))),
@@ -167,9 +170,9 @@ def _reference_json(m, shape_str=None, params=None):
 
 
 def _fresh_cells(m):
-    """m with every cell a new object, so equal values are not shared."""
-    copy = F if m.field is RATIONALS else \
-        (lambda v: m.field.parse(m.field.to_str(v)))
+    """m, over a field other than the rationals, with every cell a new
+    object, so equal values are not shared."""
+    copy = lambda v: m.field.parse(m.field.to_str(v))  # noqa: E731
     return Matrix(m.nrows, m.ncols, m.field, basis=m.basis,
                   cols=[{i: copy(v) for i, v in col.items()}
                         for col in m.cols])
@@ -189,6 +192,11 @@ def test_json_writer_matches_one_compact_json_call():
     cells = [v for col in cyclo.cols for v in col.values()]
     assert any(any(v.num[1:]) for v in cells)
     assert any(v.den > 1 for v in cells)
+    # 1/2 as 1 over 2 in column 0 and as 2 over 4 in column 1
+    halves = Matrix.from_rows([[F(1, 2), F(1, 2)], [F(0), F(1, 4)]],
+                              RATIONALS)
+    assert halves.cols == [{0: 1}, {0: 2, 1: 1}] and halves.dens == [2, 4]
+    assert string_rows(halves) == [["1/2", "1/2"], ["0", "1/4"]]
     cases = [(rational, ("3,2", {"family": "symmetric"})),
              (symbolic, ("3,2", {"family": "hecke_A", "q": "q"})),
              (cyclo, ("(2,1)|(1)|(1)", {"family": "wreath_grn"})),
@@ -196,11 +204,11 @@ def test_json_writer_matches_one_compact_json_call():
              (Matrix(2, 0, QFIELD), ()),
              (rational, (None, None)),
              (Matrix(rational.nrows, rational.ncols, RATIONALS,
-                     cols=rational.cols), ("3,2",)),
-             (_fresh_cells(rational), ("3,2", {"family": "symmetric"})),
+                     cols=rational.cols, dens=rational.dens), ("3,2",)),
+             (halves, (None, None)),
              (_fresh_cells(symbolic), ("3,2", {"family": "hecke_A"}))]
     # equal values in distinct objects
-    fresh = [v for col in _fresh_cells(rational).cols for v in col.values()]
+    fresh = [v for col in _fresh_cells(symbolic).cols for v in col.values()]
     assert len(set(map(id, fresh))) == len(fresh) > len(set(fresh))
     for m, args in cases:
         assert matrix_to_json(m, *args) == _reference_json(m, *args)
@@ -214,3 +222,106 @@ def test_csv_has_word_header():
     assert lines[0] == ",1 2 3,1 3 2"
     assert lines[1] == "1 2 3,1,1/2"
     assert lines[2] == "1 3 2,0,3/2"
+
+
+def _assert_canonical(m):
+    """Each column of m is numerators over a positive int denominator in
+    lowest terms, with no zero numerator; on the rationals the numerators
+    are ints, on the other fields the field's scalars over 1."""
+    assert len(m.cols) == len(m.dens) == m.ncols
+    for col, den in zip(m.cols, m.dens):
+        assert type(den) is int and den > 0
+        assert all(0 <= i < m.nrows for i in col)
+        assert all(col.values())
+        if m.field == RATIONALS:
+            assert all(type(x) is int for x in col.values())
+            assert gcd(den, *col.values()) == 1
+        else:
+            assert den == 1
+            assert all(m.field.element_of(x) for x in col.values())
+
+
+@pytest.mark.parametrize("family, kwargs, text", [
+    ("symmetric", {}, "3,2,1"),
+    ("symmetric", {}, "3,3,1/2,1"),
+    ("hecke_A", {"q": 5}, "3,2,1"),
+    ("hecke_A", {}, "3,2"),
+    ("hecke_B", {"q": 5, "u": (2, F(1, 2))}, "(2,1)|(1)"),
+    ("ariki_koike", {"q": 7, "u": (2, 3)}, "(2,1)|(1)"),
+    ("wreath_grn", {}, "(2,1)|(1)"),
+    ("affine_placed", {"q": 5}, "(2,1)|(1)@1,q^3"),
+])
+def test_every_route_and_operation_gives_canonical_columns(family, kwargs,
+                                                           text):
+    ws = WeightScheme(AlgebraSpec(family, **kwargs), parse_shape(text))
+    tm = transition_recursive(ws)
+    a = tm.matrix
+    gens = [m for _, m in generators(ws)]
+    g = seminormal_generator(ws, 1)
+    mats = [a, transition_word(ws).matrix, transition_pathsum(ws).matrix,
+            *gens, *conjugate_to_natural(gens, tm),
+            matmul(a, g), matmul(g, a), a + g, a - g, a - a,
+            a.scale(2), a.scale(F(3, 4)), a.scale(ws.q), a.scale(0),
+            triangular_inverse(a), tensor_product(g, a), direct_sum([a, g]),
+            a.coerce_field(QFIELD), Matrix.from_rows(a.to_rows(), a.field),
+            Matrix.identity(a.nrows, a.field)]
+    if family == "wreath_grn":
+        mats.append(grn_transition(ws).matrix)
+    for m in mats:
+        _assert_canonical(m)
+
+
+_ENTRY = st.just(F(0)) | st.builds(F, st.integers(-4, 4), st.integers(1, 6))
+
+
+def _dense(nrows, ncols):
+    return st.lists(st.lists(_ENTRY, min_size=ncols, max_size=ncols),
+                    min_size=nrows, max_size=nrows)
+
+
+def _product(x, y):
+    return [[sum((x[i][k] * y[k][j] for k in range(len(y))), F(0))
+             for j in range(len(y[0]))] for i in range(len(x))]
+
+
+def _block_diagonal(x, y):
+    nx, ny = len(x[0]), len(y[0])
+    return ([row + [F(0)] * ny for row in x]
+            + [[F(0)] * nx + row for row in y])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_operations_match_a_dense_fraction_reference(data):
+    n, k, m = (data.draw(st.integers(1, 4)) for _ in range(3))
+    x, z = data.draw(_dense(n, k)), data.draw(_dense(n, k))
+    y, v = data.draw(_dense(k, m)), data.draw(_dense(n, n))
+    s = data.draw(_ENTRY)
+    diag = data.draw(st.lists(_ENTRY.filter(bool), min_size=n, max_size=n))
+    u = [[v[i][j] if i < j else diag[i] if i == j else F(0)
+          for j in range(n)] for i in range(n)]
+    a, b, c, t = (Matrix.from_rows(r, RATIONALS) for r in (x, y, z, u))
+    inv = triangular_inverse(t)
+    eye = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+    cases = [
+        (a, x), (b, y),
+        (matmul(a, b), _product(x, y)),
+        (a + c, [[p + q for p, q in zip(r, w)] for r, w in zip(x, z)]),
+        (a - c, [[p - q for p, q in zip(r, w)] for r, w in zip(x, z)]),
+        (a.scale(s), [[p * s for p in r] for r in x]),
+        (a.scale(-6), [[p * -6 for p in r] for r in x]),
+        (tensor_product(a, b),
+         [[p * q for p in r for q in w] for r in x for w in y]),
+        (direct_sum([a, b]), _block_diagonal(x, y)),
+        (Matrix.identity(n, RATIONALS), eye),
+        (matmul(t, inv), eye),
+    ]
+    for mat, rows in cases:
+        _assert_canonical(mat)
+        assert mat.to_rows() == rows
+        assert mat == Matrix.from_rows(rows, RATIONALS)
+    _assert_canonical(inv)
+    assert _product(inv.to_rows(), u) == eye
+    lifted = a.coerce_field(QFIELD)
+    _assert_canonical(lifted)
+    assert lifted.to_rows() == [[QFIELD.coerce(p) for p in r] for r in x]

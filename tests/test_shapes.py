@@ -165,6 +165,28 @@ def test_inversion_count_equals_word_length():
             assert len(t.inversions) == perm_length(t.word)
 
 
+def _inversions_by_definition(t):
+    """All pairs (i, j), i > j, with i strictly southwest of j in one
+    component or in a component further left."""
+    out = set()
+    for i in range(2, t.shape.n + 1):
+        ki, xi, yi = t.box_of[i]
+        for j in range(1, i):
+            kj, xj, yj = t.box_of[j]
+            if ki < kj or (ki == kj and xi > xj and yi < yj):
+                out.add((i, j))
+    return out
+
+
+def test_inversions_match_the_all_pairs_definition():
+    texts = ["4,2,1", "3,3,1/2,1", "4,1/3", "4,4,2/3,1", "(2,1)|(2)",
+             "(3,2)|()|(2)|(2,1)", "(2)|(1,1)|(1)"]
+    texts += [s.to_str() for s in all_skew_shapes(5)]
+    for text in texts:
+        for t in standard_tableaux(parse_shape(text)):
+            assert t.inversions == _inversions_by_definition(t), text
+
+
 def test_contents():
     s = parse_shape("9,7,7,4,2,2,1/4,3,2,2,2")
     c = column_reading_tableau(s)

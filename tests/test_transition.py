@@ -11,18 +11,17 @@ from golden import (G24_BASIS, G24_ROWS, H24_BASIS, HECKE32_BASIS,
                     a321_entries, h24_entry, hecke32_matrix)
 from walks import keep_skip_walks, r_partitions, walk_weight
 from youngbasis.algebras import (AlgebraSpec, WeightScheme, _scale_steps,
-                                 integral_pair, natural_generator,
-                                 seminormal_generator, zeroth_generator)
+                                 natural_generator, seminormal_generator,
+                                 zeroth_generator)
 from youngbasis.bruhat import (BruhatGraph, Path, shortest_path,
                                shortest_paths_from)
 from youngbasis.errors import InvariantError, PreconditionError
 from youngbasis.fields import QFIELD, RATIONALS, CyclotomicField, evaluate_q
-from youngbasis.linalg import matmul
+from youngbasis.linalg import integral_pair, lowest_terms, matmul
 from youngbasis.perms import bruhat_leq
 from youngbasis.shapes import (Shape, Tableau, all_partitions, parse_shape,
                                shape_from_parts, standard_tableaux)
-from youngbasis.transition import (_fraction_columns, _lowest_terms,
-                                   _push_column,
+from youngbasis.transition import (_push_column,
                                    bench_transition, check_structure,
                                    diagonal_closed_form, grn_transition,
                                    orthogonal_diag_squared,
@@ -206,8 +205,8 @@ def test_integer_step_matches_fraction_step(case):
     ints = {i: int(x * den) for i, x in col.items()}
     for stay, move in steps:
         istay, imove, scale = _scale_steps(RATIONALS.split, stay, move)
-        ints, den = _lowest_terms(_push_column(ints, istay, imove),
-                                  den * scale)
+        ints, den = lowest_terms(_push_column(ints, istay, imove),
+                                 den * scale)
         col = _push_column(col, stay, move)
         assert den > 0
         assert gcd(den, *ints.values()) == 1
@@ -234,20 +233,6 @@ def test_scaling_off_the_rationals_keeps_the_coefficients():
     assert s == t0
     assert all(s.cols[j][i] is v for j, col in enumerate(t0.cols)
                for i, v in col.items())
-
-
-def test_one_fraction_per_reduced_value():
-    """A reduced value is one Fraction object wherever it is reached:
-    as 2/4 and as 1/2 in two columns, and in two routes of one scheme
-    (the identity shortcut of Matrix.__eq__ relies on it)."""
-    ws = WeightScheme(AlgebraSpec("symmetric"), parse_shape("3,2,1"))
-    a, b = _fraction_columns(ws, [{0: 2, 1: 2}, {0: 1}], [4, 2])
-    assert a[0] == F(1, 2) and a[0] is a[1] is b[0]
-    rec = transition_recursive(ws).matrix
-    word = transition_word(ws).matrix
-    assert rec.nnz() == word.nnz()
-    assert all(word.cols[j][i] is v
-               for j, col in enumerate(rec.cols) for i, v in col.items())
 
 
 _PLACED = parse_shape("(1)|(1)@1,q^3").weights
@@ -282,9 +267,9 @@ def test_integer_recursion_matches_word_for_rational_q(family, kwargs, r):
                       (transition_recursive, transition_word,
                        transition_pathsum)]
             assert routes[0] == routes[1] == routes[2], shape.to_str()
-            assert routes[0].cols == _fraction_word_columns(ws)
-            # linalg.string_rows keys its memo on Fraction values
-            assert all(type(v) is F for m in routes for col in m.cols
+            assert [routes[0].column(j) for j in range(routes[0].ncols)] \
+                == _fraction_word_columns(ws)
+            assert all(type(v) is int for m in routes for col in m.cols
                        for v in col.values())
 
 
@@ -299,7 +284,7 @@ def _corrupt(spec, text, edit):
 
 
 def _below_diagonal(cols, g):
-    cols[3][5] = F(1)
+    cols[3][5] = 1
     return "not upper-triangular"
 
 
@@ -312,14 +297,14 @@ def _bruhat_incomparable(cols, g):
     i, j = next((i, j) for j in range(g.size()) for i in range(j)
                 if g.depth[i] < g.depth[j]
                 and not bruhat_leq(g.nodes[i].word, g.nodes[j].word))
-    cols[j][i] = F(1)
+    cols[j][i] = 1
     return f"nonzero entry at ({i},{j}) violates the Bruhat pattern"
 
 
 def _inside_depth_block(cols, g):
     i, j = next((i, j) for j in range(g.size()) for i in range(j)
                 if g.depth[i] == g.depth[j])
-    cols[j][i] = F(1)
+    cols[j][i] = 1
     return f"off-diagonal entry ({i},{j}) inside a depth block"
 
 
