@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import perms
 from .errors import InvariantError, PreconditionError
-from .shapes import _column_positions, standard_tableaux
+from .shapes import _reading_layout, standard_tableaux
 
 __all__ = ["BruhatGraph", "Path", "shortest_path", "shortest_paths_from",
            "to_dot"]
@@ -27,21 +27,25 @@ class BruhatGraph:
         self.index = {t.rows: i for i, t in enumerate(self.nodes)}
         self.depth = [t.depth for t in self.nodes]
         by_word = {t.word: v for v, t in enumerate(self.nodes)}
-        pos = _column_positions(shape)
+        boxes = _reading_layout(shape)[0]
+        positions = range(shape.n)
         # neighbors[v][i] = endpoint of the edge labeled s_i at v, if any,
         # filled in label order.
         # s_i(T) is standard iff i and i+1 share neither a row nor a
         # column of one component; its word swaps i and i+1 in T's word.
         self.neighbors = []
         for t in self.nodes:
-            box, word = t.box_of, t.word
+            word = t.word
+            # where[v - 1] is the reading position of the entry v
+            where = sorted(positions, key=word.__getitem__)
             nbrs = {}
             for i in range(1, shape.n):
-                k, x, y = box[i]
-                k2, x2, y2 = box[i + 1]
+                p, p2 = where[i - 1], where[i]
+                k, x, y = boxes[p]
+                k2, x2, y2 = boxes[p2]
                 if k != k2 or (x != x2 and y != y2):
                     w = list(word)
-                    w[pos[box[i]]], w[pos[box[i + 1]]] = i + 1, i
+                    w[p], w[p2] = i + 1, i
                     nbrs[i] = by_word[tuple(w)]
             self.neighbors.append(nbrs)
         self._check()

@@ -54,6 +54,14 @@ class _Parser(argparse.ArgumentParser):
         raise ShapeParseError(message)
 
 
+def nonnegative_int(text):
+    """An int >= 0; argparse turns the ValueError into a usage error."""
+    n = int(text)
+    if n < 0:
+        raise ValueError(text)
+    return n
+
+
 @functools.cache
 def build_parser():
     # built once per process: parse_args keeps no state in the parser
@@ -91,7 +99,7 @@ def build_parser():
 
     p = sub.add_parser("bench", help="timing/op-count table for the recursion")
     p.add_argument("--shape", default=None)
-    p.add_argument("--partitions-of", type=int, default=None,
+    p.add_argument("--partitions-of", type=nonnegative_int, default=None,
                    help="benchmark every partition of this size")
     _add_family(p)
     p.add_argument("--format", default="csv", choices=["json", "csv"])
@@ -276,7 +284,7 @@ def cmd_verify(args):
 
 def cmd_bench(args):
     shapes = []
-    if args.partitions_of:
+    if args.partitions_of is not None:
         shapes = [shape_from_parts(p) for p in all_partitions(args.partitions_of)]
     if args.shape:
         shapes.append(parse_shape(args.shape))

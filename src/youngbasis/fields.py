@@ -659,7 +659,8 @@ def parse_rational(s):
 
 # ``split(x)`` is x as (numerator, positive int denominator), the column
 # form of every exact route and of a Matrix: ints over the rationals,
-# (x, 1) elsewhere.  ``join(x, den)`` is its inverse, the value x / den.
+# (x, 1) elsewhere.  ``join(x, den)`` is its inverse, the value x / den,
+# and ``split_str(x, den)`` is ``to_str(join(x, den))``.
 
 class RationalField:
     name = "rational"
@@ -676,6 +677,16 @@ class RationalField:
 
     def to_str(self, x):
         return str(Fraction(x))
+
+    @staticmethod
+    def split_str(x, den):
+        """str(Fraction(x, den)) for an int x and a positive int den,
+        with no Fraction built: one gcd, then the lowest terms."""
+        g = gcd(x, den)
+        if g != 1:
+            x //= g
+            den //= g
+        return str(x) if den == 1 else f"{x}/{den}"
 
     def parse(self, s):
         return parse_rational(s)
@@ -715,6 +726,9 @@ class QRationalField:
 
     def to_str(self, x):
         return x.to_str()
+
+    def split_str(self, x, den):
+        return self.join(x, den).to_str()
 
     def parse(self, s):
         m = re.match(r"^\((.*)\)/\((.*)\)$", s.strip())
@@ -765,6 +779,9 @@ class CyclotomicField:
 
     def to_str(self, x):
         return x.to_str()
+
+    def split_str(self, x, den):
+        return self.join(x, den).to_str()
 
     def parse(self, s):
         # xi^r = 1: exponents count modulo r

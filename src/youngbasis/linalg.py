@@ -310,12 +310,16 @@ def direct_sum(blocks):
 
 def string_rows(m, encode=None):
     """Rows of scalar strings, each passed through encode if given.
-    Zero cells share one string; each distinct nonzero value is
-    formatted and encoded once."""
+    Zero cells share one string.  Cells are memoized per column
+    denominator and keyed by their numerator, so each distinct
+    (numerator, denominator) pair is formatted, by the field's
+    ``split_str``, and encoded once."""
     field = m.field
-    fmt, join = field.to_str, field.join
-    to_str = fmt if encode is None else lambda v: encode(fmt(v))
-    zero = to_str(field.zero)
+    fmt = field.split_str
+    to_str = fmt if encode is None else lambda x, den: encode(fmt(x, den))
+    zero = field.to_str(field.zero)
+    if encode is not None:
+        zero = encode(zero)
     rows = [[zero] * m.ncols for _ in range(m.nrows)]
     # QRat.__hash__ and __eq__ are slow Python; the all-int key is not
     key = QRat._key if field == QFIELD else None
@@ -328,7 +332,7 @@ def string_rows(m, encode=None):
             k = x if key is None else key(x)
             s = memo.get(k)
             if s is None:
-                s = memo[k] = to_str(join(x, den))
+                s = memo[k] = to_str(x, den)
             rows[i][j] = s
     return rows
 

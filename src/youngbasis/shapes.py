@@ -258,11 +258,14 @@ class Tableau:
 
     @cached_property
     def word(self):
-        """The permutation carrying the column reading tableau to this one."""
-        pos = _column_positions(self.shape)
+        """The permutation carrying the column reading tableau to this
+        one: entry p is the entry at position p of the reading order."""
         w = [0] * self.shape.n
-        for v, box in self.box_of.items():
-            w[pos[box]] = v
+        layout_rows = _reading_layout(self.shape)[1]
+        for comp, comp_positions in zip(self.rows, layout_rows):
+            for row, positions in zip(comp, comp_positions):
+                for v, p in zip(row, positions):
+                    w[p] = v
         return tuple(w)
 
     @cached_property
@@ -308,11 +311,13 @@ class Tableau:
 
 
 @lru_cache(maxsize=512)
-def column_reading_tableau(shape):
-    """Fill 1..n down the columns: components left to right, and within
-    a component the southwest-most connected row group first."""
-    entries = {}
-    counter = 1
+def _reading_layout(shape):
+    """The column reading order of a shape as (boxes, rows): boxes[p] is
+    the box at 0-based position p, and rows[k-1][x-1] the positions of
+    row x of component k, left to right.  The order fills the columns
+    top to bottom: components left to right, and within a component the
+    southwest-most connected row group first."""
+    boxes = []
     for k in range(1, shape.r + 1):
         outer, _ = shape.components[k - 1]
         for group in reversed(shape.connected_row_groups(k)):
@@ -321,16 +326,36 @@ def column_reading_tableau(shape):
             for y in cols:
                 for x in group:
                     if shape.has_box(k, x, y):
-                        entries[(k, x, y)] = counter
-                        counter += 1
-    return Tableau.from_entries(shape, entries)
+                        boxes.append((k, x, y))
+    pos = {box: p for p, box in enumerate(boxes)}
+    rows = tuple(
+        tuple(tuple(pos[(k, x, y)]
+                    for y in range(shape.inner_at(k, x) + 1, width + 1))
+              for x, width in enumerate(outer, start=1))
+        for k, (outer, _) in enumerate(shape.components, start=1))
+    return tuple(boxes), rows
 
 
-@lru_cache(maxsize=512)
-def _column_positions(shape):
-    """Map box -> 0-based position in the column reading order."""
-    return {box: v - 1
-            for v, box in column_reading_tableau(shape).box_of.items()}
+def _tableau_of_word(shape, layout, depth, word):
+    """The tableau with this word and depth: its rows are read off the
+    word through the layout, and word, depth and box_of are set rather
+    than derived."""
+    boxes, positions = layout
+    t = Tableau.__new__(Tableau)
+    t.shape = shape
+    t.rows = tuple(tuple(tuple(map(word.__getitem__, row)) for row in comp)
+                   for comp in positions)
+    t.word = word
+    t.depth = depth
+    t.box_of = dict(zip(word, boxes))
+    return t
+
+
+def column_reading_tableau(shape):
+    """The tableau whose word is the identity: 1..n in the column
+    reading order (see _reading_layout)."""
+    return _tableau_of_word(shape, _reading_layout(shape), 0,
+                            tuple(range(1, shape.n + 1)))
 
 
 def row_reading_tableau(shape):
@@ -358,45 +383,59 @@ def standard_tableaux(shape):
 
     Enumeration places n, n-1, ... at removable corners, depth first on
     an explicit stack (a shape may have more boxes than the interpreter
-    allows nested calls); the result is sorted by (depth, word), which
-    refines Bruhat order and groups the canonical basis by depth.
+    allows nested calls), writing each entry into the word at its box's
+    reading position.  Placing v at position p adds one inversion for
+    each entry placed left of p, as all of them are larger; the result
+    is sorted by (depth, word), which refines Bruhat order and groups
+    the canonical basis by depth.
     """
-    results = []
-    entries = {}
+    n = shape.n
+    layout = _reading_layout(shape)
     # per component: the row lengths still to fill, with a trailing 0
-    # row, and the inner row lengths
-    comps = [(k, list(outer) + [0],
-              [shape.inner_at(k, x) for x in range(1, len(outer) + 1)])
-             for k, (outer, _) in enumerate(shape.components, start=1)]
+    # row, the inner row lengths and the positions of each row's boxes
+    comps = [(list(outer) + [0],
+              [shape.inner_at(k, x) for x in range(1, len(outer) + 1)],
+              positions)
+             for k, ((outer, _), positions)
+             in enumerate(zip(shape.components, layout[1]), start=1)]
 
     def corners():
         # the last box of row x+1 is a removable corner; reversed, so
         # that pop() takes them in order
-        out = [(k, rows, x) for k, rows, inner in comps
+        out = [(rows, x, positions[x][rows[x] - lo - 1])
+               for rows, inner, positions in comps
                for x, lo in enumerate(inner)
                if rows[x] > lo and rows[x + 1] < rows[x]]
         out.reverse()
         return out
 
-    placed = []  # (k, rows, x) of the entries n, n-1, ... placed so far
-    todo = [corners()]  # per depth: the corners not yet tried there
+    found = []  # (depth, word) of each standard tableau
+    word = [0] * n
+    depth = 0
+    filled = 0  # bit p set when position p holds an entry
+    placed = []  # (rows, x, p, depth before) of the entries n, n-1, ...
+    todo = [corners()]  # per search level: the corners not yet tried
     while todo:
-        if len(placed) == shape.n:
-            results.append(Tableau.from_entries(shape, entries))
+        if len(placed) == n:
+            found.append((depth, tuple(word)))
         if todo[-1]:
-            k, rows, x = todo[-1].pop()
-            entries[(k, x + 1, rows[x])] = shape.n - len(placed)
+            rows, x, p = todo[-1].pop()
+            m = len(placed)
+            placed.append((rows, x, p, depth))
+            word[p] = n - m
+            # of the m larger entries, those right of p are filled >> p
+            depth += m - (filled >> p).bit_count()
+            filled |= 1 << p
             rows[x] -= 1
-            placed.append((k, rows, x))
             todo.append(corners())
         else:
             todo.pop()
             if placed:
-                k, rows, x = placed.pop()
+                rows, x, p, depth = placed.pop()
                 rows[x] += 1
-                del entries[(k, x + 1, rows[x])]
-    results.sort(key=lambda t: (t.depth, t.word))
-    return results
+                filled ^= 1 << p
+    found.sort()
+    return [_tableau_of_word(shape, layout, d, w) for d, w in found]
 
 
 def apply_permutation(t, sigma):

@@ -333,19 +333,26 @@ def check_structure(tm):
     graph = tm.graph
     if not m.is_upper_triangular():
         raise InvariantError("transition matrix is not upper-triangular")
-    # the Bruhat criterion depends on each node alone: pack its counts
-    # once, so an entry costs one subtraction (see perms.guard_bits)
-    guard = guard_bits(tm.shape.n)
-    guarded = [prefix_counts(t.word) | guard for t in graph.nodes]
     depth = graph.depth
+    guarded = None
     for j, col in enumerate(m.cols):
         if j not in col or not col[j]:
             raise InvariantError(f"zero diagonal in column {j}")
+        if len(col) == 1:
+            continue  # a diagonal entry is Bruhat below itself
+        if guarded is None:
+            # the Bruhat criterion depends on each node alone: pack its
+            # counts once, so an entry costs one subtraction (see
+            # perms.guard_bits); a diagonal matrix packs none
+            guard = guard_bits(tm.shape.n)
+            guarded = [prefix_counts(t.word) | guard for t in graph.nodes]
         counts_j, depth_j = guarded[j] ^ guard, depth[j]
         for i in col:
+            if i == j:
+                continue
             # distinct nodes of equal depth are Bruhat-incomparable, so
             # test the depth block first to give the sharper message
-            if depth[i] == depth_j and i != j:
+            if depth[i] == depth_j:
                 raise InvariantError(
                     f"off-diagonal entry ({i},{j}) inside a depth block")
             if (guarded[i] - counts_j) & guard != guard:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from walks import keep_skip_walks, walk_weight
-from youngbasis import perms
+from youngbasis import perms, shapes
 from youngbasis.algebras import AlgebraSpec, WeightScheme
 from youngbasis.bruhat import (BruhatGraph, shortest_path,
                                shortest_paths_from, to_dot)
@@ -208,6 +208,48 @@ def test_graph_and_recursion_build_no_inversion_set():
     ws = WeightScheme(AlgebraSpec("symmetric"), parse_shape("4,3,2/1"))
     transition_recursive(ws)
     assert not any("inversions" in vars(t) for t in ws.graph.nodes)
+
+
+def test_word_built_nodes_match_lazy_tableaux(graphs_n6):
+    # the enumeration sets word, depth and box_of on each node; a
+    # tableau built from the node's rows derives them
+    graphs = graphs_n6 + [BruhatGraph(parse_shape(text)) for text in
+                          ["(2,1)|(1)@1,q^3", "(2)|(1,1)@q^0,q^5",
+                           "(2,2)|()|(1)|(2,1)", "(3,1/1)|(2,2/1)|(1)",
+                           "1000"]]
+    for g in graphs:
+        for t in g.nodes:
+            lazy = Tableau(g.shape, t.rows)
+            assert (t.word, t.depth, t.box_of) == \
+                (lazy.word, lazy.depth, lazy.box_of), g.shape.to_str()
+
+
+def test_graph_build_calls_neither_from_entries_nor_length(monkeypatch):
+    calls = []
+    from_entries = Tableau.from_entries.__func__
+
+    def counting_from_entries(cls, shape, entries):
+        calls.append("from_entries")
+        return from_entries(cls, shape, entries)
+
+    def counting_length(w):
+        calls.append("length")
+        return length(w)
+
+    length = perms.length
+    monkeypatch.setattr(Tableau, "from_entries",
+                        classmethod(counting_from_entries))
+    monkeypatch.setattr(perms, "length", counting_length)
+    monkeypatch.setattr(shapes, "length", counting_length)
+    # the patches count: a lazy depth and a swap go through them
+    t = Tableau(parse_shape("2,1"), [[(1, 2), (3,)]])
+    assert t.depth == 1 and t.swap(2).depth == 0
+    assert calls == ["length", "from_entries", "length"]
+    calls.clear()
+    for text in ["4,3,2/1", "(3,1/1)|(2,2/1)|(1)", "(2,1)|(1)@1,q^3",
+                 "1000"]:
+        g = BruhatGraph(parse_shape(text))
+        assert g.size() and calls == [], text
 
 
 def test_shortest_path_to_displayed_tableau():

@@ -369,6 +369,23 @@ def test_bench(capsys):
     assert json.loads(out)[0]["f"] == 8
 
 
+def test_bench_partitions_of_zero_and_a_negative_size(capsys):
+    # all_partitions(0) is the empty partition, as --shape "()" gives
+    code, out, _ = run_cli(capsys, "bench", "--partitions-of", "0",
+                           "--format", "json")
+    assert code == 0
+    assert [(r["shape"], r["f"]) for r in json.loads(out)] == [("", 1)]
+    code, empty, _ = run_cli(capsys, "bench", "--shape", "()",
+                             "--format", "json")
+    assert code == 0 and json.loads(empty)[0]["f"] == 1
+    for size in ("-1", "x"):
+        code, out, err = run_cli(capsys, "bench", "--partitions-of", size)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        diag = json.loads(err)
+        assert diag["error"] == "parse" and "--partitions-of" in diag["message"]
+
+
 @pytest.mark.parametrize("argv", [
     "transition --family affine_placed --shape (2,1)|(1)@1,q^3 --r 5",
     "transition --family grn --shape (2,1)|(1) --r 3",

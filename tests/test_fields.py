@@ -315,6 +315,30 @@ def _assert_canonical(x):
     assert sympy.gcd(n, d).degree() == 0
 
 
+_nonzero_ints = st.one_of(st.integers(1, 6), st.integers(-6, -1),
+                          st.integers(1, 10 ** 40),
+                          st.integers(-10 ** 40, -1))
+
+
+@given(_nonzero_ints,
+       st.integers(1, 10 ** 30) | st.integers(1, 6),
+       st.integers(1, 10 ** 6) | st.integers(2, 6))
+def test_rational_split_str_matches_the_fraction_string(x, den, g):
+    for a, d in [(x, den), (x * g, den * g), (x, 1), (x * den, den)]:
+        assert RATIONALS.split_str(a, d) == str(F(a, d))
+    assert RATIONALS.split_str(0, den) == "0"
+
+
+def test_split_str_is_to_str_of_join():
+    for field, values in [
+            (QFIELD, [Qp(1) - Qp(-1), QRat.const(F(-3, 4)) / (Qp(2) + 1)]),
+            (CyclotomicField(3), [Cyclo.xi_power(3, 1) * F(2, 3)])]:
+        for v in values:
+            for den in (1, 6):
+                assert field.split_str(v, den) == \
+                    field.to_str(field.join(v, den))
+
+
 @settings(max_examples=300, deadline=None)
 @given(_qrats, _qrats, st.sampled_from(_OPS), st.booleans(),
        st.integers(-4, 4))

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as F
 from math import gcd
@@ -214,6 +215,20 @@ def test_json_writer_matches_one_compact_json_call():
         assert matrix_to_json(m, *args) == _reference_json(m, *args)
 
 
+def test_cells_of_a_column_are_reduced_one_by_one():
+    # the column is in lowest terms (gcd(4, 2, 3, 8) = 1); its cells are
+    # not, and each prints in its own lowest terms
+    m = Matrix(4, 3, RATIONALS, cols=[{0: 4, 1: 2, 2: 3}, {0: -6, 3: 9},
+                                      {1: -2, 3: 1}], dens=[8, 6, 2])
+    expect = [["1/2", "-1", "0"], ["1/4", "0", "-1"], ["3/8", "0", "0"],
+              ["0", "3/2", "1/2"]]
+    assert string_rows(m) == expect
+    assert expect == [[str(v) for v in row] for row in m.to_rows()]
+    assert matrix_to_csv(m) == ",1,2,3\n" + "".join(
+        f"{i + 1},{','.join(row)}\n" for i, row in enumerate(expect))
+    assert string_rows(m, json.dumps)[1] == ['"1/4"', '"0"', '"-1"']
+
+
 def test_csv_has_word_header():
     s = parse_shape("2,1")
     tm = transition_recursive(WeightScheme(AlgebraSpec("symmetric"), s))
@@ -271,7 +286,11 @@ def test_every_route_and_operation_gives_canonical_columns(family, kwargs,
         _assert_canonical(m)
 
 
-_ENTRY = st.just(F(0)) | st.builds(F, st.integers(-4, 4), st.integers(1, 6))
+# nonzero values drawn directly: filtering zeros out of _ENTRY made
+# hypothesis fail its filter_too_much health check on some runs
+_NONZERO = st.builds(F, st.integers(-4, -1) | st.integers(1, 4),
+                     st.integers(1, 6))
+_ENTRY = st.just(F(0)) | _NONZERO
 
 
 def _dense(nrows, ncols):
@@ -297,7 +316,7 @@ def test_operations_match_a_dense_fraction_reference(data):
     x, z = data.draw(_dense(n, k)), data.draw(_dense(n, k))
     y, v = data.draw(_dense(k, m)), data.draw(_dense(n, n))
     s = data.draw(_ENTRY)
-    diag = data.draw(st.lists(_ENTRY.filter(bool), min_size=n, max_size=n))
+    diag = data.draw(st.lists(_NONZERO, min_size=n, max_size=n))
     u = [[v[i][j] if i < j else diag[i] if i == j else F(0)
           for j in range(n)] for i in range(n)]
     a, b, c, t = (Matrix.from_rows(r, RATIONALS) for r in (x, y, z, u))

@@ -273,6 +273,29 @@ def test_integer_recursion_matches_word_for_rational_q(family, kwargs, r):
                        for v in col.values())
 
 
+def test_a_diagonal_matrix_packs_no_bruhat_counts(monkeypatch):
+    # (n-1)^2 counts per node would take 32 MB for 4000 boxes in one row
+    from youngbasis import perms, transition
+    calls = []
+
+    def counting(w):
+        calls.append(w)
+        return prefix_counts(w)
+
+    prefix_counts = perms.prefix_counts
+    monkeypatch.setattr(perms, "prefix_counts", counting)
+    monkeypatch.setattr(transition, "prefix_counts", counting)
+    for text in ["1000", "1,1,1", "3,3/3"]:
+        tm = transition_recursive(WeightScheme(SPEC6, parse_shape(text)))
+        check_structure(tm)
+        assert tm.matrix.ncols == 1
+    assert calls == []
+    # a matrix with an off-diagonal entry packs each node once
+    tm = transition_recursive(WeightScheme(SPEC6, parse_shape("3,2")))
+    check_structure(tm)
+    assert calls == [t.word for t in tm.graph.nodes]
+
+
 def _corrupt(spec, text, edit):
     """A correct transition matrix of spec on the shape text with one
     cell edited by edit(cols, graph); returns the matrix and the message
