@@ -27,24 +27,27 @@ arithmetic.  Every generator and relation check here, and every route
 in :mod:`transition`, takes the scheme alone.  :func:`generators` is the
 one table that names a module's generators and selects among them.
 
-A generator matrix is built from the scaled steps: each column is the
-label's coefficients times their common denominator, over that
-denominator in lowest terms (see :mod:`linalg`).
-:func:`verify_relations` takes each matrix M as a pair (S, L) of
-:func:`linalg.integral_pair`, M = S / L with L the lcm of M's column
-denominators: an int matrix S over the rationals, M itself over L = 1
-elsewhere.  The scalars of the quadratic and cyclotomic relations
-split the same way.  A product of pairs multiplies the S and the L;
-the side of a relation with fewer factors of L is multiplied up to the
-other's before the two are compared, and a failing relation divides its
-witness entry by the common factor.
+Every generator is kept as a step table (see :mod:`linalg`): the
+label's coefficients times L, the lcm of their denominators, over L --
+ints on the rationals, the field's own scalars over L = 1 elsewhere.
+T_0 and the X_i are diagonal tables.  A generator matrix is built from
+its table, each column over L in lowest terms.
+
+:func:`verify_relations` checks each side of a relation as a product of
+tables without building a matrix: each column of the rightmost factor
+is read from its table and pushed through every factor to its left by
+:func:`linalg.push_column`, at most two products per entry.  The right
+sides of the quadratic and cyclotomic relations are tables too,
+(c S + d L I) / (d L) for the scalar c / d.  Both sides start scaled to
+the lcm of their denominators, so their numerator columns compare as
+they are; a failing relation divides its witness entry by that lcm.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from math import gcd
+from math import lcm, prod
 from typing import NamedTuple
 
 from .bruhat import BruhatGraph
@@ -52,7 +55,7 @@ from .errors import (DegenerateWeightError, NonSemisimpleError,
                      PreconditionError)
 from .fields import (QFIELD, Cyclo, CyclotomicField, QRat,
                      check_semisimple, evaluate_q, field_of)
-from .linalg import (Matrix, integral_pair, lowest_terms, matmul,
+from .linalg import (Matrix, lowest_terms, matmul, push_column,
                      split_over_lcm)
 from .weights import q_axial_weight, weighted_content
 
@@ -174,7 +177,7 @@ class WeightScheme:
     transition diagonal and of the squared orthogonal diagonal.
 
     One scheme serves every computation of a request: it caches
-    coefficients by pair, and generator data and matrices by label.
+    coefficients by pair, and generator tables and matrices by label.
     """
 
     def __init__(self, spec, shape, graph=None):
@@ -203,6 +206,7 @@ class WeightScheme:
         self._orth_cache = {}
         self._steps = {}
         self._scaled_steps = {}
+        self._diagonal_steps = {}
         self._generators = {}
         self._pairs = {}
 
@@ -258,27 +262,48 @@ class WeightScheme:
                 self.field.split, *self.steps(label))
         return cached
 
+    def diagonal_steps(self, i):
+        """The diagonal step table of X_i (i >= 1: u_k q^{2c}, the
+        weighted content of the box of i) or of T_0 (i = 0: u_k, or
+        xi^{k-1} on a wreath product, when the entry 1 sits in component
+        k), built once."""
+        cached = self._diagonal_steps.get(i)
+        if cached is None:
+            nodes = self.graph.nodes
+            if i:
+                vals = [weighted_content(t, i, self.weights, self.q)
+                        for t in nodes]
+            elif self.spec.preset.zeroth == "xi":
+                vals = [Cyclo.xi_power(self.shape.r, t.component_of(1) - 1)
+                        for t in nodes]
+            else:
+                vals = [self.weights[t.component_of(1) - 1] for t in nodes]
+            cached = self._diagonal_steps[i] = _scale_steps(
+                _zeroth_field(self).split if i == 0 else self.field.split,
+                vals, [None] * len(vals))
+        return cached
+
     def generator(self, label):
         """The seminormal matrix of one generator label, built from
         ``scaled_steps(label)`` (shared: callers must not modify it)."""
         m = self._generators.get(label)
         if m is None:
-            stay, move, den = self.scaled_steps(label)
-            size = self.graph.size()
-            m = Matrix(size, size, self.field, basis=self.graph.nodes)
-            for v, (a, mv) in enumerate(zip(stay, move)):
-                col = {v: a} if a else {}
-                if mv is not None:
-                    col[mv[1]] = mv[0]
-                m.cols[v], m.dens[v] = lowest_terms(col, den)
-            self._generators[label] = m
+            m = self._generators[label] = _table_matrix(
+                self.scaled_steps(label), self.field, self.graph.nodes)
         return m
 
     def generator_pair(self, label):
-        """:func:`integral_pair` of ``generator(label)``, built once."""
-        if label not in self._pairs:
-            self._pairs[label] = integral_pair(self.generator(label))
-        return self._pairs[label]
+        """(S, L) with S the matrix of the numerators of
+        ``scaled_steps(label)``, every column over 1, and L their
+        denominator: the generator is S / L.  Built once."""
+        pair = self._pairs.get(label)
+        if pair is None:
+            stay, move, den = self.scaled_steps(label)
+            size = len(stay)
+            pair = self._pairs[label] = (
+                Matrix(size, size, self.field,
+                       cols=_table_columns(stay, move)), den)
+        return pair
 
     def diag_factor(self, t, i, j):
         return self._entry(t, i, j)[1]
@@ -321,6 +346,36 @@ def _scale_steps(split, stay, move):
             den)
 
 
+def _table_columns(stay, move):
+    """The numerator columns of a step table: column v holds stay[v] at
+    v, unless it is 0, and the move at its target."""
+    cols = []
+    for v, (a, mv) in enumerate(zip(stay, move)):
+        col = {v: a} if a else {}
+        if mv is not None:
+            col[mv[1]] = mv[0]
+        cols.append(col)
+    return cols
+
+
+def _table_matrix(steps, field, basis):
+    """The matrix of a step table, each column in lowest terms."""
+    stay, move, den = steps
+    size = len(stay)
+    m = Matrix(size, size, field, basis=basis)
+    for v, col in enumerate(_table_columns(stay, move)):
+        m.cols[v], m.dens[v] = lowest_terms(col, den)
+    return m
+
+
+def _zeroth_field(ws):
+    """The field of T_0: cyclotomic on a wreath product (xi^{k-1}), the
+    scheme's own elsewhere."""
+    if ws.spec.preset.zeroth == "xi":
+        return CyclotomicField(ws.shape.r)
+    return ws.field
+
+
 def seminormal_generator(ws, i):
     """Matrix of the i-th generator on the seminormal basis in canonical
     order: diagonal entry a_i, off-diagonal 1+a_i (or the q-analogues),
@@ -334,31 +389,27 @@ def seminormal_generator(ws, i):
 def zeroth_generator(ws):
     """Diagonal matrix of T_0 (or s_0): eigenvalue u_k (or xi^{k-1}) on
     v_T when the entry 1 sits in component k, or X_1 on placed shapes."""
-    spec, shape, nodes = ws.spec, ws.shape, ws.graph.nodes
+    spec = ws.spec
     kind = spec.preset.zeroth
     if kind is None:
         raise PreconditionError(f"{spec.family} has no zeroth generator")
-    if shape.n == 0:
+    if ws.shape.n == 0:
         raise PreconditionError("no zeroth generator without boxes")
     if kind == "x1":
         return x_generator(ws, 1)
-    if kind == "xi":
-        vals = [Cyclo.xi_power(shape.r, t.component_of(1) - 1) for t in nodes]
-        return Matrix.diagonal(vals, CyclotomicField(shape.r), basis=nodes)
-    vals = [ws.weights[t.component_of(1) - 1] for t in nodes]
-    return Matrix.diagonal(vals, ws.field, basis=nodes)
+    return _table_matrix(ws.diagonal_steps(0), _zeroth_field(ws),
+                         ws.graph.nodes)
 
 
 def x_generator(ws, i):
     """Diagonal matrix of X^{eps_i}: eigenvalue q^{2 c(T(i))}."""
-    spec, nodes = ws.spec, ws.graph.nodes
+    spec = ws.spec
     # symmetric and wreath_grn fix q = 1 and carry no X generators
     if spec.preset.q != "free":
         raise PreconditionError(f"{spec.family} has no X generators")
     if not 1 <= i <= ws.shape.n:
         raise PreconditionError(f"X index {i} out of range")
-    vals = [weighted_content(t, i, ws.weights, ws.q) for t in nodes]
-    return Matrix.diagonal(vals, ws.field, basis=nodes)
+    return _table_matrix(ws.diagonal_steps(i), ws.field, ws.graph.nodes)
 
 
 def generators(ws, gen=None):
@@ -417,17 +468,32 @@ def natural_generator(ws, i, transition=None):
 # defining relations
 # ---------------------------------------------------------------------------
 
-def _chain(*pairs):
-    """The product of (S, L) pairs, as one pair."""
-    m, den = pairs[0]
-    for s, d in pairs[1:]:
-        m = matmul(m, s)
-        den *= d
-    return m, den
+def _identity_steps(field, size):
+    """The step table of the identity matrix."""
+    one = field.split(field.one)[0]
+    return [one] * size, [None] * size, 1
 
 
-def _times(m, k):
-    return m if k == 1 else m.scale(k)
+def _plus_identity(steps, c, d, den):
+    """The step table of (c S + d L I) / den for the table S over L."""
+    stay, move, scale = steps
+    dl = d * scale
+    return ([c * a + dl for a in stay],
+            [None if mv is None else (c * mv[0], mv[1]) for mv in move],
+            den)
+
+
+def _product_columns(factors, k):
+    """The numerator columns of k times a product of step tables,
+    leftmost factor first: each column of the rightmost factor, read
+    from its table, pushed through every factor to its left."""
+    *left, last = factors
+    cols = _table_columns(last[0], last[1])
+    if k != 1:
+        cols = [{i: x * k for i, x in col.items()} for col in cols]
+    for stay, move, _ in reversed(left):
+        cols = [push_column(col, stay, move) for col in cols]
+    return cols
 
 
 def _entry_witness(m, den=1):
@@ -439,108 +505,107 @@ def _entry_witness(m, den=1):
     return None
 
 
-def _record(report, name, lhs, rhs=None):
-    """Check lhs == rhs for (S, L) pairs (rhs None: lhs == 0).  The side
-    with fewer factors of L is multiplied up to the other's; a failure
-    carries the first nonzero entry of lhs - rhs as its witness, the
-    scaled difference divided by the common factor."""
-    a, den = lhs
+def _record(report, name, field, lhs, rhs=None):
+    """Check lhs == rhs for products of step tables over field (rhs
+    None: lhs == 0).  Both sides start scaled to the lcm of their
+    denominators; a failure carries the first nonzero entry of
+    lhs - rhs as its witness, the difference over that lcm."""
+    den = prod(steps[2] for steps in lhs)
     if rhs is None:
-        ok = a.is_zero()
+        a = _product_columns(lhs, 1)
+        ok = not any(a)
     else:
-        b, d = rhs
-        g = gcd(den, d)
-        a, b = _times(a, d // g), _times(b, den // g)
-        den = den // g * d
+        d = prod(steps[2] for steps in rhs)
+        common = lcm(den, d)
+        a = _product_columns(lhs, common // den)
+        b = _product_columns(rhs, common // d)
+        den = common
         ok = a == b
     item = {"relation": name, "status": "pass" if ok else "fail"}
     if not ok:
-        item["witness"] = _entry_witness(a if rhs is None else a - b, den)
+        size = len(a)
+        m = Matrix(size, size, field, cols=a)
+        if rhs is not None:
+            m = m + Matrix(size, size, field, cols=[
+                {i: -x for i, x in col.items()} for col in b])
+        item["witness"] = _entry_witness(m, den)
     report.append(item)
-    return ok
 
 
 def verify_relations(ws):
     """Check every defining relation of the family as an exact matrix
     identity; returns a list of {relation, status[, witness]} dicts.
 
-    Every generator enters as a pair (S, L) of :func:`integral_pair`, so over
-    the rationals the products run on int matrices."""
-    size, n, r = ws.graph.size(), ws.shape.n, ws.shape.r
+    Each side is a product of step tables (see the module docstring),
+    so over the rationals the products run on ints."""
+    n, r = ws.shape.n, ws.shape.r
     preset = ws.spec.preset
-    report = []
-    gens = {i: ws.generator_pair(i) for i in range(1, n)}
     field = ws.field
-    eye = Matrix.identity(size, field)
+    size = ws.graph.size()
+    report = []
+    gens = {i: ws.scaled_steps(i) for i in range(1, n)}
     # T_i^2 = (q - q^-1) T_i + 1, an involution at q = 1
-    coeff = ws.q - 1 / ws.q
-    c, d = field.split(coeff)
+    c, d = field.split(ws.q - 1 / ws.q)
 
     for i in range(1, n):
         for j in range(i + 2, n):
-            _record(report, f"commute s{i} s{j}",
-                    _chain(gens[i], gens[j]), _chain(gens[j], gens[i]))
+            _record(report, f"commute s{i} s{j}", field,
+                    [gens[i], gens[j]], [gens[j], gens[i]])
     for i in range(1, n - 1):
-        lhs = _chain(gens[i], gens[i + 1], gens[i])
-        rhs = _chain(gens[i + 1], gens[i], gens[i + 1])
-        _record(report, f"braid s{i} s{i+1}", lhs, rhs)
+        _record(report, f"braid s{i} s{i+1}", field,
+                [gens[i], gens[i + 1], gens[i]],
+                [gens[i + 1], gens[i], gens[i + 1]])
     for i in range(1, n):
-        s, den = gens[i]
-        # I + (c / d) S / L = (d L I + c S) / (d L)
-        rhs = ((_times(eye, d * den) + s.scale(c), d * den) if coeff
-               else (eye, 1))
+        # I + (c / d) S / L = (c S + d L I) / (d L)
+        rhs = (_plus_identity(gens[i], c, d, d * gens[i][2]) if c
+               else _identity_steps(field, size))
         name = "quadratic T" if preset.prefix == "T" else "involution s"
-        _record(report, f"{name}{i}", _chain(gens[i], gens[i]), rhs)
+        _record(report, f"{name}{i}", field, [gens[i], gens[i]], [rhs])
 
     if preset.zeroth in ("u", "xi") and n >= 1:
-        zeroth = zeroth_generator(ws)
-        t0 = integral_pair(zeroth)
-        if zeroth.field != field:
-            # wreath: lift the rational s_i into the cyclotomic field
-            lift = {i: (seminormal_generator(ws, i).coerce_field(
-                zeroth.field), 1) for i in gens}
-            eye0 = Matrix.identity(size, zeroth.field)
-        else:
-            lift = gens
-            eye0 = eye
+        t0 = ws.diagonal_steps(0)
+        field0 = _zeroth_field(ws)
+        # wreath: the rational s_i tables times the cyclotomic 1 are
+        # the same tables over the field of T_0
+        lift = gens if field0 == field else {
+            i: _plus_identity(steps, field0.one, 0, steps[2])
+            for i, steps in gens.items()}
         if n >= 2:
             g1 = lift[1]
-            _record(report, "braid T0 T1 T0 T1", _chain(t0, g1, t0, g1),
-                    _chain(g1, t0, g1, t0))
+            _record(report, "braid T0 T1 T0 T1", field0, [t0, g1, t0, g1],
+                    [g1, t0, g1, t0])
         for i in range(2, n):
-            _record(report, f"commute T0 s{i}",
-                    _chain(t0, lift[i]), _chain(lift[i], t0))
+            _record(report, f"commute T0 s{i}", field0, [t0, lift[i]],
+                    [lift[i], t0])
         if preset.zeroth == "xi":
-            _record(report, f"order s0^{r} = 1", _chain(*[t0] * r), (eye0, 1))
+            _record(report, f"order s0^{r} = 1", field0, [t0] * r,
+                    [_identity_steps(field0, size)])
         else:
             # T0 - a / b = (b S0 - a L0 I) / (b L0)
-            s0, den0 = t0
             factors = []
             for uk in ws.weights:
-                a, b = zeroth.field.split(uk)
-                factors.append((_times(s0, b) - eye0.scale(a * den0),
-                                b * den0))
-            _record(report, "cyclotomic prod (T0 - u_k) = 0",
-                    _chain(*factors))
+                a, b = field0.split(uk)
+                factors.append(_plus_identity(t0, b, -a, b * t0[2]))
+            _record(report, "cyclotomic prod (T0 - u_k) = 0", field0,
+                    factors)
 
     if preset.zeroth == "x1":
-        xs = {i: integral_pair(x_generator(ws, i))
-              for i in range(1, n + 1)}
+        xs = {i: ws.diagonal_steps(i) for i in range(1, n + 1)}
         for i in range(1, n):
             for j in range(1, n + 1):
                 if abs(i - j) > 1:
-                    _record(report, f"commute T{i} X{j}",
-                            _chain(gens[i], xs[j]), _chain(xs[j], gens[i]))
+                    _record(report, f"commute T{i} X{j}", field,
+                            [gens[i], xs[j]], [xs[j], gens[i]])
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
-                _record(report, f"commute X{i} X{j}",
-                        _chain(xs[i], xs[j]), _chain(xs[j], xs[i]))
+                _record(report, f"commute X{i} X{j}", field,
+                        [xs[i], xs[j]], [xs[j], xs[i]])
         if n >= 2:
-            _record(report, "mixed braid X1 T1 X1 T1",
-                    _chain(xs[1], gens[1], xs[1], gens[1]),
-                    _chain(gens[1], xs[1], gens[1], xs[1]))
+            _record(report, "mixed braid X1 T1 X1 T1", field,
+                    [xs[1], gens[1], xs[1], gens[1]],
+                    [gens[1], xs[1], gens[1], xs[1]])
         for i in range(1, n):
-            _record(report, f"X{i+1} = T{i} X{i} T{i}",
-                    xs[i + 1], _chain(gens[i], xs[i], gens[i]))
+            _record(report, f"X{i+1} = T{i} X{i} T{i}", field, [xs[i + 1]],
+                    [gens[i], xs[i], gens[i]])
 
     return report

@@ -8,7 +8,7 @@ and the row reading tableau the unique maximum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import perms
 from .errors import InvariantError, PreconditionError
@@ -97,9 +97,9 @@ class BruhatGraph:
                 if self.depth[u] == self.depth[v] - 1]
 
 
-@dataclass(frozen=True)
-class Path:
-    """A walk in the graph recorded as its start, labels, and nodes."""
+class Path(NamedTuple):
+    """A walk in the graph recorded as its start, labels, and nodes;
+    immutable, compared and hashed by value."""
     start: int
     labels: tuple
     nodes: tuple  # visited node indices, length = len(labels) + 1

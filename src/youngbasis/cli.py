@@ -86,8 +86,9 @@ def build_parser():
     _add_common(p)
     p.add_argument("--oracle", default="recursive",
                    choices=["recursive", "pathsum", "word"])
-    p.add_argument("--pathsum-cap", type=int, default=tr.PATHSUM_DEFAULT_CAP,
-                   help="raise the size cap of the pathsum oracle")
+    p.add_argument("--pathsum-cap", type=nonnegative_int,
+                   default=tr.PATHSUM_DEFAULT_CAP,
+                   help="largest n the pathsum oracle computes")
 
     p = sub.add_parser("orthogonal",
                        help="squared seminormal-to-orthogonal diagonal")
@@ -95,7 +96,9 @@ def build_parser():
 
     p = sub.add_parser("verify", help="relation + structure check suite")
     _add_common(p, formats=("json",))
-    p.add_argument("--oracle-cap", type=int, default=tr.PATHSUM_DEFAULT_CAP)
+    p.add_argument("--oracle-cap", type=nonnegative_int,
+                   default=tr.PATHSUM_DEFAULT_CAP,
+                   help="largest n on which the three routes are compared")
 
     p = sub.add_parser("bench", help="timing/op-count table for the recursion")
     p.add_argument("--shape", default=None)

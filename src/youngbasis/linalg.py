@@ -10,6 +10,10 @@ rationals) through the field's ``join`` and ``split``.
 
 Generator matrices have at most two nonzeros per column and the column
 recursion writes whole columns, so column-major is the natural layout.
+Such a matrix is also kept as a step table (stays, moves, den): column v
+holds stays[v] at row v and, where moves[v] = (b, target), b at row
+target, all over den.  :func:`push_column` multiplies a sparse column by
+a table's numerators, at most two products per entry.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from .fields import QFIELD, QRat, field_by_name
 
 __all__ = ["Matrix", "matmul", "triangular_inverse", "tensor_product",
            "direct_sum", "integral_pair", "lowest_terms", "split_over_lcm",
+           "push_column",
            "string_rows", "compact_json", "matrix_to_json",
            "matrix_from_json", "matrix_to_csv"]
 
@@ -47,6 +52,40 @@ def split_over_lcm(split, values):
     den = lcm(*(d for _, d in parts.values()))
     return ({k: x if d == den else x * (den // d)
              for k, (x, d) in parts.items()}, den)
+
+
+def push_column(col, stay, move):
+    """The matrix of a step table times the sparse column col: row u of
+    col goes to u times stay[u] and, where move[u] = (b, target), to
+    target times b.  Zero sums are dropped."""
+    out = {}
+    for u, val in col.items():
+        a = stay[u]
+        if a:
+            w = a * val
+            cur = out.get(u)
+            if cur is None:
+                out[u] = w
+            else:
+                cur = cur + w
+                if cur:
+                    out[u] = cur
+                else:
+                    del out[u]
+        mv = move[u]
+        if mv is not None:
+            b, tgt = mv
+            w = b * val
+            cur = out.get(tgt)
+            if cur is None:
+                out[tgt] = w
+            else:
+                cur = cur + w
+                if cur:
+                    out[tgt] = cur
+                else:
+                    del out[tgt]
+    return out
 
 
 def _scaled(col, k):

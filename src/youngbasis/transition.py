@@ -18,27 +18,32 @@ shape and its weak Bruhat graph.
 Every route keeps a column as numerators over one denominator in lowest
 terms, the column form of :class:`~youngbasis.linalg.Matrix`: ints over
 an int on the rationals, the field's own scalars over 1 elsewhere, and
-hands its columns to the matrix as they are.  The recursion and the
-path-sum route read ``WeightScheme.scaled_steps``; the word route
-applies the generator pairs of ``WeightScheme.generator_pair``, so it
-does not share that scaling.
+hands its columns to the matrix as they are.  All three read the step
+tables of ``WeightScheme.scaled_steps``: the recursion pushes a column
+through a table with :func:`linalg.push_column`, the path-sum route
+multiplies table entries along subpaths, and the word route applies the
+table's numerator matrix of ``WeightScheme.generator_pair`` with
+``Matrix.apply``, a kernel of its own.  So a fault in that scaling
+reaches all three alike and they agree on it; the relations of
+:func:`algebras.verify_relations` and the closed-form diagonal catch it.
 
-Also here: the closed-form diagonal, the squared orthogonal diagonal,
-and the wreath-product assembly by alphabets (direct sum of tensor
-products of per-component symmetric-group matrices).
+Also here: the closed-form diagonal and the squared orthogonal diagonal,
+each a product over inversions taken on split numerators and
+denominators, and the wreath-product assembly by alphabets (direct sum
+of tensor products of per-component symmetric-group matrices).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 from math import prod
 
 from .algebras import AlgebraSpec, WeightScheme
-from .bruhat import BruhatGraph, shortest_paths_from
+from .bruhat import shortest_paths_from
 from .errors import InvariantError, PreconditionError
-from .linalg import Matrix, direct_sum, lowest_terms, tensor_product
+from .linalg import (Matrix, direct_sum, lowest_terms, push_column,
+                     tensor_product)
 from .perms import guard_bits, prefix_counts
 # unused here; perfbench/selftest.py checks that tracing patches this alias
 from .perms import bruhat_leq  # noqa: F401
@@ -55,22 +60,26 @@ __all__ = [
 PATHSUM_DEFAULT_CAP = 7
 
 
-@dataclass
 class OpCounter:
     """Counts exact scalar operations in the column recursion."""
-    mults: int = 0
-    adds: int = 0
+
+    def __init__(self, mults=0, adds=0):
+        self.mults = mults
+        self.adds = adds
 
     def total(self):
         return self.mults + self.adds
 
 
-@dataclass
 class TransitionMatrix:
-    matrix: Matrix
-    spec: AlgebraSpec
-    shape: Shape
-    graph: BruhatGraph = dc_field(repr=False)
+    """A computed transition matrix with the spec, shape and graph it
+    was computed on."""
+
+    def __init__(self, matrix, spec, shape, graph):
+        self.matrix = matrix
+        self.spec = spec
+        self.shape = shape
+        self.graph = graph
 
     @property
     def basis(self):
@@ -88,40 +97,8 @@ class TransitionMatrix:
         return self.graph.index[rows]
 
 
-def _push_column(prev_col, stay, move):
-    """One recursion step: new column = generator applied to prev_col."""
-    out = {}
-    for u, val in prev_col.items():
-        a = stay[u]
-        if a:
-            w = a * val
-            cur = out.get(u)
-            if cur is None:
-                out[u] = w
-            else:
-                cur = cur + w
-                if cur:
-                    out[u] = cur
-                else:
-                    del out[u]
-        mv = move[u]
-        if mv is not None:
-            b, tgt = mv
-            w = b * val
-            cur = out.get(tgt)
-            if cur is None:
-                out[tgt] = w
-            else:
-                cur = cur + w
-                if cur:
-                    out[tgt] = cur
-                else:
-                    del out[tgt]
-    return out
-
-
 def _count_ops(counter, prev_col, stay, move):
-    """The scalar ops of one _push_column step.  A row of the new column
+    """The scalar ops of one push_column step.  A row of the new column
     receives at most its own stay term and the move term of its one
     s_label neighbour, so it costs an addition only when both arrive."""
     for u in prev_col:
@@ -151,7 +128,7 @@ def transition_recursive(ws, counter=None):
     for v in range(1, size):
         u, label = graph.up_edges_into(v)[0]
         stay, move, scale = ws.scaled_steps(label)
-        cols[v], dens[v] = lowest_terms(_push_column(cols[u], stay, move),
+        cols[v], dens[v] = lowest_terms(push_column(cols[u], stay, move),
                                         dens[u] * scale)
         if counter is not None:
             _count_ops(counter, cols[u], stay, move)
@@ -215,7 +192,8 @@ def transition_word(ws):
     read different coefficients wherever T has two or more down edges.
     These words are prefix-closed: each column is one generator applied
     to the column of a node one level lower.  Each generator is applied
-    as its pair S over L (``WeightScheme.generator_pair``)."""
+    as its pair S over L (``WeightScheme.generator_pair``), S the
+    numerators of its scaled step table."""
     graph = ws.graph
     size = graph.size()
     cols = [None] * size
@@ -232,13 +210,23 @@ def transition_word(ws):
 
 def _inversion_products(ws, factor):
     """Per node t, the product of factor(t, i, j) over the inversions
-    (i, j) of t, in sorted order."""
+    (i, j) of t, in sorted order: the split numerators and denominators
+    are multiplied and joined once per node.  Each factor object (one
+    per coefficient key) is split once."""
+    split, join = ws.field.split, ws.field.join
+    one = split(ws.field.one)[0]
+    parts = {}
     out = []
     for t in ws.graph.nodes:
-        acc = ws.field.one
+        num, den = one, 1
         for (i, j) in sorted(t.inversions):
-            acc = acc * factor(t, i, j)
-        out.append(acc)
+            x = factor(t, i, j)
+            part = parts.get(id(x))
+            if part is None:
+                part = parts[id(x)] = split(x)
+            num *= part[0]
+            den *= part[1]
+        out.append(join(num, den))
     return out
 
 

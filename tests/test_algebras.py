@@ -11,7 +11,7 @@ from youngbasis.bruhat import BruhatGraph
 from youngbasis.errors import (DegenerateWeightError, NonSemisimpleError,
                                PreconditionError)
 from youngbasis.fields import CyclotomicField, QRat, evaluate_q
-from youngbasis.linalg import Matrix, matmul, split_over_lcm
+from youngbasis.linalg import Matrix, matmul
 from youngbasis.perms import reduced_word
 from youngbasis.shapes import (Shape, Tableau, all_partitions, alphabetizer,
                                parse_shape, shape_from_parts)
@@ -215,23 +215,29 @@ def test_verify_relations_affine_placed_pages():
     assert "mixed braid X1 T1 X1 T1" in names
 
 
-def _add_to_first_entry(m, j, delta):
-    """Add delta to the first nonzero entry of column j of m, in place."""
-    col = m.column(j)
-    col[min(col)] += delta
-    m.cols[j], m.dens[j] = split_over_lcm(
-        m.field.split, {i: v for i, v in col.items() if v})
+def _add_to_first_entry(ws, label, j, delta):
+    """Add delta to the first nonzero entry of column j of generator
+    `label` in ``ws.steps(label)``, in place: the one table its relation
+    table, its matrix and every route read.  Call it before first use."""
+    stay, move = ws.steps(label)
+    rows = [j] if stay[j] else []
+    if move[j] is not None:
+        rows.append(move[j][1])
+    if min(rows) == j:
+        stay[j] += delta
+    else:
+        move[j] = (move[j][0] + delta, move[j][1])
 
 
 def test_verify_relations_reports_a_corrupted_generator():
-    # verify_relations reads the generators cached on the scheme, so a
+    # verify_relations reads the step tables cached on the scheme, so a
     # planted error in T_1 must fail exactly the relations whose two
     # sides it makes differ, each with the witness of lhs - rhs
     shape = parse_shape("3,2")
     spec = AlgebraSpec("hecke_A", q=3)
     ws = WeightScheme(spec, shape)
+    _add_to_first_entry(ws, 1, 2, 1)
     gens = {i: seminormal_generator(ws, i) for i in range(1, 5)}
-    _add_to_first_entry(gens[1], 2, 1)
     report = {r["relation"]: r for r in verify_relations(ws)}
     coeff = F(3) - F(1, 3)
     ident = Matrix.identity(ws.graph.size(), ws.field)
@@ -260,12 +266,12 @@ def test_verify_relations_reports_a_corrupted_generator():
 ])
 def test_verify_relations_witnesses_survive_scaling(family, text, label,
                                                     delta, must_fail):
-    # over the rationals each relation runs on L-scaled integer matrices;
+    # over the rationals each relation runs on L-scaled integer tables;
     # its witness must still be the first nonzero entry of lhs - rhs
     ws = WeightScheme(AlgebraSpec(family), parse_shape(text))
     n = ws.shape.n
+    _add_to_first_entry(ws, label, 2, delta)
     gens = {i: seminormal_generator(ws, i) for i in range(1, n)}
-    _add_to_first_entry(gens[label], 2, delta)
     report = {r["relation"]: r for r in verify_relations(ws)}
     coeff = ws.q - 1 / ws.q
     ident = Matrix.identity(ws.graph.size(), ws.field)
@@ -287,6 +293,71 @@ def test_verify_relations_witnesses_survive_scaling(family, text, label,
         assert report[name]["status"] == "fail"
         assert report[name]["witness"] == _entry_witness(diffs[name])
     passing = {name for name, r in report.items() if r["status"] == "pass"}
+    assert passing == set(report) - failing
+
+
+def _product(*factors):
+    out = factors[0]
+    for m in factors[1:]:
+        out = matmul(out, m)
+    return out
+
+
+@pytest.mark.parametrize("family, text, kwargs, planted, name", [
+    # symbolic q: the T_0 table holds the u_k over 1
+    ("hecke_B", "(2,1)|(1)", {"u": (F(2), F(1, 2))}, 0,
+     "cyclotomic prod (T0 - u_k) = 0"),
+    # T_0 is cyclotomic, and the rational s_i tables are lifted to it
+    ("wreath_grn", "(2,1)|(1)", {}, 0, "order s0^2 = 1"),
+    ("affine_placed", "(2,1)|(1)@1,q^3", {"q": F(5)}, 1,
+     "mixed braid X1 T1 X1 T1"),
+])
+def test_verify_relations_reports_a_corrupted_diagonal(family, text, kwargs,
+                                                       planted, name):
+    # T_0 and the X_i are diagonal step tables cached on the scheme: an
+    # error planted in one, before first use, fails exactly the relations
+    # whose two sides it makes differ, each with the witness of lhs - rhs
+    ws = WeightScheme(AlgebraSpec(family, **kwargs), parse_shape(text))
+    # the eigenvalue plus 1 on the first node that T_1 moves
+    v = next(v for v, mv in enumerate(ws.steps(1)[1]) if mv is not None)
+    stay, _, den = ws.diagonal_steps(planted)
+    stay[v] += den
+    n = ws.shape.n
+    gens = {i: seminormal_generator(ws, i) for i in range(1, n)}
+    if planted == 0:
+        t0 = zeroth_generator(ws)
+        gens = {i: g.coerce_field(t0.field) for i, g in gens.items()}
+        ident = Matrix.identity(ws.graph.size(), t0.field)
+        if family == "wreath_grn":
+            diffs = {name: matmul(t0, t0) - ident}
+        else:
+            diffs = {name: _product(*[t0 - ident.scale(u)
+                                      for u in ws.weights])}
+        diffs["braid T0 T1 T0 T1"] = (_product(t0, gens[1], t0, gens[1])
+                                      - _product(gens[1], t0, gens[1], t0))
+        for i in range(2, n):
+            diffs[f"commute T0 s{i}"] = (matmul(t0, gens[i])
+                                         - matmul(gens[i], t0))
+    else:
+        xs = {i: x_generator(ws, i) for i in range(1, n + 1)}
+        x1 = xs[1]
+        diffs = {
+            name: _product(x1, gens[1], x1, gens[1])
+            - _product(gens[1], x1, gens[1], x1),
+            "X2 = T1 X1 T1": xs[2] - _product(gens[1], x1, gens[1]),
+        }
+        for i in range(3, n):
+            diffs[f"commute T{i} X1"] = (matmul(gens[i], x1)
+                                         - matmul(x1, gens[i]))
+        for j in range(2, n + 1):
+            diffs[f"commute X1 X{j}"] = matmul(x1, xs[j]) - matmul(xs[j], x1)
+    report = {r["relation"]: r for r in verify_relations(ws)}
+    failing = {k for k, diff in diffs.items() if not diff.is_zero()}
+    assert name in failing
+    for k in failing:
+        assert report[k]["status"] == "fail"
+        assert report[k]["witness"] == _entry_witness(diffs[k])
+    passing = {k for k, r in report.items() if r["status"] == "pass"}
     assert passing == set(report) - failing
 
 

@@ -234,17 +234,17 @@ def test_natural_gen_builds_and_conjugates_one_generator(capsys, monkeypatch,
     ("--family affine_placed --shape (2,1)|(1)@1,q^3 --q 5", 3 + 4),
 ])
 def test_verify_splits_each_generator_once(capsys, monkeypatch, argv, calls):
-    from youngbasis import algebras, transition
-    real = algebras.integral_pair
+    # every route and relation reads one step table per generator, the
+    # s_i tables and the diagonal T_0 or X_i tables alike
+    from youngbasis import algebras
+    real = algebras._scale_steps
     seen = []
 
-    def counting(m):
-        seen.append(m.nrows)
-        return real(m)
+    def counting(split, stay, move):
+        seen.append(len(stay))
+        return real(split, stay, move)
 
-    monkeypatch.setattr(algebras, "integral_pair", counting)
-    # the word route once split every generator again under this name
-    monkeypatch.setattr(transition, "integral_pair", counting, raising=False)
+    monkeypatch.setattr(algebras, "_scale_steps", counting)
     code, out, _ = run_cli(capsys, "verify", *argv.split(" "))
     assert code == 0 and json.loads(out)["failures"] == 0
     assert len(seen) == calls
@@ -384,6 +384,95 @@ def test_bench_partitions_of_zero_and_a_negative_size(capsys):
         assert err.count("\n") == 1
         diag = json.loads(err)
         assert diag["error"] == "parse" and "--partitions-of" in diag["message"]
+
+
+@pytest.mark.parametrize("argv, option", [
+    ("verify --shape 3,2 --oracle-cap", "--oracle-cap"),
+    ("transition --shape 3,2 --oracle pathsum --pathsum-cap",
+     "--pathsum-cap"),
+])
+def test_a_negative_oracle_cap_is_a_parse_error(capsys, argv, option):
+    for value in ("-1", "-3", "x"):
+        code, out, err = run_cli(capsys, *argv.split(" "), value)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        diag = json.loads(err)
+        assert diag["error"] == "parse" and option in diag["message"]
+    # a cap of 0 is a cap: verify skips the oracles, pathsum refuses n = 5
+    code, out, _ = run_cli(capsys, *argv.split(" "), "0")
+    if option == "--oracle-cap":
+        assert code == 0
+        names = [c["relation"] for c in json.loads(out)["checks"]]
+        assert "triple-oracle agreement" not in names
+    else:
+        assert (code, out) == (3, "")
+
+
+_VERIFY_PER_FAMILY = [
+    "--shape 3,2",
+    "--family hecke_A --shape 3,2,1",
+    "--family hecke_B --u 2,1/2 --q 5 --shape (2,1)|(1)",
+    "--family ariki_koike --u 2,3 --shape (2,1)|(1)",
+    "--family grn --shape (2,1)|(1,1)",
+    "--family affine_placed --shape (2,1)|(1)@1,q^3 --q 5",
+]
+
+
+@pytest.mark.parametrize("argv", _VERIFY_PER_FAMILY)
+def test_verify_multiplies_no_matrices(capsys, monkeypatch, argv):
+    # the relations push columns through step tables, and the word route
+    # applies numerator matrices: no product, no generator matrix, and
+    # no matrix scaled or coerced
+    from youngbasis import algebras, linalg
+    real_matmul, real_generator = linalg.matmul, WeightScheme.generator
+    products, built, other = [], [], []
+
+    def counting_matmul(a, b):
+        products.append(a.nrows)
+        return real_matmul(a, b)
+
+    def counting_generator(self, label):
+        built.append(label)
+        return real_generator(self, label)
+
+    def counting(name):
+        real = getattr(Matrix, name)
+        return lambda self, x: other.append(name) or real(self, x)
+
+    monkeypatch.setattr(linalg, "matmul", counting_matmul)
+    monkeypatch.setattr(algebras, "matmul", counting_matmul)
+    monkeypatch.setattr(WeightScheme, "generator", counting_generator)
+    for name in ("scale", "coerce_field"):
+        monkeypatch.setattr(Matrix, name, counting(name))
+    code, out, _ = run_cli(capsys, "verify", *argv.split(" "))
+    assert code == 0 and json.loads(out)["failures"] == 0
+    assert (products, built, other) == ([], [], [])
+    # the counters count: natural conjugates by two products
+    code, _, _ = run_cli(capsys, "natural", "--gen", "1", *argv.split(" "))
+    assert code == 0 and len(products) == 2 and built == [1]
+
+
+def test_a_fault_in_the_step_scaling_fails_the_relations(capsys,
+                                                         monkeypatch):
+    # all three routes read the scaled steps, so they agree on a faulty
+    # scaling; the relations on the same tables fail (s_1 of 3,2 moves
+    # nothing), and so does the closed-form diagonal, which reads the
+    # unscaled coefficients
+    from youngbasis import algebras
+    real = algebras._scale_steps
+
+    def mutant(split, stay, move):
+        stay, move, den = real(split, stay, move)
+        return stay, [None if mv is None else (mv[0] + 1, mv[1])
+                      for mv in move], den
+
+    monkeypatch.setattr(algebras, "_scale_steps", mutant)
+    code, out, _ = run_cli(capsys, "verify", "--shape", "3,2")
+    assert code == 4
+    status = {c["relation"]: c["status"] for c in json.loads(out)["checks"]}
+    assert status["triple-oracle agreement"] == "pass"
+    assert status["transition structure"] == "pass"
+    assert status["involution s2"] == status["braid s1 s2"] == "fail"
 
 
 @pytest.mark.parametrize("argv", [

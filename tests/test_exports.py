@@ -59,3 +59,17 @@ def test_benchmark_outputs_are_byte_identical():
     assert done.returncode == 0, done.stdout + done.stderr
     assert re.search(r"^\d+ requests, 0 differ$", done.stdout, re.M), \
         done.stdout
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # each is ~7 ms and ~0.9 MB of every process; compare with a bare
+    # interpreter, so a site hook that loads them anyway is not counted
+    src = Path(youngbasis.__file__).resolve().parent.parent
+    code = ("import sys; before = set(sys.modules); import youngbasis.cli; "
+            "print(sorted({'dataclasses', 'inspect'} "
+            "& (set(sys.modules) - before)))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60,
+                          env={"PYTHONPATH": str(src)})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

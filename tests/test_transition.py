@@ -17,12 +17,11 @@ from youngbasis.bruhat import (BruhatGraph, Path, shortest_path,
                                shortest_paths_from)
 from youngbasis.errors import InvariantError, PreconditionError
 from youngbasis.fields import QFIELD, RATIONALS, CyclotomicField, evaluate_q
-from youngbasis.linalg import integral_pair, lowest_terms, matmul
+from youngbasis.linalg import integral_pair, lowest_terms, matmul, push_column
 from youngbasis.perms import bruhat_leq
 from youngbasis.shapes import (Shape, Tableau, all_partitions, parse_shape,
                                shape_from_parts, standard_tableaux)
-from youngbasis.transition import (_push_column,
-                                   bench_transition, check_structure,
+from youngbasis.transition import (bench_transition, check_structure,
                                    diagonal_closed_form, grn_transition,
                                    orthogonal_diag_squared,
                                    transition_pathsum, transition_recursive,
@@ -205,9 +204,9 @@ def test_integer_step_matches_fraction_step(case):
     ints = {i: int(x * den) for i, x in col.items()}
     for stay, move in steps:
         istay, imove, scale = _scale_steps(RATIONALS.split, stay, move)
-        ints, den = lowest_terms(_push_column(ints, istay, imove),
+        ints, den = lowest_terms(push_column(ints, istay, imove),
                                  den * scale)
-        col = _push_column(col, stay, move)
+        col = push_column(col, stay, move)
         assert den > 0
         assert gcd(den, *ints.values()) == 1
         assert {i: F(x, den) for i, x in ints.items()} == col
@@ -595,3 +594,28 @@ def test_affine_placed_transition_uses_page_weights():
     diag = diagonal_closed_form(ws)
     for v in range(ws.graph.size()):
         assert a.matrix.get(v, v) == diag[v]
+
+
+@pytest.mark.parametrize("family, text, kwargs", [
+    ("symmetric", "3,2,1", {}),
+    ("hecke_A", "3,2", {}),
+    ("hecke_A", "3,2", {"q": F(3)}),
+    ("hecke_B", "(2,1)|(1)", {"u": (F(2), F(1, 2))}),
+    ("ariki_koike", "(2,1)|(1,1)", {"q": F(5), "u": (2, 3)}),
+    ("wreath_grn", "(2,1)|(1)", {}),
+    ("affine_placed", "(2)|(1,1)@1,q^3", {"q": F(7)}),
+])
+def test_inversion_products_match_a_field_product(family, text, kwargs):
+    # the diagonals multiply split numerators and denominators; each must
+    # equal the product of the field factors over the node's inversions
+    ws = WeightScheme(AlgebraSpec(family, **kwargs), parse_shape(text))
+    for got, factor in ((orthogonal_diag_squared(ws), ws.orth_factor_squared),
+                        (diagonal_closed_form(ws), ws.diag_factor)):
+        want = []
+        for t in ws.graph.nodes:
+            acc = ws.field.one
+            for i, j in sorted(t.inversions):
+                acc = acc * factor(t, i, j)
+            want.append(acc)
+        assert got == want
+        assert all(ws.field.element_of(x) for x in got)
