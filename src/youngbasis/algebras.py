@@ -27,11 +27,13 @@ arithmetic.  Every generator and relation check here, and every route
 in :mod:`transition`, takes the scheme alone.  :func:`generators` is the
 one table that names a module's generators and selects among them.
 
-Every generator is kept as a step table (see :mod:`linalg`): the
-label's coefficients times L, the lcm of their denominators, over L --
-ints on the rationals, the field's own scalars over L = 1 elsewhere.
-T_0 and the X_i are diagonal tables.  A generator matrix is built from
-its table, each column over L in lowest terms.
+Every generator is a step table (see :mod:`linalg`): the label's
+coefficients times L, the lcm of their denominators, over L -- ints on
+the rationals, the field's own scalars over L = 1 elsewhere.  The
+scheme caches one table per s_i label, the one table every route and
+relation reads; T_0 and the X_i are diagonal tables built when asked
+for.  A generator matrix is built from its table when asked for, each
+column over L in lowest terms.
 
 :func:`verify_relations` checks each side of a relation as a product of
 tables without building a matrix: each column of the rightmost factor
@@ -56,7 +58,7 @@ from .errors import (DegenerateWeightError, NonSemisimpleError,
 from .fields import (QFIELD, Cyclo, CyclotomicField, QRat,
                      check_semisimple, evaluate_q, field_of)
 from .linalg import (Matrix, lowest_terms, matmul, push_column,
-                     split_over_lcm)
+                     split_over_lcm, table_columns)
 from .weights import q_axial_weight, weighted_content
 
 __all__ = ["AlgebraSpec", "FAMILIES", "PRESETS", "Preset", "generators",
@@ -177,7 +179,7 @@ class WeightScheme:
     transition diagonal and of the squared orthogonal diagonal.
 
     One scheme serves every computation of a request: it caches
-    coefficients by pair, and generator tables and matrices by label.
+    coefficients by pair and one step table per generator label.
     """
 
     def __init__(self, spec, shape, graph=None):
@@ -204,11 +206,7 @@ class WeightScheme:
         # and the per-inversion factor of the transition diagonal
         self._pair_cache = {}
         self._orth_cache = {}
-        self._steps = {}
         self._scaled_steps = {}
-        self._diagonal_steps = {}
-        self._generators = {}
-        self._pairs = {}
 
     def _entry(self, t, i, j):
         """(a, q^-1 + a) for the pair (i, j) of t, a its axial
@@ -230,11 +228,13 @@ class WeightScheme:
     def move(self, t, i):
         return self._entry(t, i, i + 1)[1]
 
-    def steps(self, label):
-        """Per-node stay coefficients and (move coefficient, target) or
-        None for one generator label: what one two-term update needs.
-        Nodes with one key share the key's two objects."""
-        cached = self._steps.get(label)
+    def scaled_steps(self, label):
+        """The step table of one generator label, built once: per node
+        the stay coefficient and the (move coefficient, target) or None,
+        what one two-term update needs, scaled by :func:`_scale_steps`
+        to numerators over one denominator.  Nodes with one key share
+        the key's two objects, so each is split once."""
+        cached = self._scaled_steps.get(label)
         if cached is None:
             cache = self._pair_cache
             stay = []
@@ -249,61 +249,27 @@ class WeightScheme:
                 stay.append(entry[0])
                 target = nbrs.get(label)
                 move.append(None if target is None else (entry[1], target))
-            cached = self._steps[label] = (stay, move)
-        return cached
-
-    def scaled_steps(self, label):
-        """:func:`_scale_steps` of ``steps(label)``.  Derived from
-        ``steps`` on first use, so it reads the same coefficients, and
-        splits each key's objects once."""
-        cached = self._scaled_steps.get(label)
-        if cached is None:
             cached = self._scaled_steps[label] = _scale_steps(
-                self.field.split, *self.steps(label))
+                self.field.split, stay, move)
         return cached
 
     def diagonal_steps(self, i):
         """The diagonal step table of X_i (i >= 1: u_k q^{2c}, the
         weighted content of the box of i) or of T_0 (i = 0: u_k, or
         xi^{k-1} on a wreath product, when the entry 1 sits in component
-        k), built once."""
-        cached = self._diagonal_steps.get(i)
-        if cached is None:
-            nodes = self.graph.nodes
-            if i:
-                vals = [weighted_content(t, i, self.weights, self.q)
-                        for t in nodes]
-            elif self.spec.preset.zeroth == "xi":
-                vals = [Cyclo.xi_power(self.shape.r, t.component_of(1) - 1)
-                        for t in nodes]
-            else:
-                vals = [self.weights[t.component_of(1) - 1] for t in nodes]
-            cached = self._diagonal_steps[i] = _scale_steps(
-                _zeroth_field(self).split if i == 0 else self.field.split,
-                vals, [None] * len(vals))
-        return cached
-
-    def generator(self, label):
-        """The seminormal matrix of one generator label, built from
-        ``scaled_steps(label)`` (shared: callers must not modify it)."""
-        m = self._generators.get(label)
-        if m is None:
-            m = self._generators[label] = _table_matrix(
-                self.scaled_steps(label), self.field, self.graph.nodes)
-        return m
-
-    def generator_pair(self, label):
-        """(S, L) with S the matrix of the numerators of
-        ``scaled_steps(label)``, every column over 1, and L their
-        denominator: the generator is S / L.  Built once."""
-        pair = self._pairs.get(label)
-        if pair is None:
-            stay, move, den = self.scaled_steps(label)
-            size = len(stay)
-            pair = self._pairs[label] = (
-                Matrix(size, size, self.field,
-                       cols=_table_columns(stay, move)), den)
-        return pair
+        k), built on each call: a request reads each one once."""
+        nodes = self.graph.nodes
+        if i:
+            vals = [weighted_content(t, i, self.weights, self.q)
+                    for t in nodes]
+        elif self.spec.preset.zeroth == "xi":
+            vals = [Cyclo.xi_power(self.shape.r, t.component_of(1) - 1)
+                    for t in nodes]
+        else:
+            vals = [self.weights[t.component_of(1) - 1] for t in nodes]
+        return _scale_steps(
+            _zeroth_field(self).split if i == 0 else self.field.split,
+            vals, [None] * len(vals))
 
     def diag_factor(self, t, i, j):
         return self._entry(t, i, j)[1]
@@ -346,24 +312,12 @@ def _scale_steps(split, stay, move):
             den)
 
 
-def _table_columns(stay, move):
-    """The numerator columns of a step table: column v holds stay[v] at
-    v, unless it is 0, and the move at its target."""
-    cols = []
-    for v, (a, mv) in enumerate(zip(stay, move)):
-        col = {v: a} if a else {}
-        if mv is not None:
-            col[mv[1]] = mv[0]
-        cols.append(col)
-    return cols
-
-
 def _table_matrix(steps, field, basis):
     """The matrix of a step table, each column in lowest terms."""
     stay, move, den = steps
     size = len(stay)
     m = Matrix(size, size, field, basis=basis)
-    for v, col in enumerate(_table_columns(stay, move)):
+    for v, col in enumerate(table_columns(stay, move)):
         m.cols[v], m.dens[v] = lowest_terms(col, den)
     return m
 
@@ -379,11 +333,11 @@ def _zeroth_field(ws):
 def seminormal_generator(ws, i):
     """Matrix of the i-th generator on the seminormal basis in canonical
     order: diagonal entry a_i, off-diagonal 1+a_i (or the q-analogues),
-    off-diagonal dropped when the swap is nonstandard.  Built once per
-    scheme; callers must not modify it."""
+    off-diagonal dropped when the swap is nonstandard.  Built from
+    ``ws.scaled_steps(i)`` on each call."""
     if not 1 <= i <= ws.shape.n - 1:
         raise PreconditionError(f"generator index {i} out of range")
-    return ws.generator(i)
+    return _table_matrix(ws.scaled_steps(i), ws.field, ws.graph.nodes)
 
 
 def zeroth_generator(ws):
@@ -428,7 +382,7 @@ def generators(ws, gen=None):
     if gen is not None:
         # a coefficient that does not exist fails every pick
         for i in range(1, n):
-            ws.steps(i)
+            ws.scaled_steps(i)
         key = (preset.prefix + gen if gen.isdigit() else gen).lower()
         table = [entry for entry in table if entry[0].lower() == key]
         if not table:
@@ -488,7 +442,7 @@ def _product_columns(factors, k):
     leftmost factor first: each column of the rightmost factor, read
     from its table, pushed through every factor to its left."""
     *left, last = factors
-    cols = _table_columns(last[0], last[1])
+    cols = table_columns(last[0], last[1])
     if k != 1:
         cols = [{i: x * k for i, x in col.items()} for col in cols]
     for stay, move, _ in reversed(left):

@@ -26,7 +26,7 @@ from .fields import QFIELD, QRat, field_by_name
 
 __all__ = ["Matrix", "matmul", "triangular_inverse", "tensor_product",
            "direct_sum", "integral_pair", "lowest_terms", "split_over_lcm",
-           "push_column",
+           "push_column", "table_columns",
            "string_rows", "compact_json", "matrix_to_json",
            "matrix_from_json", "matrix_to_csv"]
 
@@ -86,6 +86,18 @@ def push_column(col, stay, move):
                 else:
                     del out[tgt]
     return out
+
+
+def table_columns(stay, move):
+    """The numerator columns of a step table: column v holds stay[v] at
+    v, unless it is 0, and the move at its target."""
+    cols = []
+    for v, (a, mv) in enumerate(zip(stay, move)):
+        col = {v: a} if a else {}
+        if mv is not None:
+            col[mv[1]] = mv[0]
+        cols.append(col)
+    return cols
 
 
 def _scaled(col, k):

@@ -22,7 +22,7 @@ hands its columns to the matrix as they are.  All three read the step
 tables of ``WeightScheme.scaled_steps``: the recursion pushes a column
 through a table with :func:`linalg.push_column`, the path-sum route
 multiplies table entries along subpaths, and the word route applies the
-table's numerator matrix of ``WeightScheme.generator_pair`` with
+matrix of the table's numerators (:func:`linalg.table_columns`) with
 ``Matrix.apply``, a kernel of its own.  So a fault in that scaling
 reaches all three alike and they agree on it; the relations of
 :func:`algebras.verify_relations` and the closed-form diagonal catch it.
@@ -43,7 +43,7 @@ from .algebras import AlgebraSpec, WeightScheme
 from .bruhat import shortest_paths_from
 from .errors import InvariantError, PreconditionError
 from .linalg import (Matrix, direct_sum, lowest_terms, push_column,
-                     tensor_product)
+                     table_columns, tensor_product)
 from .perms import guard_bits, prefix_counts
 # unused here; perfbench/selftest.py checks that tracing patches this alias
 from .perms import bruhat_leq  # noqa: F401
@@ -160,22 +160,24 @@ def transition_pathsum(ws, paths=None, n_cap=PATHSUM_DEFAULT_CAP):
     dens = [1] * size
     for v in range(size):
         steps = [ws.scaled_steps(i) for i in paths[v].labels]
+        depth = len(steps)
         bucket = {}
-
-        def dfs(j, node, weight):
-            if j == len(steps):
+        # (steps taken, node, weight) of each open subpath; the stay
+        # branch is pushed last, so it is walked first
+        stack = [(0, 0, one)]
+        while stack:
+            j, node, weight = stack.pop()
+            if j == depth:
                 cur = bucket.get(node)
                 bucket[node] = weight if cur is None else cur + weight
-                return
+                continue
             stay, move, _ = steps[j]
-            a = stay[node]
-            if a:
-                dfs(j + 1, node, weight * a)
             mv = move[node]
             if mv is not None:
-                dfs(j + 1, mv[1], weight * mv[0])
-
-        dfs(0, 0, one)
+                stack.append((j + 1, mv[1], weight * mv[0]))
+            a = stay[node]
+            if a:
+                stack.append((j + 1, node, weight * a))
         cols[v], dens[v] = lowest_terms(
             {i: w for i, w in bucket.items() if w},
             prod(scale for _, _, scale in steps))
@@ -192,16 +194,23 @@ def transition_word(ws):
     read different coefficients wherever T has two or more down edges.
     These words are prefix-closed: each column is one generator applied
     to the column of a node one level lower.  Each generator is applied
-    as its pair S over L (``WeightScheme.generator_pair``), S the
-    numerators of its scaled step table."""
+    as S over L, S the matrix of the numerators of
+    ``ws.scaled_steps(label)``, built once per label in this call."""
     graph = ws.graph
     size = graph.size()
     cols = [None] * size
     dens = [1] * size
     cols[0] = {0: ws.field.split(ws.field.one)[0]}
+    gens = {}
     for v in range(1, size):
         u, label = graph.up_edges_into(v)[-1]
-        s, scale = ws.generator_pair(label)
+        gen = gens.get(label)
+        if gen is None:
+            stay, move, scale = ws.scaled_steps(label)
+            gen = gens[label] = (Matrix(size, size, ws.field,
+                                        cols=table_columns(stay, move)),
+                                 scale)
+        s, scale = gen
         cols[v], dens[v] = lowest_terms(s.apply(cols[u]), dens[u] * scale)
     m = Matrix(size, size, ws.field, cols=cols, basis=graph.nodes,
                dens=dens)

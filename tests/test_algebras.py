@@ -217,16 +217,25 @@ def test_verify_relations_affine_placed_pages():
 
 def _add_to_first_entry(ws, label, j, delta):
     """Add delta to the first nonzero entry of column j of generator
-    `label` in ``ws.steps(label)``, in place: the one table its relation
-    table, its matrix and every route read.  Call it before first use."""
-    stay, move = ws.steps(label)
+    `label` in ``ws.scaled_steps(label)``, in place: the one table its
+    relations, its matrix and every route read.  The table holds
+    numerators over L, so delta enters as delta L; where that is no
+    integer the table first goes over k L, k its denominator."""
+    stay, move, den = ws.scaled_steps(label)
+    planted = F(delta) * den
+    k = planted.denominator
+    if k != 1:
+        stay[:] = [a * k for a in stay]
+        move[:] = [None if mv is None else (mv[0] * k, mv[1]) for mv in move]
+        ws._scaled_steps[label] = (stay, move, den * k)
+    planted = int(planted * k)
     rows = [j] if stay[j] else []
     if move[j] is not None:
         rows.append(move[j][1])
     if min(rows) == j:
-        stay[j] += delta
+        stay[j] += planted
     else:
-        move[j] = (move[j][0] + delta, move[j][1])
+        move[j] = (move[j][0] + planted, move[j][1])
 
 
 def test_verify_relations_reports_a_corrupted_generator():
@@ -312,16 +321,25 @@ def _product(*factors):
     ("affine_placed", "(2,1)|(1)@1,q^3", {"q": F(5)}, 1,
      "mixed braid X1 T1 X1 T1"),
 ])
-def test_verify_relations_reports_a_corrupted_diagonal(family, text, kwargs,
-                                                       planted, name):
-    # T_0 and the X_i are diagonal step tables cached on the scheme: an
-    # error planted in one, before first use, fails exactly the relations
-    # whose two sides it makes differ, each with the witness of lhs - rhs
+def test_verify_relations_reports_a_corrupted_diagonal(monkeypatch, family,
+                                                       text, kwargs, planted,
+                                                       name):
+    # T_0 and the X_i are diagonal step tables built by the scheme: an
+    # error planted in one fails exactly the relations whose two sides
+    # it makes differ, each with the witness of lhs - rhs
     ws = WeightScheme(AlgebraSpec(family, **kwargs), parse_shape(text))
     # the eigenvalue plus 1 on the first node that T_1 moves
-    v = next(v for v, mv in enumerate(ws.steps(1)[1]) if mv is not None)
-    stay, _, den = ws.diagonal_steps(planted)
-    stay[v] += den
+    v = next(v for v, mv in enumerate(ws.scaled_steps(1)[1])
+             if mv is not None)
+    real = WeightScheme.diagonal_steps
+
+    def planting(self, i):
+        stay, move, den = real(self, i)
+        if i == planted:
+            stay[v] += den
+        return stay, move, den
+
+    monkeypatch.setattr(WeightScheme, "diagonal_steps", planting)
     n = ws.shape.n
     gens = {i: seminormal_generator(ws, i) for i in range(1, n)}
     if planted == 0:
@@ -493,27 +511,28 @@ def test_symbolic_q_evaluates_to_rational_q(family, u, pages):
     ("wreath_grn", None, None, "(2,1)|(1,1)"),
 ])
 def test_keyed_tables_match_a_per_node_recomputation(family, q, u, text):
-    """The steps, the scaled steps and the diagonal, read from one cache
+    """The scaled steps over L and the diagonal, read from one cache
     entry per key, equal the coefficients recomputed at every node by the
     uncached q_axial_weight."""
     ws = WeightScheme(AlgebraSpec(family, q, u), parse_shape(text))
     qinv = 1 / ws.q
+    join = ws.field.join
 
     def axial(t, i, j):
         return q_axial_weight(t, i, j, ws.weights, ws.q)
 
     nodes, neighbors = ws.graph.nodes, ws.graph.neighbors
     for label in range(1, ws.shape.n):
-        stay, move = ws.steps(label)
         sstay, smove, den = ws.scaled_steps(label)
         for v, t in enumerate(nodes):
             a = axial(t, label, label + 1)
             target = neighbors[v].get(label)
-            assert stay[v] == a and sstay[v] == a * den
+            assert join(sstay[v], den) == a and sstay[v] == a * den
             if target is None:
-                assert move[v] is None and smove[v] is None
+                assert smove[v] is None
             else:
-                assert move[v] == (qinv + a, target)
+                assert (join(smove[v][0], den), smove[v][1]) == (qinv + a,
+                                                                 target)
                 assert smove[v] == ((qinv + a) * den, target)
     for t, d in zip(nodes, diagonal_closed_form(ws)):
         want = ws.field.one

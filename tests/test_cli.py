@@ -1,6 +1,10 @@
+import hashlib
 import json
 import re
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -190,6 +194,29 @@ def test_natural_inverts_the_transition_matrix_once(capsys, monkeypatch):
         assert len(calls) == 1, (argv, calls)
 
 
+def _count_table_matrices(monkeypatch):
+    """A list that records each generator matrix built from a step table
+    (``algebras._table_matrix``): the s_i label of the table, or
+    "diagonal" for a table of T_0 or an X_i."""
+    from youngbasis import algebras
+    real_matrix = algebras._table_matrix
+    real_steps = WeightScheme.scaled_steps
+    labels, built = {}, []
+
+    def scaled_steps(self, label):
+        steps = real_steps(self, label)
+        labels[id(steps)] = label  # the scheme keeps the table alive
+        return steps
+
+    def table_matrix(steps, field, basis):
+        built.append(labels.get(id(steps), "diagonal"))
+        return real_matrix(steps, field, basis)
+
+    monkeypatch.setattr(WeightScheme, "scaled_steps", scaled_steps)
+    monkeypatch.setattr(algebras, "_table_matrix", table_matrix)
+    return built
+
+
 @pytest.mark.parametrize("argv, gen", [
     ("--shape 4,3,1", "3"),
     ("--family affine_placed --shape (2,1)|(1)@1,q^3 --q 5", "x1"),
@@ -202,19 +229,15 @@ def test_natural_gen_builds_and_conjugates_one_generator(capsys, monkeypatch,
     code, out, _ = run_cli(capsys, "natural", *argv.split(" "))
     assert code == 0
     everything = json.loads(out)["generators"]
-    real_matmul, real_generator = algebras.matmul, WeightScheme.generator
-    products, built = [], []
+    real_matmul = algebras.matmul
+    products = []
 
     def counting_matmul(a, b):
         products.append(a.nrows)
         return real_matmul(a, b)
 
-    def counting_generator(self, label):
-        built.append(label)
-        return real_generator(self, label)
-
     monkeypatch.setattr(algebras, "matmul", counting_matmul)
-    monkeypatch.setattr(WeightScheme, "generator", counting_generator)
+    built = _count_table_matrices(monkeypatch)
     code, out, _ = run_cli(capsys, "natural", *argv.split(" "), "--gen", gen)
     assert code == 0
     picked = json.loads(out)["generators"]
@@ -222,7 +245,8 @@ def test_natural_gen_builds_and_conjugates_one_generator(capsys, monkeypatch,
                       if g["name"].lower() in (gen, f"s{gen}", f"t{gen}")]
     assert len(picked) == 1
     assert len(products) == 2  # A^-1 M A
-    assert built == ([int(gen)] if gen not in ("0", "x1") else [])
+    assert built == [int(gen) if gen.isdigit() and gen != "0"
+                     else "diagonal"]
 
 
 @pytest.mark.parametrize("argv, calls", [
@@ -424,16 +448,12 @@ def test_verify_multiplies_no_matrices(capsys, monkeypatch, argv):
     # applies numerator matrices: no product, no generator matrix, and
     # no matrix scaled or coerced
     from youngbasis import algebras, linalg
-    real_matmul, real_generator = linalg.matmul, WeightScheme.generator
-    products, built, other = [], [], []
+    real_matmul = linalg.matmul
+    products, other = [], []
 
     def counting_matmul(a, b):
         products.append(a.nrows)
         return real_matmul(a, b)
-
-    def counting_generator(self, label):
-        built.append(label)
-        return real_generator(self, label)
 
     def counting(name):
         real = getattr(Matrix, name)
@@ -441,7 +461,7 @@ def test_verify_multiplies_no_matrices(capsys, monkeypatch, argv):
 
     monkeypatch.setattr(linalg, "matmul", counting_matmul)
     monkeypatch.setattr(algebras, "matmul", counting_matmul)
-    monkeypatch.setattr(WeightScheme, "generator", counting_generator)
+    built = _count_table_matrices(monkeypatch)
     for name in ("scale", "coerce_field"):
         monkeypatch.setattr(Matrix, name, counting(name))
     code, out, _ = run_cli(capsys, "verify", *argv.split(" "))
@@ -594,6 +614,21 @@ def test_pathsum_cap_flag(capsys):
                            "--format", "json")
     assert code == 0
     assert len(json.loads(out)["rows"]) == 14
+
+
+def test_pathsum_walks_a_deep_path_without_recursing():
+    # each column's subpaths are enumerated on an explicit stack, so a
+    # path of 199 steps computes under a recursion limit of 120
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys; from youngbasis.cli import main; "
+            "sys.setrecursionlimit(120); "
+            "sys.exit(main(['transition', '--shape', '200,1', "
+            "'--oracle', 'pathsum', '--pathsum-cap', '300']))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env={"PYTHONPATH": str(src)})
+    assert (done.returncode, done.stderr) == (0, "")
+    assert len(json.loads(done.stdout)["rows"]) == 200
 
 
 def test_out_file(tmp_path, capsys):
@@ -780,3 +815,81 @@ def test_cli_fuzz_exit_codes_and_diagnostics(capsys, command, shape, family,
         lines = err.splitlines()
         assert len(lines) == 1
         assert set(json.loads(lines[0])) == {"error", "message"}
+
+
+# stdout SHA-256 of seminormal and natural requests: every algebra family
+# in both formats, and the three kinds of --gen pick
+GENERATOR_DIGESTS = {
+    "seminormal --shape 4,2,1 --format json":
+        "77b9fe98e71d63fd3e5d8581b4dec24cd1fd8b9e4d0919220b325ba0f7730516",
+    "seminormal --shape 4,2,1 --format csv":
+        "2f0d1b4a49cc3fe5a7a3c5a32fb365b689b1b2174891d1df2788ba8ae1c03a1d",
+    "natural --shape 4,2,1 --format json":
+        "92adb12e66afa3e415dc7cc0b27770e1dc5b837527f3a5f72dbbcdb159d3972c",
+    "natural --shape 4,2,1 --format csv":
+        "3fd461ab8580f747fea45b5f760afa51d33eb7bad95435aabefab859d687c208",
+    "seminormal --family hecke_A --shape 3,2 --format json":
+        "0346a3a24595951b4864b74acd6b32c859b98321ef66ff9d1d8dbe7964314e9a",
+    "seminormal --family hecke_A --shape 3,2 --format csv":
+        "2853d80b2895d509c8489dd1884982c8293425ba25eab0ebcdbdf5f347a62f70",
+    "natural --family hecke_A --shape 3,2 --format json":
+        "98458617db115ef3636472f16f771baa8fbad37e1dbb87e7c3c79da3acc0fda0",
+    "natural --family hecke_A --shape 3,2 --format csv":
+        "85e96e95c2ab95ce01423c44f59aa3804fb346859983da88545ed19b9f48e094",
+    ("seminormal --family hecke_B --u 2,1/2 --q 3 --shape (2,1)|(1)"
+     " --format json"):
+        "f7e2e2ae849c099dc20aff9ee9c1f3090bfe856270098f755b656ba1fd96ced4",
+    ("seminormal --family hecke_B --u 2,1/2 --q 3 --shape (2,1)|(1)"
+     " --format csv"):
+        "10b4750fa7a8c772894aa8aeca8e7ee252f31a5a0fdbfb553749886eac070075",
+    "natural --family hecke_B --u 2,1/2 --q 3 --shape (2,1)|(1) --format json":
+        "dcf534a2e85f470e7a772f0e7cf43b0ce577111de7c108a2cba624f773671f77",
+    "natural --family hecke_B --u 2,1/2 --q 3 --shape (2,1)|(1) --format csv":
+        "423619879965713496844eda3e1cc336a53c08336bf94f09a91e40f108c87605",
+    ("seminormal --family ariki_koike --u 2,3 --q 5 --shape (2,1)|(1)"
+     " --format json"):
+        "2eca749eba4ac06563aa4d2432e5ad0563b93bc5a6407f4475e78f15126af10b",
+    ("seminormal --family ariki_koike --u 2,3 --q 5 --shape (2,1)|(1)"
+     " --format csv"):
+        "5322284e15db8849499e6dcb6bfb551fd854436b2909b4deea3f999dabac1320",
+    ("natural --family ariki_koike --u 2,3 --q 5 --shape (2,1)|(1)"
+     " --format json"):
+        "4eb9a23fa5583fb60824ad033b7654e0ba1a179c813aeaf73b55dd728d079fc7",
+    ("natural --family ariki_koike --u 2,3 --q 5 --shape (2,1)|(1)"
+     " --format csv"):
+        "00ad0e76f50114a9c8dbeef2f7f865bab12b0caf10bd92904023c1be6aa65bca",
+    "seminormal --family grn --shape (2,1)|(1) --format json":
+        "fbb517c49b76c61fdacb4f1efbe06ceb36c08577e1df767d21ebd57b6752fa87",
+    "seminormal --family grn --shape (2,1)|(1) --format csv":
+        "7feab5e2df3d37b2f266e7f41968b95ee023a5c009ae4f5e3847c35a07f1e552",
+    "natural --family grn --shape (2,1)|(1) --format json":
+        "daa8387edcf339cd76727680ae1da0aceb4b13f9cb0df688f3a4812ec52dc92d",
+    "natural --family grn --shape (2,1)|(1) --format csv":
+        "bdfdd042a538bcace6f77c43c8366dfb382372e2c3e7cc7d75960e572414cff4",
+    ("seminormal --family affine_placed --shape (2,1)|(1)@1,q^3 --q 5"
+     " --format json"):
+        "60b6e314034d587bfc979efe7cc7f03ab4c5cfe90e2c7dabe46507d596f3fa9b",
+    ("seminormal --family affine_placed --shape (2,1)|(1)@1,q^3 --q 5"
+     " --format csv"):
+        "d7cb77231a26eda7178b2f412f46ccaef13875e745932fb5af63541e618b9e27",
+    ("natural --family affine_placed --shape (2,1)|(1)@1,q^3 --q 5"
+     " --format json"):
+        "a2b3994374f338a8ace181708bbe97d3e1f08e6d1c3c1717b3d4076661379718",
+    ("natural --family affine_placed --shape (2,1)|(1)@1,q^3 --q 5"
+     " --format csv"):
+        "43085d141a72a9b27d66976ecfc8daaecd5ad3a5cdd5e689e439c9f5861ecf2b",
+    "natural --family hecke_A --q 5 --shape 3,2 --gen 1":
+        "2b21d4d7351641e77784a3540260918d6b365e6673b4596536febb3acb6421a3",
+    "natural --family grn --shape (2,1)|(1) --gen 0 --format csv":
+        "482da87d471680525a7ada92cb8d764b4c29f070ea6b7cbad24b6229c7b814f8",
+    "seminormal --family affine_placed --shape (2,1)|(1)@1,q^3 --q 5 --gen x1":
+        "294deefccdd2b646388e6c621e4d259d481d969f9896d8673497f0d3ef23a560",
+}
+
+
+@pytest.mark.parametrize("request_line", sorted(GENERATOR_DIGESTS))
+def test_generator_outputs_are_byte_identical(capsys, request_line):
+    code, out, err = run_cli(capsys, *request_line.split(" "))
+    assert (code, err) == (0, "")
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == GENERATOR_DIGESTS[request_line]

@@ -167,9 +167,9 @@ def test_word_oracle_catches_a_coefficient_the_recursion_shares():
     # reaches node 2's upper neighbour along another edge than the
     # recursion does, so the two routes disagree
     ws = WeightScheme(SPEC6, S321)
-    _stay, move = ws.steps(3)
+    _stay, move, den = ws.scaled_steps(3)
     b, target = move[2]
-    move[2] = (b + 1, target)
+    move[2] = (b + den, target)  # the coefficient plus 1, over L
     assert transition_word(ws).matrix != transition_recursive(ws).matrix
     clean = transition_recursive(WeightScheme(SPEC6, S321)).matrix
     assert transition_recursive(ws).matrix != clean
@@ -214,11 +214,16 @@ def test_integer_step_matches_fraction_step(case):
 
 def test_scaling_off_the_rationals_keeps_the_coefficients():
     """Off the rationals the column form is the field's own scalars over
-    1: scaled steps are the steps, and an integral pair is (m, 1)."""
+    1: scaled steps hold each key's coefficient objects, and an integral
+    pair is (m, 1)."""
     ws = WeightScheme(AlgebraSpec("hecke_A"), parse_shape("3,2"))
     assert ws.field is QFIELD
+    nodes, neighbors = ws.graph.nodes, ws.graph.neighbors
     for label in range(1, 5):
-        stay, move = ws.steps(label)
+        stay = [ws.stay(t, label) for t in nodes]
+        move = [None if label not in nbrs else
+                (ws.move(t, label), nbrs[label])
+                for t, nbrs in zip(nodes, neighbors)]
         sstay, smove, scale = ws.scaled_steps(label)
         assert scale == 1
         assert all(a is b for a, b in zip(stay, sstay))
@@ -243,7 +248,7 @@ def _fraction_word_columns(ws):
     cols = [{0: F(1)}]
     for v in range(1, graph.size()):
         u, label = graph.up_edges_into(v)[-1]
-        cols.append(ws.generator(label).apply(cols[u]))
+        cols.append(seminormal_generator(ws, label).apply(cols[u]))
     return cols
 
 
