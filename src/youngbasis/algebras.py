@@ -59,6 +59,7 @@ from .fields import (QFIELD, Cyclo, CyclotomicField, QRat,
                      check_semisimple, evaluate_q, field_of)
 from .linalg import (Matrix, lowest_terms, matmul, push_column,
                      split_over_lcm, table_columns)
+from .shapes import _reading_layout
 from .weights import q_axial_weight, weighted_content
 
 __all__ = ["AlgebraSpec", "FAMILIES", "PRESETS", "Preset", "generators",
@@ -201,6 +202,9 @@ class WeightScheme:
             field.coerce(w) if field is QFIELD else evaluate_q(w, q)
             for w in spec.page_weights(shape))
         self._qinv = 1 / q
+        # boxes[p] is the box at reading position p, so the boxes of a
+        # node's entries come from its positions
+        self.boxes = _reading_layout(shape)[0]
         # the coefficient a of a pair depends only on _pair_key, so each
         # key holds (a, q^-1 + a): the stay and the move of a generator,
         # and the per-inversion factor of the transition diagonal
@@ -208,10 +212,16 @@ class WeightScheme:
         self._orth_cache = {}
         self._scaled_steps = {}
 
+    def _key(self, t, i, j):
+        """The coefficient key of the pair (i, j) of t, from the boxes
+        at the two entries' reading positions."""
+        pos = t.positions
+        return _pair_key(self.boxes[pos[i - 1]], self.boxes[pos[j - 1]])
+
     def _entry(self, t, i, j):
         """(a, q^-1 + a) for the pair (i, j) of t, a its axial
         coefficient: one cache entry per key."""
-        key = _pair_key(t.box_of, i, j)
+        key = self._key(t, i, j)
         entry = self._pair_cache.get(key)
         if entry is None:
             a = q_axial_weight(t, i, j, self.weights, self.q)
@@ -237,10 +247,13 @@ class WeightScheme:
         cached = self._scaled_steps.get(label)
         if cached is None:
             cache = self._pair_cache
+            boxes = self.boxes
             stay = []
             move = []
             for t, nbrs in zip(self.graph.nodes, self.graph.neighbors):
-                key = _pair_key(t.box_of, label, label + 1)
+                # self._key(t, label, label + 1), inlined in this loop
+                pos = t.positions
+                key = _pair_key(boxes[pos[label - 1]], boxes[pos[label]])
                 entry = cache.get(key)
                 if entry is None:
                     # a miss goes through pair: one call per key
@@ -275,7 +288,7 @@ class WeightScheme:
         return self._entry(t, i, j)[1]
 
     def orth_factor_squared(self, t, i, j):
-        key = _pair_key(t.box_of, i, j)
+        key = self._key(t, i, j)
         cached = self._orth_cache.get(key)
         if cached is not None:
             return cached
@@ -289,11 +302,12 @@ class WeightScheme:
         return val
 
 
-def _pair_key(box_of, i, j):
-    """What the coefficient of the pair (i, j) depends on: the
-    components of i and j and the difference of their contents."""
-    ki, xi, yi = box_of[i]
-    kj, xj, yj = box_of[j]
+def _pair_key(box_i, box_j):
+    """What the coefficient of a pair of entries depends on, given the
+    boxes holding them: their components and the difference of their
+    contents."""
+    ki, xi, yi = box_i
+    kj, xj, yj = box_j
     return ki, kj, yi - xi - yj + xj
 
 
@@ -437,12 +451,13 @@ def _plus_identity(steps, c, d, den):
             den)
 
 
-def _product_columns(factors, k):
+def _product_columns(factors, k, columns):
     """The numerator columns of k times a product of step tables,
     leftmost factor first: each column of the rightmost factor, read
-    from its table, pushed through every factor to its left."""
+    from its table by ``columns``, pushed through every factor to its
+    left.  The columns read are shared, not copied."""
     *left, last = factors
-    cols = table_columns(last[0], last[1])
+    cols = columns(last)
     if k != 1:
         cols = [{i: x * k for i, x in col.items()} for col in cols]
     for stay, move, _ in reversed(left):
@@ -459,20 +474,21 @@ def _entry_witness(m, den=1):
     return None
 
 
-def _record(report, name, field, lhs, rhs=None):
+def _record(report, columns, name, field, lhs, rhs=None):
     """Check lhs == rhs for products of step tables over field (rhs
-    None: lhs == 0).  Both sides start scaled to the lcm of their
+    None: lhs == 0), reading a rightmost factor's columns through
+    ``columns``.  Both sides start scaled to the lcm of their
     denominators; a failure carries the first nonzero entry of
     lhs - rhs as its witness, the difference over that lcm."""
     den = prod(steps[2] for steps in lhs)
     if rhs is None:
-        a = _product_columns(lhs, 1)
+        a = _product_columns(lhs, 1, columns)
         ok = not any(a)
     else:
         d = prod(steps[2] for steps in rhs)
         common = lcm(den, d)
-        a = _product_columns(lhs, common // den)
-        b = _product_columns(rhs, common // d)
+        a = _product_columns(lhs, common // den, columns)
+        b = _product_columns(rhs, common // d, columns)
         den = common
         ok = a == b
     item = {"relation": name, "status": "pass" if ok else "fail"}
@@ -500,21 +516,32 @@ def verify_relations(ws):
     gens = {i: ws.scaled_steps(i) for i in range(1, n)}
     # T_i^2 = (q - q^-1) T_i + 1, an involution at q = 1
     c, d = field.split(ws.q - 1 / ws.q)
+    # each table's numerator columns, read once in this call; the memo
+    # holds the table too, so no id is reused while it lives
+    memo = {}
+
+    def columns(steps):
+        hit = memo.get(id(steps))
+        if hit is None:
+            hit = memo[id(steps)] = (steps, table_columns(steps[0], steps[1]))
+        return hit[1]
+
+    record = partial(_record, report, columns)
 
     for i in range(1, n):
         for j in range(i + 2, n):
-            _record(report, f"commute s{i} s{j}", field,
-                    [gens[i], gens[j]], [gens[j], gens[i]])
+            record(f"commute s{i} s{j}", field,
+                   [gens[i], gens[j]], [gens[j], gens[i]])
     for i in range(1, n - 1):
-        _record(report, f"braid s{i} s{i+1}", field,
-                [gens[i], gens[i + 1], gens[i]],
-                [gens[i + 1], gens[i], gens[i + 1]])
+        record(f"braid s{i} s{i+1}", field,
+               [gens[i], gens[i + 1], gens[i]],
+               [gens[i + 1], gens[i], gens[i + 1]])
     for i in range(1, n):
         # I + (c / d) S / L = (c S + d L I) / (d L)
         rhs = (_plus_identity(gens[i], c, d, d * gens[i][2]) if c
                else _identity_steps(field, size))
         name = "quadratic T" if preset.prefix == "T" else "involution s"
-        _record(report, f"{name}{i}", field, [gens[i], gens[i]], [rhs])
+        record(f"{name}{i}", field, [gens[i], gens[i]], [rhs])
 
     if preset.zeroth in ("u", "xi") and n >= 1:
         t0 = ws.diagonal_steps(0)
@@ -526,40 +553,39 @@ def verify_relations(ws):
             for i, steps in gens.items()}
         if n >= 2:
             g1 = lift[1]
-            _record(report, "braid T0 T1 T0 T1", field0, [t0, g1, t0, g1],
-                    [g1, t0, g1, t0])
+            record("braid T0 T1 T0 T1", field0, [t0, g1, t0, g1],
+                   [g1, t0, g1, t0])
         for i in range(2, n):
-            _record(report, f"commute T0 s{i}", field0, [t0, lift[i]],
-                    [lift[i], t0])
+            record(f"commute T0 s{i}", field0, [t0, lift[i]],
+                   [lift[i], t0])
         if preset.zeroth == "xi":
-            _record(report, f"order s0^{r} = 1", field0, [t0] * r,
-                    [_identity_steps(field0, size)])
+            record(f"order s0^{r} = 1", field0, [t0] * r,
+                   [_identity_steps(field0, size)])
         else:
             # T0 - a / b = (b S0 - a L0 I) / (b L0)
             factors = []
             for uk in ws.weights:
                 a, b = field0.split(uk)
                 factors.append(_plus_identity(t0, b, -a, b * t0[2]))
-            _record(report, "cyclotomic prod (T0 - u_k) = 0", field0,
-                    factors)
+            record("cyclotomic prod (T0 - u_k) = 0", field0, factors)
 
     if preset.zeroth == "x1":
         xs = {i: ws.diagonal_steps(i) for i in range(1, n + 1)}
         for i in range(1, n):
             for j in range(1, n + 1):
                 if abs(i - j) > 1:
-                    _record(report, f"commute T{i} X{j}", field,
-                            [gens[i], xs[j]], [xs[j], gens[i]])
+                    record(f"commute T{i} X{j}", field,
+                           [gens[i], xs[j]], [xs[j], gens[i]])
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
-                _record(report, f"commute X{i} X{j}", field,
-                        [xs[i], xs[j]], [xs[j], xs[i]])
+                record(f"commute X{i} X{j}", field,
+                       [xs[i], xs[j]], [xs[j], xs[i]])
         if n >= 2:
-            _record(report, "mixed braid X1 T1 X1 T1", field,
-                    [xs[1], gens[1], xs[1], gens[1]],
-                    [gens[1], xs[1], gens[1], xs[1]])
+            record("mixed braid X1 T1 X1 T1", field,
+                   [xs[1], gens[1], xs[1], gens[1]],
+                   [gens[1], xs[1], gens[1], xs[1]])
         for i in range(1, n):
-            _record(report, f"X{i+1} = T{i} X{i} T{i}", field, [xs[i + 1]],
-                    [gens[i], xs[i], gens[i]])
+            record(f"X{i+1} = T{i} X{i} T{i}", field, [xs[i + 1]],
+                   [gens[i], xs[i], gens[i]])
 
     return report

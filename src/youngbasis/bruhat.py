@@ -8,6 +8,7 @@ and the row reading tableau the unique maximum.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import NamedTuple
 
 from . import perms
@@ -24,11 +25,9 @@ class BruhatGraph:
     def __init__(self, shape):
         self.shape = shape
         self.nodes = standard_tableaux(shape)
-        self.index = {t.rows: i for i, t in enumerate(self.nodes)}
         self.depth = [t.depth for t in self.nodes]
         by_word = {t.word: v for v, t in enumerate(self.nodes)}
         boxes = _reading_layout(shape)[0]
-        positions = range(shape.n)
         # neighbors[v][i] = endpoint of the edge labeled s_i at v, if any,
         # filled in label order.
         # s_i(T) is standard iff i and i+1 share neither a row nor a
@@ -36,8 +35,7 @@ class BruhatGraph:
         self.neighbors = []
         for t in self.nodes:
             word = t.word
-            # where[v - 1] is the reading position of the entry v
-            where = sorted(positions, key=word.__getitem__)
+            where = t.positions
             nbrs = {}
             for i in range(1, shape.n):
                 p, p2 = where[i - 1], where[i]
@@ -49,6 +47,11 @@ class BruhatGraph:
                     nbrs[i] = by_word[tuple(w)]
             self.neighbors.append(nbrs)
         self._check()
+
+    @cached_property
+    def index(self):
+        """Map row tuples -> node index, built on first use."""
+        return {t.rows: i for i, t in enumerate(self.nodes)}
 
     def _check(self):
         depths = self.depth

@@ -6,11 +6,13 @@
 
 from __future__ import annotations
 
+from bisect import bisect
+
 from .errors import PreconditionError
 
 __all__ = [
     "identity", "compose", "inverse", "apply_simple",
-    "length", "is_identity",
+    "length", "inversions", "is_identity",
     "descents_left", "reduced_word", "word_to_perm",
     "prefix_counts", "guard_bits", "bruhat_leq", "bruhat_leq_subword",
     "weak_leq",
@@ -65,6 +67,19 @@ def length(w):
             tree[k] += 1
             k += k & -k
     return count
+
+
+def inversions(w):
+    """The inversions (w[a], w[b]), a < b and w[a] > w[b], in reading
+    order.  The entries read so far are kept sorted, so those above x
+    are both x's pairs and the entries that inserting x shifts:
+    O(n log n + inversions)."""
+    seen = []
+    for x in w:
+        k = bisect(seen, x)
+        for y in seen[k:]:
+            yield y, x
+        seen.insert(k, x)
 
 
 def descents_left(w):

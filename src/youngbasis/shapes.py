@@ -17,13 +17,12 @@ rational or a rational multiple of a power of q).
 from __future__ import annotations
 
 import re
-from bisect import bisect
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .errors import PreconditionError, ShapeParseError
 from .fields import QRat, parse_rational
-from .perms import length
+from .perms import inversions, length
 
 __all__ = [
     "Shape", "Tableau", "parse_shape", "shape_from_parts",
@@ -198,9 +197,11 @@ def shape_from_parts(*parts, weights=None):
 class Tableau:
     """A filling of a shape with 1..n, each exactly once.
 
-    Stored as per-component row tuples; standardness is a property, not
-    an invariant, so nonstandard fillings (from permutation actions) are
-    representable.
+    Built from per-component row tuples, which give its word on first
+    use, or by the enumeration from its word, which gives its rows on
+    first use; ``positions`` and ``box_of`` come from the word.
+    Standardness is a property, not an invariant, so nonstandard
+    fillings (from permutation actions) are representable.
     """
 
     def __init__(self, shape, rows):
@@ -224,15 +225,22 @@ class Tableau:
         return self.rows[k - 1][x - 1][y - 1 - self.shape.inner_at(k, x)]
 
     @cached_property
+    def rows(self):
+        """Per component, the row tuples, read off the word through the
+        reading layout."""
+        word = self.word
+        return tuple(tuple(tuple(map(word.__getitem__, row)) for row in comp)
+                     for comp in _reading_layout(self.shape)[1])
+
+    @cached_property
     def box_of(self):
         """Map value -> (component, row, col)."""
-        out = {}
-        for k, comp in enumerate(self.rows, start=1):
-            for x, row in enumerate(comp, start=1):
-                base = self.shape.inner_at(k, x)
-                for j, v in enumerate(row):
-                    out[v] = (k, x, base + j + 1)
-        return out
+        return dict(zip(self.word, _reading_layout(self.shape)[0]))
+
+    def box(self, i):
+        """The box (component, row, col) holding i, read through its
+        reading position."""
+        return _reading_layout(self.shape)[0][self.positions[i - 1]]
 
     @cached_property
     def is_standard(self):
@@ -250,11 +258,11 @@ class Tableau:
 
     def content(self, i):
         """Plain content col - row of the box holding i."""
-        _, x, y = self.box_of[i]
+        _, x, y = self.box(i)
         return y - x
 
     def component_of(self, i):
-        return self.box_of[i][0]
+        return self.box(i)[0]
 
     @cached_property
     def word(self):
@@ -269,20 +277,22 @@ class Tableau:
         return tuple(w)
 
     @cached_property
+    def positions(self):
+        """The inverse word: positions[v - 1] is the reading position of
+        the entry v."""
+        out = [0] * self.shape.n
+        for p, v in enumerate(self.word):
+            out[v - 1] = p
+        return tuple(out)
+
+    @cached_property
     def inversions(self):
         """Pairs (i, j), i > j, with i strictly southwest of j in the same
         component or in a component further left.  On a standard tableau
         these are the inversions of its word: the column reading order
         reads such an i before j, and reads a larger entry first in no
-        other case.  The entries read so far are kept sorted, so those
-        above x are both x's pairs and the entries that inserting x
-        shifts: O(n log n + inversions)."""
-        seen, out = [], []
-        for x in self.word:
-            k = bisect(seen, x)
-            out.extend((y, x) for y in seen[k:])
-            seen.insert(k, x)
-        return frozenset(out)
+        other case."""
+        return frozenset(inversions(self.word))
 
     @cached_property
     def depth(self):
@@ -300,11 +310,12 @@ class Tableau:
         return [[list(r) for r in comp] for comp in self.rows]
 
     def __eq__(self, other):
-        return isinstance(other, Tableau) and self.rows == other.rows \
+        # the word determines the rows on a given shape
+        return isinstance(other, Tableau) and self.word == other.word \
             and self.shape.components == other.shape.components
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash(self.word)
 
     def __repr__(self):
         return f"Tableau({self.serialize()!r})"
@@ -336,26 +347,22 @@ def _reading_layout(shape):
     return tuple(boxes), rows
 
 
-def _tableau_of_word(shape, layout, depth, word):
-    """The tableau with this word and depth: its rows are read off the
-    word through the layout, and word, depth and box_of are set rather
-    than derived."""
-    boxes, positions = layout
+def _tableau_of_word(shape, depth, word, positions):
+    """The tableau with this word, depth and inverse word, all three set
+    rather than derived; its rows and box_of are left to first use."""
     t = Tableau.__new__(Tableau)
     t.shape = shape
-    t.rows = tuple(tuple(tuple(map(word.__getitem__, row)) for row in comp)
-                   for comp in positions)
     t.word = word
     t.depth = depth
-    t.box_of = dict(zip(word, boxes))
+    t.positions = positions
     return t
 
 
 def column_reading_tableau(shape):
     """The tableau whose word is the identity: 1..n in the column
     reading order (see _reading_layout)."""
-    return _tableau_of_word(shape, _reading_layout(shape), 0,
-                            tuple(range(1, shape.n + 1)))
+    return _tableau_of_word(shape, 0, tuple(range(1, shape.n + 1)),
+                            tuple(range(shape.n)))
 
 
 def row_reading_tableau(shape):
@@ -384,20 +391,20 @@ def standard_tableaux(shape):
     Enumeration places n, n-1, ... at removable corners, depth first on
     an explicit stack (a shape may have more boxes than the interpreter
     allows nested calls), writing each entry into the word at its box's
-    reading position.  Placing v at position p adds one inversion for
-    each entry placed left of p, as all of them are larger; the result
-    is sorted by (depth, word), which refines Bruhat order and groups
-    the canonical basis by depth.
+    reading position and that position into the inverse word.  Placing
+    v at position p adds one inversion for each entry placed left of p,
+    as all of them are larger; the result is sorted by (depth, word),
+    which refines Bruhat order and groups the canonical basis by depth.
     """
     n = shape.n
-    layout = _reading_layout(shape)
     # per component: the row lengths still to fill, with a trailing 0
     # row, the inner row lengths and the positions of each row's boxes
     comps = [(list(outer) + [0],
               [shape.inner_at(k, x) for x in range(1, len(outer) + 1)],
               positions)
              for k, ((outer, _), positions)
-             in enumerate(zip(shape.components, layout[1]), start=1)]
+             in enumerate(zip(shape.components, _reading_layout(shape)[1]),
+                          start=1)]
 
     def corners():
         # the last box of row x+1 is a removable corner; reversed, so
@@ -409,20 +416,22 @@ def standard_tableaux(shape):
         out.reverse()
         return out
 
-    found = []  # (depth, word) of each standard tableau
+    found = []  # (depth, word, positions) of each standard tableau
     word = [0] * n
+    where = [0] * n  # where[v - 1] is the position of the entry v
     depth = 0
     filled = 0  # bit p set when position p holds an entry
     placed = []  # (rows, x, p, depth before) of the entries n, n-1, ...
     todo = [corners()]  # per search level: the corners not yet tried
     while todo:
         if len(placed) == n:
-            found.append((depth, tuple(word)))
+            found.append((depth, tuple(word), tuple(where)))
         if todo[-1]:
             rows, x, p = todo[-1].pop()
             m = len(placed)
             placed.append((rows, x, p, depth))
             word[p] = n - m
+            where[n - m - 1] = p
             # of the m larger entries, those right of p are filled >> p
             depth += m - (filled >> p).bit_count()
             filled |= 1 << p
@@ -434,8 +443,9 @@ def standard_tableaux(shape):
                 rows, x, p, depth = placed.pop()
                 rows[x] += 1
                 filled ^= 1 << p
+    # words are distinct, so the sort never compares positions
     found.sort()
-    return [_tableau_of_word(shape, layout, d, w) for d, w in found]
+    return [_tableau_of_word(shape, d, w, where) for d, w, where in found]
 
 
 def apply_permutation(t, sigma):

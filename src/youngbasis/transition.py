@@ -39,12 +39,12 @@ import time
 from itertools import combinations
 from math import prod
 
-from .algebras import AlgebraSpec, WeightScheme
+from .algebras import AlgebraSpec, WeightScheme, _pair_key
 from .bruhat import shortest_paths_from
 from .errors import InvariantError, PreconditionError
 from .linalg import (Matrix, direct_sum, lowest_terms, push_column,
                      table_columns, tensor_product)
-from .perms import guard_bits, prefix_counts
+from .perms import guard_bits, inversions, prefix_counts
 # unused here; perfbench/selftest.py checks that tracing patches this alias
 from .perms import bruhat_leq  # noqa: F401
 from .shapes import Shape, Tableau
@@ -161,23 +161,34 @@ def transition_pathsum(ws, paths=None, n_cap=PATHSUM_DEFAULT_CAP):
     for v in range(size):
         steps = [ws.scaled_steps(i) for i in paths[v].labels]
         depth = len(steps)
-        bucket = {}
         # (steps taken, node, weight) of each open subpath; the stay
-        # branch is pushed last, so it is walked first
-        stack = [(0, 0, one)]
+        # branch is pushed last, so it is walked first.  The empty path
+        # has one subpath, ending at C.
+        bucket = {} if depth else {0: one}
+        stack = [(0, 0, one)] if depth else []
+        last = depth - 1
         while stack:
             j, node, weight = stack.pop()
-            if j == depth:
-                cur = bucket.get(node)
-                bucket[node] = weight if cur is None else cur + weight
-                continue
             stay, move, _ = steps[j]
             mv = move[node]
-            if mv is not None:
-                stack.append((j + 1, mv[1], weight * mv[0]))
             a = stay[node]
+            if j < last:
+                if mv is not None:
+                    stack.append((j + 1, mv[1], weight * mv[0]))
+                if a:
+                    stack.append((j + 1, node, weight * a))
+                continue
+            # the last step ends the subpath: its weight goes straight
+            # into the bucket of its terminal node, stay branch first
             if a:
-                stack.append((j + 1, node, weight * a))
+                cur = bucket.get(node)
+                w = weight * a
+                bucket[node] = w if cur is None else cur + w
+            if mv is not None:
+                tgt = mv[1]
+                cur = bucket.get(tgt)
+                w = weight * mv[0]
+                bucket[tgt] = w if cur is None else cur + w
         cols[v], dens[v] = lowest_terms(
             {i: w for i, w in bucket.items() if w},
             prod(scale for _, _, scale in steps))
@@ -219,20 +230,24 @@ def transition_word(ws):
 
 def _inversion_products(ws, factor):
     """Per node t, the product of factor(t, i, j) over the inversions
-    (i, j) of t, in sorted order: the split numerators and denominators
-    are multiplied and joined once per node.  Each factor object (one
-    per coefficient key) is split once."""
+    (i, j) of t: the split numerators and denominators are multiplied
+    and joined once per node.  The inversions are read off the word
+    (:func:`perms.inversions`), and a pair's key from the boxes at its
+    two entries' reading positions, so no inversion set is built or
+    sorted; factor is called and split once per key."""
     split, join = ws.field.split, ws.field.join
     one = split(ws.field.one)[0]
+    boxes = ws.boxes
     parts = {}
     out = []
     for t in ws.graph.nodes:
         num, den = one, 1
-        for (i, j) in sorted(t.inversions):
-            x = factor(t, i, j)
-            part = parts.get(id(x))
+        pos = t.positions
+        for i, j in inversions(t.word):
+            key = _pair_key(boxes[pos[i - 1]], boxes[pos[j - 1]])
+            part = parts.get(key)
             if part is None:
-                part = parts[id(x)] = split(x)
+                part = parts[key] = split(factor(t, i, j))
             num *= part[0]
             den *= part[1]
         out.append(join(num, den))

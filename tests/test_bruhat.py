@@ -5,13 +5,15 @@ from hypothesis import given, strategies as st
 
 from walks import keep_skip_walks, walk_weight
 from youngbasis import perms, shapes
-from youngbasis.algebras import AlgebraSpec, WeightScheme
+from youngbasis.algebras import AlgebraSpec, WeightScheme, verify_relations
 from youngbasis.bruhat import (BruhatGraph, shortest_path,
                                shortest_paths_from, to_dot)
 from youngbasis.errors import PreconditionError
 from youngbasis.perms import bruhat_leq
 from youngbasis.shapes import Tableau, all_skew_shapes, parse_shape
-from youngbasis.transition import transition_pathsum, transition_recursive
+from youngbasis.transition import (check_structure, diagonal_closed_form,
+                                   transition_pathsum, transition_recursive,
+                                   transition_word)
 
 
 def test_graph_32():
@@ -200,6 +202,10 @@ def test_length_counts_inversions():
         for w in permutations(range(1, n + 1)):
             assert perms.length(w) == sum(
                 w[a] > w[b] for b in range(n) for a in range(b))
+            pairs = list(perms.inversions(w))
+            assert len(pairs) == len(set(pairs)) and set(pairs) == {
+                (w[a], w[b]) for b in range(n) for a in range(b)
+                if w[a] > w[b]}
 
 
 def test_graph_and_recursion_build_no_inversion_set():
@@ -208,11 +214,28 @@ def test_graph_and_recursion_build_no_inversion_set():
     ws = WeightScheme(AlgebraSpec("symmetric"), parse_shape("4,3,2/1"))
     transition_recursive(ws)
     assert not any("inversions" in vars(t) for t in ws.graph.nodes)
+    # nor does any check of a verify request build a per-node set, on
+    # any family: keys and diagonals read the nodes' reading positions
+    for family, text, kwargs in [
+            ("symmetric", "4,3,2/1", {}),
+            ("ariki_koike", "(2,1)|(1)", {"q": 5, "u": (2, 3)}),
+            ("wreath_grn", "(2)|(1)|(1)", {}),
+            ("affine_placed", "(2,1)|(1)@1,q^3", {})]:
+        ws = WeightScheme(AlgebraSpec(family, **kwargs), parse_shape(text))
+        tm = transition_recursive(ws)
+        verify_relations(ws)
+        diagonal_closed_form(ws)
+        check_structure(tm)
+        transition_pathsum(ws, n_cap=ws.shape.n)
+        transition_word(ws)
+        for t in ws.graph.nodes:
+            assert not {"inversions", "rows", "box_of"} & vars(t).keys()
+        assert "index" not in vars(ws.graph)
 
 
 def test_word_built_nodes_match_lazy_tableaux(graphs_n6):
-    # the enumeration sets word, depth and box_of on each node; a
-    # tableau built from the node's rows derives them
+    # the enumeration sets word, depth and positions on each node and
+    # derives its rows; a tableau built from those rows derives the rest
     graphs = graphs_n6 + [BruhatGraph(parse_shape(text)) for text in
                           ["(2,1)|(1)@1,q^3", "(2)|(1,1)@q^0,q^5",
                            "(2,2)|()|(1)|(2,1)", "(3,1/1)|(2,2/1)|(1)",
@@ -220,8 +243,9 @@ def test_word_built_nodes_match_lazy_tableaux(graphs_n6):
     for g in graphs:
         for t in g.nodes:
             lazy = Tableau(g.shape, t.rows)
-            assert (t.word, t.depth, t.box_of) == \
-                (lazy.word, lazy.depth, lazy.box_of), g.shape.to_str()
+            assert (t.word, t.depth, t.positions, t.box_of) == \
+                (lazy.word, lazy.depth, lazy.positions, lazy.box_of), \
+                g.shape.to_str()
 
 
 def test_graph_build_calls_neither_from_entries_nor_length(monkeypatch):

@@ -150,8 +150,11 @@ def test_column_word_oracle():
 
 
 def test_triple_oracle_small_sweep():
+    # "()", "3" and "2,1/1": paths of length 0 and 1 only, whose subpaths
+    # end on the path sum's first step
     shapes = [parse_shape(t) for t in
-              ["3,2", "2,2,1", "3,3,1/2,1", "4,2,1/1,1", "(2,1)|(1)"]]
+              ["3,2", "2,2,1", "3,3,1/2,1", "4,2,1/1,1", "(2,1)|(1)",
+               "()", "3", "2,1/1"]]
     for shape in shapes:
         fam = "symmetric" if shape.r == 1 else "wreath_grn"
         ws = WeightScheme(AlgebraSpec(fam), shape)
@@ -609,6 +612,10 @@ def test_affine_placed_transition_uses_page_weights():
     ("ariki_koike", "(2,1)|(1,1)", {"q": F(5), "u": (2, 3)}),
     ("wreath_grn", "(2,1)|(1)", {}),
     ("affine_placed", "(2)|(1,1)@1,q^3", {"q": F(7)}),
+    # skew shapes: inner rows offset the boxes at the reading positions
+    ("symmetric", "4,3,1/2", {}),
+    ("hecke_A", "3,3/1", {}),
+    ("affine_placed", "(2,1/1)|(2)@1,q^3", {"q": F(7)}),
 ])
 def test_inversion_products_match_a_field_product(family, text, kwargs):
     # the diagonals multiply split numerators and denominators; each must
