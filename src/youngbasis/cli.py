@@ -2,8 +2,9 @@
 
 Subcommands: tableaux, graph, seminormal, natural, transition,
 orthogonal, verify, bench.  Exit codes: 0 success, 2 parse error,
-3 precondition violation, 4 invariant/verification failure.  Errors are
-also emitted on stderr as single-line JSON diagnostics.
+3 precondition violation or out of memory, 4 invariant/verification
+failure.  Errors are also emitted on stderr as single-line JSON
+diagnostics.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 
 from . import transition as tr
@@ -45,10 +47,21 @@ def _add_common(p, family=True, formats=("json", "csv")):
     p.add_argument("--out", default=None, help="output file (default stdout)")
 
 
+# a token that reads as a negative rational or a list of them, such as
+# -1/2 or -2,-1/2; parse_rational rejects a malformed one
+_NEGATIVE_VALUE = re.compile(r"^-\.?\d[\d./,-]*$")
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors reach ``main`` as parse
     errors, so they get a one-line diagnostic and exit 2 (subparsers
-    are of the same class)."""
+    are of the same class).  A token that looks like a negative rational
+    list is a value, as argparse takes a negative integer: so
+    ``--q -1/2`` and ``--u -2,-1/2`` parse as written."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_VALUE
 
     def error(self, message):
         raise ShapeParseError(message)
@@ -268,8 +281,17 @@ def cmd_verify(args):
     except InvariantError as exc:
         report.append({"relation": "transition structure", "status": "fail",
                        "witness": {"message": str(exc)}})
-    diag = tr.diagonal_closed_form(ws)
-    ok = all(tm.matrix.get(i, i) == d for i, d in enumerate(diag))
+    # compare x / den with the split n / m of the closed form: both
+    # denominators are positive, so over the rationals no Fraction is built
+    split, cols, dens = ws.field.split, tm.matrix.cols, tm.matrix.dens
+
+    def on_diagonal(i, value):
+        x, den = cols[i].get(i, 0), dens[i]
+        n, m = split(value)
+        return x == n if den == m else x * m == n * den
+
+    ok = all(on_diagonal(i, d)
+             for i, d in enumerate(tr.diagonal_closed_form(ws)))
     report.append({"relation": "diagonal closed form",
                    "status": "pass" if ok else "fail"})
     if ws.shape.n <= args.oracle_cap:
@@ -347,6 +369,12 @@ def main(argv=None):
     except YoungBasisError as exc:  # pragma: no cover
         _diag("internal", exc)
         return 4
+    except MemoryError:
+        pass
+    # out of memory: leaving the handler drops its traceback, and with it
+    # every frame that held the request's data, before the diagnostic
+    _diag("memory", "out of memory")
+    return 3
 
 
 if __name__ == "__main__":

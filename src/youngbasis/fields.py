@@ -18,12 +18,14 @@ pairs tens of thousands of times.  So every argument must be a tuple
 (lists are unhashable), and a failed division is not cached but raises
 again on every call.
 
-A :class:`QRat` is ``scale * q**exp * N / D``: one Fraction ``scale``
-and two coprime primitive integer polynomials ``N`` and ``D`` with
-positive leading coefficients and nonzero constant terms.  A Laurent
-polynomial in q is a QRat with ``D = (1,)``.  Products cross-cancel
-gcd(N1, D2) and gcd(N2, D1), sums cancel only against gcd(D1, D2), and
-gcds come from a primitive remainder sequence over the integers.
+A :class:`QRat` is ``(sn / sd) * q**exp * N / D``: a scale held as two
+coprime ints ``sn`` and ``sd > 0``, and two coprime primitive integer
+polynomials ``N`` and ``D`` with positive leading coefficients and
+nonzero constant terms.  A Laurent polynomial in q is a QRat with
+``D = (1,)``.  Products cross-cancel gcd(N1, D2) and gcd(N2, D1) (and
+the two scales likewise), sums cancel only against gcd(D1, D2), and
+gcds come from a primitive remainder sequence over the integers.  So
+no arithmetic on a QRat builds a Fraction.
 
 A :class:`Cyclo` is an integer polynomial in xi of degree < phi(r) over
 one positive integer denominator, coprime to its coefficients.  The
@@ -78,11 +80,14 @@ def _iprimitive(a):
 
 
 def _fraction_content(coeffs):
-    """Split nonzero Fraction coefficients into (Fraction content,
-    primitive int polynomial with positive leading coefficient)."""
+    """Split nonzero int or Fraction coefficients into their content
+    g / den and a primitive int polynomial with positive leading
+    coefficient.  g and den > 0 are coprime: a coefficient whose
+    denominator has the most factors p of den has a numerator prime to
+    p, and so does its integer multiple."""
     den = lcm(*(c.denominator for c in coeffs))
     g, prim = _iprimitive([c.numerator * (den // c.denominator) for c in coeffs])
-    return Fraction(g, den), prim
+    return g, den, prim
 
 
 @lru_cache(maxsize=_KERNEL_CACHE_SIZE)
@@ -179,28 +184,30 @@ def _ieval(a, x):
 class QRat:
     """Quotient of Laurent polynomials in q, kept in canonical form.
 
-    A value is ``scale * q**exp * N(q) / D(q)`` where ``N`` and ``D`` are
-    coprime primitive integer polynomials (int tuples, constant first)
-    with positive leading coefficients and nonzero constant terms, and
-    ``scale`` is a nonzero Fraction.  Zero is ``N = ()``, ``D = (1,)``.
-    Equal values therefore have identical representations, and all
-    polynomial work happens on Python ints.  A Laurent polynomial is a
-    QRat with ``D = (1,)``; ``num`` and ``den`` split a value into two of
-    them, ``scale * q**exp * N`` over ``D``.
+    A value is ``(sn / sd) * q**exp * N(q) / D(q)`` where ``N`` and ``D``
+    are coprime primitive integer polynomials (int tuples, constant
+    first) with positive leading coefficients and nonzero constant
+    terms, and the scale is the int pair ``sn``, ``sd`` in lowest terms
+    with ``sd > 0``.  Zero is ``N = ()``, ``sn = 0``, ``sd = 1``,
+    ``D = (1,)``.  Equal values therefore have identical
+    representations, and all work happens on Python ints.  A Laurent
+    polynomial is a QRat with ``D = (1,)``; ``num`` and ``den`` split a
+    value into two of them, ``(sn / sd) * q**exp * N`` over ``D``.
     """
 
-    __slots__ = ("_exp", "_num", "_scale", "_den")
+    __slots__ = ("_exp", "_num", "_sn", "_sd", "_den")
 
     @classmethod
     def const(cls, c):
-        c = Fraction(c)
+        if not isinstance(c, int):
+            c = Fraction(c)
         if not c:
             return _Q_ZERO
-        return _qrat(0, _I_ONE, c, _I_ONE)
+        return _qrat(0, _I_ONE, c.numerator, c.denominator, _I_ONE)
 
     @classmethod
     def q_power(cls, k):
-        return _qrat(k, _I_ONE, ONE, _I_ONE)
+        return _qrat(k, _I_ONE, 1, 1, _I_ONE)
 
     @classmethod
     def poly(cls, offset, coeffs):
@@ -212,24 +219,31 @@ class QRat:
             return _Q_ZERO
         while not coeffs[lo]:
             lo += 1
-        scale, prim = _fraction_content(coeffs[lo:hi])
-        return _qrat(offset + lo, prim, scale, _I_ONE)
+        sn, sd, prim = _fraction_content(coeffs[lo:hi])
+        return _qrat(offset + lo, prim, sn, sd, _I_ONE)
 
     @property
     def num(self):
-        return _qrat(self._exp, self._num, self._scale, _I_ONE)
+        return _qrat(self._exp, self._num, self._sn, self._sd, _I_ONE)
 
     @property
     def den(self):
-        return _qrat(0, self._den, ONE, _I_ONE)
+        return _qrat(0, self._den, 1, 1, _I_ONE)
+
+    def _int_terms(self):
+        """(exponent, sn * coefficient) of each nonzero term of the
+        numerator, ascending: its terms over the int denominator sd."""
+        sn, e = self._sn, self._exp
+        return [(e + i, sn * c) for i, c in enumerate(self._num) if c]
 
     def terms(self):
         """(exponent, coefficient) of each nonzero term of the numerator
-        ``scale * q**exp * N``, ascending."""
-        s, e = self._scale, self._exp
-        if s.denominator == 1:
-            s = s.numerator
-        return [(e + i, s * c) for i, c in enumerate(self._num) if c]
+        ``(sn / sd) * q**exp * N``, ascending; a coefficient is an int
+        when sd is 1, and a Fraction otherwise."""
+        sd = self._sd
+        if sd == 1:
+            return self._int_terms()
+        return [(e, Fraction(c, sd)) for e, c in self._int_terms()]
 
     def is_zero(self):
         return not self._num
@@ -239,8 +253,7 @@ class QRat:
 
     def _key(self):
         # all ints, so hashing and comparing a key run in C
-        s = self._scale
-        return self._exp, self._num, s.numerator, s.denominator, self._den
+        return self._exp, self._num, self._sn, self._sd, self._den
 
     def __eq__(self, other):
         other = _as_qrat(other)
@@ -252,12 +265,15 @@ class QRat:
         return hash(self._key())
 
     def __neg__(self):
-        return _qrat(self._exp, self._num, -self._scale, self._den)
+        return _qrat(self._exp, self._num, -self._sn, self._sd, self._den)
 
     def _inverse(self):
         if not self._num:
             raise ZeroDivisionError("division by zero rational function")
-        return _qrat(-self._exp, self._den, 1 / self._scale, self._num)
+        sn, sd = self._sn, self._sd
+        if sn < 0:
+            sn, sd = -sn, -sd
+        return _qrat(-self._exp, self._den, sd, sn, self._num)
 
     def __add__(self, other):
         other = _as_qrat(other)
@@ -318,44 +334,67 @@ class QRat:
         d = _ieval(self._den, q0)
         if d == 0:
             raise PoleError(f"pole at q = {q0}")
-        return self._scale * _ieval(self._num, q0) * q0 ** self._exp / d
+        return (Fraction(self._sn, self._sd) * _ieval(self._num, q0)
+                * q0 ** self._exp / d)
 
     def __repr__(self):
         return f"QRat({self.to_str()!r})"
 
     def to_str(self):
-        num = _format_terms(self.terms(), "q")
-        den = _format_terms([(i, c) for i, c in enumerate(self._den) if c], "q")
-        return f"({num})/({den})"
+        num = _format_terms(self._int_terms(), self._sd, "q")
+        return f"({num})/({_den_str(self._den)})"
 
 
-def _qrat(exp, num, scale, den):
+@lru_cache(maxsize=_KERNEL_CACHE_SIZE)
+def _den_str(den):
+    """The string of a QRat denominator: a matrix has far fewer distinct
+    denominators than values."""
+    return _format_terms([(i, c) for i, c in enumerate(den) if c], 1, "q")
+
+
+def _qrat(exp, num, sn, sd, den):
     """A QRat from parts already in canonical form."""
     out = object.__new__(QRat)
     out._exp = exp
     out._num = num
-    out._scale = scale
+    out._sn = sn
+    out._sd = sd
     out._den = den
     return out
 
 
-_Q_ZERO = _qrat(0, (), ZERO, _I_ONE)
+_Q_ZERO = _qrat(0, (), 0, 1, _I_ONE)
 
 
 def _qmul(a, b):
-    """Product with gcd(N1, D2) and gcd(N2, D1) cancelled; the results
-    stay primitive and coprime, so no further normalization is needed."""
+    """Product with gcd(N1, D2) and gcd(N2, D1) cancelled, and the
+    scales cross-cancelled the same way; the results stay primitive and
+    coprime, so no further normalization is needed.  A primitive
+    polynomial of length 1 is (1,), so a gcd with one is skipped."""
     n1, d1, n2, d2 = a._num, a._den, b._num, b._den
     if not n1 or not n2:
         return _Q_ZERO
-    g = _igcd(n1, d2)
-    if len(g) > 1:
-        n1, d2 = _iquo(n1, g), _iquo(d2, g)
-    g = _igcd(n2, d1)
-    if len(g) > 1:
-        n2, d1 = _iquo(n2, g), _iquo(d1, g)
-    return _qrat(a._exp + b._exp, _imul(n1, n2), a._scale * b._scale,
-                 _imul(d1, d2))
+    if len(d2) > 1 and len(n1) > 1:
+        g = _igcd(n1, d2)
+        if len(g) > 1:
+            n1, d2 = _iquo(n1, g), _iquo(d2, g)
+    if len(d1) > 1 and len(n2) > 1:
+        g = _igcd(n2, d1)
+        if len(g) > 1:
+            n2, d1 = _iquo(n2, g), _iquo(d1, g)
+    p1, r1, p2, r2 = a._sn, a._sd, b._sn, b._sd
+    if r2 != 1:
+        g = gcd(p1, r2)
+        if g != 1:
+            p1, r2 = p1 // g, r2 // g
+    if r1 != 1:
+        g = gcd(p2, r1)
+        if g != 1:
+            p2, r1 = p2 // g, r1 // g
+    return _qrat(a._exp + b._exp,
+                 n2 if len(n1) == 1 else n1 if len(n2) == 1 else _imul(n1, n2),
+                 p1 * p2, r1 * r2,
+                 d2 if len(d1) == 1 else d1 if len(d2) == 1 else _imul(d1, d2))
 
 
 def _qadd(a, b):
@@ -375,8 +414,7 @@ def _qadd(a, b):
         c1, c2 = _iquo(d1, g), _iquo(d2, g)
         n1, n2, rest = _imul(n1, c2), _imul(n2, c1), _imul(c1, c2)
     # s1*X + s2*Y = (h / m) * (a1*X + a2*Y) with integer a1, a2
-    s1, s2 = a._scale, b._scale
-    p1, r1, p2, r2 = s1.numerator, s1.denominator, s2.numerator, s2.denominator
+    p1, r1, p2, r2 = a._sn, a._sd, b._sn, b._sd
     t, h = gcd(r1, r2), gcd(p1, p2)
     a1, a2 = p1 // h * (r2 // t), p2 // h * (r1 // t)
     e1, e2 = a._exp, b._exp
@@ -394,10 +432,15 @@ def _qadd(a, b):
     while not out[lo]:
         lo += 1
     c, num = _iprimitive(out[lo:hi])
-    k = _igcd(num, g)
-    if len(k) > 1:
-        num, g = _iquo(num, k), _iquo(g, k)
-    return _qrat(exp + lo, num, Fraction(c * h, r1 // t * r2), _imul(g, rest))
+    if len(g) > 1 and len(num) > 1:
+        k = _igcd(num, g)
+        if len(k) > 1:
+            num, g = _iquo(num, k), _iquo(g, k)
+    sn, sd = c * h, r1 // t * r2
+    k = gcd(sn, sd)
+    if k != 1:
+        sn, sd = sn // k, sd // k
+    return _qrat(exp + lo, num, sn, sd, _imul(g, rest))
 
 
 def _as_qrat(x):
@@ -556,9 +599,8 @@ class Cyclo:
         return f"Cyclo({self.r}, {self.to_str()!r})"
 
     def to_str(self):
-        den = self.den
         return _format_terms(
-            [(i, Fraction(c, den)) for i, c in enumerate(self.num) if c], "z")
+            [(i, c) for i, c in enumerate(self.num) if c], self.den, "z")
 
 
 def _cyclo(r, num, den):
@@ -590,21 +632,34 @@ def _cadd(a, b, sign):
 # scalar <-> string
 # ---------------------------------------------------------------------------
 
-def _format_terms(terms, symbol):
+def _ratio_str(x, den):
+    """str(Fraction(x, den)) for an int x and a positive int den,
+    with no Fraction built: one gcd, then the lowest terms."""
+    g = gcd(x, den)
+    if g != 1:
+        x //= g
+        den //= g
+    return str(x) if den == 1 else f"{x}/{den}"
+
+
+def _format_terms(terms, den, symbol):
+    """The string of the sum of (c / den) * symbol**exp over the
+    (exp, c) in terms: nonzero int coefficients c over one positive int
+    den."""
     if not terms:
         return "0"
     parts = []
-    for exp, coeff in terms:
+    for exp, c in terms:
         if exp == 0:
-            t = str(coeff)
+            t = str(c) if den == 1 else _ratio_str(c, den)
         else:
             base = symbol if exp == 1 else f"{symbol}^{exp}"
-            if coeff == 1:
+            if c == den:
                 t = base
-            elif coeff == -1:
+            elif c == -den:
                 t = "-" + base
             else:
-                t = f"{coeff}*{base}"
+                t = f"{c if den == 1 else _ratio_str(c, den)}*{base}"
         if parts and not t.startswith("-"):
             parts.append("+")
         parts.append(t)
@@ -678,15 +733,7 @@ class RationalField:
     def to_str(self, x):
         return str(Fraction(x))
 
-    @staticmethod
-    def split_str(x, den):
-        """str(Fraction(x, den)) for an int x and a positive int den,
-        with no Fraction built: one gcd, then the lowest terms."""
-        g = gcd(x, den)
-        if g != 1:
-            x //= g
-            den //= g
-        return str(x) if den == 1 else f"{x}/{den}"
+    split_str = staticmethod(_ratio_str)
 
     def parse(self, s):
         return parse_rational(s)

@@ -893,3 +893,68 @@ def test_generator_outputs_are_byte_identical(capsys, request_line):
     assert (code, err) == (0, "")
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == GENERATOR_DIGESTS[request_line]
+
+
+@pytest.mark.parametrize("family, shape, option, value, code", [
+    ("hecke_A", "3,2", "--q", "-1/2", 0),
+    ("hecke_B", "(2,1)|(1)", "--u", "-2,-1/2", 0),
+    ("hecke_B", "(2,1)|(1)", "--u", "-1,-1", 3),  # u_1 / u_2 = 1
+])
+def test_negative_rationals_parse_as_written(capsys, family, shape, option,
+                                             value, code):
+    argv = ["transition", "--family", family, "--shape", shape]
+    spaced = run_cli(capsys, *argv, option, value)
+    joined = run_cli(capsys, *argv, f"{option}={value}")
+    assert spaced == joined and spaced[0] == code
+    if code:
+        assert json.loads(spaced[2])["error"] == "precondition"
+
+
+@pytest.mark.parametrize("argv", [
+    ["transition", "--shape", "5,4,3", "--format", "json"],
+    ["transition", "--shape", "5,4,3", "--format", "csv"],
+])
+def test_running_out_of_memory_exits_3_with_one_diagnostic(argv):
+    # only in a child under an address-space limit: at 120 MB the
+    # 5,4,3 matrix (f = 2,112) and its output do not fit
+    import resource
+    limit = 120 * 2 ** 20
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-m", "youngbasis.cli", *argv],
+                          capture_output=True, text=True, timeout=120,
+                          preexec_fn=cap, env={"PYTHONPATH": str(src)})
+    assert done.returncode == 3 and done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "memory",
+                                    "message": "out of memory"}
+
+
+@pytest.mark.parametrize("argv", [
+    "--shape 3,2,1", "--shape 3,2,1 --family hecke_A --q 5/3",
+    "--shape 3,2 --family hecke_A",
+])
+def test_verify_fails_a_closed_form_diagonal_off_in_one_entry(
+        capsys, monkeypatch, argv):
+    from youngbasis import transition
+    real = transition.diagonal_closed_form
+
+    def status():
+        code, out, _ = run_cli(capsys, "verify", *argv.split(" "))
+        check, = [c for c in json.loads(out)["checks"]
+                  if c["relation"] == "diagonal closed form"]
+        return code, check["status"]
+
+    assert status() == (0, "pass")
+    for index in (0, -1):
+        def shifted(ws):
+            diag = real(ws)
+            diag[index] = diag[index] + F(1, 2)
+            return diag
+
+        monkeypatch.setattr(transition, "diagonal_closed_form", shifted)
+        assert status() == (4, "fail")

@@ -367,6 +367,72 @@ def test_qrat_matches_sympy_cancel(x, z, op, solve, k):
 
 
 # ---------------------------------------------------------------------------
+# the canonical form: an int scale pair in lowest terms
+# ---------------------------------------------------------------------------
+
+def _assert_scale_canonical(x):
+    _exp, _num, sn, sd, _den = x._key()
+    assert type(sn) is int and type(sd) is int
+    assert sd > 0 and gcd(sn, sd) == 1
+    if x.is_zero():
+        assert (sn, sd) == (0, 1)
+    else:
+        assert sn != 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-3, 3), _coeffs, _qrats, _qrats, st.integers(-3, 3))
+def test_every_qrat_keeps_its_scale_in_lowest_terms(off, coeffs, x, y, k):
+    _assert_scale_canonical(QRat.poly(off, coeffs))
+    _assert_scale_canonical(QRat.poly(off, [F(0)] + coeffs + [F(0)]))
+    values = [x, y, x * y, x + y, x - y, x - x, -x, x.num, x.den]
+    if not y.is_zero():
+        values += [x / y, y ** k]
+    if not x.is_zero() or k >= 0:
+        values.append(x ** k)
+    for v in values:
+        _assert_scale_canonical(v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_qrats, _qrats, _nonzero_laurent)
+def test_equal_qrats_have_equal_keys(x, y, m):
+    # the same value reached by different operations
+    for other in ((x + y) - y, (x * m) / m, (x.num * m) / (x.den * m),
+                  x * QRat.const(F(2, 3)) / F(2, 3), -(-x)):
+        assert other == x and other._key() == x._key()
+
+
+def _reference_terms_str(terms, symbol):
+    """The term string built from Fraction coefficients, uncached."""
+    if not terms:
+        return "0"
+    out = ""
+    for exp, coeff in terms:
+        coeff = F(coeff)
+        if exp == 0:
+            t = str(coeff)
+        else:
+            base = symbol if exp == 1 else f"{symbol}^{exp}"
+            t = base if coeff == 1 else "-" + base if coeff == -1 \
+                else f"{coeff}*{base}"
+        if out and not t.startswith("-"):
+            out += "+"
+        out += t
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(_qrats, st.sampled_from([1, -1, F(1, 2), F(-3, 4), 6]))
+def test_qrat_to_str_matches_an_uncached_reference(x, c):
+    for v in (x, x * c, x.num, x.den):
+        den_terms = [(i, d) for i, d in enumerate(v._den) if d]
+        assert v.to_str() == "({})/({})".format(
+            _reference_terms_str(v.terms(), "q"),
+            _reference_terms_str(den_terms, "q"))
+
+
+# ---------------------------------------------------------------------------
 # differential test of Cyclo against sympy
 # ---------------------------------------------------------------------------
 
@@ -416,6 +482,8 @@ def test_cyclo_matches_sympy(r, a, b, op):
     want = sx * inv_y if op is operator.truediv else op(sx, sy)
     _assert_cyclo_is(got, want, r)
     assert CyclotomicField(r).parse(got.to_str()) == got
+    assert got.to_str() == _reference_terms_str(
+        [(i, c) for i, c in enumerate(got.coeffs) if c], "z")
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +522,7 @@ def test_kernel_caches_match_uncached(a, b, c):
 
 
 def test_kernel_caches_are_bounded():
-    for f in (fields._igcd, fields._imul, fields._iquo):
+    for f in (fields._igcd, fields._imul, fields._iquo, fields._den_str):
         assert 0 < f.cache_info().maxsize < float("inf")
 
 
