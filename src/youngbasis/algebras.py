@@ -209,7 +209,6 @@ class WeightScheme:
         # key holds (a, q^-1 + a): the stay and the move of a generator,
         # and the per-inversion factor of the transition diagonal
         self._pair_cache = {}
-        self._orth_cache = {}
         self._scaled_steps = {}
 
     def _key(self, t, i, j):
@@ -288,18 +287,12 @@ class WeightScheme:
         return self._entry(t, i, j)[1]
 
     def orth_factor_squared(self, t, i, j):
-        key = self._key(t, i, j)
-        cached = self._orth_cache.get(key)
-        if cached is not None:
-            return cached
         a, num = self._entry(t, i, j)
         den = self._qinv * self._qinv - a * a
         if not den:
             raise DegenerateWeightError(
                 f"vanishing orthogonal radicand for pair ({i},{j})")
-        val = num * num / den
-        self._orth_cache[key] = val
-        return val
+        return num * num / den
 
 
 def _pair_key(box_i, box_j):

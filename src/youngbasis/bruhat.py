@@ -74,14 +74,6 @@ class BruhatGraph:
         if len(seen) != len(self.nodes):
             raise InvariantError("weak Bruhat graph is disconnected")
 
-    @property
-    def column_node(self):
-        return 0
-
-    @property
-    def row_node(self):
-        return len(self.nodes) - 1
-
     def size(self):
         return len(self.nodes)
 

@@ -263,26 +263,16 @@ def integral_pair(m):
 
 def matmul(a, b):
     """Exact sparse product.  a enters as its integral pair (S, L), so
-    the products run on numerators, and column j of the result is
-    reduced over L times b's denominator of column j."""
+    the products run on numerators: column j of the result is S applied
+    to b's numerators of column j, reduced over L times their
+    denominator."""
     a._compat(b)
     if a.ncols != b.nrows:
         raise PreconditionError("inner dimensions do not match")
     s, den = integral_pair(a)
-    scols = s.cols
     out = Matrix(a.nrows, b.ncols, a.field)
     for j, (col, d) in enumerate(zip(b.cols, b.dens)):
-        acc = {}
-        for k, x in col.items():
-            for i, v in scols[k].items():
-                w = v * x
-                cur = acc.get(i)
-                cur = w if cur is None else cur + w
-                if cur:
-                    acc[i] = cur
-                else:
-                    acc.pop(i, None)
-        out.cols[j], out.dens[j] = lowest_terms(acc, den * d)
+        out.cols[j], out.dens[j] = lowest_terms(s.apply(col), den * d)
     return out
 
 

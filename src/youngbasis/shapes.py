@@ -5,7 +5,9 @@ A :class:`Shape` is an ordered list of components, each a skew diagram
 with empty inner shape and weight 1; an r-partition has r components
 with empty inner shapes.  Boxes are addressed as ``(component, row,
 column)`` with 1-based rows and columns taken in the outer partition,
-so the content of a box is ``column - row``.
+so the content of a box is ``column - row``.  A :class:`Tableau` is
+stored as its word, the entries in the column reading order; its rows
+are a view of the word.
 
 Shape strings:  partition ``"3,2,1"``; skew ``"3,3,1/2,1"``;
 multi-component ``"(2,1)|(1)"`` with skew components ``"(3,2/1)|(2)"``
@@ -195,31 +197,42 @@ def shape_from_parts(*parts, weights=None):
 
 
 class Tableau:
-    """A filling of a shape with 1..n, each exactly once.
-
-    Built from per-component row tuples, which give its word on first
-    use, or by the enumeration from its word, which gives its rows on
-    first use; ``positions`` and ``box_of`` come from the word.
-    Standardness is a property, not an invariant, so nonstandard
-    fillings (from permutation actions) are representable.
+    """A filling of a shape with 1..n, each exactly once, stored as its
+    word: the permutation carrying the column reading tableau to it,
+    whose entry p is the entry at position p of the reading order (see
+    _reading_layout).  Rows, ``positions``, ``box_of`` and ``depth``
+    are read off the word on first use.  Standardness is a property,
+    not an invariant, so nonstandard fillings (from permutation
+    actions) are representable.
     """
 
     def __init__(self, shape, rows):
+        """The tableau with these rows per component, the empty rows of
+        a skew component included; raises ShapeParseError unless they
+        fit the shape and hold the ints 1..n, each once."""
+        layout = _reading_layout(shape)[1]
+        if [list(map(len, comp)) for comp in rows] != \
+                [list(map(len, comp)) for comp in layout]:
+            raise ShapeParseError(
+                f"tableau rows do not fit the shape {shape.to_str()}")
+        word = [0] * shape.n
+        for comp, comp_positions in zip(rows, layout):
+            for row, positions in zip(comp, comp_positions):
+                for v, p in zip(row, positions):
+                    word[p] = v
+        if not all(type(v) is int for v in word) or \
+                set(word) != set(range(1, shape.n + 1)):
+            raise ShapeParseError(
+                f"tableau entries are not 1..{shape.n}, each once")
         self.shape = shape
-        self.rows = tuple(tuple(tuple(r) for r in comp) for comp in rows)
+        self.word = tuple(word)
 
     @classmethod
     def from_entries(cls, shape, entries):
-        """Build from a map box -> value."""
-        rows = []
-        for k, (outer, _inner) in enumerate(shape.components, start=1):
-            comp = []
-            for x in range(1, len(outer) + 1):
-                comp.append(tuple(entries[(k, x, y)]
-                                  for y in range(shape.inner_at(k, x) + 1,
-                                                 outer[x - 1] + 1)))
-            rows.append(tuple(comp))
-        return cls(shape, rows)
+        """Build from a map box -> value, read at the reading order's
+        boxes."""
+        return _tableau_of_word(
+            shape, tuple(map(entries.__getitem__, _reading_layout(shape)[0])))
 
     def entry(self, k, x, y):
         return self.rows[k - 1][x - 1][y - 1 - self.shape.inner_at(k, x)]
@@ -244,17 +257,15 @@ class Tableau:
 
     @cached_property
     def is_standard(self):
-        for k, comp in enumerate(self.rows, start=1):
-            outer = self.shape.components[k - 1][0]
-            for row in comp:
-                if any(row[j] >= row[j + 1] for j in range(len(row) - 1)):
-                    return False
-            for x in range(1, len(comp)):
-                lo = self.shape.inner_at(k, x)
-                for y in range(lo + 1, min(outer[x - 1], outer[x]) + 1):
-                    if self.entry(k, x, y) >= self.entry(k, x + 1, y):
-                        return False
-        return True
+        """Entries increase along each row and down each column; a box
+        and the box below it are consecutive reading positions."""
+        word = self.word
+        boxes, layout = _reading_layout(self.shape)
+        return all(word[p] < word[p2] for comp in layout for row in comp
+                   for p, p2 in zip(row, row[1:])) and \
+            all(word[p] < word[p + 1]
+                for p, (k, x, y) in enumerate(boxes[:-1])
+                if boxes[p + 1] == (k, x + 1, y))
 
     def content(self, i):
         """Plain content col - row of the box holding i."""
@@ -263,18 +274,6 @@ class Tableau:
 
     def component_of(self, i):
         return self.box(i)[0]
-
-    @cached_property
-    def word(self):
-        """The permutation carrying the column reading tableau to this
-        one: entry p is the entry at position p of the reading order."""
-        w = [0] * self.shape.n
-        layout_rows = _reading_layout(self.shape)[1]
-        for comp, comp_positions in zip(self.rows, layout_rows):
-            for row, positions in zip(comp, comp_positions):
-                for v, p in zip(row, positions):
-                    w[p] = v
-        return tuple(w)
 
     @cached_property
     def positions(self):
@@ -301,10 +300,10 @@ class Tableau:
         return length(self.word)
 
     def swap(self, i):
-        """Apply the adjacent transposition s_i to the entries."""
-        entries = {box: (i + 1 if v == i else i if v == i + 1 else v)
-                   for v, box in self.box_of.items()}
-        return Tableau.from_entries(self.shape, entries)
+        """Apply the adjacent transposition s_i to the entries: exchange
+        i and i+1 in the word."""
+        return _tableau_of_word(self.shape, tuple(
+            i + 1 if v == i else i if v == i + 1 else v for v in self.word))
 
     def serialize(self):
         return [[list(r) for r in comp] for comp in self.rows]
@@ -347,21 +346,23 @@ def _reading_layout(shape):
     return tuple(boxes), rows
 
 
-def _tableau_of_word(shape, depth, word, positions):
-    """The tableau with this word, depth and inverse word, all three set
-    rather than derived; its rows and box_of are left to first use."""
+def _tableau_of_word(shape, word, depth=None, positions=None):
+    """The tableau with this word; its depth and inverse word, where
+    given, are set rather than derived on first use."""
     t = Tableau.__new__(Tableau)
     t.shape = shape
     t.word = word
-    t.depth = depth
-    t.positions = positions
+    if depth is not None:
+        t.depth = depth
+    if positions is not None:
+        t.positions = positions
     return t
 
 
 def column_reading_tableau(shape):
     """The tableau whose word is the identity: 1..n in the column
     reading order (see _reading_layout)."""
-    return _tableau_of_word(shape, 0, tuple(range(1, shape.n + 1)),
+    return _tableau_of_word(shape, tuple(range(1, shape.n + 1)), 0,
                             tuple(range(shape.n)))
 
 
@@ -445,15 +446,14 @@ def standard_tableaux(shape):
                 filled ^= 1 << p
     # words are distinct, so the sort never compares positions
     found.sort()
-    return [_tableau_of_word(shape, d, w, where) for d, w, where in found]
+    return [_tableau_of_word(shape, w, d, where) for d, w, where in found]
 
 
 def apply_permutation(t, sigma):
     """Relabel the entries of t by sigma; returns (tableau, standard?)."""
-    if len(sigma) != t.shape.n:
-        raise PreconditionError("permutation size does not match shape")
-    entries = {box: sigma[v - 1] for v, box in t.box_of.items()}
-    out = Tableau.from_entries(t.shape, entries)
+    if len(sigma) != t.shape.n or set(sigma) != set(range(1, t.shape.n + 1)):
+        raise PreconditionError("not a permutation of the shape's entries")
+    out = _tableau_of_word(t.shape, tuple(sigma[v - 1] for v in t.word))
     return out, out.is_standard
 
 

@@ -363,11 +363,11 @@ def test_criterion_09_graph_and_interval_checks(graphs6):
         assert g.nodes[0] == __import__(
             "youngbasis").shapes.column_reading_tableau(g.shape)
         from youngbasis.shapes import row_reading_tableau
-        assert g.nodes[g.row_node] == row_reading_tableau(g.shape)
+        assert g.nodes[g.size() - 1] == row_reading_tableau(g.shape)
         # connectivity was proven during construction; biject the node
         # set onto the weak-order interval computed from permutations
         table = length_tables[n]
-        wc, wr = g.nodes[0].word, g.nodes[g.row_node].word
+        wc, wr = g.nodes[0].word, g.nodes[g.size() - 1].word
         lc, lr = table[wc], table[wr]
         interval = set()
         wc_inv = perms.inverse(wc)

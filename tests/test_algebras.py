@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from reduced_words import reduced_word
 from walks import r_partitions
 from youngbasis.algebras import (AlgebraSpec, WeightScheme, _entry_witness,
                                  natural_generator, seminormal_generator,
@@ -12,7 +13,6 @@ from youngbasis.errors import (DegenerateWeightError, NonSemisimpleError,
                                PreconditionError)
 from youngbasis.fields import CyclotomicField, QRat, evaluate_q
 from youngbasis.linalg import Matrix, matmul
-from youngbasis.perms import reduced_word
 from youngbasis.shapes import (Shape, Tableau, all_partitions, alphabetizer,
                                parse_shape, shape_from_parts)
 from youngbasis.transition import (diagonal_closed_form,

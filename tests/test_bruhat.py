@@ -3,6 +3,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, strategies as st
 
+from reduced_words import bruhat_leq_subword, word_to_perm
 from walks import keep_skip_walks, walk_weight
 from youngbasis import perms, shapes
 from youngbasis.algebras import AlgebraSpec, WeightScheme, verify_relations
@@ -21,8 +22,8 @@ def test_graph_32():
     assert g.size() == 5
     assert len(g.edges()) == 5
     assert max(g.depth) == 3
-    assert g.depth[g.column_node] == 0
-    assert g.nodes[g.row_node].serialize() == [[[1, 2, 3], [4, 5]]]
+    assert g.depth[0] == 0
+    assert g.nodes[g.size() - 1].serialize() == [[[1, 2, 3], [4, 5]]]
 
 
 def test_graph_skew():
@@ -30,8 +31,8 @@ def test_graph_skew():
     assert g.size() == 8
     assert max(g.depth) == 4
     # top of the interval is s1 s3 s2 s1
-    w = perms.word_to_perm(4, (1, 3, 2, 1))
-    assert g.nodes[g.row_node].word == w
+    w = word_to_perm(4, (1, 3, 2, 1))
+    assert g.nodes[g.size() - 1].word == w
 
 
 def test_graph_single_row():
@@ -59,7 +60,7 @@ def test_bruhat_leq_matches_subword_oracle_on_s4():
     elems = list(permutations(range(1, 5)))
     for u in elems:
         for w in elems:
-            assert bruhat_leq(u, w) == perms.bruhat_leq_subword(u, w)
+            assert bruhat_leq(u, w) == bruhat_leq_subword(u, w)
 
 
 def _bruhat_leq_per_pair_sort(u, w):
@@ -265,9 +266,11 @@ def test_graph_build_calls_neither_from_entries_nor_length(monkeypatch):
                         classmethod(counting_from_entries))
     monkeypatch.setattr(perms, "length", counting_length)
     monkeypatch.setattr(shapes, "length", counting_length)
-    # the patches count: a lazy depth and a swap go through them
-    t = Tableau(parse_shape("2,1"), [[(1, 2), (3,)]])
-    assert t.depth == 1 and t.swap(2).depth == 0
+    # the patches count: a lazy depth and from_entries go through them
+    s = parse_shape("2,1")
+    assert Tableau(s, [[(1, 2), (3,)]]).depth == 1
+    u = Tableau.from_entries(s, {(1, 1, 1): 1, (1, 1, 2): 3, (1, 2, 1): 2})
+    assert u.depth == 0
     assert calls == ["length", "from_entries", "length"]
     calls.clear()
     for text in ["4,3,2/1", "(3,1/1)|(2,2/1)|(1)", "(2,1)|(1)@1,q^3",
@@ -284,14 +287,14 @@ def test_shortest_path_to_displayed_tableau():
     assert p.labels == (3, 2, 5, 4, 3)
     # reversed label word is a reduced word for the connecting permutation
     word = tuple(reversed(p.labels))
-    assert perms.word_to_perm(6, word) == t15.word
+    assert word_to_perm(6, word) == t15.word
     assert len(word) == perms.length(t15.word)
 
 
 def test_shortest_path_trivial_and_top():
     g = BruhatGraph(parse_shape("3,2"))
     assert shortest_path(g, 0, 0).labels == ()
-    assert len(shortest_path(g, 0, g.row_node).labels) == 3
+    assert len(shortest_path(g, 0, g.size() - 1).labels) == 3
 
 
 def test_shortest_path_requires_weak_comparability():
@@ -305,7 +308,7 @@ def test_reversed_labels_are_reduced_words_everywhere():
     for text in ["3,2", "2,2,1", "3,3,1/2,1"]:
         g = BruhatGraph(parse_shape(text))
         for v, p in shortest_paths_from(g, 0).items():
-            w = perms.word_to_perm(g.shape.n, tuple(reversed(p.labels)))
+            w = word_to_perm(g.shape.n, tuple(reversed(p.labels)))
             assert w == g.nodes[v].word
             assert len(p.labels) == g.depth[v]
 
@@ -347,7 +350,7 @@ def test_interval_matches_weak_order_on_permutations():
     for text in ["3,2", "2,2", "3,3,1/2,1", "(2,1)|(1)"]:
         g = BruhatGraph(parse_shape(text))
         n = g.shape.n
-        wc, wr = g.nodes[0].word, g.nodes[g.row_node].word
+        wc, wr = g.nodes[0].word, g.nodes[g.size() - 1].word
         interval = {u for u in permutations(range(1, n + 1))
                     if perms.weak_leq(wc, u) and perms.weak_leq(u, wr)}
         assert {t.word for t in g.nodes} == interval

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction as F
 from itertools import permutations
@@ -12,7 +13,7 @@ from youngbasis.shapes import (Shape, Tableau, all_partitions,
                                all_skew_shapes, alphabetizer,
                                apply_permutation, column_reading_tableau,
                                parse_shape, row_reading_tableau,
-                               standard_tableaux)
+                               shape_from_parts, standard_tableaux)
 from youngbasis.weights import q_axial_weight, weighted_content
 
 
@@ -305,3 +306,152 @@ def test_content_of_pair():
     v1 = c.entry(1, 1, 1)
     assert c.content(v1) == 0
     assert weighted_content(c, v1, (1, 1), QFIELD.q) == QFIELD.one
+
+
+def test_tableau_rows_round_trip_with_empty_rows_and_components():
+    for text, rows in [
+            ("3,3,1/3,1", [(), (2, 3), (1,)]),
+            ("(2,1)|()|(1)", None),
+            ("(3,2/2)|()|(2,2/1)", None)]:
+        s = parse_shape(text)
+        for t in standard_tableaux(s) if rows is None else [tab(s, *rows)]:
+            assert Tableau(s, t.rows) == t
+            assert Tableau(s, t.serialize()).rows == t.rows
+            assert vars(Tableau(s, t.rows)).keys() == {"shape", "word"}
+
+
+@pytest.mark.parametrize("text,rows", [
+    ("3,2", [[(1, 3, 5, 6), (2, 4)]]),      # a row too long
+    ("3,2", [[(1, 3, 5), (2,)]]),           # a row too short
+    ("3,2", [[(1, 3), (2, 4, 5)]]),         # lengths swapped between rows
+    ("3,2", [[(1, 3, 5), (2, 4), ()]]),     # an extra row
+    ("3,2", []),                            # a missing component
+    ("3,2", [[(1, 3, 5), (2, 4)], []]),     # an extra component
+    ("(2)|(1)", [[(1, 3)]]),                # a missing component
+    ("(2)|(1)", [[(1, 3)], []]),            # an empty component
+    ("3,2", [[(1, 3, 3), (2, 4)]]),         # a repeated entry
+    ("3,2", [[(1, 3, 6), (2, 4)]]),         # an entry above n
+    ("3,2", [[(0, 3, 5), (2, 4)]]),         # an entry below 1
+    ("3,2", [[(1, 3, "5"), (2, 4)]]),       # a string entry
+    ("3,2", [[(1, 3, 5.0), (2, 4)]]),       # a float entry
+    ("3,2", [[(1, 3, None), (2, 4)]]),      # no entry
+    ("3,2", [[(1, 3, [5]), (2, 4)]]),       # an unhashable entry
+])
+def test_tableau_rejects_rows_that_do_not_fit(text, rows):
+    with pytest.raises(ShapeParseError):
+        Tableau(parse_shape(text), rows)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda rows: rows[0][0].append(6),
+    lambda rows: rows[0][1].pop(),
+    lambda rows: rows.append([]),
+    lambda rows: rows.pop(),
+    lambda rows: rows[0][0].__setitem__(1, rows[0][0][0]),
+    lambda rows: rows[0][0].__setitem__(1, 9),
+    lambda rows: rows[0][0].__setitem__(1, "2"),
+])
+def test_matrix_from_json_rejects_a_basis_row_that_does_not_fit(edit):
+    from youngbasis.algebras import AlgebraSpec, WeightScheme
+    from youngbasis.linalg import matrix_from_json, matrix_to_json
+    from youngbasis.transition import transition_recursive
+    s = parse_shape("3,2")
+    tm = transition_recursive(WeightScheme(AlgebraSpec("symmetric"), s))
+    obj = json.loads(matrix_to_json(tm.matrix, s.to_str()))
+    assert matrix_from_json(json.dumps(obj), shape=s)[0].basis == \
+        tm.matrix.basis
+    edit(obj["basis"][2])
+    with pytest.raises(ShapeParseError):
+        matrix_from_json(json.dumps(obj), shape=s)
+
+
+def test_apply_permutation_requires_a_permutation():
+    t = column_reading_tableau(parse_shape("2,1"))
+    for sigma in [(1, 1, 2), (1, 2, 4), (0, 1, 2), (1, 2), (1, 2, 3, 4)]:
+        with pytest.raises(PreconditionError):
+            apply_permutation(t, sigma)
+
+
+# The row-based tableau operations that the word-based ones replaced,
+# kept as a reference: a tableau as its rows per component.
+
+def _ref_from_entries(shape, entries):
+    rows = []
+    for k, (outer, _inner) in enumerate(shape.components, start=1):
+        comp = []
+        for x in range(1, len(outer) + 1):
+            comp.append(tuple(entries[(k, x, y)]
+                              for y in range(shape.inner_at(k, x) + 1,
+                                             outer[x - 1] + 1)))
+        rows.append(tuple(comp))
+    return tuple(rows)
+
+
+def _ref_box_of(shape, rows):
+    return {v: (k, x, y + shape.inner_at(k, x))
+            for k, comp in enumerate(rows, start=1)
+            for x, row in enumerate(comp, start=1)
+            for y, v in enumerate(row, start=1)}
+
+
+def _ref_is_standard(shape, rows):
+    def entry(k, x, y):
+        return rows[k - 1][x - 1][y - 1 - shape.inner_at(k, x)]
+
+    for k, comp in enumerate(rows, start=1):
+        outer = shape.components[k - 1][0]
+        for row in comp:
+            if any(row[j] >= row[j + 1] for j in range(len(row) - 1)):
+                return False
+        for x in range(1, len(comp)):
+            lo = shape.inner_at(k, x)
+            for y in range(lo + 1, min(outer[x - 1], outer[x]) + 1):
+                if entry(k, x, y) >= entry(k, x + 1, y):
+                    return False
+    return True
+
+
+def _ref_swap(shape, rows, i):
+    entries = {box: (i + 1 if v == i else i if v == i + 1 else v)
+               for v, box in _ref_box_of(shape, rows).items()}
+    return _ref_from_entries(shape, entries)
+
+
+def _ref_apply_permutation(shape, rows, sigma):
+    entries = {box: sigma[v - 1]
+               for v, box in _ref_box_of(shape, rows).items()}
+    out = _ref_from_entries(shape, entries)
+    return out, _ref_is_standard(shape, out)
+
+
+def test_word_operations_match_the_row_based_reference():
+    import random
+    from walks import r_partitions
+    rng = random.Random(5)
+    shapes = [s for n in range(1, 7) for s in all_skew_shapes(n)]
+    shapes += [shape_from_parts(*parts) for parts in r_partitions(2, 4)]
+    shapes += [parse_shape("(2,1)|()|(1)"), parse_shape("(3,2/2)|(1)")]
+    for s in shapes:
+        n = s.n
+        boxes = s.boxes()
+        fillings = [column_reading_tableau(s), row_reading_tableau(s)]
+        for _ in range(3):
+            fillings.append(Tableau.from_entries(
+                s, dict(zip(boxes, rng.sample(range(1, n + 1), n)))))
+        for t in fillings:
+            rows = t.rows
+            assert Tableau(s, rows) == t
+            assert t.is_standard == _ref_is_standard(s, rows)
+            entries = {box: t.entry(*box) for box in boxes}
+            assert entries == {b: v for v, b in
+                               _ref_box_of(s, rows).items()}
+            assert Tableau.from_entries(s, entries).rows == \
+                _ref_from_entries(s, entries) == rows
+            # swaps that leave the graph give nonstandard fillings
+            for i in range(1, n):
+                u = t.swap(i)
+                assert u.rows == _ref_swap(s, rows, i)
+                assert u.is_standard == _ref_is_standard(s, u.rows)
+            sigma = tuple(rng.sample(range(1, n + 1), n))
+            u, std = apply_permutation(t, sigma)
+            assert (u.rows, std) == _ref_apply_permutation(s, rows, sigma)
