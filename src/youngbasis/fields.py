@@ -11,21 +11,22 @@ equality is decidable and serialized output is bit-stable:
 
 Both polynomial domains run on one kernel: dense integer polynomials
 stored as int tuples, constant first (degrees stay small here, so dense
-storage is the simple choice).  The kernel's product, exact quotient and
-gcd are pure functions of their tuples and are memoized in bounded LRU
-caches: a symbolic-q recursion repeats a few hundred distinct operand
-pairs tens of thousands of times.  So every argument must be a tuple
-(lists are unhashable), and a failed division is not cached but raises
-again on every call.
+storage is the simple choice).  The kernel's product and its gcd, which
+returns the two cofactors with it, are pure functions of their tuples
+and are memoized in bounded LRU caches: a symbolic-q recursion repeats
+a few hundred distinct operand pairs tens of thousands of times.  So
+every argument must be a tuple (lists are unhashable).
 
 A :class:`QRat` is ``(sn / sd) * q**exp * N / D``: a scale held as two
 coprime ints ``sn`` and ``sd > 0``, and two coprime primitive integer
 polynomials ``N`` and ``D`` with positive leading coefficients and
 nonzero constant terms.  A Laurent polynomial in q is a QRat with
 ``D = (1,)``.  Products cross-cancel gcd(N1, D2) and gcd(N2, D1) (and
-the two scales likewise), sums cancel only against gcd(D1, D2), and
-gcds come from a primitive remainder sequence over the integers.  So
-no arithmetic on a QRat builds a Fraction.
+the two scales likewise), and sums cancel only against gcd(D1, D2).
+A gcd is read off the integer gcd of the two polynomials' values at
+one large integer (GCDHEU), proved by exact division, with the
+primitive remainder sequence as the fallback.  So no arithmetic on a
+QRat builds a Fraction.
 
 A :class:`Cyclo` is an integer polynomial in xi of degree < phi(r) over
 one positive integer denominator, coprime to its coefficients.  The
@@ -107,28 +108,27 @@ def _imul(a, b):
     return tuple(out)
 
 
-@lru_cache(maxsize=_KERNEL_CACHE_SIZE)
 def _iquo(a, b):
-    """Exact quotient a / b of int polynomials.  By Gauss's lemma it is
-    integral whenever b is primitive and divides a over Q; anything else
-    is a bug, so a remainder raises."""
+    """Exact quotient a / b of int polynomials, or None when b does not
+    divide a.  By Gauss's lemma the quotient is integral whenever b is
+    primitive and divides a over Q."""
     if len(b) == 1 and b[0] == 1:
         return a
-    a = list(a)
     nb, lead = len(b), b[-1]
     if len(a) < nb:
-        raise ArithmeticError("inexact polynomial division")
+        return None
+    a = list(a)
     q = [0] * (len(a) - nb + 1)
     for i in range(len(a) - nb, -1, -1):
         c, r = divmod(a[i + nb - 1], lead)
         if r:
-            raise ArithmeticError("inexact polynomial division")
+            return None
         if c:
             q[i] = c
             for j, y in enumerate(b, i):
                 a[j] -= c * y
     if any(a[:nb - 1]):
-        raise ArithmeticError("inexact polynomial division")
+        return None
     return tuple(q)
 
 
@@ -152,8 +152,16 @@ def _int_prem(a, b):
     return tuple(a)
 
 
-@lru_cache(maxsize=_KERNEL_CACHE_SIZE)
-def _igcd(a, b):
+def _ieval(a, x):
+    """Value of an int polynomial at an int or a Fraction, by Horner's
+    rule."""
+    acc = 0
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def _prs_gcd(a, b):
     """Gcd of two primitive int polynomials with positive leading
     coefficients, by the primitive remainder sequence (Brown 1971,
     Collins 1967): the result is primitive and leads positive."""
@@ -169,12 +177,44 @@ def _igcd(a, b):
     return _I_ONE
 
 
-def _ieval(a, x):
-    """Value of an int polynomial at a Fraction, by Horner's rule."""
-    acc = ZERO
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
+# Evaluation points GCDHEU tries before the remainder sequence.  Of the
+# 10,874 gcds that miss the cache on symbolic hecke_A 4,3,2,1, 23 need a
+# second point and none a third.
+_HEU_TRIES = 4
+
+
+@lru_cache(maxsize=_KERNEL_CACHE_SIZE)
+def _igcd(a, b):
+    """(g, a / g, b / g) for primitive int polynomials a and b with
+    positive leading coefficients, where g = gcd(a, b) is primitive and
+    leads positive.
+
+    By GCDHEU (Char, Geddes and Gonnet, J. Symbolic Comput. 7, 1989): at
+    an integer xi >= 2 * min(|a|, |b|) + 2 (max norms), the balanced
+    xi-adic digits of the integer gcd(a(xi), b(xi)) are a polynomial
+    whose primitive part is gcd(a, b) if it divides both a and b.  A
+    candidate that does not divide was spoiled by a common factor of the
+    two values that the polynomials do not share, so the next point is
+    xi**2.  The first point is four times the bound, which makes that
+    rare; after _HEU_TRIES points the remainder sequence decides."""
+    xi = 8 * min(max(map(abs, a)), max(map(abs, b))) + 8
+    for _ in range(_HEU_TRIES):
+        h, digits, half = gcd(_ieval(a, xi), _ieval(b, xi)), [], xi // 2
+        while h:
+            h, d = divmod(h, xi)
+            if d > half:
+                d -= xi
+                h += 1
+            digits.append(d)
+        g = _iprimitive(digits)[1]
+        ca = _iquo(a, g)
+        if ca is not None:
+            cb = _iquo(b, g)
+            if cb is not None:
+                return g, ca, cb
+        xi *= xi
+    g = _prs_gcd(a, b)
+    return g, _iquo(a, g), _iquo(b, g)
 
 
 # ---------------------------------------------------------------------------
@@ -375,13 +415,9 @@ def _qmul(a, b):
     if not n1 or not n2:
         return _Q_ZERO
     if len(d2) > 1 and len(n1) > 1:
-        g = _igcd(n1, d2)
-        if len(g) > 1:
-            n1, d2 = _iquo(n1, g), _iquo(d2, g)
+        _, n1, d2 = _igcd(n1, d2)
     if len(d1) > 1 and len(n2) > 1:
-        g = _igcd(n2, d1)
-        if len(g) > 1:
-            n2, d1 = _iquo(n2, g), _iquo(d1, g)
+        _, n2, d1 = _igcd(n2, d1)
     p1, r1, p2, r2 = a._sn, a._sd, b._sn, b._sd
     if r2 != 1:
         g = gcd(p1, r2)
@@ -410,8 +446,7 @@ def _qadd(a, b):
     if d1 == d2:
         g, rest = d1, _I_ONE
     else:
-        g = _igcd(d1, d2)
-        c1, c2 = _iquo(d1, g), _iquo(d2, g)
+        g, c1, c2 = _igcd(d1, d2)
         n1, n2, rest = _imul(n1, c2), _imul(n2, c1), _imul(c1, c2)
     # s1*X + s2*Y = (h / m) * (a1*X + a2*Y) with integer a1, a2
     p1, r1, p2, r2 = a._sn, a._sd, b._sn, b._sd
@@ -433,9 +468,7 @@ def _qadd(a, b):
         lo += 1
     c, num = _iprimitive(out[lo:hi])
     if len(g) > 1 and len(num) > 1:
-        k = _igcd(num, g)
-        if len(k) > 1:
-            num, g = _iquo(num, k), _iquo(g, k)
+        _, num, g = _igcd(num, g)
     sn, sd = c * h, r1 // t * r2
     k = gcd(sn, sd)
     if k != 1:

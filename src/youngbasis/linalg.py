@@ -240,7 +240,8 @@ class Matrix:
         return all(not col for col in self.cols)
 
     def is_upper_triangular(self):
-        return all(i <= j for j, col in enumerate(self.cols) for i in col)
+        return all(max(col, default=j) <= j
+                   for j, col in enumerate(self.cols))
 
     def _compat(self, other):
         if self.field != other.field:

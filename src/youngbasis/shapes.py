@@ -211,8 +211,11 @@ class Tableau:
         a skew component included; raises ShapeParseError unless they
         fit the shape and hold the ints 1..n, each once."""
         layout = _reading_layout(shape)[1]
-        if [list(map(len, comp)) for comp in rows] != \
-                [list(map(len, comp)) for comp in layout]:
+        try:
+            lengths = [list(map(len, comp)) for comp in rows]
+        except TypeError:  # rows, a component or a row is no sequence
+            lengths = None
+        if lengths != [list(map(len, comp)) for comp in layout]:
             raise ShapeParseError(
                 f"tableau rows do not fit the shape {shape.to_str()}")
         word = [0] * shape.n

@@ -509,21 +509,82 @@ def _twice(f, *args):
 def test_kernel_caches_match_uncached(a, b, c):
     _twice(fields._imul, a, b)
     _twice(fields._igcd, fields._imul(a, c), fields._imul(b, c))
-    _twice(fields._iquo, fields._imul(a, b), b)
+    assert fields._iquo(fields._imul(a, b), b) == a
     if len(b) > 1:
         # b * c + 1 leaves the remainder 1 on division by b
         p = fields._imul(b, c)
-        inexact = (p[0] + 1,) + p[1:]
-        fields._iquo.cache_clear()
-        for _ in range(2):
-            with pytest.raises(ArithmeticError):
-                fields._iquo(inexact, b)
-        assert fields._iquo.cache_info().currsize == 0
+        assert fields._iquo((p[0] + 1,) + p[1:], b) is None
 
 
 def test_kernel_caches_are_bounded():
-    for f in (fields._igcd, fields._imul, fields._iquo, fields._den_str):
+    for f in (fields._igcd, fields._imul, fields._den_str):
         assert 0 < f.cache_info().maxsize < float("inf")
+
+
+# Products of up to six factors x + k: the values of two such products
+# at any integer share factors that the polynomials need not share (the
+# product of m consecutive ones is divisible by m!), and those are what
+# make a GCDHEU candidate fail and the kernel try its next point.
+_wide_polys = st.lists(st.integers(-10**4, 10**4), min_size=1,
+                       max_size=9).filter(lambda c: c[-1] != 0).map(
+    lambda c: fields._iprimitive(c)[1])
+_linear_products = st.lists(st.integers(-4, 4), max_size=6).map(
+    lambda ks: reduce(fields._imul, [(k, 1) for k in ks], (1,)))
+
+
+def _sympy_gcd(a, b):
+    g = sympy.Poly(a[::-1], _SX).gcd(sympy.Poly(b[::-1], _SX))
+    return fields._iprimitive([int(c) for c in g.all_coeffs()[::-1]])[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_wide_polys, _wide_polys, _wide_polys, _linear_products,
+       _linear_products)
+def test_gcd_matches_sympy_and_the_remainder_sequence(a, b, c, la, lb):
+    a = fields._imul(fields._imul(a, la), c)
+    b = fields._imul(fields._imul(b, lb), c)
+    g, ca, cb = fields._igcd.__wrapped__(a, b)
+    assert g == fields._prs_gcd(a, b) == _sympy_gcd(a, b)
+    assert fields._imul(g, ca) == a and fields._imul(g, cb) == b
+
+
+def _gcd_points(monkeypatch, a, b):
+    """The cofactor triple of a and b, the evaluation points the
+    heuristic tried, and the number of remainder sequences run."""
+    points, prs = [], []
+    ieval, prs_gcd = fields._ieval, fields._prs_gcd
+    monkeypatch.setattr(fields, "_ieval",
+                        lambda p, x: points.append(x) or ieval(p, x))
+    monkeypatch.setattr(fields, "_prs_gcd",
+                        lambda p, r: prs.append(p) or prs_gcd(p, r))
+    out = fields._igcd.__wrapped__(a, b)
+    return out, points[::2], len(prs)
+
+
+# b = x^2 + 1 has max norm 1, so the points are 16, 256, 65536 and 2^32.
+# Where a(xi) = b(xi), gcd(a(xi), b(xi)) = xi^2 + 1 reads back as b,
+# which does not divide a.
+_B = (1, 0, 1)
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_gcd_retries_when_the_first_candidate_does_not_divide(monkeypatch,
+                                                              swap):
+    a = (-15, 1, 1)  # b + (x - 16)
+    pair = (_B, a) if swap else (a, _B)
+    out, points, prs = _gcd_points(monkeypatch, *pair)
+    assert out == ((1,),) + pair
+    assert points == [16, 256] and prs == 0
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_gcd_falls_back_to_the_remainder_sequence(monkeypatch, swap):
+    p = reduce(fields._imul, [(-xi, 1) for xi in (16, 256, 65536, 2**32)])
+    a = tuple(map(operator.add, p, _B + (0, 0)))  # b + p
+    pair = (_B, a) if swap else (a, _B)
+    out, points, prs = _gcd_points(monkeypatch, *pair)
+    assert out == ((1,),) + pair
+    assert points == [16, 256, 65536, 2**32] and prs == 1
 
 
 @pytest.mark.parametrize("r", [5, 7, 9, 12])

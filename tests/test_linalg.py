@@ -61,6 +61,14 @@ def test_triangular_inverse_16x16():
     assert inv.is_upper_triangular()
 
 
+def test_one_entry_below_the_diagonal_is_not_upper_triangular():
+    m = Matrix.identity(5, RATIONALS)
+    m.cols[2][0] = m.cols[4][1] = 1
+    assert m.is_upper_triangular()
+    m.cols[2][3] = 1
+    assert not m.is_upper_triangular()
+
+
 def test_triangular_inverse_rejects_bad_input():
     m = Matrix.from_rows([[F(1), F(0)], [F(1), F(1)]], RATIONALS)
     with pytest.raises(PreconditionError):

@@ -336,6 +336,10 @@ def test_tableau_rows_round_trip_with_empty_rows_and_components():
     ("3,2", [[(1, 3, 5.0), (2, 4)]]),       # a float entry
     ("3,2", [[(1, 3, None), (2, 4)]]),      # no entry
     ("3,2", [[(1, 3, [5]), (2, 4)]]),       # an unhashable entry
+    ("2,1", [[3, (2,)]]),                   # a row that is an int
+    ("2,1", [[1, 2], 3]),                   # int rows, an int component
+    ("2,1", 5),                             # rows that are an int
+    ("2,1", None),                          # no rows
 ])
 def test_tableau_rejects_rows_that_do_not_fit(text, rows):
     with pytest.raises(ShapeParseError):
@@ -350,6 +354,8 @@ def test_tableau_rejects_rows_that_do_not_fit(text, rows):
     lambda rows: rows[0][0].__setitem__(1, rows[0][0][0]),
     lambda rows: rows[0][0].__setitem__(1, 9),
     lambda rows: rows[0][0].__setitem__(1, "2"),
+    lambda rows: rows[0].__setitem__(1, 4),
+    lambda rows: rows.__setitem__(0, 4),
 ])
 def test_matrix_from_json_rejects_a_basis_row_that_does_not_fit(edit):
     from youngbasis.algebras import AlgebraSpec, WeightScheme
