@@ -254,8 +254,7 @@ def cmd_transition(args):
 def cmd_orthogonal(args):
     ws = make_scheme(args)
     field = ws.field
-    strs = [field.to_str(field.coerce(v))
-            for v in tr.orthogonal_diag_squared(ws)]
+    strs = [field.to_str(v) for v in tr.orthogonal_diag_squared(ws)]
     if args.format == "json":
         obj = {"shape": ws.shape.to_str(), "field": field.name,
                "params": _json_params(ws.spec, ws.shape),

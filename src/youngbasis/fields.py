@@ -33,6 +33,16 @@ one positive integer denominator, coprime to its coefficients.  The
 cyclotomic polynomial is monic, so reducing modulo it stays integral,
 and an inverse is the product of the other Galois conjugates over the
 (rational) norm.
+
+QRat and Cyclo share one base, :class:`_Scalar`, which defines
+equality, hashing, ``is_zero`` and the eight arithmetic operators once
+over each type's hooks: ``_lift`` (the other operand in the type, an int
+or a Fraction as a constant, or NotImplemented), ``_key`` (all ints,
+equal exactly for equal values), ``_rational`` (the value as a Fraction
+if it is one, so it hashes like one), ``_add``, ``_mul``, ``__neg__``
+and ``_inverse``.  The three field descriptors compare, hash and print
+by ``name``; the q and cyclotomic fields share everything but their
+constants and ``parse``, and coerce a rational through ``_lift``.
 """
 
 from __future__ import annotations
@@ -218,10 +228,75 @@ def _igcd(a, b):
 
 
 # ---------------------------------------------------------------------------
+# the scalar protocol
+# ---------------------------------------------------------------------------
+
+class _Scalar:
+    """Equality, hashing and arithmetic of QRat and Cyclo, written once
+    over the hooks each type supplies (see the module docstring)."""
+
+    __slots__ = ()
+
+    def is_zero(self):
+        return not self
+
+    def __eq__(self, other):
+        other = self._lift(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        # a scalar equal to a rational hashes like it
+        c = self._rational()
+        return hash(self._key()) if c is None else hash(c)
+
+    def __add__(self, other):
+        other = self._lift(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self._add(other)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = self._lift(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self._add(-other)
+
+    def __rsub__(self, other):
+        other = self._lift(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other._add(-self)
+
+    def __mul__(self, other):
+        other = self._lift(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self._mul(other)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = self._lift(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self._mul(other._inverse())
+
+    def __rtruediv__(self, other):
+        other = self._lift(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other._mul(self._inverse())
+
+
+# ---------------------------------------------------------------------------
 # fractions of Laurent polynomials
 # ---------------------------------------------------------------------------
 
-class QRat:
+class QRat(_Scalar):
     """Quotient of Laurent polynomials in q, kept in canonical form.
 
     A value is ``(sn / sd) * q**exp * N(q) / D(q)`` where ``N`` and ``D``
@@ -285,24 +360,24 @@ class QRat:
             return self._int_terms()
         return [(e, Fraction(c, sd)) for e, c in self._int_terms()]
 
-    def is_zero(self):
-        return not self._num
-
     def __bool__(self):
         return bool(self._num)
+
+    def _lift(self, other):
+        if isinstance(other, QRat):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return QRat.const(other)
+        return NotImplemented
 
     def _key(self):
         # all ints, so hashing and comparing a key run in C
         return self._exp, self._num, self._sn, self._sd, self._den
 
-    def __eq__(self, other):
-        other = _as_qrat(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
+    def _rational(self):
+        # a primitive polynomial of length 1 is (1,)
+        if self._exp == 0 and len(self._num) < 2 and len(self._den) == 1:
+            return Fraction(self._sn, self._sd)
 
     def __neg__(self):
         return _qrat(self._exp, self._num, -self._sn, self._sd, self._den)
@@ -314,46 +389,6 @@ class QRat:
         if sn < 0:
             sn, sd = -sn, -sd
         return _qrat(-self._exp, self._den, sd, sn, self._num)
-
-    def __add__(self, other):
-        other = _as_qrat(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return _qadd(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _as_qrat(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return _qadd(self, -other)
-
-    def __rsub__(self, other):
-        other = _as_qrat(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other):
-        other = _as_qrat(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return _qmul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _as_qrat(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return _qmul(self, other._inverse())
-
-    def __rtruediv__(self, other):
-        other = _as_qrat(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
 
     def __pow__(self, k):
         """self**k for an integer k, by square-and-multiply."""
@@ -476,16 +511,10 @@ def _qadd(a, b):
     return _qrat(exp + lo, num, sn, sd, _imul(g, rest))
 
 
-def _as_qrat(x):
-    if isinstance(x, QRat):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return QRat.const(x)
-    return NotImplemented
-
+# plain functions as class attributes, so an operator calls straight in
+QRat._add, QRat._mul = _qadd, _qmul
 
 Q = QRat.q_power(1)
-QINV = QRat.q_power(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +537,7 @@ def cyclotomic_polynomial(r):
     return num
 
 
-class Cyclo:
+class Cyclo(_Scalar):
     """Element of Q(xi), xi a primitive r-th root of unity.
 
     Stored as ``num / den``: an int polynomial in xi of degree < phi(r),
@@ -539,13 +568,10 @@ class Cyclo:
         """Fraction coefficients of 1, xi, ..., xi^(phi(r) - 1)."""
         return tuple(Fraction(c, self.den) for c in self.num)
 
-    def is_zero(self):
-        return not any(self.num)
-
     def __bool__(self):
         return any(self.num)
 
-    def _coerce(self, other):
+    def _lift(self, other):
         if isinstance(other, Cyclo):
             if other.r != self.r:
                 raise FieldMismatchError(
@@ -555,45 +581,25 @@ class Cyclo:
             return Cyclo.const(self.r, other)
         return NotImplemented
 
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
+    def _key(self):
+        return self.r, self.num, self.den
 
-    def __hash__(self):
-        return hash((self.r, self.num, self.den))
+    def _rational(self):
+        if not any(self.num[1:]):
+            return Fraction(self.num[0], self.den)
 
     def __neg__(self):
         return _cyclo(self.r, [-c for c in self.num], self.den)
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return _cadd(self, other, 1)
+    def _add(self, other):
+        """The sum over the common denominator lcm(den_a, den_b)."""
+        den = lcm(self.den, other.den)
+        ka, kb = den // self.den, den // other.den
+        return _cyclo(self.r, [ka * x + kb * y
+                               for x, y in zip(self.num, other.num)], den)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return _cadd(self, other, -1)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return _cadd(other, self, -1)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+    def _mul(self, other):
         return _cyclo(self.r, _imul(self.num, other.num), self.den * other.den)
-
-    __rmul__ = __mul__
 
     def inverse(self):
         """1/x = (product of the other Galois conjugates of x) / N(x).
@@ -616,17 +622,7 @@ class Cyclo:
         assert len(norm) == 1
         return _cyclo(r, [self.den * c for c in rest], norm[0])
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
+    _inverse = inverse
 
     def __repr__(self):
         return f"Cyclo({self.r}, {self.to_str()!r})"
@@ -652,13 +648,6 @@ def _cyclo(r, num, den):
     out.num = tuple(c // g for c in num) + (0,) * (deg - len(num))
     out.den = den // g
     return out
-
-
-def _cadd(a, b, sign):
-    """a + sign * b over the common denominator lcm(den_a, den_b)."""
-    den = lcm(a.den, b.den)
-    ka, kb = den // a.den, sign * (den // b.den)
-    return _cyclo(a.r, [ka * x + kb * y for x, y in zip(a.num, b.num)], den)
 
 
 # ---------------------------------------------------------------------------
@@ -750,9 +739,21 @@ def parse_rational(s):
 # (x, 1) elsewhere.  ``join(x, den)`` is its inverse, the value x / den,
 # and ``split_str(x, den)`` is ``to_str(join(x, den))``.
 
-class RationalField:
-    name = "rational"
+class _Field:
+    """A field descriptor, compared, hashed and printed by its name."""
 
+    def __eq__(self, other):
+        return isinstance(other, _Field) and other.name == self.name
+
+    def __hash__(self):
+        return hash(self.name)
+
+    def __repr__(self):
+        return f"field_by_name({self.name!r})"
+
+
+class RationalField(_Field):
+    name = "rational"
     zero = ZERO
     one = ONE
 
@@ -768,35 +769,19 @@ class RationalField:
 
     split_str = staticmethod(_ratio_str)
 
-    def parse(self, s):
-        return parse_rational(s)
+    parse = staticmethod(parse_rational)
 
     def coerce(self, x):
         if self.element_of(x):
             return Fraction(x)
         raise FieldMismatchError(f"cannot coerce {x!r} into the rational field")
 
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
 
-    def __hash__(self):
-        return hash("rational")
-
-    def __repr__(self):
-        return "RationalField()"
-
-
-class QRationalField:
-    """Rational functions of q."""
-
-    name = "q"
-    zero = QRat.const(0)
-    one = QRat.const(1)
-    q = Q
-    q_inv = QINV
+class _ScalarField(_Field):
+    """A field of QRat or Cyclo scalars, each its own numerator over 1."""
 
     def element_of(self, x):
-        return isinstance(x, QRat)
+        return isinstance(x, _Scalar) and field_of(x) == self
 
     def split(self, x):
         return x, 1
@@ -809,6 +794,23 @@ class QRationalField:
 
     def split_str(self, x, den):
         return self.join(x, den).to_str()
+
+    def coerce(self, x):
+        y = NotImplemented if isinstance(x, bool) else self.one._lift(x)
+        if y is NotImplemented:
+            raise FieldMismatchError(
+                f"cannot coerce {x!r} into the {self.name} field")
+        return y
+
+
+class QRationalField(_ScalarField):
+    """Rational functions of q."""
+
+    name = "q"
+    zero = QRat.const(0)
+    one = QRat.const(1)
+    q = Q
+    q_inv = QRat.q_power(-1)
 
     def parse(self, s):
         m = re.match(r"^\((.*)\)/\((.*)\)$", s.strip())
@@ -820,48 +822,14 @@ class QRationalField:
             raise ShapeParseError(f"zero denominator in {s!r}")
         return num / den
 
-    def coerce(self, x):
-        if isinstance(x, QRat):
-            return x
-        if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
-            return QRat.const(x)
-        raise FieldMismatchError(f"cannot coerce {x!r} into the q field")
 
-    def __eq__(self, other):
-        return isinstance(other, QRationalField)
-
-    def __hash__(self):
-        return hash("q")
-
-    def __repr__(self):
-        return "QRationalField()"
-
-
-class CyclotomicField:
+class CyclotomicField(_ScalarField):
     def __init__(self, r):
         self.r = r
+        self.name = f"cyclotomic:{r}"
         self.zero = Cyclo.const(r, 0)
         self.one = Cyclo.const(r, 1)
         self.xi = Cyclo.xi_power(r, 1)
-
-    @property
-    def name(self):
-        return f"cyclotomic:{self.r}"
-
-    def element_of(self, x):
-        return isinstance(x, Cyclo) and x.r == self.r
-
-    def split(self, x):
-        return x, 1
-
-    def join(self, x, den):
-        return x if den == 1 else x / den
-
-    def to_str(self, x):
-        return x.to_str()
-
-    def split_str(self, x, den):
-        return self.join(x, den).to_str()
 
     def parse(self, s):
         # xi^r = 1: exponents count modulo r
@@ -869,22 +837,6 @@ class CyclotomicField:
         for e, c in _parse_terms(s, "z"):
             coeffs[e % self.r] += c
         return Cyclo(self.r, coeffs)
-
-    def coerce(self, x):
-        if self.element_of(x):
-            return x
-        if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
-            return Cyclo.const(self.r, x)
-        raise FieldMismatchError(f"cannot coerce {x!r} into Q(xi_{self.r})")
-
-    def __eq__(self, other):
-        return isinstance(other, CyclotomicField) and other.r == self.r
-
-    def __hash__(self):
-        return hash(("cyclotomic", self.r))
-
-    def __repr__(self):
-        return f"CyclotomicField({self.r})"
 
 
 def _poly_of_terms(terms):
@@ -967,9 +919,6 @@ def check_semisimple(us, q, n):
         powers.append(powers[-1] * q2)
     for i, ui in enumerate(us):
         for j, uj in enumerate(us):
-            if i == j:
-                continue
-            ratio = ui / uj
-            if any(ratio == p for p in powers):
+            if i != j and ui / uj in powers:
                 return False
     return all(quantum_integer(k, q) for k in range(1, n + 1))

@@ -22,7 +22,7 @@ import json
 from math import gcd, lcm
 
 from .errors import FieldMismatchError, PreconditionError
-from .fields import QFIELD, QRat, field_by_name
+from .fields import RATIONALS, field_by_name
 
 __all__ = ["Matrix", "matmul", "triangular_inverse", "tensor_product",
            "direct_sum", "integral_pair", "lowest_terms", "split_over_lcm",
@@ -350,21 +350,20 @@ def direct_sum(blocks):
 # serialization
 # ---------------------------------------------------------------------------
 
-def string_rows(m, encode=None):
-    """Rows of scalar strings, each passed through encode if given.
-    Zero cells share one string.  Cells are memoized per column
-    denominator and keyed by their numerator, so each distinct
-    (numerator, denominator) pair is formatted, by the field's
-    ``split_str``, and encoded once."""
+def string_rows(m, quoted=False):
+    """Rows of scalar strings, each in double quotes if quoted.  A cell
+    is plain ASCII from ``[0-9qz^*/+()-]``, so quoted it is its own JSON
+    string.  Zero cells share one string.  Cells are memoized per column
+    denominator and keyed by their numerator, a scalar by its all-int
+    ``_key``, so each distinct (numerator, denominator) pair is formatted
+    once, by the field's ``split_str``."""
     field = m.field
     fmt = field.split_str
-    to_str = fmt if encode is None else lambda x, den: encode(fmt(x, den))
-    zero = field.to_str(field.zero)
-    if encode is not None:
-        zero = encode(zero)
+    to_str = (lambda x, den: f'"{fmt(x, den)}"') if quoted else fmt
+    zero = to_str(*field.split(field.zero))
     rows = [[zero] * m.ncols for _ in range(m.nrows)]
-    # QRat.__hash__ and __eq__ are slow Python; the all-int key is not
-    key = QRat._key if field == QFIELD else None
+    # a scalar's __hash__ and __eq__ are slow Python; its key is not
+    key = None if field == RATIONALS else type(field.one)._key
     memos = {}
     for j, (col, den) in enumerate(zip(m.cols, m.dens)):
         memo = memos.get(den)
@@ -387,14 +386,14 @@ def compact_json(obj):
 def matrix_to_json(m, shape_str=None, params=None):
     """The compact JSON line of {shape, field, params, basis, rows}.
     Written in pieces in sorted key order, which puts rows between
-    params and shape: the cells come JSON-encoded from string_rows, and
-    each row is joined once and its list of cells dropped."""
+    params and shape: the cells come quoted from string_rows, and each
+    row is joined once and its list of cells dropped."""
     head = compact_json({
         "basis": [t.serialize() for t in m.basis] if m.basis else None,
         "field": m.field.name,
         "params": params or {},
     })
-    rows = string_rows(m, json.dumps)
+    rows = string_rows(m, quoted=True)
     parts = [head[:-2], ',"rows":[']
     for i, row in enumerate(rows):
         rows[i] = None

@@ -259,6 +259,58 @@ def test_field_descriptors():
     assert field_by_name("q") is QFIELD
     with pytest.raises(PreconditionError):
         field_by_name("octonions")
+    # compared, hashed and printed by name
+    fields_ = [RATIONALS, QFIELD, CyclotomicField(3), CyclotomicField(4)]
+    assert len(set(fields_ + [CyclotomicField(3)])) == 4
+    for f in fields_:
+        assert eval(repr(f), {"field_by_name": field_by_name}) == f
+
+
+def test_equal_scalars_hash_equal():
+    """A scalar equal to a rational hashes like that rational, as Python
+    asks of equal objects, so a set holds the value once."""
+    for c in (0, 2, F(-3, 4)):
+        for x in (QRat.const(c), Cyclo.const(1, c), Cyclo.const(3, c),
+                  Cyclo.const(4, c)):
+            assert x == c == F(c) and hash(x) == hash(F(c))
+            assert len({x, c, F(c)}) == 1
+    assert len({Qp(1), Qp(1) * Qp(1) / Qp(1), QRat.const(1)}) == 2
+    assert len({CyclotomicField(3).xi, Cyclo.xi_power(3, 4), 1}) == 2
+
+
+@pytest.mark.parametrize("c", [2, F(-3, 4)], ids=["int", "fraction"])
+@pytest.mark.parametrize("field, x", [
+    (QFIELD, (Qp(1) - 2) / (Qp(2) + F(1, 3))),
+    (CyclotomicField(3), Cyclo(3, [F(1, 2), -2])),
+], ids=["QRat", "Cyclo"])
+def test_rational_operands_act_as_field_constants(field, x, c):
+    k = field.coerce(c)
+    assert type(k) is type(x) and k == c
+    assert x + c == c + x == x + k
+    assert c - x == -(x - c) == k - x
+    assert c * x == x * c == k * x
+    assert c / x == k / x
+    assert x / c == x / k
+    assert x == field.coerce(x)
+    for y in (x + c, c - x, x - c, c * x, c / x, x / c):
+        assert type(y) is type(x)
+
+
+def test_foreign_operands_and_coercions_are_refused():
+    x, z3, z4 = Qp(1), Cyclo.const(3, 2), Cyclo.const(4, 2)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(TypeError):
+            op(x, z3)
+        with pytest.raises(TypeError):
+            op(z3, x)
+        with pytest.raises(FieldMismatchError):
+            op(z3, z4)
+    for field, foreign in ((RATIONALS, x), (QFIELD, z3),
+                           (CyclotomicField(3), x),
+                           (CyclotomicField(3), z4)):
+        for bad in (True, False, foreign):
+            with pytest.raises(FieldMismatchError):
+                field.coerce(bad)
 
 
 # ---------------------------------------------------------------------------

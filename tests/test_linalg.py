@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction as F
 from math import gcd
 
@@ -221,6 +222,9 @@ def test_json_writer_matches_one_compact_json_call():
     assert len(set(map(id, fresh))) == len(fresh) > len(set(fresh))
     for m, args in cases:
         assert matrix_to_json(m, *args) == _reference_json(m, *args)
+        # the cells need no JSON escaping, so quoting them is json.dumps
+        for row in string_rows(m):
+            assert all(re.fullmatch(r"[0-9qz^*/+()-]+", c) for c in row)
 
 
 def test_cells_of_a_column_are_reduced_one_by_one():
@@ -234,7 +238,7 @@ def test_cells_of_a_column_are_reduced_one_by_one():
     assert expect == [[str(v) for v in row] for row in m.to_rows()]
     assert matrix_to_csv(m) == ",1,2,3\n" + "".join(
         f"{i + 1},{','.join(row)}\n" for i, row in enumerate(expect))
-    assert string_rows(m, json.dumps)[1] == ['"1/4"', '"0"', '"-1"']
+    assert string_rows(m, quoted=True)[1] == ['"1/4"', '"0"', '"-1"']
 
 
 def test_csv_has_word_header():
