@@ -241,7 +241,12 @@ class _Scalar:
         return not self
 
     def __eq__(self, other):
-        other = self._lift(other)
+        try:
+            other = self._lift(other)
+        except FieldMismatchError:
+            # Cyclos of two orders: equal only as the same rational
+            c = self._rational()
+            return c is not None and c == other._rational()
         if other is NotImplemented:
             return NotImplemented
         return self._key() == other._key()

@@ -105,6 +105,19 @@ def _scaled(col, k):
     return dict(col) if k == 1 else {i: x * k for i, x in col.items()}
 
 
+def _add_multiple(acc, col, k, skip=None):
+    """Add k times the column col, but for its row skip, into acc in
+    place, dropping zero sums."""
+    for i, v in col.items():
+        if i != skip:
+            w = acc.get(i)
+            w = v * k if w is None else w + v * k
+            if w:
+                acc[i] = w
+            else:
+                del acc[i]
+
+
 class Matrix:
     """Immutable-by-convention sparse matrix with exact entries: column j
     holds the numerators ``cols[j]`` over ``dens[j]``."""
@@ -141,12 +154,6 @@ class Matrix:
             raise PreconditionError("ragged rows")
         return cls.from_columns(len(rows), ncols, field,
                                 map(dict, map(enumerate, zip(*rows))), basis)
-
-    @classmethod
-    def diagonal(cls, values, field, basis=None):
-        n = len(values)
-        return cls.from_columns(n, n, field,
-                                [{i: v} for i, v in enumerate(values)], basis)
 
     def get(self, i, j):
         x = self.cols[j].get(i)
@@ -211,14 +218,7 @@ class Matrix:
         for j, (da, db) in enumerate(zip(self.dens, other.dens)):
             den = lcm(da, db)
             col = _scaled(self.cols[j], den // da)
-            k = den // db
-            for i, v in other.cols[j].items():
-                w = col.get(i)
-                w = v * k if w is None else w + v * k
-                if w:
-                    col[i] = w
-                else:
-                    col.pop(i, None)
+            _add_multiple(col, other.cols[j], den // db)
             out.cols[j], out.dens[j] = lowest_terms(col, den)
         return out
 
@@ -278,36 +278,36 @@ def matmul(a, b):
 
 
 def triangular_inverse(a):
-    """Inverse of an upper-triangular matrix by back substitution on
-    field values."""
+    """Inverse of an upper-triangular matrix by back substitution on its
+    columns: column j solves a x = e_j from row j upward, keeping the
+    unsolved part as numerators over one int denominator (as Bareiss's
+    elimination does) and only each pivot as a field value."""
     if a.nrows != a.ncols:
         raise PreconditionError("inverse of a nonsquare matrix")
     if not a.is_upper_triangular():
         raise PreconditionError("matrix is not upper-triangular")
-    n = a.nrows
-    field = a.field
-    rows = [dict() for _ in range(n)]
-    for j in range(n):
+    split, join = a.field.split, a.field.join
+    one = split(a.field.one)[0]
+    out = Matrix(a.nrows, a.ncols, a.field, basis=a.basis)
+    for j in range(a.ncols):
         if j not in a.cols[j]:
             raise PreconditionError(f"zero diagonal entry at {j}")
-        for i, v in a.column(j).items():
-            rows[i][j] = v
-    diag = [rows[j][j] for j in range(n)]
-    one = field.one
-    cols = []
-    for j in range(n):
-        # solve a x = e_j; x lives on rows 0..j
-        x = {j: one / diag[j]}
-        for i in range(j - 1, -1, -1):
-            s = None
-            for k, v in rows[i].items():
-                if k > i and k in x:
-                    term = v * x[k]
-                    s = term if s is None else s + term
-            if s is not None and s:
-                x[i] = -s / diag[i]
-        cols.append(x)
-    return Matrix.from_columns(n, n, field, cols, basis=a.basis)
+        rest, den, x = {j: one}, 1, {}
+        for k in range(j, -1, -1):
+            r = rest.pop(k, None)
+            if r is None:
+                continue
+            col, d = a.cols[k], a.dens[k]
+            x[k] = xk = join(r if d == 1 else r * d, den) / col[k]
+            # rest - col * xk over m, row k solved; products by 1 skipped
+            p, dq = split(xk)
+            dq *= d
+            m = lcm(den, dq)
+            rest = _scaled(rest, m // den)
+            _add_multiple(rest, col, -p if m == dq else p * -(m // dq), k)
+            rest, den = lowest_terms(rest, m)
+        out.cols[j], out.dens[j] = split_over_lcm(split, x)
+    return out
 
 
 def tensor_product(a, b):

@@ -34,23 +34,15 @@ def inverse(w):
 
 
 def length(w):
-    """Coxeter length = number of inversions, counted in O(n log n):
-    reading w left to right, a Fenwick tree over the values counts the
-    entries read so far that are <= x; the others form inversions with
-    x."""
-    n = len(w)
-    tree = [0] * (n + 1)
+    """Coxeter length = number of inversions, counted on the sorted walk
+    of :func:`inversions`: each x adds the entries read before it that
+    are larger."""
+    seen = []
     count = 0
-    for seen, x in enumerate(w):
-        count += seen
-        k = x
-        while k:
-            count -= tree[k]
-            k &= k - 1
-        k = x
-        while k <= n:
-            tree[k] += 1
-            k += k & -k
+    for i, x in enumerate(w):
+        k = bisect(seen, x)
+        count += i - k
+        seen.insert(k, x)
     return count
 
 

@@ -207,6 +207,8 @@ def test_length_counts_inversions():
             assert len(pairs) == len(set(pairs)) and set(pairs) == {
                 (w[a], w[b]) for b in range(n) for a in range(b)
                 if w[a] > w[b]}
+    n = 2000
+    assert perms.length(tuple(range(n, 0, -1))) == n * (n - 1) // 2
 
 
 def test_graph_and_recursion_build_no_inversion_set():

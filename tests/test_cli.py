@@ -913,11 +913,15 @@ def test_negative_rationals_parse_as_written(capsys, family, shape, option,
 @pytest.mark.parametrize("argv", [
     ["transition", "--shape", "5,4,3", "--format", "json"],
     ["transition", "--shape", "5,4,3", "--format", "csv"],
+    ["natural", "--shape", "5,4,3", "--format", "json"],
+    ["seminormal", "--shape", "5,4,3", "--format", "json"],
+    ["verify", "--shape", "5,4,3"],
+    ["bench", "--shape", "5,4,3"],
 ])
 def test_running_out_of_memory_exits_3_with_one_diagnostic(argv):
-    # only in a child under an address-space limit.  Both formats exit 3
-    # from 20 to 100 MB and fit from 110 MB (csv) and 125 MB (json), so
-    # 60 MB keeps a margin from either edge
+    # only in a child under an address-space limit.  transition exits 3
+    # from 20 to 100 MB in both formats and fits from 110 MB (csv) and
+    # 125 MB (json), so 60 MB keeps a margin from either edge
     import resource
     limit = 60 * 2 ** 20
 

@@ -313,6 +313,17 @@ def test_foreign_operands_and_coercions_are_refused():
                 field.coerce(bad)
 
 
+def test_cyclos_of_two_orders_are_equal_only_as_the_same_rational():
+    z3, z4 = Cyclo.const(3, 2), Cyclo.const(4, 2)
+    assert z3 == z4 and not z3 != z4
+    assert len({z3, z4}) == len({z3, z4, 2}) == 1
+    assert Cyclo.xi_power(3, 1) != Cyclo.xi_power(4, 1)
+    assert Cyclo.xi_power(4, 2) == Cyclo.const(3, -1)  # xi_4^2 = -1
+    assert Cyclo.xi_power(3, 1) != Cyclo.const(4, 1)
+    with pytest.raises(FieldMismatchError):
+        Cyclo.const(3, 1) + Cyclo.const(4, 1)
+
+
 # ---------------------------------------------------------------------------
 # differential test of QRat against sympy
 # ---------------------------------------------------------------------------

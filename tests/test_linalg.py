@@ -356,3 +356,38 @@ def test_operations_match_a_dense_fraction_reference(data):
     lifted = a.coerce_field(QFIELD)
     _assert_canonical(lifted)
     assert lifted.to_rows() == [[QFIELD.coerce(p) for p in r] for r in x]
+
+
+_Q = QRat.q_power(1)
+_QRAT = st.sampled_from([QRat.const(F(-3, 2)), QRat.const(2), _Q, -_Q,
+                         _Q - 1, (_Q + 2) / (_Q - 1), F(1, 3) / _Q ** 2])
+
+
+def _assert_inverts(a):
+    inv = triangular_inverse(a)
+    _assert_canonical(inv)
+    assert matmul(a, inv).is_identity() and matmul(inv, a).is_identity()
+    assert inv.is_upper_triangular()
+
+
+@pytest.mark.parametrize("family, kwargs, text, field", [
+    ("hecke_A", {}, "3,2,1", None),
+    ("hecke_A", {"q": 5}, "3,2,1", None),
+    ("wreath_grn", {}, "(2,1)|(1)", CyclotomicField(2)),
+])
+def test_triangular_inverse_off_the_rationals(family, kwargs, text, field):
+    # q-functions, and the rationals coerced into the cyclotomic field
+    # of a wreath s_0 as conjugate_to_natural does: columns over 1
+    ws = WeightScheme(AlgebraSpec(family, **kwargs), parse_shape(text))
+    a = transition_recursive(ws).matrix
+    _assert_inverts(a if field is None else a.coerce_field(field))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_triangular_inverse_of_drawn_q_matrices(data):
+    n = data.draw(st.integers(1, 4))
+    entry = st.just(QFIELD.zero) | _QRAT
+    rows = [[data.draw(_QRAT if i == j else entry) if i <= j
+             else QFIELD.zero for j in range(n)] for i in range(n)]
+    _assert_inverts(Matrix.from_rows(rows, QFIELD))
