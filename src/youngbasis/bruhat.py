@@ -4,6 +4,13 @@ Nodes are the standard tableaux of a shape in canonical order; an edge
 (S, T, i) means T = s_i(S) with both endpoints standard.  Depth equals
 the inversion count, the column reading tableau is the unique minimum
 and the row reading tableau the unique maximum.
+
+The graph is built in one breadth-first search over words from the
+column reading tableau, which enumerates the tableaux, finds the edges,
+counts the depths and stores each node's up edges.  Standard tableaux
+are the linear extensions of the poset of boxes, and those are
+connected under swaps of adjacent incomparable values, so the search
+reaches them all.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from typing import NamedTuple
 
 from . import perms
 from .errors import InvariantError, PreconditionError
-from .shapes import _reading_layout, standard_tableaux
+from .shapes import _reading_layout, _tableau_of_word
 
 __all__ = ["BruhatGraph", "Path", "shortest_path", "shortest_paths_from",
            "to_dot"]
@@ -24,55 +31,74 @@ class BruhatGraph:
 
     def __init__(self, shape):
         self.shape = shape
-        self.nodes = standard_tableaux(shape)
-        self.depth = [t.depth for t in self.nodes]
-        by_word = {t.word: v for v, t in enumerate(self.nodes)}
-        boxes = _reading_layout(shape)[0]
-        # neighbors[v][i] = endpoint of the edge labeled s_i at v, if any,
-        # filled in label order.
+        n = shape.n
         # s_i(T) is standard iff i and i+1 share neither a row nor a
-        # column of one component; its word swaps i and i+1 in T's word.
-        self.neighbors = []
-        for t in self.nodes:
-            word = t.word
-            where = t.positions
+        # column of one component: per reading position, an int id of
+        # its box's row and one of its column, each within its component
+        rows, cols = {}, {}
+        boxes = _reading_layout(shape)[0]
+        row = [rows.setdefault((k, x), len(rows)) for k, x, _ in boxes]
+        col = [cols.setdefault((k, y), len(cols)) for k, _, y in boxes]
+        # One breadth-first pass from the column reading tableau, whose
+        # word is the identity.  The word and the positions of s_i(T)
+        # are T's with those of i and i+1 swapped.  The levels are
+        # reached in depth order, so when T's turn comes its edges from
+        # one level lower are recorded already, and every edge it finds
+        # leads one level up: each edge is tested once, at its lower
+        # end, and recorded at both.
+        words = [tuple(range(1, n + 1))]
+        wheres = [tuple(range(n))]
+        depths = [0]
+        below = [{}]  # per node, label -> neighbour one level lower
+        labeled = []  # per node, label -> neighbour, in label order
+        by_word = {words[0]: 0}
+        for v, (word, where, down) in enumerate(zip(words, wheres, below)):
             nbrs = {}
-            for i in range(1, shape.n):
-                p, p2 = where[i - 1], where[i]
-                k, x, y = boxes[p]
-                k2, x2, y2 = boxes[p2]
-                if k != k2 or (x != x2 and y != y2):
+            for i in range(1, n):
+                u = down.get(i)
+                if u is None:
+                    p, p2 = where[i - 1], where[i]
+                    if row[p] == row[p2] or col[p] == col[p2]:
+                        continue
                     w = list(word)
                     w[p], w[p2] = i + 1, i
-                    nbrs[i] = by_word[tuple(w)]
-            self.neighbors.append(nbrs)
-        self._check()
+                    w = tuple(w)
+                    u = by_word.get(w)
+                    if u is None:
+                        u = by_word[w] = len(words)
+                        words.append(w)
+                        wh = list(where)
+                        wh[i - 1], wh[i] = p2, p
+                        wheres.append(tuple(wh))
+                        depths.append(depths[v] + 1)
+                        below.append({})
+                    below[u][i] = v
+                nbrs[i] = u
+            labeled.append(nbrs)
+        # Nodes in (depth, word) order, which refines Bruhat order and
+        # groups the basis by depth; words are distinct, so the sort
+        # compares no index.  neighbors[v][i] is the endpoint of the
+        # edge labeled s_i at v, and _up[v] holds the (u, i) of the
+        # edges from one level lower; both are in label order.
+        order = [v for _, _, v in
+                 sorted(zip(depths, words, range(len(words))))]
+        rank = [0] * len(order)
+        for r, v in enumerate(order):
+            rank[v] = r
+        self.nodes = [_tableau_of_word(shape, words[v], depths[v], wheres[v])
+                      for v in order]
+        self.depth = [depths[v] for v in order]
+        self.neighbors = [{i: rank[u] for i, u in labeled[v].items()}
+                          for v in order]
+        self._up = [tuple([(rank[u], i) for i, u in sorted(below[v].items())])
+                    for v in order]
+        if self.depth.count(self.depth[-1]) != 1:
+            raise InvariantError("weak Bruhat graph lacks a unique maximum")
 
     @cached_property
     def index(self):
         """Map row tuples -> node index, built on first use."""
         return {t.rows: i for i, t in enumerate(self.nodes)}
-
-    def _check(self):
-        depths = self.depth
-        mins = [v for v in range(len(self.nodes)) if depths[v] == 0]
-        maxd = max(depths) if depths else 0
-        maxs = [v for v in range(len(self.nodes)) if depths[v] == maxd]
-        if len(mins) != 1 or len(maxs) != 1:
-            raise InvariantError("weak Bruhat graph lacks unique extremes")
-        # connectivity by BFS over undirected edges
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for w in self.neighbors[v].values():
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        if len(seen) != len(self.nodes):
-            raise InvariantError("weak Bruhat graph is disconnected")
 
     def size(self):
         return len(self.nodes)
@@ -87,9 +113,9 @@ class BruhatGraph:
         return out
 
     def up_edges_into(self, v):
-        """Edges (u, i) with s_i(u) = v and depth(u) = depth(v) - 1."""
-        return [(u, i) for i, u in self.neighbors[v].items()
-                if self.depth[u] == self.depth[v] - 1]
+        """Edges (u, i) with s_i(u) = v and depth(u) = depth(v) - 1, in
+        label order, as the build stored them."""
+        return self._up[v]
 
 
 class Path(NamedTuple):

@@ -309,7 +309,11 @@ class Tableau:
             i + 1 if v == i else i if v == i + 1 else v for v in self.word))
 
     def serialize(self):
-        return [[list(r) for r in comp] for comp in self.rows]
+        """The rows as nested lists, read off the word through the
+        reading layout."""
+        word = self.word
+        return [[[word[p] for p in row] for row in comp]
+                for comp in _reading_layout(self.shape)[1]]
 
     def __eq__(self, other):
         # the word determines the rows on a given shape
@@ -390,66 +394,11 @@ def reading_tableaux(shape):
 
 
 def standard_tableaux(shape):
-    """All standard tableaux of the shape in canonical order.
-
-    Enumeration places n, n-1, ... at removable corners, depth first on
-    an explicit stack (a shape may have more boxes than the interpreter
-    allows nested calls), writing each entry into the word at its box's
-    reading position and that position into the inverse word.  Placing
-    v at position p adds one inversion for each entry placed left of p,
-    as all of them are larger; the result is sorted by (depth, word),
-    which refines Bruhat order and groups the canonical basis by depth.
-    """
-    n = shape.n
-    # per component: the row lengths still to fill, with a trailing 0
-    # row, the inner row lengths and the positions of each row's boxes
-    comps = [(list(outer) + [0],
-              [shape.inner_at(k, x) for x in range(1, len(outer) + 1)],
-              positions)
-             for k, ((outer, _), positions)
-             in enumerate(zip(shape.components, _reading_layout(shape)[1]),
-                          start=1)]
-
-    def corners():
-        # the last box of row x+1 is a removable corner; reversed, so
-        # that pop() takes them in order
-        out = [(rows, x, positions[x][rows[x] - lo - 1])
-               for rows, inner, positions in comps
-               for x, lo in enumerate(inner)
-               if rows[x] > lo and rows[x + 1] < rows[x]]
-        out.reverse()
-        return out
-
-    found = []  # (depth, word, positions) of each standard tableau
-    word = [0] * n
-    where = [0] * n  # where[v - 1] is the position of the entry v
-    depth = 0
-    filled = 0  # bit p set when position p holds an entry
-    placed = []  # (rows, x, p, depth before) of the entries n, n-1, ...
-    todo = [corners()]  # per search level: the corners not yet tried
-    while todo:
-        if len(placed) == n:
-            found.append((depth, tuple(word), tuple(where)))
-        if todo[-1]:
-            rows, x, p = todo[-1].pop()
-            m = len(placed)
-            placed.append((rows, x, p, depth))
-            word[p] = n - m
-            where[n - m - 1] = p
-            # of the m larger entries, those right of p are filled >> p
-            depth += m - (filled >> p).bit_count()
-            filled |= 1 << p
-            rows[x] -= 1
-            todo.append(corners())
-        else:
-            todo.pop()
-            if placed:
-                rows, x, p, depth = placed.pop()
-                rows[x] += 1
-                filled ^= 1 << p
-    # words are distinct, so the sort never compares positions
-    found.sort()
-    return [_tableau_of_word(shape, w, d, where) for d, w, where in found]
+    """All standard tableaux of the shape in canonical order, (depth,
+    word): the nodes of its weak Bruhat graph, which is built breadth
+    first from the column reading tableau (see :mod:`bruhat`)."""
+    from .bruhat import BruhatGraph
+    return BruhatGraph(shape).nodes
 
 
 def apply_permutation(t, sigma):

@@ -364,8 +364,10 @@ def test_criterion_09_graph_and_interval_checks(graphs6):
             "youngbasis").shapes.column_reading_tableau(g.shape)
         from youngbasis.shapes import row_reading_tableau
         assert g.nodes[g.size() - 1] == row_reading_tableau(g.shape)
-        # connectivity was proven during construction; biject the node
-        # set onto the weak-order interval computed from permutations
+        # the graph is built by a search from the column reading
+        # tableau, so it is connected; biject the node set onto the
+        # weak-order interval computed from permutations, which shows
+        # the search reached every standard tableau
         table = length_tables[n]
         wc, wr = g.nodes[0].word, g.nodes[g.size() - 1].word
         lc, lr = table[wc], table[wr]

@@ -1,17 +1,20 @@
+from fractions import Fraction
 from itertools import permutations
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, strategies as st
 
 from reduced_words import bruhat_leq_subword, word_to_perm
-from walks import keep_skip_walks, walk_weight
+from walks import keep_skip_walks, r_partitions, walk_weight
 from youngbasis import perms, shapes
 from youngbasis.algebras import AlgebraSpec, WeightScheme, verify_relations
 from youngbasis.bruhat import (BruhatGraph, shortest_path,
                                shortest_paths_from, to_dot)
 from youngbasis.errors import PreconditionError
 from youngbasis.perms import bruhat_leq
-from youngbasis.shapes import Tableau, all_skew_shapes, parse_shape
+from youngbasis.shapes import (Tableau, all_partitions, all_skew_shapes,
+                               parse_shape, shape_from_parts)
 from youngbasis.transition import (check_structure, diagonal_closed_form,
                                    transition_pathsum, transition_recursive,
                                    transition_word)
@@ -171,6 +174,82 @@ def test_neighbors_match_tableau_swap(graphs_n6):
         assert g.neighbors == _swap_neighbors(g), g.shape.to_str()
 
 
+def _hook_length_count(lam):
+    """f^lam = n! over the product of the hook lengths of lam."""
+    cols = [sum(1 for part in lam if part > y) for y in range(lam[0])] \
+        if lam else []
+    return factorial(sum(lam)) // prod(
+        lam[x] - y + cols[y] - x - 1
+        for x in range(len(lam)) for y in range(lam[x]))
+
+
+def _det(a):
+    """Determinant of a square matrix of Fractions, by elimination."""
+    a = [row[:] for row in a]
+    det = Fraction(1)
+    for c in range(len(a)):
+        pivot = next((r for r in range(c, len(a)) if a[r][c]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            a[c], a[pivot] = a[pivot], a[c]
+            det = -det
+        det *= a[c][c]
+        for r in range(c + 1, len(a)):
+            ratio = a[r][c] / a[c][c]
+            a[r] = [x - ratio * y for x, y in zip(a[r], a[c])]
+    return det
+
+
+def _aitken_count(outer, inner):
+    """f^{outer/inner} = n! det[1/(outer_i - inner_j - i + j)!] (Aitken),
+    where 1/k! = 0 for k < 0."""
+    m = len(outer)
+    inner = tuple(inner) + (0,) * (m - len(inner))
+    a = [[Fraction(1, factorial(k)) if (k := outer[i] - inner[j] - i + j) >= 0
+          else Fraction(0) for j in range(m)] for i in range(m)]
+    return factorial(sum(outer) - sum(inner)) * _det(a)
+
+
+def _assert_edges_well_formed(g):
+    """Each edge joins adjacent depths, each neighbour dict is in label
+    order and its edges are recorded at both ends, and the stored up
+    edges are the label-ordered edges from one level lower."""
+    depth = g.depth
+    for v, nbrs in enumerate(g.neighbors):
+        assert list(nbrs) == sorted(nbrs)
+        for i, u in nbrs.items():
+            assert g.neighbors[u][i] == v
+            assert abs(depth[u] - depth[v]) == 1
+        assert list(g.up_edges_into(v)) == [
+            (u, i) for i, u in nbrs.items() if depth[u] == depth[v] - 1]
+
+
+def test_graph_sizes_match_closed_form_counts():
+    for n in range(11):
+        for lam in all_partitions(n):
+            g = BruhatGraph(shape_from_parts(lam))
+            assert g.size() == _hook_length_count(lam), lam
+            _assert_edges_well_formed(g)
+    # skew shapes, among them disconnected ones and ones with empty rows
+    skew = [s for n in range(1, 7) for s in all_skew_shapes(n)]
+    skew += [parse_shape(text) for text in
+             ["5,3,3,2/3,3", "4,4,3,1/4,1", "6,4,2,1/4,2", "8,1/1",
+              "4,3,2,1/2,1", "5,4,3,2/3,2,1", "5,5,3,1/5,1"]]
+    for s in skew:
+        g = BruhatGraph(s)
+        assert g.size() == _aitken_count(*s.components[0]), s.to_str()
+        _assert_edges_well_formed(g)
+    # r-multipartitions: choose each component's entries, then fill it
+    for r, top in [(2, 8), (3, 6)]:
+        for n in range(top + 1):
+            for parts in r_partitions(r, n):
+                g = BruhatGraph(shape_from_parts(*parts))
+                count = factorial(n) // prod(factorial(sum(p)) for p in parts)
+                assert g.size() == count * prod(map(_hook_length_count, parts))
+                _assert_edges_well_formed(g)
+
+
 def test_weak_order_edges_are_bruhat_comparable():
     for text in ["3,2", "3,3,1/2,1", "(2,1)|(1)"]:
         g = BruhatGraph(parse_shape(text))
@@ -237,7 +316,7 @@ def test_graph_and_recursion_build_no_inversion_set():
 
 
 def test_word_built_nodes_match_lazy_tableaux(graphs_n6):
-    # the enumeration sets word, depth and positions on each node and
+    # the graph build sets word, depth and positions on each node and
     # derives its rows; a tableau built from those rows derives the rest
     graphs = graphs_n6 + [BruhatGraph(parse_shape(text)) for text in
                           ["(2,1)|(1)@1,q^3", "(2)|(1,1)@q^0,q^5",

@@ -19,7 +19,8 @@ from youngbasis.errors import InvariantError, PreconditionError
 from youngbasis.fields import QFIELD, RATIONALS, CyclotomicField, evaluate_q
 from youngbasis.linalg import integral_pair, lowest_terms, matmul, push_column
 from youngbasis.perms import bruhat_leq
-from youngbasis.shapes import (Shape, Tableau, all_partitions, parse_shape,
+from youngbasis.shapes import (Shape, Tableau, all_partitions,
+                               all_skew_shapes, parse_shape,
                                shape_from_parts, standard_tableaux)
 from youngbasis.transition import (bench_transition, check_structure,
                                    diagonal_closed_form, grn_transition,
@@ -376,6 +377,70 @@ def test_path_independence_of_pathsum():
         tm = transition_recursive(ws)
         tp = transition_pathsum(ws, paths=perturbed)
         assert tp.matrix == tm.matrix
+
+
+def _path_dependent_edges(ws):
+    """The up edges (u, v, i) other than the first, which the recursion
+    takes, along which ``scaled_steps(i)`` pushed through the column of
+    u and reduced misses the recursion's column of v."""
+    g = ws.graph
+    m = transition_recursive(ws).matrix
+    out = []
+    for v in range(g.size()):
+        for u, i in g.up_edges_into(v)[1:]:
+            stay, move, scale = ws.scaled_steps(i)
+            col = lowest_terms(push_column(m.cols[u], stay, move),
+                               m.dens[u] * scale)
+            if col != (m.cols[v], m.dens[v]):
+                out.append((u, v, i))
+    return out
+
+
+def _path_independence_cases():
+    """Every family at rational parameters: the one-component families
+    on every skew shape with n <= 5 and every partition of 6, the
+    others on every pair of partitions with n <= 6; symbolic hecke_A on
+    every skew shape with n <= 4 and every partition of 5."""
+    def upto(n):
+        return [s for k in range(1, n + 1) for s in all_skew_shapes(k)]
+
+    def partitions(n):
+        return [shape_from_parts(lam) for lam in all_partitions(n)]
+
+    one = upto(5) + partitions(6)
+    pairs = [shape_from_parts(*parts) for n in range(1, 7)
+             for parts in r_partitions(2, n)]
+    yield AlgebraSpec("symmetric"), one
+    yield AlgebraSpec("hecke_A", q=5), one
+    yield AlgebraSpec("hecke_B", q=5, u=(2, F(1, 2))), pairs
+    yield AlgebraSpec("ariki_koike", q=7, u=(2, 3)), pairs
+    yield AlgebraSpec("wreath_grn"), pairs
+    yield AlgebraSpec("affine_placed", q=5), [
+        Shape(s.components, _PLACED) for s in pairs]
+    yield AlgebraSpec("hecke_A"), upto(4) + partitions(5)
+
+
+def test_columns_are_path_independent():
+    # every up edge into a node gives the column the recursion computes
+    # along the first
+    checked = 0
+    for spec, shapes in _path_independence_cases():
+        for shape in shapes:
+            ws = WeightScheme(spec, shape)
+            assert _path_dependent_edges(ws) == [], (spec, shape.to_str())
+            checked += sum(len(ws.graph.up_edges_into(v)) > 1
+                           for v in range(ws.graph.size()))
+    assert checked
+
+
+def test_path_independence_catches_one_wrong_coefficient(monkeypatch):
+    ws = WeightScheme(SPEC6, S321)
+    assert _path_dependent_edges(ws) == []
+    stay, move, den = ws.scaled_steps(3)
+    b, target = move[2]
+    move = move[:2] + [(b + den, target)] + move[3:]  # plus 1, over L
+    monkeypatch.setitem(ws._scaled_steps, 3, (stay, move, den))
+    assert _path_dependent_edges(ws)
 
 
 def test_op_counter_within_bound():
