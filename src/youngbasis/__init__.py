@@ -16,9 +16,8 @@ from .fields import (Cyclo, CyclotomicField, Fraction, QFIELD, QRat,
                      QRationalField, RATIONALS, RationalField,
                      check_semisimple, evaluate_q, field_by_name,
                      field_of, quantum_integer)
-from .linalg import (Matrix, direct_sum, matmul, matrix_from_json,
-                     matrix_to_csv, matrix_to_json, tensor_product,
-                     triangular_inverse)
+from .linalg import (Matrix, matmul, matrix_from_json, matrix_to_csv,
+                     matrix_to_json, triangular_inverse)
 from .shapes import (Shape, Tableau, all_partitions, all_skew_shapes,
                      alphabetizer, apply_permutation, column_reading_tableau,
                      parse_shape, reading_tableaux, row_reading_tableau,

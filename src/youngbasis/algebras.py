@@ -309,13 +309,15 @@ def _scale_steps(split, stay, move):
     denominators: stays, (move, target) or None, and L.  Each distinct
     coefficient object is split and scaled once (steps drawn from a
     scheme hold one object per key); a coefficient over L itself keeps
-    its numerator object."""
+    its numerator object.  A zero move (q^-1 + a = 0) becomes None, so
+    no column holds an explicit zero."""
     objs = {id(x): x for x in stay}
     objs.update((id(mv[0]), mv[0]) for mv in move if mv is not None)
     scaled, den = split_over_lcm(split, objs)
+    nonzero = {k: x for k, x in scaled.items() if x}
     return ([scaled[id(x)] for x in stay],
-            [None if mv is None else (scaled[id(mv[0])], mv[1])
-             for mv in move],
+            [None if mv is None or (b := nonzero.get(id(mv[0]))) is None
+             else (b, mv[1]) for mv in move],
             den)
 
 

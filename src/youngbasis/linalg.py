@@ -24,8 +24,8 @@ from math import gcd, lcm
 from .errors import FieldMismatchError, PreconditionError
 from .fields import RATIONALS, field_by_name
 
-__all__ = ["Matrix", "matmul", "triangular_inverse", "tensor_product",
-           "direct_sum", "integral_pair", "lowest_terms", "split_over_lcm",
+__all__ = ["Matrix", "matmul", "triangular_inverse", "integral_pair",
+           "lowest_terms", "split_over_lcm",
            "push_column", "table_columns",
            "string_rows", "compact_json", "matrix_to_json",
            "matrix_from_json", "matrix_to_csv"]
@@ -307,42 +307,6 @@ def triangular_inverse(a):
             _add_multiple(rest, col, -p if m == dq else p * -(m // dq), k)
             rest, den = lowest_terms(rest, m)
         out.cols[j], out.dens[j] = split_over_lcm(split, x)
-    return out
-
-
-def tensor_product(a, b):
-    """Kronecker product with row-major index pairing: the left factor
-    is the slowest-varying index."""
-    a._compat(b)
-    out = Matrix(a.nrows * b.nrows, a.ncols * b.ncols, a.field)
-    for ja, (cola, da) in enumerate(zip(a.cols, a.dens)):
-        for jb, (colb, db) in enumerate(zip(b.cols, b.dens)):
-            col = {}
-            for ia, va in cola.items():
-                for ib, vb in colb.items():
-                    col[ia * b.nrows + ib] = va * vb
-            j = ja * b.ncols + jb
-            out.cols[j], out.dens[j] = lowest_terms(col, da * db)
-    return out
-
-
-def direct_sum(blocks):
-    """Block-diagonal assembly of same-field matrices."""
-    if not blocks:
-        raise PreconditionError("direct sum of nothing")
-    field = blocks[0].field
-    for m in blocks[1:]:
-        blocks[0]._compat(m)
-    nrows = sum(m.nrows for m in blocks)
-    ncols = sum(m.ncols for m in blocks)
-    out = Matrix(nrows, ncols, field)
-    roff = coff = 0
-    for m in blocks:
-        for j, col in enumerate(m.cols):
-            out.cols[coff + j] = {roff + i: v for i, v in col.items()}
-        out.dens[coff:coff + m.ncols] = m.dens
-        roff += m.nrows
-        coff += m.ncols
     return out
 
 

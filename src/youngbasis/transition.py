@@ -29,21 +29,21 @@ reaches all three alike and they agree on it; the relations of
 
 Also here: the closed-form diagonal and the squared orthogonal diagonal,
 each a product over inversions taken on split numerators and
-denominators, and the wreath-product assembly by alphabets (direct sum
-of tensor products of per-component symmetric-group matrices).
+denominators, and the wreath-product matrix entry by entry from its
+block structure, a product of per-component symmetric-group entries
+(an oracle).
 """
 
 from __future__ import annotations
 
 import time
-from itertools import combinations
+from itertools import product
 from math import prod
 
 from .algebras import AlgebraSpec, WeightScheme, _pair_key
 from .bruhat import shortest_paths_from
 from .errors import InvariantError, PreconditionError
-from .linalg import (Matrix, direct_sum, lowest_terms, push_column,
-                     table_columns, tensor_product)
+from .linalg import Matrix, lowest_terms, push_column, table_columns
 from .perms import guard_bits, inversions, prefix_counts
 # unused here; perfbench/selftest.py checks that tracing patches this alias
 from .perms import bruhat_leq  # noqa: F401
@@ -267,74 +267,53 @@ def orthogonal_diag_squared(ws):
     return _inversion_products(ws, ws.orth_factor_squared)
 
 
-def _alphabets(entries, sizes):
-    """Ordered set partitions of `entries` with the given block sizes,
-    deterministic order."""
-    entries = tuple(entries)
-    if not sizes:
-        yield ()
-        return
-    k = sizes[0]
-    for chosen in combinations(entries, k):
-        rest = tuple(x for x in entries if x not in chosen)
-        for tail in _alphabets(rest, sizes[1:]):
-            yield (chosen,) + tail
-
-
 def grn_transition(ws):
-    """Wreath-product transition matrix of a ``wreath_grn`` scheme,
-    assembled from its block structure: one identical tensor-product
-    block of per-component symmetric-group matrices for each alphabet,
-    re-indexed into the canonical basis order."""
+    """Wreath-product transition matrix of a ``wreath_grn`` scheme from
+    its block structure: entry (S, T) is 0 unless S and T put the same
+    letters in each component, and otherwise the product over the
+    components of the symmetric-group entries of their subtableaux.
+    The reading order is component-major, so a component's subtableau
+    has for word the slice of the node's word at the component's
+    positions, each letter replaced by its rank in the slice."""
     if ws.spec.family != "wreath_grn":
         raise PreconditionError(
             f"wreath transition of a {ws.spec.family} scheme")
-    shape, graph, field = ws.shape, ws.graph, ws.field
-    comp_mats = []
-    comp_tabs = []
-    for outer, _inner in shape.components:
-        if not outer:
-            comp_mats.append(Matrix.identity(1, field))
-            comp_tabs.append([None])
-            continue
-        comp = Shape([(outer, ())])
-        tm = transition_recursive(WeightScheme(AlgebraSpec("symmetric"), comp))
-        comp_mats.append(tm.matrix)
-        comp_tabs.append(tm.matrix.basis)
-    block = comp_mats[0]
-    for mat in comp_mats[1:]:
-        block = tensor_product(block, mat)
-    sizes = [shape.component_size(k) for k in range(1, shape.r + 1)]
-    alphabets = list(_alphabets(range(1, shape.n + 1), sizes))
-    big = direct_sum([block] * len(alphabets))
-    perm = _grn_global_indices(shape, graph, alphabets, comp_tabs)
-    size = graph.size()
-    out = Matrix(size, size, field, basis=graph.nodes)
-    for j in range(big.ncols):
-        out.cols[perm[j]] = {perm[i]: v for i, v in big.cols[j].items()}
-        out.dens[perm[j]] = big.dens[j]
-    return TransitionMatrix(out, ws.spec, shape, graph)
-
-
-def _grn_global_indices(shape, graph, alphabets, comp_tabs):
-    """Global canonical index of each block-basis element, blocks by
-    alphabet and row-major (leftmost component slowest) within each."""
-    out = []
-    for alph in alphabets:
-        combos = [[]]
-        for tabs in comp_tabs:
-            combos = [c + [t] for c in combos for t in tabs]
-        for combo in combos:
-            entries = {}
-            for k, tab in enumerate(combo):
-                if tab is None:
-                    continue
-                letters = alph[k]
-                for v, box in tab.box_of.items():
-                    entries[(k + 1,) + box[1:]] = letters[v - 1]
-            t = Tableau.from_entries(shape, entries)
-            out.append(graph.index[t.rows])
-    return out
+    graph = ws.graph
+    # per component: its reading positions, its symmetric-group matrix
+    # and the index of each of its words
+    comps = []
+    start = 0
+    for outer, _inner in ws.shape.components:
+        m = transition_recursive(WeightScheme(
+            AlgebraSpec("symmetric"), Shape([(outer, ())]))).matrix
+        comps.append((slice(start, start + sum(outer)), m,
+                      {t.word: v for v, t in enumerate(m.basis)}))
+        start += sum(outer)
+    # a node's key: per component, its letters in order and the index
+    # of its subtableau
+    keys = []
+    for t in graph.nodes:
+        letters, subs = [], []
+        for part, _, index in comps:
+            piece = t.word[part]
+            rank = {x: r for r, x in enumerate(sorted(piece), 1)}
+            letters.append(tuple(rank))
+            subs.append(index[tuple(map(rank.get, piece))])
+        keys.append((tuple(letters), tuple(subs)))
+    node_of = {key: v for v, key in enumerate(keys)}
+    cols, dens = [], []
+    for letters, subs in keys:
+        blocks = [(m.cols[j], m.dens[j]) for (_, m, _), j in zip(comps, subs)]
+        col = {}
+        for entries in product(*(c.items() for c, _ in blocks)):
+            rows, xs = zip(*entries)
+            col[node_of[letters, rows]] = prod(xs)
+        col, den = lowest_terms(col, prod(d for _, d in blocks))
+        cols.append(col)
+        dens.append(den)
+    m = Matrix(len(cols), len(cols), ws.field, cols=cols, basis=graph.nodes,
+               dens=dens)
+    return TransitionMatrix(m, ws.spec, ws.shape, graph)
 
 
 def check_structure(tm):

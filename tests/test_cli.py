@@ -743,6 +743,31 @@ def test_former_tracebacks_exit_cleanly(capsys, argv, expected):
         assert json.loads(err)["error"] in ("parse", "precondition")
 
 
+@pytest.mark.parametrize("shape, column", [
+    ("(1)|(1)@1,q^2", None), ("(2)|(1)@1,q^4", None),
+    ("(2,1)|(1)@1,q^4", None), ("(1)|(1)@q^2,1", 1),
+    ("(2,1)|(1)@q^4,1", 3),
+])
+def test_a_zero_move_coefficient_exits_cleanly(capsys, shape, column):
+    # page weights a factor q^2 apart make a move q^-1 + a vanish; where
+    # it lies on the recursion's path, a diagonal entry is 0
+    argv = ["--family", "affine_placed", "--shape", shape]
+    code, out, err = run_cli(capsys, "verify", *argv)
+    report = json.loads(out)
+    failed = [c for c in report["checks"] if c["status"] == "fail"]
+    if column is None:
+        assert (code, err, report["failures"], failed) == (0, "", 0, [])
+        return
+    message = f"zero diagonal in column {column}"
+    assert (code, err, report["failures"]) == (4, "", 1)
+    assert failed == [{"relation": "transition structure", "status": "fail",
+                       "witness": {"message": message}}]
+    code, out, err = run_cli(capsys, "transition", *argv)
+    assert (code, out) == (4, "")
+    assert err.splitlines() == [json.dumps({"error": "invariant",
+                                            "message": message})]
+
+
 @pytest.mark.parametrize("family, shape", [
     ("symmetric", "2,1"), ("hecke_A", "2,1"), ("grn", "(2)|(1)"),
     ("wreath_grn", "(2)|(1)"), ("affine_placed", "(2)|(1)@1,q^3"),
@@ -763,7 +788,7 @@ def test_u_rejected_where_the_family_takes_none(capsys, family, shape):
 _SHAPES = ["1", "2,1", "3,2", "2,2,1", "4,1", "3,1,1", "5", "1,1,1,1,1",
            "3,3,1/2,1", "3,2/1", "(2,1)|(1)", "(1)|(1)|(2)", "(3,2/1)|(2)",
            "(2)|()", "(2,1)|(1)@2,3", "(2)|(1)@q^0,q^2", "3,1@1/2",
-           "(2)|(1)@1,3/2*q^2"]
+           "(2)|(1)@1,3/2*q^2", "(1)|(1)@1,q^2"]
 _NON_DIGITS = ",()|/@q^-*x"
 
 

@@ -7,16 +7,16 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from golden import SYMMETRIC_GOLDEN, TENSOR_ROWS, G24_ROWS
+from golden import SYMMETRIC_GOLDEN
 from youngbasis.algebras import (AlgebraSpec, WeightScheme,
                                  conjugate_to_natural, generators,
                                  seminormal_generator, zeroth_generator)
 from youngbasis.errors import FieldMismatchError, PreconditionError
 from youngbasis.fields import (CyclotomicField, Cyclo, QFIELD, QRat,
                                RATIONALS)
-from youngbasis.linalg import (Matrix, compact_json, direct_sum, matmul,
-                               matrix_from_json, matrix_to_csv, matrix_to_json,
-                               string_rows, tensor_product, triangular_inverse)
+from youngbasis.linalg import (Matrix, compact_json, matmul, matrix_from_json,
+                               matrix_to_csv, matrix_to_json, string_rows,
+                               triangular_inverse)
 from youngbasis.shapes import parse_shape
 from youngbasis.transition import (grn_transition, transition_pathsum,
                                    transition_recursive, transition_word)
@@ -79,44 +79,6 @@ def test_triangular_inverse_rejects_bad_input():
         triangular_inverse(z)
 
 
-def test_tensor_product_block():
-    a21 = _golden_matrix("2,1")
-    a31 = _golden_matrix("3,1")
-    t = tensor_product(a21, a31)
-    expect = [[F(v) for v in row] for row in TENSOR_ROWS]
-    assert t.to_rows() == expect
-
-
-def test_tensor_with_scalar_one():
-    a = _golden_matrix("3,2")
-    one = Matrix.identity(1, RATIONALS)
-    assert tensor_product(a, one).to_rows() == a.to_rows()
-    assert tensor_product(one, a).to_rows() == a.to_rows()
-
-
-def test_tensor_index_convention():
-    rng = random.Random(13)
-    a = Matrix.from_rows([[F(rng.randint(-3, 3)) for _ in range(3)]
-                          for _ in range(3)], RATIONALS)
-    b = Matrix.from_rows([[F(rng.randint(-3, 3)) for _ in range(2)]
-                          for _ in range(2)], RATIONALS)
-    t = tensor_product(a, b)
-    for i in range(3):
-        for j in range(2):
-            e = Matrix.from_columns(6, 1, RATIONALS, [{i * 2 + j: F(1)}])
-            out = matmul(t, e)
-            for p in range(3):
-                for qq in range(2):
-                    assert out.get(p * 2 + qq, 0) == a.get(p, i) * b.get(qq, j)
-
-
-def test_direct_sum_four_copies():
-    a21 = _golden_matrix("2,1")
-    big = direct_sum([a21] * 4)
-    expect = [[F(v) for v in row] for row in G24_ROWS]
-    assert big.to_rows() == expect
-
-
 def test_matmul_associativity_random_fields():
     rng = random.Random(31)
     cyc = CyclotomicField(3)
@@ -146,8 +108,6 @@ def test_field_and_dimension_mismatch():
     c = Matrix.identity(3, RATIONALS)
     with pytest.raises(PreconditionError):
         matmul(a, c)
-    with pytest.raises(PreconditionError):
-        direct_sum([])
 
 
 def test_json_round_trip():
@@ -277,6 +237,8 @@ def _assert_canonical(m):
     ("ariki_koike", {"q": 7, "u": (2, 3)}, "(2,1)|(1)"),
     ("wreath_grn", {}, "(2,1)|(1)"),
     ("affine_placed", {"q": 5}, "(2,1)|(1)@1,q^3"),
+    # page weights a factor q^4 apart: some move coefficients are 0
+    ("affine_placed", {}, "(2,1)|(1)@1,q^4"),
 ])
 def test_every_route_and_operation_gives_canonical_columns(family, kwargs,
                                                            text):
@@ -289,8 +251,8 @@ def test_every_route_and_operation_gives_canonical_columns(family, kwargs,
             *gens, *conjugate_to_natural(gens, tm),
             matmul(a, g), matmul(g, a), a + g, a - g, a - a,
             a.scale(2), a.scale(F(3, 4)), a.scale(ws.q), a.scale(0),
-            triangular_inverse(a), tensor_product(g, a), direct_sum([a, g]),
-            a.coerce_field(QFIELD), Matrix.from_rows(a.to_rows(), a.field),
+            triangular_inverse(a), a.coerce_field(QFIELD),
+            Matrix.from_rows(a.to_rows(), a.field),
             Matrix.identity(a.nrows, a.field)]
     if family == "wreath_grn":
         mats.append(grn_transition(ws).matrix)
@@ -315,12 +277,6 @@ def _product(x, y):
              for j in range(len(y[0]))] for i in range(len(x))]
 
 
-def _block_diagonal(x, y):
-    nx, ny = len(x[0]), len(y[0])
-    return ([row + [F(0)] * ny for row in x]
-            + [[F(0)] * nx + row for row in y])
-
-
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_operations_match_a_dense_fraction_reference(data):
@@ -341,9 +297,6 @@ def test_operations_match_a_dense_fraction_reference(data):
         (a - c, [[p - q for p, q in zip(r, w)] for r, w in zip(x, z)]),
         (a.scale(s), [[p * s for p in r] for r in x]),
         (a.scale(-6), [[p * -6 for p in r] for r in x]),
-        (tensor_product(a, b),
-         [[p * q for p in r for q in w] for r in x for w in y]),
-        (direct_sum([a, b]), _block_diagonal(x, y)),
         (Matrix.identity(n, RATIONALS), eye),
         (matmul(t, inv), eye),
     ]

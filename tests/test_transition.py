@@ -398,16 +398,17 @@ def _path_dependent_edges(ws):
 
 def _path_independence_cases():
     """Every family at rational parameters: the one-component families
-    on every skew shape with n <= 5 and every partition of 6, the
-    others on every pair of partitions with n <= 6; symbolic hecke_A on
-    every skew shape with n <= 4 and every partition of 5."""
+    on every skew shape with n <= 5, every partition of 6 and, past the
+    path-sum cap, 4,3,2,1; the others on every pair of partitions with
+    n <= 6; symbolic hecke_A on every skew shape with n <= 4, every
+    partition of 5 and 4,3,2."""
     def upto(n):
         return [s for k in range(1, n + 1) for s in all_skew_shapes(k)]
 
     def partitions(n):
         return [shape_from_parts(lam) for lam in all_partitions(n)]
 
-    one = upto(5) + partitions(6)
+    one = upto(5) + partitions(6) + [parse_shape("4,3,2,1")]
     pairs = [shape_from_parts(*parts) for n in range(1, 7)
              for parts in r_partitions(2, n)]
     yield AlgebraSpec("symmetric"), one
@@ -417,7 +418,8 @@ def _path_independence_cases():
     yield AlgebraSpec("wreath_grn"), pairs
     yield AlgebraSpec("affine_placed", q=5), [
         Shape(s.components, _PLACED) for s in pairs]
-    yield AlgebraSpec("hecke_A"), upto(4) + partitions(5)
+    yield AlgebraSpec("hecke_A"), upto(4) + partitions(5) + [
+        parse_shape("4,3,2")]
 
 
 def test_columns_are_path_independent():
@@ -557,6 +559,17 @@ def test_grn_trivial_components():
     tm = grn_transition(WeightScheme(AlgebraSpec("wreath_grn"), shape))
     assert tm.matrix.is_identity()
     assert tm.matrix.ncols == 2
+
+
+@pytest.mark.parametrize("r, top", [(2, 6), (3, 5)])
+def test_grn_block_formula_matches_the_recursion(r, top):
+    # every r-partition with n <= top, empty components included
+    spec = AlgebraSpec("wreath_grn")
+    for n in range(1, top + 1):
+        for parts in r_partitions(r, n):
+            ws = WeightScheme(spec, shape_from_parts(*parts))
+            assert grn_transition(ws).matrix == \
+                transition_recursive(ws).matrix, parts
 
 
 def test_grn_rejects_skew():
