@@ -22,7 +22,10 @@ from .bruhat import BruhatGraph, to_dot
 from .errors import (InvariantError, PreconditionError, ShapeParseError,
                      YoungBasisError)
 from .fields import parse_rational
-from .linalg import compact_json, matrix_to_csv, matrix_to_json, string_rows
+from .linalg import (cell_rows, compact_json, csv_chunks, json_chunks,
+                     matrix_to_csv, string_rows)
+# unused here; perfbench/selftest.py patches this name
+from .linalg import matrix_to_json  # noqa: F401
 from .shapes import all_partitions, parse_shape, shape_from_parts
 
 
@@ -144,15 +147,18 @@ def make_scheme(args, shape=None):
 
 
 def _emit(args, text):
+    """Write text, a string or an iterable of string pieces, to the
+    --out file or to stdout."""
+    pieces = (text,) if isinstance(text, str) else text
     if args.out:
         try:
             with open(args.out, "w") as fh:
-                fh.write(text)
+                fh.writelines(pieces)
         except OSError as exc:
             raise PreconditionError(
                 f"cannot write {args.out}: {exc.strerror}") from None
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _json_params(spec, shape, extra=None):
@@ -203,6 +209,9 @@ def _cmd_generators(args, natural):
     tmat = tr.transition_recursive(ws) if natural else None
     gens = generators(ws, args.gen)
     if natural:
+        # the inverse needs a nonzero diagonal: a degenerate module
+        # fails the check here as it does in transition and verify
+        tr.check_structure(tmat)
         mats = conjugate_to_natural([m for _, m in gens], tmat)
         gens = [(name, m) for (name, _), m in zip(gens, mats)]
     if args.format == "json":
@@ -234,20 +243,28 @@ def cmd_natural(args):
 
 def cmd_transition(args):
     ws = make_scheme(args)
+    graph, field, f = ws.graph, ws.field, ws.graph.size()
+    shape_str = ws.shape.to_str()
+    params = _json_params(ws.spec, ws.shape, {"oracle": args.oracle})
     if args.oracle == "recursive":
-        tm = tr.transition_recursive(ws)
+        columns = tr.recursive_columns(ws)
     elif args.oracle == "pathsum":
-        tm = tr.transition_pathsum(ws, n_cap=args.pathsum_cap)
+        columns = tr.transition_pathsum(ws, n_cap=args.pathsum_cap).matrix \
+            .column_stream()
     else:
-        tm = tr.transition_word(ws)
-    del ws  # free the scheme's caches before the output is built
-    tr.check_structure(tm)
-    if args.format == "json":
-        _emit(args, matrix_to_json(tm.matrix, tm.shape.to_str(),
-                                   _json_params(tm.spec, tm.shape,
-                                                {"oracle": args.oracle})))
+        columns = tr.transition_word(ws).matrix.column_stream()
+    quoted = args.format == "json"
+    # every column is checked and the grid of cells complete before a
+    # byte is written; the recursion keeps a column until its last use
+    # and the grid an upper-triangular matrix's cells from the diagonal
+    rows = cell_rows(field, f, f, tr.checked_columns(graph, columns),
+                     quoted, upper=True)
+    del ws, columns  # free the scheme's caches and an oracle's matrix
+    if quoted:
+        _emit(args, json_chunks(field, f, rows, graph.nodes, shape_str,
+                                params))
     else:
-        _emit(args, matrix_to_csv(tm.matrix))
+        _emit(args, csv_chunks(field, f, rows, graph.nodes))
     return 0
 
 

@@ -27,8 +27,9 @@ from .fields import RATIONALS, field_by_name
 __all__ = ["Matrix", "matmul", "triangular_inverse", "integral_pair",
            "lowest_terms", "split_over_lcm",
            "push_column", "table_columns",
-           "string_rows", "compact_json", "matrix_to_json",
-           "matrix_from_json", "matrix_to_csv"]
+           "cell_rows", "string_rows", "compact_json", "json_chunks",
+           "csv_chunks", "matrix_to_json", "matrix_from_json",
+           "matrix_to_csv"]
 
 
 def lowest_terms(col, den):
@@ -163,6 +164,10 @@ class Matrix:
     def column(self, j):
         join, den = self.field.join, self.dens[j]
         return {i: join(x, den) for i, x in self.cols[j].items()}
+
+    def column_stream(self):
+        """The columns as a stream of (j, numerators, den)."""
+        return zip(range(self.ncols), self.cols, self.dens)
 
     def nnz(self):
         return sum(len(c) for c in self.cols)
@@ -314,32 +319,62 @@ def triangular_inverse(a):
 # serialization
 # ---------------------------------------------------------------------------
 
-def string_rows(m, quoted=False):
-    """Rows of scalar strings, each in double quotes if quoted.  A cell
-    is plain ASCII from ``[0-9qz^*/+()-]``, so quoted it is its own JSON
-    string.  Zero cells share one string.  Cells are memoized per column
-    denominator and keyed by their numerator, a scalar by its all-int
-    ``_key``, so each distinct (numerator, denominator) pair is formatted
-    once, by the field's ``split_str``."""
-    field = m.field
-    fmt = field.split_str
-    to_str = (lambda x, den: f'"{fmt(x, den)}"') if quoted else fmt
-    zero = to_str(*field.split(field.zero))
-    rows = [[zero] * m.ncols for _ in range(m.nrows)]
+def cell_rows(field, nrows, ncols, columns, quoted=False, upper=False):
+    """Rows of scalar strings of the matrix whose columns the stream
+    columns gives as (j, numerators, den) for j = 0, 1, ..., each cell
+    in double quotes if quoted.  A cell is plain ASCII from
+    ``[0-9qz^*/+()-]``, so quoted it is its own JSON string.  Zero cells
+    share one string.  Cells are memoized per column denominator and
+    keyed by their numerator, a scalar by its all-int ``_key``, so each
+    distinct (numerator, denominator) pair is formatted once, by the
+    field's ``split_str``.
+
+    A row holds its last cells: all ncols of them, or if upper (the
+    matrix is square and upper-triangular) row i holds the cells from
+    column i on, and is made when column i arrives.  Either way cell
+    (i, j) is at index j - ncols of row i, and the row's missing
+    leading cells are zeros."""
+    to_str, zero = _cell_format(field, quoted)
+    rows = [] if upper else [[zero] * ncols for _ in range(nrows)]
     # a scalar's __hash__ and __eq__ are slow Python; its key is not
     key = None if field == RATIONALS else type(field.one)._key
     memos = {}
-    for j, (col, den) in enumerate(zip(m.cols, m.dens)):
+    for j, col, den in columns:
+        if upper:
+            rows.append([zero] * (ncols - j))
         memo = memos.get(den)
         if memo is None:
             memo = memos[den] = {}
+        k = j - ncols
         for i, x in col.items():
-            k = x if key is None else key(x)
-            s = memo.get(k)
+            c = x if key is None else key(x)
+            s = memo.get(c)
             if s is None:
-                s = memo[k] = to_str(x, den)
-            rows[i][j] = s
+                s = memo[c] = to_str(x, den)
+            rows[i][k] = s
     return rows
+
+
+def _cell_format(field, quoted):
+    """The cell formatter of (numerator, den) and the zero cell."""
+    fmt = field.split_str
+    to_str = (lambda x, den: f'"{fmt(x, den)}"') if quoted else fmt
+    return to_str, to_str(*field.split(field.zero))
+
+
+def _joined_rows(field, ncols, rows, quoted):
+    """Each row of :func:`cell_rows` as one string of ncols
+    comma-separated cells, its missing leading zeros a string repeat.  A
+    row's list is dropped once it is joined."""
+    zero = _cell_format(field, quoted)[1] + ","
+    for i, row in enumerate(rows):
+        rows[i] = None
+        yield zero * (ncols - len(row)) + ",".join(row)
+
+
+def string_rows(m, quoted=False):
+    """Rows of scalar strings of m, every row full (see cell_rows)."""
+    return cell_rows(m.field, m.nrows, m.ncols, m.column_stream(), quoted)
 
 
 def compact_json(obj):
@@ -347,23 +382,41 @@ def compact_json(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def matrix_to_json(m, shape_str=None, params=None):
-    """The compact JSON line of {shape, field, params, basis, rows}.
-    Written in pieces in sorted key order, which puts rows between
-    params and shape: the cells come quoted from string_rows, and each
-    row is joined once and its list of cells dropped."""
+def json_chunks(field, ncols, rows, basis=None, shape_str=None, params=None):
+    """The compact JSON line of {shape, field, params, basis, rows} in
+    pieces, one per row of rows (:func:`cell_rows`, quoted).  The keys
+    are in sorted order, which puts rows between params and shape."""
     head = compact_json({
-        "basis": [t.serialize() for t in m.basis] if m.basis else None,
-        "field": m.field.name,
+        "basis": [t.serialize() for t in basis] if basis else None,
+        "field": field.name,
         "params": params or {},
     })
+    yield head[:-2] + ',"rows":['
+    for i, row in enumerate(_joined_rows(field, ncols, rows, True)):
+        yield (",[" if i else "[") + row + "]"
+    yield '],"shape":' + json.dumps(shape_str) + "}\n"
+
+
+def csv_chunks(field, ncols, rows, basis=None):
+    """A header line of basis words, then one line per row of rows
+    (:func:`cell_rows`), each line a piece."""
+    if basis is not None:
+        words = [" ".join(str(x) for x in t.word) for t in basis]
+    else:
+        words = [str(j + 1) for j in range(ncols)]
+    yield "," + ",".join(words) + "\n"
+    labels = words if basis is not None and len(rows) == ncols \
+        else [str(i + 1) for i in range(len(rows))]
+    for label, row in zip(labels, _joined_rows(field, ncols, rows, False)):
+        yield label + "," + row + "\n"
+
+
+def matrix_to_json(m, shape_str=None, params=None):
+    """The compact JSON line of {shape, field, params, basis, rows}: the
+    join of :func:`json_chunks`."""
     rows = string_rows(m, quoted=True)
-    parts = [head[:-2], ',"rows":[']
-    for i, row in enumerate(rows):
-        rows[i] = None
-        parts.append((",[" if i else "[") + ",".join(row) + "]")
-    parts += ['],"shape":', json.dumps(shape_str), "}\n"]
-    return "".join(parts)
+    return "".join(json_chunks(m.field, m.ncols, rows, m.basis, shape_str,
+                               params))
 
 
 def matrix_from_json(text, shape=None):
@@ -381,14 +434,6 @@ def matrix_from_json(text, shape=None):
 
 
 def matrix_to_csv(m):
-    """Header row of basis words, then one line per row of scalar strings."""
-    if m.basis is not None:
-        words = [" ".join(str(x) for x in t.word) for t in m.basis]
-    else:
-        words = [str(j + 1) for j in range(m.ncols)]
-    lines = ["," + ",".join(words)]
-    row_labels = words if m.basis is not None and m.nrows == m.ncols \
-        else [str(i + 1) for i in range(m.nrows)]
-    for label, row in zip(row_labels, string_rows(m)):
-        lines.append(label + "," + ",".join(row))
-    return "\n".join(lines) + "\n"
+    """Header row of basis words, then one line per row of scalar
+    strings: the join of :func:`csv_chunks`."""
+    return "".join(csv_chunks(m.field, m.ncols, string_rows(m), m.basis))

@@ -3,8 +3,10 @@
 Three independent computation routes are provided:
 
 * :func:`transition_recursive` -- the production path: columns in depth
-  order, each new column a two-term combination of one previous column
-  (at most two scalar multiplications per nonzero entry),
+  order, each new column a two-term combination of one column one depth
+  level lower (at most two scalar multiplications per nonzero entry).
+  :func:`recursive_columns` gives them as a stream that keeps a column
+  only until its last use; the matrix collects it,
 * :func:`transition_pathsum`  -- explicit enumeration of the weighted
   subpaths of a fixed path per column (exponential; oracle),
 * :func:`transition_word`     -- generator matrices applied along a
@@ -26,6 +28,11 @@ matrix of the table's numerators (:func:`linalg.table_columns`) with
 ``Matrix.apply``, a kernel of its own.  So a fault in that scaling
 reaches all three alike and they agree on it; the relations of
 :func:`algebras.verify_relations` and the closed-form diagonal catch it.
+
+The structural check (:func:`checked_columns`) reads a column stream
+too, and passes each column on once it is checked; the ``transition``
+command streams the recursion through it into the serializer, and
+:func:`check_structure` runs it over a finished matrix's columns.
 
 Also here: the closed-form diagonal and the squared orthogonal diagonal,
 each a product over inversions taken on split numerators and
@@ -54,7 +61,8 @@ __all__ = [
     "transition_recursive", "transition_pathsum", "transition_word",
     "diagonal_closed_form",
     "orthogonal_diag_squared", "grn_transition",
-    "check_structure", "bench_transition",
+    "recursive_columns", "checked_columns", "check_structure",
+    "bench_transition",
 ]
 
 PATHSUM_DEFAULT_CAP = 7
@@ -112,27 +120,40 @@ def _count_ops(counter, prev_col, stay, move):
                 counter.adds += 1
 
 
-def transition_recursive(ws, counter=None):
-    """Transition matrix by the two-term column recursion.
-
-    Columns are computed in depth order (the order of the graph's
-    nodes); column C is e_C, and the column of T is obtained from the
-    column of T' = s_l(T) (l the smallest label stepping down in weak
-    order) by the seminormal two-term rule.
-    """
+def recursive_columns(ws, counter=None):
+    """The two-term column recursion as a stream: yields (v, column,
+    den) for every node v in order (the graph's depth order).  Column C
+    is e_C, and the column of T is obtained from the column of
+    T' = s_l(T) (l the smallest label stepping down in weak order) by
+    the seminormal two-term rule.  A column is kept only until the last
+    column computed from it; every up edge joins adjacent depth levels,
+    so at most two levels are held."""
     graph = ws.graph
-    size = graph.size()
-    cols = [None] * size
-    dens = [1] * size
-    cols[0] = {0: ws.field.split(ws.field.one)[0]}
-    for v in range(1, size):
-        u, label = graph.up_edges_into(v)[0]
+    sources = [graph.up_edges_into(v)[0] for v in range(1, graph.size())]
+    last_use = {u: v for v, (u, _) in enumerate(sources, 1)}
+    col, den = {0: ws.field.split(ws.field.one)[0]}, 1
+    kept = {0: (col, den)}
+    yield 0, col, den
+    for v, (u, label) in enumerate(sources, 1):
         stay, move, scale = ws.scaled_steps(label)
-        cols[v], dens[v] = lowest_terms(push_column(cols[u], stay, move),
-                                        dens[u] * scale)
+        col, den = kept[u] if last_use[u] > v else kept.pop(u)
         if counter is not None:
-            _count_ops(counter, cols[u], stay, move)
-    m = Matrix(size, size, ws.field, cols=cols, basis=graph.nodes,
+            _count_ops(counter, col, stay, move)
+        col, den = lowest_terms(push_column(col, stay, move), den * scale)
+        if v in last_use:
+            kept[v] = col, den
+        yield v, col, den
+
+
+def transition_recursive(ws, counter=None):
+    """Transition matrix by the two-term column recursion: the columns
+    of :func:`recursive_columns` collected into a matrix."""
+    graph = ws.graph
+    cols, dens = [], []
+    for _, col, den in recursive_columns(ws, counter):
+        cols.append(col)
+        dens.append(den)
+    m = Matrix(len(cols), len(cols), ws.field, cols=cols, basis=graph.nodes,
                dens=dens)
     return TransitionMatrix(m, ws.spec, ws.shape, graph)
 
@@ -316,39 +337,49 @@ def grn_transition(ws):
     return TransitionMatrix(m, ws.spec, ws.shape, graph)
 
 
-def check_structure(tm):
-    """Structural invariants of a computed transition matrix:
-    upper-triangularity, the Bruhat zero pattern, and diagonal blocks
-    per depth level.  Raises InvariantError on violation."""
-    m = tm.matrix
-    graph = tm.graph
-    if not m.is_upper_triangular():
-        raise InvariantError("transition matrix is not upper-triangular")
+def checked_columns(graph, columns):
+    """The column stream columns, (j, numerators, den) in node order,
+    each column passed on once it meets the structural invariants of a
+    transition matrix on graph: upper-triangularity, a nonzero diagonal
+    entry, diagonal blocks per depth level and the Bruhat zero pattern.
+    Raises InvariantError at the first column that violates one, so a
+    consumer sees only checked columns."""
     depth = graph.depth
     guarded = None
-    for j, col in enumerate(m.cols):
-        if j not in col or not col[j]:
+    for j, col, den in columns:
+        if max(col, default=j) > j:
+            raise InvariantError("transition matrix is not upper-triangular")
+        if not col.get(j):
             raise InvariantError(f"zero diagonal in column {j}")
-        if len(col) == 1:
-            continue  # a diagonal entry is Bruhat below itself
-        if guarded is None:
-            # the Bruhat criterion depends on each node alone: pack its
-            # counts once, so an entry costs one subtraction (see
-            # perms.guard_bits); a diagonal matrix packs none
-            guard = guard_bits(tm.shape.n)
-            guarded = [prefix_counts(t.word) | guard for t in graph.nodes]
-        counts_j, depth_j = guarded[j] ^ guard, depth[j]
-        for i in col:
-            if i == j:
-                continue
-            # distinct nodes of equal depth are Bruhat-incomparable, so
-            # test the depth block first to give the sharper message
-            if depth[i] == depth_j:
-                raise InvariantError(
-                    f"off-diagonal entry ({i},{j}) inside a depth block")
-            if (guarded[i] - counts_j) & guard != guard:
-                raise InvariantError(
-                    f"nonzero entry at ({i},{j}) violates the Bruhat pattern")
+        # a diagonal entry is Bruhat below itself
+        if len(col) > 1:
+            if guarded is None:
+                # the Bruhat criterion depends on each node alone: pack
+                # its counts once, so an entry costs one subtraction (see
+                # perms.guard_bits); a diagonal matrix packs none
+                guard = guard_bits(graph.shape.n)
+                guarded = [prefix_counts(t.word) | guard
+                           for t in graph.nodes]
+            counts_j, depth_j = guarded[j] ^ guard, depth[j]
+            for i in col:
+                if i == j:
+                    continue
+                # distinct nodes of equal depth are Bruhat-incomparable,
+                # so test the depth block first for the sharper message
+                if depth[i] == depth_j:
+                    raise InvariantError(
+                        f"off-diagonal entry ({i},{j}) inside a depth block")
+                if (guarded[i] - counts_j) & guard != guard:
+                    raise InvariantError(f"nonzero entry at ({i},{j}) "
+                                         "violates the Bruhat pattern")
+        yield j, col, den
+
+
+def check_structure(tm):
+    """The checks of :func:`checked_columns` on every column of a
+    computed transition matrix.  Raises InvariantError on violation."""
+    for _ in checked_columns(tm.graph, tm.matrix.column_stream()):
+        pass
     return True
 
 

@@ -631,13 +631,39 @@ def test_pathsum_walks_a_deep_path_without_recursing():
     assert len(json.loads(done.stdout)["rows"]) == 200
 
 
-def test_out_file(tmp_path, capsys):
+# one shape of each algebra family
+_FAMILY_ARGV = [
+    "--shape 3,2,1",
+    "--family hecke_A --shape 3,2",
+    "--family hecke_B --u 2,1/2 --shape (2,1)|(1)",
+    "--family ariki_koike --u 2,3 --q 5 --shape (2,1)|(1)",
+    "--family wreath_grn --shape (2,1)|(1)",
+    "--family affine_placed --shape (2,1)|(1)@1,q^3",
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("oracle", ["recursive", "pathsum", "word"])
+@pytest.mark.parametrize("family_argv", _FAMILY_ARGV)
+def test_out_file(tmp_path, capsys, family_argv, oracle, fmt):
+    argv = ["transition", *family_argv.split(" "), "--oracle", oracle,
+            "--format", fmt]
+    code, expected, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    target = tmp_path / f"a.{fmt}"
+    assert run_cli(capsys, *argv, "--out", str(target)) == (0, "", "")
+    assert target.read_bytes() == expected.encode()
+
+
+def test_out_file_is_not_created_when_a_column_fails_the_check(tmp_path,
+                                                                capsys):
     target = tmp_path / "a.json"
-    code, out, _ = run_cli(capsys, "transition", "--shape", "2,1",
-                           "--out", str(target))
-    assert code == 0 and out == ""
-    obj = json.loads(target.read_text())
-    assert obj["shape"] == "2,1"
+    code, out, err = run_cli(capsys, "transition", "--family",
+                             "affine_placed", "--shape", "(1)|(1)@q^2,1",
+                             "--out", str(target))
+    assert (code, out) == (4, "")
+    assert json.loads(err)["error"] == "invariant"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_out_to_a_missing_directory_exits_3(tmp_path, capsys):
@@ -757,15 +783,18 @@ def test_a_zero_move_coefficient_exits_cleanly(capsys, shape, column):
     failed = [c for c in report["checks"] if c["status"] == "fail"]
     if column is None:
         assert (code, err, report["failures"], failed) == (0, "", 0, [])
+        assert run_cli(capsys, "natural", *argv)[0] == 0
         return
     message = f"zero diagonal in column {column}"
     assert (code, err, report["failures"]) == (4, "", 1)
     assert failed == [{"relation": "transition structure", "status": "fail",
                        "witness": {"message": message}}]
-    code, out, err = run_cli(capsys, "transition", *argv)
-    assert (code, out) == (4, "")
-    assert err.splitlines() == [json.dumps({"error": "invariant",
-                                            "message": message})]
+    # natural checks the matrix it inverts as transition does
+    for command in ("transition", "natural"):
+        code, out, err = run_cli(capsys, command, *argv)
+        assert (code, out) == (4, "")
+        assert err.splitlines() == [json.dumps({"error": "invariant",
+                                                "message": message})]
 
 
 @pytest.mark.parametrize("family, shape", [
@@ -935,33 +964,49 @@ def test_negative_rationals_parse_as_written(capsys, family, shape, option,
         assert json.loads(spaced[2])["error"] == "precondition"
 
 
+def _run_under_memory_limit(argv, megabytes):
+    """The CLI on argv in a child process under an address-space limit."""
+    import resource
+    limit = megabytes * 2 ** 20
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    return subprocess.run([sys.executable, "-m", "youngbasis.cli", *argv],
+                          capture_output=True, text=True, timeout=120,
+                          preexec_fn=cap, env={"PYTHONPATH": str(src)})
+
+
 @pytest.mark.parametrize("argv", [
-    ["transition", "--shape", "5,4,3", "--format", "json"],
-    ["transition", "--shape", "5,4,3", "--format", "csv"],
+    ["transition", "--shape", "6,5,2", "--format", "json"],
+    ["transition", "--shape", "6,5,2", "--format", "csv"],
     ["natural", "--shape", "5,4,3", "--format", "json"],
     ["seminormal", "--shape", "5,4,3", "--format", "json"],
     ["verify", "--shape", "5,4,3"],
     ["bench", "--shape", "5,4,3"],
 ])
 def test_running_out_of_memory_exits_3_with_one_diagnostic(argv):
-    # only in a child under an address-space limit.  transition exits 3
-    # from 20 to 100 MB in both formats and fits from 110 MB (csv) and
-    # 125 MB (json), so 60 MB keeps a margin from either edge
-    import resource
-    limit = 60 * 2 ** 20
-
-    def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-    src = Path(__file__).resolve().parent.parent / "src"
-    done = subprocess.run([sys.executable, "-m", "youngbasis.cli", *argv],
-                          capture_output=True, text=True, timeout=120,
-                          preexec_fn=cap, env={"PYTHONPATH": str(src)})
+    # only in a child under an address-space limit.  transition on 6,5,2
+    # exits 3 from 20 to 150 MB in both formats and fits from 160 MB, so
+    # 60 MB keeps a margin from either edge
+    done = _run_under_memory_limit(argv, 60)
     assert done.returncode == 3 and done.stdout == ""
     lines = done.stderr.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0]) == {"error": "memory",
                                     "message": "out of memory"}
+
+
+def test_transition_streams_under_a_limit_the_whole_matrix_exceeds(capsys):
+    # transition streams its columns through the check into a grid of
+    # cells from the diagonal on: 5,4,3 fits from 45 MB.  The matrix, a
+    # dense grid of cells and the output text together need 125 MB
+    argv = ["transition", "--shape", "5,4,3", "--format", "json"]
+    done = _run_under_memory_limit(argv, 80)
+    assert (done.returncode, done.stderr) == (0, "")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and done.stdout == out
 
 
 @pytest.mark.parametrize("argv", [

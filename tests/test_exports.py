@@ -32,7 +32,9 @@ def test_every_package_import_resolves():
 
 def test_benchmark_tracer_targets_resolve(capsys):
     # the tracer wraps functions by name and finds the op counter by the
-    # parameter name "counter": a renamed target would go untraced
+    # parameter name "counter": a renamed target would go untraced.
+    # verify builds its matrix with transition_recursive (transition
+    # streams the columns of recursive_columns instead)
     path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
@@ -42,7 +44,7 @@ def test_benchmark_tracer_targets_resolve(capsys):
     t.install()
     try:
         assert set(t.missing) <= {"youngbasis.weights:plain_axial_weight"}
-        assert t.root(main, ["transition", "--shape", "3,2,1"]) == 0
+        assert t.root(main, ["verify", "--shape", "3,2,1"]) == 0
     finally:
         t.uninstall()
     capsys.readouterr()

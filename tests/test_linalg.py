@@ -14,7 +14,8 @@ from youngbasis.algebras import (AlgebraSpec, WeightScheme,
 from youngbasis.errors import FieldMismatchError, PreconditionError
 from youngbasis.fields import (CyclotomicField, Cyclo, QFIELD, QRat,
                                RATIONALS)
-from youngbasis.linalg import (Matrix, compact_json, matmul, matrix_from_json,
+from youngbasis.linalg import (Matrix, cell_rows, compact_json, csv_chunks,
+                               json_chunks, matmul, matrix_from_json,
                                matrix_to_csv, matrix_to_json, string_rows,
                                triangular_inverse)
 from youngbasis.shapes import parse_shape
@@ -185,6 +186,27 @@ def test_json_writer_matches_one_compact_json_call():
         # the cells need no JSON escaping, so quoting them is json.dumps
         for row in string_rows(m):
             assert all(re.fullmatch(r"[0-9qz^*/+()-]+", c) for c in row)
+
+
+@pytest.mark.parametrize("spec, text", [
+    (AlgebraSpec("symmetric"), "4,2,1"), (AlgebraSpec("hecke_A"), "3,2,1"),
+    (AlgebraSpec("ariki_koike", q=5, u=(2, 3)), "(2,1)|(1)"),
+    (AlgebraSpec("symmetric"), "1"), (AlgebraSpec("symmetric"), "()")])
+def test_upper_triangular_rows_start_at_the_diagonal(spec, text):
+    m = transition_recursive(WeightScheme(spec, parse_shape(text))).matrix
+    f = m.ncols
+    zero = m.field.to_str(m.field.zero)
+    for quoted in (False, True):
+        rows = cell_rows(m.field, f, f, m.column_stream(), quoted,
+                         upper=True)
+        assert rows == [row[i:] for i, row in enumerate(
+            string_rows(m, quoted))]
+    assert all(row[:i] == [zero] * i for i, row in enumerate(string_rows(m)))
+    rows = cell_rows(m.field, f, f, m.column_stream(), True, upper=True)
+    assert "".join(json_chunks(m.field, f, rows, m.basis, text)) == \
+        matrix_to_json(m, text)
+    rows = cell_rows(m.field, f, f, m.column_stream(), upper=True)
+    assert "".join(csv_chunks(m.field, f, rows, m.basis)) == matrix_to_csv(m)
 
 
 def test_cells_of_a_column_are_reduced_one_by_one():
