@@ -148,6 +148,9 @@ class AlgebraSpec:
         if self.preset.pages == "shape":
             if not all(shape.weights):
                 raise PreconditionError("page weights must be nonzero")
+        elif any(w != 1 for w in shape.weights):
+            raise PreconditionError(
+                f"{self.family} takes its page weights from u, not the shape")
         elif self.preset.u != "distinct" and shape.r != len(self.u):
             raise PreconditionError(
                 f"shape has {shape.r} components but {self.family} "

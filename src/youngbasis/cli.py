@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 
@@ -158,7 +159,19 @@ def _emit(args, text):
             raise PreconditionError(
                 f"cannot write {args.out}: {exc.strerror}") from None
     else:
-        sys.stdout.writelines(pieces)
+        try:
+            # flushed here, so a closed pipe is reported as --out's
+            # errors are and not at shutdown
+            sys.stdout.writelines(pieces)
+            sys.stdout.flush()
+        except BrokenPipeError as exc:
+            # what is still buffered goes to devnull at shutdown
+            try:
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            except (AttributeError, OSError):  # stdout has no descriptor
+                pass
+            raise PreconditionError(
+                f"cannot write stdout: {exc.strerror}") from None
 
 
 def _json_params(spec, shape, extra=None):
@@ -249,17 +262,16 @@ def cmd_transition(args):
     if args.oracle == "recursive":
         columns = tr.recursive_columns(ws)
     elif args.oracle == "pathsum":
-        columns = tr.transition_pathsum(ws, n_cap=args.pathsum_cap).matrix \
-            .column_stream()
+        columns = tr.pathsum_columns(ws, n_cap=args.pathsum_cap)
     else:
-        columns = tr.transition_word(ws).matrix.column_stream()
+        columns = tr.word_columns(ws)
     quoted = args.format == "json"
     # every column is checked and the grid of cells complete before a
-    # byte is written; the recursion keeps a column until its last use
-    # and the grid an upper-triangular matrix's cells from the diagonal
+    # byte is written; a route holds at most two depth levels and the
+    # grid an upper-triangular matrix's cells from the diagonal
     rows = cell_rows(field, f, f, tr.checked_columns(graph, columns),
                      quoted, upper=True)
-    del ws, columns  # free the scheme's caches and an oracle's matrix
+    del ws, columns  # free the scheme's caches
     if quoted:
         _emit(args, json_chunks(field, f, rows, graph.nodes, shape_str,
                                 params))

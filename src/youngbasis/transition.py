@@ -1,17 +1,16 @@
 """Transition matrices between the natural and seminormal bases.
 
-Three independent computation routes are provided:
+Three independent routes give the columns as a stream of (v,
+numerators, den) in node order; :class:`TransitionMatrix` collects one:
 
-* :func:`transition_recursive` -- the production path: columns in depth
-  order, each new column a two-term combination of one column one depth
-  level lower (at most two scalar multiplications per nonzero entry).
-  :func:`recursive_columns` gives them as a stream that keeps a column
-  only until its last use; the matrix collects it,
-* :func:`transition_pathsum`  -- explicit enumeration of the weighted
+* :func:`recursive_columns` -- the production path: each new column a
+  two-term combination of one column one depth level lower (at most
+  two scalar multiplications per nonzero entry),
+* :func:`pathsum_columns` -- explicit enumeration of the weighted
   subpaths of a fixed path per column (exponential; oracle),
-* :func:`transition_word`     -- generator matrices applied along a
-  reduced word per column, a different word from the recursion's
-  (oracle).
+* :func:`word_columns` -- generator matrices applied along a reduced
+  word per column, a different word from the recursion's (oracle).
+  It walks the up edges as the recursion does (:func:`_edge_columns`).
 
 Each route, and each diagonal, takes one
 :class:`~youngbasis.algebras.WeightScheme`, which holds the spec, the
@@ -20,7 +19,7 @@ shape and its weak Bruhat graph.
 Every route keeps a column as numerators over one denominator in lowest
 terms, the column form of :class:`~youngbasis.linalg.Matrix`: ints over
 an int on the rationals, the field's own scalars over 1 elsewhere, and
-hands its columns to the matrix as they are.  All three read the step
+hands its columns on as they are.  All three read the step
 tables of ``WeightScheme.scaled_steps``: the recursion pushes a column
 through a table with :func:`linalg.push_column`, the path-sum route
 multiplies table entries along subpaths, and the word route applies the
@@ -31,8 +30,8 @@ reaches all three alike and they agree on it; the relations of
 
 The structural check (:func:`checked_columns`) reads a column stream
 too, and passes each column on once it is checked; the ``transition``
-command streams the recursion through it into the serializer, and
-:func:`check_structure` runs it over a finished matrix's columns.
+command streams the route asked for through it into the serializer,
+and :func:`check_structure` runs it over a finished matrix's columns.
 
 Also here: the closed-form diagonal and the squared orthogonal diagonal,
 each a product over inversions taken on split numerators and
@@ -61,7 +60,8 @@ __all__ = [
     "transition_recursive", "transition_pathsum", "transition_word",
     "diagonal_closed_form",
     "orthogonal_diag_squared", "grn_transition",
-    "recursive_columns", "checked_columns", "check_structure",
+    "recursive_columns", "pathsum_columns", "word_columns",
+    "checked_columns", "check_structure",
     "bench_transition",
 ]
 
@@ -80,18 +80,17 @@ class OpCounter:
 
 
 class TransitionMatrix:
-    """A computed transition matrix with the spec, shape and graph it
-    was computed on."""
+    """A transition matrix collected from a column stream, with the
+    spec, shape and graph of the scheme it was computed on."""
 
-    def __init__(self, matrix, spec, shape, graph):
-        self.matrix = matrix
-        self.spec = spec
-        self.shape = shape
-        self.graph = graph
-
-    @property
-    def basis(self):
-        return self.matrix.basis
+    def __init__(self, ws, columns):
+        cols, dens = [], []
+        for _, col, den in columns:
+            cols.append(col)
+            dens.append(den)
+        self.matrix = Matrix(len(cols), len(cols), ws.field, cols=cols,
+                             basis=ws.graph.nodes, dens=dens)
+        self.spec, self.shape, self.graph = ws.spec, ws.shape, ws.graph
 
     def entry(self, s, t):
         """Entry addressed by tableaux or by row tuples."""
@@ -120,46 +119,46 @@ def _count_ops(counter, prev_col, stay, move):
                 counter.adds += 1
 
 
-def recursive_columns(ws, counter=None):
-    """The two-term column recursion as a stream: yields (v, column,
-    den) for every node v in order (the graph's depth order).  Column C
-    is e_C, and the column of T is obtained from the column of
-    T' = s_l(T) (l the smallest label stepping down in weak order) by
-    the seminormal two-term rule.  A column is kept only until the last
-    column computed from it; every up edge joins adjacent depth levels,
-    so at most two levels are held."""
+def _edge_columns(ws, pick, step):
+    """Columns along prefix-closed words: yields (v, column, den) for
+    every node v in order.  Column C is e_C, and the column of v is
+    step(column, den, label) of the column of u, (u, label) the up edge
+    at index pick into v.  A column is kept until its last use; every up
+    edge joins adjacent depth levels, so at most two levels are held."""
     graph = ws.graph
-    sources = [graph.up_edges_into(v)[0] for v in range(1, graph.size())]
+    sources = [graph.up_edges_into(v)[pick] for v in range(1, graph.size())]
     last_use = {u: v for v, (u, _) in enumerate(sources, 1)}
     col, den = {0: ws.field.split(ws.field.one)[0]}, 1
     kept = {0: (col, den)}
     yield 0, col, den
     for v, (u, label) in enumerate(sources, 1):
-        stay, move, scale = ws.scaled_steps(label)
         col, den = kept[u] if last_use[u] > v else kept.pop(u)
-        if counter is not None:
-            _count_ops(counter, col, stay, move)
-        col, den = lowest_terms(push_column(col, stay, move), den * scale)
+        col, den = step(col, den, label)
         if v in last_use:
             kept[v] = col, den
         yield v, col, den
 
 
+def recursive_columns(ws, counter=None):
+    """The two-term column recursion as a stream: the column of T is the
+    column of T' = s_l(T), l the smallest label stepping down in weak
+    order, pushed through the step table of l, its ops counted."""
+    def step(col, den, label):
+        stay, move, scale = ws.scaled_steps(label)
+        if counter is not None:
+            _count_ops(counter, col, stay, move)
+        return lowest_terms(push_column(col, stay, move), den * scale)
+
+    return _edge_columns(ws, 0, step)
+
+
 def transition_recursive(ws, counter=None):
-    """Transition matrix by the two-term column recursion: the columns
-    of :func:`recursive_columns` collected into a matrix."""
-    graph = ws.graph
-    cols, dens = [], []
-    for _, col, den in recursive_columns(ws, counter):
-        cols.append(col)
-        dens.append(den)
-    m = Matrix(len(cols), len(cols), ws.field, cols=cols, basis=graph.nodes,
-               dens=dens)
-    return TransitionMatrix(m, ws.spec, ws.shape, graph)
+    """Transition matrix by the two-term column recursion."""
+    return TransitionMatrix(ws, recursive_columns(ws, counter))
 
 
-def transition_pathsum(ws, paths=None, n_cap=PATHSUM_DEFAULT_CAP):
-    """Transition matrix as explicit sums of weighted subpaths.
+def pathsum_columns(ws, paths=None, n_cap=PATHSUM_DEFAULT_CAP):
+    """The columns as explicit sums of weighted subpaths.
 
     For each column a fixed path from C is walked; every subpath (each
     label kept or replaced by the identity, all visited tableaux
@@ -175,11 +174,8 @@ def transition_pathsum(ws, paths=None, n_cap=PATHSUM_DEFAULT_CAP):
     graph = ws.graph
     if paths is None:
         paths = shortest_paths_from(graph, 0)
-    size = graph.size()
     one = ws.field.split(ws.field.one)[0]
-    cols = [None] * size
-    dens = [1] * size
-    for v in range(size):
+    for v in range(graph.size()):
         steps = [ws.scaled_steps(i) for i in paths[v].labels]
         depth = len(steps)
         # (steps taken, node, weight) of each open subpath; the stay
@@ -210,32 +206,27 @@ def transition_pathsum(ws, paths=None, n_cap=PATHSUM_DEFAULT_CAP):
                 cur = bucket.get(tgt)
                 w = weight * mv[0]
                 bucket[tgt] = w if cur is None else cur + w
-        cols[v], dens[v] = lowest_terms(
-            {i: w for i, w in bucket.items() if w},
-            prod(scale for _, _, scale in steps))
-    m = Matrix(size, size, ws.field, cols=cols, basis=graph.nodes,
-               dens=dens)
-    return TransitionMatrix(m, ws.spec, ws.shape, graph)
+        yield v, *lowest_terms({i: w for i, w in bucket.items() if w},
+                               prod(scale for _, _, scale in steps))
 
 
-def transition_word(ws):
-    """Full transition matrix via the word-product route (oracle): column
-    T is the product of generator matrices along a reduced word of T,
-    applied to e_C.  The word ends in the largest label stepping down
-    from T, where the recursion uses the smallest, so the two routes
-    read different coefficients wherever T has two or more down edges.
-    These words are prefix-closed: each column is one generator applied
-    to the column of a node one level lower.  Each generator is applied
-    as S over L, S the matrix of the numerators of
-    ``ws.scaled_steps(label)``, built once per label in this call."""
-    graph = ws.graph
-    size = graph.size()
-    cols = [None] * size
-    dens = [1] * size
-    cols[0] = {0: ws.field.split(ws.field.one)[0]}
+def transition_pathsum(ws, paths=None, n_cap=PATHSUM_DEFAULT_CAP):
+    """Transition matrix as explicit sums of weighted subpaths (oracle)."""
+    return TransitionMatrix(ws, pathsum_columns(ws, paths, n_cap))
+
+
+def word_columns(ws):
+    """The word-product route as a stream (oracle): column T is the
+    product of generator matrices along a reduced word of T, applied to
+    e_C.  The word ends in the largest label stepping down from T, where
+    the recursion uses the smallest, so the two routes read different
+    coefficients wherever T has two or more down edges.  Each generator
+    is applied as S over L, S the matrix of the numerators of
+    ``ws.scaled_steps(label)``, built once per label in this stream."""
+    size = ws.graph.size()
     gens = {}
-    for v in range(1, size):
-        u, label = graph.up_edges_into(v)[-1]
+
+    def step(col, den, label):
         gen = gens.get(label)
         if gen is None:
             stay, move, scale = ws.scaled_steps(label)
@@ -243,10 +234,14 @@ def transition_word(ws):
                                         cols=table_columns(stay, move)),
                                  scale)
         s, scale = gen
-        cols[v], dens[v] = lowest_terms(s.apply(cols[u]), dens[u] * scale)
-    m = Matrix(size, size, ws.field, cols=cols, basis=graph.nodes,
-               dens=dens)
-    return TransitionMatrix(m, ws.spec, ws.shape, graph)
+        return lowest_terms(s.apply(col), den * scale)
+
+    return _edge_columns(ws, -1, step)
+
+
+def transition_word(ws):
+    """Full transition matrix via the word-product route (oracle)."""
+    return TransitionMatrix(ws, word_columns(ws))
 
 
 def _inversion_products(ws, factor):
@@ -299,7 +294,6 @@ def grn_transition(ws):
     if ws.spec.family != "wreath_grn":
         raise PreconditionError(
             f"wreath transition of a {ws.spec.family} scheme")
-    graph = ws.graph
     # per component: its reading positions, its symmetric-group matrix
     # and the index of each of its words
     comps = []
@@ -313,7 +307,7 @@ def grn_transition(ws):
     # a node's key: per component, its letters in order and the index
     # of its subtableau
     keys = []
-    for t in graph.nodes:
+    for t in ws.graph.nodes:
         letters, subs = [], []
         for part, _, index in comps:
             piece = t.word[part]
@@ -322,19 +316,18 @@ def grn_transition(ws):
             subs.append(index[tuple(map(rank.get, piece))])
         keys.append((tuple(letters), tuple(subs)))
     node_of = {key: v for v, key in enumerate(keys)}
-    cols, dens = [], []
-    for letters, subs in keys:
-        blocks = [(m.cols[j], m.dens[j]) for (_, m, _), j in zip(comps, subs)]
-        col = {}
-        for entries in product(*(c.items() for c, _ in blocks)):
-            rows, xs = zip(*entries)
-            col[node_of[letters, rows]] = prod(xs)
-        col, den = lowest_terms(col, prod(d for _, d in blocks))
-        cols.append(col)
-        dens.append(den)
-    m = Matrix(len(cols), len(cols), ws.field, cols=cols, basis=graph.nodes,
-               dens=dens)
-    return TransitionMatrix(m, ws.spec, ws.shape, graph)
+
+    def columns():
+        for v, (letters, subs) in enumerate(keys):
+            blocks = [(m.cols[j], m.dens[j])
+                      for (_, m, _), j in zip(comps, subs)]
+            col = {}
+            for entries in product(*(c.items() for c, _ in blocks)):
+                rows, xs = zip(*entries)
+                col[node_of[letters, rows]] = prod(xs)
+            yield v, *lowest_terms(col, prod(d for _, d in blocks))
+
+    return TransitionMatrix(ws, columns())
 
 
 def checked_columns(graph, columns):
@@ -384,12 +377,14 @@ def check_structure(tm):
 
 
 def bench_transition(ws):
-    """Timing + operation-count record for one shape's recursion."""
+    """Timing + operation-count record for one shape's recursion, its
+    column stream drained without building the matrix."""
     counter = OpCounter()
     t0 = time.perf_counter()
-    tm = transition_recursive(ws, counter=counter)
+    for _ in recursive_columns(ws, counter):
+        pass
     seconds = time.perf_counter() - t0
-    f = tm.matrix.ncols
+    f = ws.graph.size()
     return {
         "shape": ws.shape.to_str(),
         "f": f,

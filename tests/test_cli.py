@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import re
 import subprocess
@@ -810,6 +812,28 @@ def test_u_rejected_where_the_family_takes_none(capsys, family, shape):
     assert "takes no parameters u" in diagnostic["message"]
 
 
+@pytest.mark.parametrize("argv, weights", [
+    ("--shape 2,1", "@5"),
+    ("--family hecke_A --q 3 --shape 2,1", "@q^2"),
+    ("--family ariki_koike --u 2,3 --q 5 --shape (2)|(1)", "@7,9"),
+    ("--family grn --shape (1)|(1)", "@2,3"),
+])
+def test_shape_weights_rejected_where_the_family_takes_them_from_u(
+        capsys, argv, weights):
+    # only affine_placed reads its page weights from the shape (argv
+    # ends in the shape, so the weights are appended to it)
+    for command in ("transition", "verify"):
+        code, out, err = run_cli(capsys, command, *(argv + weights).split())
+        assert (code, out) == (3, "")
+        diagnostic = json.loads(err)
+        assert diagnostic["error"] == "precondition"
+        assert "page weights from u" in diagnostic["message"]
+    # weights of 1 change nothing
+    ones = "@" + ",".join(["1"] * (weights.count(",") + 1))
+    assert run_cli(capsys, "transition", *(argv + ones).split()) == \
+        run_cli(capsys, "transition", *argv.split())
+
+
 # ---------------------------------------------------------------------------
 # fuzzing the CLI contract: exit 0, or 2/3/4 with one JSON line on stderr
 # ---------------------------------------------------------------------------
@@ -984,12 +1008,14 @@ def _run_under_memory_limit(argv, megabytes):
     ["natural", "--shape", "5,4,3", "--format", "json"],
     ["seminormal", "--shape", "5,4,3", "--format", "json"],
     ["verify", "--shape", "5,4,3"],
-    ["bench", "--shape", "5,4,3"],
+    ["bench", "--shape", "6,5,3"],
 ])
 def test_running_out_of_memory_exits_3_with_one_diagnostic(argv):
     # only in a child under an address-space limit.  transition on 6,5,2
-    # exits 3 from 20 to 150 MB in both formats and fits from 160 MB, so
-    # 60 MB keeps a margin from either edge
+    # exits 3 from 20 to 150 MB in both formats and fits from 160 MB, and
+    # bench, which holds two depth levels, on 6,5,3 (f = 15,015) exits 3
+    # from 20 to 180 MB and fits from 220 MB, so 60 MB keeps a margin
+    # from either edge
     done = _run_under_memory_limit(argv, 60)
     assert done.returncode == 3 and done.stdout == ""
     lines = done.stderr.splitlines()
@@ -998,15 +1024,51 @@ def test_running_out_of_memory_exits_3_with_one_diagnostic(argv):
                                     "message": "out of memory"}
 
 
-def test_transition_streams_under_a_limit_the_whole_matrix_exceeds(capsys):
-    # transition streams its columns through the check into a grid of
-    # cells from the diagonal on: 5,4,3 fits from 45 MB.  The matrix, a
-    # dense grid of cells and the output text together need 125 MB
-    argv = ["transition", "--shape", "5,4,3", "--format", "json"]
-    done = _run_under_memory_limit(argv, 80)
+def _without_seconds(text):
+    """bench's CSV rows without the wall-time column."""
+    return [row[:2] + row[3:] for row in csv.reader(io.StringIO(text))]
+
+
+@pytest.mark.parametrize("argv, megabytes", [
+    ("transition --shape 5,4,3 --format json", 80),
+    ("transition --oracle word --shape 5,4,3 --format json", 70),
+    ("bench --shape 5,4,3", 45),
+])
+def test_transition_streams_under_a_limit_the_whole_matrix_exceeds(
+        capsys, argv, megabytes):
+    # every route streams its columns, holding at most two depth levels,
+    # and transition writes them through the check into a grid of cells
+    # from the diagonal on.  On 5,4,3: transition fits from 45 MB, where
+    # the matrix, a dense grid of cells and the output text together
+    # needed 125 MB; the word oracle fits from 50 MB, where its whole
+    # matrix needed 88 MB; bench fits from 28 MB, where its matrix
+    # needed 68 MB
+    argv = argv.split(" ")
+    done = _run_under_memory_limit(argv, megabytes)
     assert (done.returncode, done.stderr) == (0, "")
     code, out, _ = run_cli(capsys, *argv)
-    assert code == 0 and done.stdout == out
+    assert code == 0
+    if argv[0] == "bench":
+        assert _without_seconds(done.stdout) == _without_seconds(out)
+    else:
+        assert done.stdout == out
+
+
+def test_a_closed_stdout_pipe_exits_3_with_one_diagnostic():
+    # the rows are written one at a time: the reader takes 10 bytes of
+    # an 11.7 MB CSV and closes the pipe while they are being written
+    src = Path(__file__).resolve().parent.parent / "src"
+    with subprocess.Popen(
+            [sys.executable, "-m", "youngbasis.cli", "transition",
+             "--shape", "5,4,3", "--format", "csv"], stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, env={"PYTHONPATH": str(src)}) as child:
+        assert len(child.stdout.read(10)) == 10
+        child.stdout.close()
+        err = child.stderr.read().decode()
+        assert child.wait(timeout=120) == 3
+    assert err.splitlines() == [json.dumps({
+        "error": "precondition",
+        "message": "cannot write stdout: Broken pipe"})]
 
 
 @pytest.mark.parametrize("argv", [

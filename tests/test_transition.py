@@ -446,12 +446,21 @@ def test_path_independence_catches_one_wrong_coefficient(monkeypatch):
 
 
 def test_op_counter_within_bound():
-    for text in ["3,2", "3,2,1", "3,3,1/2,1"]:
+    # bench drains the recursion's column stream: the pinned rows fix
+    # its f and counts on 4,3,2,1
+    for spec, text, pinned in [
+            (SPEC6, "3,2", None), (SPEC6, "3,2,1", None),
+            (SPEC6, "3,3,1/2,1", None),
+            (SPEC6, "4,3,2,1", (768, 161926, 139144, 22782, 1181184)),
+            (AlgebraSpec("hecke_A", q=5), "4,3,2,1",
+             (768, 163561, 140383, 23178, 1181184))]:
         shape = parse_shape(text)
-        rec = bench_transition(
-            WeightScheme(AlgebraSpec("symmetric"), shape))
+        rec = bench_transition(WeightScheme(spec, shape))
         assert rec["scalar_ops"] <= rec["op_bound"]
         assert rec["f"] == len(standard_tableaux(shape))
+        if pinned:
+            assert pinned == tuple(rec[k] for k in (
+                "f", "scalar_ops", "mults", "adds", "op_bound")), text
 
 
 def test_op_counts_are_exact():
