@@ -15,6 +15,7 @@ import json
 import os
 import re
 import sys
+from itertools import chain, count
 
 from . import transition as tr
 from .algebras import (AlgebraSpec, FAMILIES, WeightScheme,
@@ -23,8 +24,8 @@ from .bruhat import BruhatGraph, to_dot
 from .errors import (InvariantError, PreconditionError, ShapeParseError,
                      YoungBasisError)
 from .fields import parse_rational
-from .linalg import (cell_rows, compact_json, csv_chunks, json_chunks,
-                     matrix_to_csv, string_rows)
+from .linalg import (cell_rows, compact_json, csv_chunks, joined_rows,
+                     json_chunks)
 # unused here; perfbench/selftest.py patches this name
 from .linalg import matrix_to_json  # noqa: F401
 from .shapes import all_partitions, parse_shape, shape_from_parts
@@ -149,12 +150,17 @@ def make_scheme(args, shape=None):
 
 def _emit(args, text):
     """Write text, a string or an iterable of string pieces, to the
-    --out file or to stdout."""
+    --out file or to stdout.  A regular or new --out file is replaced
+    whole after the last piece (:func:`_replace_file`)."""
     pieces = (text,) if isinstance(text, str) else text
     if args.out:
         try:
-            with open(args.out, "w") as fh:
-                fh.writelines(pieces)
+            if os.path.exists(args.out) and not os.path.isfile(args.out):
+                # such as /dev/stdout or a FIFO: written as it is
+                with open(args.out, "w") as fh:
+                    fh.writelines(pieces)
+            else:
+                _replace_file(os.path.realpath(args.out), pieces)
         except OSError as exc:
             raise PreconditionError(
                 f"cannot write {args.out}: {exc.strerror}") from None
@@ -174,14 +180,42 @@ def _emit(args, text):
                 f"cannot write stdout: {exc.strerror}") from None
 
 
-def _json_params(spec, shape, extra=None):
-    params = {"family": spec.family, "r": shape.r,
-              "q": "sym" if spec.q is None else str(spec.q)}
+def _replace_file(path, pieces):
+    """Write pieces to a new file beside path and move it onto path after
+    the last piece, so a failure midway leaves path as it was and no new
+    file.  An existing path must be writable, as open(path, "w") needs,
+    and passes its permissions on; a new path gets open's defaults."""
+    mode = None
+    if os.path.exists(path):
+        open(path, "a").close()  # fails where open(path, "w") would
+        mode = os.stat(path).st_mode
+    for i in count():
+        tmp = f"{path}.{os.getpid()}.{i}.tmp"
+        try:
+            fh = open(tmp, "x")
+            break
+        except FileExistsError:
+            pass
+    try:
+        with fh:
+            if mode is not None:
+                os.chmod(tmp, mode)
+            fh.writelines(pieces)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _json_head(ws, **extra):
+    """The basis, params (extra ones added) and shape of a JSON output."""
+    spec = ws.spec
+    params = {"family": spec.family, "r": ws.shape.r,
+              "q": "sym" if spec.q is None else str(spec.q), **extra}
     if spec.preset.q == "free" and spec.u:  # the Hecke families echo u
         params["u"] = [str(x) for x in spec.u]
-    if extra:
-        params.update(extra)
-    return params
+    return {"basis": [t.serialize() for t in ws.graph.nodes],
+            "params": params, "shape": ws.shape.to_str()}
 
 
 def cmd_tableaux(args):
@@ -227,22 +261,22 @@ def _cmd_generators(args, natural):
         tr.check_structure(tmat)
         mats = conjugate_to_natural([m for _, m in gens], tmat)
         gens = [(name, m) for (name, _), m in zip(gens, mats)]
-    if args.format == "json":
-        obj = {
-            "shape": ws.shape.to_str(),
-            "params": _json_params(ws.spec, ws.shape, {
-                "basis_kind": "natural" if natural else "seminormal"}),
-            "basis": [t.serialize() for t in ws.graph.nodes],
-            "generators": [
-                {"name": name, "field": m.field.name, "rows": string_rows(m)}
-                for name, m in gens],
-        }
-        _emit(args, compact_json(obj))
+    quoted = args.format == "json"
+    # a grid is made when the writer reaches it, so one is held at a time
+    grids = ((name, m, cell_rows(m.field, m.nrows, m.ncols,
+                                 m.column_stream(), quoted))
+             for name, m in gens)
+    if quoted:
+        _emit(args, chain(json_chunks(dict(
+            _json_head(ws, basis_kind="natural" if natural else "seminormal"),
+            generators=({"field": m.field.name, "name": name,
+                         "rows": joined_rows(m.field, m.ncols, rows, True)}
+                        for name, m, rows in grids))), "\n"))
     else:
-        chunks = []
-        for name, m in gens:
-            chunks.append(f"# generator {name}\n" + matrix_to_csv(m))
-        _emit(args, "".join(chunks))
+        _emit(args, chain.from_iterable(
+            chain((f"# generator {name}\n",),
+                  csv_chunks(m.field, m.ncols, rows, m.basis))
+            for name, m, rows in grids))
     return 0
 
 
@@ -257,8 +291,6 @@ def cmd_natural(args):
 def cmd_transition(args):
     ws = make_scheme(args)
     graph, field, f = ws.graph, ws.field, ws.graph.size()
-    shape_str = ws.shape.to_str()
-    params = _json_params(ws.spec, ws.shape, {"oracle": args.oracle})
     if args.oracle == "recursive":
         columns = tr.recursive_columns(ws)
     elif args.oracle == "pathsum":
@@ -271,10 +303,12 @@ def cmd_transition(args):
     # grid an upper-triangular matrix's cells from the diagonal
     rows = cell_rows(field, f, f, tr.checked_columns(graph, columns),
                      quoted, upper=True)
+    head = _json_head(ws, oracle=args.oracle) if quoted else None
     del ws, columns  # free the scheme's caches
     if quoted:
-        _emit(args, json_chunks(field, f, rows, graph.nodes, shape_str,
-                                params))
+        _emit(args, chain(json_chunks(dict(
+            head, field=field.name, rows=joined_rows(field, f, rows, True))),
+            "\n"))
     else:
         _emit(args, csv_chunks(field, f, rows, graph.nodes))
     return 0
@@ -285,11 +319,8 @@ def cmd_orthogonal(args):
     field = ws.field
     strs = [field.to_str(v) for v in tr.orthogonal_diag_squared(ws)]
     if args.format == "json":
-        obj = {"shape": ws.shape.to_str(), "field": field.name,
-               "params": _json_params(ws.spec, ws.shape),
-               "basis": [t.serialize() for t in ws.graph.nodes],
-               "diag_squared": strs}
-        _emit(args, compact_json(obj))
+        _emit(args, compact_json(dict(_json_head(ws), field=field.name,
+                                      diag_squared=strs)))
     else:
         lines = ["word,diag_squared"]
         for t, v in zip(ws.graph.nodes, strs):

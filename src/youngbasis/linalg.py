@@ -14,6 +14,11 @@ Such a matrix is also kept as a step table (stays, moves, den): column v
 holds stays[v] at row v and, where moves[v] = (b, target), b at row
 target, all over den.  :func:`push_column` multiplies a sparse column by
 a table's numerators, at most two products per entry.
+
+Serialization reads a stream of columns into a grid of cell strings
+(:func:`cell_rows`) and writes it in pieces, one row at a time:
+:func:`json_chunks` is the one JSON writer, of any object, and
+:func:`csv_chunks` writes CSV.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from .fields import RATIONALS, field_by_name
 __all__ = ["Matrix", "matmul", "triangular_inverse", "integral_pair",
            "lowest_terms", "split_over_lcm",
            "push_column", "table_columns",
-           "cell_rows", "string_rows", "compact_json", "json_chunks",
+           "cell_rows", "joined_rows", "compact_json", "json_chunks",
            "csv_chunks", "matrix_to_json", "matrix_from_json",
            "matrix_to_csv"]
 
@@ -334,7 +339,9 @@ def cell_rows(field, nrows, ncols, columns, quoted=False, upper=False):
     column i on, and is made when column i arrives.  Either way cell
     (i, j) is at index j - ncols of row i, and the row's missing
     leading cells are zeros."""
-    to_str, zero = _cell_format(field, quoted)
+    fmt = field.split_str
+    to_str = (lambda x, den: f'"{fmt(x, den)}"') if quoted else fmt
+    zero = to_str(*field.split(field.zero))
     rows = [] if upper else [[zero] * ncols for _ in range(nrows)]
     # a scalar's __hash__ and __eq__ are slow Python; its key is not
     key = None if field == RATIONALS else type(field.one)._key
@@ -355,26 +362,15 @@ def cell_rows(field, nrows, ncols, columns, quoted=False, upper=False):
     return rows
 
 
-def _cell_format(field, quoted):
-    """The cell formatter of (numerator, den) and the zero cell."""
-    fmt = field.split_str
-    to_str = (lambda x, den: f'"{fmt(x, den)}"') if quoted else fmt
-    return to_str, to_str(*field.split(field.zero))
-
-
-def _joined_rows(field, ncols, rows, quoted):
-    """Each row of :func:`cell_rows` as one string of ncols
-    comma-separated cells, its missing leading zeros a string repeat.  A
-    row's list is dropped once it is joined."""
-    zero = _cell_format(field, quoted)[1] + ","
+def joined_rows(field, ncols, rows, quoted=False):
+    """Each row of :func:`cell_rows` as one string of ncols comma-separated
+    cells, in brackets (a JSON array) if quoted: missing leading zeros are
+    a string repeat, and a row's list is dropped once it is joined."""
+    zero = (json.dumps if quoted else str)(field.to_str(field.zero)) + ","
+    head, tail = ("[", "]") if quoted else ("", "")
     for i, row in enumerate(rows):
         rows[i] = None
-        yield zero * (ncols - len(row)) + ",".join(row)
-
-
-def string_rows(m, quoted=False):
-    """Rows of scalar strings of m, every row full (see cell_rows)."""
-    return cell_rows(m.field, m.nrows, m.ncols, m.column_stream(), quoted)
+        yield head + zero * (ncols - len(row)) + ",".join(row) + tail
 
 
 def compact_json(obj):
@@ -382,19 +378,25 @@ def compact_json(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def json_chunks(field, ncols, rows, basis=None, shape_str=None, params=None):
-    """The compact JSON line of {shape, field, params, basis, rows} in
-    pieces, one per row of rows (:func:`cell_rows`, quoted).  The keys
-    are in sorted order, which puts rows between params and shape."""
-    head = compact_json({
-        "basis": [t.serialize() for t in basis] if basis else None,
-        "field": field.name,
-        "params": params or {},
-    })
-    yield head[:-2] + ',"rows":['
-    for i, row in enumerate(_joined_rows(field, ncols, rows, True)):
-        yield (",[" if i else "[") + row + "]"
-    yield '],"shape":' + json.dumps(shape_str) + "}\n"
+def json_chunks(obj):
+    """The text of :func:`compact_json` of obj, less its newline, in pieces.
+    A dict is written key by key and an iterator as an array, item by item
+    as produced: a str item is JSON text, any other item is written by this
+    function.  Anything else, a list too, is one ``json.dumps``."""
+    if isinstance(obj, dict):
+        for i, key in enumerate(sorted(obj)):
+            yield ("," if i else "{") + json.dumps(key) + ":"
+            yield from json_chunks(obj[key])
+        yield "}" if obj else "{}"
+    elif hasattr(obj, "__next__"):
+        sep = "["
+        for item in obj:
+            yield sep
+            yield from (item,) if isinstance(item, str) else json_chunks(item)
+            sep = ","
+        yield "]" if sep == "," else "[]"
+    else:
+        yield compact_json(obj)[:-1]
 
 
 def csv_chunks(field, ncols, rows, basis=None):
@@ -407,16 +409,19 @@ def csv_chunks(field, ncols, rows, basis=None):
     yield "," + ",".join(words) + "\n"
     labels = words if basis is not None and len(rows) == ncols \
         else [str(i + 1) for i in range(len(rows))]
-    for label, row in zip(labels, _joined_rows(field, ncols, rows, False)):
+    for label, row in zip(labels, joined_rows(field, ncols, rows)):
         yield label + "," + row + "\n"
 
 
 def matrix_to_json(m, shape_str=None, params=None):
     """The compact JSON line of {shape, field, params, basis, rows}: the
     join of :func:`json_chunks`."""
-    rows = string_rows(m, quoted=True)
-    return "".join(json_chunks(m.field, m.ncols, rows, m.basis, shape_str,
-                               params))
+    rows = cell_rows(m.field, m.nrows, m.ncols, m.column_stream(), True)
+    return "".join(json_chunks({
+        "basis": [t.serialize() for t in m.basis] if m.basis else None,
+        "field": m.field.name, "params": params or {},
+        "rows": joined_rows(m.field, m.ncols, rows, True),
+        "shape": shape_str})) + "\n"
 
 
 def matrix_from_json(text, shape=None):
@@ -436,4 +441,5 @@ def matrix_from_json(text, shape=None):
 def matrix_to_csv(m):
     """Header row of basis words, then one line per row of scalar
     strings: the join of :func:`csv_chunks`."""
-    return "".join(csv_chunks(m.field, m.ncols, string_rows(m), m.basis))
+    rows = cell_rows(m.field, m.nrows, m.ncols, m.column_stream())
+    return "".join(csv_chunks(m.field, m.ncols, rows, m.basis))

@@ -645,16 +645,71 @@ _FAMILY_ARGV = [
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-@pytest.mark.parametrize("oracle", ["recursive", "pathsum", "word"])
+@pytest.mark.parametrize("route", ["recursive", "pathsum", "word",
+                                   "seminormal", "natural"])
 @pytest.mark.parametrize("family_argv", _FAMILY_ARGV)
-def test_out_file(tmp_path, capsys, family_argv, oracle, fmt):
-    argv = ["transition", *family_argv.split(" "), "--oracle", oracle,
-            "--format", fmt]
+def test_out_file(tmp_path, capsys, family_argv, route, fmt):
+    # a route is a transition oracle or a generator command
+    argv = [*family_argv.split(" "), "--format", fmt]
+    argv = [route, *argv] if route in ("seminormal", "natural") else \
+        ["transition", *argv, "--oracle", route]
     code, expected, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "")
     target = tmp_path / f"a.{fmt}"
     assert run_cli(capsys, *argv, "--out", str(target)) == (0, "", "")
     assert target.read_bytes() == expected.encode()
+    assert list(tmp_path.iterdir()) == [target]
+
+
+def test_out_file_is_left_as_it_was_when_the_output_fails_midway(
+        tmp_path, capsys, monkeypatch):
+    # the basis is written before the first grid of cells is made, and
+    # the second grid runs out of memory
+    from youngbasis import cli
+    original, calls = cli.cell_rows, []
+
+    def cell_rows(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise MemoryError
+        return original(*args, **kwargs)
+    monkeypatch.setattr(cli, "cell_rows", cell_rows)
+    target = tmp_path / "a.json"
+    target.write_text("old")
+    code, out, err = run_cli(capsys, "seminormal", "--shape", "3,2",
+                             "--out", str(target))
+    assert (code, out) == (3, "") and len(calls) == 2
+    assert [json.loads(line) for line in err.splitlines()] == [
+        {"error": "memory", "message": "out of memory"}]
+    assert target.read_text() == "old"
+    assert list(tmp_path.iterdir()) == [target]
+
+
+def test_out_writes_through_a_symlink_and_keeps_the_mode(tmp_path, capsys):
+    argv = ["seminormal", "--shape", "3,2"]
+    code, expected, _ = run_cli(capsys, *argv)
+    assert code == 0
+    target, link = tmp_path / "a.json", tmp_path / "link.json"
+    target.write_text("old")
+    target.chmod(0o600)
+    link.symlink_to(target)
+    assert run_cli(capsys, *argv, "--out", str(link)) == (0, "", "")
+    assert link.is_symlink() and target.read_text() == expected
+    assert target.stat().st_mode & 0o777 == 0o600
+    assert sorted(tmp_path.iterdir()) == [target, link]
+
+
+def test_out_to_a_file_that_is_not_regular_is_written_directly():
+    src = Path(__file__).resolve().parent.parent / "src"
+    argv = [sys.executable, "-m", "youngbasis.cli", "seminormal", "--shape",
+            "3,2"]
+    expected = subprocess.run(argv, capture_output=True, text=True,
+                              timeout=120, env={"PYTHONPATH": str(src)})
+    done = subprocess.run([*argv, "--out", "/dev/stdout"],
+                          capture_output=True, text=True, timeout=120,
+                          env={"PYTHONPATH": str(src)})
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == expected.stdout != ""
 
 
 def test_out_file_is_not_created_when_a_column_fails_the_check(tmp_path,
@@ -962,6 +1017,17 @@ GENERATOR_DIGESTS = {
         "482da87d471680525a7ada92cb8d764b4c29f070ea6b7cbad24b6229c7b814f8",
     "seminormal --family affine_placed --shape (2,1)|(1)@1,q^3 --q 5 --gen x1":
         "294deefccdd2b646388e6c621e4d259d481d969f9896d8673497f0d3ef23a560",
+    # no generators, the empty shape, and a large output
+    "seminormal --shape 1":
+        "6b4149688a196d315127035c64de962ee2b5cc279db4a94081b4b558cb784fce",
+    "seminormal --shape 1 --format csv":
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "natural --shape ()":
+        "2187129ff7699cd11ae69186e62b6cd0a318e454cfd15ddd9858009bd81f76f9",
+    "seminormal --shape 4,3,2,1 --format json":
+        "971d1a9f96d16625b435d7520463325b84726d3c196eef940bc6f28fe9e835d0",
+    "seminormal --shape 4,3,2,1 --format csv":
+        "665e42ff96d8856af20489558f474bde5a32d05d5043ab45d43b1bc7db13e4dc",
 }
 
 
@@ -1006,16 +1072,20 @@ def _run_under_memory_limit(argv, megabytes):
     ["transition", "--shape", "6,5,2", "--format", "json"],
     ["transition", "--shape", "6,5,2", "--format", "csv"],
     ["natural", "--shape", "5,4,3", "--format", "json"],
-    ["seminormal", "--shape", "5,4,3", "--format", "json"],
-    ["verify", "--shape", "5,4,3"],
+    ["seminormal", "--shape", "6,5,3", "--format", "json"],
+    ["verify", "--shape", "6,5,2"],
     ["bench", "--shape", "6,5,3"],
 ])
 def test_running_out_of_memory_exits_3_with_one_diagnostic(argv):
     # only in a child under an address-space limit.  transition on 6,5,2
-    # exits 3 from 20 to 150 MB in both formats and fits from 160 MB, and
+    # exits 3 from 20 to 150 MB in both formats and fits from 160 MB;
     # bench, which holds two depth levels, on 6,5,3 (f = 15,015) exits 3
-    # from 20 to 180 MB and fits from 220 MB, so 60 MB keeps a margin
-    # from either edge
+    # from 20 to 180 MB and fits from 220 MB; natural on 5,4,3 exits 3
+    # with no output from 20 to 200 MB; seminormal on 6,5,3 exits 3 with
+    # no output from 20 to 105 MB, and from 115 MB writes its 645 kB
+    # basis before the first 15,015-square grid fails; verify on 6,5,2
+    # exits 3 from 20 to 250 MB and fits from 270 MB.  So 60 MB keeps a
+    # margin from every edge
     done = _run_under_memory_limit(argv, 60)
     assert done.returncode == 3 and done.stdout == ""
     lines = done.stderr.splitlines()
@@ -1033,8 +1103,9 @@ def _without_seconds(text):
     ("transition --shape 5,4,3 --format json", 80),
     ("transition --oracle word --shape 5,4,3 --format json", 70),
     ("bench --shape 5,4,3", 45),
+    ("seminormal --shape 4,3,2,1 --format json", 60),
 ])
-def test_transition_streams_under_a_limit_the_whole_matrix_exceeds(
+def test_matrix_commands_stream_under_a_limit_the_whole_output_exceeds(
         capsys, argv, megabytes):
     # every route streams its columns, holding at most two depth levels,
     # and transition writes them through the check into a grid of cells
@@ -1042,7 +1113,9 @@ def test_transition_streams_under_a_limit_the_whole_matrix_exceeds(
     # the matrix, a dense grid of cells and the output text together
     # needed 125 MB; the word oracle fits from 50 MB, where its whole
     # matrix needed 88 MB; bench fits from 28 MB, where its matrix
-    # needed 68 MB
+    # needed 68 MB.  seminormal holds one generator's grid at a time: on
+    # 4,3,2,1 it fits from 30 MB, where every grid and the output text
+    # together needed 110 MB
     argv = argv.split(" ")
     done = _run_under_memory_limit(argv, megabytes)
     assert (done.returncode, done.stderr) == (0, "")

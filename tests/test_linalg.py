@@ -15,12 +15,17 @@ from youngbasis.errors import FieldMismatchError, PreconditionError
 from youngbasis.fields import (CyclotomicField, Cyclo, QFIELD, QRat,
                                RATIONALS)
 from youngbasis.linalg import (Matrix, cell_rows, compact_json, csv_chunks,
-                               json_chunks, matmul, matrix_from_json,
-                               matrix_to_csv, matrix_to_json, string_rows,
-                               triangular_inverse)
+                               joined_rows, json_chunks, matmul,
+                               matrix_from_json, matrix_to_csv,
+                               matrix_to_json, triangular_inverse)
 from youngbasis.shapes import parse_shape
 from youngbasis.transition import (grn_transition, transition_pathsum,
                                    transition_recursive, transition_word)
+
+
+def _full_rows(m, quoted=False):
+    """Rows of scalar strings of m, every row full."""
+    return cell_rows(m.field, m.nrows, m.ncols, m.column_stream(), quoted)
 
 
 def _golden_matrix(key):
@@ -130,7 +135,7 @@ def _reference_json(m, shape_str=None, params=None):
     """The JSON writer as one compact_json call on the whole object, with
     every cell formatted on its own."""
     rows = [[m.field.to_str(v) for v in row] for row in m.to_rows()]
-    assert string_rows(m) == rows
+    assert _full_rows(m) == rows
     return compact_json({
         "shape": shape_str,
         "field": m.field.name,
@@ -167,7 +172,7 @@ def test_json_writer_matches_one_compact_json_call():
     halves = Matrix.from_rows([[F(1, 2), F(1, 2)], [F(0), F(1, 4)]],
                               RATIONALS)
     assert halves.cols == [{0: 1}, {0: 2, 1: 1}] and halves.dens == [2, 4]
-    assert string_rows(halves) == [["1/2", "1/2"], ["0", "1/4"]]
+    assert _full_rows(halves) == [["1/2", "1/2"], ["0", "1/4"]]
     cases = [(rational, ("3,2", {"family": "symmetric"})),
              (symbolic, ("3,2", {"family": "hecke_A", "q": "q"})),
              (cyclo, ("(2,1)|(1)|(1)", {"family": "wreath_grn"})),
@@ -184,7 +189,7 @@ def test_json_writer_matches_one_compact_json_call():
     for m, args in cases:
         assert matrix_to_json(m, *args) == _reference_json(m, *args)
         # the cells need no JSON escaping, so quoting them is json.dumps
-        for row in string_rows(m):
+        for row in _full_rows(m):
             assert all(re.fullmatch(r"[0-9qz^*/+()-]+", c) for c in row)
 
 
@@ -200,13 +205,41 @@ def test_upper_triangular_rows_start_at_the_diagonal(spec, text):
         rows = cell_rows(m.field, f, f, m.column_stream(), quoted,
                          upper=True)
         assert rows == [row[i:] for i, row in enumerate(
-            string_rows(m, quoted))]
-    assert all(row[:i] == [zero] * i for i, row in enumerate(string_rows(m)))
+            _full_rows(m, quoted))]
+    assert all(row[:i] == [zero] * i for i, row in enumerate(_full_rows(m)))
     rows = cell_rows(m.field, f, f, m.column_stream(), True, upper=True)
-    assert "".join(json_chunks(m.field, f, rows, m.basis, text)) == \
-        matrix_to_json(m, text)
+    assert "".join(json_chunks({
+        "basis": [t.serialize() for t in m.basis] if m.basis else None,
+        "field": m.field.name, "params": {},
+        "rows": joined_rows(m.field, f, rows, True),
+        "shape": text})) + "\n" == matrix_to_json(m, text)
     rows = cell_rows(m.field, f, f, m.column_stream(), upper=True)
     assert "".join(csv_chunks(m.field, f, rows, m.basis)) == matrix_to_csv(m)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=20)
+
+
+def _streamed(value, draw):
+    """value with each list that draw picks as an iterator of its items:
+    a leaf as its JSON text, a container streamed in the same way."""
+    if isinstance(value, dict):
+        return {k: _streamed(v, draw) for k, v in value.items()}
+    if isinstance(value, list) and draw(st.booleans()):
+        return iter([_streamed(x, draw) if isinstance(x, (list, dict))
+                     else json.dumps(x) for x in value])
+    return value
+
+
+@given(_JSON_VALUES, st.data())
+def test_json_writer_matches_json_dumps(value, data):
+    text = json.dumps(value, sort_keys=True, separators=(",", ":"))
+    assert "".join(json_chunks(value)) == text
+    assert "".join(json_chunks(_streamed(value, data.draw))) == text
 
 
 def test_cells_of_a_column_are_reduced_one_by_one():
@@ -216,11 +249,11 @@ def test_cells_of_a_column_are_reduced_one_by_one():
                                       {1: -2, 3: 1}], dens=[8, 6, 2])
     expect = [["1/2", "-1", "0"], ["1/4", "0", "-1"], ["3/8", "0", "0"],
               ["0", "3/2", "1/2"]]
-    assert string_rows(m) == expect
+    assert _full_rows(m) == expect
     assert expect == [[str(v) for v in row] for row in m.to_rows()]
     assert matrix_to_csv(m) == ",1,2,3\n" + "".join(
         f"{i + 1},{','.join(row)}\n" for i, row in enumerate(expect))
-    assert string_rows(m, quoted=True)[1] == ['"1/4"', '"0"', '"-1"']
+    assert _full_rows(m, quoted=True)[1] == ['"1/4"', '"0"', '"-1"']
 
 
 def test_csv_has_word_header():
