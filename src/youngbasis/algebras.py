@@ -58,7 +58,7 @@ from .errors import (DegenerateWeightError, NonSemisimpleError,
 from .fields import (QFIELD, Cyclo, CyclotomicField, QRat,
                      check_semisimple, evaluate_q, field_of)
 from .linalg import (Matrix, lowest_terms, matmul, push_column,
-                     split_over_lcm, table_columns)
+                     split_over_lcm, table_columns, triangular_solve)
 from .shapes import _reading_layout
 from .weights import q_axial_weight, weighted_content
 
@@ -403,20 +403,16 @@ def generators(ws, gen=None):
 
 
 def conjugate_to_natural(matrices, transition):
-    """A^{-1} M A for each seminormal-basis matrix M, inverting A once;
-    a matrix over a larger field (s_0 of a wreath product) gets A and
-    A^{-1} coerced into that field."""
-    from .linalg import triangular_inverse
-    amat = transition.matrix
-    inv = triangular_inverse(amat)
+    """A^{-1} M A for each seminormal-basis matrix M, as the X with
+    A X = M A: one product and one back substitution each, and no A^{-1}.
+    A matrix over a larger field (s_0 of a wreath product) gets A
+    coerced into that field."""
     out = []
     for m in matrices:
-        a, a_inv = amat, inv
+        a = transition.matrix
         if m.field != a.field:
-            a, a_inv = a.coerce_field(m.field), a_inv.coerce_field(m.field)
-        n = matmul(matmul(a_inv, m), a)
-        n.basis = m.basis
-        out.append(n)
+            a = a.coerce_field(m.field)
+        out.append(triangular_solve(a, matmul(m, a)))
     return out
 
 

@@ -256,7 +256,7 @@ def _cmd_generators(args, natural):
     tmat = tr.transition_recursive(ws) if natural else None
     gens = generators(ws, args.gen)
     if natural:
-        # the inverse needs a nonzero diagonal: a degenerate module
+        # the solve needs a nonzero diagonal: a degenerate module
         # fails the check here as it does in transition and verify
         tr.check_structure(tmat)
         mats = conjugate_to_natural([m for _, m in gens], tmat)

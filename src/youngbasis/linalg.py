@@ -29,8 +29,8 @@ from math import gcd, lcm
 from .errors import FieldMismatchError, PreconditionError
 from .fields import RATIONALS, field_by_name
 
-__all__ = ["Matrix", "matmul", "triangular_inverse", "integral_pair",
-           "lowest_terms", "split_over_lcm",
+__all__ = ["Matrix", "matmul", "triangular_solve", "triangular_inverse",
+           "integral_pair", "lowest_terms", "split_over_lcm",
            "push_column", "table_columns",
            "cell_rows", "joined_rows", "compact_json", "json_chunks",
            "csv_chunks", "matrix_to_json", "matrix_from_json",
@@ -287,23 +287,26 @@ def matmul(a, b):
     return out
 
 
-def triangular_inverse(a):
-    """Inverse of an upper-triangular matrix by back substitution on its
-    columns: column j solves a x = e_j from row j upward, keeping the
-    unsolved part as numerators over one int denominator (as Bareiss's
-    elimination does) and only each pivot as a field value."""
+def triangular_solve(a, b):
+    """The X with a X = b for an upper-triangular a, by back substitution
+    on b's columns: each is solved from its lowest nonzero row upward,
+    keeping the unsolved part as numerators over one int denominator (as
+    Bareiss's elimination does) and only each pivot as a field value."""
+    a._compat(b)
     if a.nrows != a.ncols:
         raise PreconditionError("inverse of a nonsquare matrix")
+    if a.ncols != b.nrows:
+        raise PreconditionError("inner dimensions do not match")
     if not a.is_upper_triangular():
         raise PreconditionError("matrix is not upper-triangular")
-    split, join = a.field.split, a.field.join
-    one = split(a.field.one)[0]
-    out = Matrix(a.nrows, a.ncols, a.field, basis=a.basis)
-    for j in range(a.ncols):
-        if j not in a.cols[j]:
+    for j, col in enumerate(a.cols):
+        if j not in col:
             raise PreconditionError(f"zero diagonal entry at {j}")
-        rest, den, x = {j: one}, 1, {}
-        for k in range(j, -1, -1):
+    split, join = a.field.split, a.field.join
+    out = Matrix(a.nrows, b.ncols, a.field, basis=a.basis)
+    for j, (rest, den) in enumerate(zip(b.cols, b.dens)):
+        rest, x = dict(rest), {}
+        for k in range(max(rest, default=-1), -1, -1):
             r = rest.pop(k, None)
             if r is None:
                 continue
@@ -318,6 +321,12 @@ def triangular_inverse(a):
             rest, den = lowest_terms(rest, m)
         out.cols[j], out.dens[j] = split_over_lcm(split, x)
     return out
+
+
+def triangular_inverse(a):
+    """Inverse of an upper-triangular matrix: :func:`triangular_solve`
+    against the identity."""
+    return triangular_solve(a, Matrix.identity(a.nrows, a.field))
 
 
 # ---------------------------------------------------------------------------

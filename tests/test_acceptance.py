@@ -15,9 +15,10 @@ from golden import (G24_BASIS, G24_ROWS, H24_BASIS, HECKE32_BASIS,
                     hecke32_matrix)
 from youngbasis import perms
 from youngbasis.algebras import (AlgebraSpec, WeightScheme,
+                                 conjugate_to_natural, generators,
                                  natural_generator, verify_relations)
 from youngbasis.bruhat import BruhatGraph
-from youngbasis.fields import QFIELD, check_semisimple, evaluate_q
+from youngbasis.fields import QFIELD, QRat, check_semisimple, evaluate_q
 from youngbasis.shapes import (Shape, Tableau, all_partitions,
                                all_skew_shapes, parse_shape,
                                shape_from_parts)
@@ -220,6 +221,16 @@ def test_criterion_06_structural_invariants(sweep6, hecke_sweep4):
           f"and depth-block diagonality on {count} matrices")
 
 
+def _integral(v):
+    """v has no denominator: an int, a Laurent polynomial in q with int
+    coefficients, or a polynomial in xi with int coefficients."""
+    if isinstance(v, F):
+        return v.denominator == 1
+    if isinstance(v, QRat):
+        return v.den == 1 and all(isinstance(c, int) for _, c in v.terms())
+    return v.den == 1
+
+
 def _relation_shapes(max_n, r):
     """All r-component partition tuples with up to max_n boxes."""
     shapes = []
@@ -292,7 +303,6 @@ def test_criterion_07_relations_and_integrality():
     for shape in all_skew_shapes(5):
         assert_pass(AlgebraSpec("affine_placed", q=F(5)), shape)
         counts["affine_placed"] = counts.get("affine_placed", 0) + 1
-    from youngbasis.fields import QRat
     pages = [QRat.q_power(0), QRat.q_power(20), QRat.q_power(40)]
     for r in (2, 3):
         for shape in _relation_shapes(4, r):
@@ -311,6 +321,23 @@ def test_criterion_07_relations_and_integrality():
                 for j in range(m.ncols):
                     assert all(v.denominator == 1
                                for v in m.column(j).values()), (lam, i)
+    # and every natural generator integral, as a Laurent polynomial in q
+    # (or a polynomial in xi) with int coefficients, on skew shapes, for
+    # symbolic q, and for integer u; hecke_B's u_1 u_2 = 1 allows no
+    # two integer u, and u = 2, 1/2 gives entries with 1/2
+    cases = [(AlgebraSpec("symmetric"), shape) for shape in _universe(5)]
+    cases += [(AlgebraSpec("hecke_A"), shape_from_parts(lam))
+              for n in range(1, 6) for lam in all_partitions(n)]
+    cases += [(AlgebraSpec("ariki_koike", u=(2, 3)), shape)
+              for shape in _relation_shapes(4, 2)]
+    cases += [(AlgebraSpec("wreath_grn"), shape)
+              for r in (2, 3) for shape in _relation_shapes(4, r)]
+    for spec, shape in cases:
+        ws = WeightScheme(spec, shape)
+        gens = [m for _, m in generators(ws)]
+        for m in conjugate_to_natural(gens, transition_recursive(ws)):
+            assert all(_integral(v) for j in range(m.ncols)
+                       for v in m.column(j).values()), (spec.family, shape)
 
     # the displayed straightening expansion: +1, -1, -1, +1, -1
     s321 = parse_shape("3,2,1")
@@ -325,7 +352,8 @@ def test_criterion_07_relations_and_integrality():
     assert col == {idx[10]: F(1), idx[8]: F(-1), idx[7]: F(-1),
                    idx[5]: F(1), idx[2]: F(-1)}
     print("\nPASS criterion 7: defining relations hold exactly "
-          f"({counts}); natural matrices integral through n=6; "
+          f"({counts}); natural matrices integral through n=6, and on "
+          f"{len(cases)} skew, symbolic-q and integer-u modules; "
           "straightening expansion reproduced")
 
 

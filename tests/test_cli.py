@@ -174,16 +174,19 @@ def test_natural_generator_values(capsys):
     assert rows[0][0] == "-1"
 
 
-def test_natural_inverts_the_transition_matrix_once(capsys, monkeypatch):
-    from youngbasis import linalg
-    real = linalg.triangular_inverse
-    calls = []
+def test_natural_solves_once_per_generator_and_never_inverts(capsys,
+                                                             monkeypatch):
+    from youngbasis import algebras, linalg
+    real = algebras.triangular_solve
+    inverses, calls = [], []
 
-    def counting(a):
+    def solving(a, b):
         calls.append(a.nrows)
-        return real(a)
+        return real(a, b)
 
-    monkeypatch.setattr(linalg, "triangular_inverse", counting)
+    monkeypatch.setattr(linalg, "triangular_inverse",
+                        lambda a: inverses.append(a.nrows))
+    monkeypatch.setattr(algebras, "triangular_solve", solving)
     cases = [(["--shape", "4,3,1"], 7),
              (["--shape", "(2,1)|(1)@1,q^3", "--family", "affine_placed",
                "--q", "5"], 7),
@@ -193,7 +196,7 @@ def test_natural_inverts_the_transition_matrix_once(capsys, monkeypatch):
         code, out, _ = run_cli(capsys, "natural", *argv, "--format", "json")
         assert code == 0, argv
         assert len(json.loads(out)["generators"]) == n_gens, argv
-        assert len(calls) == 1, (argv, calls)
+        assert (inverses, len(calls)) == ([], n_gens), (argv, calls)
 
 
 def _count_table_matrices(monkeypatch):
@@ -231,14 +234,19 @@ def test_natural_gen_builds_and_conjugates_one_generator(capsys, monkeypatch,
     code, out, _ = run_cli(capsys, "natural", *argv.split(" "))
     assert code == 0
     everything = json.loads(out)["generators"]
-    real_matmul = algebras.matmul
-    products = []
+    real_matmul, real_solve = algebras.matmul, algebras.triangular_solve
+    products, solves = [], []
 
     def counting_matmul(a, b):
         products.append(a.nrows)
         return real_matmul(a, b)
 
+    def counting_solve(a, b):
+        solves.append(a.nrows)
+        return real_solve(a, b)
+
     monkeypatch.setattr(algebras, "matmul", counting_matmul)
+    monkeypatch.setattr(algebras, "triangular_solve", counting_solve)
     built = _count_table_matrices(monkeypatch)
     code, out, _ = run_cli(capsys, "natural", *argv.split(" "), "--gen", gen)
     assert code == 0
@@ -246,7 +254,7 @@ def test_natural_gen_builds_and_conjugates_one_generator(capsys, monkeypatch,
     assert picked == [g for g in everything
                       if g["name"].lower() in (gen, f"s{gen}", f"t{gen}")]
     assert len(picked) == 1
-    assert len(products) == 2  # A^-1 M A
+    assert len(products) == len(solves) == 1  # A X = M A
     assert built == [int(gen) if gen.isdigit() and gen != "0"
                      else "diagonal"]
 
@@ -469,9 +477,9 @@ def test_verify_multiplies_no_matrices(capsys, monkeypatch, argv):
     code, out, _ = run_cli(capsys, "verify", *argv.split(" "))
     assert code == 0 and json.loads(out)["failures"] == 0
     assert (products, built, other) == ([], [], [])
-    # the counters count: natural conjugates by two products
+    # the counters count: natural conjugates by one product and a solve
     code, _, _ = run_cli(capsys, "natural", "--gen", "1", *argv.split(" "))
-    assert code == 0 and len(products) == 2 and built == [1]
+    assert code == 0 and len(products) == 1 and built == [1]
 
 
 def test_a_fault_in_the_step_scaling_fails_the_relations(capsys,
@@ -1028,6 +1036,16 @@ GENERATOR_DIGESTS = {
         "971d1a9f96d16625b435d7520463325b84726d3c196eef940bc6f28fe9e835d0",
     "seminormal --shape 4,3,2,1 --format csv":
         "665e42ff96d8856af20489558f474bde5a32d05d5043ab45d43b1bc7db13e4dc",
+    "natural --shape 4,3,2,1 --gen 1 --format json":
+        "549ba03fc6ee796764584087a7b4ff48718890704d0e867e2f68411a655e5357",
+    # symbolic q, a cyclotomic T_0, and two integer u
+    "natural --family hecke_A --shape 3,2,1 --format json":
+        "92aec2cb4a742db8dd280ee9ae0e300f925fbdb360f8d469d807e5f06e80388e",
+    "natural --family grn --r 2 --shape (2,1)|(2) --gen 0":
+        "d069d0f495987687cdac157ea7c068aface5c5441e80786367db2d47d8023149",
+    ("natural --family ariki_koike --u 2,3 --q 7 --shape (2,1)|(1,1)"
+     " --format csv"):
+        "15947f3ee000ef46f70c2ace127669e1da295f372dd694ed6e03b17219220a01",
 }
 
 
@@ -1081,9 +1099,11 @@ def test_running_out_of_memory_exits_3_with_one_diagnostic(argv):
     # exits 3 from 20 to 150 MB in both formats and fits from 160 MB;
     # bench, which holds two depth levels, on 6,5,3 (f = 15,015) exits 3
     # from 20 to 180 MB and fits from 220 MB; natural on 5,4,3 exits 3
-    # with no output from 20 to 200 MB; seminormal on 6,5,3 exits 3 with
-    # no output from 20 to 105 MB, and from 115 MB writes its 645 kB
-    # basis before the first 15,015-square grid fails; verify on 6,5,2
+    # with no output from 20 to 130 MB, at 140 MB writes its 78 kB head
+    # and basis before it fails, and fits from 150 MB (196 MB written);
+    # seminormal on 6,5,3 exits 3 with no output from 20 to 105 MB,
+    # and from 115 MB writes its 645 kB basis before the first
+    # 15,015-square grid fails; verify on 6,5,2
     # exits 3 from 20 to 250 MB and fits from 270 MB.  So 60 MB keeps a
     # margin from every edge
     done = _run_under_memory_limit(argv, 60)

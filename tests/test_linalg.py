@@ -17,7 +17,8 @@ from youngbasis.fields import (CyclotomicField, Cyclo, QFIELD, QRat,
 from youngbasis.linalg import (Matrix, cell_rows, compact_json, csv_chunks,
                                joined_rows, json_chunks, matmul,
                                matrix_from_json, matrix_to_csv,
-                               matrix_to_json, triangular_inverse)
+                               matrix_to_json, triangular_inverse,
+                               triangular_solve)
 from youngbasis.shapes import parse_shape
 from youngbasis.transition import (grn_transition, transition_pathsum,
                                    transition_recursive, transition_word)
@@ -77,12 +78,23 @@ def test_one_entry_below_the_diagonal_is_not_upper_triangular():
 
 
 def test_triangular_inverse_rejects_bad_input():
+    wide = Matrix.from_rows([[F(1), F(0), F(1)], [F(0), F(1), F(1)]],
+                            RATIONALS)
     m = Matrix.from_rows([[F(1), F(0)], [F(1), F(1)]], RATIONALS)
-    with pytest.raises(PreconditionError):
-        triangular_inverse(m)
-    z = Matrix.from_rows([[F(0), F(1)], [F(0), F(1)]], RATIONALS)
-    with pytest.raises(PreconditionError):
-        triangular_inverse(z)
+    z = Matrix.from_rows([[F(1), F(1)], [F(0), F(0)]], RATIONALS)
+    b = Matrix.identity(2, RATIONALS)
+    for solve in (triangular_inverse, lambda a: triangular_solve(a, b)):
+        with pytest.raises(PreconditionError, match="nonsquare"):
+            solve(wide)
+        with pytest.raises(PreconditionError, match="not upper-triangular"):
+            solve(m)
+        with pytest.raises(PreconditionError,
+                           match="zero diagonal entry at 1"):
+            solve(z)
+    with pytest.raises(PreconditionError, match="inner dimensions"):
+        triangular_solve(b, Matrix.identity(3, RATIONALS))
+    with pytest.raises(FieldMismatchError):
+        triangular_solve(b, Matrix.identity(2, QFIELD))
 
 
 def test_matmul_associativity_random_fields():
@@ -343,7 +355,7 @@ def test_operations_match_a_dense_fraction_reference(data):
     u = [[v[i][j] if i < j else diag[i] if i == j else F(0)
           for j in range(n)] for i in range(n)]
     a, b, c, t = (Matrix.from_rows(r, RATIONALS) for r in (x, y, z, u))
-    inv = triangular_inverse(t)
+    inv, sol = triangular_inverse(t), triangular_solve(t, a)
     eye = [[F(int(i == j)) for j in range(n)] for i in range(n)]
     cases = [
         (a, x), (b, y),
@@ -354,12 +366,14 @@ def test_operations_match_a_dense_fraction_reference(data):
         (a.scale(-6), [[p * -6 for p in r] for r in x]),
         (Matrix.identity(n, RATIONALS), eye),
         (matmul(t, inv), eye),
+        (matmul(t, sol), x),
     ]
     for mat, rows in cases:
         _assert_canonical(mat)
         assert mat.to_rows() == rows
         assert mat == Matrix.from_rows(rows, RATIONALS)
     _assert_canonical(inv)
+    _assert_canonical(sol)
     assert _product(inv.to_rows(), u) == eye
     lifted = a.coerce_field(QFIELD)
     _assert_canonical(lifted)
@@ -371,11 +385,15 @@ _QRAT = st.sampled_from([QRat.const(F(-3, 2)), QRat.const(2), _Q, -_Q,
                          _Q - 1, (_Q + 2) / (_Q - 1), F(1, 3) / _Q ** 2])
 
 
-def _assert_inverts(a):
+def _assert_inverts(a, b):
+    """a's inverse, and the solution of a X = b, check out."""
     inv = triangular_inverse(a)
     _assert_canonical(inv)
     assert matmul(a, inv).is_identity() and matmul(inv, a).is_identity()
     assert inv.is_upper_triangular()
+    x = triangular_solve(a, b)
+    _assert_canonical(x)
+    assert matmul(a, x) == b and x == matmul(inv, b)
 
 
 @pytest.mark.parametrize("family, kwargs, text, field", [
@@ -385,10 +403,15 @@ def _assert_inverts(a):
 ])
 def test_triangular_inverse_off_the_rationals(family, kwargs, text, field):
     # q-functions, and the rationals coerced into the cyclotomic field
-    # of a wreath s_0 as conjugate_to_natural does: columns over 1
+    # of a wreath s_0 as conjugate_to_natural does: columns over 1,
+    # solved against s_1 A, or against the cyclotomic T_0 A
     ws = WeightScheme(AlgebraSpec(family, **kwargs), parse_shape(text))
     a = transition_recursive(ws).matrix
-    _assert_inverts(a if field is None else a.coerce_field(field))
+    if field is None:
+        _assert_inverts(a, matmul(seminormal_generator(ws, 1), a))
+    else:
+        a = a.coerce_field(field)
+        _assert_inverts(a, matmul(zeroth_generator(ws), a))
 
 
 @settings(max_examples=40, deadline=None)
@@ -398,4 +421,7 @@ def test_triangular_inverse_of_drawn_q_matrices(data):
     entry = st.just(QFIELD.zero) | _QRAT
     rows = [[data.draw(_QRAT if i == j else entry) if i <= j
              else QFIELD.zero for j in range(n)] for i in range(n)]
-    _assert_inverts(Matrix.from_rows(rows, QFIELD))
+    m = data.draw(st.integers(1, 3))
+    b = [[data.draw(entry) for _ in range(m)] for _ in range(n)]
+    _assert_inverts(Matrix.from_rows(rows, QFIELD),
+                    Matrix.from_rows(b, QFIELD))
