@@ -35,13 +35,13 @@ relation reads; T_0 and the X_i are diagonal tables built when asked
 for.  A generator matrix is built from its table when asked for, each
 column over L in lowest terms.
 
-:func:`verify_relations` checks each side of a relation as a product of
-tables without building a matrix: each column of the rightmost factor
-is read from its table and pushed through every factor to its left by
+:func:`verify_relations` checks each relation one column at a time
+without building a matrix: column v of the rightmost factor of a side
+is read off its table and pushed through every factor to its left by
 :func:`linalg.push_column`, at most two products per entry.  The right
 sides of the quadratic and cyclotomic relations are tables too,
-(c S + d L I) / (d L) for the scalar c / d.  Both sides start scaled to
-the lcm of their denominators, so their numerator columns compare as
+(c S + d L I) / (d L) for the scalar c / d.  Both sides are read scaled
+to the lcm of their denominators, so their numerator columns compare as
 they are; a failing relation divides its witness entry by that lcm.
 """
 
@@ -49,6 +49,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
+from itertools import repeat
 from math import lcm, prod
 from typing import NamedTuple
 
@@ -445,54 +446,42 @@ def _plus_identity(steps, c, d, den):
             den)
 
 
-def _product_columns(factors, k, columns):
+def _columns(factors, k):
     """The numerator columns of k times a product of step tables,
-    leftmost factor first: each column of the rightmost factor, read
-    from its table by ``columns``, pushed through every factor to its
-    left.  The columns read are shared, not copied."""
-    *left, last = factors
-    cols = columns(last)
-    if k != 1:
-        cols = [{i: x * k for i, x in col.items()} for col in cols]
-    for stay, move, _ in reversed(left):
-        cols = [push_column(col, stay, move) for col in cols]
-    return cols
+    leftmost factor first, one at a time: column v of the rightmost
+    factor read off its table, each numerator times k, and pushed
+    through every factor to its left."""
+    *left, (stay, move, _) = factors
+    left.reverse()
+    for v, (a, mv) in enumerate(zip(stay, move)):
+        col = {v: a * k} if a else {}
+        if mv is not None:
+            col[mv[1]] = mv[0] * k
+        for s, m, _ in left:
+            col = push_column(col, s, m)
+        yield col
 
 
-def _entry_witness(m, den=1):
-    """The first nonzero entry of m / den, column by column."""
-    for j, col in enumerate(m.cols):
-        for i, v in sorted(col.items()):
-            v = m.field.join(v, m.dens[j] * den)
-            return {"row": i, "col": j, "value": m.field.to_str(v)}
-    return None
-
-
-def _record(report, columns, name, field, lhs, rhs=None):
+def _record(report, name, field, lhs, rhs=()):
     """Check lhs == rhs for products of step tables over field (rhs
-    None: lhs == 0), reading a rightmost factor's columns through
-    ``columns``.  Both sides start scaled to the lcm of their
-    denominators; a failure carries the first nonzero entry of
-    lhs - rhs as its witness, the difference over that lcm."""
-    den = prod(steps[2] for steps in lhs)
-    if rhs is None:
-        a = _product_columns(lhs, 1, columns)
-        ok = not any(a)
-    else:
-        d = prod(steps[2] for steps in rhs)
-        common = lcm(den, d)
-        a = _product_columns(lhs, common // den, columns)
-        b = _product_columns(rhs, common // d, columns)
-        den = common
-        ok = a == b
-    item = {"relation": name, "status": "pass" if ok else "fail"}
-    if not ok:
-        size = len(a)
-        m = Matrix(size, size, field, cols=a)
-        if rhs is not None:
-            m = m + Matrix(size, size, field, cols=[
-                {i: -x for i, x in col.items()} for col in b])
-        item["witness"] = _entry_witness(m, den)
+    empty: lhs == 0), one column at a time.  Both sides are scaled to
+    the lcm of their denominators, so their numerator columns compare
+    as they are; at the first column that differs the witness is the
+    difference of the sides at its smallest such row, over that lcm."""
+    dl = prod(steps[2] for steps in lhs)
+    dr = prod(steps[2] for steps in rhs)
+    den = lcm(dl, dr)
+    pairs = zip(_columns(lhs, den // dl),
+                _columns(rhs, den // dr) if rhs else repeat({}))
+    item = {"relation": name, "status": "pass"}
+    for v, (a, b) in enumerate(pairs):
+        if a != b:
+            row = min(i for i in a.keys() | b.keys() if a.get(i) != b.get(i))
+            value = field.join(a.get(row, 0) - b.get(row, 0), den)
+            item["status"] = "fail"
+            item["witness"] = {"row": row, "col": v,
+                               "value": field.to_str(value)}
+            break
     report.append(item)
 
 
@@ -510,17 +499,7 @@ def verify_relations(ws):
     gens = {i: ws.scaled_steps(i) for i in range(1, n)}
     # T_i^2 = (q - q^-1) T_i + 1, an involution at q = 1
     c, d = field.split(ws.q - 1 / ws.q)
-    # each table's numerator columns, read once in this call; the memo
-    # holds the table too, so no id is reused while it lives
-    memo = {}
-
-    def columns(steps):
-        hit = memo.get(id(steps))
-        if hit is None:
-            hit = memo[id(steps)] = (steps, table_columns(steps[0], steps[1]))
-        return hit[1]
-
-    record = partial(_record, report, columns)
+    record = partial(_record, report)
 
     for i in range(1, n):
         for j in range(i + 2, n):
@@ -539,19 +518,16 @@ def verify_relations(ws):
 
     if preset.zeroth in ("u", "xi") and n >= 1:
         t0 = ws.diagonal_steps(0)
+        # on a wreath product T_0 is cyclotomic: the rational s_i
+        # numerators times its columns are cyclotomic columns
         field0 = _zeroth_field(ws)
-        # wreath: the rational s_i tables times the cyclotomic 1 are
-        # the same tables over the field of T_0
-        lift = gens if field0 == field else {
-            i: _plus_identity(steps, field0.one, 0, steps[2])
-            for i, steps in gens.items()}
         if n >= 2:
-            g1 = lift[1]
+            g1 = gens[1]
             record("braid T0 T1 T0 T1", field0, [t0, g1, t0, g1],
                    [g1, t0, g1, t0])
         for i in range(2, n):
-            record(f"commute T0 s{i}", field0, [t0, lift[i]],
-                   [lift[i], t0])
+            record(f"commute T0 s{i}", field0, [t0, gens[i]],
+                   [gens[i], t0])
         if preset.zeroth == "xi":
             record(f"order s0^{r} = 1", field0, [t0] * r,
                    [_identity_steps(field0, size)])

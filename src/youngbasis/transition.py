@@ -93,15 +93,19 @@ class TransitionMatrix:
         self.spec, self.shape, self.graph = ws.spec, ws.shape, ws.graph
 
     def entry(self, s, t):
-        """Entry addressed by tableaux or by row tuples."""
-        i = self._index(s)
-        j = self._index(t)
-        return self.matrix.get(i, j)
+        """Entry addressed by tableaux or by their rows per component,
+        which raise as ``Tableau`` does; a filling that is no basis
+        tableau raises PreconditionError."""
+        return self.matrix.get(self._index(s), self._index(t))
 
     def _index(self, t):
-        rows = t.rows if isinstance(t, Tableau) else \
-            tuple(tuple(tuple(r) for r in comp) for comp in t)
-        return self.graph.index[rows]
+        if not isinstance(t, Tableau):
+            t = Tableau(self.shape, t)
+        v = self.graph.index.get(t.rows)
+        if v is None:
+            raise PreconditionError(f"tableau {t.serialize()} is not a "
+                                    f"basis tableau of {self.shape.to_str()}")
+        return v
 
 
 def _count_ops(counter, prev_col, stay, move):

@@ -4,7 +4,7 @@ import pytest
 
 from reduced_words import reduced_word
 from walks import r_partitions
-from youngbasis.algebras import (AlgebraSpec, WeightScheme, _entry_witness,
+from youngbasis.algebras import (AlgebraSpec, WeightScheme,
                                  natural_generator, seminormal_generator,
                                  verify_relations, x_generator,
                                  zeroth_generator)
@@ -215,6 +215,29 @@ def test_verify_relations_affine_placed_pages():
     assert "mixed braid X1 T1 X1 T1" in names
 
 
+@pytest.mark.parametrize("q", [F(5), None])
+def test_affine_t_i_commutes_with_every_x_j_but_x_i_and_x_i_plus_1(q):
+    # T_i X_j = X_j T_i for every j not in {i, i+1}, with j = i - 1
+    # among them (X_1 T_2 = T_2 X_1 of the presentation), checked by
+    # matrix products on placed shapes
+    spec = AlgebraSpec("affine_placed", q=q)
+    pages = (QRat.q_power(0), QRat.q_power(3))
+    checked = set()
+    for r, top in ((1, 5), (2, 4)):
+        for n in range(3, top + 1):
+            for parts in r_partitions(r, n):
+                shape = shape_from_parts(*parts, weights=pages[:r])
+                ws = WeightScheme(spec, shape)
+                xs = {j: x_generator(ws, j) for j in range(1, n + 1)}
+                for i in range(1, n):
+                    t = seminormal_generator(ws, i)
+                    for j in set(xs) - {i, i + 1}:
+                        assert matmul(t, xs[j]) == matmul(xs[j], t), \
+                            (shape.to_str(), i, j)
+                        checked.add(j - i)
+    assert checked == {-3, -2, -1, 2, 3, 4}
+
+
 def _add_to_first_entry(ws, label, j, delta):
     """Add delta to the first nonzero entry of column j of generator
     `label` in ``ws.scaled_steps(label)``, in place: the one table its
@@ -236,6 +259,16 @@ def _add_to_first_entry(ws, label, j, delta):
         stay[j] += planted
     else:
         move[j] = (move[j][0] + planted, move[j][1])
+
+
+def _entry_witness(m):
+    """The witness a failing relation reports: the first nonzero entry
+    of lhs - rhs, column by column."""
+    for j, col in enumerate(m.cols):
+        for i, v in sorted(col.items()):
+            return {"row": i, "col": j,
+                    "value": m.field.to_str(m.field.join(v, m.dens[j]))}
+    return None
 
 
 def test_verify_relations_reports_a_corrupted_generator():

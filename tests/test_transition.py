@@ -15,7 +15,8 @@ from youngbasis.algebras import (AlgebraSpec, WeightScheme, _scale_steps,
                                  zeroth_generator)
 from youngbasis.bruhat import (BruhatGraph, Path, shortest_path,
                                shortest_paths_from)
-from youngbasis.errors import InvariantError, PreconditionError
+from youngbasis.errors import (InvariantError, PreconditionError,
+                               ShapeParseError)
 from youngbasis.fields import QFIELD, RATIONALS, CyclotomicField, evaluate_q
 from youngbasis.linalg import integral_pair, lowest_terms, matmul, push_column
 from youngbasis.perms import bruhat_leq
@@ -53,6 +54,18 @@ def test_transition_321_matches_golden():
     entries = a321_entries()
     for (i, j), want in entries.items():
         assert tm.entry([T321[i]], [T321[j]]) == want
+
+
+def test_entry_takes_rows_per_component_and_rejects_other_fillings():
+    tm = transition_recursive(WeightScheme(SPEC5, S32))
+    t = [[[1, 2, 4], [3, 5]]]
+    assert tm.entry([[[1, 2, 5], [3, 4]]], t) == F(3, 4)
+    # rows without their component do not fit the shape
+    with pytest.raises(ShapeParseError, match="do not fit the shape 3,2"):
+        tm.entry([[1, 2, 5], [3, 4]], t)
+    with pytest.raises(PreconditionError, match=re.escape(
+            "tableau [[[2, 1, 5], [3, 4]]] is not a basis tableau of 3,2")):
+        tm.entry(t, [[[2, 1, 5], [3, 4]]])
 
 
 def test_pathsum_subpath_weights_of_displayed_entry():
