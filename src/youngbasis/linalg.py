@@ -111,17 +111,17 @@ def _scaled(col, k):
     return dict(col) if k == 1 else {i: x * k for i, x in col.items()}
 
 
-def _add_multiple(acc, col, k, skip=None):
-    """Add k times the column col, but for its row skip, into acc in
-    place, dropping zero sums."""
+def _add_multiple(acc, col, k):
+    """Add k times the column col into acc in place, dropping zero sums,
+    so a zero k adds nothing: the one accumulate loop of ``Matrix.apply``,
+    ``+`` and :func:`triangular_solve`, whose pivot row cancels here."""
     for i, v in col.items():
-        if i != skip:
-            w = acc.get(i)
-            w = v * k if w is None else w + v * k
-            if w:
-                acc[i] = w
-            else:
-                del acc[i]
+        w = acc.get(i)
+        w = v * k if w is None else w + v * k
+        if w:
+            acc[i] = w
+        else:
+            acc.pop(i, None)
 
 
 class Matrix:
@@ -192,15 +192,7 @@ class Matrix:
         out = {}
         for j, x in vec.items():
             den = self.dens[j]
-            if den != 1:
-                x = join(x, den)
-            for i, v in self.cols[j].items():
-                acc = out.get(i)
-                acc = v * x if acc is None else acc + v * x
-                if acc:
-                    out[i] = acc
-                else:
-                    out.pop(i, None)
+            _add_multiple(out, self.cols[j], x if den == 1 else join(x, den))
         return out
 
     def coerce_field(self, field):
@@ -307,17 +299,18 @@ def triangular_solve(a, b):
     for j, (rest, den) in enumerate(zip(b.cols, b.dens)):
         rest, x = dict(rest), {}
         for k in range(max(rest, default=-1), -1, -1):
-            r = rest.pop(k, None)
+            r = rest.get(k)
             if r is None:
                 continue
             col, d = a.cols[k], a.dens[k]
             x[k] = xk = join(r if d == 1 else r * d, den) / col[k]
-            # rest - col * xk over m, row k solved; products by 1 skipped
+            # rest - col * xk over m, which cancels row k exactly;
+            # products by 1 skipped
             p, dq = split(xk)
             dq *= d
             m = lcm(den, dq)
             rest = _scaled(rest, m // den)
-            _add_multiple(rest, col, -p if m == dq else p * -(m // dq), k)
+            _add_multiple(rest, col, -p if m == dq else p * -(m // dq))
             rest, den = lowest_terms(rest, m)
         out.cols[j], out.dens[j] = split_over_lcm(split, x)
     return out

@@ -29,9 +29,10 @@ reaches all three alike and they agree on it; the relations of
 :func:`algebras.verify_relations` and the closed-form diagonal catch it.
 
 The structural check (:func:`checked_columns`) reads a column stream
-too, and passes each column on once it is checked; the ``transition``
-command streams the route asked for through it into the serializer,
-and :func:`check_structure` runs it over a finished matrix's columns.
+too, with one packed Bruhat comparison per nonzero entry, and passes
+each column on once it is checked; the ``transition`` command streams
+the route asked for through it into the serializer, and
+:func:`check_structure` runs it over a finished matrix's columns.
 
 Also here: the closed-form diagonal and the squared orthogonal diagonal,
 each a product over inversions taken on split numerators and
@@ -340,15 +341,15 @@ def checked_columns(graph, columns):
     transition matrix on graph: upper-triangularity, a nonzero diagonal
     entry, diagonal blocks per depth level and the Bruhat zero pattern.
     Raises InvariantError at the first column that violates one, so a
-    consumer sees only checked columns."""
-    depth = graph.depth
+    consumer sees only checked columns.  An entry costs one packed Bruhat
+    test: the diagonal passes it, and another node of the column's depth
+    has the same length, so fails it; depth only words the message."""
     guarded = None
     for j, col, den in columns:
         if max(col, default=j) > j:
             raise InvariantError("transition matrix is not upper-triangular")
         if not col.get(j):
             raise InvariantError(f"zero diagonal in column {j}")
-        # a diagonal entry is Bruhat below itself
         if len(col) > 1:
             if guarded is None:
                 # the Bruhat criterion depends on each node alone: pack
@@ -357,16 +358,12 @@ def checked_columns(graph, columns):
                 guard = guard_bits(graph.shape.n)
                 guarded = [prefix_counts(t.word) | guard
                            for t in graph.nodes]
-            counts_j, depth_j = guarded[j] ^ guard, depth[j]
+            counts_j = guarded[j] ^ guard
             for i in col:
-                if i == j:
-                    continue
-                # distinct nodes of equal depth are Bruhat-incomparable,
-                # so test the depth block first for the sharper message
-                if depth[i] == depth_j:
-                    raise InvariantError(
-                        f"off-diagonal entry ({i},{j}) inside a depth block")
                 if (guarded[i] - counts_j) & guard != guard:
+                    if graph.depth[i] == graph.depth[j]:
+                        raise InvariantError(f"off-diagonal entry ({i},{j}) "
+                                             "inside a depth block")
                     raise InvariantError(f"nonzero entry at ({i},{j}) "
                                          "violates the Bruhat pattern")
         yield j, col, den

@@ -349,7 +349,8 @@ def _product(*factors):
     # symbolic q: the T_0 table holds the u_k over 1
     ("hecke_B", "(2,1)|(1)", {"u": (F(2), F(1, 2))}, 0,
      "cyclotomic prod (T0 - u_k) = 0"),
-    # T_0 is cyclotomic, and the rational s_i tables are lifted to it
+    # T_0 is cyclotomic; verify_relations pushes its columns through the
+    # rational s_i tables as they are, and only the reference lifts them
     ("wreath_grn", "(2,1)|(1)", {}, 0, "order s0^2 = 1"),
     ("affine_placed", "(2,1)|(1)@1,q^3", {"q": F(5)}, 1,
      "mixed braid X1 T1 X1 T1"),

@@ -47,6 +47,25 @@ def test_matmul_applies_column():
     assert col.get(0, 0) == F(1, 2) and col.get(1, 0) == F(3, 2)
 
 
+def test_apply_skips_explicit_zeros_of_the_vector():
+    # a zero entry adds nothing, whether or not its column's rows are
+    # reached by the vector's other entries; the others keep their order
+    q = QRat.q_power(1)
+    rows = [[q, 1, 0], [0, q - 1, 2], [1, 0, q]]
+    for m, zero, x in [(_golden_matrix("3,2"), 0, F(3, 2)),
+                       (_golden_matrix("3,2"), F(0), 5),
+                       (Matrix.from_rows(rows, QFIELD), QFIELD.zero, q)]:
+        for vec in [{0: zero}, {1: x, 0: zero}, {0: zero, 1: x, 2: zero},
+                    {2: x, 1: zero, 0: x}]:
+            nonzero = {j: v for j, v in vec.items() if v}
+            dense = [sum((m.get(i, j) * v for j, v in nonzero.items()),
+                         m.field.zero) for i in range(m.nrows)]
+            out = m.apply(vec)
+            assert list(out.items()) == list(m.apply(nonzero).items())
+            assert {i: m.field.coerce(v) for i, v in out.items()} == \
+                {i: v for i, v in enumerate(dense) if v}
+
+
 def test_identity_neutral():
     a = _golden_matrix("3,2")
     assert matmul(Matrix.identity(5, RATIONALS), a) == a
@@ -386,7 +405,8 @@ _QRAT = st.sampled_from([QRat.const(F(-3, 2)), QRat.const(2), _Q, -_Q,
 
 
 def _assert_inverts(a, b):
-    """a's inverse, and the solution of a X = b, check out."""
+    """a's inverse, and the solution of a X = b, check out.  Both are
+    canonical, so no column keeps a zero where a pivot row cancels."""
     inv = triangular_inverse(a)
     _assert_canonical(inv)
     assert matmul(a, inv).is_identity() and matmul(inv, a).is_identity()

@@ -372,6 +372,74 @@ def test_check_structure_rejects_corruption(spec, text, edit):
         check_structure(tm)
 
 
+def _entry_rules(g, cols):
+    """The message of the first violation of the structural rules taken
+    entry by entry, or None: per column, upper-triangularity and the
+    diagonal, then per off-diagonal entry in column order the depth
+    block before the Bruhat pattern."""
+    for j, col in enumerate(cols):
+        if max(col, default=j) > j:
+            return "transition matrix is not upper-triangular"
+        if not col.get(j):
+            return f"zero diagonal in column {j}"
+        for i in col:
+            if i == j:
+                continue
+            if g.depth[i] == g.depth[j]:
+                return f"off-diagonal entry ({i},{j}) inside a depth block"
+            if not bruhat_leq(g.nodes[i].word, g.nodes[j].word):
+                return (f"nonzero entry at ({i},{j}) violates the Bruhat "
+                        "pattern")
+    return None
+
+
+def _plant(rng, g, col, j):
+    """One fault in column j, of a kind drawn at random: an entry inside
+    the depth block, a Bruhat-incomparable entry above the diagonal, an
+    entry below it, or a zeroed diagonal.  A kind with no free row in
+    the column plants nothing."""
+    kind = rng.randrange(4)
+    if kind == 3:
+        col.pop(j, None)
+        return
+    depth, word = g.depth, g.nodes[j].word
+    fits = [lambda i: i < j and depth[i] == depth[j],
+            lambda i: depth[i] < depth[j]
+            and not bruhat_leq(g.nodes[i].word, word),
+            lambda i: i > j][kind]
+    rows = [i for i in range(g.size()) if i not in col and fits(i)]
+    if rows:
+        col[rng.choice(rows)] = rng.choice([1, -2, 3])
+
+
+@pytest.mark.parametrize("spec, text", [
+    (SPEC6, "4,3,1"),
+    (SPEC6, "3,3,1/2,1"),
+    (AlgebraSpec("hecke_A", q=5), "3,2,1"),
+    (AlgebraSpec("wreath_grn"), "(2,1)|(1,1)"),
+])
+def test_check_structure_reports_the_first_of_several_faults(spec, text):
+    # 2-4 faults, mostly in one column, so the entry order inside a
+    # column decides the message
+    tm = transition_recursive(WeightScheme(spec, parse_shape(text)))
+    g, clean = tm.graph, tm.matrix.cols
+    rng = random.Random(text)
+    for _ in range(200):
+        cols = [dict(col) for col in clean]
+        j = rng.randrange(g.size())
+        for _ in range(rng.randint(2, 4)):
+            k = j if rng.random() < 0.75 else rng.randrange(g.size())
+            _plant(rng, g, cols[k], k)
+        tm.matrix.cols = cols
+        message = _entry_rules(g, cols)
+        if message is None:
+            check_structure(tm)
+            continue
+        with pytest.raises(InvariantError) as err:
+            check_structure(tm)
+        assert str(err.value) == message
+
+
 def test_path_independence_of_pathsum():
     rng = random.Random(2718)
     for text in ["3,2", "2,2,1", "3,3,1/2,1"]:
