@@ -35,14 +35,16 @@ relation reads; T_0 and the X_i are diagonal tables built when asked
 for.  A generator matrix is built from its table when asked for, each
 column over L in lowest terms.
 
-:func:`verify_relations` checks each relation one column at a time
-without building a matrix: column v of the rightmost factor of a side
-is read off its table and pushed through every factor to its left by
-:func:`linalg.push_column`, at most two products per entry.  The right
-sides of the quadratic and cyclotomic relations are tables too,
-(c S + d L I) / (d L) for the scalar c / d.  Both sides are read scaled
-to the lcm of their denominators, so their numerator columns compare as
-they are; a failing relation divides its witness entry by that lcm.
+:func:`verify_relations` checks each relation on the tables of its
+two sides without building a matrix.  Over the rationals each column of
+a side is one int, its rows in base-B digits, by one gather pass per
+factor (:func:`_packed`); over the other fields column v of the
+rightmost factor is read off its table and pushed through every factor
+to its left by :func:`linalg.push_column`.  The right sides of the
+quadratic and cyclotomic relations are tables too, (c S + d L I) / (d L)
+for the scalar c / d.  Both sides are read scaled to the lcm of their
+denominators, so their numerator columns compare as they are; a failing
+relation divides its witness entry by that lcm.
 """
 
 from __future__ import annotations
@@ -51,12 +53,13 @@ from fractions import Fraction
 from functools import partial
 from itertools import repeat
 from math import lcm, prod
+from operator import itemgetter
 from typing import NamedTuple
 
 from .bruhat import BruhatGraph
 from .errors import (DegenerateWeightError, NonSemisimpleError,
                      PreconditionError)
-from .fields import (QFIELD, Cyclo, CyclotomicField, QRat,
+from .fields import (QFIELD, RATIONALS, Cyclo, CyclotomicField, QRat,
                      check_semisimple, evaluate_q, field_of)
 from .linalg import (Matrix, lowest_terms, matmul, push_column,
                      split_over_lcm, table_columns, triangular_solve)
@@ -462,17 +465,97 @@ def _columns(factors, k):
         yield col
 
 
+def _orbits(tables, size):
+    """Each node's orbit under the moves of tables, named by its
+    smallest node, and its slot: the number of nodes of its orbit below
+    it.  Column v of a product of the tables lies in the orbit of v."""
+    root = list(range(size))
+    for _, move, _ in tables:
+        for v, mv in enumerate(move):
+            if mv is not None:
+                a, b = v, mv[1]
+                while root[a] != a:
+                    a = root[a]
+                while root[b] != b:
+                    b = root[b]
+                if a > b:
+                    a, b = b, a
+                root[b] = a
+    count = [0] * size
+    slot = []
+    for u in range(size):
+        # root[u] <= u, and nodes below u already name their orbit
+        r = root[u] = root[root[u]]
+        slot.append(count[r])
+        count[r] += 1
+    return root, slot
+
+
+def _norm(steps):
+    """A bound on the absolute column sums of a step table."""
+    stay, move, _ = steps
+    return max(map(abs, stay)) + max(
+        map(abs, map(itemgetter(0), filter(None, move))), default=0)
+
+
+def _packed(lhs, rhs, kl, kr):
+    """The column pairs of kl times the product lhs and kr times rhs
+    (rhs empty: 0), none when all are equal, each column packed into
+    one int: y^T kl F_1...F_m for y_u = B^slot(u) (see :func:`_orbits`),
+    one gather pass per factor.  B / 2 exceeds kl prod |F| + kr prod |G|,
+    a bound on the entries of the difference of the sides, so two ints
+    are equal exactly when their columns are; a pair that differs comes
+    as the column {row: lhs - rhs}, its balanced base-B digits, against
+    an empty one."""
+    tables = {id(steps): steps for steps in (*lhs, *rhs)}
+    norm = {key: _norm(steps) for key, steps in tables.items()}
+    bits = (kl * prod(norm[id(steps)] for steps in lhs)
+            + kr * prod(norm[id(steps)] for steps in rhs)).bit_length() + 1
+    size = len(lhs[0][0])
+    root, slot = _orbits(tables.values(), size)
+
+    def side(factors, k):
+        y = [k << bits * s for s in slot]
+        for stay, move, _ in factors:
+            # entry v of y^T S is y_v stay_v + y_t b, move_v = (b, t)
+            y = [yv * a + y[mv[1]] * mv[0] if mv else yv * a
+                 for yv, a, mv in zip(y, stay, move)]
+        return y
+
+    def column(v, x):
+        col = {}
+        half = 1 << bits - 1
+        for u in range(size):
+            if root[u] == root[v]:
+                d = ((x + half) & ((half << 1) - 1)) - half
+                if d:
+                    col[u] = d
+                x = (x - d) >> bits
+        return col
+
+    a = side(lhs, kl)
+    b = side(rhs, kr) if rhs else [0] * size
+    # equal lists compare in C
+    return () if a == b else ((x, y) if x == y else (column(v, x - y), {})
+                              for v, (x, y) in enumerate(zip(a, b)))
+
+
 def _record(report, name, field, lhs, rhs=()):
     """Check lhs == rhs for products of step tables over field (rhs
-    empty: lhs == 0), one column at a time.  Both sides are scaled to
-    the lcm of their denominators, so their numerator columns compare
-    as they are; at the first column that differs the witness is the
-    difference of the sides at its smallest such row, over that lcm."""
+    empty: lhs == 0).  Both sides are scaled to the lcm of their
+    denominators, so their numerator columns compare as they are: over
+    the rationals packed into ints by :func:`_packed`, elsewhere one
+    dict at a time by :func:`_columns`.  At the first column that
+    differs the witness is the difference of the sides at its smallest
+    such row, over that lcm."""
     dl = prod(steps[2] for steps in lhs)
     dr = prod(steps[2] for steps in rhs)
     den = lcm(dl, dr)
-    pairs = zip(_columns(lhs, den // dl),
-                _columns(rhs, den // dr) if rhs else repeat({}))
+    if field == RATIONALS:
+        pairs = _packed(lhs, rhs, den // dl, den // dr)
+    else:
+        pairs = zip(_columns(lhs, den // dl),
+                    _columns(rhs, den // dr) if rhs else repeat({}))
     item = {"relation": name, "status": "pass"}
     for v, (a, b) in enumerate(pairs):
         if a != b:
@@ -489,8 +572,9 @@ def verify_relations(ws):
     """Check every defining relation of the family as an exact matrix
     identity; returns a list of {relation, status[, witness]} dicts.
 
-    Each side is a product of step tables (see the module docstring),
-    so over the rationals the products run on ints."""
+    Each side is a product of step tables (see the module docstring):
+    over the rationals each column is packed into one int, and over the
+    other fields the columns are pushed through the tables as dicts."""
     n, r = ws.shape.n, ws.shape.r
     preset = ws.spec.preset
     field = ws.field

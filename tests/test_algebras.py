@@ -1,9 +1,14 @@
+import re
 from fractions import Fraction as F
+from itertools import repeat
+from math import lcm, prod
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from reduced_words import reduced_word
 from walks import r_partitions
+from youngbasis import algebras
 from youngbasis.algebras import (AlgebraSpec, WeightScheme,
                                  natural_generator, seminormal_generator,
                                  verify_relations, x_generator,
@@ -12,7 +17,7 @@ from youngbasis.bruhat import BruhatGraph
 from youngbasis.errors import (DegenerateWeightError, NonSemisimpleError,
                                PreconditionError)
 from youngbasis.fields import CyclotomicField, QRat, evaluate_q
-from youngbasis.linalg import Matrix, matmul
+from youngbasis.linalg import Matrix, matmul, push_column
 from youngbasis.shapes import (Shape, Tableau, all_partitions, alphabetizer,
                                parse_shape, shape_from_parts)
 from youngbasis.transition import (diagonal_closed_form,
@@ -573,3 +578,180 @@ def test_keyed_tables_match_a_per_node_recomputation(family, q, u, text):
         for i, j in sorted(t.inversions):
             want = want * (qinv + axial(t, i, j))
         assert d == want
+
+
+def _reference_columns(factors, k):
+    """The numerator columns of k times a product of step tables, each
+    column of the rightmost factor pushed through the others as a dict:
+    the column-at-a-time reference of the packed check."""
+    *left, (stay, move, _) = factors
+    left.reverse()
+    for v, (a, mv) in enumerate(zip(stay, move)):
+        col = {v: a * k} if a else {}
+        if mv is not None:
+            col[mv[1]] = mv[0] * k
+        for s, m, _ in left:
+            col = push_column(col, s, m)
+        yield col
+
+
+def _reference_record(report, name, field, lhs, rhs=()):
+    """The relation check on dict columns, for every field."""
+    dl = prod(steps[2] for steps in lhs)
+    dr = prod(steps[2] for steps in rhs)
+    den = lcm(dl, dr)
+    pairs = zip(_reference_columns(lhs, den // dl),
+                _reference_columns(rhs, den // dr) if rhs else repeat({}))
+    item = {"relation": name, "status": "pass"}
+    for v, (a, b) in enumerate(pairs):
+        if a != b:
+            row = min(i for i in a.keys() | b.keys() if a.get(i) != b.get(i))
+            value = field.join(a.get(row, 0) - b.get(row, 0), den)
+            item["status"] = "fail"
+            item["witness"] = {"row": row, "col": v,
+                               "value": field.to_str(value)}
+            break
+    report.append(item)
+
+
+def _reports(ws):
+    """verify_relations on ws, and the same with the reference check."""
+    report = verify_relations(ws)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algebras, "_record", _reference_record)
+        return report, verify_relations(ws)
+
+
+def _tables(ws):
+    """Every step table verify_relations reads, by key: an s_i label,
+    0 for T_0, or -i for X_i."""
+    keys = list(range(1, ws.shape.n))
+    zeroth = ws.spec.preset.zeroth
+    if zeroth in ("u", "xi"):
+        keys.append(0)
+    elif zeroth == "x1":
+        keys += [-i for i in range(1, ws.shape.n + 1)]
+    return keys
+
+
+def _plant(ws, key, node, into_move, delta):
+    """Add delta (numerators; "L" or "-L" for plus or minus the table's
+    denominator) to the stay of node in table key, or to its move where
+    into_move and it has one; a move planted to 0 becomes None, as
+    tables hold no zero move.  The s_i tables are cached on the scheme
+    and change in place; a diagonal table is rebuilt on every call, so
+    the scheme's diagonal_steps plants into each."""
+    def planted(steps):
+        stay, move, den = steps
+        d = {"L": den, "-L": -den}.get(delta, delta)
+        v = node % len(stay)
+        if into_move and move[v] is not None:
+            b, t = move[v]
+            move[v] = (b + d, t) if b + d else None
+        else:
+            stay[v] += d
+        return steps
+
+    if key > 0:
+        planted(ws.scaled_steps(key))
+    else:
+        real = ws.diagonal_steps
+        ws.diagonal_steps = lambda i: (planted(real(i)) if i == -key
+                                       else real(i))
+
+
+_PLANT_SCHEMES = [
+    ("symmetric", "3,2,1", {}),
+    ("symmetric", "3,3,1/2,1", {}),
+    ("hecke_A", "3,2,1", {"q": 5}),
+    # c = 0: the quadratic relation's right side is the identity
+    ("hecke_A", "3,2,1", {"q": 1}),
+    # T_0 braid and commute, and the cyclotomic product against 0
+    ("ariki_koike", "(2,1)|(1)", {"u": (2, 3), "q": 7}),
+    ("affine_placed", "(2,1)|(1)@1,q^3", {"q": 5}),
+]
+_DELTAS = (1, -1, 2, -2, "L", "-L", 7)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_PLANT_SCHEMES), st.integers(0, 99),
+       st.integers(0, 999), st.booleans(), st.sampled_from(_DELTAS))
+# s1's stay at node 0 becomes -2: S^2 - I holds 3 against the bound
+# |S|^2 + 1 = 5, so a base of fewer bits misreads it
+@example(_PLANT_SCHEMES[0], 0, 0, False, -1)
+def test_packed_relation_check_matches_the_column_reference(
+        scheme, table, node, into_move, delta):
+    # over the rationals each column of a side is one int; every report
+    # entry, witness included, must be the column check's
+    family, text, kwargs = scheme
+    ws = WeightScheme(AlgebraSpec(family, **kwargs), parse_shape(text))
+    keys = _tables(ws)
+    _plant(ws, keys[table % len(keys)], node, into_move, delta)
+    report, reference = _reports(ws)
+    assert report == reference
+
+
+def _orbit_floor(ws, name, v):
+    """The smallest node of v's orbit under the s_i named in a relation
+    of the s_i alone."""
+    labels = [int(i) for i in re.findall(r"\d+", name)]
+    orbit = {v}
+    todo = [v]
+    while todo:
+        u = todo.pop()
+        for i in labels:
+            t = ws.graph.neighbors[u].get(i)
+            if t is not None and t not in orbit:
+                orbit.add(t)
+                todo.append(t)
+    return min(orbit)
+
+
+@pytest.mark.parametrize("text, key, node, into_move, delta", [
+    ("3,2,1", 2, 5, False, 1),
+    ("3,2,1", 2, 8, False, "L"),
+    ("3,3,1/2,1", 1, 2, False, 7),
+    ("3,3,1/2,1", 1, 1, True, -2),
+])
+def test_packed_witness_rows_past_the_first_slot_of_an_orbit(
+        text, key, node, into_move, delta):
+    # a witness row that is not its column's first slot is decoded from
+    # a higher base-B digit of the packed difference
+    ws = WeightScheme(AlgebraSpec("symmetric"), parse_shape(text))
+    _plant(ws, key, node, into_move, delta)
+    report, reference = _reports(ws)
+    assert report == reference
+    assert any(r["witness"]["row"] > _orbit_floor(ws, r["relation"],
+                                                  r["witness"]["col"])
+               for r in report if r["status"] == "fail")
+
+
+@pytest.mark.parametrize("family, text, kwargs", [
+    ("hecke_A", "4,2", {"q": F(101, 3)}),
+    ("ariki_koike", "(2)|(1,1)", {"u": (89, F(-3, 7)), "q": F(97, 5)}),
+])
+def test_packed_check_is_exact_on_large_numerators(family, text, kwargs):
+    # B / 2 bounds the entries of both sides: every relation passes
+    # unplanted, and +1 in the largest numerator fails as the column
+    # check fails
+    def build():
+        return WeightScheme(AlgebraSpec(family, **kwargs), parse_shape(text))
+
+    ws = build()
+    report = verify_relations(ws)
+    assert all(r["status"] == "pass" for r in report), report
+    # (|numerator|, key, node, into the move) over every table entry
+    entries = []
+    for key in _tables(ws):
+        stay, move, _ = (ws.scaled_steps(key) if key > 0
+                         else ws.diagonal_steps(-key))
+        for v, (a, mv) in enumerate(zip(stay, move)):
+            entries.append((abs(a), key, v, False))
+            if mv is not None:
+                entries.append((abs(mv[0]), key, v, True))
+    _, key, node, into_move = max(entries)
+    ws = build()
+    _plant(ws, key, node, into_move, 1)
+    report, reference = _reports(ws)
+    assert report == reference
+    assert any(r["status"] == "fail" for r in report)

@@ -1124,6 +1124,7 @@ def _without_seconds(text):
     ("transition --oracle word --shape 5,4,3 --format json", 70),
     ("bench --shape 5,4,3", 45),
     ("seminormal --shape 4,3,2,1 --format json", 60),
+    ("verify --shape 5,4,3", 90),
 ])
 def test_matrix_commands_stream_under_a_limit_the_whole_output_exceeds(
         capsys, argv, megabytes):
@@ -1135,7 +1136,8 @@ def test_matrix_commands_stream_under_a_limit_the_whole_output_exceeds(
     # matrix needed 88 MB; bench fits from 28 MB, where its matrix
     # needed 68 MB.  seminormal holds one generator's grid at a time: on
     # 4,3,2,1 it fits from 30 MB, where every grid and the output text
-    # together needed 110 MB
+    # together needed 110 MB.  verify, whose relation check holds one
+    # int per column and side, fits from 67 MB on 5,4,3
     argv = argv.split(" ")
     done = _run_under_memory_limit(argv, megabytes)
     assert (done.returncode, done.stderr) == (0, "")
