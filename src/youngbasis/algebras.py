@@ -38,11 +38,13 @@ column over L in lowest terms.
 :func:`verify_relations` checks each relation on the tables of its
 two sides without building a matrix.  Over the rationals each column of
 a side is one int, its rows in base-B digits, by one gather pass per
-factor (:func:`_packed`); over the other fields column v of the
-rightmost factor is read off its table and pushed through every factor
-to its left by :func:`linalg.push_column`.  The right sides of the
-quadratic and cyclotomic relations are tables too, (c S + d L I) / (d L)
-for the scalar c / d.  Both sides are read scaled to the lcm of their
+factor, and :func:`_packed` only locates the first column where the
+sides differ.  The columns that are compared as dicts -- that one over
+the rationals, every column in order over the other fields -- are read
+off the rightmost factor's table and pushed through every factor to its
+left by :func:`linalg.push_column`.  The right sides of the quadratic
+and cyclotomic relations are tables too, (c S + d L I) / (d L) for the
+scalar c / d.  Both sides are read scaled to the lcm of their
 denominators, so their numerator columns compare as they are; a failing
 relation divides its witness entry by that lcm.
 """
@@ -449,15 +451,17 @@ def _plus_identity(steps, c, d, den):
             den)
 
 
-def _columns(factors, k):
-    """The numerator columns of k times a product of step tables,
+def _columns(factors, k, vs):
+    """The numerator columns vs of k times a product of step tables,
     leftmost factor first, one at a time: column v of the rightmost
     factor read off its table, each numerator times k, and pushed
-    through every factor to its left."""
+    through every factor to its left by :func:`linalg.push_column`,
+    which may keep a zero product as an entry."""
     *left, (stay, move, _) = factors
     left.reverse()
-    for v, (a, mv) in enumerate(zip(stay, move)):
-        col = {v: a * k} if a else {}
+    for v in vs:
+        col = {v: stay[v] * k} if stay[v] else {}
+        mv = move[v]
         if mv is not None:
             col[mv[1]] = mv[0] * k
         for s, m, _ in left:
@@ -466,9 +470,9 @@ def _columns(factors, k):
 
 
 def _orbits(tables, size):
-    """Each node's orbit under the moves of tables, named by its
-    smallest node, and its slot: the number of nodes of its orbit below
-    it.  Column v of a product of the tables lies in the orbit of v."""
+    """Each node's slot: the number of nodes below it in its orbit
+    under the moves of tables.  Column v of a product of the tables
+    lies in the orbit of v, so its rows take distinct slots."""
     root = list(range(size))
     for _, move, _ in tables:
         for v, mv in enumerate(move):
@@ -488,7 +492,7 @@ def _orbits(tables, size):
         r = root[u] = root[root[u]]
         slot.append(count[r])
         count[r] += 1
-    return root, slot
+    return slot
 
 
 def _norm(steps):
@@ -499,20 +503,18 @@ def _norm(steps):
 
 
 def _packed(lhs, rhs, kl, kr):
-    """The column pairs of kl times the product lhs and kr times rhs
-    (rhs empty: 0), none when all are equal, each column packed into
-    one int: y^T kl F_1...F_m for y_u = B^slot(u) (see :func:`_orbits`),
-    one gather pass per factor.  B / 2 exceeds kl prod |F| + kr prod |G|,
-    a bound on the entries of the difference of the sides, so two ints
-    are equal exactly when their columns are; a pair that differs comes
-    as the column {row: lhs - rhs}, its balanced base-B digits, against
-    an empty one."""
+    """The first column where kl times the product lhs and kr times rhs
+    (rhs empty: 0) differ, or None, each column packed into one int:
+    y^T kl F_1...F_m for y_u = B^slot(u) (see :func:`_orbits`), one
+    gather pass per factor.  B / 2 exceeds kl prod |F| + kr prod |G|, a
+    bound on the entries of the difference of the sides, so two ints
+    are equal exactly when their columns are."""
     tables = {id(steps): steps for steps in (*lhs, *rhs)}
     norm = {key: _norm(steps) for key, steps in tables.items()}
     bits = (kl * prod(norm[id(steps)] for steps in lhs)
             + kr * prod(norm[id(steps)] for steps in rhs)).bit_length() + 1
     size = len(lhs[0][0])
-    root, slot = _orbits(tables.values(), size)
+    slot = _orbits(tables.values(), size)
 
     def side(factors, k):
         y = [k << bits * s for s in slot]
@@ -522,49 +524,43 @@ def _packed(lhs, rhs, kl, kr):
                  for yv, a, mv in zip(y, stay, move)]
         return y
 
-    def column(v, x):
-        col = {}
-        half = 1 << bits - 1
-        for u in range(size):
-            if root[u] == root[v]:
-                d = ((x + half) & ((half << 1) - 1)) - half
-                if d:
-                    col[u] = d
-                x = (x - d) >> bits
-        return col
-
     a = side(lhs, kl)
     b = side(rhs, kr) if rhs else [0] * size
     # equal lists compare in C
-    return () if a == b else ((x, y) if x == y else (column(v, x - y), {})
-                              for v, (x, y) in enumerate(zip(a, b)))
+    if a != b:
+        return next(v for v, (x, y) in enumerate(zip(a, b)) if x != y)
+    return None
 
 
 def _record(report, name, field, lhs, rhs=()):
     """Check lhs == rhs for products of step tables over field (rhs
     empty: lhs == 0).  Both sides are scaled to the lcm of their
-    denominators, so their numerator columns compare as they are: over
-    the rationals packed into ints by :func:`_packed`, elsewhere one
-    dict at a time by :func:`_columns`.  At the first column that
-    differs the witness is the difference of the sides at its smallest
-    such row, over that lcm."""
+    denominators, so their numerator columns compare as they are.  Over
+    the rationals :func:`_packed` locates the first column that differs
+    and :func:`_columns` builds only that one; elsewhere it builds every
+    column in order.  A missing row and an explicit 0 read alike, and
+    the witness is the difference of the sides at the first column's
+    smallest differing row, over that lcm."""
     dl = prod(steps[2] for steps in lhs)
     dr = prod(steps[2] for steps in rhs)
     den = lcm(dl, dr)
     if field == RATIONALS:
-        pairs = _packed(lhs, rhs, den // dl, den // dr)
+        v = _packed(lhs, rhs, den // dl, den // dr)
+        vs = () if v is None else (v,)
     else:
-        pairs = zip(_columns(lhs, den // dl),
-                    _columns(rhs, den // dr) if rhs else repeat({}))
+        vs = range(len(lhs[0][0]))
     item = {"relation": name, "status": "pass"}
-    for v, (a, b) in enumerate(pairs):
+    for v, a, b in zip(vs, _columns(lhs, den // dl, vs),
+                       _columns(rhs, den // dr, vs) if rhs else repeat({})):
         if a != b:
-            row = min(i for i in a.keys() | b.keys() if a.get(i) != b.get(i))
-            value = field.join(a.get(row, 0) - b.get(row, 0), den)
-            item["status"] = "fail"
-            item["witness"] = {"row": row, "col": v,
-                               "value": field.to_str(value)}
-            break
+            row = min((i for i in a.keys() | b.keys()
+                       if a.get(i, 0) != b.get(i, 0)), default=None)
+            if row is not None:
+                value = field.join(a.get(row, 0) - b.get(row, 0), den)
+                item["status"] = "fail"
+                item["witness"] = {"row": row, "col": v,
+                                   "value": field.to_str(value)}
+                break
     report.append(item)
 
 
@@ -573,8 +569,8 @@ def verify_relations(ws):
     identity; returns a list of {relation, status[, witness]} dicts.
 
     Each side is a product of step tables (see the module docstring):
-    over the rationals each column is packed into one int, and over the
-    other fields the columns are pushed through the tables as dicts."""
+    over the rationals packed ints locate a failing column, and the
+    columns compared are pushed through the tables as dicts."""
     n, r = ws.shape.n, ws.shape.r
     preset = ws.spec.preset
     field = ws.field

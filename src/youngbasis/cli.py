@@ -71,6 +71,17 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ShapeParseError(message)
 
+    def _get_values(self, action, arg_strings):
+        # argparse drops a "--" even when it is the value of an option
+        # written as --shape=--, which leaves the option an empty list;
+        # the value is what was written, and is checked as any other
+        if action.option_strings and action.nargs is None \
+                and arg_strings == ["--"]:
+            value = self._get_value(action, "--")
+            self._check_value(action, value)
+            return value
+        return super()._get_values(action, arg_strings)
+
 
 def nonnegative_int(text):
     """An int >= 0; argparse turns the ValueError into a usage error."""

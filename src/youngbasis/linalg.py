@@ -63,7 +63,9 @@ def split_over_lcm(split, values):
 def push_column(col, stay, move):
     """The matrix of a step table times the sparse column col: row u of
     col goes to u times stay[u] and, where move[u] = (b, target), to
-    target times b.  Zero sums are dropped."""
+    target times b.  A zero sum is dropped, but a product with a zero
+    factor is stored: step tables hold no zero move and columns no zero
+    entry, so only a table with a planted zero move meets it."""
     out = {}
     for u, val in col.items():
         a = stay[u]

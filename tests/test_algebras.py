@@ -1,3 +1,4 @@
+import random
 import re
 from fractions import Fraction as F
 from itertools import repeat
@@ -16,9 +17,10 @@ from youngbasis.algebras import (AlgebraSpec, WeightScheme,
 from youngbasis.bruhat import BruhatGraph
 from youngbasis.errors import (DegenerateWeightError, NonSemisimpleError,
                                PreconditionError)
-from youngbasis.fields import CyclotomicField, QRat, evaluate_q
+from youngbasis.fields import RATIONALS, CyclotomicField, QRat, evaluate_q
 from youngbasis.linalg import Matrix, matmul, push_column
-from youngbasis.shapes import (Shape, Tableau, all_partitions, alphabetizer,
+from youngbasis.shapes import (Shape, Tableau, all_partitions,
+                               all_skew_shapes, alphabetizer,
                                parse_shape, shape_from_parts)
 from youngbasis.transition import (diagonal_closed_form,
                                    orthogonal_diag_squared,
@@ -580,19 +582,23 @@ def test_keyed_tables_match_a_per_node_recomputation(family, q, u, text):
         assert d == want
 
 
+def _nonzero(col):
+    return {i: x for i, x in col.items() if x}
+
+
 def _reference_columns(factors, k):
     """The numerator columns of k times a product of step tables, each
-    column of the rightmost factor pushed through the others as a dict:
-    the column-at-a-time reference of the packed check."""
+    column of the rightmost factor pushed through the others as a dict
+    with no zero entry: the column-at-a-time reference of the check."""
     *left, (stay, move, _) = factors
     left.reverse()
     for v, (a, mv) in enumerate(zip(stay, move)):
-        col = {v: a * k} if a else {}
+        col = {v: a * k}
         if mv is not None:
             col[mv[1]] = mv[0] * k
         for s, m, _ in left:
-            col = push_column(col, s, m)
-        yield col
+            col = push_column(_nonzero(col), s, m)
+        yield _nonzero(col)
 
 
 def _reference_record(report, name, field, lhs, rhs=()):
@@ -755,3 +761,108 @@ def test_packed_check_is_exact_on_large_numerators(family, text, kwargs):
     report, reference = _reports(ws)
     assert report == reference
     assert any(r["status"] == "fail" for r in report)
+
+
+def _plant_zero_moves(ws, plants):
+    """Set the move coefficient of each (label, node) to an explicit 0,
+    straight into the scheme's cached s_i tables."""
+    for label, node in plants:
+        move = ws.scaled_steps(label)[1]
+        move[node] = (0, move[node][1])
+
+
+@pytest.mark.parametrize("family, value", [
+    ("hecke_A", None),
+    ("symmetric", "8/27"),
+])
+def test_verify_relations_reads_a_zero_product_as_a_missing_row(family,
+                                                                value):
+    # push_column keeps the zero products of a zero move as entries; the
+    # sides of braid s2 s3 first differ at row 6, not at such an entry
+    ws = WeightScheme(AlgebraSpec(family), parse_shape("4,2,1,1,1/3,1"))
+    _plant_zero_moves(ws, [(3, 6), (2, 8), (4, 2)])
+    report, reference = _reports(ws)
+    assert report == reference
+    witness = next(r["witness"] for r in report
+                   if r["relation"] == "braid s2 s3")
+    assert (witness["row"], witness["col"]) == (6, 6)
+    if value is not None:
+        assert witness["value"] == value
+
+
+def test_verify_relations_on_planted_zero_moves_matches_the_reference():
+    # 1-3 zero moves on every five-box skew shape, three draws a shape
+    # on the rationals and one on symbolic q: every report entry must be
+    # the zero-dropping column reference's
+    rng = random.Random(37)
+    shapes = all_skew_shapes(5)
+    for family, draws in (("symmetric", 3), ("hecke_A", 1)):
+        for shape in shapes * draws:
+            ws = WeightScheme(AlgebraSpec(family), shape)
+            moves = [(label, v) for label in range(1, shape.n)
+                     for v, mv in enumerate(ws.scaled_steps(label)[1])
+                     if mv is not None]
+            if not moves:
+                continue
+            _plant_zero_moves(ws, rng.sample(moves,
+                                             min(len(moves),
+                                                 rng.randint(1, 3))))
+            report, reference = _reports(ws)
+            assert report == reference, (family, shape.to_str())
+
+
+@pytest.mark.parametrize("family, text, kwargs", [
+    ("symmetric", "3,2,1", {}),
+    ("hecke_A", "3,2,1", {"q": 5}),
+    ("hecke_B", "(2,1)|(1)", {"u": (2, F(1, 2)), "q": 3}),
+    ("ariki_koike", "(2,1)|(1)", {"u": (2, 3), "q": 7}),
+    ("affine_placed", "(2,1)|(1)@1,q^3", {"q": 5}),
+])
+def test_rational_relations_push_only_the_first_differing_column(
+        monkeypatch, family, text, kwargs):
+    # over the rationals packed ints locate a failing column: a passing
+    # relation pushes nothing, and a failing one pushes only the column
+    # of its witness, through every factor but the rightmost of a side
+    calls = []
+
+    def counting_push(col, stay, move):
+        calls.append(col)
+        return push_column(col, stay, move)
+
+    real = algebras._record
+    records = []
+
+    def recording(report, name, field, lhs, rhs=()):
+        calls.clear()
+        real(report, name, field, lhs, rhs)
+        records.append((report[-1], lhs, rhs, list(calls)))
+
+    monkeypatch.setattr(algebras, "push_column", counting_push)
+    monkeypatch.setattr(algebras, "_record", recording)
+
+    def build():
+        return WeightScheme(AlgebraSpec(family, **kwargs), parse_shape(text))
+
+    ws = build()
+    assert ws.field == RATIONALS
+    verify_relations(ws)
+    assert records and not any(pushed for *_, pushed in records)
+    for key in _tables(build()):
+        records.clear()
+        ws = build()
+        _plant(ws, key, 1, False, 1)
+        verify_relations(ws)
+        failing = [r for r in records if r[0]["status"] == "fail"]
+        assert failing, key
+        for item, lhs, rhs, pushed in records:
+            if item["status"] == "pass":
+                assert not pushed
+                continue
+            v = item["witness"]["col"]
+            nl = len(lhs) - 1
+            assert len(pushed) == nl + (len(rhs) - 1 if rhs else 0)
+            for factors, side in ((lhs, pushed[:nl]), (rhs, pushed[nl:])):
+                if side:
+                    # the first push reads column v of the rightmost table
+                    mv = factors[-1][1][v]
+                    assert set(side[0]) <= {v} | ({mv[1]} if mv else set())

@@ -540,6 +540,15 @@ def test_usage_errors_exit_2_with_one_diagnostic_line(capsys, argv):
     assert diagnostic["error"] == "parse"
 
 
+@pytest.mark.parametrize("option", ["--shape=--", "--q=--", "--u=--",
+                                    "--r=--", "--family=--"])
+def test_double_dash_as_an_option_value_is_a_parse_error(capsys, option):
+    argv = ["transition", "--shape=2,1", option]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "parse"
+
+
 @pytest.mark.parametrize("command, formats", [
     ("tableaux", {"json", "csv"}), ("graph", {"dot"}),
     ("seminormal", {"json", "csv"}), ("natural", {"json", "csv"}),
