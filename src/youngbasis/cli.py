@@ -24,8 +24,7 @@ from .bruhat import BruhatGraph, to_dot
 from .errors import (InvariantError, PreconditionError, ShapeParseError,
                      YoungBasisError)
 from .fields import parse_rational
-from .linalg import (cell_rows, compact_json, csv_chunks, joined_rows,
-                     json_chunks)
+from .linalg import cell_rows, compact_json, csv_chunks, json_chunks
 # unused here; perfbench/selftest.py patches this name
 from .linalg import matrix_to_json  # noqa: F401
 from .shapes import all_partitions, parse_shape, shape_from_parts
@@ -280,13 +279,12 @@ def _cmd_generators(args, natural):
     if quoted:
         _emit(args, chain(json_chunks(dict(
             _json_head(ws, basis_kind="natural" if natural else "seminormal"),
-            generators=({"field": m.field.name, "name": name,
-                         "rows": joined_rows(m.field, m.ncols, rows, True)}
+            generators=({"field": m.field.name, "name": name, "rows": rows}
                         for name, m, rows in grids))), "\n"))
     else:
         _emit(args, chain.from_iterable(
             chain((f"# generator {name}\n",),
-                  csv_chunks(m.field, m.ncols, rows, m.basis))
+                  csv_chunks(rows, m.nrows, m.ncols, m.basis))
             for name, m, rows in grids))
     return 0
 
@@ -312,16 +310,14 @@ def cmd_transition(args):
     # every column is checked and the grid of cells complete before a
     # byte is written; a route holds at most two depth levels and the
     # grid an upper-triangular matrix's cells from the diagonal
-    rows = cell_rows(field, f, f, tr.checked_columns(graph, columns),
-                     quoted, upper=True)
+    rows = cell_rows(field, f, f, tr.checked_columns(graph, columns), quoted)
     head = _json_head(ws, oracle=args.oracle) if quoted else None
     del ws, columns  # free the scheme's caches
     if quoted:
-        _emit(args, chain(json_chunks(dict(
-            head, field=field.name, rows=joined_rows(field, f, rows, True))),
-            "\n"))
+        _emit(args, chain(json_chunks(dict(head, field=field.name,
+                                           rows=rows)), "\n"))
     else:
-        _emit(args, csv_chunks(field, f, rows, graph.nodes))
+        _emit(args, csv_chunks(rows, f, f, graph.nodes))
     return 0
 
 
@@ -424,10 +420,7 @@ def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
-    except ShapeParseError as exc:
-        _diag("parse", exc)
-        return 2
-    except ValueError as exc:
+    except (ShapeParseError, ValueError) as exc:
         _diag("parse", exc)
         return 2
     except PreconditionError as exc:

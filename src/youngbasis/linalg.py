@@ -15,10 +15,10 @@ holds stays[v] at row v and, where moves[v] = (b, target), b at row
 target, all over den.  :func:`push_column` multiplies a sparse column by
 a table's numerators, at most two products per entry.
 
-Serialization reads a stream of columns into a grid of cell strings
-(:func:`cell_rows`) and writes it in pieces, one row at a time:
-:func:`json_chunks` is the one JSON writer, of any object, and
-:func:`csv_chunks` writes CSV.
+Serialization reads a stream of columns into rows of cell strings, each
+made at its first nonzero column (:func:`cell_rows`), and writes them in
+pieces, one joined row at a time: :func:`json_chunks` is the one JSON
+writer, of any object, and :func:`csv_chunks` writes CSV.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .fields import RATIONALS, field_by_name
 __all__ = ["Matrix", "matmul", "triangular_solve", "triangular_inverse",
            "integral_pair", "lowest_terms", "split_over_lcm",
            "push_column", "table_columns",
-           "cell_rows", "joined_rows", "compact_json", "json_chunks",
+           "cell_rows", "compact_json", "json_chunks",
            "csv_chunks", "matrix_to_json", "matrix_from_json",
            "matrix_to_csv"]
 
@@ -328,31 +328,30 @@ def triangular_inverse(a):
 # serialization
 # ---------------------------------------------------------------------------
 
-def cell_rows(field, nrows, ncols, columns, quoted=False, upper=False):
-    """Rows of scalar strings of the matrix whose columns the stream
-    columns gives as (j, numerators, den) for j = 0, 1, ..., each cell
-    in double quotes if quoted.  A cell is plain ASCII from
+def cell_rows(field, nrows, ncols, columns, quoted=False):
+    """The rows, one string each, of the matrix whose columns the stream
+    columns gives as (j, numerators, den) for j = 0, 1, ...: ncols
+    comma-separated cells, in brackets (a JSON array) and each cell in
+    double quotes if quoted.  A cell is plain ASCII from
     ``[0-9qz^*/+()-]``, so quoted it is its own JSON string.  Zero cells
     share one string.  Cells are memoized per column denominator and
     keyed by their numerator, a scalar by its all-int ``_key``, so each
     distinct (numerator, denominator) pair is formatted once, by the
     field's ``split_str``.
 
-    A row holds its last cells: all ncols of them, or if upper (the
-    matrix is square and upper-triangular) row i holds the cells from
-    column i on, and is made when column i arrives.  Either way cell
-    (i, j) is at index j - ncols of row i, and the row's missing
-    leading cells are zeros."""
+    Every cell is made before this returns; the rows are then joined one
+    at a time as the returned iterator is read.  A row is made at its
+    first nonzero cell and holds the cells from that column on (on an
+    upper-triangular matrix row i from column i), so cell (i, j) is at
+    index j - ncols of row i; a row with no nonzero cell stays None."""
     fmt = field.split_str
     to_str = (lambda x, den: f'"{fmt(x, den)}"') if quoted else fmt
     zero = to_str(*field.split(field.zero))
-    rows = [] if upper else [[zero] * ncols for _ in range(nrows)]
+    rows = [None] * nrows
     # a scalar's __hash__ and __eq__ are slow Python; its key is not
     key = None if field == RATIONALS else type(field.one)._key
     memos = {}
     for j, col, den in columns:
-        if upper:
-            rows.append([zero] * (ncols - j))
         memo = memos.get(den)
         if memo is None:
             memo = memos[den] = {}
@@ -362,19 +361,24 @@ def cell_rows(field, nrows, ncols, columns, quoted=False, upper=False):
             s = memo.get(c)
             if s is None:
                 s = memo[c] = to_str(x, den)
-            rows[i][k] = s
-    return rows
+            try:
+                rows[i][k] = s
+            except TypeError:  # the row's first nonzero cell
+                rows[i] = row = [zero] * -k
+                row[0] = s
+    return _joined(rows, ncols, zero, quoted)
 
 
-def joined_rows(field, ncols, rows, quoted=False):
-    """Each row of :func:`cell_rows` as one string of ncols comma-separated
-    cells, in brackets (a JSON array) if quoted: missing leading zeros are
-    a string repeat, and a row's list is dropped once it is joined."""
-    zero = (json.dumps if quoted else str)(field.to_str(field.zero)) + ","
+def _joined(rows, ncols, zero, quoted):
+    """Each row of :func:`cell_rows` joined, its missing leading zeros a
+    string repeat (a row never made is all zeros), and dropped."""
     head, tail = ("[", "]") if quoted else ("", "")
+    empty = head + ",".join([zero] * ncols) + tail
+    zero += ","
     for i, row in enumerate(rows):
         rows[i] = None
-        yield head + zero * (ncols - len(row)) + ",".join(row) + tail
+        yield empty if row is None else \
+            head + zero * (ncols - len(row)) + ",".join(row) + tail
 
 
 def compact_json(obj):
@@ -403,28 +407,28 @@ def json_chunks(obj):
         yield compact_json(obj)[:-1]
 
 
-def csv_chunks(field, ncols, rows, basis=None):
-    """A header line of basis words, then one line per row of rows
-    (:func:`cell_rows`), each line a piece."""
+def csv_chunks(rows, nrows, ncols, basis=None):
+    """A header line of basis words, then one line per row of the nrows
+    rows of :func:`cell_rows`, each line a piece."""
     if basis is not None:
         words = [" ".join(str(x) for x in t.word) for t in basis]
     else:
         words = [str(j + 1) for j in range(ncols)]
     yield "," + ",".join(words) + "\n"
-    labels = words if basis is not None and len(rows) == ncols \
-        else [str(i + 1) for i in range(len(rows))]
-    for label, row in zip(labels, joined_rows(field, ncols, rows)):
+    labels = words if basis is not None and nrows == ncols \
+        else [str(i + 1) for i in range(nrows)]
+    for label, row in zip(labels, rows):
         yield label + "," + row + "\n"
 
 
 def matrix_to_json(m, shape_str=None, params=None):
     """The compact JSON line of {shape, field, params, basis, rows}: the
     join of :func:`json_chunks`."""
-    rows = cell_rows(m.field, m.nrows, m.ncols, m.column_stream(), True)
     return "".join(json_chunks({
         "basis": [t.serialize() for t in m.basis] if m.basis else None,
         "field": m.field.name, "params": params or {},
-        "rows": joined_rows(m.field, m.ncols, rows, True),
+        "rows": cell_rows(m.field, m.nrows, m.ncols, m.column_stream(),
+                          True),
         "shape": shape_str})) + "\n"
 
 
@@ -446,4 +450,4 @@ def matrix_to_csv(m):
     """Header row of basis words, then one line per row of scalar
     strings: the join of :func:`csv_chunks`."""
     rows = cell_rows(m.field, m.nrows, m.ncols, m.column_stream())
-    return "".join(csv_chunks(m.field, m.ncols, rows, m.basis))
+    return "".join(csv_chunks(rows, m.nrows, m.ncols, m.basis))

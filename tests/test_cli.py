@@ -1133,6 +1133,7 @@ def _without_seconds(text):
     ("transition --oracle word --shape 5,4,3 --format json", 70),
     ("bench --shape 5,4,3", 45),
     ("seminormal --shape 4,3,2,1 --format json", 60),
+    ("seminormal --shape 5,4,3 --gen 1 --format json", 50),
     ("verify --shape 5,4,3", 90),
 ])
 def test_matrix_commands_stream_under_a_limit_the_whole_output_exceeds(
@@ -1144,9 +1145,11 @@ def test_matrix_commands_stream_under_a_limit_the_whole_output_exceeds(
     # needed 125 MB; the word oracle fits from 50 MB, where its whole
     # matrix needed 88 MB; bench fits from 28 MB, where its matrix
     # needed 68 MB.  seminormal holds one generator's grid at a time: on
-    # 4,3,2,1 it fits from 30 MB, where every grid and the output text
-    # together needed 110 MB.  verify, whose relation check holds one
-    # int per column and side, fits from 67 MB on 5,4,3
+    # 4,3,2,1 it fits from 25 MB, where every grid and the output text
+    # together needed 110 MB.  A grid's row starts at its first nonzero
+    # column, so 5,4,3 --gen 1 fits from 42 MB, where its full
+    # 2,112-square grid needed 60 MB.  verify, whose relation check
+    # holds one int per column and side, fits from 67 MB on 5,4,3
     argv = argv.split(" ")
     done = _run_under_memory_limit(argv, megabytes)
     assert (done.returncode, done.stderr) == (0, "")

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from golden import SYMMETRIC_GOLDEN
+from youngbasis import linalg
 from youngbasis.algebras import (AlgebraSpec, WeightScheme,
                                  conjugate_to_natural, generators,
                                  seminormal_generator, zeroth_generator)
@@ -15,18 +16,41 @@ from youngbasis.errors import FieldMismatchError, PreconditionError
 from youngbasis.fields import (CyclotomicField, Cyclo, QFIELD, QRat,
                                RATIONALS)
 from youngbasis.linalg import (Matrix, cell_rows, compact_json, csv_chunks,
-                               joined_rows, json_chunks, matmul,
-                               matrix_from_json, matrix_to_csv,
-                               matrix_to_json, triangular_inverse,
-                               triangular_solve)
+                               json_chunks, matmul, matrix_from_json,
+                               matrix_to_csv, matrix_to_json,
+                               triangular_inverse, triangular_solve)
 from youngbasis.shapes import parse_shape
 from youngbasis.transition import (grn_transition, transition_pathsum,
                                    transition_recursive, transition_word)
 
 
 def _full_rows(m, quoted=False):
-    """Rows of scalar strings of m, every row full."""
-    return cell_rows(m.field, m.nrows, m.ncols, m.column_stream(), quoted)
+    """Rows of scalar strings of m, every row full: the writer's joined
+    rows split at their commas, which no cell holds."""
+    rows = list(cell_rows(m.field, m.nrows, m.ncols, m.column_stream(),
+                          quoted))
+    if quoted:
+        assert all(row[0] + row[-1] == "[]" for row in rows)
+        rows = [row[1:-1] for row in rows]
+    return [row.split(",") if row else [] for row in rows]
+
+
+# rows that start part-way along and rows that never start
+_ODD_LAYOUTS = [
+    # an all-zero row
+    Matrix.from_rows([[F(1), F(2), F(0)], [F(0)] * 3,
+                      [F(0), F(1, 2), F(3)]], RATIONALS),
+    # one nonzero below the diagonal
+    Matrix.from_rows([[F(1), F(2), F(3)], [F(0), F(4), F(5)],
+                      [F(0), F(-7, 3), F(6)]], RATIONALS),
+    # lower-triangular, over q
+    Matrix.from_rows([[QRat.q_power(1), 0, 0], [1, 2, 0],
+                      [QRat.q_power(-2), 0, QRat.q_power(1) - 1]], QFIELD),
+    # 3 x 2, its last row zero, and 2 x 3, its first row zero
+    Matrix.from_rows([[F(0), F(1, 4)], [F(5), F(0)], [F(0), F(0)]],
+                     RATIONALS),
+    Matrix.from_rows([[F(0)] * 3, [F(0), F(0), F(-1)]], RATIONALS),
+]
 
 
 def _golden_matrix(key):
@@ -213,7 +237,8 @@ def test_json_writer_matches_one_compact_json_call():
              (Matrix(rational.nrows, rational.ncols, RATIONALS,
                      cols=rational.cols, dens=rational.dens), ("3,2",)),
              (halves, (None, None)),
-             (_fresh_cells(symbolic), ("3,2", {"family": "hecke_A"}))]
+             (_fresh_cells(symbolic), ("3,2", {"family": "hecke_A"})),
+             *((m, (None, None)) for m in _ODD_LAYOUTS)]
     # equal values in distinct objects
     fresh = [v for col in _fresh_cells(symbolic).cols for v in col.values()]
     assert len(set(map(id, fresh))) == len(fresh) > len(set(fresh))
@@ -224,28 +249,48 @@ def test_json_writer_matches_one_compact_json_call():
             assert all(re.fullmatch(r"[0-9qz^*/+()-]+", c) for c in row)
 
 
+def _row_lengths(m, quoted, monkeypatch):
+    """The lengths of the rows :func:`cell_rows` holds for m before it
+    joins them, None for a row it never made."""
+    lengths, join = [], linalg._joined
+
+    def joined(rows, *args):
+        lengths.extend(None if row is None else len(row) for row in rows)
+        return join(rows, *args)
+    monkeypatch.setattr(linalg, "_joined", joined)
+    cell_rows(m.field, m.nrows, m.ncols, m.column_stream(), quoted)
+    monkeypatch.undo()
+    return lengths
+
+
 @pytest.mark.parametrize("spec, text", [
     (AlgebraSpec("symmetric"), "4,2,1"), (AlgebraSpec("hecke_A"), "3,2,1"),
     (AlgebraSpec("ariki_koike", q=5, u=(2, 3)), "(2,1)|(1)"),
     (AlgebraSpec("symmetric"), "1"), (AlgebraSpec("symmetric"), "()")])
-def test_upper_triangular_rows_start_at_the_diagonal(spec, text):
+def test_upper_triangular_rows_start_at_the_diagonal(spec, text,
+                                                     monkeypatch):
     m = transition_recursive(WeightScheme(spec, parse_shape(text))).matrix
     f = m.ncols
     zero = m.field.to_str(m.field.zero)
     for quoted in (False, True):
-        rows = cell_rows(m.field, f, f, m.column_stream(), quoted,
-                         upper=True)
-        assert rows == [row[i:] for i, row in enumerate(
-            _full_rows(m, quoted))]
-    assert all(row[:i] == [zero] * i for i, row in enumerate(_full_rows(m)))
-    rows = cell_rows(m.field, f, f, m.column_stream(), True, upper=True)
+        assert _row_lengths(m, quoted, monkeypatch) == [f - i
+                                                        for i in range(f)]
+    assert all(row[:i] == [zero] * i and row[i] != zero
+               for i, row in enumerate(_full_rows(m)))
+    # the stream writer as transition uses it
     assert "".join(json_chunks({
         "basis": [t.serialize() for t in m.basis] if m.basis else None,
         "field": m.field.name, "params": {},
-        "rows": joined_rows(m.field, f, rows, True),
+        "rows": cell_rows(m.field, f, f, m.column_stream(), True),
         "shape": text})) + "\n" == matrix_to_json(m, text)
-    rows = cell_rows(m.field, f, f, m.column_stream(), upper=True)
-    assert "".join(csv_chunks(m.field, f, rows, m.basis)) == matrix_to_csv(m)
+    rows = cell_rows(m.field, f, f, m.column_stream())
+    assert "".join(csv_chunks(rows, f, f, m.basis)) == matrix_to_csv(m)
+    # any other matrix's rows start at their first nonzero column
+    for m in _ODD_LAYOUTS:
+        starts = [min((j for j, col in enumerate(m.cols) if i in col),
+                      default=None) for i in range(m.nrows)]
+        assert _row_lengths(m, False, monkeypatch) == [
+            None if j is None else m.ncols - j for j in starts]
 
 
 _JSON_VALUES = st.recursive(
@@ -285,6 +330,12 @@ def test_cells_of_a_column_are_reduced_one_by_one():
     assert matrix_to_csv(m) == ",1,2,3\n" + "".join(
         f"{i + 1},{','.join(row)}\n" for i, row in enumerate(expect))
     assert _full_rows(m, quoted=True)[1] == ['"1/4"', '"0"', '"-1"']
+    for m in _ODD_LAYOUTS:
+        lines = [["", *map(str, range(1, m.ncols + 1))]] + [
+            [str(i + 1), *map(m.field.to_str, row)]
+            for i, row in enumerate(m.to_rows())]
+        assert matrix_to_csv(m) == "".join(
+            ",".join(line) + "\n" for line in lines)
 
 
 def test_csv_has_word_header():
