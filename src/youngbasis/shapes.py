@@ -421,74 +421,44 @@ def alphabetizer(t):
 
 
 def all_partitions(n):
-    """All partitions of exactly n, in lexicographically decreasing order."""
-    out = []
-
-    def rec(remaining, maxpart, prefix):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for part in range(min(maxpart, remaining), 0, -1):
-            prefix.append(part)
-            rec(remaining - part, part, prefix)
-            prefix.pop()
-
-    rec(n, n, [])
-    return out
+    """All partitions of exactly n, in lexicographically decreasing order:
+    (n,) first and (1,) * n last."""
+    return _partitions((n,) * n, n)
 
 
 def all_skew_shapes(n):
-    """Basic skew shapes with exactly n boxes inside an n x n bounding
-    box: every row nonempty, and the padded inner partition ends in 0 so
-    horizontally translated duplicates are excluded."""
-    shapes = []
-    for nrows in range(1, n + 1):
-        for outer in _bounded_partitions(nrows, n):
-            target = sum(outer) - n
-            for inner in _inner_choices(outer, target):
-                if inner[-1] > 0:
-                    continue
-                if any(inner[i] >= outer[i] for i in range(len(outer))):
-                    continue
-                inner_trim = tuple(x for x in inner if x > 0)
-                shapes.append(Shape([(outer, inner_trim)]))
-    return shapes
+    """Basic skew shapes with exactly n boxes inside an n x n bounding box,
+    by row count, then outer and inner shape in lexicographically decreasing
+    order. Inner rows are capped strictly shorter than outer rows (no empty
+    row) and the padded inner shape ends in 0 (no horizontal translates)."""
+    # the sort keeps the lexicographic order within a row count; it puts
+    # first the empty outer shape, which has no boxes
+    return [Shape([(outer, inner)])
+            for outer in sorted(_partitions((n,) * n), key=len)[1:]
+            for inner in _partitions([x - 1 for x in outer[:-1]],
+                                     sum(outer) - n)]
 
 
-def _bounded_partitions(nrows, maxpart):
-    """Partitions with exactly nrows parts, each <= maxpart."""
-    out = []
+def _partitions(caps, total=None):
+    """The partitions with at most len(caps) parts, part i at most
+    caps[i], in lexicographically decreasing order: those of total, or of
+    any size when total is None. There are none when total < 0."""
+    out, prefix, caps = [], [], (*caps, 0)
+    free = total is None
 
-    def rec(rows_left, cap, prefix):
-        if rows_left == 0:
+    def rec(i, bound, left):
+        if not left:
             out.append(tuple(prefix))
             return
-        for part in range(cap, 0, -1):
+        # compares, not min(): the call is a third of the walk's time
+        top = caps[i] if caps[i] < bound else bound
+        for part in range(left if left < top else top, 0, -1):
             prefix.append(part)
-            rec(rows_left - 1, part, prefix)
+            rec(i + 1, part, left - part)
             prefix.pop()
+        if free:
+            out.append(tuple(prefix))
 
-    rec(nrows, maxpart, [])
-    return out
-
-
-def _inner_choices(outer, target):
-    """Partitions inner <= outer componentwise with |inner| = target,
-    padded with zeros to len(outer)."""
-    if target < 0:
-        return []
-    out = []
-
-    def rec(i, cap, remaining, prefix):
-        if remaining == 0:
-            out.append(tuple(prefix) + (0,) * (len(outer) - len(prefix)))
-            return
-        if i == len(outer):
-            return
-        for part in range(min(cap, outer[i], remaining), 0, -1):
-            prefix.append(part)
-            rec(i + 1, part, remaining - part, prefix)
-            prefix.pop()
-
-    rec(0, outer[0] if outer else 0, target, [])
+    # with free, left never binds and reaches 0 only when the caps left are 0
+    rec(0, caps[0], sum(caps) if free else total)
     return out

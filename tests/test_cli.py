@@ -18,7 +18,7 @@ from youngbasis.algebras import (AlgebraSpec, WeightScheme,
 from youngbasis.cli import FAMILY_CHOICES, build_parser, main
 from youngbasis.fields import evaluate_q
 from youngbasis.linalg import Matrix, matrix_from_json, matrix_to_json
-from youngbasis.shapes import parse_shape
+from youngbasis.shapes import all_partitions, parse_shape
 from youngbasis.transition import grn_transition, transition_recursive
 
 
@@ -392,6 +392,12 @@ def test_bench(capsys):
     lines = out.strip().split("\n")
     assert lines[0].startswith("shape,f,")
     assert len(lines) == 6  # header + 5 partitions
+    # shapes come in the order of all_partitions: lexicographically decreasing
+    code, out, _ = run_cli(capsys, "bench", "--partitions-of", "6",
+                           "--format", "csv")
+    assert code == 0
+    shapes = [row["shape"] for row in csv.DictReader(io.StringIO(out))]
+    assert shapes == [",".join(map(str, p)) for p in all_partitions(6)]
     code, out, _ = run_cli(capsys, "bench", "--shape", "3,2",
                            "--format", "json")
     rec = json.loads(out)[0]

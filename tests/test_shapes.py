@@ -1,15 +1,21 @@
+import hashlib
 import json
 import math
+from collections import Counter
 from fractions import Fraction as F
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations, product
+from operator import lt
 
 import pytest
+from sympy.functions.combinatorial.numbers import \
+    partition as sympy_partition_count
+from sympy.utilities.iterables import partitions as sympy_partitions
 
 from youngbasis.errors import (DegenerateWeightError, PreconditionError,
                                ShapeParseError)
 from youngbasis.fields import QFIELD, QRat
 from youngbasis.perms import length as perm_length
-from youngbasis.shapes import (Shape, Tableau, all_partitions,
+from youngbasis.shapes import (Shape, Tableau, _partitions, all_partitions,
                                all_skew_shapes, alphabetizer,
                                apply_permutation, column_reading_tableau,
                                parse_shape, row_reading_tableau,
@@ -276,16 +282,46 @@ def test_swap_is_involutive():
 
 def test_all_partitions():
     assert all_partitions(4) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
-    assert len(all_partitions(8)) == 22
+    counts = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]
+    for n in range(13):
+        # sympy reuses the dict it yields: convert each one on arrival
+        oracle = sorted((tuple(sorted(Counter(p).elements(), reverse=True))
+                         for p in sympy_partitions(n)), reverse=True)
+        assert all_partitions(n) == oracle
+        assert len(oracle) == sympy_partition_count(n) == counts[n]
+    # the enumerator under both: no caps, a negative size, a zero cap
+    assert _partitions(()) == _partitions((), 0) == [()]
+    assert _partitions((), 1) == _partitions((2, 1), -1) == []
+    assert _partitions((3, 0, 2)) == [(3,), (2,), (1,), ()]
+    assert _partitions((3, 0, 2), 2) == [(2,)]
+    assert _partitions((2, 2, 1), 3) == [(2, 1), (1, 1, 1)]
 
 
 def test_all_skew_shapes_are_normalized():
-    for s in all_skew_shapes(4):
-        outer, inner = s.components[0]
-        padded = inner + (0,) * (len(outer) - len(inner))
-        assert padded[-1] == 0
-        assert all(padded[i] < outer[i] for i in range(len(outer)))
-        assert s.n == 4
+    digests = ["6b86b273ff34fce1", "f5a6061eca6b13ca", "76a936a0ec296b0e",
+               "ccfe31632df8dc2f", "11e7dc0c2656d54a", "5f755e28f4d65945"]
+    for n, digest in enumerate(digests, 1):
+        shapes = all_skew_shapes(n)
+        for s in shapes:
+            outer, inner = s.components[0]
+            padded = inner + (0,) * (len(outer) - len(inner))
+            assert padded[-1] == 0
+            assert all(padded[i] < outer[i] for i in range(len(outer)))
+            assert s.n == n
+        # the order is pinned by a digest of the listing
+        listing = "\n".join(s.to_str() for s in shapes).encode()
+        assert hashlib.sha256(listing).hexdigest()[:16] == digest
+        assert len(shapes) == [1, 3, 11, 46, 205, 947][n - 1]
+        comps = [s.components for s in shapes]
+        assert len(set(comps)) == len(comps)
+        # brute force: every pair of partitions in the n x n box
+        box = [p for k in range(n + 1)
+               for p in combinations_with_replacement(range(n, 0, -1), k)]
+        # with fewer inner than outer rows, the last row is nonempty
+        brute = {((outer, inner),) for outer, inner in product(box, box)
+                 if sum(outer) - sum(inner) == n
+                 and len(inner) < len(outer) and all(map(lt, inner, outer))}
+        assert set(comps) == brute
 
 
 def test_reading_tableaux_pair():
