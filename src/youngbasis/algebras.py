@@ -36,24 +36,25 @@ for.  A generator matrix is built from its table when asked for, each
 column over L in lowest terms.
 
 :func:`verify_relations` checks each relation on the tables of its
-two sides without building a matrix.  Over the rationals each column of
-a side is one int, its rows in base-B digits, by one gather pass per
-factor, and :func:`_packed` only locates the first column where the
-sides differ.  The columns that are compared as dicts -- that one over
-the rationals, every column in order over the other fields -- are read
-off the rightmost factor's table and pushed through every factor to its
-left by :func:`linalg.push_column`.  The right sides of the quadratic
-and cyclotomic relations are tables too, (c S + d L I) / (d L) for the
-scalar c / d.  Both sides are read scaled to the lcm of their
-denominators, so their numerator columns compare as they are; a failing
-relation divides its witness entry by that lcm.
+two sides without building a matrix, each side a product of step
+tables.  Over the rationals each column of a side is one int, its rows
+in base-B digits, by one gather pass per factor, and :func:`_packed`
+only locates the first column where the sides differ.  The columns that
+are compared as dicts -- that one over the rationals, every column in
+order over the other fields -- are the unit column pushed through every
+factor, rightmost first, by :func:`linalg.push_column`.  Every right
+side is a product of tables too: (c S + d L I) / den, built by
+:func:`_plus_identity`, gives the quadratic and cyclotomic factors, the
+identity (c = 0, d = 1) and the zero matrix (c = d = 0).  Both sides are
+read scaled to the lcm of their denominators, so their numerator
+columns compare as they are; a failing relation divides its witness
+entry by that lcm.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from itertools import repeat
 from math import lcm, prod
 from operator import itemgetter
 from typing import NamedTuple
@@ -436,36 +437,26 @@ def natural_generator(ws, i, transition=None):
 # defining relations
 # ---------------------------------------------------------------------------
 
-def _identity_steps(field, size):
-    """The step table of the identity matrix."""
-    one = field.split(field.one)[0]
-    return [one] * size, [None] * size, 1
-
-
 def _plus_identity(steps, c, d, den):
-    """The step table of (c S + d L I) / den for the table S over L."""
+    """The step table of (c S + d L I) / den for the table S over L: the
+    identity for c = 0, d = 1, den = L and the zero matrix for c = d = 0.
+    With c = 0 it keeps no move, as tables hold no zero move."""
     stay, move, scale = steps
     dl = d * scale
     return ([c * a + dl for a in stay],
-            [None if mv is None else (c * mv[0], mv[1]) for mv in move],
+            [(c * mv[0], mv[1]) if c and mv else None for mv in move],
             den)
 
 
 def _columns(factors, k, vs):
     """The numerator columns vs of k times a product of step tables,
-    leftmost factor first, one at a time: column v of the rightmost
-    factor read off its table, each numerator times k, and pushed
-    through every factor to its left by :func:`linalg.push_column`,
+    leftmost factor first, one at a time: the unit column {v: k} pushed
+    through every factor, rightmost first, by :func:`linalg.push_column`,
     which may keep a zero product as an entry."""
-    *left, (stay, move, _) = factors
-    left.reverse()
     for v in vs:
-        col = {v: stay[v] * k} if stay[v] else {}
-        mv = move[v]
-        if mv is not None:
-            col[mv[1]] = mv[0] * k
-        for s, m, _ in left:
-            col = push_column(col, s, m)
+        col = {v: k}
+        for stay, move, _ in reversed(factors):
+            col = push_column(col, stay, move)
         yield col
 
 
@@ -504,7 +495,7 @@ def _norm(steps):
 
 def _packed(lhs, rhs, kl, kr):
     """The first column where kl times the product lhs and kr times rhs
-    (rhs empty: 0) differ, or None, each column packed into one int:
+    differ, or None, each column packed into one int:
     y^T kl F_1...F_m for y_u = B^slot(u) (see :func:`_orbits`), one
     gather pass per factor.  B / 2 exceeds kl prod |F| + kr prod |G|, a
     bound on the entries of the difference of the sides, so two ints
@@ -513,8 +504,7 @@ def _packed(lhs, rhs, kl, kr):
     norm = {key: _norm(steps) for key, steps in tables.items()}
     bits = (kl * prod(norm[id(steps)] for steps in lhs)
             + kr * prod(norm[id(steps)] for steps in rhs)).bit_length() + 1
-    size = len(lhs[0][0])
-    slot = _orbits(tables.values(), size)
+    slot = _orbits(tables.values(), len(lhs[0][0]))
 
     def side(factors, k):
         y = [k << bits * s for s in slot]
@@ -525,19 +515,19 @@ def _packed(lhs, rhs, kl, kr):
         return y
 
     a = side(lhs, kl)
-    b = side(rhs, kr) if rhs else [0] * size
+    b = side(rhs, kr)
     # equal lists compare in C
     if a != b:
         return next(v for v, (x, y) in enumerate(zip(a, b)) if x != y)
     return None
 
 
-def _record(report, name, field, lhs, rhs=()):
-    """Check lhs == rhs for products of step tables over field (rhs
-    empty: lhs == 0).  Both sides are scaled to the lcm of their
-    denominators, so their numerator columns compare as they are.  Over
-    the rationals :func:`_packed` locates the first column that differs
-    and :func:`_columns` builds only that one; elsewhere it builds every
+def _record(report, name, field, lhs, rhs):
+    """Check lhs == rhs for products of step tables over field.  Both
+    sides are scaled to the lcm of their denominators, so their
+    numerator columns compare as they are.  Over the rationals
+    :func:`_packed` locates the first column that differs and
+    :func:`_columns` builds only that one; elsewhere it builds every
     column in order.  A missing row and an explicit 0 read alike, and
     the witness is the difference of the sides at the first column's
     smallest differing row, over that lcm."""
@@ -551,7 +541,7 @@ def _record(report, name, field, lhs, rhs=()):
         vs = range(len(lhs[0][0]))
     item = {"relation": name, "status": "pass"}
     for v, a, b in zip(vs, _columns(lhs, den // dl, vs),
-                       _columns(rhs, den // dr, vs) if rhs else repeat({})):
+                       _columns(rhs, den // dr, vs)):
         if a != b:
             row = min((i for i in a.keys() | b.keys()
                        if a.get(i, 0) != b.get(i, 0)), default=None)
@@ -574,7 +564,6 @@ def verify_relations(ws):
     n, r = ws.shape.n, ws.shape.r
     preset = ws.spec.preset
     field = ws.field
-    size = ws.graph.size()
     report = []
     gens = {i: ws.scaled_steps(i) for i in range(1, n)}
     # T_i^2 = (q - q^-1) T_i + 1, an involution at q = 1
@@ -591,8 +580,7 @@ def verify_relations(ws):
                [gens[i + 1], gens[i], gens[i + 1]])
     for i in range(1, n):
         # I + (c / d) S / L = (c S + d L I) / (d L)
-        rhs = (_plus_identity(gens[i], c, d, d * gens[i][2]) if c
-               else _identity_steps(field, size))
+        rhs = _plus_identity(gens[i], c, d, d * gens[i][2])
         name = "quadratic T" if preset.prefix == "T" else "involution s"
         record(f"{name}{i}", field, [gens[i], gens[i]], [rhs])
 
@@ -610,14 +598,15 @@ def verify_relations(ws):
                    [gens[i], t0])
         if preset.zeroth == "xi":
             record(f"order s0^{r} = 1", field0, [t0] * r,
-                   [_identity_steps(field0, size)])
+                   [_plus_identity(t0, 0, 1, t0[2])])
         else:
             # T0 - a / b = (b S0 - a L0 I) / (b L0)
             factors = []
             for uk in ws.weights:
                 a, b = field0.split(uk)
                 factors.append(_plus_identity(t0, b, -a, b * t0[2]))
-            record("cyclotomic prod (T0 - u_k) = 0", field0, factors)
+            record("cyclotomic prod (T0 - u_k) = 0", field0, factors,
+                   [_plus_identity(t0, 0, 0, 1)])
 
     if preset.zeroth == "x1":
         xs = {i: ws.diagonal_steps(i) for i in range(1, n + 1)}

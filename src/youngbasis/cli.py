@@ -347,16 +347,7 @@ def cmd_verify(args):
     except InvariantError as exc:
         report.append({"relation": "transition structure", "status": "fail",
                        "witness": {"message": str(exc)}})
-    # compare x / den with the split n / m of the closed form: both
-    # denominators are positive, so over the rationals no Fraction is built
-    split, cols, dens = ws.field.split, tm.matrix.cols, tm.matrix.dens
-
-    def on_diagonal(i, value):
-        x, den = cols[i].get(i, 0), dens[i]
-        n, m = split(value)
-        return x == n if den == m else x * m == n * den
-
-    ok = all(on_diagonal(i, d)
+    ok = all(tm.matrix.get(i, i) == d
              for i, d in enumerate(tr.diagonal_closed_form(ws)))
     report.append({"relation": "diagonal closed form",
                    "status": "pass" if ok else "fail"})

@@ -72,9 +72,9 @@ PATHSUM_DEFAULT_CAP = 7
 class OpCounter:
     """Counts exact scalar operations in the column recursion."""
 
-    def __init__(self, mults=0, adds=0):
-        self.mults = mults
-        self.adds = adds
+    def __init__(self):
+        self.mults = 0
+        self.adds = 0
 
     def total(self):
         return self.mults + self.adds

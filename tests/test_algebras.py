@@ -675,6 +675,12 @@ _PLANT_SCHEMES = [
     # T_0 braid and commute, and the cyclotomic product against 0
     ("ariki_koike", "(2,1)|(1)", {"u": (2, 3), "q": 7}),
     ("affine_placed", "(2,1)|(1)@1,q^3", {"q": 5}),
+    # symbolic q: every column is pushed, and the cyclotomic product is
+    # compared with the zero table
+    ("hecke_B", "(2,1)|(1)", {"u": (2, F(1, 2))}),
+    # s_0^2 against the identity table over the cyclotomic field
+    ("wreath_grn", "(2,1)|(1)", {}),
+    ("ariki_koike", "(1)|(1)|(1)", {"u": (2, 3, 5)}),
 ]
 _DELTAS = (1, -1, 2, -2, "L", "-L", 7)
 
@@ -821,8 +827,8 @@ def test_verify_relations_on_planted_zero_moves_matches_the_reference():
 def test_rational_relations_push_only_the_first_differing_column(
         monkeypatch, family, text, kwargs):
     # over the rationals packed ints locate a failing column: a passing
-    # relation pushes nothing, and a failing one pushes only the column
-    # of its witness, through every factor but the rightmost of a side
+    # relation pushes nothing, and a failing one pushes only the unit
+    # column of its witness, through every factor of each side
     calls = []
 
     def counting_push(col, stay, move):
@@ -832,7 +838,7 @@ def test_rational_relations_push_only_the_first_differing_column(
     real = algebras._record
     records = []
 
-    def recording(report, name, field, lhs, rhs=()):
+    def recording(report, name, field, lhs, rhs):
         calls.clear()
         real(report, name, field, lhs, rhs)
         records.append((report[-1], lhs, rhs, list(calls)))
@@ -859,10 +865,9 @@ def test_rational_relations_push_only_the_first_differing_column(
                 assert not pushed
                 continue
             v = item["witness"]["col"]
-            nl = len(lhs) - 1
-            assert len(pushed) == nl + (len(rhs) - 1 if rhs else 0)
-            for factors, side in ((lhs, pushed[:nl]), (rhs, pushed[nl:])):
-                if side:
-                    # the first push reads column v of the rightmost table
-                    mv = factors[-1][1][v]
-                    assert set(side[0]) <= {v} | ({mv[1]} if mv else set())
+            nl = len(lhs)
+            assert len(pushed) == nl + len(rhs)
+            for side in (pushed[:nl], pushed[nl:]):
+                # the first push is the unit column v, into the rightmost
+                # table
+                assert list(side[0]) == [v]

@@ -30,6 +30,38 @@ def test_every_package_import_resolves():
                 getattr(module, alias.name)
 
 
+def test_every_imported_name_is_used():
+    # the unused-import rule of a linter, which the project does not
+    # run: a name a module imports is read in it or exported by its
+    # __all__, except on an import marked "# noqa: F401" (an alias the
+    # benchmark tracer wraps by name)
+    package = Path(youngbasis.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text()
+        lines = text.splitlines()
+        tree = ast.parse(text)
+        imported = set()
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    and not any("# noqa: F401" in line for line in
+                                lines[node.lineno - 1:node.end_lineno])):
+                imported.update(alias.asname or alias.name.split(".")[0]
+                                for alias in node.names)
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        exported = set()
+        for node in tree.body:
+            if (isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__"
+                            for t in node.targets)):
+                exported.update(ast.literal_eval(node.value))
+        unused = sorted(imported - used - exported)
+        assert not unused, (path.name, unused)
+
+
 def test_benchmark_tracer_targets_resolve(capsys):
     # the tracer wraps functions by name and finds the op counter by the
     # parameter name "counter": a renamed target would go untraced.
