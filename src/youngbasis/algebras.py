@@ -429,7 +429,7 @@ def natural_generator(ws, i, transition=None):
     from .transition import transition_recursive
     if transition is None:
         transition = transition_recursive(ws)
-    g = seminormal_generator(ws, i) if i >= 1 else zeroth_generator(ws)
+    g = zeroth_generator(ws) if i == 0 else seminormal_generator(ws, i)
     return conjugate_to_natural([g], transition)[0]
 
 

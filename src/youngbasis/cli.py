@@ -266,9 +266,9 @@ def _cmd_generators(args, natural):
     tmat = tr.transition_recursive(ws) if natural else None
     gens = generators(ws, args.gen)
     if natural:
-        # the solve needs a nonzero diagonal: a degenerate module
-        # fails the check here as it does in transition and verify
-        tr.check_structure(tmat)
+        # the solve needs a nonzero diagonal, checked once gens are built
+        for _ in tr.nonzero_diagonal(tmat.matrix.column_stream()):
+            pass
         mats = conjugate_to_natural([m for _, m in gens], tmat)
         gens = [(name, m) for (name, _), m in zip(gens, mats)]
     quoted = args.format == "json"
@@ -307,10 +307,10 @@ def cmd_transition(args):
     else:
         columns = tr.word_columns(ws)
     quoted = args.format == "json"
-    # every column is checked and the grid of cells complete before a
-    # byte is written; a route holds at most two depth levels and the
-    # grid an upper-triangular matrix's cells from the diagonal
-    rows = cell_rows(field, f, f, tr.checked_columns(graph, columns), quoted)
+    # every column's diagonal is checked and the grid of cells complete
+    # before a byte is written; a route holds at most two depth levels
+    # and the grid an upper-triangular matrix's cells from the diagonal
+    rows = cell_rows(field, f, f, tr.nonzero_diagonal(columns), quoted)
     head = _json_head(ws, oracle=args.oracle) if quoted else None
     del ws, columns  # free the scheme's caches
     if quoted:

@@ -28,11 +28,11 @@ matrix of the table's numerators (:func:`linalg.table_columns`) with
 reaches all three alike and they agree on it; the relations of
 :func:`algebras.verify_relations` and the closed-form diagonal catch it.
 
-The structural check (:func:`checked_columns`) reads a column stream
-too, with one packed Bruhat comparison per nonzero entry, and passes
-each column on once it is checked; the ``transition`` command streams
-the route asked for through it into the serializer, and
-:func:`check_structure` runs it over a finished matrix's columns.
+The ``transition`` and ``natural`` commands check only each column's
+diagonal entry (:func:`nonzero_diagonal`): a route pushes column u along
+an up edge u -> v, so by the lifting property of Bruhat order
+(Bjorner-Brenti, Prop. 2.2.7) the other rules hold whatever the
+coefficients.  :func:`check_structure` checks them all, for ``verify``.
 
 Also here: the closed-form diagonal and the squared orthogonal diagonal,
 each a product over inversions taken on split numerators and
@@ -62,7 +62,7 @@ __all__ = [
     "diagonal_closed_form",
     "orthogonal_diag_squared", "grn_transition",
     "recursive_columns", "pathsum_columns", "word_columns",
-    "checked_columns", "check_structure",
+    "nonzero_diagonal", "check_structure",
     "bench_transition",
 ]
 
@@ -335,17 +335,25 @@ def grn_transition(ws):
     return TransitionMatrix(ws, columns())
 
 
-def checked_columns(graph, columns):
+def nonzero_diagonal(columns):
     """The column stream columns, (j, numerators, den) in node order,
-    each column passed on once it meets the structural invariants of a
-    transition matrix on graph: upper-triangularity, a nonzero diagonal
-    entry, diagonal blocks per depth level and the Bruhat zero pattern.
-    Raises InvariantError at the first column that violates one, so a
-    consumer sees only checked columns.  An entry costs one packed Bruhat
-    test: the diagonal passes it, and another node of the column's depth
-    has the same length, so fails it; depth only words the message."""
-    guarded = None
+    each column passed on once its diagonal entry is nonzero: of the
+    rules of :func:`check_structure`, the one a route can break."""
     for j, col, den in columns:
+        if not col.get(j):
+            raise InvariantError(f"zero diagonal in column {j}")
+        yield j, col, den
+
+
+def check_structure(tm):
+    """The structural invariants of a computed transition matrix, per
+    column: upper-triangularity, a nonzero diagonal, diagonal blocks per
+    depth level and the Bruhat zero pattern; raises InvariantError at
+    the first violation.  An entry costs one packed Bruhat test: the
+    diagonal passes it, and another node of the column's depth has its
+    length, so fails it; depth only words the message."""
+    guarded = None
+    for j, col in enumerate(tm.matrix.cols):
         if max(col, default=j) > j:
             raise InvariantError("transition matrix is not upper-triangular")
         if not col.get(j):
@@ -355,25 +363,17 @@ def checked_columns(graph, columns):
                 # the Bruhat criterion depends on each node alone: pack
                 # its counts once, so an entry costs one subtraction (see
                 # perms.guard_bits); a diagonal matrix packs none
-                guard = guard_bits(graph.shape.n)
+                guard = guard_bits(tm.graph.shape.n)
                 guarded = [prefix_counts(t.word) | guard
-                           for t in graph.nodes]
+                           for t in tm.graph.nodes]
             counts_j = guarded[j] ^ guard
             for i in col:
                 if (guarded[i] - counts_j) & guard != guard:
-                    if graph.depth[i] == graph.depth[j]:
+                    if tm.graph.depth[i] == tm.graph.depth[j]:
                         raise InvariantError(f"off-diagonal entry ({i},{j}) "
                                              "inside a depth block")
                     raise InvariantError(f"nonzero entry at ({i},{j}) "
                                          "violates the Bruhat pattern")
-        yield j, col, den
-
-
-def check_structure(tm):
-    """The checks of :func:`checked_columns` on every column of a
-    computed transition matrix.  Raises InvariantError on violation."""
-    for _ in checked_columns(tm.graph, tm.matrix.column_stream()):
-        pass
     return True
 
 

@@ -106,6 +106,18 @@ def test_zeroth_rejected_without_generator():
         zeroth_generator(WeightScheme(AlgebraSpec("hecke_A"), shape))
 
 
+@pytest.mark.parametrize("spec, text, i", [
+    (AlgebraSpec("hecke_B", u=(F(2), F(1, 2))), "(2)|(1)", i)
+    for i in (-5, -1, 3)] + [(SPEC_S6, "2,1", -1), (SPEC_S6, "2,1", 3)])
+def test_generator_index_out_of_range(spec, text, i):
+    # index 0 is T0 (or s0) on the natural basis, and no index is negative
+    ws = WeightScheme(spec, parse_shape(text))
+    for build in (seminormal_generator, natural_generator):
+        with pytest.raises(PreconditionError,
+                           match=f"^generator index {i} out of range$"):
+            build(ws, i)
+
+
 def test_natural_generator_permutes_when_standard():
     ws = WeightScheme(SPEC_S6, S321)
     g = ws.graph

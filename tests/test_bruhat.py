@@ -257,6 +257,41 @@ def test_weak_order_edges_are_bruhat_comparable():
             assert bruhat_leq(g.nodes[v].word, g.nodes[w].word)
 
 
+def test_lifting_keeps_a_pushed_column_below_its_node():
+    # why transition and natural check only the diagonal: column v is
+    # S_i applied to column u along an up edge u -> v = s_i u, and S_i
+    # sends e_x to e_x and e_{s_i x}, s_i x being x's neighbour under i
+    # if it is standard.  By the lifting property of Bruhat order
+    # (Bjorner-Brenti, Prop. 2.2.7) every x <= u has x <= v and
+    # s_i x <= v, so by induction from the bottom node each column lies
+    # below its node, whatever the coefficients are
+    shapes = [shape_from_parts(p) for n in range(7) for p in all_partitions(n)]
+    shapes += all_skew_shapes(5)
+    shapes += [parse_shape(text) for text in
+               ["(2,1)|(1)", "(2)|(1,1)", "(1)|(1)|(1)", "(3,2/1)|(2)"]]
+    pairs = 0
+    for shape in shapes:
+        g = BruhatGraph(shape)
+        # x <= w iff (guarded[x] - counts[w]) & guard == guard (see
+        # perms.guard_bits), each node's counts packed once
+        guard = perms.guard_bits(shape.n)
+        guarded = [perms.prefix_counts(t.word) | guard for t in g.nodes]
+        for v in range(g.size()):
+            counts_v = guarded[v] ^ guard
+            for u, i in g.up_edges_into(v):
+                counts_u = guarded[u] ^ guard
+                for x, packed in enumerate(guarded):
+                    if (packed - counts_u) & guard != guard:
+                        continue
+                    pairs += 1
+                    y = g.neighbors[x].get(i)
+                    for z in (x,) if y is None else (x, y):
+                        assert (guarded[z] - counts_v) & guard == guard, \
+                            (shape.to_str(), u, v, i, z)
+    # (up edge, x <= its lower end) pairs over the 239 shapes
+    assert pairs == 88813
+
+
 def test_depth_equals_inversions_and_word_length():
     for text in ["3,2,1", "4,1", "3,3,1/2,1", "(2,1)|(2)"]:
         g = BruhatGraph(parse_shape(text))

@@ -869,12 +869,60 @@ def test_a_zero_move_coefficient_exits_cleanly(capsys, shape, column):
     assert (code, err, report["failures"]) == (4, "", 1)
     assert failed == [{"relation": "transition structure", "status": "fail",
                        "witness": {"message": message}}]
-    # natural checks the matrix it inverts as transition does
-    for command in ("transition", "natural"):
-        code, out, err = run_cli(capsys, command, *argv)
-        assert (code, out) == (4, "")
+    # transition checks the diagonal by every route, and natural that
+    # of the matrix it inverts
+    for command in (["transition"], ["transition", "--oracle", "word"],
+                    ["transition", "--oracle", "pathsum"], ["natural"]):
+        code, out, err = run_cli(capsys, *command, *argv)
+        assert (code, out) == (4, ""), command
         assert err.splitlines() == [json.dumps({"error": "invariant",
                                                 "message": message})]
+
+
+def test_a_degenerate_module_fails_where_each_command_first_meets_it(
+        capsys):
+    # on (2)|(1) the weighted contents of 1 and 2 coincide, so the step
+    # table of label 1 cannot be built.  transition meets the zero
+    # diagonal of column 1 before column 2 needs that table; natural
+    # builds every generator before it checks the diagonal, and verify
+    # builds them for its relations first
+    argv = ["--family", "affine_placed", "--shape", "(2)|(1)"]
+    for oracle in ("recursive", "word", "pathsum"):
+        code, out, err = run_cli(capsys, "transition", "--oracle", oracle,
+                                 *argv)
+        assert (code, out, json.loads(err)) == (4, "", {
+            "error": "invariant", "message": "zero diagonal in column 1"})
+    for command in ("natural", "verify"):
+        code, out, err = run_cli(capsys, command, *argv)
+        assert (code, out, json.loads(err)["error"]) == \
+            (3, "", "precondition")
+        assert "weighted contents of 1 and 2 coincide" in err
+
+
+@pytest.mark.parametrize("argv", [
+    "transition --shape 3,2", "transition --shape 3,2 --oracle word",
+    "transition --shape 3,2 --oracle pathsum", "natural --shape 3,2",
+    "verify --shape 3,2",
+])
+def test_only_verify_packs_bruhat_counts(capsys, monkeypatch, argv):
+    # transition and natural check only the diagonal, the one rule a
+    # route can break (see test_bruhat.py's lifting test); verify runs
+    # the full structural check, which packs each node's counts once
+    from youngbasis import perms, transition
+    calls = []
+    prefix_counts = perms.prefix_counts
+
+    def counting(w):
+        calls.append(w)
+        return prefix_counts(w)
+
+    monkeypatch.setattr(perms, "prefix_counts", counting)
+    monkeypatch.setattr(transition, "prefix_counts", counting)
+    code, _, err = run_cli(capsys, *argv.split(" "))
+    assert (code, err) == (0, "")
+    graph = WeightScheme(AlgebraSpec("symmetric"), parse_shape("3,2")).graph
+    assert calls == ([t.word for t in graph.nodes]
+                     if argv.startswith("verify") else [])
 
 
 @pytest.mark.parametrize("family, shape", [
@@ -1111,11 +1159,11 @@ def _run_under_memory_limit(argv, megabytes):
 ])
 def test_running_out_of_memory_exits_3_with_one_diagnostic(argv):
     # only in a child under an address-space limit.  transition on 6,5,2
-    # exits 3 from 20 to 150 MB in both formats and fits from 160 MB;
+    # exits 3 from 20 to 149 MB in both formats and fits from 150 MB;
     # bench, which holds two depth levels, on 6,5,3 (f = 15,015) exits 3
     # from 20 to 180 MB and fits from 220 MB; natural on 5,4,3 exits 3
-    # with no output from 20 to 130 MB, at 140 MB writes its 78 kB head
-    # and basis before it fails, and fits from 150 MB (196 MB written);
+    # with no output up to 130 MB and fits from 131-132 MB (196 MB
+    # written);
     # seminormal on 6,5,3 exits 3 with no output from 20 to 105 MB,
     # and from 115 MB writes its 645 kB basis before the first
     # 15,015-square grid fails; verify on 6,5,2
@@ -1145,11 +1193,11 @@ def _without_seconds(text):
 def test_matrix_commands_stream_under_a_limit_the_whole_output_exceeds(
         capsys, argv, megabytes):
     # every route streams its columns, holding at most two depth levels,
-    # and transition writes them through the check into a grid of cells
-    # from the diagonal on.  On 5,4,3: transition fits from 45 MB, where
-    # the matrix, a dense grid of cells and the output text together
-    # needed 125 MB; the word oracle fits from 50 MB, where its whole
-    # matrix needed 88 MB; bench fits from 28 MB, where its matrix
+    # and transition writes them through the diagonal check into a grid
+    # of cells from the diagonal on.  On 5,4,3: transition fits from
+    # 44 MB, where the matrix, a dense grid of cells and the output text
+    # together needed 125 MB; the word oracle fits from 49 MB, where its
+    # whole matrix needed 88 MB; bench fits from 28 MB, where its matrix
     # needed 68 MB.  seminormal holds one generator's grid at a time: on
     # 4,3,2,1 it fits from 25 MB, where every grid and the output text
     # together needed 110 MB.  A grid's row starts at its first nonzero
