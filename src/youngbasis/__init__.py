@@ -7,8 +7,7 @@ and wreath products of a cyclic group with a symmetric group.
 from .algebras import (AlgebraSpec, FAMILIES, WeightScheme, generators,
                        natural_generator, seminormal_generator,
                        verify_relations, x_generator, zeroth_generator)
-from .bruhat import (BruhatGraph, Path, shortest_path, shortest_paths_from,
-                     to_dot)
+from .bruhat import BruhatGraph, Path, shortest_paths_from, to_dot
 from .errors import (DegenerateWeightError, FieldMismatchError,
                      InvariantError, NonSemisimpleError, PoleError,
                      PreconditionError, ShapeParseError, YoungBasisError)
@@ -19,9 +18,7 @@ from .fields import (Cyclo, CyclotomicField, Fraction, QFIELD, QRat,
 from .linalg import (Matrix, matmul, matrix_from_json, matrix_to_csv,
                      matrix_to_json, triangular_inverse)
 from .shapes import (Shape, Tableau, all_partitions, all_skew_shapes,
-                     alphabetizer, apply_permutation, column_reading_tableau,
-                     parse_shape, reading_tableaux, row_reading_tableau,
-                     shape_from_parts, standard_tableaux)
+                     parse_shape, shape_from_parts, standard_tableaux)
 from .transition import (OpCounter, TransitionMatrix, bench_transition,
                          check_structure, diagonal_closed_form,
                          grn_transition, orthogonal_diag_squared,

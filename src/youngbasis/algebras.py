@@ -53,11 +53,11 @@ entry by that lcm.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import partial
 from math import lcm, prod
 from operator import itemgetter
-from typing import NamedTuple
 
 from .bruhat import BruhatGraph
 from .errors import (DegenerateWeightError, NonSemisimpleError,
@@ -74,7 +74,7 @@ __all__ = ["AlgebraSpec", "FAMILIES", "PRESETS", "Preset", "generators",
            "natural_generator", "verify_relations", "WeightScheme"]
 
 
-class Preset(NamedTuple):
+class Preset(namedtuple("Preset", "u q pages zeroth prefix")):
     """How a family fixes its parameters and names its generators.
 
     ``u``: "unit" for u = (1,); "given" for one u_k per component
@@ -87,11 +87,7 @@ class Preset(NamedTuple):
     "x1" (X_1), k the component holding the entry 1.
     ``prefix``: generator names s_i or T_i.
     """
-    u: str | None
-    q: str
-    pages: str
-    zeroth: str | None
-    prefix: str
+    __slots__ = ()
 
 
 PRESETS = {
@@ -184,10 +180,12 @@ class WeightScheme:
 
     ``graph`` is the weak Bruhat graph of ``shape``, built here unless
     one is given; a given graph of another shape is rejected.
-    ``stay(t, i)`` is the diagonal coefficient of the i-th generator on
-    v_t and ``move(t, i)`` the coefficient on v_{s_i(t)}; ``diag_factor``
-    and ``orth_factor_squared`` are the per-inversion factors of the
-    transition diagonal and of the squared orthogonal diagonal.
+    ``pair(t, i, j)`` is the axial coefficient a of the pair (i, j) of
+    t and ``diag_factor(t, i, j)`` is q^-1 + a: at j = i + 1 they are
+    the i-th generator's coefficients on v_t and on v_{s_i(t)}.
+    ``diag_factor`` and ``orth_factor_squared`` are the per-inversion
+    factors of the transition diagonal and of the squared orthogonal
+    diagonal.
 
     One scheme serves every computation of a request: it caches
     coefficients by pair and one step table per generator label.
@@ -240,12 +238,6 @@ class WeightScheme:
     def pair(self, t, i, j):
         """The (i, j) axial coefficient in the active field."""
         return self._entry(t, i, j)[0]
-
-    def stay(self, t, i):
-        return self.pair(t, i, i + 1)
-
-    def move(self, t, i):
-        return self._entry(t, i, i + 1)[1]
 
     def scaled_steps(self, label):
         """The step table of one generator label, built once: per node

@@ -15,15 +15,13 @@ reaches them all.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cached_property
-from typing import NamedTuple
 
-from . import perms
-from .errors import InvariantError, PreconditionError
+from .errors import InvariantError
 from .shapes import _reading_layout, _tableau_of_word
 
-__all__ = ["BruhatGraph", "Path", "shortest_path", "shortest_paths_from",
-           "to_dot"]
+__all__ = ["BruhatGraph", "Path", "shortest_paths_from", "to_dot"]
 
 
 class BruhatGraph:
@@ -118,12 +116,11 @@ class BruhatGraph:
         return self._up[v]
 
 
-class Path(NamedTuple):
-    """A walk in the graph recorded as its start, labels, and nodes;
-    immutable, compared and hashed by value."""
-    start: int
-    labels: tuple
-    nodes: tuple  # visited node indices, length = len(labels) + 1
+class Path(namedtuple("Path", "start labels nodes")):
+    """A walk in the graph recorded as its start, labels, and nodes (the
+    visited node indices, one more than labels); immutable, compared and
+    hashed by value."""
+    __slots__ = ()
 
 
 def shortest_paths_from(graph, src):
@@ -144,18 +141,6 @@ def shortest_paths_from(graph, src):
             nodes.append(graph.neighbors[nodes[-1]][i])
         out[v] = Path(src, tuple(labels), tuple(nodes))
     return out
-
-
-def shortest_path(graph, src, dst):
-    """A minimal path from src up to dst (see shortest_paths_from)."""
-    if src == dst:
-        return Path(src, (), (src,))
-    if not perms.weak_leq(graph.nodes[src].word, graph.nodes[dst].word):
-        raise PreconditionError("destination is not above source in weak order")
-    paths = shortest_paths_from(graph, src)
-    if dst not in paths:
-        raise PreconditionError("no upward path found")
-    return paths[dst]
 
 
 def to_dot(graph):

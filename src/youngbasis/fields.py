@@ -35,7 +35,7 @@ and an inverse is the product of the other Galois conjugates over the
 (rational) norm.
 
 QRat and Cyclo share one base, :class:`_Scalar`, which defines
-equality, hashing, ``is_zero`` and the eight arithmetic operators once
+equality, hashing and the eight arithmetic operators once
 over each type's hooks: ``_lift`` (the other operand in the type, an int
 or a Fraction as a constant, or NotImplemented), ``_key`` (all ints,
 equal exactly for equal values), ``_rational`` (the value as a Fraction
@@ -236,9 +236,6 @@ class _Scalar:
     over the hooks each type supplies (see the module docstring)."""
 
     __slots__ = ()
-
-    def is_zero(self):
-        return not self
 
     def __eq__(self, other):
         try:
@@ -568,11 +565,6 @@ class Cyclo(_Scalar):
     def xi_power(cls, r, k):
         return _cyclo(r, (0,) * (k % r) + (1,), 1)
 
-    @property
-    def coeffs(self):
-        """Fraction coefficients of 1, xi, ..., xi^(phi(r) - 1)."""
-        return tuple(Fraction(c, self.den) for c in self.num)
-
     def __bool__(self):
         return any(self.num)
 
@@ -762,9 +754,6 @@ class RationalField(_Field):
     zero = ZERO
     one = ONE
 
-    def element_of(self, x):
-        return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
-
     # not a method: attrgetter runs in C, and verify splits every entry
     split = attrgetter("numerator", "denominator")
     join = Fraction
@@ -777,16 +766,13 @@ class RationalField(_Field):
     parse = staticmethod(parse_rational)
 
     def coerce(self, x):
-        if self.element_of(x):
+        if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
             return Fraction(x)
         raise FieldMismatchError(f"cannot coerce {x!r} into the rational field")
 
 
 class _ScalarField(_Field):
     """A field of QRat or Cyclo scalars, each its own numerator over 1."""
-
-    def element_of(self, x):
-        return isinstance(x, _Scalar) and field_of(x) == self
 
     def split(self, x):
         return x, 1

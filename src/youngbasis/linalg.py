@@ -115,8 +115,8 @@ def _scaled(col, k):
 
 def _add_multiple(acc, col, k):
     """Add k times the column col into acc in place, dropping zero sums,
-    so a zero k adds nothing: the one accumulate loop of ``Matrix.apply``,
-    ``+`` and :func:`triangular_solve`, whose pivot row cancels here."""
+    so a zero k adds nothing: the one accumulate loop of ``Matrix.apply``
+    and :func:`triangular_solve`, whose pivot row cancels here."""
     for i, v in col.items():
         w = acc.get(i)
         w = v * k if w is None else w + v * k
@@ -204,44 +204,12 @@ class Matrix:
                                    map(self.column, range(self.ncols)),
                                    basis=self.basis)
 
-    def scale(self, s):
-        """Every entry times s."""
-        k, den = self.field.split(self.field.coerce(s))
-        out = Matrix(self.nrows, self.ncols, self.field, basis=self.basis)
-        if k:
-            for j, (col, d) in enumerate(zip(self.cols, self.dens)):
-                out.cols[j], out.dens[j] = lowest_terms(_scaled(col, k),
-                                                        d * den)
-        return out
-
-    def __add__(self, other):
-        self._compat(other)
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise PreconditionError("dimension mismatch in addition")
-        out = Matrix(self.nrows, self.ncols, self.field, basis=self.basis)
-        for j, (da, db) in enumerate(zip(self.dens, other.dens)):
-            den = lcm(da, db)
-            col = _scaled(self.cols[j], den // da)
-            _add_multiple(col, other.cols[j], den // db)
-            out.cols[j], out.dens[j] = lowest_terms(col, den)
-        return out
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         return ((self.nrows, self.ncols) == (other.nrows, other.ncols)
                 and self.field == other.field and self.dens == other.dens
                 and self.cols == other.cols)
-
-    def is_identity(self):
-        return self.nrows == self.ncols and \
-            self == Matrix.identity(self.nrows, self.field)
-
-    def is_zero(self):
-        return all(not col for col in self.cols)
 
     def is_upper_triangular(self):
         return all(max(col, default=j) <= j

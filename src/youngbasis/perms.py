@@ -1,7 +1,5 @@
-"""Permutations of {1, ..., n} as tuples in one-line notation.
-
-``w[i-1]`` is the image of ``i``.  Composition is function composition:
-``compose(u, v)(i) = u(v(i))``.
+"""Permutations of {1, ..., n} as tuples in one-line notation:
+``w[i-1]`` is the image of ``i``.
 """
 
 from __future__ import annotations
@@ -10,27 +8,8 @@ from bisect import bisect
 
 from .errors import PreconditionError
 
-__all__ = [
-    "identity", "compose", "inverse", "length", "inversions",
-    "prefix_counts", "guard_bits", "bruhat_leq", "weak_leq",
-]
-
-
-def identity(n):
-    return tuple(range(1, n + 1))
-
-
-def compose(u, v):
-    if len(u) != len(v):
-        raise PreconditionError("size mismatch in permutation product")
-    return tuple(u[v[i] - 1] for i in range(len(v)))
-
-
-def inverse(w):
-    out = [0] * len(w)
-    for i, x in enumerate(w):
-        out[x - 1] = i + 1
-    return tuple(out)
+__all__ = ["length", "inversions", "prefix_counts", "guard_bits",
+           "bruhat_leq"]
 
 
 def length(w):
@@ -111,8 +90,3 @@ def bruhat_leq(u, w):
         raise PreconditionError("size mismatch in Bruhat comparison")
     guard = guard_bits(len(u))
     return ((prefix_counts(u) | guard) - prefix_counts(w)) & guard == guard
-
-
-def weak_leq(u, w):
-    """Left weak order: u <=_W w iff l(w u^{-1}) + l(u) = l(w)."""
-    return length(compose(w, inverse(u))) + length(u) == length(w)

@@ -22,16 +22,12 @@ import re
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .errors import PreconditionError, ShapeParseError
+from .errors import ShapeParseError
 from .fields import QRat, parse_rational
 from .perms import inversions, length
 
-__all__ = [
-    "Shape", "Tableau", "parse_shape", "shape_from_parts",
-    "standard_tableaux", "column_reading_tableau", "row_reading_tableau",
-    "reading_tableaux", "apply_permutation", "alphabetizer",
-    "all_skew_shapes", "all_partitions",
-]
+__all__ = ["Shape", "Tableau", "parse_shape", "shape_from_parts",
+           "standard_tableaux", "all_skew_shapes", "all_partitions"]
 
 
 def _check_partition(p):
@@ -74,15 +70,6 @@ class Shape:
     def inner_at(self, k, row):
         inner = self.components[k - 1][1]
         return inner[row - 1] if row <= len(inner) else 0
-
-    def boxes(self):
-        """All boxes as (component, row, col), by component then row."""
-        out = []
-        for k, (outer, _inner) in enumerate(self.components, start=1):
-            for x, width in enumerate(outer, start=1):
-                for y in range(self.inner_at(k, x) + 1, width + 1):
-                    out.append((k, x, y))
-        return out
 
     def has_box(self, k, x, y):
         outer, _ = self.components[k - 1]
@@ -200,10 +187,9 @@ class Tableau:
     """A filling of a shape with 1..n, each exactly once, stored as its
     word: the permutation carrying the column reading tableau to it,
     whose entry p is the entry at position p of the reading order (see
-    _reading_layout).  Rows, ``positions``, ``box_of`` and ``depth``
-    are read off the word on first use.  Standardness is a property,
-    not an invariant, so nonstandard fillings (from permutation
-    actions) are representable.
+    _reading_layout).  Rows, ``positions`` and ``depth`` are read off
+    the word on first use.  Standardness is not checked, so a
+    nonstandard filling is representable too.
     """
 
     def __init__(self, shape, rows):
@@ -230,16 +216,6 @@ class Tableau:
         self.shape = shape
         self.word = tuple(word)
 
-    @classmethod
-    def from_entries(cls, shape, entries):
-        """Build from a map box -> value, read at the reading order's
-        boxes."""
-        return _tableau_of_word(
-            shape, tuple(map(entries.__getitem__, _reading_layout(shape)[0])))
-
-    def entry(self, k, x, y):
-        return self.rows[k - 1][x - 1][y - 1 - self.shape.inner_at(k, x)]
-
     @cached_property
     def rows(self):
         """Per component, the row tuples, read off the word through the
@@ -248,27 +224,10 @@ class Tableau:
         return tuple(tuple(tuple(map(word.__getitem__, row)) for row in comp)
                      for comp in _reading_layout(self.shape)[1])
 
-    @cached_property
-    def box_of(self):
-        """Map value -> (component, row, col)."""
-        return dict(zip(self.word, _reading_layout(self.shape)[0]))
-
     def box(self, i):
         """The box (component, row, col) holding i, read through its
         reading position."""
         return _reading_layout(self.shape)[0][self.positions[i - 1]]
-
-    @cached_property
-    def is_standard(self):
-        """Entries increase along each row and down each column; a box
-        and the box below it are consecutive reading positions."""
-        word = self.word
-        boxes, layout = _reading_layout(self.shape)
-        return all(word[p] < word[p2] for comp in layout for row in comp
-                   for p, p2 in zip(row, row[1:])) and \
-            all(word[p] < word[p + 1]
-                for p, (k, x, y) in enumerate(boxes[:-1])
-                if boxes[p + 1] == (k, x + 1, y))
 
     def content(self, i):
         """Plain content col - row of the box holding i."""
@@ -301,12 +260,6 @@ class Tableau:
         """The number of inversions of a standard tableau, counted on
         its word, which has as many; no inversion set is built."""
         return length(self.word)
-
-    def swap(self, i):
-        """Apply the adjacent transposition s_i to the entries: exchange
-        i and i+1 in the word."""
-        return _tableau_of_word(self.shape, tuple(
-            i + 1 if v == i else i if v == i + 1 else v for v in self.word))
 
     def serialize(self):
         """The rows as nested lists, read off the word through the
@@ -366,58 +319,12 @@ def _tableau_of_word(shape, word, depth=None, positions=None):
     return t
 
 
-def column_reading_tableau(shape):
-    """The tableau whose word is the identity: 1..n in the column
-    reading order (see _reading_layout)."""
-    return _tableau_of_word(shape, tuple(range(1, shape.n + 1)), 0,
-                            tuple(range(shape.n)))
-
-
-def row_reading_tableau(shape):
-    """Fill 1..n across the rows: components right to left, and within
-    a component the northeast-most connected row group first."""
-    entries = {}
-    counter = 1
-    for k in range(shape.r, 0, -1):
-        outer, _ = shape.components[k - 1]
-        for group in shape.connected_row_groups(k):
-            for x in group:
-                for y in range(shape.inner_at(k, x) + 1, outer[x - 1] + 1):
-                    entries[(k, x, y)] = counter
-                    counter += 1
-    return Tableau.from_entries(shape, entries)
-
-
-def reading_tableaux(shape):
-    """The pair (column reading tableau, row reading tableau)."""
-    return column_reading_tableau(shape), row_reading_tableau(shape)
-
-
 def standard_tableaux(shape):
     """All standard tableaux of the shape in canonical order, (depth,
     word): the nodes of its weak Bruhat graph, which is built breadth
     first from the column reading tableau (see :mod:`bruhat`)."""
     from .bruhat import BruhatGraph
     return BruhatGraph(shape).nodes
-
-
-def apply_permutation(t, sigma):
-    """Relabel the entries of t by sigma; returns (tableau, standard?)."""
-    if len(sigma) != t.shape.n or set(sigma) != set(range(1, t.shape.n + 1)):
-        raise PreconditionError("not a permutation of the shape's entries")
-    out = _tableau_of_word(t.shape, tuple(sigma[v - 1] for v in t.word))
-    return out, out.is_standard
-
-
-def alphabetizer(t):
-    """Minimal-length coset representative sending the standard alphabet
-    of the shape to the alphabet of t (r-partitions only)."""
-    if not t.shape.is_r_partition():
-        raise PreconditionError("alphabetizer requires empty inner shapes")
-    image = []
-    for comp in t.rows:
-        image.extend(sorted(v for row in comp for v in row))
-    return tuple(image)
 
 
 def all_partitions(n):

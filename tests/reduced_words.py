@@ -1,8 +1,33 @@
-"""Reduced words of permutations (one-line tuples, as in
-``youngbasis.perms``) and the subword criterion for the strong Bruhat
-order: brute-force oracles for the tests."""
+"""Permutations as one-line tuples, as in ``youngbasis.perms``: the
+group operations, the left weak order, reduced words and the subword
+criterion for the strong Bruhat order, as brute-force oracles for the
+tests.  Composition is function composition:
+``compose(u, v)(i) = u(v(i))``."""
 
-from youngbasis.perms import identity, inverse, length
+from youngbasis.errors import PreconditionError
+from youngbasis.perms import length
+
+
+def identity(n):
+    return tuple(range(1, n + 1))
+
+
+def compose(u, v):
+    if len(u) != len(v):
+        raise PreconditionError("size mismatch in permutation product")
+    return tuple(u[v[i] - 1] for i in range(len(v)))
+
+
+def inverse(w):
+    out = [0] * len(w)
+    for i, x in enumerate(w):
+        out[x - 1] = i + 1
+    return tuple(out)
+
+
+def weak_leq(u, w):
+    """Left weak order: u <=_W w iff l(w u^{-1}) + l(u) = l(w)."""
+    return length(compose(w, inverse(u))) + length(u) == length(w)
 
 
 def is_identity(w):

@@ -10,9 +10,12 @@ from itertools import permutations
 
 import pytest
 
+from fillings import (column_reading_tableau, is_standard,
+                      row_reading_tableau, swap)
 from golden import (G24_BASIS, G24_ROWS, H24_BASIS, HECKE32_BASIS,
                     SYMMETRIC_GOLDEN, T321, a321_entries, h24_entry,
                     hecke32_matrix)
+from reduced_words import compose, inverse
 from youngbasis import perms
 from youngbasis.algebras import (AlgebraSpec, WeightScheme,
                                  conjugate_to_natural, generators,
@@ -179,12 +182,12 @@ def test_criterion_05_closed_form_diagonals(sweep6, hecke_sweep4):
     def two_term(srows, trows, label):
         s = Tableau(s321, [srows])
         t = Tableau(s321, [trows])
-        tprime = t.swap(label)
-        assert tprime.is_standard and tprime.depth == t.depth - 1
-        stay = ws.stay(s, label)
-        sprime = s.swap(label)
+        tprime = swap(t, label)
+        assert is_standard(tprime) and tprime.depth == t.depth - 1
+        stay = ws.pair(s, label, label + 1)
+        sprime = swap(s, label)
         total = stay * tm.entry(s, tprime)
-        if sprime.is_standard:
+        if is_standard(sprime):
             total += (1 - stay) * tm.entry(sprime, tprime)
         return total
 
@@ -368,8 +371,8 @@ def test_criterion_08_orthogonal_step_identities():
             d2 = orthogonal_diag_squared(ws)
             for v, w, i in g.edges():
                 t = g.nodes[v]
-                move = ws.move(t, i)
-                stay = ws.stay(t, i)
+                move = ws.diag_factor(t, i, i + 1)
+                stay = ws.pair(t, i, i + 1)
                 assert move * move * d2[v] \
                     == (qinv * qinv - stay * stay) * d2[w], \
                     (shape.to_str(), fam, v, w, i)
@@ -388,9 +391,7 @@ def test_criterion_09_graph_and_interval_checks(graphs6):
         depths = g.depth
         assert depths.count(0) == 1
         assert depths.count(max(depths)) == 1
-        assert g.nodes[0] == __import__(
-            "youngbasis").shapes.column_reading_tableau(g.shape)
-        from youngbasis.shapes import row_reading_tableau
+        assert g.nodes[0] == column_reading_tableau(g.shape)
         assert g.nodes[g.size() - 1] == row_reading_tableau(g.shape)
         # the graph is built by a search from the column reading
         # tableau, so it is connected; biject the node set onto the
@@ -400,13 +401,13 @@ def test_criterion_09_graph_and_interval_checks(graphs6):
         wc, wr = g.nodes[0].word, g.nodes[g.size() - 1].word
         lc, lr = table[wc], table[wr]
         interval = set()
-        wc_inv = perms.inverse(wc)
+        wc_inv = inverse(wc)
         for u, lu in table.items():
             if lu < lc or lu > lr:
                 continue
-            if table[perms.compose(u, wc_inv)] != lu - lc:
+            if table[compose(u, wc_inv)] != lu - lc:
                 continue
-            if table[perms.compose(wr, perms.inverse(u))] != lr - lu:
+            if table[compose(wr, inverse(u))] != lr - lu:
                 continue
             interval.add(u)
         assert {t.word for t in g.nodes} == interval, g.shape.to_str()

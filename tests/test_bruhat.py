@@ -5,12 +5,14 @@ from math import factorial, prod
 import pytest
 from hypothesis import given, strategies as st
 
-from reduced_words import bruhat_leq_subword, word_to_perm
-from walks import keep_skip_walks, r_partitions, walk_weight
+import fillings
+from fillings import box_of, is_standard, swap
+from reduced_words import (bruhat_leq_subword, identity, weak_leq,
+                           word_to_perm)
+from walks import keep_skip_walks, r_partitions, shortest_path, walk_weight
 from youngbasis import perms, shapes
 from youngbasis.algebras import AlgebraSpec, WeightScheme, verify_relations
-from youngbasis.bruhat import (BruhatGraph, shortest_path,
-                               shortest_paths_from, to_dot)
+from youngbasis.bruhat import BruhatGraph, shortest_paths_from, to_dot
 from youngbasis.errors import PreconditionError
 from youngbasis.perms import bruhat_leq
 from youngbasis.shapes import (Tableau, all_partitions, all_skew_shapes,
@@ -128,7 +130,7 @@ def test_packed_bruhat_matches_per_pair_sort(pair):
 @pytest.mark.parametrize("n", [0, 1, 2, 127, 128, 129])
 def test_packed_bruhat_at_field_widths(n):
     """Field widths change between n = 128 and 129 (one byte to two)."""
-    e, w0 = perms.identity(n), _longest(n)
+    e, w0 = identity(n), _longest(n)
     assert bruhat_leq(e, w0) and bruhat_leq(w0, w0)
     assert bruhat_leq(w0, e) == (n < 2)
     if n >= 2:
@@ -152,8 +154,8 @@ def _swap_neighbors(g):
     for t in g.nodes:
         nbrs = {}
         for i in range(1, g.shape.n):
-            u = t.swap(i)
-            if u.is_standard:
+            u = swap(t, i)
+            if is_standard(u):
                 nbrs[i] = g.index[u.rows]
         out.append(nbrs)
     return out
@@ -360,32 +362,31 @@ def test_word_built_nodes_match_lazy_tableaux(graphs_n6):
     for g in graphs:
         for t in g.nodes:
             lazy = Tableau(g.shape, t.rows)
-            assert (t.word, t.depth, t.positions, t.box_of) == \
-                (lazy.word, lazy.depth, lazy.positions, lazy.box_of), \
+            assert (t.word, t.depth, t.positions, box_of(t)) == \
+                (lazy.word, lazy.depth, lazy.positions, box_of(lazy)), \
                 g.shape.to_str()
 
 
 def test_graph_build_calls_neither_from_entries_nor_length(monkeypatch):
     calls = []
-    from_entries = Tableau.from_entries.__func__
+    from_entries = fillings.from_entries
 
-    def counting_from_entries(cls, shape, entries):
+    def counting_from_entries(shape, entries):
         calls.append("from_entries")
-        return from_entries(cls, shape, entries)
+        return from_entries(shape, entries)
 
     def counting_length(w):
         calls.append("length")
         return length(w)
 
     length = perms.length
-    monkeypatch.setattr(Tableau, "from_entries",
-                        classmethod(counting_from_entries))
+    monkeypatch.setattr(fillings, "from_entries", counting_from_entries)
     monkeypatch.setattr(perms, "length", counting_length)
     monkeypatch.setattr(shapes, "length", counting_length)
     # the patches count: a lazy depth and from_entries go through them
     s = parse_shape("2,1")
     assert Tableau(s, [[(1, 2), (3,)]]).depth == 1
-    u = Tableau.from_entries(s, {(1, 1, 1): 1, (1, 1, 2): 3, (1, 2, 1): 2})
+    u = fillings.from_entries(s, {(1, 1, 1): 1, (1, 1, 2): 3, (1, 2, 1): 2})
     assert u.depth == 0
     assert calls == ["length", "from_entries", "length"]
     calls.clear()
@@ -468,7 +469,7 @@ def test_interval_matches_weak_order_on_permutations():
         n = g.shape.n
         wc, wr = g.nodes[0].word, g.nodes[g.size() - 1].word
         interval = {u for u in permutations(range(1, n + 1))
-                    if perms.weak_leq(wc, u) and perms.weak_leq(u, wr)}
+                    if weak_leq(wc, u) and weak_leq(u, wr)}
         assert {t.word for t in g.nodes} == interval
 
 

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import matrices
 from golden import SYMMETRIC_GOLDEN
 from youngbasis import fields
 from youngbasis.algebras import (AlgebraSpec, WeightScheme,
@@ -471,15 +472,15 @@ def test_verify_multiplies_no_matrices(capsys, monkeypatch, argv):
         products.append(a.nrows)
         return real_matmul(a, b)
 
-    def counting(name):
-        real = getattr(Matrix, name)
-        return lambda self, x: other.append(name) or real(self, x)
+    def counting(owner, name):
+        real = getattr(owner, name)
+        return lambda m, x: other.append(name) or real(m, x)
 
     monkeypatch.setattr(linalg, "matmul", counting_matmul)
     monkeypatch.setattr(algebras, "matmul", counting_matmul)
     built = _count_table_matrices(monkeypatch)
-    for name in ("scale", "coerce_field"):
-        monkeypatch.setattr(Matrix, name, counting(name))
+    for owner, name in ((matrices, "scale"), (Matrix, "coerce_field")):
+        monkeypatch.setattr(owner, name, counting(owner, name))
     code, out, _ = run_cli(capsys, "verify", *argv.split(" "))
     assert code == 0 and json.loads(out)["failures"] == 0
     assert (products, built, other) == ([], [], [])

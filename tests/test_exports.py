@@ -95,15 +95,31 @@ def test_benchmark_outputs_are_byte_identical():
         done.stdout
 
 
-def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
-    # each is ~7 ms and ~0.9 MB of every process; compare with a bare
-    # interpreter, so a site hook that loads them anyway is not counted
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_typing():
+    # each costs milliseconds and memory in every process; the child runs
+    # without the site module (-S), so no site hook preloads one of them
+    # and hides an import made by the package
     src = Path(youngbasis.__file__).resolve().parent.parent
-    code = ("import sys; before = set(sys.modules); import youngbasis.cli; "
-            "print(sorted({'dataclasses', 'inspect'} "
-            "& (set(sys.modules) - before)))")
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=60,
+    code = ("import sys; import youngbasis.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'typing'} "
+            "& set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, timeout=60,
                           env={"PYTHONPATH": str(src)})
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+def test_every_package_name_is_in_the_readme():
+    # the public surface is what the README names: a name the package
+    # exports appears in README.md as code, in a code block or a
+    # backquoted span
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    code = "\n".join(re.findall(r"```.*?```|`[^`\n]+`", readme, re.S))
+    tree = ast.parse(Path(youngbasis.__file__).read_text())
+    names = [alias.asname or alias.name for node in tree.body
+             if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert names
+    missing = [name for name in names
+               if not re.search(rf"\b{re.escape(name)}\b", code)]
+    assert not missing, missing

@@ -11,14 +11,15 @@ from sympy.functions.combinatorial.numbers import \
     partition as sympy_partition_count
 from sympy.utilities.iterables import partitions as sympy_partitions
 
+from fillings import (alphabetizer, apply_permutation, box_of,
+                      column_reading_tableau, entry, from_entries, is_standard,
+                      reading_tableaux, row_reading_tableau, shape_boxes, swap)
 from youngbasis.errors import (DegenerateWeightError, PreconditionError,
                                ShapeParseError)
 from youngbasis.fields import QFIELD, QRat
 from youngbasis.perms import length as perm_length
 from youngbasis.shapes import (Shape, Tableau, _partitions, all_partitions,
-                               all_skew_shapes, alphabetizer,
-                               apply_permutation, column_reading_tableau,
-                               parse_shape, row_reading_tableau,
+                               all_skew_shapes, parse_shape,
                                shape_from_parts, standard_tableaux)
 from youngbasis.weights import q_axial_weight, weighted_content
 
@@ -64,11 +65,11 @@ def test_multinomial_product_count():
 
 def _brute_force_count(shape):
     """Standard filling count by filtering all n! assignments."""
-    boxes = shape.boxes()
+    boxes = shape_boxes(shape)
     count = 0
     for perm in permutations(range(1, shape.n + 1)):
-        t = Tableau.from_entries(shape, dict(zip(boxes, perm)))
-        if t.is_standard:
+        t = from_entries(shape, dict(zip(boxes, perm)))
+        if is_standard(t):
             count += 1
     return count
 
@@ -88,11 +89,11 @@ def test_enumeration_equals_standard_fillings():
     for text in ["3,3/1,1", "(2,2/1,1)|(1)", "3,3,1/2,1", "(2,1)|(2)",
                  "(1)|()|(2)"]:
         s = parse_shape(text)
-        boxes = s.boxes()
+        boxes = shape_boxes(s)
         fillings = {t.rows for t in
-                    (Tableau.from_entries(s, dict(zip(boxes, perm)))
+                    (from_entries(s, dict(zip(boxes, perm)))
                      for perm in permutations(range(1, s.n + 1)))
-                    if t.is_standard}
+                    if is_standard(t)}
         assert {t.rows for t in standard_tableaux(s)} == fillings, text
 
 
@@ -100,7 +101,7 @@ def test_enumeration_is_duplicate_free_and_standard():
     for text in ["3,2,1", "3,3,1/2,1", "(2,1)|(2)"]:
         ts = standard_tableaux(parse_shape(text))
         assert len({t.rows for t in ts}) == len(ts)
-        assert all(t.is_standard for t in ts)
+        assert all(is_standard(t) for t in ts)
 
 
 def test_canonical_order_is_by_depth_then_word():
@@ -134,9 +135,9 @@ def test_reading_tableaux_single_box():
 
 def test_word_examples():
     s = parse_shape("4,4,2,1/2,2")
-    t = Tableau.from_entries(s, {(1, 1, 3): 1, (1, 1, 4): 3, (1, 2, 3): 5,
-                                 (1, 2, 4): 6, (1, 3, 1): 2, (1, 3, 2): 4,
-                                 (1, 4, 1): 7})
+    t = from_entries(s, {(1, 1, 3): 1, (1, 1, 4): 3, (1, 2, 3): 5,
+                         (1, 2, 4): 6, (1, 3, 1): 2, (1, 3, 2): 4,
+                         (1, 4, 1): 7})
     assert t.word == (2, 7, 4, 1, 5, 3, 6)
     s2 = parse_shape("3,2,1")
     t2 = tab(s2, (1, 2, 4), (3, 6), (5,))
@@ -177,9 +178,9 @@ def _inversions_by_definition(t):
     component or in a component further left."""
     out = set()
     for i in range(2, t.shape.n + 1):
-        ki, xi, yi = t.box_of[i]
+        ki, xi, yi = box_of(t)[i]
         for j in range(1, i):
-            kj, xj, yj = t.box_of[j]
+            kj, xj, yj = box_of(t)[j]
             if ki < kj or (ki == kj and xi > xj and yi < yj):
                 out.add((i, j))
     return out
@@ -197,17 +198,17 @@ def test_inversions_match_the_all_pairs_definition():
 def test_contents():
     s = parse_shape("9,7,7,4,2,2,1/4,3,2,2,2")
     c = column_reading_tableau(s)
-    v = c.entry(1, 1, 5)
+    v = entry(c, 1, 1, 5)
     assert c.content(v) == 4
     s2 = parse_shape("2,1")
     t = column_reading_tableau(s2)
-    assert t.content(t.entry(1, 1, 1)) == 0
+    assert t.content(entry(t, 1, 1, 1)) == 0
 
 
 def test_weighted_content_uses_page_weight():
     s = parse_shape("(2,1)|(1)")
     t = column_reading_tableau(s)
-    v = t.entry(1, 2, 1)  # box (2,1) of the first component
+    v = entry(t, 1, 2, 1)  # box (2,1) of the first component
     u1, u2 = F(2), F(3)
     got = weighted_content(t, v, (u1, u2), QFIELD.q)
     assert got == QFIELD.coerce(u1) * QRat.q_power(-2)
@@ -277,7 +278,7 @@ def test_swap_is_involutive():
     s = parse_shape("3,2")
     for t in standard_tableaux(s):
         for i in range(1, 5):
-            assert t.swap(i).swap(i) == t
+            assert swap(swap(t, i), i) == t
 
 
 def test_all_partitions():
@@ -325,7 +326,6 @@ def test_all_skew_shapes_are_normalized():
 
 
 def test_reading_tableaux_pair():
-    from youngbasis.shapes import reading_tableaux
     s = parse_shape("3,2")
     c, r = reading_tableaux(s)
     assert c == column_reading_tableau(s)
@@ -335,11 +335,11 @@ def test_reading_tableaux_pair():
 def test_content_of_pair():
     s = parse_shape("(2,1)|(1)")
     c = column_reading_tableau(s)
-    v = c.entry(1, 2, 1)
+    v = entry(c, 1, 2, 1)
     assert c.content(v) == -1
     assert weighted_content(c, v, (F(2), F(3)), QFIELD.q) \
         == QFIELD.coerce(2) * QRat.q_power(-2)
-    v1 = c.entry(1, 1, 1)
+    v1 = entry(c, 1, 1, 1)
     assert c.content(v1) == 0
     assert weighted_content(c, v1, (1, 1), QFIELD.q) == QFIELD.one
 
@@ -475,25 +475,25 @@ def test_word_operations_match_the_row_based_reference():
     shapes += [parse_shape("(2,1)|()|(1)"), parse_shape("(3,2/2)|(1)")]
     for s in shapes:
         n = s.n
-        boxes = s.boxes()
+        boxes = shape_boxes(s)
         fillings = [column_reading_tableau(s), row_reading_tableau(s)]
         for _ in range(3):
-            fillings.append(Tableau.from_entries(
+            fillings.append(from_entries(
                 s, dict(zip(boxes, rng.sample(range(1, n + 1), n)))))
         for t in fillings:
             rows = t.rows
             assert Tableau(s, rows) == t
-            assert t.is_standard == _ref_is_standard(s, rows)
-            entries = {box: t.entry(*box) for box in boxes}
+            assert is_standard(t) == _ref_is_standard(s, rows)
+            entries = {box: entry(t, *box) for box in boxes}
             assert entries == {b: v for v, b in
                                _ref_box_of(s, rows).items()}
-            assert Tableau.from_entries(s, entries).rows == \
+            assert from_entries(s, entries).rows == \
                 _ref_from_entries(s, entries) == rows
             # swaps that leave the graph give nonstandard fillings
             for i in range(1, n):
-                u = t.swap(i)
+                u = swap(t, i)
                 assert u.rows == _ref_swap(s, rows, i)
-                assert u.is_standard == _ref_is_standard(s, u.rows)
+                assert is_standard(u) == _ref_is_standard(s, u.rows)
             sigma = tuple(rng.sample(range(1, n + 1), n))
             u, std = apply_permutation(t, sigma)
             assert (u.rows, std) == _ref_apply_permutation(s, rows, sigma)

@@ -6,18 +6,20 @@ from math import gcd, lcm
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from fillings import is_standard, swap
 from golden import (G24_BASIS, G24_ROWS, H24_BASIS, HECKE32_BASIS,
                     SYMMETRIC_GOLDEN, T321, TENSOR_BASIS, TENSOR_ROWS,
                     a321_entries, h24_entry, hecke32_matrix)
-from walks import keep_skip_walks, r_partitions, walk_weight
+from matrices import is_identity
+from walks import keep_skip_walks, r_partitions, shortest_path, walk_weight
 from youngbasis.algebras import (AlgebraSpec, WeightScheme, _scale_steps,
                                  natural_generator, seminormal_generator,
                                  zeroth_generator)
-from youngbasis.bruhat import (BruhatGraph, Path, shortest_path,
-                               shortest_paths_from)
+from youngbasis.bruhat import BruhatGraph, Path, shortest_paths_from
 from youngbasis.errors import (InvariantError, PreconditionError,
                                ShapeParseError)
-from youngbasis.fields import QFIELD, RATIONALS, CyclotomicField, evaluate_q
+from youngbasis.fields import (QFIELD, RATIONALS, CyclotomicField, evaluate_q,
+                               field_of)
 from youngbasis.linalg import integral_pair, lowest_terms, matmul, push_column
 from youngbasis.perms import bruhat_leq
 from youngbasis.shapes import (Shape, Tableau, all_partitions,
@@ -108,12 +110,12 @@ def test_recursion_pivot_values():
     def two_term(srows, trows, label):
         s = Tableau(S321, [srows])
         t = Tableau(S321, [trows])
-        tprime = t.swap(label)
-        assert tprime.is_standard and tprime.depth == t.depth - 1
-        stay = ws.stay(s, label)
-        sprime = s.swap(label)
+        tprime = swap(t, label)
+        assert is_standard(tprime) and tprime.depth == t.depth - 1
+        stay = ws.pair(s, label, label + 1)
+        sprime = swap(s, label)
         total = stay * tm.entry(s, tprime)
-        if sprime.is_standard:
+        if is_standard(sprime):
             total += (1 - stay) * tm.entry(sprime, tprime)
         return total
 
@@ -237,9 +239,9 @@ def test_scaling_off_the_rationals_keeps_the_coefficients():
     assert ws.field is QFIELD
     nodes, neighbors = ws.graph.nodes, ws.graph.neighbors
     for label in range(1, 5):
-        stay = [ws.stay(t, label) for t in nodes]
+        stay = [ws.pair(t, label, label + 1) for t in nodes]
         move = [None if label not in nbrs else
-                (ws.move(t, label), nbrs[label])
+                (ws.diag_factor(t, label, label + 1), nbrs[label])
                 for t, nbrs in zip(nodes, neighbors)]
         sstay, smove, scale = ws.scaled_steps(label)
         assert scale == 1
@@ -647,7 +649,7 @@ def test_grn_tensor_block_for_two_components():
 def test_grn_trivial_components():
     shape = parse_shape("(1)|(1)")
     tm = grn_transition(WeightScheme(AlgebraSpec("wreath_grn"), shape))
-    assert tm.matrix.is_identity()
+    assert is_identity(tm.matrix)
     assert tm.matrix.ncols == 2
 
 
@@ -719,8 +721,8 @@ def test_orthogonal_step_identity_squared():
             qinv = QFIELD.q_inv if fam == "hecke_A" else F(1)
             for v, w, i in g.edges():
                 t = g.nodes[v]
-                move = ws.move(t, i)
-                stay = ws.stay(t, i)
+                move = ws.diag_factor(t, i, i + 1)
+                stay = ws.pair(t, i, i + 1)
                 assert move * move * d2[v] == (qinv * qinv - stay * stay) * d2[w]
 
 
@@ -736,11 +738,12 @@ def test_orthogonal_conjugated_generator_squares_to_identity_at_q1():
     for i in range(1, 5):
         for v, t in enumerate(g.nodes):
             w = g.neighbors[v].get(i)
-            a = ws.stay(t, i)
+            a = ws.pair(t, i, i + 1)
             if w is None:
                 assert a * a == F(1)
             else:
-                b, c = ws.move(t, i), ws.move(g.nodes[w], i)
+                b = ws.diag_factor(t, i, i + 1)
+                c = ws.diag_factor(g.nodes[w], i, i + 1)
                 # product of the two squared off-diagonal entries is
                 # (1-a^2)^2 after the diagonal rescale
                 lhs = (b * b * d2[v] / d2[w]) * (c * c * d2[w] / d2[v])
@@ -798,4 +801,4 @@ def test_inversion_products_match_a_field_product(family, text, kwargs):
                 acc = acc * factor(t, i, j)
             want.append(acc)
         assert got == want
-        assert all(ws.field.element_of(x) for x in got)
+        assert all(field_of(x) == ws.field for x in got)

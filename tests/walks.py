@@ -1,9 +1,13 @@
 """Brute-force enumerations shared by the tests: keep/skip walks along a
 path of the weak Bruhat graph (an oracle for the depth-first subpath
-enumeration of ``transition_pathsum``), and r-partitions of n."""
+enumeration of ``transition_pathsum``), a minimal path between two
+nodes, and r-partitions of n."""
 
 from itertools import product
 
+from reduced_words import weak_leq
+from youngbasis.bruhat import Path, shortest_paths_from
+from youngbasis.errors import PreconditionError
 from youngbasis.shapes import all_partitions
 
 
@@ -36,5 +40,18 @@ def walk_weight(ws, graph, path, moves, nodes):
     w = ws.field.one
     for i, kept, v in zip(path.labels, moves, nodes):
         t = graph.nodes[v]
-        w = w * (ws.move(t, i) if kept else ws.stay(t, i))
+        w = w * (ws.diag_factor(t, i, i + 1) if kept
+                 else ws.pair(t, i, i + 1))
     return w
+
+
+def shortest_path(graph, src, dst):
+    """A minimal path from src up to dst (see shortest_paths_from)."""
+    if src == dst:
+        return Path(src, (), (src,))
+    if not weak_leq(graph.nodes[src].word, graph.nodes[dst].word):
+        raise PreconditionError("destination is not above source in weak order")
+    paths = shortest_paths_from(graph, src)
+    if dst not in paths:
+        raise PreconditionError("no upward path found")
+    return paths[dst]
