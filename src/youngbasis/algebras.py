@@ -74,29 +74,29 @@ __all__ = ["AlgebraSpec", "FAMILIES", "PRESETS", "Preset", "generators",
            "natural_generator", "verify_relations", "WeightScheme"]
 
 
-class Preset(namedtuple("Preset", "u q pages zeroth prefix")):
-    """How a family fixes its parameters and names its generators.
+class Preset(namedtuple("Preset", "u q zeroth")):
+    """How a family fixes its parameters.
 
     ``u``: "unit" for u = (1,); "given" for one u_k per component
     ("inverse": exactly two, with u_1 u_2 = 1); "distinct" for the
-    stand-ins 1, ..., r; None for no u.
+    stand-ins 1, ..., r; None for no u, the page weights of the placed
+    shape.
     ``q``: "free"; "one" for coefficients at q = 1 with the given q only
-    echoed; "pinned" for q = 1, rejecting any other q.
-    ``pages``: page weights from "u" or from the placed "shape".
+    echoed; "pinned" for q = 1, rejecting any other q.  The generators
+    are named T_i for a free q and s_i at q = 1.
     ``zeroth``: T_0 as None, "u" (diag u_k), "xi" (diag xi^{k-1}) or
     "x1" (X_1), k the component holding the entry 1.
-    ``prefix``: generator names s_i or T_i.
     """
     __slots__ = ()
 
 
 PRESETS = {
-    "symmetric": Preset("unit", "one", "u", None, "s"),
-    "hecke_A": Preset("unit", "free", "u", None, "T"),
-    "hecke_B": Preset("inverse", "free", "u", "u", "T"),
-    "ariki_koike": Preset("given", "free", "u", "u", "T"),
-    "wreath_grn": Preset("distinct", "pinned", "u", "xi", "s"),
-    "affine_placed": Preset(None, "free", "shape", "x1", "T"),
+    "symmetric": Preset("unit", "one", None),
+    "hecke_A": Preset("unit", "free", None),
+    "hecke_B": Preset("inverse", "free", "u"),
+    "ariki_koike": Preset("given", "free", "u"),
+    "wreath_grn": Preset("distinct", "pinned", "xi"),
+    "affine_placed": Preset(None, "free", "x1"),
 }
 
 FAMILIES = tuple(PRESETS)
@@ -141,14 +141,14 @@ class AlgebraSpec:
                 f"{family} requires two u with u1 = u2^{{-1}}")
 
     def page_weights(self, shape):
-        if self.preset.pages == "shape":
+        if self.preset.u is None:
             return shape.weights
         if self.preset.u == "distinct":
             return tuple(range(1, shape.r + 1))
         return self.u
 
     def validate_shape(self, shape):
-        if self.preset.pages == "shape":
+        if self.preset.u is None:
             if not all(shape.weights):
                 raise PreconditionError("page weights must be nonzero")
         elif any(w != 1 for w in shape.weights):
@@ -231,7 +231,11 @@ class WeightScheme:
         key = self._key(t, i, j)
         entry = self._pair_cache.get(key)
         if entry is None:
-            a = q_axial_weight(t, i, j, self.weights, self.q)
+            a = q_axial_weight(key, self.weights, self.q)
+            if a is None:
+                raise DegenerateWeightError(
+                    f"weighted contents of {i} and {j} coincide "
+                    "(1 - q^(2 delta) = 0)")
             entry = self._pair_cache[key] = (a, self._qinv + a)
         return entry
 
@@ -272,15 +276,16 @@ class WeightScheme:
         weighted content of the box of i) or of T_0 (i = 0: u_k, or
         xi^{k-1} on a wreath product, when the entry 1 sits in component
         k), built on each call: a request reads each one once."""
-        nodes = self.graph.nodes
+        # per node the box of the entry i, or of the entry 1 for T_0
+        boxes = [self.boxes[t.positions[(i or 1) - 1]]
+                 for t in self.graph.nodes]
         if i:
-            vals = [weighted_content(t, i, self.weights, self.q)
-                    for t in nodes]
+            vals = [weighted_content(box, self.weights, self.q)
+                    for box in boxes]
         elif self.spec.preset.zeroth == "xi":
-            vals = [Cyclo.xi_power(self.shape.r, t.component_of(1) - 1)
-                    for t in nodes]
+            vals = [Cyclo.xi_power(self.shape.r, box[0] - 1) for box in boxes]
         else:
-            vals = [self.weights[t.component_of(1) - 1] for t in nodes]
+            vals = [self.weights[box[0] - 1] for box in boxes]
         return _scale_steps(
             _zeroth_field(self).split if i == 0 else self.field.split,
             vals, [None] * len(vals))
@@ -298,9 +303,9 @@ class WeightScheme:
 
 
 def _pair_key(box_i, box_j):
-    """What the coefficient of a pair of entries depends on, given the
-    boxes holding them: their components and the difference of their
-    contents."""
+    """The key of a pair of entries for :func:`weights.q_axial_weight`,
+    given the boxes holding them: their components and the difference of
+    their contents."""
     ki, xi, yi = box_i
     kj, xj, yj = box_j
     return ki, kj, yi - xi - yj + xj
@@ -383,18 +388,19 @@ def generators(ws, gen=None):
     ``gen`` picks by name before any matrix is built: a digit indexes an
     s_i, T_i or T0, never an X; anything else is a full name, any case."""
     preset, n = ws.spec.preset, ws.shape.n
-    table = [(f"{preset.prefix}{i}", partial(seminormal_generator, ws, i))
+    prefix = "T" if preset.q == "free" else "s"
+    table = [(f"{prefix}{i}", partial(seminormal_generator, ws, i))
              for i in range(1, n)]
     if preset.zeroth == "x1":
         table[:0] = [(f"X{i}", partial(x_generator, ws, i))
                      for i in range(1, n + 1)]
     elif preset.zeroth and n:
-        table.insert(0, (f"{preset.prefix}0", partial(zeroth_generator, ws)))
+        table.insert(0, (f"{prefix}0", partial(zeroth_generator, ws)))
     if gen is not None:
         # a coefficient that does not exist fails every pick
         for i in range(1, n):
             ws.scaled_steps(i)
-        key = (preset.prefix + gen if gen.isdigit() else gen).lower()
+        key = (prefix + gen if gen.isdigit() else gen).lower()
         table = [entry for entry in table if entry[0].lower() == key]
         if not table:
             raise PreconditionError(f"no generator named {gen!r}")
@@ -573,7 +579,7 @@ def verify_relations(ws):
     for i in range(1, n):
         # I + (c / d) S / L = (c S + d L I) / (d L)
         rhs = _plus_identity(gens[i], c, d, d * gens[i][2])
-        name = "quadratic T" if preset.prefix == "T" else "involution s"
+        name = "quadratic T" if preset.q == "free" else "involution s"
         record(f"{name}{i}", field, [gens[i], gens[i]], [rhs])
 
     if preset.zeroth in ("u", "xi") and n >= 1:

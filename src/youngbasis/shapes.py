@@ -7,7 +7,10 @@ with empty inner shapes.  Boxes are addressed as ``(component, row,
 column)`` with 1-based rows and columns taken in the outer partition,
 so the content of a box is ``column - row``.  A :class:`Tableau` is
 stored as its word, the entries in the column reading order; its rows
-are a view of the word.
+are a view of the word.  The reading layout (``_reading_layout``),
+built from each component's row spans, is the one place that knows
+where a box sits: the box of an entry is the layout's box at the
+entry's reading position.
 
 Shape strings:  partition ``"3,2,1"``; skew ``"3,3,1/2,1"``;
 multi-component ``"(2,1)|(1)"`` with skew components ``"(3,2/1)|(2)"``
@@ -21,6 +24,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import itemgetter
 
 from .errors import ShapeParseError
 from .fields import QRat, parse_rational
@@ -57,23 +61,11 @@ class Shape:
         if len(weights) != len(comps):
             raise ShapeParseError("one page weight per component required")
         self.weights = weights
-        self.n = sum(self.component_size(k) for k in range(1, self.r + 1))
+        self.n = sum(sum(outer) - sum(inner) for outer, inner in comps)
 
     @property
     def r(self):
         return len(self.components)
-
-    def component_size(self, k):
-        outer, inner = self.components[k - 1]
-        return sum(outer) - sum(inner)
-
-    def inner_at(self, k, row):
-        inner = self.components[k - 1][1]
-        return inner[row - 1] if row <= len(inner) else 0
-
-    def has_box(self, k, x, y):
-        outer, _ = self.components[k - 1]
-        return 1 <= x <= len(outer) and self.inner_at(k, x) < y <= outer[x - 1]
 
     def is_r_partition(self):
         return all(not inner for _, inner in self.components)
@@ -83,22 +75,6 @@ class Shape:
 
     def __hash__(self):
         return hash(self.components)
-
-    def connected_row_groups(self, k):
-        """Nonempty rows of component k grouped into connected pieces,
-        the northeast-most group first."""
-        outer, _ = self.components[k - 1]
-        rows = [x for x in range(1, len(outer) + 1)
-                if outer[x - 1] > self.inner_at(k, x)]
-        groups = []
-        for x in rows:
-            # row x joins the group above iff rows x-1 and x share a column
-            if groups and groups[-1][-1] == x - 1 and \
-                    outer[x - 1] > self.inner_at(k, x - 1):
-                groups[-1].append(x)
-            else:
-                groups.append([x])
-        return groups
 
     def to_str(self):
         def comp_str(outer, inner):
@@ -224,19 +200,6 @@ class Tableau:
         return tuple(tuple(tuple(map(word.__getitem__, row)) for row in comp)
                      for comp in _reading_layout(self.shape)[1])
 
-    def box(self, i):
-        """The box (component, row, col) holding i, read through its
-        reading position."""
-        return _reading_layout(self.shape)[0][self.positions[i - 1]]
-
-    def content(self, i):
-        """Plain content col - row of the box holding i."""
-        _, x, y = self.box(i)
-        return y - x
-
-    def component_of(self, i):
-        return self.box(i)[0]
-
     @cached_property
     def positions(self):
         """The inverse word: positions[v - 1] is the reading position of
@@ -286,24 +249,28 @@ def _reading_layout(shape):
     the box at 0-based position p, and rows[k-1][x-1] the positions of
     row x of component k, left to right.  The order fills the columns
     top to bottom: components left to right, and within a component the
-    southwest-most connected row group first."""
-    boxes = []
-    for k in range(1, shape.r + 1):
-        outer, _ = shape.components[k - 1]
-        for group in reversed(shape.connected_row_groups(k)):
-            cols = sorted({y for x in group
-                           for y in range(shape.inner_at(k, x) + 1, outer[x - 1] + 1)})
-            for y in cols:
-                for x in group:
-                    if shape.has_box(k, x, y):
-                        boxes.append((k, x, y))
+    southwest-most connected row group first, each group by a stable
+    sort of its rows' boxes on the column."""
+    boxes, rows = [], []
+    for k, (outer, inner) in enumerate(shape.components, start=1):
+        inner += (0,) * (len(outer) - len(inner))
+        comp = [[(k, x, y) for y in range(inner[x - 1] + 1, width + 1)]
+                for x, width in enumerate(outer, start=1)]
+        groups = []
+        for x, row in enumerate(comp, start=1):
+            # row x shares a column with row x - 1 iff it reaches past
+            # that row's inner width, and then neither row is empty
+            if x > 1 and inner[x - 2] < outer[x - 1]:
+                groups[-1] += row
+            elif row:
+                groups.append(row[:])
+        for group in reversed(groups):
+            boxes += sorted(group, key=itemgetter(2))
+        rows.append(comp)
     pos = {box: p for p, box in enumerate(boxes)}
-    rows = tuple(
-        tuple(tuple(pos[(k, x, y)]
-                    for y in range(shape.inner_at(k, x) + 1, width + 1))
-              for x, width in enumerate(outer, start=1))
-        for k, (outer, _) in enumerate(shape.components, start=1))
-    return tuple(boxes), rows
+    return tuple(boxes), tuple(
+        tuple(tuple(map(pos.__getitem__, row)) for row in comp)
+        for comp in rows)
 
 
 def _tableau_of_word(shape, word, depth=None, positions=None):

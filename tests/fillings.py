@@ -1,19 +1,48 @@
 """Fillings of a shape for the tests: a tableau built from its boxes,
 the column and row reading tableaux, entries read by box, standardness,
-and permutations acting on the entries."""
+and permutations acting on the entries; and the row spans and connected
+row groups of a component, computed box by box."""
 
 from youngbasis.errors import PreconditionError
 from youngbasis.shapes import _reading_layout, _tableau_of_word
 
 
+def inner_at(shape, k, row):
+    """The inner width of row `row` of component k: 0 below the inner
+    shape."""
+    inner = shape.components[k - 1][1]
+    return inner[row - 1] if row <= len(inner) else 0
+
+
+def row_boxes(shape, k, x):
+    """The boxes of row x of component k, left to right."""
+    return [(k, x, y) for y in range(inner_at(shape, k, x) + 1,
+                                     shape.components[k - 1][0][x - 1] + 1)]
+
+
+def row_groups(shape, k):
+    """The nonempty rows of component k as connected pieces, the
+    northeast-most first: two rows are joined when some column holds a
+    box of each."""
+    groups = []
+    for x in range(1, len(shape.components[k - 1][0]) + 1):
+        cols = {y for _, _, y in row_boxes(shape, k, x)}
+        if not cols:
+            continue
+        above = {y for _, _, y in row_boxes(shape, k, x - 1)} if x > 1 \
+            else set()
+        if cols & above:
+            groups[-1].append(x)
+        else:
+            groups.append([x])
+    return groups
+
+
 def shape_boxes(shape):
     """All boxes as (component, row, col), by component then row."""
-    out = []
-    for k, (outer, _inner) in enumerate(shape.components, start=1):
-        for x, width in enumerate(outer, start=1):
-            for y in range(shape.inner_at(k, x) + 1, width + 1):
-                out.append((k, x, y))
-    return out
+    return [box for k, (outer, _) in enumerate(shape.components, start=1)
+            for x in range(1, len(outer) + 1)
+            for box in row_boxes(shape, k, x)]
 
 
 def from_entries(shape, entries):
@@ -25,7 +54,7 @@ def from_entries(shape, entries):
 
 def entry(t, k, x, y):
     """The entry of t in box (k, x, y)."""
-    return t.rows[k - 1][x - 1][y - 1 - t.shape.inner_at(k, x)]
+    return t.rows[k - 1][x - 1][y - 1 - inner_at(t.shape, k, x)]
 
 
 def box_of(t):
@@ -65,11 +94,10 @@ def row_reading_tableau(shape):
     entries = {}
     counter = 1
     for k in range(shape.r, 0, -1):
-        outer, _ = shape.components[k - 1]
-        for group in shape.connected_row_groups(k):
+        for group in row_groups(shape, k):
             for x in group:
-                for y in range(shape.inner_at(k, x) + 1, outer[x - 1] + 1):
-                    entries[(k, x, y)] = counter
+                for box in row_boxes(shape, k, x):
+                    entries[box] = counter
                     counter += 1
     return from_entries(shape, entries)
 

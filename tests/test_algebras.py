@@ -26,7 +26,6 @@ from youngbasis.shapes import (Shape, Tableau, all_partitions,
 from youngbasis.transition import (diagonal_closed_form,
                                    orthogonal_diag_squared,
                                    transition_recursive)
-from youngbasis.weights import q_axial_weight
 
 S321 = parse_shape("3,2,1")
 SPEC_S6 = AlgebraSpec("symmetric")
@@ -78,13 +77,13 @@ def test_zeroth_generator_cyclotomic_eigenvalues():
     g = BruhatGraph(shape)
     m = zeroth_generator(WeightScheme(spec, shape, g))
     for v, t in enumerate(g.nodes):
-        expect = F(2) if t.component_of(1) == 1 else F(3)
+        expect = F(2) if box_of(t)[1][0] == 1 else F(3)
         assert m.get(v, v) == expect
     specw = AlgebraSpec("wreath_grn")
     mw = zeroth_generator(WeightScheme(specw, shape, g))
     field = CyclotomicField(2)
     for v, t in enumerate(g.nodes):
-        expect = field.one if t.component_of(1) == 1 else -field.one
+        expect = field.one if box_of(t)[1][0] == 1 else -field.one
         assert mw.get(v, v) == expect
 
 
@@ -568,20 +567,29 @@ def test_symbolic_q_evaluates_to_rational_q(family, u, pages):
 ])
 def test_keyed_tables_match_a_per_node_recomputation(family, q, u, text):
     """The scaled steps over L and the diagonal, read from one cache
-    entry per key, equal the coefficients recomputed at every node by the
-    uncached q_axial_weight."""
+    entry per key, equal the coefficients recomputed at every node from
+    the boxes of the pair's entries."""
     ws = WeightScheme(AlgebraSpec(family, q, u), parse_shape(text))
-    qinv = 1 / ws.q
+    q = ws.q
+    qinv = 1 / q
     join = ws.field.join
 
-    def axial(t, i, j):
-        return q_axial_weight(t, i, j, ws.weights, ws.q)
+    def axial(boxes, i, j):
+        # (q - q^-1) / (1 - W_i/W_j), W = u_k q^{2(col - row)}, or its
+        # limit 1 / (ct(j) - ct(i)) at q = 1 within one component
+        (ki, xi, yi), (kj, xj, yj) = boxes[i], boxes[j]
+        if q == 1 and ki == kj:
+            return F(1, (yj - xj) - (yi - xi))
+        wi = ws.weights[ki - 1] * q ** (2 * (yi - xi))
+        wj = ws.weights[kj - 1] * q ** (2 * (yj - xj))
+        return (q - qinv) / (1 - wi / wj)
 
     nodes, neighbors = ws.graph.nodes, ws.graph.neighbors
+    boxes = [box_of(t) for t in nodes]
     for label in range(1, ws.shape.n):
         sstay, smove, den = ws.scaled_steps(label)
         for v, t in enumerate(nodes):
-            a = axial(t, label, label + 1)
+            a = axial(boxes[v], label, label + 1)
             target = neighbors[v].get(label)
             assert join(sstay[v], den) == a and sstay[v] == a * den
             if target is None:
@@ -590,10 +598,10 @@ def test_keyed_tables_match_a_per_node_recomputation(family, q, u, text):
                 assert (join(smove[v][0], den), smove[v][1]) == (qinv + a,
                                                                  target)
                 assert smove[v] == ((qinv + a) * den, target)
-    for t, d in zip(nodes, diagonal_closed_form(ws)):
+    for t, b, d in zip(nodes, boxes, diagonal_closed_form(ws)):
         want = ws.field.one
         for i, j in sorted(t.inversions):
-            want = want * (qinv + axial(t, i, j))
+            want = want * (qinv + axial(b, i, j))
         assert d == want
 
 

@@ -110,12 +110,17 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_or_typing():
     assert done.stdout == "[]\n"
 
 
+def _readme_code():
+    """The code of README.md: its code blocks and backquoted spans."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    return "\n".join(re.findall(r"```.*?```|`[^`\n]+`", readme, re.S))
+
+
 def test_every_package_name_is_in_the_readme():
     # the public surface is what the README names: a name the package
     # exports appears in README.md as code, in a code block or a
     # backquoted span
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    code = "\n".join(re.findall(r"```.*?```|`[^`\n]+`", readme, re.S))
+    code = _readme_code()
     tree = ast.parse(Path(youngbasis.__file__).read_text())
     names = [alias.asname or alias.name for node in tree.body
              if isinstance(node, ast.ImportFrom) for alias in node.names]
@@ -123,3 +128,27 @@ def test_every_package_name_is_in_the_readme():
     missing = [name for name in names
                if not re.search(rf"\b{re.escape(name)}\b", code)]
     assert not missing, missing
+
+
+def test_every_method_is_referenced_or_documented():
+    # a method defined in a class body of the package is referenced by
+    # name in the package's code, as an attribute or a name, or appears
+    # in README.md as code; dunders are exempt
+    package = Path(youngbasis.__file__).resolve().parent
+    code = _readme_code()
+    methods, referenced = [], set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                methods += [(path.name, node.name, item.name)
+                            for item in node.body
+                            if isinstance(item, ast.FunctionDef)
+                            and not re.fullmatch(r"__\w+__", item.name)]
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.Name):
+                referenced.add(node.id)
+    assert methods
+    unreferenced = [m for m in methods if m[2] not in referenced
+                    and not re.search(rf"\b{m[2]}\b", code)]
+    assert not unreferenced, unreferenced

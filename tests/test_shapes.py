@@ -13,13 +13,13 @@ from sympy.utilities.iterables import partitions as sympy_partitions
 
 from fillings import (alphabetizer, apply_permutation, box_of,
                       column_reading_tableau, entry, from_entries, is_standard,
-                      reading_tableaux, row_reading_tableau, shape_boxes, swap)
-from youngbasis.errors import (DegenerateWeightError, PreconditionError,
-                               ShapeParseError)
+                      reading_tableaux, row_boxes, row_groups,
+                      row_reading_tableau, shape_boxes, swap)
+from youngbasis.errors import PreconditionError, ShapeParseError
 from youngbasis.fields import QFIELD, QRat
 from youngbasis.perms import length as perm_length
-from youngbasis.shapes import (Shape, Tableau, _partitions, all_partitions,
-                               all_skew_shapes, parse_shape,
+from youngbasis.shapes import (Shape, Tableau, _partitions, _reading_layout,
+                               all_partitions, all_skew_shapes, parse_shape,
                                shape_from_parts, standard_tableaux)
 from youngbasis.weights import q_axial_weight, weighted_content
 
@@ -196,58 +196,68 @@ def test_inversions_match_the_all_pairs_definition():
 
 
 def test_contents():
+    # a box's content col - row is the exponent of q^2 in its weighted
+    # content; the box of an entry is read at its reading position
     s = parse_shape("9,7,7,4,2,2,1/4,3,2,2,2")
     c = column_reading_tableau(s)
-    v = entry(c, 1, 1, 5)
-    assert c.content(v) == 4
-    s2 = parse_shape("2,1")
-    t = column_reading_tableau(s2)
-    assert t.content(entry(t, 1, 1, 1)) == 0
+    box = _reading_layout(s)[0][c.positions[entry(c, 1, 1, 5) - 1]]
+    assert box == (1, 1, 5)
+    assert weighted_content(box, (1,), QFIELD.q) == QRat.q_power(2 * 4)
+    t = column_reading_tableau(parse_shape("2,1"))
+    box = _reading_layout(t.shape)[0][t.positions[entry(t, 1, 1, 1) - 1]]
+    assert weighted_content(box, (1,), QFIELD.q) == QRat.q_power(2 * 0)
 
 
 def test_weighted_content_uses_page_weight():
-    s = parse_shape("(2,1)|(1)")
-    t = column_reading_tableau(s)
-    v = entry(t, 1, 2, 1)  # box (2,1) of the first component
+    box = (1, 2, 1)  # box (2,1) of the first component
     u1, u2 = F(2), F(3)
-    got = weighted_content(t, v, (u1, u2), QFIELD.q)
+    got = weighted_content(box, (u1, u2), QFIELD.q)
     assert got == QFIELD.coerce(u1) * QRat.q_power(-2)
-    assert weighted_content(t, v, (u1, u2), F(5)) == u1 * F(1, 25)
+    assert weighted_content(box, (u1, u2), F(5)) == u1 * F(1, 25)
+
+
+def _key(t, i, j):
+    """The coefficient key (k_i, k_j, ct(i) - ct(j)) of a pair of
+    entries of t."""
+    (ki, xi, yi), (kj, xj, yj) = box_of(t)[i], box_of(t)[j]
+    return ki, kj, (yi - xi) - (yj - xj)
 
 
 def test_axial_weight_examples():
     s = parse_shape("5,4,3,1")
     t = Tableau(s, [[(1, 4, 6, 7, 9), (2, 5, 8, 10), (3, 11, 13), (12,)]])
-    # at q = 1 the coefficient is the reciprocal axial distance
-    assert q_axial_weight(t, 10, 11, (1,), F(1)) == F(-1, 3)
+    # at q = 1 the coefficient is the reciprocal axial distance: 10 sits
+    # at content 2 and 11 at content -1
+    assert _key(t, 10, 11) == (1, 1, 3)
+    assert q_axial_weight((1, 1, 3), (1,), F(1)) == F(-1, 3)
     # antisymmetry
     for (i, j) in [(10, 11), (3, 7), (12, 2)]:
-        assert q_axial_weight(t, i, j, (1,), F(1)) \
-            == -q_axial_weight(t, j, i, (1,), F(1))
+        assert q_axial_weight(_key(t, i, j), (1,), F(1)) \
+            == -q_axial_weight(_key(t, j, i), (1,), F(1))
 
 
 def test_axial_weight_q_examples():
-    s = parse_shape("2")
-    c = column_reading_tableau(s)
-    assert q_axial_weight(c, 1, 2, (1,), QFIELD.q) == QRat.q_power(1)
+    c = column_reading_tableau(parse_shape("2"))
+    assert _key(c, 1, 2) == (1, 1, -1)
+    assert q_axial_weight((1, 1, -1), (1,), QFIELD.q) == QRat.q_power(1)
     # complementary pair sums to q - q^{-1}
     s2 = parse_shape("3,2")
     for t in standard_tableaux(s2):
         for i in range(1, 5):
-            a = q_axial_weight(t, i, i + 1, (1,), QFIELD.q)
-            b = q_axial_weight(t, i + 1, i, (1,), QFIELD.q)
+            a = q_axial_weight(_key(t, i, i + 1), (1,), QFIELD.q)
+            b = q_axial_weight(_key(t, i + 1, i), (1,), QFIELD.q)
             assert a + b == QFIELD.q - QFIELD.q_inv
     # at q = 1: distinct page weights give 0 across components; equal
-    # contents, or equal page weights across components, stay degenerate
+    # contents, or equal page weights across components, have no
+    # coefficient
     t = column_reading_tableau(parse_shape("(2)|(1)"))
-    assert q_axial_weight(t, 1, 3, (2, 3), F(1)) == 0
-    with pytest.raises(DegenerateWeightError):
-        q_axial_weight(t, 1, 3, (2, 2), F(1))
-    with pytest.raises(DegenerateWeightError):
-        q_axial_weight(t, 1, 2, (1, 1), F(-1))
+    assert _key(t, 1, 3) == (1, 2, 0) and _key(t, 1, 2) == (1, 1, -1)
+    assert q_axial_weight((1, 2, 0), (2, 3), F(1)) == 0
+    assert q_axial_weight((1, 2, 0), (2, 2), F(1)) is None
+    assert q_axial_weight((1, 1, -1), (1, 1), F(-1)) is None
     t = Tableau(parse_shape("2,2"), [[(1, 2), (3, 4)]])
-    with pytest.raises(DegenerateWeightError):
-        q_axial_weight(t, 1, 4, (1,), F(1))
+    assert _key(t, 1, 4) == (1, 1, 0)
+    assert q_axial_weight((1, 1, 0), (1,), F(1)) is None
 
 
 def test_alphabetizer():
@@ -333,15 +343,10 @@ def test_reading_tableaux_pair():
 
 
 def test_content_of_pair():
-    s = parse_shape("(2,1)|(1)")
-    c = column_reading_tableau(s)
-    v = entry(c, 1, 2, 1)
-    assert c.content(v) == -1
-    assert weighted_content(c, v, (F(2), F(3)), QFIELD.q) \
-        == QFIELD.coerce(2) * QRat.q_power(-2)
-    v1 = entry(c, 1, 1, 1)
-    assert c.content(v1) == 0
-    assert weighted_content(c, v1, (1, 1), QFIELD.q) == QFIELD.one
+    # box (2,1) of the first component has content -1, box (1,1) 0
+    assert weighted_content((1, 2, 1), (F(2), F(3)), QFIELD.q) \
+        == QFIELD.coerce(2) * QRat.q_power(2 * -1)
+    assert weighted_content((1, 1, 1), (1, 1), QFIELD.q) == QFIELD.one
 
 
 def test_tableau_rows_round_trip_with_empty_rows_and_components():
@@ -414,59 +419,9 @@ def test_apply_permutation_requires_a_permutation():
             apply_permutation(t, sigma)
 
 
-# The row-based tableau operations that the word-based ones replaced,
-# kept as a reference: a tableau as its rows per component.
-
-def _ref_from_entries(shape, entries):
-    rows = []
-    for k, (outer, _inner) in enumerate(shape.components, start=1):
-        comp = []
-        for x in range(1, len(outer) + 1):
-            comp.append(tuple(entries[(k, x, y)]
-                              for y in range(shape.inner_at(k, x) + 1,
-                                             outer[x - 1] + 1)))
-        rows.append(tuple(comp))
-    return tuple(rows)
-
-
-def _ref_box_of(shape, rows):
-    return {v: (k, x, y + shape.inner_at(k, x))
-            for k, comp in enumerate(rows, start=1)
-            for x, row in enumerate(comp, start=1)
-            for y, v in enumerate(row, start=1)}
-
-
-def _ref_is_standard(shape, rows):
-    def entry(k, x, y):
-        return rows[k - 1][x - 1][y - 1 - shape.inner_at(k, x)]
-
-    for k, comp in enumerate(rows, start=1):
-        outer = shape.components[k - 1][0]
-        for row in comp:
-            if any(row[j] >= row[j + 1] for j in range(len(row) - 1)):
-                return False
-        for x in range(1, len(comp)):
-            lo = shape.inner_at(k, x)
-            for y in range(lo + 1, min(outer[x - 1], outer[x]) + 1):
-                if entry(k, x, y) >= entry(k, x + 1, y):
-                    return False
-    return True
-
-
-def _ref_swap(shape, rows, i):
-    entries = {box: (i + 1 if v == i else i if v == i + 1 else v)
-               for v, box in _ref_box_of(shape, rows).items()}
-    return _ref_from_entries(shape, entries)
-
-
-def _ref_apply_permutation(shape, rows, sigma):
-    entries = {box: sigma[v - 1]
-               for v, box in _ref_box_of(shape, rows).items()}
-    out = _ref_from_entries(shape, entries)
-    return out, _ref_is_standard(shape, out)
-
-
-def test_word_operations_match_the_row_based_reference():
+def test_rows_round_trip_through_the_word():
+    # the rows read off a filling's word through the reading layout
+    # rebuild the filling, standard or not
     import random
     from walks import r_partitions
     rng = random.Random(5)
@@ -481,19 +436,35 @@ def test_word_operations_match_the_row_based_reference():
             fillings.append(from_entries(
                 s, dict(zip(boxes, rng.sample(range(1, n + 1), n)))))
         for t in fillings:
-            rows = t.rows
-            assert Tableau(s, rows) == t
-            assert is_standard(t) == _ref_is_standard(s, rows)
-            entries = {box: entry(t, *box) for box in boxes}
-            assert entries == {b: v for v, b in
-                               _ref_box_of(s, rows).items()}
-            assert from_entries(s, entries).rows == \
-                _ref_from_entries(s, entries) == rows
-            # swaps that leave the graph give nonstandard fillings
-            for i in range(1, n):
-                u = swap(t, i)
-                assert u.rows == _ref_swap(s, rows, i)
-                assert is_standard(u) == _ref_is_standard(s, u.rows)
-            sigma = tuple(rng.sample(range(1, n + 1), n))
-            u, std = apply_permutation(t, sigma)
-            assert (u.rows, std) == _ref_apply_permutation(s, rows, sigma)
+            assert Tableau(s, t.rows) == t
+
+
+def _layout_by_definition(shape):
+    """The column reading order built from its definition: components
+    left to right; within one, the connected row groups of
+    fillings.row_groups southwest-most first, each read by columns left
+    to right and each column top to bottom.  Also the reading positions
+    of every row, left to right."""
+    boxes = []
+    for k in range(1, shape.r + 1):
+        for group in reversed(row_groups(shape, k)):
+            boxes += sorted((box for x in group
+                             for box in row_boxes(shape, k, x)),
+                            key=lambda box: (box[2], box[1]))
+    pos = {box: p for p, box in enumerate(boxes)}
+    rows = tuple(tuple(tuple(pos[box] for box in row_boxes(shape, k, x))
+                       for x in range(1, len(outer) + 1))
+                 for k, (outer, _) in enumerate(shape.components, start=1))
+    return tuple(boxes), rows
+
+
+def test_reading_layout_matches_its_definition():
+    from walks import r_partitions
+    shapes = [s for n in range(1, 7) for s in all_skew_shapes(n)]
+    shapes += [shape_from_parts(*parts)
+               for n in range(5) for parts in r_partitions(2, n)]
+    # an empty first row, an empty component, one group of four rows
+    shapes += [parse_shape(text) for text in
+               ["3,3/3", "(1)|()|(2,2/1)", "4,4,2,2/3,1,1"]]
+    for s in shapes:
+        assert _reading_layout(s) == _layout_by_definition(s), s.to_str()
